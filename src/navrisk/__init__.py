@@ -12,7 +12,6 @@ from .planner import (
     plan_sampling,
 )
 from .prediction import (
-    PredictedWorld,
     PredictionConfig,
     predict_linear,
     prediction_error,
@@ -28,6 +27,8 @@ from .risk import (
     RouterConfig,
     actor_importance,
     actor_risk_exact,
+    all_actor_importance_kl,
+    all_actor_risk_exact,
     evaluate_tick,
     expected_actor_risk,
     plan_divergence_kl,

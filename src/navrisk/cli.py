@@ -21,9 +21,11 @@ from .report import phase_summary_csv, run_csv, scatter_svg, timeline_svg
 from .risk import (
     DegenerateScenario,
     LatticeCapExceeded,
-    actor_risk_exact,
-    total_risk_exact,
+    all_actor_risk_exact,
+    check_cap,
 )
+# bound here for perfbench/tracer.py, which wraps them in this module
+from .risk import actor_risk_exact, total_risk_exact  # noqa: F401
 from .scenario import (
     CaseStudyParams,
     ScenarioError,
@@ -109,13 +111,21 @@ def cmd_run(args) -> int:
         else (args.operator,)
     lattice = None
     if args.exact_lattice or "kl" in operators:
-        if args.horizon % args.lattice_steps:
-            print("error: --horizon must be divisible by --lattice-steps",
-                  file=sys.stderr)
+        if args.lattice_steps < 1:
+            print("error: --lattice-steps must be >= 1", file=sys.stderr)
+            return EXIT_CONFIG
+        if args.horizon < 1 or args.horizon % args.lattice_steps:
+            print("error: --horizon must be a positive multiple of "
+                  "--lattice-steps", file=sys.stderr)
             return EXIT_CONFIG
         lattice = LatticeConfig(
             args.lattice_steps, ("keep", "shift_left", "shift_right"),
             args.horizon // args.lattice_steps)
+        try:
+            check_cap(lattice)
+        except LatticeCapExceeded as e:
+            print(f"error: --lattice-steps: {e}", file=sys.stderr)
+            return EXIT_CAP
     try:
         cfg = RunConfig(
             seed=args.seed, horizon=args.horizon,
@@ -153,16 +163,15 @@ def cmd_oracle(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
     maneuvers = tuple(m.strip() for m in args.maneuvers.split(",") if m)
+    if args.steps < 1:
+        print("error: --steps must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     if args.k % args.steps:
         print("error: --k must be divisible by --steps", file=sys.stderr)
         return EXIT_CONFIG
     try:
         lattice = LatticeConfig(args.steps, maneuvers, args.k // args.steps)
-        total = total_risk_exact(scenario, args.t, args.k, lattice)
-        rows = [
-            (aid, actor_risk_exact(scenario, aid, args.t, args.k, lattice))
-            for aid in scenario.npc_trajectories
-        ]
+        risk = all_actor_risk_exact(scenario, args.t, args.k, lattice)
     except LatticeCapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
@@ -173,18 +182,10 @@ def cmd_oracle(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCENARIO
 
-    from .planner import enumerate_plans
-    from .scenario import slice_world, EGO_ID
-    empty = enumerate_plans(scenario.map, scenario.ego_initial, args.t,
-                            args.k, lattice, dt=scenario.dt)
-    full = enumerate_plans(
-        scenario.map, scenario.ego_initial, args.t, args.k, lattice,
-        slice_world(scenario, args.t, args.k), scenario.actor_radius,
-        scenario.radius_of(EGO_ID), dt=scenario.dt)
     print("kind,actor_id,z_empty,z,rho")
-    print(f"total,,{empty.universe_size},{len(full)},{total!r}")
-    for aid, rho in rows:
-        print(f"actor,{aid},{empty.universe_size},{len(full)},{rho!r}")
+    print(f"total,,{risk.z_empty},{risk.z},{risk.total!r}")
+    for aid, rho in risk.per_actor.items():
+        print(f"actor,{aid},{risk.z_empty},{risk.z},{rho!r}")
     return EXIT_OK
 
 

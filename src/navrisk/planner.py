@@ -84,9 +84,6 @@ class LatticeConfig:
     def horizon(self) -> int:
         return self.decision_steps * self.ticks_per_step
 
-    def universe_cap_ok(self, cap: int) -> bool:
-        return len(self.maneuvers) ** self.decision_steps <= cap
-
 
 @dataclass(frozen=True)
 class GoalSpec:
@@ -232,6 +229,42 @@ def _states_from_columns(xs, ys, vs) -> tuple[ActorState, ...]:
     return tuple(out)
 
 
+def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
+                     lattice: LatticeConfig,
+                     world: Mapping[str, Trajectory],
+                     radii: Mapping[str, float],
+                     ego_radius: float = 1.2,
+                     margin: float = 0.5,
+                     dt: float = 0.1):
+    """Render the lattice once and test every plan against every actor.
+
+    Returns the in-bounds, within-limit sequences in itertools.product
+    order, their (U, 3, k+1) array of (xs, ys, vs) columns, and the (U, m)
+    blocker matrix: [u, j] is True iff plan u collides with the j-th actor
+    of world.  Every exact plan count of the window reduces this matrix.
+    """
+    if lattice.horizon != k:
+        raise ScenarioError(
+            f"lattice covers {lattice.horizon} ticks but horizon k = {k}")
+    if not road.contains_y(ego.position_y):
+        raise ScenarioError("ego is off-road")
+    seqs, cols = [], []
+    for seq in itertools.product(lattice.maneuvers,
+                                 repeat=lattice.decision_steps):
+        c = _render_lattice(seq, road, ego, lattice, dt)
+        if c is not None:
+            seqs.append(seq)
+            cols.append(np.array(c))
+    cols = np.array(cols).reshape(len(seqs), 3, k + 1)
+    obs, rsum = world_arrays(world, radii, ego_radius, margin, t, k)
+    blockers = np.empty((len(seqs), len(rsum)), dtype=bool)
+    for j in range(len(rsum)):   # strict <: boundary contact is no collision
+        dist = np.hypot(obs[j, None, :, 0] - cols[:, 0],
+                        obs[j, None, :, 1] - cols[:, 1])
+        blockers[:, j] = np.any(dist < rsum[j], axis=1)
+    return seqs, cols, blockers
+
+
 def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
                     lattice: LatticeConfig,
                     world: Optional[Mapping[str, Trajectory]] = None,
@@ -245,32 +278,15 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
     universe_size counts the in-bounds sequences regardless of the world, so
     it equals |plans| exactly when world is None.
     """
-    if lattice.horizon != k:
-        raise ScenarioError(
-            f"lattice covers {lattice.horizon} ticks but horizon k = {k}")
-    if not road.contains_y(ego.position_y):
-        raise ScenarioError("ego is off-road")
-    obs = rsum = None
-    if world:
-        obs, rsum = world_arrays(world, radii or {}, ego_radius, margin, t, k)
-
+    seqs, cols, blockers = lattice_blockers(
+        road, ego, t, k, lattice, world or {}, radii or {}, ego_radius,
+        margin, dt)
     plans = []
-    universe = 0
-    for seq in itertools.product(lattice.maneuvers,
-                                 repeat=lattice.decision_steps):
-        cols = _render_lattice(seq, road, ego, lattice, dt)
-        if cols is None:
-            continue
-        universe += 1
-        states = _states_from_columns(*cols)
-        traj = Trajectory("ego", t, dt, states)
-        if obs is not None and obs.shape[0]:
-            diff = obs - traj.xy[None, :, :]
-            dist = np.hypot(diff[..., 0], diff[..., 1])
-            if np.any(dist < rsum[:, None]):
-                continue
-        plans.append(Plan(traj, _plan_cost(traj, road), maneuver_seq=seq))
-    return PlanSet(tuple(plans), universe)
+    for u in np.flatnonzero(~blockers.any(axis=1)):
+        traj = Trajectory("ego", t, dt,
+                          _states_from_columns(*cols[u].tolist()))
+        plans.append(Plan(traj, _plan_cost(traj, road), maneuver_seq=seqs[u]))
+    return PlanSet(tuple(plans), len(seqs))
 
 
 # ---------------------------------------------------------------------------

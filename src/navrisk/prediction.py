@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -34,25 +34,6 @@ class PredictionConfig:
             raise ValueError("noise sigmas must be >= 0")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-
-
-@dataclass(frozen=True)
-class PredictedWorld:
-    """Per-actor futures over [t, t+k]; deterministic or sampled."""
-
-    t: int
-    k: int
-    predictions: Mapping[str, Union[Trajectory, list[Trajectory]]]
-
-    def __post_init__(self):
-        for aid, p in self.predictions.items():
-            trajs = p if isinstance(p, list) else [p]
-            for traj in trajs:
-                if traj.start_tick != self.t or traj.end_tick != self.t + self.k:
-                    raise ScenarioError(
-                        f"prediction for {aid!r} spans "
-                        f"[{traj.start_tick}, {traj.end_tick}], expected "
-                        f"[{self.t}, {self.t + self.k}]")
 
 
 def _actor_stream(seed: int, actor_id: str, t: int, sample: int
@@ -115,16 +96,6 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
             states.append(ActorState(x, y, heading, speed))
         out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
     return out
-
-
-def predict_world(histories: Mapping[str, Trajectory], k: int
-                  ) -> PredictedWorld:
-    """Deterministic linear futures for every actor."""
-    if not histories:
-        return PredictedWorld(0, k, {})
-    t = next(iter(histories.values())).end_tick
-    preds = {aid: predict_linear(h, k) for aid, h in histories.items()}
-    return PredictedWorld(t, k, preds)
 
 
 def sample_worlds(histories: Mapping[str, Trajectory], k: int,

@@ -22,8 +22,9 @@ total risk is large (ablation masking).
 from __future__ import annotations
 
 import math
+from itertools import compress
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -35,11 +36,11 @@ from .planner import (
     PlanSet,
     PlanningInfeasible,
     collision_check,
-    enumerate_plans,
+    enumerate_plans,  # noqa: F401 (wrapped by perfbench/tracer.py)
+    lattice_blockers,
     plan_sampling,
 )
 from .prediction import (
-    PredictedWorld,
     PredictionConfig,
     predict_linear,
     prediction_error,
@@ -168,47 +169,70 @@ def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
 # Exact set-reduction risk
 # ---------------------------------------------------------------------------
 
-def _check_cap(lattice: LatticeConfig, cap: int):
-    if not lattice.universe_cap_ok(cap):
+def check_cap(lattice: LatticeConfig, cap: int = UNIVERSE_CAP):
+    """Raise LatticeCapExceeded if the lattice has over cap sequences."""
+    if len(lattice.maneuvers) ** lattice.decision_steps > cap:
         raise LatticeCapExceeded(
             f"{len(lattice.maneuvers)}^{lattice.decision_steps} sequences "
             f"exceed the cap of {cap}")
 
 
-def _z_counts(s: Scenario, t: int, k: int, lattice: LatticeConfig,
-              ego: Optional[ActorState], margin: float,
-              ablate: Optional[str] = None) -> tuple[int, int]:
+@dataclass(frozen=True)
+class ExactRisk:
+    """Plan counts of one lattice window and the risks they give."""
+
+    z_empty: int                  # |Z empty|: in-bounds plans
+    z: int                        # |Z|: plans no actor blocks
+    total: float                  # (|Z empty| - |Z|) / |Z empty|
+    per_actor: Mapping[str, float]  # (|Z without i| - |Z|) / |Z empty|
+
+
+def _survivors(blockers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the plans no actor blocks (U,) and of the plans whose only
+    blocker is actor j (U, m): ablating j frees exactly the latter."""
+    n = blockers.sum(axis=1)
+    return n == 0, blockers & (n == 1)[:, None]
+
+
+def all_actor_risk_exact(s: Scenario, t: int, k: int,
+                         lattice: LatticeConfig,
+                         ego: Optional[ActorState] = None,
+                         margin: float = 0.5,
+                         cap: int = UNIVERSE_CAP) -> ExactRisk:
+    """Exact set-reduction counts of the ground-truth world slice for the
+    total and every npc actor, from one (plans x actors) blocker matrix:
+    |Z| counts its rows with no blocker and |Z without i| adds the rows
+    whose only blocker is i."""
+    check_cap(lattice, cap)
     ego = ego if ego is not None else s.ego_initial
     world = slice_world(s, t, k)
-    if ablate is not None:
-        world = {a: tr for a, tr in world.items() if a != ablate}
-    empty = enumerate_plans(s.map, ego, t, k, lattice, dt=s.dt)
-    if empty.universe_size == 0:
+    seqs, _, blockers = lattice_blockers(
+        s.map, ego, t, k, lattice, world, s.actor_radius,
+        s.radius_of(EGO_ID), margin, s.dt)
+    if not seqs:
         raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
-    full = enumerate_plans(s.map, ego, t, k, lattice, world, s.actor_radius,
-                           s.radius_of(EGO_ID), margin, dt=s.dt)
-    return empty.universe_size, len(full)
+    free, alone = _survivors(blockers)
+    n, z = len(seqs), int(np.count_nonzero(free))
+    freed = np.count_nonzero(alone, axis=0).tolist()   # |Z without i| - |Z|
+    return ExactRisk(n, z, (n - z) / n,
+                     {aid: f / n for aid, f in zip(world, freed)})
 
 
 def total_risk_exact(s: Scenario, t: int, k: int, lattice: LatticeConfig,
                      ego: Optional[ActorState] = None, margin: float = 0.5,
                      cap: int = UNIVERSE_CAP) -> float:
     """(|Z empty| - |Z|) / |Z empty| over the ground-truth world slice."""
-    _check_cap(lattice, cap)
-    z_empty, z = _z_counts(s, t, k, lattice, ego, margin)
-    return (z_empty - z) / z_empty
+    return all_actor_risk_exact(s, t, k, lattice, ego, margin, cap).total
 
 
 def actor_risk_exact(s: Scenario, actor_id: str, t: int, k: int,
                      lattice: LatticeConfig, ego: Optional[ActorState] = None,
                      margin: float = 0.5, cap: int = UNIVERSE_CAP) -> float:
     """(|Z without i| - |Z|) / |Z empty|: the plan count actor i suppresses."""
-    _check_cap(lattice, cap)
     if actor_id not in s.npc_trajectories:
         raise ScenarioError(f"unknown actor id {actor_id!r}")
-    z_empty, z = _z_counts(s, t, k, lattice, ego, margin)
-    _, z_without = _z_counts(s, t, k, lattice, ego, margin, ablate=actor_id)
-    return (z_without - z) / z_empty
+    return all_actor_risk_exact(s, t, k, lattice, ego, margin,
+                                cap).per_actor[actor_id]
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +298,6 @@ def route_planner_cfg(cfg: PlannerConfig, world: Mapping[str, Trajectory],
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
 
-WorldLike = Union[PredictedWorld, Mapping[str, Trajectory]]
-
-
-def _as_world(world: WorldLike) -> Mapping[str, Trajectory]:
-    if isinstance(world, PredictedWorld):
-        out = {}
-        for aid, p in world.predictions.items():
-            if isinstance(p, list):
-                raise ScenarioError(
-                    "sampled predictions go through expected_actor_risk")
-            out[aid] = p
-        return out
-    return world
-
-
 def _paired_plan(road, ego, t, k, world, cfg, radii, ego_radius, dt,
                  router) -> Plan:
     run_cfg = route_planner_cfg(cfg, world, ego, road, router) if router \
@@ -297,9 +306,29 @@ def _paired_plan(road, ego, t, k, world, cfg, radii, ego_radius, dt,
                          ego_radius, dt)
 
 
-def actor_importance(world: WorldLike, actor_id: str, ego: ActorState,
-                     t: int, k: int, planner_cfg: PlannerConfig,
-                     operator: str = "euclid", *,
+def all_actor_importance_kl(world: Mapping[str, Trajectory],
+                            ego: ActorState, t: int, k: int,
+                            lattice: LatticeConfig, *, road: RoadMap,
+                            radii: Mapping[str, float],
+                            ego_radius: float = 1.2, dt: float = 0.1,
+                            margin: float = 0.5) -> dict[str, float]:
+    """operator="kl" importance of every actor of world from one lattice
+    render: KL(p || q_i) between the epsilon-floored uniform distributions
+    over the plans of the full world (p) and of the world without actor i
+    (q_i), both over the empty-world universe."""
+    check_cap(lattice)
+    seqs, _, blockers = lattice_blockers(road, ego, t, k, lattice, world,
+                                         radii, ego_radius, margin, dt)
+    free, alone = _survivors(blockers)
+    p = PlanDistribution.uniform_feasible(seqs, compress(seqs, free))
+    return {aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(
+                seqs, compress(seqs, free | alone[:, j])))
+            for j, aid in enumerate(world)}
+
+
+def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
+                     ego: ActorState, t: int, k: int,
+                     planner_cfg: PlannerConfig, operator: str = "euclid", *,
                      road: RoadMap, radii: Mapping[str, float],
                      ego_radius: float = 1.2, dt: float = 0.1,
                      lattice: Optional[LatticeConfig] = None,
@@ -314,30 +343,21 @@ def actor_importance(world: WorldLike, actor_id: str, ego: ActorState,
     If one world admits no feasible plan and the other does, the euclid
     operator saturates at road_length / k per waypoint.
     """
-    world = _as_world(world)
     if actor_id not in world:
         raise ScenarioError(f"unknown actor id {actor_id!r}")
-    world_m = {a: tr for a, tr in world.items() if a != actor_id}
 
     if operator == "kl":
         if lattice is None:
             raise ScenarioError("operator='kl' needs a lattice config")
-        margin = planner_cfg.safety_margin
-        full = enumerate_plans(road, ego, t, k, lattice, world, radii,
-                               ego_radius, margin, dt)
-        without = enumerate_plans(road, ego, t, k, lattice, world_m, radii,
-                                  ego_radius, margin, dt)
-        universe = [
-            p.maneuver_seq
-            for p in enumerate_plans(road, ego, t, k, lattice, dt=dt).plans
-        ]
-        p = PlanDistribution.uniform_feasible(universe, full.sequences())
-        q = PlanDistribution.uniform_feasible(universe, without.sequences())
-        return plan_divergence_kl(p, q)
+        return all_actor_importance_kl(
+            world, ego, t, k, lattice, road=road, radii=radii,
+            ego_radius=ego_radius, dt=dt,
+            margin=planner_cfg.safety_margin)[actor_id]
 
     if operator != "euclid":
         raise ScenarioError(f"unknown operator {operator!r}")
 
+    world_m = {a: tr for a, tr in world.items() if a != actor_id}
     try:
         plan_full = _paired_plan(road, ego, t, k, world, planner_cfg, radii,
                                  ego_radius, dt, router)

@@ -98,13 +98,6 @@ class Trajectory:
     def speeds(self) -> np.ndarray:
         return np.array([s.speed for s in self.states])
 
-    def state_at(self, tick: int) -> ActorState:
-        if not (self.start_tick <= tick <= self.end_tick):
-            raise ScenarioError(
-                f"tick {tick} outside [{self.start_tick}, {self.end_tick}] "
-                f"for actor {self.actor_id!r}")
-        return self.states[tick - self.start_tick]
-
     def window(self, t: int, k: int) -> "Trajectory":
         """Restrict to ticks [t, t+k], re-indexed with start_tick = t."""
         if not (self.start_tick <= t and t + k <= self.end_tick):
@@ -204,10 +197,6 @@ class Scenario:
         missing -= set(self.actor_radius)
         if missing:
             raise ScenarioError(f"missing actor_radius for {sorted(missing)}")
-
-    @property
-    def npc_ids(self) -> tuple[str, ...]:
-        return tuple(self.npc_trajectories)
 
     def radius_of(self, actor_id: str) -> float:
         return self.actor_radius[actor_id]

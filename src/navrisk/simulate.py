@@ -33,12 +33,14 @@ from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
 from .risk import (
     RouterConfig,
-    actor_importance,
-    actor_risk_exact,
+    all_actor_importance_kl,
+    all_actor_risk_exact,
     follow_advance,
     route_planner_cfg,
     traj_difference_euclidean,
 )
+# bound here for perfbench/tracer.py, which wraps them in this module
+from .risk import actor_importance, actor_risk_exact  # noqa: F401
 from .scenario import EGO_ID, ActorState, Scenario
 
 
@@ -213,15 +215,14 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
             rho_values = {}
             lattice = cfg.exact_lattice
             if lattice is not None and lattice.horizon == k_eff:
-                for aid in s.npc_trajectories:
-                    if "kl" in cfg.operators:
-                        kl_values[aid] = actor_importance(
-                            world, aid, ego, t, k_eff, base_cfg, "kl",
-                            road=road, radii=radii, ego_radius=ego_radius,
-                            dt=s.dt, lattice=lattice)
-                    rho_values[aid] = actor_risk_exact(
-                        s, aid, t, k_eff, lattice, ego=ego,
+                if "kl" in cfg.operators:
+                    kl_values = all_actor_importance_kl(
+                        world, ego, t, k_eff, lattice, road=road,
+                        radii=radii, ego_radius=ego_radius, dt=s.dt,
                         margin=cfg.safety_margin)
+                rho_values = all_actor_risk_exact(
+                    s, t, k_eff, lattice, ego=ego,
+                    margin=cfg.safety_margin).per_actor
 
             mc_stats = {}
             if cfg.samples >= 1:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,20 @@ class TestOracleCommand:
         assert main(["oracle", "--scenario", str(casestudy_path),
                      "--k", "31", "--steps", "3"]) == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_steps_below_one_exit_2(self, casestudy_path, capsys, steps):
+        assert main(["oracle", "--scenario", str(casestudy_path),
+                     "--k", "40", "--steps", steps]) == 2
+        assert "--steps" in capsys.readouterr().err
+
+    def test_case_study_window_output_pinned(self, casestudy_path, capsys):
+        # the table the per-actor enumeration printed for this window
+        assert main(["oracle", "--scenario", str(casestudy_path),
+                     "--t", "20", "--k", "40", "--steps", "8"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "cb9e8e4e4ef4aff7dcbc55b3de6ff23adb2bc9a0836ee77944bbb96213af56d6")
+
 
 class TestRunCommand:
     def test_run_emits_artifacts(self, tmp_path, casestudy_path):
@@ -132,6 +147,29 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(casestudy_path),
                      "--horizon", "41", "--exact-lattice",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("steps", ["0", "-4"])
+    def test_lattice_steps_below_one_exit_2(self, tmp_path, casestudy_path,
+                                            capsys, steps):
+        assert main(["run", "--scenario", str(casestudy_path),
+                     "--exact-lattice", "--lattice-steps", steps,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "--lattice-steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["--exact-lattice"],
+                                      ["--operator", "kl"]])
+    def test_lattice_cap_exit_5_before_planning(self, tmp_path,
+                                                casestudy_path, capsys,
+                                                monkeypatch, mode):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("navrisk.cli.run_simulation", no_run)
+        assert main(["run", "--scenario", str(casestudy_path), *mode,
+                     "--lattice-steps", "20",
+                     "--out", str(tmp_path / "x")]) == 5
+        assert "--lattice-steps" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_scenario_exit_3(self, tmp_path):
         bad = tmp_path / "bad.json"

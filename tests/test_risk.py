@@ -17,6 +17,8 @@ from navrisk.risk import (
     RouterConfig,
     actor_importance,
     actor_risk_exact,
+    all_actor_importance_kl,
+    all_actor_risk_exact,
     expected_actor_risk,
     follow_advance,
     min_risk_selection,
@@ -161,6 +163,90 @@ class TestExactRisk:
                 risk = total_risk_exact(s, 0, 30, LATTICE3)
                 assert risk >= prev
                 prev = risk
+
+
+
+def c1_case_family():
+    """The lattices of acceptance criterion c1, drawn from the same stream:
+    (road, ego, steps, ticks per step, [(actor id, x, y)])."""
+    rng = np.random.default_rng(101)
+    road = RoadMap(3, 3.5, 300.0, 15.0)
+    cases = [(road, ActorState(10.0, road.lane_center(1), 0.0, 1.0),
+              3, 10, [("blk", 11.5, road.lane_center(2))])]
+    for lanes, steps in [(1, 1), (2, 2), (3, 4), (3, 5)]:
+        r = RoadMap(lanes, 3.5, 300.0, 15.0)
+        ego = ActorState(10.0, r.lane_center(lanes // 2), 0.0, 1.5)
+        acts = [
+            (f"s{i}", float(rng.uniform(8, 18)), float(rng.uniform(0, r.width)))
+            for i in range(int(rng.integers(0, 4)))
+        ]
+        cases.append((r, ego, steps, int(rng.integers(4, 7)), acts))
+    for _ in range(6):
+        lanes = int(rng.integers(1, 4))
+        steps = int(rng.integers(1, 6))
+        r = RoadMap(lanes, 3.5, 300.0, 15.0)
+        ego = ActorState(10.0, r.lane_center(int(rng.integers(lanes))),
+                         0.0, float(rng.uniform(0.5, 3.0)))
+        acts = [
+            (f"s{i}", float(rng.uniform(8, 18)), float(rng.uniform(0, r.width)))
+            for i in range(int(rng.integers(0, 4)))
+        ]
+        cases.append((r, ego, steps, int(rng.integers(3, 7)), acts))
+    return cases
+
+
+class TestAllActorForms:
+    """One render and one blocker matrix give exactly the counts and the KL
+    values that a separate walk enumeration per ablated world gives."""
+
+    def test_equal_to_walk_oracle_on_c1_family(self):
+        checked = 0
+        for road, ego, steps, tps, spec in c1_case_family():
+            k = steps * tps
+            lattice = LatticeConfig(
+                steps, ("keep", "shift_left", "shift_right"), tps)
+            actors = {aid: static_actor(aid, x, y, k) for aid, x, y in spec}
+            s = build_scenario(actors, ego, n=k, road=road)
+
+            def walk(world):
+                return walk_enumerate(
+                    road, ego, steps, lattice.maneuvers, tps,
+                    lattice.speed_step, DT, world_to_positions(world),
+                    {a: 2.9 for a in world})
+
+            universe, survivors = walk(actors)
+            # product order over the sorted menu is lexicographic order
+            support = sorted(walk({})[1])
+            p = PlanDistribution.uniform_feasible(support, survivors)
+
+            got = all_actor_risk_exact(s, 0, k, lattice)
+            assert got.z_empty == universe == len(support)
+            assert got.z == len(survivors)
+            assert got.total == (universe - len(survivors)) / universe
+            kl = all_actor_importance_kl(
+                actors, ego, 0, k, lattice, road=road, radii=s.actor_radius,
+                ego_radius=s.radius_of(EGO_ID), dt=DT)
+            assert list(got.per_actor) == list(kl) == list(actors)
+            for aid in actors:
+                _, surv_wo = walk(
+                    {a: tr for a, tr in actors.items() if a != aid})
+                assert got.per_actor[aid] == \
+                    (len(surv_wo) - len(survivors)) / universe
+                q = PlanDistribution.uniform_feasible(support, surv_wo)
+                assert kl[aid] == plan_divergence_kl(p, q)
+                checked += 1
+        assert checked > 0
+
+    def test_boundary_contact_blocks_nothing(self):
+        # a parked ego and a parked actor exactly 2.9 (the inflated radii
+        # sum) apart touch without colliding; a hair closer they collide
+        ego = ActorState(0.0, ROAD3.lane_center(1), 0.0, 0.0)
+        lattice = LatticeConfig(1, ("keep",), 10)
+        for x, z in [(2.9, 1), (float(np.nextafter(2.9, 0.0)), 0)]:
+            actor = static_actor("a", x, ROAD3.lane_center(1), 10)
+            s = build_scenario({"a": actor}, ego, n=10)
+            got = all_actor_risk_exact(s, 0, 10, lattice)
+            assert (got.z_empty, got.z, got.per_actor["a"]) == (1, z, 1 - z)
 
 
 class TestEuclideanOperator:
