@@ -19,20 +19,18 @@ from .prediction import (
     sample_worlds,
 )
 from .risk import (
-    ActorRisk,
     DegenerateScenario,
     LatticeCapExceeded,
     PlanDistribution,
-    RiskReport,
     RouterConfig,
     actor_importance,
     actor_risk_exact,
     all_actor_importance_kl,
     all_actor_risk_exact,
-    evaluate_tick,
     expected_actor_risk,
+    leave_one_out,
+    min_risk_selection,
     plan_divergence_kl,
-    select_min_risk_plan,
     total_risk_exact,
     traj_difference_euclidean,
 )

@@ -69,7 +69,6 @@ def _add_run_parser(sub):
     p.add_argument("--lattice-steps", type=int, default=4)
     p.add_argument("--budget", type=int, default=700,
                    help="sampling planner iteration budget")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -109,8 +108,10 @@ def cmd_run(args) -> int:
 
     operators = ("euclid", "kl") if args.operator == "both" \
         else (args.operator,)
+    if args.exact_lattice:
+        operators += ("exact",)
     lattice = None
-    if args.exact_lattice or "kl" in operators:
+    if "kl" in operators or "exact" in operators:
         if args.lattice_steps < 1:
             print("error: --lattice-steps must be >= 1", file=sys.stderr)
             return EXIT_CONFIG
@@ -131,8 +132,8 @@ def cmd_run(args) -> int:
             seed=args.seed, horizon=args.horizon,
             replan_every=args.replan_every, samples=args.samples,
             noise_accel=args.noise_accel, noise_yawrate=args.noise_yawrate,
-            operators=operators, exact_lattice=lattice,
-            iteration_budget=args.budget, threads=args.threads)
+            operators=operators, lattice=lattice,
+            iteration_budget=args.budget)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -165,6 +166,9 @@ def cmd_oracle(args) -> int:
     maneuvers = tuple(m.strip() for m in args.maneuvers.split(",") if m)
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.k < 1:
+        print("error: --k must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     if args.k % args.steps:
         print("error: --k must be divisible by --steps", file=sys.stderr)

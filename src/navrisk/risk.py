@@ -40,12 +40,9 @@ from .planner import (
     lattice_blockers,
     plan_sampling,
 )
-from .prediction import (
-    PredictionConfig,
-    predict_linear,
-    prediction_error,
-    sample_worlds,
-)
+from .prediction import PredictionConfig, sample_worlds
+# bound here for perfbench/tracer.py, which wraps it in this module
+from .prediction import predict_linear  # noqa: F401
 from .scenario import (
     EGO_ID,
     ActorState,
@@ -66,37 +63,6 @@ class DegenerateScenario(Exception):
 
 class LatticeCapExceeded(Exception):
     """The lattice universe exceeds the configured tractability cap."""
-
-
-@dataclass(frozen=True)
-class ActorRisk:
-    gamma_euclid: Optional[float] = None
-    gamma_kl: Optional[float] = None
-    rho_exact: Optional[float] = None
-    mean_gamma: Optional[float] = None
-    var_gamma: Optional[float] = None
-    prediction_error: Optional[float] = None
-    saturated: bool = False
-
-    def __post_init__(self):
-        for name in ("gamma_euclid", "gamma_kl", "mean_gamma", "var_gamma"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
-        if self.rho_exact is not None and not (0 <= self.rho_exact <= 1):
-            raise ValueError(f"rho_exact must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    t: int
-    k: int
-    per_actor: Mapping[str, ActorRisk]
-    total_rho: Optional[float] = None
-
-    def __post_init__(self):
-        if self.total_rho is not None and not (0 <= self.total_rho <= 1):
-            raise ValueError("total_rho must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +264,65 @@ def route_planner_cfg(cfg: PlannerConfig, world: Mapping[str, Trajectory],
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
 
-def _paired_plan(road, ego, t, k, world, cfg, radii, ego_radius, dt,
-                 router) -> Plan:
-    run_cfg = route_planner_cfg(cfg, world, ego, road, router) if router \
-        else cfg
-    return plan_sampling(road, ego, t, k, world, run_cfg, radii,
-                         ego_radius, dt)
+def _plan_or_none(world: Mapping[str, Trajectory], ego: ActorState, t: int,
+                  k: int, cfg: PlannerConfig, *, road: RoadMap,
+                  radii: Mapping[str, float], ego_radius: float,
+                  dt: float, router: Optional[RouterConfig]
+                  ) -> Optional[Plan]:
+    """plan_sampling on world, with the goal re-clamped for that world when
+    a router is given; None when the world admits no plan."""
+    if router is not None:
+        cfg = route_planner_cfg(cfg, world, ego, road, router)
+    try:
+        return plan_sampling(road, ego, t, k, world, cfg, radii, ego_radius,
+                             dt)
+    except PlanningInfeasible:
+        return None
+
+
+def _plan_change(plan_full: Optional[Plan], plan_m: Optional[Plan],
+                 road: RoadMap, k: int) -> tuple[float, bool]:
+    """(gamma, saturated) between the full-world and ablated plans: the mean
+    per-waypoint displacement, 0 if neither world admits a plan, and
+    road_length / k (saturated) if exactly one does."""
+    if plan_full is None and plan_m is None:
+        return 0.0, False
+    if plan_full is None or plan_m is None:
+        return road.road_length / k, True
+    return traj_difference_euclidean(plan_full.trajectory,
+                                     plan_m.trajectory), False
+
+
+def _without(world: Mapping[str, Trajectory], actor_id: str
+             ) -> dict[str, Trajectory]:
+    return {a: tr for a, tr in world.items() if a != actor_id}
+
+
+def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
+                  k: int, cfg: PlannerConfig, *, road: RoadMap,
+                  radii: Mapping[str, float], ego_radius: float = 1.2,
+                  dt: float = 0.1, router: Optional[RouterConfig] = None
+                  ) -> tuple[Optional[Plan], dict[str, tuple[float, bool]]]:
+    """operator="euclid" importance of every actor of world: plan the full
+    world once, then each world without one actor under the same planner
+    seed, and return the full plan (None if infeasible) with each actor's
+    (gamma, saturated)."""
+    env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=dt,
+               router=router)
+    plan_full = _plan_or_none(world, ego, t, k, cfg, **env)
+    return plan_full, {
+        aid: _plan_change(plan_full, _plan_or_none(
+            _without(world, aid), ego, t, k, cfg, **env), road, k)
+        for aid in world}
+
+
+def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:
+    """Sample mean and unbiased variance; exactly (gamma, 0.0) when every
+    sample is equal."""
+    arr = np.array(gammas)
+    if float(arr.max()) == float(arr.min()):
+        return float(arr[0]), 0.0
+    return float(np.mean(arr)), float(np.var(arr, ddof=1))
 
 
 def all_actor_importance_kl(world: Mapping[str, Trajectory],
@@ -357,23 +376,12 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
     if operator != "euclid":
         raise ScenarioError(f"unknown operator {operator!r}")
 
-    world_m = {a: tr for a, tr in world.items() if a != actor_id}
-    try:
-        plan_full = _paired_plan(road, ego, t, k, world, planner_cfg, radii,
-                                 ego_radius, dt, router)
-    except PlanningInfeasible:
-        plan_full = None
-    try:
-        plan_m = _paired_plan(road, ego, t, k, world_m, planner_cfg, radii,
-                              ego_radius, dt, router)
-    except PlanningInfeasible:
-        plan_m = None
-
-    if plan_full is None and plan_m is None:
-        return 0.0
-    if plan_full is None or plan_m is None:
-        return road.road_length / k
-    return traj_difference_euclidean(plan_full.trajectory, plan_m.trajectory)
+    env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=dt,
+               router=router)
+    plan_full = _plan_or_none(world, ego, t, k, planner_cfg, **env)
+    plan_m = _plan_or_none(_without(world, actor_id), ego, t, k, planner_cfg,
+                           **env)
+    return _plan_change(plan_full, plan_m, road, k)[0]
 
 
 def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,
@@ -406,59 +414,9 @@ def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,
                 w, actor_id, ego, t, k, planner_cfg, operator, road=road,
                 radii=radii, ego_radius=ego_radius, dt=dt, lattice=lattice,
                 router=router))
-        except (ScenarioError, PlanningInfeasible) as e:
+        except ScenarioError as e:
             raise type(e)(f"sample {j}: {e}") from e
-    arr = np.array(gammas)
-    if float(arr.max()) == float(arr.min()):
-        return float(arr[0]), 0.0
-    return float(np.mean(arr)), float(np.var(arr, ddof=1))
-
-
-# ---------------------------------------------------------------------------
-# Report assembly
-# ---------------------------------------------------------------------------
-
-def evaluate_tick(s: Scenario, t: int, k: int, planner_cfg: PlannerConfig,
-                  operator: str = "euclid", *,
-                  ego: Optional[ActorState] = None,
-                  lattice: Optional[LatticeConfig] = None,
-                  router: Optional[RouterConfig] = None,
-                  exact: bool = False) -> RiskReport:
-    """One-tick risk report: per-actor importance on the linearly predicted
-    world (plus exact set-reduction risk when a lattice is given)."""
-    ego = ego if ego is not None else s.ego_initial
-    histories = {aid: tr.window(t, 0)
-                 for aid, tr in s.npc_trajectories.items()}
-    k_pred = min(k, s.horizon_ticks - t)
-    world = {aid: predict_linear(h, k_pred) for aid, h in histories.items()}
-    per_actor = {}
-    total = None
-    if exact and lattice is not None:
-        total = total_risk_exact(s, t, k_pred, lattice, ego=ego,
-                                 margin=planner_cfg.safety_margin)
-    for aid in s.npc_trajectories:
-        gamma = actor_importance(
-            world, aid, ego, t, k_pred, planner_cfg, "euclid",
-            road=s.map, radii=s.actor_radius, ego_radius=s.radius_of(EGO_ID),
-            dt=s.dt, router=router)
-        kl = None
-        rho = None
-        if operator == "kl" and lattice is not None:
-            kl = actor_importance(
-                world, aid, ego, t, k_pred, planner_cfg, "kl",
-                road=s.map, radii=s.actor_radius,
-                ego_radius=s.radius_of(EGO_ID), dt=s.dt, lattice=lattice)
-        if exact and lattice is not None:
-            rho = actor_risk_exact(s, aid, t, k_pred, lattice, ego=ego,
-                                   margin=planner_cfg.safety_margin)
-        err = None
-        if t + k <= s.horizon_ticks:
-            err = prediction_error(
-                predict_linear(histories[aid], k),
-                s.npc_trajectories[aid].window(t, k))
-        per_actor[aid] = ActorRisk(gamma_euclid=gamma, gamma_kl=kl,
-                                   rho_exact=rho, prediction_error=err)
-    return RiskReport(t=t, k=k_pred, per_actor=per_actor, total_rho=total)
+    return mean_and_variance(gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +451,3 @@ def min_risk_selection(candidates: PlanSet,
     n = len(sampled_worlds)
     all_collide = all(s[0] == n for s in scored)
     return SelectionResult(candidates.plans[idx], hits / n, all_collide)
-
-
-def select_min_risk_plan(candidates: PlanSet,
-                         sampled_worlds: Sequence[Mapping[str, Trajectory]],
-                         radii: Mapping[str, float], ego_radius: float = 1.2,
-                         margin: float = 0.5) -> Plan:
-    return min_risk_selection(candidates, sampled_worlds, radii, ego_radius,
-                              margin).plan

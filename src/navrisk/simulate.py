@@ -16,19 +16,12 @@ phase active at planning time.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .planner import (
-    GoalSpec,
-    LatticeConfig,
-    PlannerConfig,
-    PlanningInfeasible,
-    plan_sampling,
-)
+from .planner import GoalSpec, LatticeConfig, PlannerConfig
 from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
 from .risk import (
@@ -36,10 +29,11 @@ from .risk import (
     all_actor_importance_kl,
     all_actor_risk_exact,
     follow_advance,
-    route_planner_cfg,
-    traj_difference_euclidean,
+    leave_one_out,
+    mean_and_variance,
 )
 # bound here for perfbench/tracer.py, which wraps them in this module
+from .planner import plan_sampling  # noqa: F401
 from .risk import actor_importance, actor_risk_exact  # noqa: F401
 from .scenario import EGO_ID, ActorState, Scenario
 
@@ -52,24 +46,27 @@ class RunConfig:
     samples: int = 0
     noise_accel: float = 0.35
     noise_yawrate: float = 0.02
+    # "euclid": gamma_euclid; "kl": gamma_kl and "exact": rho_exact, both
+    # on `lattice`
     operators: tuple[str, ...] = ("euclid",)
-    exact_lattice: Optional[LatticeConfig] = None
+    lattice: Optional[LatticeConfig] = None
     iteration_budget: int = 700
     steer_step: float = 2.0
     goal_tolerance: float = 2.0
     safety_margin: float = 0.5
     target_speed: Optional[float] = None   # None: ego's initial speed
     router: RouterConfig = field(default_factory=RouterConfig)
-    threads: int = 1
 
     def __post_init__(self):
         if self.replan_every < 1:
             raise ValueError("replan_every must be >= 1")
         if self.horizon < self.replan_every:
             raise ValueError("horizon must be >= replan_every")
-        bad = set(self.operators) - {"euclid", "kl"}
+        bad = set(self.operators) - {"euclid", "kl", "exact"}
         if bad:
             raise ValueError(f"unknown operators {sorted(bad)}")
+        if self.lattice is None and {"kl", "exact"} & set(self.operators):
+            raise ValueError("operators 'kl' and 'exact' need a lattice")
 
 
 @dataclass(frozen=True)
@@ -127,24 +124,6 @@ def _pick_lane(world, ego, s, base_advance, speed, router, preferred):
     return preferred
 
 
-def _gamma_pair(args):
-    (aid, world, ego, t, k, cfg, road, radii, ego_radius, dt, router,
-     plan_full) = args
-    world_m = {a: tr for a, tr in world.items() if a != aid}
-    try:
-        cfg_m = route_planner_cfg(cfg, world_m, ego, road, router)
-        plan_m = plan_sampling(road, ego, t, k, world_m, cfg_m, radii,
-                               ego_radius, dt)
-    except PlanningInfeasible:
-        plan_m = None
-    if plan_full is None and plan_m is None:
-        return aid, 0.0, False
-    if plan_full is None or plan_m is None:
-        return aid, road.road_length / k, True
-    return aid, traj_difference_euclidean(plan_full.trajectory,
-                                          plan_m.trajectory), False
-
-
 def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
     road = s.map
     ego = s.ego_initial
@@ -156,132 +135,95 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
     base_advance = cfg.horizon * s.dt * speed
     preferred = road.lane_of(ego.position_y)
     router = cfg.router
+    env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=s.dt,
+               router=router)
 
     records: list[StepRecord] = []
     ego_states: list[ActorState] = []
     replan_ticks: list[int] = []
 
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        for t in range(0, s.horizon_ticks, cfg.replan_every):
-            k_eff = min(cfg.horizon, s.horizon_ticks - t)
-            if k_eff < 1:
-                break
-            replan_ticks.append(t)
-            ego_states.append(ego)
-            phase = _phase_at(s, t)
-            ego_lane = road.lane_of(ego.position_y)
+    for t in range(0, s.horizon_ticks, cfg.replan_every):
+        k_eff = min(cfg.horizon, s.horizon_ticks - t)
+        if k_eff < 1:
+            break
+        replan_ticks.append(t)
+        ego_states.append(ego)
+        phase = _phase_at(s, t)
+        ego_lane = road.lane_of(ego.position_y)
 
-            histories = {aid: tr.window(t, 0)
-                         for aid, tr in s.npc_trajectories.items()}
-            world = {aid: predict_linear(h, k_eff)
-                     for aid, h in histories.items()}
+        histories = {aid: tr.window(t, 0)
+                     for aid, tr in s.npc_trajectories.items()}
+        world = {aid: predict_linear(h, k_eff)
+                 for aid, h in histories.items()}
 
-            # route on the full predicted world; commit while mid-transition
-            mid_change = abs(
-                ego.position_y - road.lane_center(preferred)
-            ) > 0.25 * road.lane_width
-            if not mid_change:
-                preferred = _pick_lane(world, ego, s, base_advance, speed,
-                                       router, preferred)
+        # route on the full predicted world; commit while mid-transition
+        mid_change = abs(
+            ego.position_y - road.lane_center(preferred)
+        ) > 0.25 * road.lane_width
+        if not mid_change:
+            preferred = _pick_lane(world, ego, s, base_advance, speed,
+                                   router, preferred)
 
-            seed_t = _planner_seed(cfg.seed, t)
-            base_cfg = PlannerConfig(
-                iteration_budget=cfg.iteration_budget, seed=seed_t,
-                goal=GoalSpec(base_advance, preferred),
-                steer_step=cfg.steer_step,
-                goal_tolerance=cfg.goal_tolerance,
-                safety_margin=cfg.safety_margin, target_speed=speed,
-                sample_advance=base_advance)
-            try:
-                full_cfg = route_planner_cfg(base_cfg, world, ego, road,
-                                             router)
-                plan_full = plan_sampling(road, ego, t, k_eff, world,
-                                          full_cfg, radii, ego_radius, s.dt)
-            except PlanningInfeasible:
-                plan_full = None
+        base_cfg = PlannerConfig(
+            iteration_budget=cfg.iteration_budget,
+            seed=_planner_seed(cfg.seed, t),
+            goal=GoalSpec(base_advance, preferred),
+            steer_step=cfg.steer_step,
+            goal_tolerance=cfg.goal_tolerance,
+            safety_margin=cfg.safety_margin, target_speed=speed,
+            sample_advance=base_advance)
+        plan_full, gammas = leave_one_out(world, ego, t, k_eff, base_cfg,
+                                          **env)
 
-            jobs = [
-                (aid, world, ego, t, k_eff, base_cfg, road, radii,
-                 ego_radius, s.dt, router, plan_full)
-                for aid in s.npc_trajectories
-            ]
-            if pool is not None:
-                gammas = list(pool.map(_gamma_pair, jobs))
-            else:
-                gammas = [_gamma_pair(j) for j in jobs]
-
-            kl_values = {}
-            rho_values = {}
-            lattice = cfg.exact_lattice
-            if lattice is not None and lattice.horizon == k_eff:
-                if "kl" in cfg.operators:
-                    kl_values = all_actor_importance_kl(
-                        world, ego, t, k_eff, lattice, road=road,
-                        radii=radii, ego_radius=ego_radius, dt=s.dt,
-                        margin=cfg.safety_margin)
+        kl_values = {}
+        rho_values = {}
+        lattice = cfg.lattice
+        if lattice is not None and lattice.horizon == k_eff:
+            if "kl" in cfg.operators:
+                kl_values = all_actor_importance_kl(
+                    world, ego, t, k_eff, lattice, road=road,
+                    radii=radii, ego_radius=ego_radius, dt=s.dt,
+                    margin=cfg.safety_margin)
+            if "exact" in cfg.operators:
                 rho_values = all_actor_risk_exact(
                     s, t, k_eff, lattice, ego=ego,
                     margin=cfg.safety_margin).per_actor
 
-            mc_stats = {}
-            if cfg.samples >= 1:
-                pcfg = PredictionConfig(
-                    cfg.noise_accel, cfg.noise_yawrate,
-                    sample_count=cfg.samples, seed=cfg.seed)
-                worlds_mc = sample_worlds(histories, k_eff, pcfg)
-                per_actor: dict[str, list[float]] = \
-                    {aid: [] for aid in s.npc_trajectories}
-                for w in worlds_mc:
-                    try:
-                        w_cfg = route_planner_cfg(base_cfg, w, ego, road,
-                                                  router)
-                        w_full = plan_sampling(road, ego, t, k_eff, w,
-                                               w_cfg, radii, ego_radius,
-                                               s.dt)
-                    except PlanningInfeasible:
-                        w_full = None
-                    for aid in s.npc_trajectories:
-                        _, g, _ = _gamma_pair(
-                            (aid, w, ego, t, k_eff, base_cfg, road, radii,
-                             ego_radius, s.dt, router, w_full))
-                        per_actor[aid].append(g)
-                for aid, gs in per_actor.items():
-                    arr = np.array(gs)
-                    if float(arr.max()) == float(arr.min()):
-                        mc_stats[aid] = (float(arr[0]), 0.0)
-                    else:
-                        mc_stats[aid] = (float(np.mean(arr)),
-                                         float(np.var(arr, ddof=1)))
+        mc_stats = {}
+        if cfg.samples >= 1:
+            pcfg = PredictionConfig(
+                cfg.noise_accel, cfg.noise_yawrate,
+                sample_count=cfg.samples, seed=cfg.seed)
+            runs = [leave_one_out(w, ego, t, k_eff, base_cfg, **env)[1]
+                    for w in sample_worlds(histories, k_eff, pcfg)]
+            mc_stats = {aid: mean_and_variance([r[aid][0] for r in runs])
+                        for aid in gammas}
 
-            err = {}
-            if t + cfg.horizon <= s.horizon_ticks:
-                for aid, h in histories.items():
-                    pred = predict_linear(h, cfg.horizon)
-                    err[aid] = prediction_error(
-                        pred, s.npc_trajectories[aid].window(t, cfg.horizon))
+        err = {}
+        if t + cfg.horizon <= s.horizon_ticks:
+            for aid, h in histories.items():
+                pred = predict_linear(h, cfg.horizon)
+                err[aid] = prediction_error(
+                    pred, s.npc_trajectories[aid].window(t, cfg.horizon))
 
-            for aid, gamma, saturated in gammas:
-                mean_g, var_g = mc_stats.get(aid, (None, None))
-                records.append(StepRecord(
-                    tick=t, phase=phase, actor_id=aid,
-                    gamma_euclid=gamma if "euclid" in cfg.operators else None,
-                    gamma_kl=kl_values.get(aid),
-                    rho_exact=rho_values.get(aid),
-                    mean_gamma=mean_g, var_gamma=var_g,
-                    prediction_error=err.get(aid),
-                    ego_lane=ego_lane,
-                    plan_partial=bool(
-                        (plan_full.partial if plan_full else True)
-                        or saturated),
-                ))
+        for aid, (gamma, saturated) in gammas.items():
+            mean_g, var_g = mc_stats.get(aid, (None, None))
+            records.append(StepRecord(
+                tick=t, phase=phase, actor_id=aid,
+                gamma_euclid=gamma if "euclid" in cfg.operators else None,
+                gamma_kl=kl_values.get(aid),
+                rho_exact=rho_values.get(aid),
+                mean_gamma=mean_g, var_gamma=var_g,
+                prediction_error=err.get(aid),
+                ego_lane=ego_lane,
+                plan_partial=bool(
+                    (plan_full.partial if plan_full else True)
+                    or saturated),
+            ))
 
-            steps = min(cfg.replan_every, k_eff)
-            if plan_full is not None:
-                ego = plan_full.trajectory.states[steps]
-            # with no feasible plan the ego holds position
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        steps = min(cfg.replan_every, k_eff)
+        if plan_full is not None:
+            ego = plan_full.trajectory.states[steps]
+        # with no feasible plan the ego holds position
 
     return RunResult(tuple(records), tuple(ego_states), tuple(replan_ticks))

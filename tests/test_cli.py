@@ -109,6 +109,12 @@ class TestOracleCommand:
                      "--k", "40", "--steps", steps]) == 2
         assert "--steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-40"])
+    def test_k_below_one_exit_2(self, casestudy_path, capsys, k):
+        assert main(["oracle", "--scenario", str(casestudy_path),
+                     "--k", k, "--steps", "1"]) == 2
+        assert "--k" in capsys.readouterr().err
+
     def test_case_study_window_output_pinned(self, casestudy_path, capsys):
         # the table the per-actor enumeration printed for this window
         assert main(["oracle", "--scenario", str(casestudy_path),
@@ -193,3 +199,18 @@ class TestRunCommand:
         rows = (out / "run.csv").read_text().strip().split("\n")[1:]
         cols = rows[0].split(",")
         assert cols[4] != "" and cols[5] != ""  # gamma_kl, rho_exact
+
+    def test_kl_without_exact_lattice_leaves_rho_blank(self, tmp_path):
+        from navrisk.scenario import CaseStudyParams
+        s = generate_case_study(CaseStudyParams(
+            steady_ticks=30, steady2_ticks=30, tail_ticks=15))
+        path = tmp_path / "small.json"
+        path.write_bytes(save_scenario(s))
+        out = tmp_path / "out4"
+        assert main(["run", "--scenario", str(path), "--budget", "150",
+                     "--replan-every", "40", "--operator", "kl",
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in
+                (out / "run.csv").read_text().strip().split("\n")[1:]]
+        assert any(r[4] != "" for r in rows)            # gamma_kl
+        assert all(r[5] == "" for r in rows)            # rho_exact

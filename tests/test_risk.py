@@ -21,9 +21,10 @@ from navrisk.risk import (
     all_actor_risk_exact,
     expected_actor_risk,
     follow_advance,
+    leave_one_out,
+    mean_and_variance,
     min_risk_selection,
     plan_divergence_kl,
-    select_min_risk_plan,
     total_risk_exact,
     traj_difference_euclidean,
 )
@@ -447,6 +448,62 @@ class TestActorImportance:
                              road=ROAD3, radii={"a": 1.2})
 
 
+def leave_one_out_worlds():
+    """The c3 world family with two or three actors, then the c5 world,
+    each with a ghost beyond road_length: (world, ego, k, cfg) per case."""
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        k = 20
+        ego = ActorState(10.0, ROAD3.lane_center(int(rng.integers(3))),
+                         0.0, 10.0)
+        world = {}
+        for i in range(int(rng.integers(2, 4))):
+            world[f"a{i}"] = moving_actor(
+                f"a{i}", float(rng.uniform(18, 35)),
+                float(rng.uniform(1.2, ROAD3.width - 1.2)),
+                float(rng.uniform(0, 7)), k)
+        world["ghost"] = static_actor(
+            "ghost", ROAD3.road_length + float(rng.uniform(1, 80)),
+            ROAD3.lane_center(int(rng.integers(3))), k)
+        cfg = PlannerConfig(iteration_budget=150,
+                            seed=int(rng.integers(0, 2 ** 31)),
+                            goal=GoalSpec(18.0, ROAD3.lane_of(ego.position_y)),
+                            target_speed=10.0)
+        yield world, ego, k, cfg
+    world = {"a": moving_actor("a", 22.0, ROAD3.lane_center(1), 6.0, 20),
+             "ghost": static_actor("ghost", ROAD3.road_length + 30.0,
+                                   ROAD3.lane_center(1), 20)}
+    yield (world, ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0), 20,
+           PlannerConfig(iteration_budget=150, seed=31,
+                         goal=GoalSpec(20.0, 1), target_speed=10.0))
+
+
+class TestLeaveOneOut:
+    def test_equals_actor_importance_and_ghost_is_zero(self):
+        router = RouterConfig()
+        moved = 0
+        for world, ego, k, cfg in leave_one_out_worlds():
+            radii = {aid: 1.2 for aid in world}
+            plan_full, gammas = leave_one_out(world, ego, 0, k, cfg,
+                                              road=ROAD3, radii=radii,
+                                              router=router)
+            assert plan_full is not None
+            assert gammas.keys() == world.keys()
+            for aid in world:
+                assert gammas[aid][0] == actor_importance(
+                    world, aid, ego, 0, k, cfg, "euclid", road=ROAD3,
+                    radii=radii, router=router)
+            assert gammas["ghost"] == (0.0, False)
+            moved += sum(g > 0.0 for g, _ in gammas.values())
+        assert moved > 0
+
+    def test_mean_and_variance(self):
+        assert mean_and_variance([0.3, 0.3, 0.3]) == (0.3, 0.0)
+        xs = [0.1, 0.4, 0.2]
+        assert mean_and_variance(xs) == (float(np.mean(xs)),
+                                         float(np.var(xs, ddof=1)))
+
+
 class TestExpectedRisk:
     def test_zero_noise_exact(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
@@ -504,24 +561,6 @@ class TestExpectedRisk:
         assert mean >= 0.0
 
 
-class TestEvaluateTick:
-    def test_report_fields_and_invariants(self):
-        from navrisk.risk import evaluate_tick
-        from navrisk.scenario import generate_case_study, CaseStudyParams
-        s = generate_case_study(CaseStudyParams(
-            steady_ticks=40, steady2_ticks=40, tail_ticks=20))
-        cfg = importance_cfg(goal=GoalSpec(40.0, 1), iteration_budget=200)
-        lattice = LatticeConfig(4, ("keep", "shift_left", "shift_right"), 10)
-        rep = evaluate_tick(s, 30, 40, cfg, router=RouterConfig(),
-                            lattice=lattice, exact=True)
-        assert rep.per_actor.keys() == s.npc_trajectories.keys()
-        assert rep.total_rho is not None and 0.0 <= rep.total_rho <= 1.0
-        for risk in rep.per_actor.values():
-            assert risk.gamma_euclid >= 0.0
-            assert 0.0 <= risk.rho_exact <= 1.0
-            assert risk.prediction_error >= 0.0
-
-
 class TestMinRiskSelection:
     def setup_method(self):
         self.ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 9.0)
@@ -532,13 +571,13 @@ class TestMinRiskSelection:
         ps = enumerate_plans(ROAD3, self.ego, 0, 30,
                              LatticeConfig(1, ("keep",), 30))
         world = {"a": moving_actor("a", 100.0, 1.75, 5.0, 30)}
-        got = select_min_risk_plan(ps, [world], {"a": 1.2})
+        got = min_risk_selection(ps, [world], {"a": 1.2}).plan
         assert got is ps.plans[0]
 
     def test_all_free_returns_min_cost(self):
         ps = enumerate_plans(ROAD3, self.ego, 0, 30, self.lattice)
         world = {"a": moving_actor("a", 150.0, 1.75, 5.0, 30)}
-        got = select_min_risk_plan(ps, [world, world], {"a": 1.2})
+        got = min_risk_selection(ps, [world, world], {"a": 1.2}).plan
         assert got.cost == min(p.cost for p in ps.plans)
 
     def test_braking_lead_prefers_lane_change_and_avoids_truth(self):

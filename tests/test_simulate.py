@@ -59,12 +59,6 @@ class TestLoop:
         b = run_simulation(scenario, FAST)
         assert run_csv(a) == run_csv(b)
 
-    def test_deterministic_across_thread_counts(self, scenario):
-        a = run_simulation(scenario, FAST)
-        b = run_simulation(scenario, RunConfig(iteration_budget=250,
-                                               threads=4))
-        assert run_csv(a) == run_csv(b)
-
     def test_phases_attributed_at_planning_time(self, scenario, result):
         span = {p.name: (p.start_tick, p.end_tick) for p in scenario.phases}
         for r in result.records:
@@ -78,6 +72,17 @@ class TestLoop:
         assert all(r.mean_gamma is not None and r.var_gamma is not None
                    for r in res.records)
         assert all(r.var_gamma >= 0.0 for r in res.records)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("operators", [("kl",), ("euclid", "exact")])
+    def test_lattice_operators_need_a_lattice(self, operators):
+        with pytest.raises(ValueError, match="need a lattice"):
+            RunConfig(operators=operators)
+
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(ValueError, match="unknown operators"):
+            RunConfig(operators=("euclid", "l2"))
 
 
 class TestReports:
