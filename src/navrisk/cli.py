@@ -194,21 +194,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt"] = args.dt
-    if args.brake_decel is not None:
-        overrides["brake_decel"] = args.brake_decel
-    if args.lane_change_duration is not None:
-        overrides["lane_change_duration"] = args.lane_change_duration
-    if args.steady_ticks is not None:
-        overrides["steady_ticks"] = args.steady_ticks
-    if args.steady2_ticks is not None:
-        overrides["steady2_ticks"] = args.steady2_ticks
-    if args.tail_ticks is not None:
-        overrides["tail_ticks"] = args.tail_ticks
-    if args.ego_speed is not None:
-        overrides["ego_speed"] = args.ego_speed
+    overrides = {
+        name: getattr(args, name)
+        for name in ("dt", "brake_decel", "lane_change_duration",
+                     "steady_ticks", "steady2_ticks", "tail_ticks",
+                     "ego_speed")
+        if getattr(args, name) is not None}
     if args.no_merge_slowdown:
         overrides["cutin_merge_speed"] = None
     if args.no_brake:

@@ -137,18 +137,20 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
     return np.stack(xs), np.array(rs)
 
 
+def _hits(obs: np.ndarray, xy: np.ndarray, rsum) -> np.ndarray:
+    """The one overlap rule: center distance strictly below the inflated
+    radii sum; boundary contact is not a collision.  Broadcasts over the
+    leading axes of obs (..., 2), xy (..., 2) and rsum."""
+    return np.hypot(obs[..., 0] - xy[..., 0], obs[..., 1] - xy[..., 1]) < rsum
+
+
 def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
                     radii: Mapping[str, float], ego_radius: float,
                     margin: float) -> bool:
-    """True iff some tick has center distance strictly below the inflated
-    radii sum; boundary contact is not a collision."""
+    """True iff the ego overlaps some actor at some tick."""
     t, k = ego_traj.start_tick, len(ego_traj) - 1
     obs, rsum = world_arrays(world, radii, ego_radius, margin, t, k)
-    if obs.shape[0] == 0:
-        return False
-    diff = obs - ego_traj.xy[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return bool(np.any(dist < rsum[:, None]))
+    return bool(_hits(obs, ego_traj.xy, rsum[:, None]).any())
 
 
 def _plan_cost(traj: Trajectory, road: RoadMap,
@@ -257,11 +259,10 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
             cols.append(np.array(c))
     cols = np.array(cols).reshape(len(seqs), 3, k + 1)
     obs, rsum = world_arrays(world, radii, ego_radius, margin, t, k)
+    xy = cols[:, :2].transpose(0, 2, 1)   # (U, k+1, 2) view of xs, ys
     blockers = np.empty((len(seqs), len(rsum)), dtype=bool)
-    for j in range(len(rsum)):   # strict <: boundary contact is no collision
-        dist = np.hypot(obs[j, None, :, 0] - cols[:, 0],
-                        obs[j, None, :, 1] - cols[:, 1])
-        blockers[:, j] = np.any(dist < rsum[j], axis=1)
+    for j in range(len(rsum)):   # one actor at a time bounds peak memory
+        blockers[:, j] = _hits(obs[j], xy, rsum[j]).any(axis=1)
     return seqs, cols, blockers
 
 
@@ -296,8 +297,6 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 def _edge_free(p0, p1, tick0, tick1, obs, rsum) -> bool:
     # collision semantics live on integer ticks; check every tick the edge
     # traversal covers, interpolating both ego and obstacles
-    if obs.shape[0] == 0:
-        return True
     j0 = math.floor(tick0) + 1   # smallest integer tick strictly after tick0
     j1 = math.floor(tick1)       # largest integer tick at or before tick1
     if j1 < j0:
@@ -305,22 +304,15 @@ def _edge_free(p0, p1, tick0, tick1, obs, rsum) -> bool:
     js = np.arange(j0, j1 + 1)
     frac = (js - tick0) / (tick1 - tick0)
     pts = p0[None, :] + frac[:, None] * (p1 - p0)[None, :]
-    ob = obs[:, js, :]
-    diff = ob - pts[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return not np.any(dist < rsum[:, None])
+    return not _hits(obs[:, js], pts, rsum[:, None]).any()
 
 
 def _hold_free(pt, tick, k, obs, rsum) -> bool:
     # a plan that ends at pt parks there from its arrival tick to t+k
-    if obs.shape[0] == 0:
-        return True
     j0 = math.ceil(tick)
     if j0 > k:
         return True
-    diff = obs[:, j0:k + 1, :] - pt[None, None, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return not np.any(dist < rsum[:, None])
+    return not _hits(obs[:, j0:k + 1], pt, rsum[:, None]).any()
 
 
 def _render_path(vertices: np.ndarray, t: int, k: int, dt: float,
@@ -373,11 +365,9 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     obs, rsum = world_arrays(world, radii, ego_radius, margin, t, k)
 
     root = np.array([ego.position_x, ego.position_y])
-    if obs.shape[0]:
-        d0 = np.hypot(obs[:, 0, 0] - root[0], obs[:, 0, 1] - root[1])
-        if np.any(d0 < rsum):
-            raise PlanningInfeasible(
-                "ego overlaps an obstacle at the planning tick")
+    if _hits(obs[:, 0], root, rsum).any():
+        raise PlanningInfeasible(
+            "ego overlaps an obstacle at the planning tick")
 
     goal = np.array([
         min(ego.position_x + cfg.goal.advance, road.road_length - ego_radius),
@@ -511,11 +501,8 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
                 continue
 
             traj = _render_path(vertices, t, k, dt, speed)
-            if obs.shape[0]:
-                diff = obs - traj.xy[None, :, :]
-                if np.any(np.hypot(diff[..., 0], diff[..., 1])
-                          < rsum[:, None]):
-                    continue
+            if _hits(obs, traj.xy, rsum[:, None]).any():
+                continue
             return Plan(traj,
                         _plan_cost(traj, road, include_speed_term=False),
                         partial=partial)

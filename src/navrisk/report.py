@@ -75,14 +75,8 @@ def phase_summary(result: RunResult) -> dict[tuple[str, str], dict]:
 
 def phase_summary_csv(result: RunResult) -> str:
     summary = phase_summary(result)
-    phase_order = []
-    for r in result.records:
-        if r.phase not in phase_order:
-            phase_order.append(r.phase)
-    actor_order = []
-    for r in result.records:
-        if r.actor_id not in actor_order:
-            actor_order.append(r.actor_id)
+    phase_order = list(dict.fromkeys(r.phase for r in result.records))
+    actor_order = list(dict.fromkeys(r.actor_id for r in result.records))
     lines = [PHASE_CSV_HEADER]
     for phase in phase_order:
         for actor in actor_order:
@@ -164,10 +158,7 @@ def scatter_svg(result: RunResult) -> str:
     pts = [(r.prediction_error, r.gamma_euclid, r.actor_id)
            for r in result.records
            if r.prediction_error is not None and r.gamma_euclid is not None]
-    actors = []
-    for r in result.records:
-        if r.actor_id not in actors:
-            actors.append(r.actor_id)
+    actors = list(dict.fromkeys(r.actor_id for r in result.records))
     xs = [p[0] for p in pts] or [0.0, 1.0]
     ys = [p[1] for p in pts] or [0.0, 1.0]
     x_rng = (min(xs), max(xs))
@@ -188,10 +179,7 @@ def scatter_svg(result: RunResult) -> str:
 
 def timeline_svg(result: RunResult) -> str:
     """Per-actor importance over replan ticks."""
-    actors = []
-    for r in result.records:
-        if r.actor_id not in actors:
-            actors.append(r.actor_id)
+    actors = list(dict.fromkeys(r.actor_id for r in result.records))
     series = {aid: [] for aid in actors}
     for r in result.records:
         if r.gamma_euclid is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -601,9 +602,48 @@ def save_scenario(s: Scenario) -> bytes:
 
 
 def _require(doc: Mapping, key: str, path: str):
+    if not isinstance(doc, Mapping):
+        raise ScenarioError(f"{path}: expected an object")
     if key not in doc:
         raise ScenarioError(f"{path}.{key}: missing field")
     return doc[key]
+
+
+def _number(doc, key, path: str, integral: bool = False,
+            nonneg: bool = False):
+    """Read doc[key] (an object field, or a list index) as a finite real
+    number: an int when integral, >= 0 when nonneg.  Anything else raises
+    ScenarioError naming the field path."""
+    if isinstance(key, int):
+        value, path = doc[key], f"{path}[{key}]"
+    else:
+        value, path = _require(doc, key, path), f"{path}.{key}"
+    # bool is an int subclass; NaN fails the bound test
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ScenarioError(f"{path}: expected a finite number, got "
+                            f"{value!r}")
+    if integral and value != int(value):
+        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+    if nonneg and value < 0:
+        raise ScenarioError(f"{path}: must be >= 0, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{path}: expected a list")
+    return value
+
+
+def _state(row, path: str) -> ActorState:
+    if not isinstance(row, list) or len(row) != 4:
+        raise ScenarioError(f"{path}: expected [x, y, heading, speed]")
+    values = [_number(row, j, path) for j in range(4)]
+    try:
+        return ActorState(*values)
+    except ScenarioError as e:
+        raise ScenarioError(f"{path}: {e}") from e
 
 
 def load_scenario(data: bytes | str) -> Scenario:
@@ -624,50 +664,43 @@ def load_scenario(data: bytes | str) -> Scenario:
         raise ScenarioError(f"$.version: unsupported version {version!r}")
     m = _require(doc, "map", "$")
     road = RoadMap(
-        lane_count=int(_require(m, "lane_count", "$.map")),
-        lane_width=float(_require(m, "lane_width", "$.map")),
-        road_length=float(_require(m, "road_length", "$.map")),
-        speed_limit=float(_require(m, "speed_limit", "$.map")),
+        lane_count=_number(m, "lane_count", "$.map", integral=True),
+        lane_width=_number(m, "lane_width", "$.map"),
+        road_length=_number(m, "road_length", "$.map"),
+        speed_limit=_number(m, "speed_limit", "$.map"),
     )
-    dt = float(_require(doc, "dt", "$"))
-    horizon = int(_require(doc, "horizon_ticks", "$"))
+    dt = _number(doc, "dt", "$")
+    horizon = _number(doc, "horizon_ticks", "$", integral=True)
     ego_doc = _require(doc, "ego", "$")
-    ego_state = _require(ego_doc, "state", "$.ego")
-    if len(ego_state) != 4:
-        raise ScenarioError("$.ego.state: expected [x, y, heading, speed]")
-    ego = ActorState(*[float(v) for v in ego_state])
+    ego = _state(_require(ego_doc, "state", "$.ego"), "$.ego.state")
 
-    radii = {EGO_ID: float(_require(ego_doc, "radius", "$.ego"))}
+    radii = {EGO_ID: _number(ego_doc, "radius", "$.ego", nonneg=True)}
     trajs: dict[str, Trajectory] = {}
-    for i, a in enumerate(_require(doc, "actors", "$")):
+    for i, a in enumerate(_list(_require(doc, "actors", "$"), "$.actors")):
         path = f"$.actors[{i}]"
         aid = str(_require(a, "id", path))
         if aid in trajs or aid == EGO_ID:
             raise ScenarioError(f"{path}.id: duplicate or reserved actor id "
                                 f"{aid!r}")
-        states_doc = _require(a, "states", path)
+        states_doc = _list(_require(a, "states", path), f"{path}.states")
         if len(states_doc) != horizon + 1:
             raise ScenarioError(
                 f"{path}.states: actor {aid!r} has {len(states_doc)} states, "
                 f"expected {horizon + 1} to cover ticks [0, {horizon}]")
-        states = []
-        for j, row in enumerate(states_doc):
-            if len(row) != 4:
-                raise ScenarioError(
-                    f"{path}.states[{j}]: expected [x, y, heading, speed]")
-            try:
-                states.append(ActorState(*[float(v) for v in row]))
-            except ScenarioError as e:
-                raise ScenarioError(f"{path}.states[{j}]: {e}") from e
-        trajs[aid] = Trajectory(aid, 0, dt, tuple(states))
+        states = tuple(_state(row, f"{path}.states[{j}]")
+                       for j, row in enumerate(states_doc))
+        trajs[aid] = Trajectory(aid, 0, dt, states)
         trajs[aid].check_kinematics()
-        radii[aid] = float(_require(a, "radius", path))
+        radii[aid] = _number(a, "radius", path, nonneg=True)
 
     phases = tuple(
         PhaseSpan(str(_require(p, "name", f"$.phase_metadata[{i}]")),
-                  int(_require(p, "start_tick", f"$.phase_metadata[{i}]")),
-                  int(_require(p, "end_tick", f"$.phase_metadata[{i}]")))
-        for i, p in enumerate(doc.get("phase_metadata", []))
+                  _number(p, "start_tick", f"$.phase_metadata[{i}]",
+                          integral=True),
+                  _number(p, "end_tick", f"$.phase_metadata[{i}]",
+                          integral=True))
+        for i, p in enumerate(_list(doc.get("phase_metadata", []),
+                                    "$.phase_metadata"))
     )
     return Scenario(
         map=road, npc_trajectories=trajs, ego_initial=ego,

@@ -99,6 +99,32 @@ class TestOracleCommand:
         assert main(["oracle", "--scenario", str(tmp_path / "nope.json"),
                      "--k", "30", "--steps", "3"]) == 3
 
+    @pytest.mark.parametrize("keys, value, field", [
+        (("map", "lane_count"), "x", "$.map.lane_count"),
+        (("dt",), "x", "$.dt"),
+        (("ego", "state"), 5, "$.ego.state"),
+        (("actors", 0, "states", 0), "abcd", "$.actors[0].states[0]"),
+        (("ego", "state", 0), float("nan"), "$.ego.state[0]"),
+        (("map", "lane_count"), 2.7, "$.map.lane_count"),
+        (("actors", 0, "radius"), -1, "$.actors[0].radius"),
+        (("map",), 5, "$.map"),
+        (("actors",), 5, "$.actors"),
+        (("actors", 0, "states"), 5, "$.actors[0].states"),
+        (("phase_metadata",), 5, "$.phase_metadata"),
+    ])
+    def test_malformed_document_exit_3_names_field(
+            self, tmp_path, casestudy_path, capsys, keys, value, field):
+        doc = json.loads(casestudy_path.read_bytes())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--scenario", str(path), "--t", "20",
+                     "--k", "8", "--steps", "2"]) == 3
+        assert field in capsys.readouterr().err
+
     def test_indivisible_k_exit_2(self, casestudy_path):
         assert main(["oracle", "--scenario", str(casestudy_path),
                      "--k", "31", "--steps", "3"]) == 2

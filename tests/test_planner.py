@@ -193,9 +193,12 @@ class TestSamplingPlanner:
         assert not collision_check(plan.trajectory, world, {"stop": 1.2},
                                    1.2, cfg.safety_margin)
 
-    def test_obstacle_beyond_road_is_bit_identical(self):
+    # the empty base world pins the m = 0 path of the collision kernel
+    @pytest.mark.parametrize("base", ["empty", "near"])
+    def test_obstacle_beyond_road_is_bit_identical(self, base):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
-        near = {"a": moving_actor("a", 30.0, ROAD3.lane_center(2), 8.0, 30)}
+        near = {} if base == "empty" else {
+            "a": moving_actor("a", 30.0, ROAD3.lane_center(2), 8.0, 30)}
         far = dict(near)
         far["ghost"] = static_actor("ghost", ROAD3.road_length + 40.0,
                                     ROAD3.lane_center(1), 30)
