@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 scenario validation error,
 4 degenerate scenario (the empty-world plan set is empty), 5 lattice cap
-exceeded.
+exceeded.  Commands raise; `main` alone maps an exception to its code
+(EXIT_CODES) and prints the error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .risk import (
 from .risk import actor_risk_exact, total_risk_exact  # noqa: F401
 from .scenario import (
     CaseStudyParams,
+    Scenario,
     ScenarioError,
     generate_case_study,
     load_scenario,
@@ -40,12 +42,6 @@ EXIT_CONFIG = 2
 EXIT_SCENARIO = 3
 EXIT_DEGENERATE = 4
 EXIT_CAP = 5
-
-
-def _load_or_generate(args) -> "Scenario":
-    if args.scenario is not None:
-        return load_scenario(Path(args.scenario).read_bytes())
-    return generate_case_study()
 
 
 def _add_run_parser(sub):
@@ -99,13 +95,15 @@ def _add_casestudy_parser(sub):
                    help="omit the emergency-braking phase")
 
 
-def cmd_run(args) -> int:
+def _read_scenario(path: str) -> Scenario:
     try:
-        scenario = _load_or_generate(args)
-    except (ScenarioError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise ScenarioError(f"--scenario: {e}") from e
+    return load_scenario(data)
 
+
+def cmd_run(args) -> int:
     operators = ("euclid", "kl") if args.operator == "both" \
         else (args.operator,)
     if args.exact_lattice:
@@ -113,42 +111,26 @@ def cmd_run(args) -> int:
     lattice = None
     if "kl" in operators or "exact" in operators:
         if args.lattice_steps < 1:
-            print("error: --lattice-steps must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError("--lattice-steps must be >= 1")
         if args.horizon < 1 or args.horizon % args.lattice_steps:
-            print("error: --horizon must be a positive multiple of "
-                  "--lattice-steps", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ValueError("--horizon must be a positive multiple of "
+                             "--lattice-steps")
         lattice = LatticeConfig(
             args.lattice_steps, ("keep", "shift_left", "shift_right"),
             args.horizon // args.lattice_steps)
-        try:
-            check_cap(lattice)
-        except LatticeCapExceeded as e:
-            print(f"error: --lattice-steps: {e}", file=sys.stderr)
-            return EXIT_CAP
-    try:
-        cfg = RunConfig(
-            seed=args.seed, horizon=args.horizon,
-            replan_every=args.replan_every, samples=args.samples,
-            noise_accel=args.noise_accel, noise_yawrate=args.noise_yawrate,
-            operators=operators, lattice=lattice,
-            iteration_budget=args.budget)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run_simulation(scenario, cfg)
-    except DegenerateScenario as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
-
+        check_cap(lattice, source="--lattice-steps")
+    cfg = RunConfig(
+        seed=args.seed, horizon=args.horizon,
+        replan_every=args.replan_every, samples=args.samples,
+        noise_accel=args.noise_accel, noise_yawrate=args.noise_yawrate,
+        operators=operators, lattice=lattice,
+        iteration_budget=args.budget)
+    scenario = _read_scenario(args.scenario) if args.scenario is not None \
+        else generate_case_study()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+
+    result = run_simulation(scenario, cfg)
     (out / "run.csv").write_text(run_csv(result))
     (out / "phase_summary.csv").write_text(phase_summary_csv(result))
     (out / "scatter.svg").write_text(scatter_svg(result))
@@ -158,33 +140,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        scenario = load_scenario(Path(args.scenario).read_bytes())
-    except (ScenarioError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
-    maneuvers = tuple(m.strip() for m in args.maneuvers.split(",") if m)
     if args.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("--steps must be >= 1")
     if args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("--k must be >= 1")
     if args.k % args.steps:
-        print("error: --k must be divisible by --steps", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        lattice = LatticeConfig(args.steps, maneuvers, args.k // args.steps)
-        risk = all_actor_risk_exact(scenario, args.t, args.k, lattice)
-    except LatticeCapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except DegenerateScenario as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
+        raise ValueError("--k must be divisible by --steps")
+    maneuvers = tuple(m.strip() for m in args.maneuvers.split(",") if m)
+    lattice = LatticeConfig(args.steps, maneuvers, args.k // args.steps)
+    scenario = _read_scenario(args.scenario)
+    if not 0 <= args.t <= scenario.horizon_ticks - args.k:
+        raise ValueError(f"--t and --k must keep the window inside the "
+                         f"scenario's ticks [0, {scenario.horizon_ticks}]")
+    risk = all_actor_risk_exact(scenario, args.t, args.k, lattice)
 
     print("kind,actor_id,z_empty,z,rho")
     print(f"total,,{risk.z_empty},{risk.z},{risk.total!r}")
@@ -204,16 +172,24 @@ def cmd_casestudy(args) -> int:
         overrides["cutin_merge_speed"] = None
     if args.no_brake:
         overrides["brake_decel"] = None
-    try:
-        scenario = generate_case_study(CaseStudyParams(**overrides))
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SCENARIO
+    scenario = generate_case_study(CaseStudyParams(**overrides))
     Path(args.out).write_bytes(save_scenario(scenario))
     print(f"wrote {args.out} "
           f"({len(scenario.npc_trajectories)} npc actors, "
           f"{len(scenario.phases)} phases, T={scenario.horizon_ticks})")
     return EXIT_OK
+
+
+# The one error path: the first class an exception is an instance of gives
+# the exit code.  ScenarioError is a ValueError, so it precedes ValueError.
+EXIT_CODES = (
+    (DegenerateScenario, EXIT_DEGENERATE),
+    (LatticeCapExceeded, EXIT_CAP),
+    (ScenarioError, EXIT_SCENARIO),
+    (ValueError, EXIT_CONFIG),
+    (OSError, EXIT_CONFIG),
+)
+COMMANDS = {"run": cmd_run, "oracle": cmd_oracle, "casestudy": cmd_casestudy}
 
 
 def main(argv=None) -> int:
@@ -225,11 +201,11 @@ def main(argv=None) -> int:
     _add_oracle_parser(sub)
     _add_casestudy_parser(sub)
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "oracle":
-        return cmd_oracle(args)
-    return cmd_casestudy(args)
+    try:
+        return COMMANDS[args.command](args)
+    except tuple(cls for cls, _ in EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
 
 
 if __name__ == "__main__":

@@ -69,14 +69,14 @@ class LatticeConfig:
 
     def __post_init__(self):
         if self.decision_steps < 1:
-            raise ScenarioError("decision_steps must be >= 1")
+            raise ValueError("decision_steps must be >= 1")
         if self.ticks_per_step < 1:
-            raise ScenarioError("ticks_per_step must be >= 1")
+            raise ValueError("ticks_per_step must be >= 1")
         if not self.maneuvers:
-            raise ScenarioError("maneuver set must be non-empty")
+            raise ValueError("maneuver set must be non-empty")
         bad = set(self.maneuvers) - set(MANEUVERS)
         if bad:
-            raise ScenarioError(f"unknown maneuvers {sorted(bad)}")
+            raise ValueError(f"unknown maneuvers {sorted(bad)}")
         object.__setattr__(
             self, "maneuvers", tuple(sorted(set(self.maneuvers))))
 
@@ -109,11 +109,11 @@ class PlannerConfig:
 
     def __post_init__(self):
         if self.iteration_budget < 1:
-            raise ScenarioError("iteration_budget must be >= 1")
+            raise ValueError("iteration_budget must be >= 1")
         if self.steer_step <= 0 or self.goal_tolerance <= 0:
-            raise ScenarioError("steer_step and goal_tolerance must be > 0")
+            raise ValueError("steer_step and goal_tolerance must be > 0")
         if self.target_speed <= 0:
-            raise ScenarioError("target_speed must be > 0")
+            raise ValueError("target_speed must be > 0")
 
 
 # ---------------------------------------------------------------------------

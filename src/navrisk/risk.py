@@ -135,12 +135,14 @@ def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
 # Exact set-reduction risk
 # ---------------------------------------------------------------------------
 
-def check_cap(lattice: LatticeConfig, cap: int = UNIVERSE_CAP):
-    """Raise LatticeCapExceeded if the lattice has over cap sequences."""
+def check_cap(lattice: LatticeConfig, cap: int = UNIVERSE_CAP,
+              source: str = "lattice"):
+    """Raise LatticeCapExceeded, naming `source` (what set the lattice), if
+    the lattice has over cap sequences."""
     if len(lattice.maneuvers) ** lattice.decision_steps > cap:
         raise LatticeCapExceeded(
-            f"{len(lattice.maneuvers)}^{lattice.decision_steps} sequences "
-            f"exceed the cap of {cap}")
+            f"{source}: {len(lattice.maneuvers)}^{lattice.decision_steps} "
+            f"sequences exceed the cap of {cap}")
 
 
 @dataclass(frozen=True)

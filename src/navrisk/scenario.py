@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
@@ -462,6 +462,19 @@ class CaseStudyParams:
     steady2_ticks: int = 150        # s4 duration
     tail_ticks: int = 45            # run-out after the braking actor stops
 
+    def __post_init__(self):
+        # every number finite; speeds and tick counts (the *_speed and
+        # *_ticks fields) >= 0; dt > 0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ScenarioError(f"{f.name}: must be finite, got {value!r}")
+            if f.name.endswith(("_speed", "_ticks")) and value is not None \
+                    and value < 0:
+                raise ScenarioError(f"{f.name}: must be >= 0, got {value!r}")
+        if self.dt <= 0:
+            raise ScenarioError(f"dt: must be positive, got {self.dt!r}")
+
     def actor_table(self) -> dict[str, tuple[int, float, float]]:
         """actor_id -> (lane, start offset from ego_x, target speed)."""
         return {
@@ -636,14 +649,18 @@ def _list(value, path: str) -> list:
     return value
 
 
+def _at(path: str, make, *args):
+    """make(*args), with the path prefixed to any ScenarioError it raises."""
+    try:
+        return make(*args)
+    except ScenarioError as e:
+        raise ScenarioError(f"{path}: {e}") from e
+
+
 def _state(row, path: str) -> ActorState:
     if not isinstance(row, list) or len(row) != 4:
         raise ScenarioError(f"{path}: expected [x, y, heading, speed]")
-    values = [_number(row, j, path) for j in range(4)]
-    try:
-        return ActorState(*values)
-    except ScenarioError as e:
-        raise ScenarioError(f"{path}: {e}") from e
+    return _at(path, ActorState, *(_number(row, j, path) for j in range(4)))
 
 
 def load_scenario(data: bytes | str) -> Scenario:
@@ -654,7 +671,7 @@ def load_scenario(data: bytes | str) -> Scenario:
     """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except ValueError as e:   # also undecodable bytes
         raise ScenarioError(f"document is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ScenarioError("document root must be an object")
@@ -663,16 +680,19 @@ def load_scenario(data: bytes | str) -> Scenario:
     if version != SCENARIO_FORMAT_VERSION:
         raise ScenarioError(f"$.version: unsupported version {version!r}")
     m = _require(doc, "map", "$")
-    road = RoadMap(
-        lane_count=_number(m, "lane_count", "$.map", integral=True),
-        lane_width=_number(m, "lane_width", "$.map"),
-        road_length=_number(m, "road_length", "$.map"),
-        speed_limit=_number(m, "speed_limit", "$.map"),
-    )
+    road = _at("$.map", RoadMap,
+               _number(m, "lane_count", "$.map", integral=True),
+               *(_number(m, key, "$.map")
+                 for key in ("lane_width", "road_length", "speed_limit")))
     dt = _number(doc, "dt", "$")
-    horizon = _number(doc, "horizon_ticks", "$", integral=True)
+    if dt <= 0:
+        raise ScenarioError(f"$.dt: must be positive, got {dt!r}")
+    horizon = _number(doc, "horizon_ticks", "$", integral=True, nonneg=True)
     ego_doc = _require(doc, "ego", "$")
     ego = _state(_require(ego_doc, "state", "$.ego"), "$.ego.state")
+    if not road.contains_y(ego.position_y):
+        raise ScenarioError(f"$.ego.state: ego is off-road at y = "
+                            f"{ego.position_y!r}")
 
     radii = {EGO_ID: _number(ego_doc, "radius", "$.ego", nonneg=True)}
     trajs: dict[str, Trajectory] = {}
@@ -690,18 +710,22 @@ def load_scenario(data: bytes | str) -> Scenario:
         states = tuple(_state(row, f"{path}.states[{j}]")
                        for j, row in enumerate(states_doc))
         trajs[aid] = Trajectory(aid, 0, dt, states)
-        trajs[aid].check_kinematics()
+        _at(f"{path}.states", trajs[aid].check_kinematics)
         radii[aid] = _number(a, "radius", path, nonneg=True)
 
-    phases = tuple(
-        PhaseSpan(str(_require(p, "name", f"$.phase_metadata[{i}]")),
-                  _number(p, "start_tick", f"$.phase_metadata[{i}]",
-                          integral=True),
-                  _number(p, "end_tick", f"$.phase_metadata[{i}]",
-                          integral=True))
-        for i, p in enumerate(_list(doc.get("phase_metadata", []),
-                                    "$.phase_metadata"))
-    )
+    phases = []
+    for i, p in enumerate(_list(doc.get("phase_metadata", []),
+                                "$.phase_metadata")):
+        path = f"$.phase_metadata[{i}]"
+        span = PhaseSpan(str(_require(p, "name", path)),
+                         _number(p, "start_tick", path, integral=True),
+                         _number(p, "end_tick", path, integral=True))
+        if not 0 <= span.start_tick <= span.end_tick <= horizon:
+            raise ScenarioError(
+                f"{path}: span [{span.start_tick}, {span.end_tick}] is not "
+                f"an ordered span within [0, {horizon}]")
+        phases.append(span)
     return Scenario(
         map=road, npc_trajectories=trajs, ego_initial=ego,
-        horizon_ticks=horizon, dt=dt, actor_radius=radii, phases=phases)
+        horizon_ticks=horizon, dt=dt, actor_radius=radii,
+        phases=tuple(phases))

@@ -16,7 +16,8 @@ phase active at planning time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,17 +52,19 @@ class RunConfig:
     operators: tuple[str, ...] = ("euclid",)
     lattice: Optional[LatticeConfig] = None
     iteration_budget: int = 700
-    steer_step: float = 2.0
-    goal_tolerance: float = 2.0
-    safety_margin: float = 0.5
-    target_speed: Optional[float] = None   # None: ego's initial speed
-    router: RouterConfig = field(default_factory=RouterConfig)
 
     def __post_init__(self):
         if self.replan_every < 1:
             raise ValueError("replan_every must be >= 1")
         if self.horizon < self.replan_every:
             raise ValueError("horizon must be >= replan_every")
+        if self.iteration_budget < 1:
+            raise ValueError("iteration_budget must be >= 1")
+        if self.samples < 0:
+            raise ValueError("samples must be >= 0")
+        if not (0 <= self.noise_accel < math.inf
+                and 0 <= self.noise_yawrate < math.inf):
+            raise ValueError("noise sigmas must be finite and >= 0")
         bad = set(self.operators) - {"euclid", "kl", "exact"}
         if bad:
             raise ValueError(f"unknown operators {sorted(bad)}")
@@ -129,14 +132,16 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
     ego = s.ego_initial
     ego_radius = s.radius_of(EGO_ID)
     radii = dict(s.actor_radius)
-    speed = cfg.target_speed if cfg.target_speed is not None else \
-        (ego.speed if ego.speed > 0 else 0.7 * road.speed_limit)
-    speed = min(speed, road.speed_limit)
+    speed = min(ego.speed if ego.speed > 0 else 0.7 * road.speed_limit,
+                road.speed_limit)
     base_advance = cfg.horizon * s.dt * speed
     preferred = road.lane_of(ego.position_y)
-    router = cfg.router
+    router = RouterConfig()
     env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=s.dt,
                router=router)
+    pcfg = PredictionConfig(cfg.noise_accel, cfg.noise_yawrate,
+                            sample_count=cfg.samples, seed=cfg.seed) \
+        if cfg.samples else None
 
     records: list[StepRecord] = []
     ego_states: list[ActorState] = []
@@ -167,10 +172,7 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
         base_cfg = PlannerConfig(
             iteration_budget=cfg.iteration_budget,
             seed=_planner_seed(cfg.seed, t),
-            goal=GoalSpec(base_advance, preferred),
-            steer_step=cfg.steer_step,
-            goal_tolerance=cfg.goal_tolerance,
-            safety_margin=cfg.safety_margin, target_speed=speed,
+            goal=GoalSpec(base_advance, preferred), target_speed=speed,
             sample_advance=base_advance)
         plan_full, gammas = leave_one_out(world, ego, t, k_eff, base_cfg,
                                           **env)
@@ -182,29 +184,23 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
             if "kl" in cfg.operators:
                 kl_values = all_actor_importance_kl(
                     world, ego, t, k_eff, lattice, road=road,
-                    radii=radii, ego_radius=ego_radius, dt=s.dt,
-                    margin=cfg.safety_margin)
+                    radii=radii, ego_radius=ego_radius, dt=s.dt)
             if "exact" in cfg.operators:
                 rho_values = all_actor_risk_exact(
-                    s, t, k_eff, lattice, ego=ego,
-                    margin=cfg.safety_margin).per_actor
+                    s, t, k_eff, lattice, ego=ego).per_actor
 
         mc_stats = {}
-        if cfg.samples >= 1:
-            pcfg = PredictionConfig(
-                cfg.noise_accel, cfg.noise_yawrate,
-                sample_count=cfg.samples, seed=cfg.seed)
+        if pcfg is not None:
             runs = [leave_one_out(w, ego, t, k_eff, base_cfg, **env)[1]
                     for w in sample_worlds(histories, k_eff, pcfg)]
             mc_stats = {aid: mean_and_variance([r[aid][0] for r in runs])
                         for aid in gammas}
 
         err = {}
-        if t + cfg.horizon <= s.horizon_ticks:
-            for aid, h in histories.items():
-                pred = predict_linear(h, cfg.horizon)
-                err[aid] = prediction_error(
-                    pred, s.npc_trajectories[aid].window(t, cfg.horizon))
+        if t + cfg.horizon <= s.horizon_ticks:   # then k_eff == horizon
+            err = {aid: prediction_error(
+                       pred, s.npc_trajectories[aid].window(t, cfg.horizon))
+                   for aid, pred in world.items()}
 
         for aid, (gamma, saturated) in gammas.items():
             mean_g, var_g = mc_stats.get(aid, (None, None))

@@ -34,6 +34,30 @@ class TestCasestudyCommand:
                      "--ego-speed", "99.0"]) == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--dt", "0", "dt"),
+        ("--dt", "-0.1", "dt"),
+        ("--dt", "nan", "dt"),
+        ("--dt", "inf", "dt"),
+        ("--steady-ticks", "-5", "steady_ticks"),
+        ("--tail-ticks", "-1", "tail_ticks"),
+        ("--brake-decel", "nan", "brake_decel"),
+        ("--lane-change-duration", "inf", "lane_change_duration"),
+        ("--ego-speed", "nan", "ego_speed"),
+        ("--ego-speed", "-1", "ego_speed"),
+    ])
+    def test_bad_params_exit_3_names_field(self, tmp_path, capsys, flag,
+                                           value, field):
+        out = tmp_path / "bad.json"
+        assert main(["casestudy", "--out", str(out), flag, value]) == 3
+        assert f"error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["casestudy", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     def test_table_matches_fixture(self, tmp_path, capsys):
@@ -111,6 +135,16 @@ class TestOracleCommand:
         (("actors",), 5, "$.actors"),
         (("actors", 0, "states"), 5, "$.actors[0].states"),
         (("phase_metadata",), 5, "$.phase_metadata"),
+        (("phase_metadata", 0, "start_tick"), 99999, "$.phase_metadata[0]"),
+        (("phase_metadata", 1, "end_tick"), 0, "$.phase_metadata[1]"),
+        (("phase_metadata", 0, "start_tick"), -1, "$.phase_metadata[0]"),
+        (("dt",), 0, "$.dt"),
+        (("horizon_ticks",), -1, "$.horizon_ticks"),
+        (("map", "lane_width"), 0, "$.map"),
+        (("map", "speed_limit"), -1, "$.map"),
+        (("actors", 0, "states", 5, 0), 1e6, "$.actors[0].states"),
+        (("ego", "state", 1), -5.0, "$.ego.state"),
+        (("ego", "state", 1), 99.0, "$.ego.state"),
     ])
     def test_malformed_document_exit_3_names_field(
             self, tmp_path, casestudy_path, capsys, keys, value, field):
@@ -140,6 +174,26 @@ class TestOracleCommand:
         assert main(["oracle", "--scenario", str(casestudy_path),
                      "--k", k, "--steps", "1"]) == 2
         assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("maneuvers", ["foo", "keep,foo", ","])
+    def test_bad_maneuvers_exit_2(self, casestudy_path, capsys, maneuvers):
+        assert main(["oracle", "--scenario", str(casestudy_path),
+                     "--k", "8", "--steps", "2",
+                     "--maneuvers", maneuvers]) == 2
+        assert "maneuver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["-1", "400"])
+    def test_window_outside_scenario_exit_2(self, casestudy_path, capsys,
+                                            t):
+        # the case study has 409 ticks; [400, 440] runs past its end
+        assert main(["oracle", "--scenario", str(casestudy_path),
+                     "--t", t, "--k", "40", "--steps", "8"]) == 2
+        assert "--t" in capsys.readouterr().err
+
+    def test_unreadable_scenario_exit_3_names_flag(self, tmp_path, capsys):
+        assert main(["oracle", "--scenario", str(tmp_path),
+                     "--k", "8", "--steps", "2"]) == 3
+        assert "--scenario" in capsys.readouterr().err
 
     def test_case_study_window_output_pinned(self, casestudy_path, capsys):
         # the table the per-actor enumeration printed for this window
@@ -202,6 +256,34 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x")]) == 5
         assert "--lattice-steps" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--budget", "0"],
+        ["--samples", "-1"],
+        ["--samples", "1", "--noise-accel", "-1"],
+        ["--noise-yawrate", "nan"],
+        ["--noise-accel", "inf"],
+    ])
+    def test_bad_run_option_exit_2_before_any_work(
+            self, tmp_path, casestudy_path, monkeypatch, flags):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("navrisk.cli.run_simulation", no_run)
+        assert main(["run", "--scenario", str(casestudy_path), *flags,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_out_is_a_file_exit_2_before_planning(self, tmp_path,
+                                                 casestudy_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("navrisk.cli.run_simulation", no_run)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "--scenario", str(casestudy_path),
+                     "--out", str(out)]) == 2
 
     def test_bad_scenario_exit_3(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -84,6 +84,24 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown operators"):
             RunConfig(operators=("euclid", "l2"))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"iteration_budget": 0}, "iteration_budget"),
+        ({"samples": -1}, "samples"),
+        ({"noise_accel": -0.1}, "noise sigmas"),
+        ({"noise_yawrate": -1.0}, "noise sigmas"),
+        ({"noise_accel": float("nan")}, "noise sigmas"),
+        ({"noise_yawrate": float("inf")}, "noise sigmas"),
+    ])
+    def test_out_of_range_options_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**kwargs)
+
+    def test_nine_settable_values(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(RunConfig)] == [
+            "seed", "horizon", "replan_every", "samples", "noise_accel",
+            "noise_yawrate", "operators", "lattice", "iteration_budget"]
+
 
 class TestReports:
     def test_run_csv_header_and_rows(self, scenario, result):
