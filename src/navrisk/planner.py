@@ -9,12 +9,20 @@ collisions.  plan_sampling is a budgeted rewiring sampling planner over
 
 plan_sampling draws its entire sample stream from cfg.seed alone before
 growing the tree; acceptance or rejection of a candidate never consumes
-extra randomness.  Leave-one-out planner runs over different actor subsets
-are therefore paired experiments: an actor whose inflated disc never
-intersects a tree edge of the baseline run leaves the returned plan
-bit-identical.  Tree edges are time-indexed (each node carries its arrival
-tick) so moving obstacles are checked where they will be, not where they
-are.
+extra randomness.  Tree edges are time-indexed (each node carries its
+arrival tick) so moving obstacles are checked where they will be, not
+where they are.
+
+plan_sampling is _grow_tree followed by _select_endpoint.  The tree never
+reads the goal, and its sample stream depends only on cfg.seed and the
+sample basis (cfg.sample_advance, else cfg.goal.advance).  Leave-one-out
+runs over different actor subsets are therefore paired experiments, with
+an exact reuse rule: an actor that was never the sole blocker of a
+growth edge check (connect or rewire) grows the same tree when removed,
+since every such check returns the same answer without it.  The plan of
+that ablated world can still differ, through its re-routed goal and the
+endpoint checks (goal connection, hold, rendered path), which
+_select_endpoint repeats against the ablated obstacles.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -294,17 +302,19 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 # Budgeted sampling planner
 # ---------------------------------------------------------------------------
 
-def _edge_free(p0, p1, tick0, tick1, obs, rsum) -> bool:
+def _edge_blockers(p0, p1, tick0, tick1, obs, rsum,
+                   ticks) -> Optional[np.ndarray]:
+    """(m,) mask of the actors the edge p0 -> p1 hits, or None when the
+    traversal covers no integer tick.  ticks is 0.0 .. k as floats."""
     # collision semantics live on integer ticks; check every tick the edge
     # traversal covers, interpolating both ego and obstacles
     j0 = math.floor(tick0) + 1   # smallest integer tick strictly after tick0
     j1 = math.floor(tick1)       # largest integer tick at or before tick1
     if j1 < j0:
-        return True
-    js = np.arange(j0, j1 + 1)
-    frac = (js - tick0) / (tick1 - tick0)
+        return None
+    frac = (ticks[j0:j1 + 1] - tick0) / (tick1 - tick0)
     pts = p0[None, :] + frac[:, None] * (p1 - p0)[None, :]
-    return not _hits(obs[:, js], pts, rsum[:, None]).any()
+    return _hits(obs[:, j0:j1 + 1], pts, rsum[:, None]).any(axis=1)
 
 
 def _hold_free(pt, tick, k, obs, rsum) -> bool:
@@ -345,34 +355,47 @@ def _render_path(vertices: np.ndarray, t: int, k: int, dt: float,
     return Trajectory("ego", t, dt, tuple(states))
 
 
-def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
-                  world: Mapping[str, Trajectory], cfg: PlannerConfig,
-                  radii: Mapping[str, float],
-                  ego_radius: float = 1.2,
-                  dt: float = 0.1) -> Plan:
-    """Grow a rewiring tree in (x, y) for exactly cfg.iteration_budget
-    iterations and return the cheapest collision-free trajectory into the
-    goal region, or the closest-approach trajectory flagged partial.
+class _Tree(NamedTuple):
+    """A grown rewiring tree trimmed to its nodes: positions, path costs,
+    arrival ticks (at `speed`, `inv` ticks per meter) and parents."""
 
-    Deterministic given its inputs.  Raises PlanningInfeasible when no
-    collision-free edge exists from the root (the ego is fully enclosed).
+    pts: np.ndarray
+    cost: np.ndarray
+    tick: np.ndarray
+    parent: np.ndarray
+    speed: float
+    inv: float
+
+
+def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
+                ego_radius: float) -> np.ndarray:
+    return np.array([
+        min(ego.position_x + goal.advance, road.road_length - ego_radius),
+        road.lane_center(goal.lane),
+    ])
+
+
+def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
+               rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
+               dt: float) -> tuple[_Tree, np.ndarray]:
+    """Grow the rewiring tree for exactly cfg.iteration_budget samples
+    among the obstacles (obs, rsum) of world_arrays.
+
+    Also returns the (m,) sole mask: actor j is sole iff some connect or
+    rewire edge check was blocked by actor j alone.  The tree never reads
+    cfg.goal beyond the sample basis, so removing a never-sole actor gives
+    this same tree.  Raises PlanningInfeasible when the ego overlaps an
+    obstacle at the planning tick.
     """
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
     speed = min(cfg.target_speed, road.speed_limit)
     inv = 1.0 / (speed * dt)          # ticks per meter of path
-    margin = cfg.safety_margin
-    obs, rsum = world_arrays(world, radii, ego_radius, margin, t, k)
 
     root = np.array([ego.position_x, ego.position_y])
     if _hits(obs[:, 0], root, rsum).any():
         raise PlanningInfeasible(
             "ego overlaps an obstacle at the planning tick")
-
-    goal = np.array([
-        min(ego.position_x + cfg.goal.advance, road.road_length - ego_radius),
-        road.lane_center(cfg.goal.lane),
-    ])
 
     # entire sample stream drawn up front from the seed; the window depends
     # only on the ego state and the configured basis advance
@@ -385,6 +408,18 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     y_lo, y_hi = ego_radius, road.width - ego_radius
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
                           (cfg.iteration_budget, 2))
+
+    ticks = np.arange(k + 1, dtype=float)
+    sole = np.zeros(len(rsum), dtype=bool)
+
+    def edge_free(p0, p1, tick0, tick1) -> bool:
+        hit = _edge_blockers(p0, p1, tick0, tick1, obs, rsum, ticks)
+        if hit is None:
+            return True
+        blockers = np.count_nonzero(hit)
+        if blockers == 1:
+            np.logical_or(sole, hit, out=sole)
+        return blockers == 0
 
     n_max = cfg.iteration_budget + 1
     pts = np.empty((n_max, 2))
@@ -430,7 +465,7 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
             nt = tick[i] + d_i * inv
             if nt > k:
                 continue
-            if _edge_free(pts[i], cand, tick[i], nt, obs, rsum):
+            if edge_free(pts[i], cand, tick[i], nt):
                 chosen, chosen_d = i, d_i
                 break
         if chosen < 0:
@@ -457,7 +492,7 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
             nt = tick[n] + d_i * inv
             if nt > k:
                 continue
-            if _edge_free(cand, pts[i], tick[n], nt, obs, rsum):
+            if edge_free(cand, pts[i], tick[n], nt):
                 children[parent[i]] -= 1
                 parent[i] = n
                 cost[i] = nc
@@ -465,16 +500,29 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
                 children[n] += 1
         n += 1
 
+    return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
+
+
+def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
+                     rsum: np.ndarray, road: RoadMap, t: int, k: int,
+                     goal_tolerance: float, dt: float) -> Plan:
+    """The cheapest tree path into the goal region that stays clear of
+    (obs, rsum), connected to the goal point when that edge is clear, or
+    else the closest-approach path flagged partial.  Raises
+    PlanningInfeasible when no candidate endpoint stays collision-free."""
+    pts, cost, tick, parent = tree.pts, tree.cost, tree.tick, tree.parent
+    n = len(pts)
     if n == 1:
         raise PlanningInfeasible(
             "no collision-free edge from the ego position")
+    ticks = np.arange(k + 1, dtype=float)
 
-    gd = np.hypot(pts[:n, 0] - goal[0], pts[:n, 1] - goal[1])
-    in_goal = np.nonzero(gd <= cfg.goal_tolerance)[0]
+    gd = np.hypot(pts[:, 0] - goal[0], pts[:, 1] - goal[1])
+    in_goal = np.nonzero(gd <= goal_tolerance)[0]
     rounds = []
     if in_goal.size:
         rounds.append((in_goal[np.lexsort((in_goal, cost[in_goal]))], False))
-    rounds.append((np.lexsort((np.arange(n), cost[:n], gd)), True))
+    rounds.append((np.lexsort((np.arange(n), cost, gd)), True))
 
     # candidates in preference order; the plan parks at its endpoint until
     # t+k, so the endpoint must also stay clear over the remaining ticks
@@ -490,20 +538,40 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
             if not partial:
                 d_goal = float(gd[best])
                 if d_goal > 1e-9 and goal[0] + 1e-12 >= pts[best, 0]:
-                    nt = tick[best] + d_goal * inv
-                    if (nt <= k
-                            and _edge_free(pts[best], goal, tick[best], nt,
-                                           obs, rsum)
-                            and _hold_free(goal, nt, k, obs, rsum)):
-                        vertices = np.vstack([vertices, goal])
-                        end_pt, end_tick = goal, float(nt)
+                    nt = tick[best] + d_goal * tree.inv
+                    if nt <= k:
+                        hit = _edge_blockers(pts[best], goal, tick[best],
+                                             nt, obs, rsum, ticks)
+                        if ((hit is None or not hit.any())
+                                and _hold_free(goal, nt, k, obs, rsum)):
+                            vertices = np.vstack([vertices, goal])
+                            end_pt, end_tick = goal, float(nt)
             if not _hold_free(end_pt, end_tick, k, obs, rsum):
                 continue
 
-            traj = _render_path(vertices, t, k, dt, speed)
+            traj = _render_path(vertices, t, k, dt, tree.speed)
             if _hits(obs, traj.xy, rsum[:, None]).any():
                 continue
             return Plan(traj,
                         _plan_cost(traj, road, include_speed_term=False),
                         partial=partial)
     raise PlanningInfeasible("no candidate endpoint stays collision-free")
+
+
+def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
+                  world: Mapping[str, Trajectory], cfg: PlannerConfig,
+                  radii: Mapping[str, float],
+                  ego_radius: float = 1.2,
+                  dt: float = 0.1) -> Plan:
+    """Grow a rewiring tree in (x, y) for exactly cfg.iteration_budget
+    iterations and return the cheapest collision-free trajectory into the
+    goal region, or the closest-approach trajectory flagged partial.
+
+    Deterministic given its inputs.  Raises PlanningInfeasible when no
+    collision-free edge exists from the root (the ego is fully enclosed).
+    """
+    obs, rsum = world_arrays(world, radii, ego_radius, cfg.safety_margin,
+                             t, k)
+    tree, _ = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt)
+    return _select_endpoint(tree, _goal_point(road, ego, cfg.goal, ego_radius),
+                            obs, rsum, road, t, k, cfg.goal_tolerance, dt)

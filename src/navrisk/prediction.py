@@ -30,8 +30,9 @@ class PredictionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_accel_sigma < 0 or self.noise_yawrate_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        if not (0 <= self.noise_accel_sigma < math.inf
+                and 0 <= self.noise_yawrate_sigma < math.inf):
+            raise ValueError("noise sigmas must be finite and >= 0")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
 

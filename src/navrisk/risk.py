@@ -35,10 +35,14 @@ from .planner import (
     PlannerConfig,
     PlanSet,
     PlanningInfeasible,
+    _goal_point,
+    _grow_tree,
+    _select_endpoint,
     collision_check,
     enumerate_plans,  # noqa: F401 (wrapped by perfbench/tracer.py)
     lattice_blockers,
     plan_sampling,
+    world_arrays,
 )
 from .prediction import PredictionConfig, sample_worlds
 # bound here for perfbench/tracer.py, which wraps it in this module
@@ -266,22 +270,6 @@ def route_planner_cfg(cfg: PlannerConfig, world: Mapping[str, Trajectory],
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
 
-def _plan_or_none(world: Mapping[str, Trajectory], ego: ActorState, t: int,
-                  k: int, cfg: PlannerConfig, *, road: RoadMap,
-                  radii: Mapping[str, float], ego_radius: float,
-                  dt: float, router: Optional[RouterConfig]
-                  ) -> Optional[Plan]:
-    """plan_sampling on world, with the goal re-clamped for that world when
-    a router is given; None when the world admits no plan."""
-    if router is not None:
-        cfg = route_planner_cfg(cfg, world, ego, road, router)
-    try:
-        return plan_sampling(road, ego, t, k, world, cfg, radii, ego_radius,
-                             dt)
-    except PlanningInfeasible:
-        return None
-
-
 def _plan_change(plan_full: Optional[Plan], plan_m: Optional[Plan],
                  road: RoadMap, k: int) -> tuple[float, bool]:
     """(gamma, saturated) between the full-world and ablated plans: the mean
@@ -308,14 +296,43 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     """operator="euclid" importance of every actor of world: plan the full
     world once, then each world without one actor under the same planner
     seed, and return the full plan (None if infeasible) with each actor's
-    (gamma, saturated)."""
-    env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=dt,
-               router=router)
-    plan_full = _plan_or_none(world, ego, t, k, cfg, **env)
-    return plan_full, {
-        aid: _plan_change(plan_full, _plan_or_none(
-            _without(world, aid), ego, t, k, cfg, **env), road, k)
-        for aid in world}
+    (gamma, saturated).
+
+    The full-world tree is grown once.  Without an actor that never alone
+    blocked one of its edge checks the same tree grows, so that ablation
+    only re-selects the endpoint for its own goal and obstacles; the
+    others, and all of them when the ego is enclosed at the root, are
+    planned in full.
+    """
+    obs, rsum = world_arrays(world, radii, ego_radius, cfg.safety_margin,
+                             t, k)
+    try:
+        tree, sole = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt)
+    except PlanningInfeasible:
+        tree, sole = None, np.ones(len(rsum), dtype=bool)
+
+    def plan(w: Mapping[str, Trajectory], keep) -> Optional[Plan]:
+        """Plan w, routed for w; re-grown in full when keep is None, else
+        on the shared tree among the obstacle rows keep selects."""
+        routed = cfg if router is None else \
+            route_planner_cfg(cfg, w, ego, road, router)
+        try:
+            if keep is None:
+                return plan_sampling(road, ego, t, k, w, routed, radii,
+                                     ego_radius, dt)
+            return _select_endpoint(
+                tree, _goal_point(road, ego, routed.goal, ego_radius),
+                obs[keep], rsum[keep], road, t, k, cfg.goal_tolerance, dt)
+        except PlanningInfeasible:
+            return None
+
+    plan_full = None if tree is None else plan(world, slice(None))
+    gammas = {}
+    for j, aid in enumerate(world):
+        keep = None if sole[j] else np.arange(len(rsum)) != j
+        gammas[aid] = _plan_change(plan_full, plan(_without(world, aid), keep),
+                                   road, k)
+    return plan_full, gammas
 
 
 def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:
@@ -357,10 +374,11 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
     """Replan with and without one actor under identical seeds and measure
     the plan change.
 
-    operator="euclid" runs the sampling planner twice (paired stream; when a
-    router is given the goal is re-clamped per world) and returns the mean
-    per-waypoint displacement.  operator="kl" builds epsilon-floored lattice
-    plan distributions for both worlds and returns their KL divergence.
+    operator="euclid" is this actor's entry of leave_one_out (paired
+    stream; when a router is given the goal is re-clamped per world): the
+    mean per-waypoint displacement.  operator="kl" builds epsilon-floored
+    lattice plan distributions for both worlds and returns their KL
+    divergence.
     If one world admits no feasible plan and the other does, the euclid
     operator saturates at road_length / k per waypoint.
     """
@@ -378,12 +396,9 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
     if operator != "euclid":
         raise ScenarioError(f"unknown operator {operator!r}")
 
-    env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=dt,
-               router=router)
-    plan_full = _plan_or_none(world, ego, t, k, planner_cfg, **env)
-    plan_m = _plan_or_none(_without(world, actor_id), ego, t, k, planner_cfg,
-                           **env)
-    return _plan_change(plan_full, plan_m, road, k)[0]
+    return leave_one_out(world, ego, t, k, planner_cfg, road=road,
+                         radii=radii, ego_radius=ego_radius, dt=dt,
+                         router=router)[1][actor_id][0]
 
 
 def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,

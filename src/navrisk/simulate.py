@@ -16,7 +16,6 @@ phase active at planning time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,9 +61,8 @@ class RunConfig:
             raise ValueError("iteration_budget must be >= 1")
         if self.samples < 0:
             raise ValueError("samples must be >= 0")
-        if not (0 <= self.noise_accel < math.inf
-                and 0 <= self.noise_yawrate < math.inf):
-            raise ValueError("noise sigmas must be finite and >= 0")
+        # the noise-sigma rule lives in PredictionConfig, which raises
+        PredictionConfig(self.noise_accel, self.noise_yawrate)
         bad = set(self.operators) - {"euclid", "kl", "exact"}
         if bad:
             raise ValueError(f"unknown operators {sorted(bad)}")

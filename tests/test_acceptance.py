@@ -6,6 +6,7 @@ tests/test_acceptance.py` to see them).
 """
 
 import csv
+import hashlib
 import math
 import time
 
@@ -197,6 +198,12 @@ def test_c4_case_study_replication(tmp_path):
     elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < 60.0, f"criterion 4 took {elapsed:.1f}s"
+    # byte-identical to the recorded default-seed outputs
+    assert hashlib.sha256((out / "run.csv").read_bytes()).hexdigest() == \
+        "e8a38432476da31e99ac8967ee7ab76efaed0f30b3e3b86e313f82c9c5355e14"
+    assert hashlib.sha256(
+        (out / "phase_summary.csv").read_bytes()).hexdigest() == \
+        "98edcf2ca94eadd1d52d9d0f18f04676093c94dd6a43cea805e1585c3be77fce"
 
     with open(out / "phase_summary.csv") as f:
         rows = {(r["phase"], r["actor_id"]): r for r in csv.DictReader(f)}

@@ -130,6 +130,14 @@ class TestSamplePredictions:
             for aid in hists:
                 assert world[aid].states == per_actor[aid][j].states
 
+    @pytest.mark.parametrize("sigmas", [
+        (float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0),
+        (0.0, float("inf")), (-0.1, 0.0), (0.0, -1.0)])
+    def test_non_finite_or_negative_sigma_rejected(self, sigmas):
+        # nan < 0 is False, so only 0 <= sigma < inf keeps NaN out
+        with pytest.raises(ValueError, match="noise sigmas"):
+            PredictionConfig(*sigmas)
+
 
 class TestPredictionError:
     def test_identity_is_zero(self):

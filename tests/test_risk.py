@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from navrisk import risk
 from navrisk.planner import (
     GoalSpec,
     LatticeConfig,
     PlannerConfig,
+    PlanningInfeasible,
     enumerate_plans,
     plan_sampling,
 )
-from navrisk.prediction import PredictionConfig
+from navrisk.prediction import PredictionConfig, predict_linear
 from navrisk.risk import (
     LatticeCapExceeded,
     PlanDistribution,
@@ -25,10 +27,20 @@ from navrisk.risk import (
     mean_and_variance,
     min_risk_selection,
     plan_divergence_kl,
+    route_planner_cfg,
     total_risk_exact,
     traj_difference_euclidean,
 )
-from navrisk.scenario import EGO_ID, ActorState, RoadMap, Scenario, Trajectory
+from navrisk.scenario import (
+    EGO_ID,
+    ActorState,
+    CaseStudyParams,
+    RoadMap,
+    Scenario,
+    Trajectory,
+    generate_case_study,
+)
+from navrisk.simulate import RunConfig, run_simulation
 
 from oracles import static_actor, walk_enumerate, world_to_positions
 
@@ -478,24 +490,110 @@ def leave_one_out_worlds():
                          goal=GoalSpec(20.0, 1), target_speed=10.0))
 
 
+def case_study_worlds():
+    """Predicted worlds of a shortened case study at replan ticks across
+    its phases, with the ego where the closed loop put it: (road, world,
+    ego, t, k, cfg, radii) per tick."""
+    s = generate_case_study(CaseStudyParams(steady_ticks=60,
+                                            steady2_ticks=60, tail_ticks=30))
+    res = run_simulation(s, RunConfig(iteration_budget=150))
+    k = 40
+    speed = min(s.ego_initial.speed, s.map.speed_limit)
+    for t, ego in zip(res.replan_ticks, res.ego_states):
+        if t % 30 or t + k > s.horizon_ticks:
+            continue
+        world = {aid: predict_linear(tr.window(t, 0), k)
+                 for aid, tr in s.npc_trajectories.items()}
+        cfg = PlannerConfig(iteration_budget=300, seed=1000 + t,
+                            goal=GoalSpec(k * s.dt * speed,
+                                          s.map.lane_of(ego.position_y)),
+                            target_speed=speed,
+                            sample_advance=k * s.dt * speed)
+        yield s.map, world, ego, t, k, cfg, dict(s.actor_radius)
+
+
+def loo_cases():
+    """(road, world, ego, t, k, cfg, radii) for the equality test."""
+    for world, ego, k, cfg in leave_one_out_worlds():
+        yield ROAD3, world, ego, 0, k, cfg, {aid: 1.2 for aid in world}
+    yield from case_study_worlds()
+    ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
+    cfg = importance_cfg(iteration_budget=200)
+    # a parked actor dead ahead: the only blocker of many edge checks
+    world = {"stop": static_actor("stop", 30.0, ROAD3.lane_center(1), 30),
+             "ghost": static_actor("ghost", ROAD3.road_length + 30.0,
+                                   ROAD3.lane_center(1), 30)}
+    yield ROAD3, world, ego, 0, 30, cfg, {"stop": 1.2, "ghost": 1.2}
+    # the ego starts inside "on_top": the full world has no tree at all
+    world = {"on_top": static_actor("on_top", 10.5, ROAD3.lane_center(1), 30),
+             "a": moving_actor("a", 25.0, ROAD3.lane_center(0), 6.0, 30)}
+    yield ROAD3, world, ego, 0, 30, cfg, {"on_top": 1.2, "a": 1.2}
+
+
+def replanned_gammas(road, world, ego, t, k, cfg, radii, router):
+    """Independent reference: route and plan the full world and every
+    one-actor ablation from scratch with plan_sampling."""
+    def plan(w):
+        try:
+            return plan_sampling(road, ego, t, k, w,
+                                 route_planner_cfg(cfg, w, ego, road, router),
+                                 radii)
+        except PlanningInfeasible:
+            return None
+
+    full = plan(world)
+    out = {}
+    for aid in world:
+        m = plan({a: tr for a, tr in world.items() if a != aid})
+        if full is None and m is None:
+            out[aid] = (0.0, False)
+        elif full is None or m is None:
+            out[aid] = (road.road_length / k, True)
+        else:
+            out[aid] = (traj_difference_euclidean(full.trajectory,
+                                                  m.trajectory), False)
+    return full, out
+
+
 class TestLeaveOneOut:
-    def test_equals_actor_importance_and_ghost_is_zero(self):
+    def test_equals_independent_replans(self, monkeypatch):
         router = RouterConfig()
-        moved = 0
-        for world, ego, k, cfg in leave_one_out_worlds():
-            radii = {aid: 1.2 for aid in world}
-            plan_full, gammas = leave_one_out(world, ego, 0, k, cfg,
-                                              road=ROAD3, radii=radii,
+        planned = []   # worlds leave_one_out grows from scratch
+
+        def counted(road, ego, t, k, w, *args, **kw):
+            planned.append(set(w))
+            return plan_sampling(road, ego, t, k, w, *args, **kw)
+
+        monkeypatch.setattr(risk, "plan_sampling", counted)
+        regrown, reused = set(), set()
+        moved = enclosed = 0
+        for n, (road, world, ego, t, k, cfg, radii) in enumerate(loo_cases()):
+            full_ref, ref = replanned_gammas(road, world, ego, t, k, cfg,
+                                             radii, router)
+            planned.clear()
+            plan_full, gammas = leave_one_out(world, ego, t, k, cfg,
+                                              road=road, radii=radii,
                                               router=router)
-            assert plan_full is not None
-            assert gammas.keys() == world.keys()
-            for aid in world:
-                assert gammas[aid][0] == actor_importance(
-                    world, aid, ego, 0, k, cfg, "euclid", road=ROAD3,
-                    radii=radii, router=router)
-            assert gammas["ghost"] == (0.0, False)
+            assert gammas == ref
+            assert (plan_full is None) == (full_ref is None)
+            if plan_full is None:
+                enclosed += 1
+            else:
+                assert plan_full.trajectory.xy.tolist() == \
+                    full_ref.trajectory.xy.tolist()
+            if "ghost" in world:
+                assert gammas["ghost"] == (0.0, False)
+            grown = {(n, *(set(world) - w)) for w in planned}
+            regrown |= grown
+            reused |= {(n, aid) for aid in world} - grown
             moved += sum(g > 0.0 for g, _ in gammas.values())
-        assert moved > 0
+        assert moved > 0 and enclosed == 1
+        # both branches ran: the parked actor dead ahead was re-grown, and
+        # the ghost and some case-study actors reused the full-world tree
+        stop = next(key for key in regrown if key[1] == "stop")
+        assert (stop[0], "ghost") in reused
+        assert any(aid in ("lead", "cutin", "near", "far", "rear", "outer")
+                   for _, aid in reused)
 
     def test_mean_and_variance(self):
         assert mean_and_variance([0.3, 0.3, 0.3]) == (0.3, 0.0)
