@@ -23,6 +23,14 @@ since every such check returns the same answer without it.  The plan of
 that ablated world can still differ, through its re-routed goal and the
 endpoint checks (goal connection, hold, rendered path), which
 _select_endpoint repeats against the ablated obstacles.
+
+Collision is one rule in two forms: _hits, vectorized, for every check
+as long as the horizon or the lattice, and _hit, for one ego-actor pair
+of Python floats, in the tree-edge checks of _edge_blockers.  Tree
+growth keeps numpy only for the vectors as long as the tree (nearest
+node, neighbour set); every per-node scalar is a Python float from the
+same IEEE operations in the same order, so the tree is bit-identical to
+an all-numpy growth.
 """
 
 from __future__ import annotations
@@ -150,6 +158,18 @@ def _hits(obs: np.ndarray, xy: np.ndarray, rsum) -> np.ndarray:
     radii sum; boundary contact is not a collision.  Broadcasts over the
     leading axes of obs (..., 2), xy (..., 2) and rsum."""
     return np.hypot(obs[..., 0] - xy[..., 0], obs[..., 1] - xy[..., 1]) < rsum
+
+
+def _hit(dx: float, dy: float, r: float) -> bool:
+    """_hits for one pair of Python floats (dx, dy = obstacle - ego), with
+    the same answer.  math.hypot and np.hypot are each within a few ulp of
+    the true distance, so they can only fall on different sides of r when
+    the distance is within 1e-12 * r of it; inside that band np.hypot
+    decides."""
+    h = math.hypot(dx, dy)
+    if abs(h - r) <= 1e-12 * r:
+        return bool(np.hypot(dx, dy) < r)
+    return h < r
 
 
 def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
@@ -302,19 +322,34 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 # Budgeted sampling planner
 # ---------------------------------------------------------------------------
 
-def _edge_blockers(p0, p1, tick0, tick1, obs, rsum,
-                   ticks) -> Optional[np.ndarray]:
-    """(m,) mask of the actors the edge p0 -> p1 hits, or None when the
-    traversal covers no integer tick.  ticks is 0.0 .. k as floats."""
+def _obstacle_lists(obs: np.ndarray, rsum: np.ndarray):
+    """obs and rsum as Python floats for _edge_blockers: x and y per actor
+    per tick, (m, k+1) nested lists each, and the (m,) radii sums."""
+    return obs[..., 0].tolist(), obs[..., 1].tolist(), rsum.tolist()
+
+
+def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
+                   tick0: float, tick1: float, oxl, oyl,
+                   rl) -> tuple[int, ...]:
+    """The actors the edge p0 -> p1 hits: () if none, (a,) if actor a is
+    the only one, else the first two found.  oxl, oyl, rl come from
+    _obstacle_lists."""
     # collision semantics live on integer ticks; check every tick the edge
-    # traversal covers, interpolating both ego and obstacles
+    # traversal covers, interpolating the ego along the edge
     j0 = math.floor(tick0) + 1   # smallest integer tick strictly after tick0
     j1 = math.floor(tick1)       # largest integer tick at or before tick1
-    if j1 < j0:
-        return None
-    frac = (ticks[j0:j1 + 1] - tick0) / (tick1 - tick0)
-    pts = p0[None, :] + frac[:, None] * (p1 - p0)[None, :]
-    return _hits(obs[:, j0:j1 + 1], pts, rsum[:, None]).any(axis=1)
+    span, ddx, ddy = tick1 - tick0, p1x - p0x, p1y - p0y
+    found = ()
+    for j in range(j0, j1 + 1):
+        frac = (j - tick0) / span
+        ex = p0x + frac * ddx
+        ey = p0y + frac * ddy
+        for a, r in enumerate(rl):
+            if a not in found and _hit(oxl[a][j] - ex, oyl[a][j] - ey, r):
+                found += (a,)
+                if len(found) == 2:
+                    return found
+    return found
 
 
 def _hold_free(pt, tick, k, obs, rsum) -> bool:
@@ -409,98 +444,104 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
                           (cfg.iteration_budget, 2))
 
-    ticks = np.arange(k + 1, dtype=float)
-    sole = np.zeros(len(rsum), dtype=bool)
+    oxl, oyl, rl = _obstacle_lists(obs, rsum)
+    sole = [False] * len(rl)
 
-    def edge_free(p0, p1, tick0, tick1) -> bool:
-        hit = _edge_blockers(p0, p1, tick0, tick1, obs, rsum, ticks)
-        if hit is None:
-            return True
-        blockers = np.count_nonzero(hit)
-        if blockers == 1:
-            np.logical_or(sole, hit, out=sole)
-        return blockers == 0
+    def edge_free(p0x, p0y, p1x, p1y, tick0, tick1) -> bool:
+        hit = _edge_blockers(p0x, p0y, p1x, p1y, tick0, tick1, oxl, oyl, rl)
+        if len(hit) == 1:
+            sole[hit[0]] = True
+        return not hit
 
+    # numpy holds only the vectors as long as the tree (positions and costs
+    # for the nearest-node and neighbour queries); every per-node scalar is
+    # a Python float from the same IEEE operations in the same order
     n_max = cfg.iteration_budget + 1
     pts = np.empty((n_max, 2))
     cost = np.empty(n_max)
-    tick = np.empty(n_max)
-    parent = np.full(n_max, -1, dtype=np.int32)
-    children = np.zeros(n_max, dtype=np.int32)
     pts[0] = root
     cost[0] = 0.0
-    tick[0] = 0.0
+    xs, ys = [[v] for v in root.tolist()]
+    costs, tick = [0.0], [0.0]
+    parent, children = [-1], [0]
     n = 1
 
     r_rewire = 2.0 * cfg.steer_step
-    for s in samples:
-        dx = pts[:n, 0] - s[0]
-        dy = pts[:n, 1] - s[1]
+    for sx, sy in samples.tolist():
+        dx = pts[:n, 0] - sx
+        dy = pts[:n, 1] - sy
         d2 = dx * dx + dy * dy
         ni = int(np.argmin(d2))
         dist = math.sqrt(d2[ni])
         if dist < 1e-12:
             continue
-        step = min(cfg.steer_step, dist)
-        cand = pts[ni] + (step / dist) * (s - pts[ni])
-        if cand[0] < pts[ni, 0] or not (y_lo <= cand[1] <= y_hi):
+        f = min(cfg.steer_step, dist) / dist
+        cx = xs[ni] + f * (sx - xs[ni])
+        cy = ys[ni] + f * (sy - ys[ni])
+        if cx < xs[ni] or not (y_lo <= cy <= y_hi):
             continue
 
-        cdx = pts[:n, 0] - cand[0]
-        cdy = pts[:n, 1] - cand[1]
+        cdx = pts[:n, 0] - cx
+        cdy = pts[:n, 1] - cy
         cd2 = cdx * cdx + cdy * cdy
         nbrs = np.nonzero(cd2 <= r_rewire * r_rewire)[0]
         if nbrs.size == 0:
             nbrs = np.array([ni])
         cd = np.sqrt(cd2[nbrs])
-        order = np.lexsort((nbrs, cost[nbrs] + cd))
+        order = np.lexsort((nbrs, cost[nbrs] + cd)).tolist()
+        nbrs, cd = nbrs.tolist(), cd.tolist()
 
         chosen = -1
         chosen_d = 0.0
         for oi in order:
-            i = int(nbrs[oi])
-            d_i = float(cd[oi])
-            if pts[i, 0] > cand[0] + 1e-12:
+            i, d_i = nbrs[oi], cd[oi]
+            if xs[i] > cx + 1e-12:
                 continue
             nt = tick[i] + d_i * inv
             if nt > k:
                 continue
-            if edge_free(pts[i], cand, tick[i], nt):
+            if edge_free(xs[i], ys[i], cx, cy, tick[i], nt):
                 chosen, chosen_d = i, d_i
                 break
         if chosen < 0:
             continue
 
-        pts[n] = cand
-        parent[n] = chosen
-        cost[n] = cost[chosen] + chosen_d
-        tick[n] = tick[chosen] + chosen_d * inv
+        c_n = costs[chosen] + chosen_d
+        t_n = tick[chosen] + chosen_d * inv
+        pts[n] = cx, cy
+        cost[n] = c_n
+        xs.append(cx)
+        ys.append(cy)
+        costs.append(c_n)
+        tick.append(t_n)
+        parent.append(chosen)
+        children.append(0)
         children[chosen] += 1
 
         # rewire: re-parent cheaper-through-new leaves; leaves only, so no
         # arrival-time cascade needs repair
-        for oi in range(nbrs.size):
-            i = int(nbrs[oi])
+        for i, d_i in zip(nbrs, cd):
             if i == chosen or children[i] > 0:
                 continue
-            d_i = float(cd[oi])
-            nc = cost[n] + d_i
-            if nc + 1e-12 >= cost[i]:
+            nc = c_n + d_i
+            if nc + 1e-12 >= costs[i]:
                 continue
-            if pts[i, 0] + 1e-12 < cand[0]:
+            if xs[i] + 1e-12 < cx:
                 continue
-            nt = tick[n] + d_i * inv
+            nt = t_n + d_i * inv
             if nt > k:
                 continue
-            if edge_free(cand, pts[i], tick[n], nt):
+            if edge_free(cx, cy, xs[i], ys[i], t_n, nt):
                 children[parent[i]] -= 1
                 parent[i] = n
-                cost[i] = nc
+                costs[i] = cost[i] = nc
                 tick[i] = nt
                 children[n] += 1
         n += 1
 
-    return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
+    return _Tree(pts[:n], cost[:n], np.array(tick),
+                 np.array(parent, dtype=np.int32), speed, inv), \
+        np.array(sole, dtype=bool)
 
 
 def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
@@ -515,7 +556,7 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
     if n == 1:
         raise PlanningInfeasible(
             "no collision-free edge from the ego position")
-    ticks = np.arange(k + 1, dtype=float)
+    oxl, oyl, rl = _obstacle_lists(obs, rsum)
 
     gd = np.hypot(pts[:, 0] - goal[0], pts[:, 1] - goal[1])
     in_goal = np.nonzero(gd <= goal_tolerance)[0]
@@ -538,12 +579,13 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
             if not partial:
                 d_goal = float(gd[best])
                 if d_goal > 1e-9 and goal[0] + 1e-12 >= pts[best, 0]:
-                    nt = tick[best] + d_goal * tree.inv
+                    nt = float(tick[best]) + d_goal * tree.inv
                     if nt <= k:
-                        hit = _edge_blockers(pts[best], goal, tick[best],
-                                             nt, obs, rsum, ticks)
-                        if ((hit is None or not hit.any())
-                                and _hold_free(goal, nt, k, obs, rsum)):
+                        hit = _edge_blockers(*pts[best].tolist(),
+                                             *goal.tolist(),
+                                             float(tick[best]), nt,
+                                             oxl, oyl, rl)
+                        if not hit and _hold_free(goal, nt, k, obs, rsum):
                             vertices = np.vstack([vertices, goal])
                             end_pt, end_tick = goal, float(nt)
             if not _hold_free(end_pt, end_tick, k, obs, rsum):

@@ -291,12 +291,14 @@ def _without(world: Mapping[str, Trajectory], actor_id: str
 def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
                   k: int, cfg: PlannerConfig, *, road: RoadMap,
                   radii: Mapping[str, float], ego_radius: float = 1.2,
-                  dt: float = 0.1, router: Optional[RouterConfig] = None
+                  dt: float = 0.1, router: Optional[RouterConfig] = None,
+                  actor_ids: Optional[Sequence[str]] = None
                   ) -> tuple[Optional[Plan], dict[str, tuple[float, bool]]]:
-    """operator="euclid" importance of every actor of world: plan the full
-    world once, then each world without one actor under the same planner
-    seed, and return the full plan (None if infeasible) with each actor's
-    (gamma, saturated).
+    """operator="euclid" importance of the actors actor_ids of world (all
+    of them by default): plan the full world once, then each world without
+    one of those actors under the same planner seed, and return the full
+    plan (None if infeasible) with each such actor's (gamma, saturated),
+    in world order.
 
     The full-world tree is grown once.  Without an actor that never alone
     blocked one of its edge checks the same tree grows, so that ablation
@@ -304,6 +306,10 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     others, and all of them when the ego is enclosed at the root, are
     planned in full.
     """
+    wanted = set(world if actor_ids is None else actor_ids)
+    if not wanted <= world.keys():
+        raise ScenarioError(
+            f"unknown actor ids {sorted(wanted - world.keys())!r}")
     obs, rsum = world_arrays(world, radii, ego_radius, cfg.safety_margin,
                              t, k)
     try:
@@ -329,6 +335,8 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     plan_full = None if tree is None else plan(world, slice(None))
     gammas = {}
     for j, aid in enumerate(world):
+        if aid not in wanted:
+            continue
         keep = None if sole[j] else np.arange(len(rsum)) != j
         gammas[aid] = _plan_change(plan_full, plan(_without(world, aid), keep),
                                    road, k)
@@ -398,7 +406,7 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
 
     return leave_one_out(world, ego, t, k, planner_cfg, road=road,
                          radii=radii, ego_radius=ego_radius, dt=dt,
-                         router=router)[1][actor_id][0]
+                         router=router, actor_ids=(actor_id,))[1][actor_id][0]
 
 
 def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,

@@ -1,12 +1,24 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here is deliberately written without the package's planner
+Most of this is deliberately written without the package's planner
 machinery: recursive graph walks instead of itertools products, plain
 float loops instead of numpy, so that the production code is checked
 against a second implementation of the same contracts.
+
+The one exception is the sampling planner's tree growth:
+reference_grow_tree and reference_edge_blockers keep the earlier numpy
+implementation (whole-array edge checks through the vectorized overlap
+rule planner._hits), against which the scalar kernel of
+planner._grow_tree is checked for bit-identical trees.
 """
 
 import math
+from typing import Optional
+
+import numpy as np
+
+from navrisk.planner import PlannerConfig, PlanningInfeasible, _hits, _Tree
+from navrisk.scenario import ActorState, RoadMap, ScenarioError
 
 
 def lane_walks(lane_count, start_lane, steps, allow_keep=True,
@@ -129,3 +141,151 @@ def static_actor(actor_id, x, y, n, dt=0.1):
     from navrisk.scenario import ActorState, Trajectory
     state = ActorState(x, y, 0.0, 0.0)
     return Trajectory(actor_id, 0, dt, tuple(state for _ in range(n + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Reference tree growth (the earlier numpy kernel, kept as it was)
+# ---------------------------------------------------------------------------
+
+def reference_edge_blockers(p0, p1, tick0, tick1, obs, rsum,
+                            ticks) -> Optional[np.ndarray]:
+    """(m,) mask of the actors the edge p0 -> p1 hits, or None when the
+    traversal covers no integer tick.  ticks is 0.0 .. k as floats."""
+    # collision semantics live on integer ticks; check every tick the edge
+    # traversal covers, interpolating both ego and obstacles
+    j0 = math.floor(tick0) + 1   # smallest integer tick strictly after tick0
+    j1 = math.floor(tick1)       # largest integer tick at or before tick1
+    if j1 < j0:
+        return None
+    frac = (ticks[j0:j1 + 1] - tick0) / (tick1 - tick0)
+    pts = p0[None, :] + frac[:, None] * (p1 - p0)[None, :]
+    return _hits(obs[:, j0:j1 + 1], pts, rsum[:, None]).any(axis=1)
+
+
+def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
+                        obs: np.ndarray, rsum: np.ndarray,
+                        cfg: PlannerConfig, ego_radius: float,
+                        dt: float) -> tuple[_Tree, np.ndarray]:
+    """Grow the rewiring tree for exactly cfg.iteration_budget samples
+    among the obstacles (obs, rsum) of world_arrays.
+
+    Also returns the (m,) sole mask: actor j is sole iff some connect or
+    rewire edge check was blocked by actor j alone.  The tree never reads
+    cfg.goal beyond the sample basis, so removing a never-sole actor gives
+    this same tree.  Raises PlanningInfeasible when the ego overlaps an
+    obstacle at the planning tick.
+    """
+    if not road.contains_y(ego.position_y):
+        raise ScenarioError("ego is off-road")
+    speed = min(cfg.target_speed, road.speed_limit)
+    inv = 1.0 / (speed * dt)          # ticks per meter of path
+
+    root = np.array([ego.position_x, ego.position_y])
+    if _hits(obs[:, 0], root, rsum).any():
+        raise PlanningInfeasible(
+            "ego overlaps an obstacle at the planning tick")
+
+    # entire sample stream drawn up front from the seed; the window depends
+    # only on the ego state and the configured basis advance
+    base_adv = cfg.sample_advance if cfg.sample_advance is not None \
+        else cfg.goal.advance
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    x_lo = ego.position_x
+    x_hi = min(ego.position_x + base_adv + 2 * cfg.goal_tolerance,
+               road.road_length)
+    y_lo, y_hi = ego_radius, road.width - ego_radius
+    samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
+                          (cfg.iteration_budget, 2))
+
+    ticks = np.arange(k + 1, dtype=float)
+    sole = np.zeros(len(rsum), dtype=bool)
+
+    def edge_free(p0, p1, tick0, tick1) -> bool:
+        hit = reference_edge_blockers(p0, p1, tick0, tick1, obs, rsum, ticks)
+        if hit is None:
+            return True
+        blockers = np.count_nonzero(hit)
+        if blockers == 1:
+            np.logical_or(sole, hit, out=sole)
+        return blockers == 0
+
+    n_max = cfg.iteration_budget + 1
+    pts = np.empty((n_max, 2))
+    cost = np.empty(n_max)
+    tick = np.empty(n_max)
+    parent = np.full(n_max, -1, dtype=np.int32)
+    children = np.zeros(n_max, dtype=np.int32)
+    pts[0] = root
+    cost[0] = 0.0
+    tick[0] = 0.0
+    n = 1
+
+    r_rewire = 2.0 * cfg.steer_step
+    for s in samples:
+        dx = pts[:n, 0] - s[0]
+        dy = pts[:n, 1] - s[1]
+        d2 = dx * dx + dy * dy
+        ni = int(np.argmin(d2))
+        dist = math.sqrt(d2[ni])
+        if dist < 1e-12:
+            continue
+        step = min(cfg.steer_step, dist)
+        cand = pts[ni] + (step / dist) * (s - pts[ni])
+        if cand[0] < pts[ni, 0] or not (y_lo <= cand[1] <= y_hi):
+            continue
+
+        cdx = pts[:n, 0] - cand[0]
+        cdy = pts[:n, 1] - cand[1]
+        cd2 = cdx * cdx + cdy * cdy
+        nbrs = np.nonzero(cd2 <= r_rewire * r_rewire)[0]
+        if nbrs.size == 0:
+            nbrs = np.array([ni])
+        cd = np.sqrt(cd2[nbrs])
+        order = np.lexsort((nbrs, cost[nbrs] + cd))
+
+        chosen = -1
+        chosen_d = 0.0
+        for oi in order:
+            i = int(nbrs[oi])
+            d_i = float(cd[oi])
+            if pts[i, 0] > cand[0] + 1e-12:
+                continue
+            nt = tick[i] + d_i * inv
+            if nt > k:
+                continue
+            if edge_free(pts[i], cand, tick[i], nt):
+                chosen, chosen_d = i, d_i
+                break
+        if chosen < 0:
+            continue
+
+        pts[n] = cand
+        parent[n] = chosen
+        cost[n] = cost[chosen] + chosen_d
+        tick[n] = tick[chosen] + chosen_d * inv
+        children[chosen] += 1
+
+        # rewire: re-parent cheaper-through-new leaves; leaves only, so no
+        # arrival-time cascade needs repair
+        for oi in range(nbrs.size):
+            i = int(nbrs[oi])
+            if i == chosen or children[i] > 0:
+                continue
+            d_i = float(cd[oi])
+            nc = cost[n] + d_i
+            if nc + 1e-12 >= cost[i]:
+                continue
+            if pts[i, 0] + 1e-12 < cand[0]:
+                continue
+            nt = tick[n] + d_i * inv
+            if nt > k:
+                continue
+            if edge_free(cand, pts[i], tick[n], nt):
+                children[parent[i]] -= 1
+                parent[i] = n
+                cost[i] = nc
+                tick[i] = nt
+                children[n] += 1
+        n += 1
+
+    return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole

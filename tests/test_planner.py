@@ -9,14 +9,22 @@ from navrisk.planner import (
     Plan,
     PlannerConfig,
     PlanningInfeasible,
+    _edge_blockers,
+    _grow_tree,
+    _hit,
+    _hits,
+    _obstacle_lists,
     collision_check,
     enumerate_plans,
     plan_sampling,
+    world_arrays,
 )
 from navrisk.scenario import ActorState, RoadMap, ScenarioError, Trajectory
 
 from oracles import (
     lane_walks,
+    reference_edge_blockers,
+    reference_grow_tree,
     static_actor,
     walk_enumerate,
     world_to_positions,
@@ -245,3 +253,132 @@ class TestSamplingPlanner:
         plan = plan_sampling(ROAD3, ego, 5, 25, {}, sampling_cfg(), {})
         assert plan.trajectory.start_tick == 5
         assert plan.trajectory.end_tick == 30
+
+
+class TestPairRule:
+    """_hit is _hits for one pair: the same answer on every input,
+    including distances where math.hypot and np.hypot differ."""
+
+    def test_boundary_where_the_hypots_differ(self):
+        rng = np.random.default_rng(41)
+        pairs = []
+        while len(pairs) < 40:
+            dx, dy = (rng.normal(size=2) * rng.uniform(0.5, 20.0)).tolist()
+            if math.hypot(dx, dy) != float(np.hypot(dx, dy)):
+                pairs.append((dx, dy))
+        for dx, dy in pairs:
+            radii = []
+            for h in (float(np.hypot(dx, dy)), math.hypot(dx, dy)):
+                radii += [h, *np.nextafter(h, [0.0, math.inf]).tolist()]
+            for r in radii:
+                assert _hit(dx, dy, r) == bool(np.hypot(dx, dy) < r), \
+                    (dx, dy, r)
+
+    def test_random_pairs_near_the_radius(self):
+        rng = np.random.default_rng(42)
+        d = rng.uniform(-6.0, 6.0, (10 ** 5, 2))
+        h = np.hypot(d[:, 0], d[:, 1])
+        r = h + rng.integers(-3, 4, len(h)) * np.spacing(h)
+        want = _hits(d, np.zeros(2), r).tolist()
+        got = [_hit(dx, dy, ri) for (dx, dy), ri in zip(d.tolist(),
+                                                        r.tolist())]
+        assert got == want
+        assert 0 < sum(got) < len(got)
+
+
+def reference_worlds():
+    """(ego, k, obs, rsum, cfg, ego_radius) for the kernel equality test:
+    random worlds with 0-6 actors and budgets 100-300, then a parked actor
+    exactly rsum ahead of the root."""
+    rng = np.random.default_rng(2718)
+    for _ in range(40):
+        k = int(rng.integers(15, 41))
+        ego = ActorState(float(rng.uniform(5.0, 20.0)),
+                         float(rng.uniform(1.3, ROAD3.width - 1.3)),
+                         0.0, 10.0)
+        world, radii = {}, {}
+        for i in range(int(rng.integers(0, 7))):
+            aid = f"a{i}"
+            world[aid] = moving_actor(
+                aid, ego.position_x + float(rng.uniform(2.0, 30.0)),
+                float(rng.uniform(0.0, ROAD3.width)),
+                float(rng.uniform(0.0, 8.0)), k)
+            radii[aid] = float(rng.uniform(0.8, 1.5))
+        cfg = sampling_cfg(iteration_budget=int(rng.integers(100, 301)),
+                           seed=int(rng.integers(0, 2 ** 31)),
+                           goal=GoalSpec(float(rng.uniform(15.0, 35.0)),
+                                         int(rng.integers(3))))
+        obs, rsum = world_arrays(world, radii, 1.2, cfg.safety_margin, 0, k)
+        yield ego, k, obs, rsum, cfg, 1.2
+    # rsum = 1.25 + 1.25 + 0.5 = 3.0 exactly, and the actor sits 3.0 ahead
+    ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
+    world = {"edge": static_actor("edge", 13.0, ROAD3.lane_center(1), 30),
+             "a": moving_actor("a", 30.0, ROAD3.lane_center(0), 5.0, 30)}
+    cfg = sampling_cfg(iteration_budget=300)
+    obs, rsum = world_arrays(world, {"edge": 1.25, "a": 1.25}, 1.25,
+                             cfg.safety_margin, 0, 30)
+    assert math.hypot(13.0 - ego.position_x, 0.0) == rsum[0] == 3.0
+    yield ego, 30, obs, rsum, cfg, 1.25
+
+
+class TestScalarKernel:
+    """The scalar growth kernel against the earlier numpy kernel, kept in
+    oracles.py: the same tree and sole mask, bit for bit."""
+
+    def test_grow_tree_equals_numpy_reference(self):
+        sole_seen = not_sole_seen = grown = 0
+        for ego, k, obs, rsum, cfg, ego_r in reference_worlds():
+            try:
+                ref, ref_sole = reference_grow_tree(ROAD3, ego, k, obs, rsum,
+                                                    cfg, ego_r, DT)
+            except PlanningInfeasible:
+                with pytest.raises(PlanningInfeasible):
+                    _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+                continue
+            tree, sole = _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+            for field in ("pts", "cost", "tick", "parent"):
+                got, want = getattr(tree, field), getattr(ref, field)
+                assert got.dtype == want.dtype, field
+                assert got.tolist() == want.tolist(), field
+            assert (tree.speed, tree.inv) == (ref.speed, ref.inv)
+            assert sole.dtype == ref_sole.dtype
+            assert sole.tolist() == ref_sole.tolist()
+            grown += 1
+            sole_seen += int(sole.sum())
+            not_sole_seen += int((~sole).sum())
+        assert grown >= 30 and sole_seen > 0 and not_sole_seen > 0
+
+    def test_edge_blockers_contract(self):
+        rng = np.random.default_rng(99)
+        k = 30
+        ticks = np.arange(k + 1, dtype=float)
+        seen = {0: 0, 1: 0, 2: 0}
+        for _ in range(60):
+            world, radii = {}, {}
+            for i in range(int(rng.integers(0, 7))):
+                aid = f"a{i}"
+                world[aid] = moving_actor(
+                    aid, float(rng.uniform(10.0, 25.0)),
+                    float(rng.uniform(0.0, ROAD3.width)),
+                    float(rng.uniform(0.0, 4.0)), k)
+                radii[aid] = float(rng.uniform(0.5, 2.5))
+            obs, rsum = world_arrays(world, radii, 1.2, 0.5, 0, k)
+            lists = _obstacle_lists(obs, rsum)
+            for _ in range(20):
+                p0 = rng.uniform((8.0, 0.0), (25.0, ROAD3.width))
+                p1 = p0 + rng.uniform(-4.0, 4.0, 2)
+                tick0 = float(rng.uniform(0.0, k - 4))
+                tick1 = tick0 + float(rng.uniform(0.0, 4.0))
+                mask = reference_edge_blockers(p0, p1, tick0, tick1, obs,
+                                               rsum, ticks)
+                truth = set() if mask is None else \
+                    set(np.flatnonzero(mask).tolist())
+                got = _edge_blockers(*p0.tolist(), *p1.tolist(), tick0,
+                                     tick1, *lists)
+                if len(truth) < 2:
+                    assert got == tuple(truth)
+                else:
+                    assert len(got) == 2 and got[0] != got[1]
+                    assert set(got) <= truth
+                seen[min(len(truth), 2)] += 1
+        assert min(seen.values()) >= 50, seen

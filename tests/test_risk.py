@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from navrisk import risk
+from navrisk import planner, risk
 from navrisk.planner import (
     GoalSpec,
     LatticeConfig,
@@ -37,6 +37,7 @@ from navrisk.scenario import (
     CaseStudyParams,
     RoadMap,
     Scenario,
+    ScenarioError,
     Trajectory,
     generate_case_study,
 )
@@ -452,6 +453,31 @@ class TestActorImportance:
             actor_importance({}, "nope", ego, 0, 30, importance_cfg(),
                              road=ROAD3, radii={})
 
+    def test_euclid_grows_at_most_two_trees(self, monkeypatch):
+        # one full-world growth, plus a re-growth only when the actor was
+        # a sole blocker; never the other actors' ablations
+        grown = []
+        grow = planner._grow_tree
+
+        def counted(*args, **kw):
+            grown.append(1)
+            return grow(*args, **kw)
+
+        monkeypatch.setattr(risk, "_grow_tree", counted)
+        monkeypatch.setattr(planner, "_grow_tree", counted)
+        per_call = []
+        for road, world, ego, t, k, cfg, radii in loo_cases():
+            _, every = leave_one_out(world, ego, t, k, cfg, road=road,
+                                     radii=radii, router=RouterConfig())
+            for aid in world:
+                grown.clear()
+                assert actor_importance(
+                    world, aid, ego, t, k, cfg, "euclid", road=road,
+                    radii=radii, router=RouterConfig()) == every[aid][0]
+                per_call.append(len(grown))
+        assert max(per_call) <= 2
+        assert 1 in per_call and 2 in per_call
+
     def test_kl_requires_lattice(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
         world = {"a": moving_actor("a", 25.0, ROAD3.lane_center(1), 6.0, 30)}
@@ -594,6 +620,13 @@ class TestLeaveOneOut:
         assert (stop[0], "ghost") in reused
         assert any(aid in ("lead", "cutin", "near", "far", "rear", "outer")
                    for _, aid in reused)
+
+    def test_unknown_actor_ids_rejected(self):
+        ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
+        world = {"a": moving_actor("a", 25.0, ROAD3.lane_center(1), 6.0, 30)}
+        with pytest.raises(ScenarioError, match="unknown actor"):
+            leave_one_out(world, ego, 0, 30, importance_cfg(), road=ROAD3,
+                          radii={"a": 1.2}, actor_ids=("a", "nope"))
 
     def test_mean_and_variance(self):
         assert mean_and_variance([0.3, 0.3, 0.3]) == (0.3, 0.0)
