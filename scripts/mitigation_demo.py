@@ -48,22 +48,22 @@ def run(samples=40, seed=9):
         hists, k, PredictionConfig(0.8, 0.02, sample_count=samples,
                                    seed=seed))
     sel = min_risk_selection(candidates, worlds, s.actor_radius,
-                             s.radius_of(EGO_ID), 0.5)
+                             ego_radius=s.radius_of(EGO_ID))
     truth = slice_world(s, t, k)
     naive_hits = collision_check(naive.trajectory, truth, s.actor_radius,
-                                 s.radius_of(EGO_ID), 0.5)
+                                 s.radius_of(EGO_ID))
     sel_hits = collision_check(sel.plan.trajectory, truth, s.actor_radius,
-                               s.radius_of(EGO_ID), 0.5)
+                               s.radius_of(EGO_ID))
 
     print(f"\n{'plan':24} {'cost':>7} {'sampled collision':>18} "
           f"{'vs ground truth':>16}")
     for plan in candidates.plans:
         frac = sum(
             collision_check(plan.trajectory, w, s.actor_radius,
-                            s.radius_of(EGO_ID), 0.5)
+                            s.radius_of(EGO_ID))
             for w in worlds) / len(worlds)
         hit = collision_check(plan.trajectory, truth, s.actor_radius,
-                              s.radius_of(EGO_ID), 0.5)
+                              s.radius_of(EGO_ID))
         tag = []
         if plan is naive:
             tag.append("min-cost")

@@ -3,7 +3,8 @@
 
 Generates the default five-phase scenario, runs the replanning simulation,
 writes the CSV tables and SVG plots into out/case_study/, and prints the
-per-phase risk/error medians with the qualitative checks:
+per-phase risk/error medians with the qualitative checks (exit 1 if any
+fails):
 
   (a) the lane-change actor's prediction error spikes at s3 and s5,
   (b) at s5 the follow candidates' risks are strictly ordered above the
@@ -58,15 +59,16 @@ def run(out_dir="out/case_study", seed=42):
                   for a in ("near", "far"))
     g4_other = max(med("s4", a, "gamma_euclid_median")
                    for a in ("lead", "cutin", "rear", "outer"))
+    checks = (e3 >= 5 * e2 and e5 >= 5 * e2, g5[0] > g5[1] > g5_cut,
+              g4_cand > g4_other)
+    verdict = ["OK" if ok else "FAIL" for ok in checks]
     print(f"\n(a) error spike:  s3/s2 = {e3 / max(e2, 1e-300):.2g}, "
-          f"s5/s2 = {e5 / max(e2, 1e-300):.2g}  "
-          f"{'OK' if e3 >= 5 * e2 and e5 >= 5 * e2 else 'FAIL'}")
+          f"s5/s2 = {e5 / max(e2, 1e-300):.2g}  {verdict[0]}")
     print(f"(b) s5 ordering:  {g5[0]:.2f} > {g5[1]:.2f} > {g5_cut:.2f}  "
-          f"{'OK' if g5[0] > g5[1] > g5_cut else 'FAIL'}")
+          f"{verdict[1]}")
     print(f"(c) s4 dominance: min(candidates) {g4_cand:.2f} > "
-          f"max(others) {g4_other:.2f}  "
-          f"{'OK' if g4_cand > g4_other else 'FAIL'}")
-    return 0
+          f"max(others) {g4_other:.2f}  {verdict[2]}")
+    return 0 if all(checks) else 1
 
 
 if __name__ == "__main__":

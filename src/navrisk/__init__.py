@@ -22,7 +22,6 @@ from .risk import (
     DegenerateScenario,
     LatticeCapExceeded,
     PlanDistribution,
-    RouterConfig,
     actor_importance,
     actor_risk_exact,
     all_actor_importance_kl,

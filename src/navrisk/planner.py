@@ -48,6 +48,10 @@ MANEUVERS = ("accelerate", "brake", "keep", "shift_left", "shift_right")
 
 LANE_CHANGE_PENALTY = 2.0     # meters of cost per lane change
 SPEED_CHANGE_PENALTY = 0.5    # cost per m/s of |speed delta|
+SAFETY_MARGIN = 0.5           # meters added to every ego-actor radius sum
+STEER_STEP = 2.0              # meters: longest new tree edge
+GOAL_TOLERANCE = 2.0          # meters: radius of the goal region
+SPEED_STEP = 1.5              # m/s change per lattice brake/accelerate step
 
 
 class PlanningInfeasible(Exception):
@@ -81,7 +85,6 @@ class LatticeConfig:
     decision_steps: int
     maneuvers: tuple[str, ...] = ("keep", "shift_left", "shift_right")
     ticks_per_step: int = 10
-    speed_step: float = 1.5   # m/s change per brake/accelerate step
 
     def __post_init__(self):
         if self.decision_steps < 1:
@@ -114,9 +117,6 @@ class PlannerConfig:
     iteration_budget: int = 2000
     seed: int = 0
     goal: GoalSpec = GoalSpec(40.0, 0)
-    steer_step: float = 2.0
-    goal_tolerance: float = 2.0
-    safety_margin: float = 0.5
     target_speed: float = 10.0
     # Basis of the pre-drawn sample window.  Kept separate from
     # goal.advance so per-world clamping of the goal cannot perturb the
@@ -126,8 +126,6 @@ class PlannerConfig:
     def __post_init__(self):
         if self.iteration_budget < 1:
             raise ValueError("iteration_budget must be >= 1")
-        if self.steer_step <= 0 or self.goal_tolerance <= 0:
-            raise ValueError("steer_step and goal_tolerance must be > 0")
         if self.target_speed <= 0:
             raise ValueError("target_speed must be > 0")
 
@@ -137,9 +135,10 @@ class PlannerConfig:
 # ---------------------------------------------------------------------------
 
 def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
-                 ego_radius: float, margin: float,
+                 ego_radius: float,
                  t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack obstacle positions to (m, k+1, 2) and inflated radii to (m,)."""
+    """Stack obstacle positions to (m, k+1, 2) and inflated radii to (m,):
+    ego radius + actor radius + SAFETY_MARGIN."""
     if not world:
         return np.zeros((0, k + 1, 2)), np.zeros(0)
     xs, rs = [], []
@@ -149,7 +148,7 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
                 f"world actor {aid!r} spans [{traj.start_tick}, "
                 f"{traj.end_tick}], expected [{t}, {t + k}]")
         xs.append(traj.xy)
-        rs.append(ego_radius + radii[aid] + margin)
+        rs.append(ego_radius + radii[aid] + SAFETY_MARGIN)
     return np.stack(xs), np.array(rs)
 
 
@@ -173,11 +172,10 @@ def _hit(dx: float, dy: float, r: float) -> bool:
 
 
 def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
-                    radii: Mapping[str, float], ego_radius: float,
-                    margin: float) -> bool:
+                    radii: Mapping[str, float], ego_radius: float) -> bool:
     """True iff the ego overlaps some actor at some tick."""
     t, k = ego_traj.start_tick, len(ego_traj) - 1
-    obs, rsum = world_arrays(world, radii, ego_radius, margin, t, k)
+    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     return bool(_hits(obs, ego_traj.xy, rsum[:, None]).any())
 
 
@@ -224,9 +222,9 @@ def _render_lattice(seq: Sequence[str], road: RoadMap, ego: ActorState,
         elif man == "shift_right":
             lane -= 1
         elif man == "brake":
-            v_end = max(0.0, v - lattice.speed_step)
+            v_end = max(0.0, v - SPEED_STEP)
         elif man == "accelerate":
-            v_end = v + lattice.speed_step
+            v_end = v + SPEED_STEP
         if not (0 <= lane < road.lane_count):
             return None
         if v_end > road.speed_limit + 1e-9:
@@ -262,9 +260,8 @@ def _states_from_columns(xs, ys, vs) -> tuple[ActorState, ...]:
 def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
                      lattice: LatticeConfig,
                      world: Mapping[str, Trajectory],
-                     radii: Mapping[str, float],
+                     radii: Mapping[str, float], *,
                      ego_radius: float = 1.2,
-                     margin: float = 0.5,
                      dt: float = 0.1):
     """Render the lattice once and test every plan against every actor.
 
@@ -286,7 +283,7 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
             seqs.append(seq)
             cols.append(np.array(c))
     cols = np.array(cols).reshape(len(seqs), 3, k + 1)
-    obs, rsum = world_arrays(world, radii, ego_radius, margin, t, k)
+    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     xy = cols[:, :2].transpose(0, 2, 1)   # (U, k+1, 2) view of xs, ys
     blockers = np.empty((len(seqs), len(rsum)), dtype=bool)
     for j in range(len(rsum)):   # one actor at a time bounds peak memory
@@ -297,9 +294,8 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
 def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
                     lattice: LatticeConfig,
                     world: Optional[Mapping[str, Trajectory]] = None,
-                    radii: Optional[Mapping[str, float]] = None,
+                    radii: Optional[Mapping[str, float]] = None, *,
                     ego_radius: float = 1.2,
-                    margin: float = 0.5,
                     dt: float = 0.1) -> PlanSet:
     """Enumerate every maneuver sequence, render it, and keep the in-bounds,
     within-limit and (when a world is given) collision-free ones.
@@ -308,8 +304,8 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
     it equals |plans| exactly when world is None.
     """
     seqs, cols, blockers = lattice_blockers(
-        road, ego, t, k, lattice, world or {}, radii or {}, ego_radius,
-        margin, dt)
+        road, ego, t, k, lattice, world or {}, radii or {},
+        ego_radius=ego_radius, dt=dt)
     plans = []
     for u in np.flatnonzero(~blockers.any(axis=1)):
         traj = Trajectory("ego", t, dt,
@@ -438,7 +434,7 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
         else cfg.goal.advance
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     x_lo = ego.position_x
-    x_hi = min(ego.position_x + base_adv + 2 * cfg.goal_tolerance,
+    x_hi = min(ego.position_x + base_adv + 2 * GOAL_TOLERANCE,
                road.road_length)
     y_lo, y_hi = ego_radius, road.width - ego_radius
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
@@ -466,7 +462,7 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     parent, children = [-1], [0]
     n = 1
 
-    r_rewire = 2.0 * cfg.steer_step
+    r_rewire = 2.0 * STEER_STEP
     for sx, sy in samples.tolist():
         dx = pts[:n, 0] - sx
         dy = pts[:n, 1] - sy
@@ -475,7 +471,7 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
         dist = math.sqrt(d2[ni])
         if dist < 1e-12:
             continue
-        f = min(cfg.steer_step, dist) / dist
+        f = min(STEER_STEP, dist) / dist
         cx = xs[ni] + f * (sx - xs[ni])
         cy = ys[ni] + f * (sy - ys[ni])
         if cx < xs[ni] or not (y_lo <= cy <= y_hi):
@@ -546,7 +542,7 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
 
 def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
                      rsum: np.ndarray, road: RoadMap, t: int, k: int,
-                     goal_tolerance: float, dt: float) -> Plan:
+                     dt: float) -> Plan:
     """The cheapest tree path into the goal region that stays clear of
     (obs, rsum), connected to the goal point when that edge is clear, or
     else the closest-approach path flagged partial.  Raises
@@ -559,7 +555,7 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
     oxl, oyl, rl = _obstacle_lists(obs, rsum)
 
     gd = np.hypot(pts[:, 0] - goal[0], pts[:, 1] - goal[1])
-    in_goal = np.nonzero(gd <= goal_tolerance)[0]
+    in_goal = np.nonzero(gd <= GOAL_TOLERANCE)[0]
     rounds = []
     if in_goal.size:
         rounds.append((in_goal[np.lexsort((in_goal, cost[in_goal]))], False))
@@ -612,8 +608,7 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     Deterministic given its inputs.  Raises PlanningInfeasible when no
     collision-free edge exists from the root (the ego is fully enclosed).
     """
-    obs, rsum = world_arrays(world, radii, ego_radius, cfg.safety_margin,
-                             t, k)
+    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     tree, _ = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt)
     return _select_endpoint(tree, _goal_point(road, ego, cfg.goal, ego_radius),
-                            obs, rsum, road, t, k, cfg.goal_tolerance, dt)
+                            obs, rsum, road, t, k, dt)

@@ -139,14 +139,13 @@ def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
 # Exact set-reduction risk
 # ---------------------------------------------------------------------------
 
-def check_cap(lattice: LatticeConfig, cap: int = UNIVERSE_CAP,
-              source: str = "lattice"):
+def check_cap(lattice: LatticeConfig, source: str = "lattice"):
     """Raise LatticeCapExceeded, naming `source` (what set the lattice), if
-    the lattice has over cap sequences."""
-    if len(lattice.maneuvers) ** lattice.decision_steps > cap:
+    the lattice has over UNIVERSE_CAP sequences."""
+    if len(lattice.maneuvers) ** lattice.decision_steps > UNIVERSE_CAP:
         raise LatticeCapExceeded(
             f"{source}: {len(lattice.maneuvers)}^{lattice.decision_steps} "
-            f"sequences exceed the cap of {cap}")
+            f"sequences exceed the cap of {UNIVERSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -168,19 +167,17 @@ def _survivors(blockers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def all_actor_risk_exact(s: Scenario, t: int, k: int,
                          lattice: LatticeConfig,
-                         ego: Optional[ActorState] = None,
-                         margin: float = 0.5,
-                         cap: int = UNIVERSE_CAP) -> ExactRisk:
+                         ego: Optional[ActorState] = None) -> ExactRisk:
     """Exact set-reduction counts of the ground-truth world slice for the
     total and every npc actor, from one (plans x actors) blocker matrix:
     |Z| counts its rows with no blocker and |Z without i| adds the rows
     whose only blocker is i."""
-    check_cap(lattice, cap)
+    check_cap(lattice)
     ego = ego if ego is not None else s.ego_initial
     world = slice_world(s, t, k)
     seqs, _, blockers = lattice_blockers(
         s.map, ego, t, k, lattice, world, s.actor_radius,
-        s.radius_of(EGO_ID), margin, s.dt)
+        ego_radius=s.radius_of(EGO_ID), dt=s.dt)
     if not seqs:
         raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
     free, alone = _survivors(blockers)
@@ -191,51 +188,45 @@ def all_actor_risk_exact(s: Scenario, t: int, k: int,
 
 
 def total_risk_exact(s: Scenario, t: int, k: int, lattice: LatticeConfig,
-                     ego: Optional[ActorState] = None, margin: float = 0.5,
-                     cap: int = UNIVERSE_CAP) -> float:
+                     ego: Optional[ActorState] = None) -> float:
     """(|Z empty| - |Z|) / |Z empty| over the ground-truth world slice."""
-    return all_actor_risk_exact(s, t, k, lattice, ego, margin, cap).total
+    return all_actor_risk_exact(s, t, k, lattice, ego).total
 
 
 def actor_risk_exact(s: Scenario, actor_id: str, t: int, k: int,
-                     lattice: LatticeConfig, ego: Optional[ActorState] = None,
-                     margin: float = 0.5, cap: int = UNIVERSE_CAP) -> float:
+                     lattice: LatticeConfig, ego: Optional[ActorState] = None
+                     ) -> float:
     """(|Z without i| - |Z|) / |Z empty|: the plan count actor i suppresses."""
     if actor_id not in s.npc_trajectories:
         raise ScenarioError(f"unknown actor id {actor_id!r}")
-    return all_actor_risk_exact(s, t, k, lattice, ego, margin,
-                                cap).per_actor[actor_id]
+    return all_actor_risk_exact(s, t, k, lattice, ego).per_actor[actor_id]
 
 
 # ---------------------------------------------------------------------------
 # Routing: follow-gap clamped goal
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Deterministic goal placement used by the replanning loop.
-
-    The goal advance in the preferred lane is clamped by the lane's
-    occupants: an occupant moving slower than the ego limits the reachable
-    advance to (gap - follow_gap) * v / (v - v_occ), the distance at which
-    the ego would close to follow_gap.  Occupant terms combine through a
-    soft minimum with temperature `softness` so that every occupant of the
-    lane influences the goal continuously, not only the nearest one.
-    """
-
-    follow_gap: float = 6.0
-    softness: float = 12.0
-    min_advance: float = 2.0
-    switch_hysteresis: float = 5.0
+# Deterministic goal placement used by the replanning loop.
+#
+# The goal advance in the preferred lane is clamped by the lane's
+# occupants: an occupant moving slower than the ego limits the reachable
+# advance to (gap - FOLLOW_GAP) * v / (v - v_occ), the distance at which
+# the ego would close to FOLLOW_GAP.  Occupant terms combine through a
+# soft minimum with temperature SOFTNESS so that every occupant of the
+# lane influences the goal continuously, not only the nearest one.
+FOLLOW_GAP = 6.0            # meters
+SOFTNESS = 12.0             # meters
+MIN_ADVANCE = 2.0           # meters
+SWITCH_HYSTERESIS = 5.0     # meters of advance a lane switch must gain
 
 
 def follow_advance(world: Mapping[str, Trajectory], ego: ActorState,
                    road: RoadMap, lane: int, base_advance: float,
-                   ego_speed: float, router: RouterConfig) -> float:
+                   ego_speed: float) -> float:
     """Clamped goal advance in one lane given predicted occupants."""
     lo = lane * road.lane_width
     hi = lo + road.lane_width
-    terms = [math.exp(-base_advance / router.softness)]
+    terms = [math.exp(-base_advance / SOFTNESS)]
     for traj in world.values():
         xy = traj.xy
         in_band = (xy[:, 1] >= lo) & (xy[:, 1] < hi)
@@ -247,22 +238,20 @@ def follow_advance(world: Mapping[str, Trajectory], ego: ActorState,
             ((len(xy) - 1) * traj.dt) if len(xy) > 1 else traj.states[0].speed
         if v_occ >= ego_speed - 1e-9:
             continue  # never caught within any horizon
-        fa = max(0.0, (gap - router.follow_gap) * ego_speed
-                 / (ego_speed - v_occ))
-        terms.append(math.exp(-fa / router.softness))
-    adv = -router.softness * math.log(sum(terms))
-    return float(min(max(adv, router.min_advance), base_advance))
+        fa = max(0.0, (gap - FOLLOW_GAP) * ego_speed / (ego_speed - v_occ))
+        terms.append(math.exp(-fa / SOFTNESS))
+    adv = -SOFTNESS * math.log(sum(terms))
+    return float(min(max(adv, MIN_ADVANCE), base_advance))
 
 
 def route_planner_cfg(cfg: PlannerConfig, world: Mapping[str, Trajectory],
-                      ego: ActorState, road: RoadMap,
-                      router: RouterConfig) -> PlannerConfig:
+                      ego: ActorState, road: RoadMap) -> PlannerConfig:
     """Clamp cfg.goal.advance for this world; the sample window keeps the
     unclamped basis so paired runs share one stream."""
     base = cfg.sample_advance if cfg.sample_advance is not None \
         else cfg.goal.advance
     speed = min(cfg.target_speed, road.speed_limit)
-    adv = follow_advance(world, ego, road, cfg.goal.lane, base, speed, router)
+    adv = follow_advance(world, ego, road, cfg.goal.lane, base, speed)
     return replace(cfg, goal=GoalSpec(adv, cfg.goal.lane), sample_advance=base)
 
 
@@ -291,14 +280,15 @@ def _without(world: Mapping[str, Trajectory], actor_id: str
 def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
                   k: int, cfg: PlannerConfig, *, road: RoadMap,
                   radii: Mapping[str, float], ego_radius: float = 1.2,
-                  dt: float = 0.1, router: Optional[RouterConfig] = None,
+                  dt: float = 0.1, route: bool = False,
                   actor_ids: Optional[Sequence[str]] = None
                   ) -> tuple[Optional[Plan], dict[str, tuple[float, bool]]]:
     """operator="euclid" importance of the actors actor_ids of world (all
     of them by default): plan the full world once, then each world without
     one of those actors under the same planner seed, and return the full
     plan (None if infeasible) with each such actor's (gamma, saturated),
-    in world order.
+    in world order.  With route=True each world's goal is re-clamped by
+    route_planner_cfg.
 
     The full-world tree is grown once.  Without an actor that never alone
     blocked one of its edge checks the same tree grows, so that ablation
@@ -310,25 +300,24 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     if not wanted <= world.keys():
         raise ScenarioError(
             f"unknown actor ids {sorted(wanted - world.keys())!r}")
-    obs, rsum = world_arrays(world, radii, ego_radius, cfg.safety_margin,
-                             t, k)
+    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     try:
         tree, sole = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt)
     except PlanningInfeasible:
         tree, sole = None, np.ones(len(rsum), dtype=bool)
 
     def plan(w: Mapping[str, Trajectory], keep) -> Optional[Plan]:
-        """Plan w, routed for w; re-grown in full when keep is None, else
-        on the shared tree among the obstacle rows keep selects."""
-        routed = cfg if router is None else \
-            route_planner_cfg(cfg, w, ego, road, router)
+        """Plan w, routed for w when route is set; re-grown in full when
+        keep is None, else on the shared tree among the obstacle rows keep
+        selects."""
+        routed = route_planner_cfg(cfg, w, ego, road) if route else cfg
         try:
             if keep is None:
                 return plan_sampling(road, ego, t, k, w, routed, radii,
                                      ego_radius, dt)
             return _select_endpoint(
                 tree, _goal_point(road, ego, routed.goal, ego_radius),
-                obs[keep], rsum[keep], road, t, k, cfg.goal_tolerance, dt)
+                obs[keep], rsum[keep], road, t, k, dt)
         except PlanningInfeasible:
             return None
 
@@ -356,15 +345,15 @@ def all_actor_importance_kl(world: Mapping[str, Trajectory],
                             ego: ActorState, t: int, k: int,
                             lattice: LatticeConfig, *, road: RoadMap,
                             radii: Mapping[str, float],
-                            ego_radius: float = 1.2, dt: float = 0.1,
-                            margin: float = 0.5) -> dict[str, float]:
+                            ego_radius: float = 1.2, dt: float = 0.1
+                            ) -> dict[str, float]:
     """operator="kl" importance of every actor of world from one lattice
     render: KL(p || q_i) between the epsilon-floored uniform distributions
     over the plans of the full world (p) and of the world without actor i
     (q_i), both over the empty-world universe."""
     check_cap(lattice)
     seqs, _, blockers = lattice_blockers(road, ego, t, k, lattice, world,
-                                         radii, ego_radius, margin, dt)
+                                         radii, ego_radius=ego_radius, dt=dt)
     free, alone = _survivors(blockers)
     p = PlanDistribution.uniform_feasible(seqs, compress(seqs, free))
     return {aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(
@@ -378,12 +367,12 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
                      road: RoadMap, radii: Mapping[str, float],
                      ego_radius: float = 1.2, dt: float = 0.1,
                      lattice: Optional[LatticeConfig] = None,
-                     router: Optional[RouterConfig] = None) -> float:
+                     route: bool = False) -> float:
     """Replan with and without one actor under identical seeds and measure
     the plan change.
 
     operator="euclid" is this actor's entry of leave_one_out (paired
-    stream; when a router is given the goal is re-clamped per world): the
+    stream; with route=True the goal is re-clamped per world): the
     mean per-waypoint displacement.  operator="kl" builds epsilon-floored
     lattice plan distributions for both worlds and returns their KL
     divergence.
@@ -398,15 +387,14 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
             raise ScenarioError("operator='kl' needs a lattice config")
         return all_actor_importance_kl(
             world, ego, t, k, lattice, road=road, radii=radii,
-            ego_radius=ego_radius, dt=dt,
-            margin=planner_cfg.safety_margin)[actor_id]
+            ego_radius=ego_radius, dt=dt)[actor_id]
 
     if operator != "euclid":
         raise ScenarioError(f"unknown operator {operator!r}")
 
     return leave_one_out(world, ego, t, k, planner_cfg, road=road,
                          radii=radii, ego_radius=ego_radius, dt=dt,
-                         router=router, actor_ids=(actor_id,))[1][actor_id][0]
+                         route=route, actor_ids=(actor_id,))[1][actor_id][0]
 
 
 def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,
@@ -417,7 +405,7 @@ def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,
                         road: RoadMap, radii: Mapping[str, float],
                         ego_radius: float = 1.2, dt: float = 0.1,
                         lattice: Optional[LatticeConfig] = None,
-                        router: Optional[RouterConfig] = None,
+                        route: bool = False,
                         sampler: Optional[Callable] = None
                         ) -> tuple[float, float]:
     """Sample mean and unbiased variance of the importance over joint
@@ -438,7 +426,7 @@ def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,
             gammas.append(actor_importance(
                 w, actor_id, ego, t, k, planner_cfg, operator, road=road,
                 radii=radii, ego_radius=ego_radius, dt=dt, lattice=lattice,
-                router=router))
+                route=route))
         except ScenarioError as e:
             raise type(e)(f"sample {j}: {e}") from e
     return mean_and_variance(gammas)
@@ -457,8 +445,8 @@ class SelectionResult:
 
 def min_risk_selection(candidates: PlanSet,
                        sampled_worlds: Sequence[Mapping[str, Trajectory]],
-                       radii: Mapping[str, float], ego_radius: float = 1.2,
-                       margin: float = 0.5) -> SelectionResult:
+                       radii: Mapping[str, float], *,
+                       ego_radius: float = 1.2) -> SelectionResult:
     """Pick the candidate with the lowest empirical collision frequency
     across sampled worlds; ties break on cost, then maneuver sequence."""
     if not candidates.plans:
@@ -468,7 +456,7 @@ def min_risk_selection(candidates: PlanSet,
     scored = []
     for idx, plan in enumerate(candidates.plans):
         hits = sum(
-            collision_check(plan.trajectory, w, radii, ego_radius, margin)
+            collision_check(plan.trajectory, w, radii, ego_radius)
             for w in sampled_worlds)
         scored.append((hits, plan.cost, plan.maneuver_seq or (), idx))
     scored.sort()

@@ -643,6 +643,15 @@ def _number(doc, key, path: str, integral: bool = False,
     return int(value) if integral else float(value)
 
 
+def _string(doc, key: str, path: str, nonempty: bool = False) -> str:
+    value = _require(doc, key, path)
+    if not isinstance(value, str) or (nonempty and not value):
+        raise ScenarioError(f"{path}.{key}: expected a "
+                            f"{'non-empty ' if nonempty else ''}string, got "
+                            f"{value!r}")
+    return value
+
+
 def _list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{path}: expected a list")
@@ -677,7 +686,8 @@ def load_scenario(data: bytes | str) -> Scenario:
         raise ScenarioError("document root must be an object")
 
     version = _require(doc, "version", "$")
-    if version != SCENARIO_FORMAT_VERSION:
+    # bool is an int subclass, and True == 1
+    if type(version) is not int or version != SCENARIO_FORMAT_VERSION:
         raise ScenarioError(f"$.version: unsupported version {version!r}")
     m = _require(doc, "map", "$")
     road = _at("$.map", RoadMap,
@@ -698,7 +708,7 @@ def load_scenario(data: bytes | str) -> Scenario:
     trajs: dict[str, Trajectory] = {}
     for i, a in enumerate(_list(_require(doc, "actors", "$"), "$.actors")):
         path = f"$.actors[{i}]"
-        aid = str(_require(a, "id", path))
+        aid = _string(a, "id", path, nonempty=True)
         if aid in trajs or aid == EGO_ID:
             raise ScenarioError(f"{path}.id: duplicate or reserved actor id "
                                 f"{aid!r}")
@@ -717,7 +727,7 @@ def load_scenario(data: bytes | str) -> Scenario:
     for i, p in enumerate(_list(doc.get("phase_metadata", []),
                                 "$.phase_metadata")):
         path = f"$.phase_metadata[{i}]"
-        span = PhaseSpan(str(_require(p, "name", path)),
+        span = PhaseSpan(_string(p, "name", path),
                          _number(p, "start_tick", path, integral=True),
                          _number(p, "end_tick", path, integral=True))
         if not 0 <= span.start_tick <= span.end_tick <= horizon:

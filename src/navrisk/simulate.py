@@ -25,7 +25,7 @@ from .planner import GoalSpec, LatticeConfig, PlannerConfig
 from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
 from .risk import (
-    RouterConfig,
+    SWITCH_HYSTERESIS,
     all_actor_importance_kl,
     all_actor_risk_exact,
     follow_advance,
@@ -106,13 +106,13 @@ def _planner_seed(seed: int, t: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pick_lane(world, ego, s, base_advance, speed, router, preferred):
+def _pick_lane(world, ego, s, base_advance, speed, preferred):
     """Lane preference with hysteresis; adjacent switches only."""
     road = s.map
     candidates = [l for l in (preferred - 1, preferred, preferred + 1)
                   if 0 <= l < road.lane_count]
     utility = {
-        l: follow_advance(world, ego, road, l, base_advance, speed, router)
+        l: follow_advance(world, ego, road, l, base_advance, speed)
         for l in candidates
     }
     # prefer the current lane, break remaining ties leftward (overtaking
@@ -120,7 +120,7 @@ def _pick_lane(world, ego, s, base_advance, speed, router, preferred):
     best = max(candidates,
                key=lambda l: (utility[l], l == preferred, l))
     if best != preferred and \
-            utility[best] > utility[preferred] + router.switch_hysteresis:
+            utility[best] > utility[preferred] + SWITCH_HYSTERESIS:
         return best
     return preferred
 
@@ -134,9 +134,8 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
                 road.speed_limit)
     base_advance = cfg.horizon * s.dt * speed
     preferred = road.lane_of(ego.position_y)
-    router = RouterConfig()
     env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=s.dt,
-               router=router)
+               route=True)
     pcfg = PredictionConfig(cfg.noise_accel, cfg.noise_yawrate,
                             sample_count=cfg.samples, seed=cfg.seed) \
         if cfg.samples else None
@@ -165,7 +164,7 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
         ) > 0.25 * road.lane_width
         if not mid_change:
             preferred = _pick_lane(world, ego, s, base_advance, speed,
-                                   router, preferred)
+                                   preferred)
 
         base_cfg = PlannerConfig(
             iteration_budget=cfg.iteration_budget,

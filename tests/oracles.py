@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from navrisk.planner import PlannerConfig, PlanningInfeasible, _hits, _Tree
+from navrisk.planner import (
+    GOAL_TOLERANCE,
+    STEER_STEP,
+    PlannerConfig,
+    PlanningInfeasible,
+    _hits,
+    _Tree,
+)
 from navrisk.scenario import ActorState, RoadMap, ScenarioError
 
 
@@ -191,7 +198,7 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
         else cfg.goal.advance
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     x_lo = ego.position_x
-    x_hi = min(ego.position_x + base_adv + 2 * cfg.goal_tolerance,
+    x_hi = min(ego.position_x + base_adv + 2 * GOAL_TOLERANCE,
                road.road_length)
     y_lo, y_hi = ego_radius, road.width - ego_radius
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
@@ -220,7 +227,7 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
     tick[0] = 0.0
     n = 1
 
-    r_rewire = 2.0 * cfg.steer_step
+    r_rewire = 2.0 * STEER_STEP
     for s in samples:
         dx = pts[:n, 0] - s[0]
         dy = pts[:n, 1] - s[1]
@@ -229,7 +236,7 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
         dist = math.sqrt(d2[ni])
         if dist < 1e-12:
             continue
-        step = min(cfg.steer_step, dist)
+        step = min(STEER_STEP, dist)
         cand = pts[ni] + (step / dist) * (s - pts[ni])
         if cand[0] < pts[ni, 0] or not (y_lo <= cand[1] <= y_hi):
             continue

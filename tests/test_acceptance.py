@@ -8,7 +8,10 @@ tests/test_acceptance.py` to see them).
 import csv
 import hashlib
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +21,13 @@ from navrisk.planner import (
     GoalSpec,
     LatticeConfig,
     PlannerConfig,
+    SPEED_STEP,
     collision_check,
     enumerate_plans,
 )
 from navrisk.prediction import PredictionConfig, predict_linear
 from navrisk.risk import (
     PlanDistribution,
-    RouterConfig,
     actor_importance,
     actor_risk_exact,
     expected_actor_risk,
@@ -103,7 +106,7 @@ def test_c1_exact_oracle_equivalence():
                   for aid, x, y in actor_spec}
         s = build_scenario(actors, ego, k, road)
         universe, survivors = walk_enumerate(
-            road, ego, steps, lattice.maneuvers, tps, lattice.speed_step, DT,
+            road, ego, steps, lattice.maneuvers, tps, SPEED_STEP, DT,
             world_to_positions(actors), {aid: 2.9 for aid in actors})
         got_total = total_risk_exact(s, 0, k, lattice)
         want_total = (universe - len(survivors)) / universe
@@ -111,7 +114,7 @@ def test_c1_exact_oracle_equivalence():
         for aid in actors:
             rest = {a: tr for a, tr in actors.items() if a != aid}
             _, surv_wo = walk_enumerate(
-                road, ego, steps, lattice.maneuvers, tps, lattice.speed_step,
+                road, ego, steps, lattice.maneuvers, tps, SPEED_STEP,
                 DT, world_to_positions(rest), {a: 2.9 for a in rest})
             want = (len(surv_wo) - len(survivors)) / universe
             got = actor_risk_exact(s, aid, 0, k, lattice)
@@ -158,7 +161,6 @@ def test_c3_null_ablation_exact_zero():
     rng = np.random.default_rng(13)
     road = RoadMap(3, 3.5, 300.0, 15.0)
     lattice = LatticeConfig(2, ("keep", "shift_left", "shift_right"), 10)
-    router = RouterConfig()
     for trial in range(100):
         k = 20
         ego = ActorState(10.0, road.lane_center(int(rng.integers(3))),
@@ -181,7 +183,7 @@ def test_c3_null_ablation_exact_zero():
                             goal=GoalSpec(18.0, road.lane_of(ego.position_y)),
                             target_speed=10.0)
         g_e = actor_importance(world, "ghost", ego, 0, k, cfg, "euclid",
-                               road=road, radii=radii, router=router)
+                               road=road, radii=radii, route=True)
         g_kl = actor_importance(world, "ghost", ego, 0, k, cfg, "kl",
                                 road=road, radii=radii, lattice=lattice)
         assert g_e == 0.0
@@ -269,7 +271,6 @@ def test_c5_monte_carlo_correctness():
     """Zero noise is exact; the two-branch mixture matches enumeration."""
     road = RoadMap(3, 3.5, 300.0, 15.0)
     ego = ActorState(10.0, road.lane_center(1), 0.0, 10.0)
-    router = RouterConfig()
     cfg = PlannerConfig(iteration_budget=150, seed=31,
                         goal=GoalSpec(20.0, 1), target_speed=10.0)
 
@@ -278,10 +279,10 @@ def test_c5_monte_carlo_correctness():
     pcfg = PredictionConfig(0.0, 0.0, sample_count=6, seed=3)
     mean, var = expected_actor_risk(hists, "a", ego, 5, 20, pcfg, cfg,
                                     "euclid", road=road, radii={"a": 1.2},
-                                    router=router)
+                                    route=True)
     det = actor_importance({"a": predict_linear(hists["a"], 20)}, "a", ego,
                            5, 20, cfg, "euclid", road=road,
-                           radii={"a": 1.2}, router=router)
+                           radii={"a": 1.2}, route=True)
     assert var == 0.0
     assert mean == det
 
@@ -306,11 +307,11 @@ def test_c5_monte_carlo_correctness():
     pcfg = PredictionConfig(0.0, 0.0, sample_count=n, seed=77)
     mean, var = expected_actor_risk(
         hists, "a", ego, 5, k, pcfg, cfg, "euclid", road=road,
-        radii={"a": 1.2}, router=router, sampler=sampler)
+        radii={"a": 1.2}, route=True, sampler=sampler)
     g_b = actor_importance({"a": brake}, "a", ego, 5, k, cfg, "euclid",
-                           road=road, radii={"a": 1.2}, router=router)
+                           road=road, radii={"a": 1.2}, route=True)
     g_c = actor_importance({"a": cruise}, "a", ego, 5, k, cfg, "euclid",
-                           road=road, radii={"a": 1.2}, router=router)
+                           road=road, radii={"a": 1.2}, route=True)
     oracle = 0.5 * (g_b + g_c)
     se = math.sqrt(var / n)
     assert abs(mean - oracle) <= 3 * se
@@ -389,13 +390,24 @@ def test_c8_mitigation_demo():
                            PredictionConfig(0.8, 0.02, sample_count=40,
                                             seed=9))
     sel = min_risk_selection(candidates, worlds, s.actor_radius,
-                             s.radius_of(EGO_ID), 0.5)
+                             ego_radius=s.radius_of(EGO_ID))
     truth = slice_world(s, t, k)
     assert sel.plan.maneuver_seq != naive.maneuver_seq
     assert collision_check(naive.trajectory, truth, s.actor_radius,
-                           s.radius_of(EGO_ID), 0.5)
+                           s.radius_of(EGO_ID))
     assert not collision_check(sel.plan.trajectory, truth, s.actor_radius,
-                               s.radius_of(EGO_ID), 0.5)
+                               s.radius_of(EGO_ID))
     print("\nACCEPTANCE C8 mitigation-demo: PASS "
           f"(selected {'+'.join(sel.plan.maneuver_seq)} avoids the "
           "realized stop; min-cost follow collides)")
+
+
+def test_c8_mitigation_demo_script():
+    """scripts/mitigation_demo.py runs against the current API and its
+    selected plan avoids the collision."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "mitigation_demo.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "mitigation avoids the collision: OK" in proc.stdout

@@ -145,6 +145,12 @@ class TestOracleCommand:
         (("actors", 0, "states", 5, 0), 1e6, "$.actors[0].states"),
         (("ego", "state", 1), -5.0, "$.ego.state"),
         (("ego", "state", 1), 99.0, "$.ego.state"),
+        (("version",), True, "$.version"),
+        (("actors", 0, "id"), None, "$.actors[0].id"),
+        (("actors", 0, "id"), 7, "$.actors[0].id"),
+        (("actors", 0, "id"), {"a": 1}, "$.actors[0].id"),
+        (("actors", 0, "id"), "", "$.actors[0].id"),
+        (("phase_metadata", 0, "name"), 3, "$.phase_metadata[0].name"),
     ])
     def test_malformed_document_exit_3_names_field(
             self, tmp_path, casestudy_path, capsys, keys, value, field):

@@ -9,6 +9,8 @@ from navrisk.planner import (
     Plan,
     PlannerConfig,
     PlanningInfeasible,
+    GOAL_TOLERANCE,
+    SPEED_STEP,
     _edge_blockers,
     _grow_tree,
     _hit,
@@ -46,26 +48,27 @@ class TestCollisionCheck:
     def test_disjoint_lanes_no_collision(self):
         ego = moving_actor("ego", 0.0, 1.75, 10.0, 20)
         world = {"a": moving_actor("a", 0.0, 8.75, 10.0, 20)}
-        assert not collision_check(ego, world, {"a": 1.2}, 1.2, 0.5)
+        assert not collision_check(ego, world, {"a": 1.2}, 1.2)
 
     def test_coincident_positions_collide(self):
         ego = moving_actor("ego", 0.0, 1.75, 10.0, 20)
         world = {"a": moving_actor("a", 0.0, 1.75, 10.0, 20)}
-        assert collision_check(ego, world, {"a": 1.2}, 1.2, 0.5)
+        assert collision_check(ego, world, {"a": 1.2}, 1.2)
 
     def test_exact_boundary_contact_is_not_collision(self):
-        # lateral gap exactly ego_r + actor_r + margin = 2.5 at every tick
+        # lateral gap exactly ego_r + actor_r + SAFETY_MARGIN = 2.5 at every
+        # tick
         ego = moving_actor("ego", 0.0, 1.0, 5.0, 10)
         world = {"a": moving_actor("a", 0.0, 3.5, 5.0, 10)}
-        assert not collision_check(ego, world, {"a": 1.0}, 1.0, 0.5)
+        assert not collision_check(ego, world, {"a": 1.0}, 1.0)
         world = {"a": moving_actor("a", 0.0, 3.5 - 1e-9, 5.0, 10)}
-        assert collision_check(ego, world, {"a": 1.0}, 1.0, 0.5)
+        assert collision_check(ego, world, {"a": 1.0}, 1.0)
 
     def test_window_mismatch_rejected(self):
         ego = moving_actor("ego", 0.0, 1.0, 5.0, 10)
         world = {"a": moving_actor("a", 0.0, 3.5, 5.0, 12)}
         with pytest.raises(ScenarioError):
-            collision_check(ego, world, {"a": 1.0}, 1.0, 0.5)
+            collision_check(ego, world, {"a": 1.0}, 1.0)
 
 
 class TestLattice:
@@ -84,7 +87,7 @@ class TestLattice:
         lattice = LatticeConfig(3, ("keep", "shift_left", "shift_right"), 10)
         world = {"block": static_actor("block", 11.5, ROAD3.lane_center(2), 30)}
         ps = enumerate_plans(ROAD3, ego, 0, 30, lattice, world,
-                             {"block": 1.2}, 1.2, 0.5)
+                             {"block": 1.2}, ego_radius=1.2)
         assert ps.universe_size == 17
         assert len(ps) == 8
         assert len(lane_walks(3, 1, 3, blocked_lanes=(2,))) == 8
@@ -94,9 +97,9 @@ class TestLattice:
         lattice = LatticeConfig(3, ("keep", "shift_left", "shift_right"), 10)
         world = {"block": static_actor("block", 11.5, ROAD3.lane_center(2), 30)}
         ps = enumerate_plans(ROAD3, ego, 0, 30, lattice, world,
-                             {"block": 1.2}, 1.2, 0.5)
+                             {"block": 1.2}, ego_radius=1.2)
         universe, survivors = walk_enumerate(
-            ROAD3, ego, 3, lattice.maneuvers, 10, lattice.speed_step, DT,
+            ROAD3, ego, 3, lattice.maneuvers, 10, SPEED_STEP, DT,
             world_to_positions(world),
             {"block": 1.2 + 1.2 + 0.5})
         assert ps.universe_size == universe
@@ -108,13 +111,13 @@ class TestLattice:
         far = {"far": static_actor("far", ROAD3.road_length + 50.0, 5.25, 30)}
         free = enumerate_plans(ROAD3, ego, 0, 30, lattice)
         with_far = enumerate_plans(ROAD3, ego, 0, 30, lattice, far,
-                                   {"far": 1.2}, 1.2, 0.5)
+                                   {"far": 1.2}, ego_radius=1.2)
         assert free.sequences() == with_far.sequences()
 
     def test_speed_limit_filters_accelerate(self):
         road = RoadMap(1, 3.5, 300.0, 10.0)
         ego = ActorState(0.0, 1.75, 0.0, 9.0)
-        lattice = LatticeConfig(2, ("keep", "accelerate"), 5, speed_step=1.5)
+        lattice = LatticeConfig(2, ("keep", "accelerate"), 5)
         ps = enumerate_plans(road, ego, 0, 10, lattice)
         # accelerate once -> 10.5 > limit; any sequence containing it is out
         assert ps.universe_size == 1
@@ -135,12 +138,12 @@ class TestLattice:
                     float(rng.uniform(0, ROAD3.width)), 24)
                 radii[aid] = 1.2
             full = enumerate_plans(ROAD3, ego, 0, 24, lattice, world,
-                                   radii, 1.2, 0.5).sequences()
+                                   radii, ego_radius=1.2).sequences()
             empty = enumerate_plans(ROAD3, ego, 0, 24, lattice).sequences()
             for aid in world:
                 rest = {a: tr for a, tr in world.items() if a != aid}
                 partial = enumerate_plans(ROAD3, ego, 0, 24, lattice, rest,
-                                          radii, 1.2, 0.5).sequences()
+                                          radii, ego_radius=1.2).sequences()
                 assert full <= partial <= empty
 
     def test_lattice_horizon_must_match(self):
@@ -160,9 +163,7 @@ class TestLattice:
 
 def sampling_cfg(**kw):
     defaults = dict(iteration_budget=600, seed=9,
-                    goal=GoalSpec(25.0, 1), steer_step=2.0,
-                    goal_tolerance=2.0, safety_margin=0.5,
-                    target_speed=10.0)
+                    goal=GoalSpec(25.0, 1), target_speed=10.0)
     defaults.update(kw)
     return PlannerConfig(**defaults)
 
@@ -175,9 +176,9 @@ class TestSamplingPlanner:
         assert not plan.partial
         end = plan.trajectory.states[-1]
         goal = (ego.position_x + 25.0, ROAD3.lane_center(1))
-        assert math.dist(end.xy, goal) <= cfg.goal_tolerance + 1e-9
+        assert math.dist(end.xy, goal) <= GOAL_TOLERANCE + 1e-9
         assert plan.cost <= 25.0 * 1.05
-        assert plan.cost >= 25.0 - cfg.goal_tolerance
+        assert plan.cost >= 25.0 - GOAL_TOLERANCE
 
     def test_determinism_same_seed(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
@@ -199,7 +200,7 @@ class TestSamplingPlanner:
         end_lane = ROAD3.lane_of(plan.trajectory.states[-1].position_y)
         assert end_lane != start_lane
         assert not collision_check(plan.trajectory, world, {"stop": 1.2},
-                                   1.2, cfg.safety_margin)
+                                   1.2)
 
     # the empty base world pins the m = 0 path of the collision kernel
     @pytest.mark.parametrize("base", ["empty", "near"])
@@ -243,8 +244,7 @@ class TestSamplingPlanner:
                 plan = plan_sampling(ROAD3, ego, 0, 30, world, cfg, radii)
             except PlanningInfeasible:
                 continue
-            assert not collision_check(plan.trajectory, world, radii, 1.2,
-                                       cfg.safety_margin)
+            assert not collision_check(plan.trajectory, world, radii, 1.2)
             ys = plan.trajectory.xy[:, 1]
             assert np.all(ys >= 0.0) and np.all(ys <= ROAD3.width)
 
@@ -308,15 +308,14 @@ def reference_worlds():
                            seed=int(rng.integers(0, 2 ** 31)),
                            goal=GoalSpec(float(rng.uniform(15.0, 35.0)),
                                          int(rng.integers(3))))
-        obs, rsum = world_arrays(world, radii, 1.2, cfg.safety_margin, 0, k)
+        obs, rsum = world_arrays(world, radii, 1.2, 0, k)
         yield ego, k, obs, rsum, cfg, 1.2
     # rsum = 1.25 + 1.25 + 0.5 = 3.0 exactly, and the actor sits 3.0 ahead
     ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
     world = {"edge": static_actor("edge", 13.0, ROAD3.lane_center(1), 30),
              "a": moving_actor("a", 30.0, ROAD3.lane_center(0), 5.0, 30)}
     cfg = sampling_cfg(iteration_budget=300)
-    obs, rsum = world_arrays(world, {"edge": 1.25, "a": 1.25}, 1.25,
-                             cfg.safety_margin, 0, 30)
+    obs, rsum = world_arrays(world, {"edge": 1.25, "a": 1.25}, 1.25, 0, 30)
     assert math.hypot(13.0 - ego.position_x, 0.0) == rsum[0] == 3.0
     yield ego, 30, obs, rsum, cfg, 1.25
 
@@ -362,7 +361,7 @@ class TestScalarKernel:
                     float(rng.uniform(0.0, ROAD3.width)),
                     float(rng.uniform(0.0, 4.0)), k)
                 radii[aid] = float(rng.uniform(0.5, 2.5))
-            obs, rsum = world_arrays(world, radii, 1.2, 0.5, 0, k)
+            obs, rsum = world_arrays(world, radii, 1.2, 0, k)
             lists = _obstacle_lists(obs, rsum)
             for _ in range(20):
                 p0 = rng.uniform((8.0, 0.0), (25.0, ROAD3.width))

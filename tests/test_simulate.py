@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from navrisk.planner import LatticeConfig, PlannerConfig
 from navrisk.report import (
     PHASE_CSV_HEADER,
     RUN_CSV_HEADER,
@@ -101,6 +102,17 @@ class TestRunConfig:
         assert [f.name for f in fields(RunConfig)] == [
             "seed", "horizon", "replan_every", "samples", "noise_accel",
             "noise_yawrate", "operators", "lattice", "iteration_budget"]
+
+    def test_planner_config_five_settable_values(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(PlannerConfig)] == [
+            "iteration_budget", "seed", "goal", "target_speed",
+            "sample_advance"]
+
+    def test_lattice_config_three_settable_values(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(LatticeConfig)] == [
+            "decision_steps", "maneuvers", "ticks_per_step"]
 
 
 class TestReports:
