@@ -27,16 +27,18 @@ _select_endpoint repeats against the ablated obstacles.
 Collision is one rule in two forms: _hits, vectorized, for every check
 as long as the horizon or the lattice, and _hit, for one ego-actor pair
 of Python floats, in the tree-edge checks of _edge_blockers.  Tree
-growth keeps numpy only for the vectors as long as the tree (nearest
-node, neighbour set); every per-node scalar is a Python float from the
-same IEEE operations in the same order, so the tree is bit-identical to
-an all-numpy growth.
+growth calls no numpy: node state lives in Python lists, and an x-sorted
+key list answers the nearest-node and neighbour queries (_nearest,
+_neighbours) with the same IEEE expressions, index and order as the
+earlier np.argmin and np.nonzero/np.lexsort queries, so the tree is
+bit-identical to an all-numpy growth.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -328,23 +330,34 @@ def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
                    tick0: float, tick1: float, oxl, oyl,
                    rl) -> tuple[int, ...]:
     """The actors the edge p0 -> p1 hits: () if none, (a,) if actor a is
-    the only one, else the first two found.  oxl, oyl, rl come from
+    the only one, else two of them.  oxl, oyl, rl come from
     _obstacle_lists."""
     # collision semantics live on integer ticks; check every tick the edge
     # traversal covers, interpolating the ego along the edge
     j0 = math.floor(tick0) + 1   # smallest integer tick strictly after tick0
     j1 = math.floor(tick1)       # largest integer tick at or before tick1
     span, ddx, ddy = tick1 - tick0, p1x - p0x, p1y - p0y
-    found = ()
+    pts = []
     for j in range(j0, j1 + 1):
         frac = (j - tick0) / span
-        ex = p0x + frac * ddx
-        ey = p0y + frac * ddy
-        for a, r in enumerate(rl):
-            if a not in found and _hit(oxl[a][j] - ex, oyl[a][j] - ey, r):
+        pts.append((j, p0x + frac * ddx, p0y + frac * ddy))
+    found = ()
+    for a, r in enumerate(rl):
+        ox, oy = oxl[a], oyl[a]
+        for j, ex, ey in pts:
+            # both hypots are >= max(|dx|, |dy|): a pair with an offset of
+            # at least r is no hit, whatever _hit would compute
+            dx = ox[j] - ex
+            if dx >= r or -dx >= r:
+                continue
+            dy = oy[j] - ey
+            if dy >= r or -dy >= r:
+                continue
+            if _hit(dx, dy, r):
                 found += (a,)
                 if len(found) == 2:
                     return found
+                break
     return found
 
 
@@ -406,6 +419,59 @@ def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
     ])
 
 
+def _nearest(xkeys: list, ids: list, ys: list, sx: float,
+             sy: float) -> tuple[int, float]:
+    """The node nearest (sx, sy) and its squared distance, by np.argmin's
+    rule: the lowest index among equal d2.  xkeys holds the node x
+    coordinates in ascending order and ids the node index of each key."""
+    best, best_d2 = -1, math.inf
+    p = bisect_left(xkeys, sx)
+    # scan right, then left, of sx; dx*dx grows along each scan and never
+    # exceeds d2, so a scan ends once dx*dx passes the best d2
+    for js in (range(p, len(xkeys)), range(p - 1, -1, -1)):
+        for j in js:
+            dx = xkeys[j] - sx
+            dx2 = dx * dx
+            if dx2 > best_d2:
+                break
+            i = ids[j]
+            dy = ys[i] - sy
+            d2 = dx2 + dy * dy
+            if d2 < best_d2 or (d2 == best_d2 and i < best):
+                best, best_d2 = i, d2
+    return best, best_d2
+
+
+def _neighbours(xkeys: list, ids: list, ys: list, cx: float, cy: float,
+                r: float) -> list[tuple[int, float]]:
+    """(index, distance) of every node with dx*dx + dy*dy <= r*r from
+    (cx, cy), in ascending index: the order np.nonzero gives."""
+    r2 = r * r
+    out = []
+    p = bisect_left(xkeys, cx)
+    for js in (range(p, len(xkeys)), range(p - 1, -1, -1)):
+        for j in js:
+            dx = xkeys[j] - cx
+            dx2 = dx * dx
+            if dx2 > r2:
+                break
+            i = ids[j]
+            dy = ys[i] - cy
+            d2 = dx2 + dy * dy
+            if d2 <= r2:
+                out.append((i, math.sqrt(d2)))
+    out.sort()
+    return out
+
+
+def _connect_order(nbrs: list[tuple[int, float]],
+                   costs: list) -> list[tuple[int, float]]:
+    """_neighbours' (index, distance) pairs by cost through the neighbour,
+    costs[i] + distance; the sort is stable, so equal costs keep ascending
+    index: np.lexsort's order."""
+    return sorted(nbrs, key=lambda nb: costs[nb[0]] + nb[1])
+
+
 def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
                rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
                dt: float) -> tuple[_Tree, np.ndarray]:
@@ -449,26 +515,19 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
             sole[hit[0]] = True
         return not hit
 
-    # numpy holds only the vectors as long as the tree (positions and costs
-    # for the nearest-node and neighbour queries); every per-node scalar is
-    # a Python float from the same IEEE operations in the same order
-    n_max = cfg.iteration_budget + 1
-    pts = np.empty((n_max, 2))
-    cost = np.empty(n_max)
-    pts[0] = root
-    cost[0] = 0.0
+    # node state as Python lists, plus the x-sorted keys of _nearest and
+    # _neighbours; every value comes from the same IEEE operations in the
+    # same order as in an all-numpy growth
     xs, ys = [[v] for v in root.tolist()]
     costs, tick = [0.0], [0.0]
     parent, children = [-1], [0]
+    xkeys, ids = [xs[0]], [0]
     n = 1
 
     r_rewire = 2.0 * STEER_STEP
     for sx, sy in samples.tolist():
-        dx = pts[:n, 0] - sx
-        dy = pts[:n, 1] - sy
-        d2 = dx * dx + dy * dy
-        ni = int(np.argmin(d2))
-        dist = math.sqrt(d2[ni])
+        ni, d2 = _nearest(xkeys, ids, ys, sx, sy)
+        dist = math.sqrt(d2)
         if dist < 1e-12:
             continue
         f = min(STEER_STEP, dist) / dist
@@ -477,20 +536,14 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
         if cx < xs[ni] or not (y_lo <= cy <= y_hi):
             continue
 
-        cdx = pts[:n, 0] - cx
-        cdy = pts[:n, 1] - cy
-        cd2 = cdx * cdx + cdy * cdy
-        nbrs = np.nonzero(cd2 <= r_rewire * r_rewire)[0]
-        if nbrs.size == 0:
-            nbrs = np.array([ni])
-        cd = np.sqrt(cd2[nbrs])
-        order = np.lexsort((nbrs, cost[nbrs] + cd)).tolist()
-        nbrs, cd = nbrs.tolist(), cd.tolist()
+        nbrs = _neighbours(xkeys, ids, ys, cx, cy, r_rewire)
+        if not nbrs:
+            dx, dy = xs[ni] - cx, ys[ni] - cy
+            nbrs = [(ni, math.sqrt(dx * dx + dy * dy))]
 
         chosen = -1
         chosen_d = 0.0
-        for oi in order:
-            i, d_i = nbrs[oi], cd[oi]
+        for i, d_i in _connect_order(nbrs, costs):
             if xs[i] > cx + 1e-12:
                 continue
             nt = tick[i] + d_i * inv
@@ -504,8 +557,6 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
 
         c_n = costs[chosen] + chosen_d
         t_n = tick[chosen] + chosen_d * inv
-        pts[n] = cx, cy
-        cost[n] = c_n
         xs.append(cx)
         ys.append(cy)
         costs.append(c_n)
@@ -513,10 +564,13 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
         parent.append(chosen)
         children.append(0)
         children[chosen] += 1
+        j = bisect_left(xkeys, cx)
+        xkeys.insert(j, cx)
+        ids.insert(j, n)
 
         # rewire: re-parent cheaper-through-new leaves; leaves only, so no
         # arrival-time cascade needs repair
-        for i, d_i in zip(nbrs, cd):
+        for i, d_i in nbrs:
             if i == chosen or children[i] > 0:
                 continue
             nc = c_n + d_i
@@ -530,12 +584,12 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
             if edge_free(cx, cy, xs[i], ys[i], t_n, nt):
                 children[parent[i]] -= 1
                 parent[i] = n
-                costs[i] = cost[i] = nc
+                costs[i] = nc
                 tick[i] = nt
                 children[n] += 1
         n += 1
 
-    return _Tree(pts[:n], cost[:n], np.array(tick),
+    return _Tree(np.column_stack((xs, ys)), np.array(costs), np.array(tick),
                  np.array(parent, dtype=np.int32), speed, inv), \
         np.array(sole, dtype=bool)
 

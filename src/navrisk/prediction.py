@@ -65,6 +65,14 @@ def predict_linear(history: Trajectory, k: int) -> Trajectory:
     return Trajectory(history.actor_id, history.end_tick, dt, tuple(states))
 
 
+def _non_finite(actor_id: str, sample: int,
+                cfg: PredictionConfig) -> ValueError:
+    return ValueError(
+        f"sampled future of actor {actor_id!r}, sample {sample}, is not "
+        f"finite (noise_accel_sigma={cfg.noise_accel_sigma!r}, "
+        f"noise_yawrate_sigma={cfg.noise_yawrate_sigma!r})")
+
+
 def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
                        ) -> list[Trajectory]:
     """Draw cfg.sample_count perturbed futures of one actor.
@@ -72,6 +80,8 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
     Sample j integrates the linear model with per-tick acceleration and
     yaw-rate noise from the stream keyed (seed, actor_id, t, j); with both
     sigmas zero every sample equals predict_linear(history, k) exactly.
+    Raises ValueError when a noise draw or a sampled position is not
+    finite (sigmas too large for floating point).
     """
     if k < 1:
         raise ScenarioError("prediction horizon k must be >= 1")
@@ -86,15 +96,21 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
         rng = _actor_stream(cfg.seed, history.actor_id, t, j)
         accel = rng.normal(0.0, cfg.noise_accel_sigma, size=k)
         yawrate = rng.normal(0.0, cfg.noise_yawrate_sigma, size=k)
+        if not (np.isfinite(accel).all() and np.isfinite(yawrate).all()):
+            raise _non_finite(history.actor_id, j, cfg)
         x, y, heading, speed = (last.position_x, last.position_y,
                                 last.heading, last.speed)
         states = [last]
-        for i in range(k):
-            speed = max(0.0, speed + accel[i] * dt)
-            heading = wrap_angle(heading + yawrate[i] * dt)
+        for a_i, w_i in zip(accel.tolist(), yawrate.tolist()):
+            speed = max(0.0, speed + a_i * dt)
+            heading = wrap_angle(heading + w_i * dt)
             x += speed * dt * math.cos(heading)
             y += speed * dt * math.sin(heading)
             states.append(ActorState(x, y, heading, speed))
+        # an overflow makes x or y non-finite for good, so the last state
+        # decides
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise _non_finite(history.actor_id, j, cfg)
         out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
     return out
 

@@ -6,10 +6,12 @@ float loops instead of numpy, so that the production code is checked
 against a second implementation of the same contracts.
 
 The one exception is the sampling planner's tree growth:
-reference_grow_tree and reference_edge_blockers keep the earlier numpy
-implementation (whole-array edge checks through the vectorized overlap
-rule planner._hits), against which the scalar kernel of
-planner._grow_tree is checked for bit-identical trees.
+reference_grow_tree and reference_edge_blockers keep the earlier
+all-numpy growth, against which planner._grow_tree, whose growth loop
+calls no numpy, is checked for bit-identical trees.  It is the numpy
+reference for every step: whole-array edge checks through the vectorized
+overlap rule planner._hits, the nearest node by np.argmin, and the
+neighbour set by np.nonzero, np.sqrt and np.lexsort over the tree arrays.
 """
 
 import math

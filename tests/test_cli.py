@@ -280,6 +280,18 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
 
+    def test_non_finite_sampled_future_exit_2(self, tmp_path,
+                                              casestudy_path, capsys):
+        # --noise-accel 1e308 draws +-inf accelerations; the run used to
+        # exit 0 with actors at inf/NaN positions that never collide
+        assert main(["run", "--scenario", str(casestudy_path),
+                     "--samples", "1", "--noise-accel", "1e308",
+                     "--budget", "50", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "actor '" in err and "sample 0" in err
+        assert "noise_accel_sigma=1e+308" in err
+        assert not (tmp_path / "x" / "run.csv").exists()
+
     def test_out_is_a_file_exit_2_before_planning(self, tmp_path,
                                                  casestudy_path, monkeypatch):
         def no_run(*args, **kwargs):

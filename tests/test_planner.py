@@ -11,10 +11,14 @@ from navrisk.planner import (
     PlanningInfeasible,
     GOAL_TOLERANCE,
     SPEED_STEP,
+    STEER_STEP,
+    _connect_order,
     _edge_blockers,
     _grow_tree,
     _hit,
     _hits,
+    _nearest,
+    _neighbours,
     _obstacle_lists,
     collision_check,
     enumerate_plans,
@@ -285,6 +289,93 @@ class TestPairRule:
         assert got == want
         assert 0 < sum(got) < len(got)
 
+    def test_no_hit_once_an_offset_reaches_r(self):
+        # _edge_blockers skips _hit when |dx| >= r or |dy| >= r: both hypots
+        # are >= max(|dx|, |dy|), so _hit is False on every such pair
+        subnormal = 5e-324
+        rng = np.random.default_rng(43)
+        for r in [3.0, 2.5, 0.1, *rng.uniform(0.5, 6.0, 40).tolist()]:
+            below, above = np.nextafter(r, [0.0, math.inf]).tolist()
+            for off in (r, above, 2.0 * r):
+                for other in (0.0, subnormal, -subnormal, 1e-300, below,
+                              0.5 * r, r):
+                    for dx, dy in ((off, other), (-off, other),
+                                   (other, off), (other, -off)):
+                        assert not _hit(dx, dy, r), (dx, dy, r)
+                        assert not _hits(np.array([dx, dy]), np.zeros(2), r)
+            # one ulp inside r with a zero or subnormal other offset hits
+            for dx, dy in ((below, 0.0), (below, subnormal),
+                           (-subnormal, -below)):
+                assert _hit(dx, dy, r), (dx, dy, r)
+
+
+def lattice_trees(count):
+    """(xs, ys, costs, xkeys, ids) of random node sets on a 0.25 m lattice,
+    with repeated nodes and a random order among equal x keys."""
+    rng = np.random.default_rng(1618)
+    for _ in range(count):
+        n = int(rng.integers(1, 160))
+        xs = (10.0 + 0.25 * rng.integers(0, 48, n)).tolist()
+        ys = (1.0 + 0.25 * rng.integers(0, 36, n)).tolist()
+        costs = (0.25 * rng.integers(0, 8, n)).tolist()
+        shuffled = rng.permutation(n).tolist()
+        ids = sorted(shuffled, key=xs.__getitem__)
+        yield xs, ys, costs, [xs[i] for i in ids], ids
+
+
+def lattice_queries(rng, count):
+    """Query points on the lattice, a third of them nudged off it."""
+    for q in range(count):
+        qx = 9.0 + 0.25 * int(rng.integers(0, 56))
+        qy = 0.25 * int(rng.integers(0, 44))
+        if q % 3 == 2:
+            qx += float(rng.uniform(-0.2, 0.2))
+            qy += float(rng.uniform(-0.2, 0.2))
+        yield qx, qy
+
+
+class TestTreeQueries:
+    """_nearest, _neighbours and _connect_order against the numpy queries
+    they replace: the same index, distance and order, on a 0.25 m lattice
+    where equal d2, equal x and neighbours at exactly r are common."""
+
+    def test_nearest_equals_argmin(self):
+        rng = np.random.default_rng(5)
+        ties = 0
+        for xs, ys, _, xkeys, ids in lattice_trees(150):
+            px, py = np.array(xs), np.array(ys)
+            for qx, qy in lattice_queries(rng, 12):
+                dx, dy = px - qx, py - qy
+                d2 = dx * dx + dy * dy
+                want = int(np.argmin(d2))
+                assert _nearest(xkeys, ids, ys, qx, qy) == \
+                    (want, float(d2[want]))
+                ties += int(np.count_nonzero(d2 == d2[want]) > 1)
+        assert ties > 50
+
+    @pytest.mark.parametrize("r", [2.0 * STEER_STEP, 1.25])
+    def test_neighbours_and_order_equal_nonzero_and_lexsort(self, r):
+        # on the lattice a node exactly r away is common: (r, 0) offsets,
+        # and for r = 1.25 also (0.75, 1.0)
+        rng = np.random.default_rng(8)
+        at_r = cost_ties = 0
+        for xs, ys, costs, xkeys, ids in lattice_trees(150):
+            px, py, cost = np.array(xs), np.array(ys), np.array(costs)
+            for cx, cy in lattice_queries(rng, 12):
+                cdx, cdy = px - cx, py - cy
+                cd2 = cdx * cdx + cdy * cdy
+                nbrs = np.nonzero(cd2 <= r * r)[0]
+                cd = np.sqrt(cd2[nbrs])
+                got = _neighbours(xkeys, ids, ys, cx, cy, r)
+                assert got == list(zip(nbrs.tolist(), cd.tolist()))
+                order = np.lexsort((nbrs, cost[nbrs] + cd))
+                assert _connect_order(got, costs) == \
+                    [got[o] for o in order.tolist()]
+                at_r += int(np.count_nonzero(cd2 == r * r))
+                key = (cost[nbrs] + cd).tolist()
+                cost_ties += len(key) - len(set(key))
+        assert at_r > 50 and cost_ties > 50
+
 
 def reference_worlds():
     """(ego, k, obs, rsum, cfg, ego_radius) for the kernel equality test:
@@ -346,6 +437,20 @@ class TestScalarKernel:
             sole_seen += int(sole.sum())
             not_sole_seen += int((~sole).sum())
         assert grown >= 30 and sole_seen > 0 and not_sole_seen > 0
+
+    def test_edge_blockers_at_the_radius(self):
+        # a parked edge at the origin over tick 1 only, so the offsets are
+        # exact; one ulp inside r the actor blocks, at r it does not
+        ex = ey = 0.0
+        for r in (2.9, 3.0, 3.7):
+            below = float(np.nextafter(r, 0.0))
+            for off, blocked in ((below, True), (r, False)):
+                for dx, dy in ((off, 0.0), (-off, 0.0), (0.0, off),
+                               (0.0, -off), (off, 5e-324)):
+                    oxl, oyl = [[0.0, ex + dx]], [[0.0, ey + dy]]
+                    got = _edge_blockers(ex, ey, ex, ey, 0.5, 1.5, oxl, oyl,
+                                         [r])
+                    assert got == ((0,) if blocked else ()), (dx, dy, r)
 
     def test_edge_blockers_contract(self):
         rng = np.random.default_rng(99)

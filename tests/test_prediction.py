@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,38 @@ class TestSamplePredictions:
         for j, world in enumerate(worlds):
             for aid in hists:
                 assert world[aid].states == per_actor[aid][j].states
+
+    @pytest.mark.parametrize("sigmas", [(1e308, 0.0), (0.0, 1e308)])
+    def test_noise_draw_beyond_float_range_raises(self, sigmas):
+        # a sigma of 1e308 draws +-inf: the actor used to move to inf/NaN
+        # positions, where it never collides, or wrap_angle(inf) failed
+        h = history_from(0.0, 0.0, 0.0, 8.0, actor_id="lead")
+        cfg = PredictionConfig(*sigmas, sample_count=3, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                sample_predictions(h, 40, cfg)
+        msg = str(info.value)
+        assert "'lead'" in msg and "sample 0" in msg
+        assert f"noise_accel_sigma={sigmas[0]!r}" in msg
+        assert f"noise_yawrate_sigma={sigmas[1]!r}" in msg
+
+    def test_position_overflow_raises(self):
+        # finite draws (|z| would need to pass 17) whose speed overflows:
+        # 1e307 m/s^2 over a 100 s tick
+        states = (ActorState(0.0, 0.0, 0.0, 1.0),) * 2
+        h = Trajectory("slow", 0, 100.0, states)
+        cfg = PredictionConfig(1e307, 0.0, sample_count=2, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'slow', sample 0"):
+                sample_predictions(h, 30, cfg)
+
+    def test_large_finite_sigma_still_samples(self):
+        h = history_from(0.0, 0.0, 0.0, 8.0)
+        cfg = PredictionConfig(1e300, 1e300, sample_count=2, seed=0)
+        for traj in sample_predictions(h, 20, cfg):
+            assert np.isfinite(traj.xy).all()
 
     @pytest.mark.parametrize("sigmas", [
         (float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0),
