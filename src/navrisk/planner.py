@@ -14,10 +14,10 @@ arrival tick) so moving obstacles are checked where they will be, not
 where they are.
 
 plan_sampling is _grow_tree followed by _select_endpoint.  The tree never
-reads the goal, and its sample stream depends only on cfg.seed and the
-sample basis (cfg.sample_advance, else cfg.goal.advance).  Leave-one-out
-runs over different actor subsets are therefore paired experiments, with
-an exact reuse rule: an actor that was never the sole blocker of a
+reads the goal point, and its sample stream depends only on cfg.seed and
+the sample basis cfg.goal.advance.  Leave-one-out runs over different
+actor subsets share one cfg, and so are paired experiments, with an
+exact reuse rule: an actor that was never the sole blocker of a
 growth edge check (connect or rewire) grows the same tree when removed,
 since every such check returns the same answer without it.  The plan of
 that ablated world can still differ, through its re-routed goal and the
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -120,16 +121,15 @@ class PlannerConfig:
     seed: int = 0
     goal: GoalSpec = GoalSpec(40.0, 0)
     target_speed: float = 10.0
-    # Basis of the pre-drawn sample window.  Kept separate from
-    # goal.advance so per-world clamping of the goal cannot perturb the
-    # sample stream shared by paired leave-one-out runs.
-    sample_advance: Optional[float] = None
 
     def __post_init__(self):
-        if self.iteration_budget < 1:
-            raise ValueError("iteration_budget must be >= 1")
-        if self.target_speed <= 0:
+        if not isinstance(self.iteration_budget, numbers.Integral) or \
+                self.iteration_budget < 1:
+            raise ValueError("iteration_budget must be an integer >= 1")
+        if not self.target_speed > 0:
             raise ValueError("target_speed must be > 0")
+        if not self.goal.advance >= 0:
+            raise ValueError("goal.advance must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +479,10 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     among the obstacles (obs, rsum) of world_arrays.
 
     Also returns the (m,) sole mask: actor j is sole iff some connect or
-    rewire edge check was blocked by actor j alone.  The tree never reads
-    cfg.goal beyond the sample basis, so removing a never-sole actor gives
-    this same tree.  Raises PlanningInfeasible when the ego overlaps an
-    obstacle at the planning tick.
+    rewire edge check was blocked by actor j alone.  The tree reads
+    cfg.goal only as the sample basis cfg.goal.advance, so removing a
+    never-sole actor gives this same tree.  Raises PlanningInfeasible
+    when the ego overlaps an obstacle at the planning tick.
     """
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
@@ -495,12 +495,11 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
             "ego overlaps an obstacle at the planning tick")
 
     # entire sample stream drawn up front from the seed; the window depends
-    # only on the ego state and the configured basis advance
-    base_adv = cfg.sample_advance if cfg.sample_advance is not None \
-        else cfg.goal.advance
+    # only on the ego state and the sample basis cfg.goal.advance, never on
+    # a goal routed per world
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     x_lo = ego.position_x
-    x_hi = min(ego.position_x + base_adv + 2 * GOAL_TOLERANCE,
+    x_hi = min(ego.position_x + cfg.goal.advance + 2 * GOAL_TOLERANCE,
                road.road_length)
     y_lo, y_hi = ego_radius, road.width - ego_radius
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),

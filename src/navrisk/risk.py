@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ from .planner import (
     collision_check,
     enumerate_plans,  # noqa: F401 (wrapped by perfbench/tracer.py)
     lattice_blockers,
-    plan_sampling,
+    plan_sampling,  # noqa: F401 (wrapped by perfbench/tracer.py)
     world_arrays,
 )
 from .prediction import PredictionConfig, sample_worlds
@@ -244,15 +244,14 @@ def follow_advance(world: Mapping[str, Trajectory], ego: ActorState,
     return float(min(max(adv, MIN_ADVANCE), base_advance))
 
 
-def route_planner_cfg(cfg: PlannerConfig, world: Mapping[str, Trajectory],
-                      ego: ActorState, road: RoadMap) -> PlannerConfig:
-    """Clamp cfg.goal.advance for this world; the sample window keeps the
-    unclamped basis so paired runs share one stream."""
-    base = cfg.sample_advance if cfg.sample_advance is not None \
-        else cfg.goal.advance
-    speed = min(cfg.target_speed, road.speed_limit)
-    adv = follow_advance(world, ego, road, cfg.goal.lane, base, speed)
-    return replace(cfg, goal=GoalSpec(adv, cfg.goal.lane), sample_advance=base)
+def route_goal(cfg: PlannerConfig, world: Mapping[str, Trajectory],
+               ego: ActorState, road: RoadMap) -> GoalSpec:
+    """cfg.goal with its advance clamped for this world.  cfg itself is
+    left as it is: its goal.advance stays the planner's sample basis, so
+    paired runs share one stream."""
+    lane, speed = cfg.goal.lane, min(cfg.target_speed, road.speed_limit)
+    return GoalSpec(follow_advance(world, ego, road, lane, cfg.goal.advance,
+                                   speed), lane)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +271,6 @@ def _plan_change(plan_full: Optional[Plan], plan_m: Optional[Plan],
                                      plan_m.trajectory), False
 
 
-def _without(world: Mapping[str, Trajectory], actor_id: str
-             ) -> dict[str, Trajectory]:
-    return {a: tr for a, tr in world.items() if a != actor_id}
-
-
 def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
                   k: int, cfg: PlannerConfig, *, road: RoadMap,
                   radii: Mapping[str, float], ego_radius: float = 1.2,
@@ -288,13 +282,14 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     one of those actors under the same planner seed, and return the full
     plan (None if infeasible) with each such actor's (gamma, saturated),
     in world order.  With route=True each world's goal is re-clamped by
-    route_planner_cfg.
+    route_goal.
 
-    The full-world tree is grown once.  Without an actor that never alone
-    blocked one of its edge checks the same tree grows, so that ablation
-    only re-selects the endpoint for its own goal and obstacles; the
-    others, and all of them when the ego is enclosed at the root, are
-    planned in full.
+    Every world is planned one way: an endpoint selected on a tree toward
+    its own goal among its own obstacle rows.  The full-world tree is
+    grown once.  Without an actor that never alone blocked one of its
+    edge checks the same tree grows, so that ablation reuses it; the
+    others, and all of them when the ego is enclosed at the root, grow
+    their own tree under the same cfg.
     """
     wanted = set(world if actor_ids is None else actor_ids)
     if not wanted <= world.keys():
@@ -306,29 +301,28 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     except PlanningInfeasible:
         tree, sole = None, np.ones(len(rsum), dtype=bool)
 
-    def plan(w: Mapping[str, Trajectory], keep) -> Optional[Plan]:
-        """Plan w, routed for w when route is set; re-grown in full when
-        keep is None, else on the shared tree among the obstacle rows keep
-        selects."""
-        routed = route_planner_cfg(cfg, w, ego, road) if route else cfg
+    def plan(w: Mapping[str, Trajectory], keep, tree_w) -> Optional[Plan]:
+        """Plan w, whose obstacle rows keep selects, toward its goal
+        (routed for w when route is set) on tree_w, or on a tree grown
+        among those rows when tree_w is None."""
+        goal = _goal_point(road, ego, route_goal(cfg, w, ego, road)
+                           if route else cfg.goal, ego_radius)
+        o, r = obs[keep], rsum[keep]
         try:
-            if keep is None:
-                return plan_sampling(road, ego, t, k, w, routed, radii,
-                                     ego_radius, dt)
-            return _select_endpoint(
-                tree, _goal_point(road, ego, routed.goal, ego_radius),
-                obs[keep], rsum[keep], road, t, k, dt)
+            if tree_w is None:
+                tree_w, _ = _grow_tree(road, ego, k, o, r, cfg, ego_radius, dt)
+            return _select_endpoint(tree_w, goal, o, r, road, t, k, dt)
         except PlanningInfeasible:
             return None
 
-    plan_full = None if tree is None else plan(world, slice(None))
+    plan_full = None if tree is None else plan(world, slice(None), tree)
     gammas = {}
     for j, aid in enumerate(world):
         if aid not in wanted:
             continue
-        keep = None if sole[j] else np.arange(len(rsum)) != j
-        gammas[aid] = _plan_change(plan_full, plan(_without(world, aid), keep),
-                                   road, k)
+        plan_m = plan({a: tr for a, tr in world.items() if a != aid},
+                      np.arange(len(rsum)) != j, None if sole[j] else tree)
+        gammas[aid] = _plan_change(plan_full, plan_m, road, k)
     return plan_full, gammas
 
 

@@ -24,6 +24,7 @@ import numpy as np
 EGO_ID = "ego"
 
 SCENARIO_FORMAT_VERSION = 1
+MAX_SCRIPT_TICKS = 200_000   # run_phase_script: longest wait for a trigger
 
 
 class ScenarioError(ValueError):
@@ -256,7 +257,6 @@ class _ScriptedActor:
     y: float
     vx: float
     prev_vx: float = float("nan")
-    vy: float = 0.0
     # lateral ramp state
     ramp_from: float = 0.0
     ramp_to: float = 0.0
@@ -275,8 +275,7 @@ class _ScriptedActor:
             return self.ramp_to, 0.0
         dy = self.ramp_to - self.ramp_from
         y = self.ramp_from + dy * 0.5 * (1.0 - math.cos(math.pi * tau))
-        dt_ramp = self.ramp_ticks  # in ticks
-        vy = dy * 0.5 * math.pi * math.sin(math.pi * tau) / dt_ramp
+        vy = dy * 0.5 * math.pi * math.sin(math.pi * tau) / self.ramp_ticks
         return y, vy
 
 
@@ -286,7 +285,6 @@ def run_phase_script(
     road: RoadMap,
     dt: float,
     tail_ticks: int = 0,
-    max_ticks: int = 200_000,
 ) -> tuple[dict[str, Trajectory], tuple[PhaseSpan, ...]]:
     """Integrate scripted actors through the phases.
 
@@ -298,8 +296,7 @@ def run_phase_script(
     actors = {
         aid: _ScriptedActor(
             x=st.position_x, y=st.position_y,
-            vx=st.speed * math.cos(st.heading),
-            vy=st.speed * math.sin(st.heading))
+            vx=st.speed * math.cos(st.heading))
         for aid, st in initial.items()
     }
     rows: dict[str, list[tuple[float, float, float, float]]] = {
@@ -380,10 +377,10 @@ def run_phase_script(
             record(tick)
             step(tick)
             tick += 1
-            if tick > max_ticks:
+            if tick > MAX_SCRIPT_TICKS:
                 raise ScenarioError(
                     f"phase {phase.name!r} trigger never fired "
-                    f"within {max_ticks} ticks")
+                    f"within {MAX_SCRIPT_TICKS} ticks")
         end = tick
         if index == len(phases) - 1:
             for _ in range(tail_ticks):

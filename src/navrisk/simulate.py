@@ -68,6 +68,10 @@ class RunConfig:
             raise ValueError(f"unknown operators {sorted(bad)}")
         if self.lattice is None and {"kl", "exact"} & set(self.operators):
             raise ValueError("operators 'kl' and 'exact' need a lattice")
+        if self.lattice is not None and self.lattice.horizon != self.horizon:
+            raise ValueError(
+                f"lattice covers {self.lattice.horizon} ticks but horizon "
+                f"is {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -169,8 +173,7 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
         base_cfg = PlannerConfig(
             iteration_budget=cfg.iteration_budget,
             seed=_planner_seed(cfg.seed, t),
-            goal=GoalSpec(base_advance, preferred), target_speed=speed,
-            sample_advance=base_advance)
+            goal=GoalSpec(base_advance, preferred), target_speed=speed)
         plan_full, gammas = leave_one_out(world, ego, t, k_eff, base_cfg,
                                           **env)
 

@@ -179,10 +179,10 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
     among the obstacles (obs, rsum) of world_arrays.
 
     Also returns the (m,) sole mask: actor j is sole iff some connect or
-    rewire edge check was blocked by actor j alone.  The tree never reads
-    cfg.goal beyond the sample basis, so removing a never-sole actor gives
-    this same tree.  Raises PlanningInfeasible when the ego overlaps an
-    obstacle at the planning tick.
+    rewire edge check was blocked by actor j alone.  The tree reads
+    cfg.goal only as the sample basis cfg.goal.advance, so removing a
+    never-sole actor gives this same tree.  Raises PlanningInfeasible
+    when the ego overlaps an obstacle at the planning tick.
     """
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
@@ -195,12 +195,10 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
             "ego overlaps an obstacle at the planning tick")
 
     # entire sample stream drawn up front from the seed; the window depends
-    # only on the ego state and the configured basis advance
-    base_adv = cfg.sample_advance if cfg.sample_advance is not None \
-        else cfg.goal.advance
+    # only on the ego state and the sample basis cfg.goal.advance
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     x_lo = ego.position_x
-    x_hi = min(ego.position_x + base_adv + 2 * GOAL_TOLERANCE,
+    x_hi = min(ego.position_x + cfg.goal.advance + 2 * GOAL_TOLERANCE,
                road.road_length)
     y_lo, y_hi = ego_radius, road.width - ego_radius
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),

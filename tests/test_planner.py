@@ -172,6 +172,19 @@ def sampling_cfg(**kw):
     return PlannerConfig(**defaults)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"iteration_budget": 0}, "iteration_budget"),
+    ({"iteration_budget": 1.5}, "iteration_budget"),
+    ({"target_speed": 0.0}, "target_speed"),
+    ({"target_speed": float("nan")}, "target_speed"),
+    ({"goal": GoalSpec(float("nan"), 1)}, "goal.advance"),
+    ({"goal": GoalSpec(-20.0, 1)}, "goal.advance"),
+])
+def test_planner_config_rejects_values_the_planner_cannot_use(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        sampling_cfg(**kwargs)
+
+
 class TestSamplingPlanner:
     def test_empty_road_reaches_goal_near_straight(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)

@@ -10,8 +10,11 @@ from navrisk.planner import (
     PlannerConfig,
     PlanningInfeasible,
     SPEED_STEP,
+    _goal_point,
+    _select_endpoint,
     enumerate_plans,
     plan_sampling,
+    world_arrays,
 )
 from navrisk.prediction import PredictionConfig, predict_linear
 from navrisk.risk import (
@@ -27,7 +30,7 @@ from navrisk.risk import (
     mean_and_variance,
     min_risk_selection,
     plan_divergence_kl,
-    route_planner_cfg,
+    route_goal,
     total_risk_exact,
     traj_difference_euclidean,
 )
@@ -43,7 +46,12 @@ from navrisk.scenario import (
 )
 from navrisk.simulate import RunConfig, run_simulation
 
-from oracles import static_actor, walk_enumerate, world_to_positions
+from oracles import (
+    reference_grow_tree,
+    static_actor,
+    walk_enumerate,
+    world_to_positions,
+)
 
 DT = 0.1
 ROAD3 = RoadMap(3, 3.5, 300.0, 15.0)
@@ -530,8 +538,7 @@ def case_study_worlds():
         cfg = PlannerConfig(iteration_budget=300, seed=1000 + t,
                             goal=GoalSpec(k * s.dt * speed,
                                           s.map.lane_of(ego.position_y)),
-                            target_speed=speed,
-                            sample_advance=k * s.dt * speed)
+                            target_speed=speed)
         yield s.map, world, ego, t, k, cfg, dict(s.actor_radius)
 
 
@@ -554,13 +561,16 @@ def loo_cases():
 
 
 def replanned_gammas(road, world, ego, t, k, cfg, radii):
-    """Independent reference: route and plan the full world and every
-    one-actor ablation from scratch with plan_sampling."""
+    """Independent reference: grow a tree for the full world and for every
+    one-actor ablation from scratch with the numpy reference growth, and
+    plan each toward its own routed goal."""
     def plan(w):
+        obs, rsum = world_arrays(w, radii, 1.2, t, k)
+        goal = _goal_point(road, ego, route_goal(cfg, w, ego, road), 1.2)
         try:
-            return plan_sampling(road, ego, t, k, w,
-                                 route_planner_cfg(cfg, w, ego, road),
-                                 radii)
+            tree, _ = reference_grow_tree(road, ego, k, obs, rsum, cfg, 1.2,
+                                          DT)
+            return _select_endpoint(tree, goal, obs, rsum, road, t, k, DT)
         except PlanningInfeasible:
             return None
 
@@ -580,19 +590,20 @@ def replanned_gammas(road, world, ego, t, k, cfg, radii):
 
 class TestLeaveOneOut:
     def test_equals_independent_replans(self, monkeypatch):
-        planned = []   # worlds leave_one_out grows from scratch
+        grown_obs = []   # obstacle rows of every tree leave_one_out grows
+        grow = planner._grow_tree
 
-        def counted(road, ego, t, k, w, *args, **kw):
-            planned.append(set(w))
-            return plan_sampling(road, ego, t, k, w, *args, **kw)
+        def counted(road, ego, k, obs, *args, **kw):
+            grown_obs.append(obs)
+            return grow(road, ego, k, obs, *args, **kw)
 
-        monkeypatch.setattr(risk, "plan_sampling", counted)
+        monkeypatch.setattr(risk, "_grow_tree", counted)
         regrown, reused = set(), set()
         moved = enclosed = 0
         for n, (road, world, ego, t, k, cfg, radii) in enumerate(loo_cases()):
             full_ref, ref = replanned_gammas(road, world, ego, t, k, cfg,
                                              radii)
-            planned.clear()
+            grown_obs.clear()
             plan_full, gammas = leave_one_out(world, ego, t, k, cfg,
                                               road=road, radii=radii,
                                               route=True)
@@ -605,7 +616,13 @@ class TestLeaveOneOut:
                     full_ref.trajectory.xy.tolist()
             if "ghost" in world:
                 assert gammas["ghost"] == (0.0, False)
-            grown = {(n, *(set(world) - w)) for w in planned}
+            # a re-grown ablation lacks the removed actor's obstacle row
+            full_obs, _ = world_arrays(world, radii, 1.2, t, k)
+            grown = set()
+            for obs in grown_obs:
+                rows = {o.tobytes() for o in obs}
+                grown |= {(n, aid) for aid, o in zip(world, full_obs)
+                          if o.tobytes() not in rows}
             regrown |= grown
             reused |= {(n, aid) for aid in world} - grown
             moved += sum(g > 0.0 for g, _ in gammas.values())

@@ -92,6 +92,10 @@ class TestRunConfig:
         ({"noise_yawrate": -1.0}, "noise sigmas"),
         ({"noise_accel": float("nan")}, "noise sigmas"),
         ({"noise_yawrate": float("inf")}, "noise sigmas"),
+        # every tick would skip a lattice of another horizon, leaving
+        # gamma_kl and rho_exact blank
+        ({"operators": ("euclid", "kl", "exact"),
+          "lattice": LatticeConfig(2, ("keep",), 5)}, "horizon is 40"),
     ])
     def test_out_of_range_options_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -103,11 +107,10 @@ class TestRunConfig:
             "seed", "horizon", "replan_every", "samples", "noise_accel",
             "noise_yawrate", "operators", "lattice", "iteration_budget"]
 
-    def test_planner_config_five_settable_values(self):
+    def test_planner_config_four_settable_values(self):
         from dataclasses import fields
         assert [f.name for f in fields(PlannerConfig)] == [
-            "iteration_budget", "seed", "goal", "target_speed",
-            "sample_advance"]
+            "iteration_budget", "seed", "goal", "target_speed"]
 
     def test_lattice_config_three_settable_values(self):
         from dataclasses import fields
