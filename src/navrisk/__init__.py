@@ -29,6 +29,7 @@ from .risk import (
     expected_actor_risk,
     leave_one_out,
     min_risk_selection,
+    monte_carlo_importance,
     plan_divergence_kl,
     total_risk_exact,
     traj_difference_euclidean,

@@ -148,6 +148,7 @@ def cmd_oracle(args) -> int:
         raise ValueError("--k must be divisible by --steps")
     maneuvers = tuple(m.strip() for m in args.maneuvers.split(",") if m)
     lattice = LatticeConfig(args.steps, maneuvers, args.k // args.steps)
+    check_cap(lattice, source="--steps")
     scenario = _read_scenario(args.scenario)
     if not 0 <= args.t <= scenario.horizon_ticks - args.k:
         raise ValueError(f"--t and --k must keep the window inside the "

@@ -12,7 +12,7 @@ Three layers:
   with a per-waypoint Euclidean operator or a KL divergence over lattice
   plan distributions;
 * Monte-Carlo risk: the same importance evaluated across sampled futures,
-  reported as sample mean and unbiased variance.
+  reported as sample mean and unbiased variance (monte_carlo_importance).
 
 Ablating one of two actors that redundantly block the same plans changes
 nothing, so per-actor risks are not additive and may all be zero while the
@@ -391,39 +391,48 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
                          route=route, actor_ids=(actor_id,))[1][actor_id][0]
 
 
+def monte_carlo_importance(worlds: Sequence[Mapping[str, Trajectory]],
+                           ego: ActorState, t: int, k: int,
+                           cfg: PlannerConfig, *, road: RoadMap,
+                           radii: Mapping[str, float],
+                           ego_radius: float = 1.2, dt: float = 0.1,
+                           route: bool = False,
+                           actor_ids: Optional[Sequence[str]] = None
+                           ) -> dict[str, tuple[float, float]]:
+    """Sample mean and unbiased variance of each gamma of leave_one_out
+    (of actor_ids, all actors by default) over the sampled worlds, every
+    one planned under cfg, so each sample is a paired experiment."""
+    if not worlds:
+        raise ScenarioError("no sampled worlds")
+    runs = []
+    for j, w in enumerate(worlds):
+        try:
+            runs.append(leave_one_out(
+                w, ego, t, k, cfg, road=road, radii=radii,
+                ego_radius=ego_radius, dt=dt, route=route,
+                actor_ids=actor_ids)[1])
+        except ScenarioError as e:
+            raise type(e)(f"sample {j}: {e}") from e
+    return {aid: mean_and_variance([r[aid][0] for r in runs])
+            for aid in runs[0]}
+
+
 def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,
                         ego: ActorState, t: int, k: int,
                         pred_cfg: PredictionConfig,
-                        planner_cfg: PlannerConfig,
-                        operator: str = "euclid", *,
+                        planner_cfg: PlannerConfig, *,
                         road: RoadMap, radii: Mapping[str, float],
                         ego_radius: float = 1.2, dt: float = 0.1,
-                        lattice: Optional[LatticeConfig] = None,
                         route: bool = False,
                         sampler: Optional[Callable] = None
                         ) -> tuple[float, float]:
-    """Sample mean and unbiased variance of the importance over joint
-    prediction samples.
-
-    Worlds are drawn by `sampler(histories, k, pred_cfg)` (default: the
-    keyed Gaussian stream of sample_predictions) and evaluated with the
-    planner seed held fixed, so sample j of the full and ablated worlds is
-    a paired experiment.
-    """
-    draw = sampler if sampler is not None else sample_worlds
-    worlds = draw(histories, k, pred_cfg)
-    if not worlds:
-        raise ScenarioError("sampler produced no worlds")
-    gammas = []
-    for j, w in enumerate(worlds):
-        try:
-            gammas.append(actor_importance(
-                w, actor_id, ego, t, k, planner_cfg, operator, road=road,
-                radii=radii, ego_radius=ego_radius, dt=dt, lattice=lattice,
-                route=route))
-        except ScenarioError as e:
-            raise type(e)(f"sample {j}: {e}") from e
-    return mean_and_variance(gammas)
+    """One actor's entry of monte_carlo_importance over the worlds drawn
+    by `sampler(histories, k, pred_cfg)` (default: the keyed Gaussian
+    stream of sample_predictions)."""
+    return monte_carlo_importance(
+        (sampler or sample_worlds)(histories, k, pred_cfg), ego, t, k,
+        planner_cfg, road=road, radii=radii, ego_radius=ego_radius, dt=dt,
+        route=route, actor_ids=(actor_id,))[actor_id]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ EGO_ID = "ego"
 
 SCENARIO_FORMAT_VERSION = 1
 MAX_SCRIPT_TICKS = 200_000   # run_phase_script: longest wait for a trigger
+KINEMATIC_TOLERANCE = 0.2    # check_kinematics: allowed fractional deviation
 
 
 class ScenarioError(ValueError):
@@ -109,22 +110,23 @@ class Trajectory:
         i = t - self.start_tick
         return Trajectory(self.actor_id, t, self.dt, self.states[i:i + k + 1])
 
-    def check_kinematics(self, tolerance: float = 0.2) -> None:
+    def check_kinematics(self) -> None:
         """Verify per-tick displacement against the stored speed midpoint.
 
-        The implied speed |dp|/dt must stay within `tolerance` (fraction) of
-        the midpoint of the two stored speeds; an absolute slack of 1e-9
-        covers standstill states.
+        The implied speed |dp|/dt must stay within KINEMATIC_TOLERANCE
+        (fraction) of the midpoint of the two stored speeds; an absolute
+        slack of 1e-9 covers standstill states.
         """
         for i in range(len(self.states) - 1):
             a, b = self.states[i], self.states[i + 1]
             implied = math.dist(a.xy, b.xy) / self.dt
             mid = 0.5 * (a.speed + b.speed)
-            if abs(implied - mid) > tolerance * mid + 1e-9:
+            if abs(implied - mid) > KINEMATIC_TOLERANCE * mid + 1e-9:
                 raise ScenarioError(
                     f"actor {self.actor_id!r}: implied speed {implied:.4f} at "
                     f"tick {self.start_tick + i} deviates from stored "
-                    f"midpoint {mid:.4f} by more than {tolerance:.0%}")
+                    f"midpoint {mid:.4f} by more than "
+                    f"{KINEMATIC_TOLERANCE:.0%}")
 
 
 @dataclass(frozen=True)
@@ -404,6 +406,15 @@ def run_phase_script(
 # Case study generation
 # ---------------------------------------------------------------------------
 
+CASE_STUDY_ROAD = RoadMap(3, 3.5, 900.0, 14.0)
+EGO_X = 40.0                # the ego's start along the road
+ACTOR_RADIUS = 1.2          # of the ego and of every npc
+# start offsets ahead of the ego; near's and far's are CaseStudyParams fields
+LEAD_OFFSET, CUTIN_OFFSET, REAR_OFFSET, OUTER_OFFSET = 18.0, -4.0, -14.0, 19.0
+MERGER = "cutin"            # changes lanes at s3 and brakes at s5
+SETTLE_EPS = 0.05           # s1 ends once every speed is this near its target
+
+
 @dataclass(frozen=True)
 class CaseStudyParams:
     """Parameters of the five-phase cut-in-and-brake case study.
@@ -418,69 +429,60 @@ class CaseStudyParams:
     """
 
     dt: float = 0.1
-    lane_count: int = 3
-    lane_width: float = 3.5
-    road_length: float = 900.0
-    speed_limit: float = 14.0
 
     ego_lane: int = 1
-    ego_x: float = 40.0
     ego_speed: float = 10.0       # planner target; traffic paces it down
-    ego_radius: float = 1.2
-    npc_radius: float = 1.2
 
     accel: float = 1.5
     init_speed_factor: float = 0.6   # npcs start at this fraction of target
 
-    # per-actor (start offset ahead of ego, cruise target speed)
-    lead_offset: float = 18.0
+    # per-actor cruise target speed, and start offset ahead of the ego for
+    # the two left-lane candidates
     lead_speed: float = 5.5
     lead_slow_speed: Optional[float] = 4.8  # lead compresses from s3 onward
-    cutin_offset: float = -4.0
     cutin_speed: float = 6.5
     cutin_merge_speed: Optional[float] = 4.0  # None: merge without slowing
     near_offset: float = 17.0
     near_speed: float = 5.5
     far_offset: float = 23.0
     far_speed: float = 5.5
-    rear_offset: float = -14.0
     rear_speed: float = 5.5
-    outer_offset: float = 19.0
     outer_speed: float = 5.5
 
-    lane_change_actor: str = "cutin"
     lane_change_duration: float = 3.0
     # braking rate of the cutin actor at s5; 0 keeps a degenerate
     # constant-speed s5, None drops the phase entirely
     brake_decel: Optional[float] = 2.7
 
-    settle_eps: float = 0.05
     steady_ticks: int = 150         # s2 duration
     steady2_ticks: int = 150        # s4 duration
     tail_ticks: int = 45            # run-out after the braking actor stops
 
     def __post_init__(self):
-        # every number finite; speeds and tick counts (the *_speed and
-        # *_ticks fields) >= 0; dt > 0
+        # every number finite; every field but the start offsets >= 0, and
+        # dt, accel and lane_change_duration > 0
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, (int, float)) and not math.isfinite(value):
+            if value is None:
+                continue
+            if not math.isfinite(value):
                 raise ScenarioError(f"{f.name}: must be finite, got {value!r}")
-            if f.name.endswith(("_speed", "_ticks")) and value is not None \
-                    and value < 0:
+            if value <= 0 and f.name in ("dt", "accel",
+                                         "lane_change_duration"):
+                raise ScenarioError(f"{f.name}: must be positive, got "
+                                    f"{value!r}")
+            if value < 0 and not f.name.endswith("_offset"):
                 raise ScenarioError(f"{f.name}: must be >= 0, got {value!r}")
-        if self.dt <= 0:
-            raise ScenarioError(f"dt: must be positive, got {self.dt!r}")
 
     def actor_table(self) -> dict[str, tuple[int, float, float]]:
-        """actor_id -> (lane, start offset from ego_x, target speed)."""
+        """actor_id -> (lane, start offset from EGO_X, target speed)."""
         return {
-            "lead": (self.ego_lane, self.lead_offset, self.lead_speed),
-            "cutin": (self.ego_lane - 1, self.cutin_offset, self.cutin_speed),
+            "lead": (self.ego_lane, LEAD_OFFSET, self.lead_speed),
+            "cutin": (self.ego_lane - 1, CUTIN_OFFSET, self.cutin_speed),
             "near": (self.ego_lane + 1, self.near_offset, self.near_speed),
             "far": (self.ego_lane + 1, self.far_offset, self.far_speed),
-            "rear": (self.ego_lane - 1, self.rear_offset, self.rear_speed),
-            "outer": (self.ego_lane - 1, self.outer_offset, self.outer_speed),
+            "rear": (self.ego_lane - 1, REAR_OFFSET, self.rear_speed),
+            "outer": (self.ego_lane - 1, OUTER_OFFSET, self.outer_speed),
         }
 
 
@@ -491,29 +493,20 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
     Replaying with identical params is bit-identical.  Raises ScenarioError
     (naming the offending actor) for infeasible params.
     """
-    road = RoadMap(params.lane_count, params.lane_width,
-                   params.road_length, params.speed_limit)
+    road = CASE_STUDY_ROAD
     table = params.actor_table()
 
-    for aid, (lane, _, speed) in table.items():
+    ego_row = (params.ego_lane, 0.0, params.ego_speed)
+    for aid, (lane, _, speed) in [*table.items(), (EGO_ID, ego_row)]:
         if not (0 <= lane < road.lane_count):
             raise ScenarioError(f"actor {aid!r}: lane {lane} does not exist")
         if speed > road.speed_limit + 1e-9:
             raise ScenarioError(
                 f"actor {aid!r}: target speed {speed} exceeds speed "
                 f"limit {road.speed_limit}")
-    merger = params.lane_change_actor
-    if merger not in table:
-        raise ScenarioError(f"unknown lane_change_actor {merger!r}")
-    if not (0 <= params.ego_lane < road.lane_count):
-        raise ScenarioError(f"ego lane {params.ego_lane} does not exist")
-    if params.ego_speed > road.speed_limit + 1e-9:
-        raise ScenarioError(
-            f"actor 'ego': target speed {params.ego_speed} exceeds speed "
-            f"limit {road.speed_limit}")
 
     initial = {
-        aid: ActorState(params.ego_x + off, road.lane_center(lane), 0.0,
+        aid: ActorState(EGO_X + off, road.lane_center(lane), 0.0,
                         params.init_speed_factor * speed)
         for aid, (lane, off, speed) in table.items()
     }
@@ -522,43 +515,37 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
         aid: ActorCommand(target_speed=speed, accel=params.accel)
         for aid, (_, _, speed) in table.items()
     }
-    merge_cmd = ActorCommand(
-        target_speed=(params.cutin_merge_speed
-                      if params.cutin_merge_speed is not None
-                      else table[merger][2]),
-        accel=params.accel,
-        target_lane=params.ego_lane,
-        lane_change_duration=params.lane_change_duration,
-    )
-    s3_cmds = {merger: merge_cmd}
-    if params.lead_slow_speed is not None and merger != "lead":
+    merge = params.cutin_merge_speed
+    s3_cmds = {MERGER: ActorCommand(
+        target_speed=params.cutin_speed if merge is None else merge,
+        accel=params.accel, target_lane=params.ego_lane,
+        lane_change_duration=params.lane_change_duration)}
+    if params.lead_slow_speed is not None:
         s3_cmds["lead"] = ActorCommand(target_speed=params.lead_slow_speed,
                                        accel=params.accel)
 
     phases = [
-        Phase("s1", ("speeds_settled", params.settle_eps), cruise),
+        Phase("s1", ("speeds_settled", SETTLE_EPS), cruise),
         Phase("s2", ("ticks", params.steady_ticks)),
-        Phase("s3", ("lane_settled", merger), s3_cmds),
+        Phase("s3", ("lane_settled", MERGER), s3_cmds),
         Phase("s4", ("ticks", params.steady2_ticks)),
     ]
-    if params.brake_decel is None:
-        pass  # no braking phase at all
-    elif params.brake_decel <= 0.0:
+    # brake_decel None: no braking phase at all
+    if params.brake_decel == 0.0:
         # degenerate brake: keep cruising through s5 for a fixed run-out
         phases.append(Phase("s5", ("ticks", params.steady2_ticks)))
-    else:
+    elif params.brake_decel is not None:
         phases.append(Phase(
-            "s5", ("stopped", merger),
-            {merger: ActorCommand(target_speed=0.0,
+            "s5", ("stopped", MERGER),
+            {MERGER: ActorCommand(target_speed=0.0,
                                   decel=params.brake_decel)}))
 
     trajs, spans = run_phase_script(
         phases, initial, road, params.dt, tail_ticks=params.tail_ticks)
 
-    ego = ActorState(params.ego_x, road.lane_center(params.ego_lane),
+    ego = ActorState(EGO_X, road.lane_center(params.ego_lane),
                      0.0, params.ego_speed)
-    radii = {aid: params.npc_radius for aid in table}
-    radii[EGO_ID] = params.ego_radius
+    radii = {aid: ACTOR_RADIUS for aid in (*table, EGO_ID)}
     horizon = next(iter(trajs.values())).end_tick
     return Scenario(
         map=road,

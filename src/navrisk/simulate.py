@@ -30,7 +30,7 @@ from .risk import (
     all_actor_risk_exact,
     follow_advance,
     leave_one_out,
-    mean_and_variance,
+    monte_carlo_importance,
 )
 # bound here for perfbench/tracer.py, which wraps them in this module
 from .planner import plan_sampling  # noqa: F401
@@ -189,12 +189,9 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
                 rho_values = all_actor_risk_exact(
                     s, t, k_eff, lattice, ego=ego).per_actor
 
-        mc_stats = {}
-        if pcfg is not None:
-            runs = [leave_one_out(w, ego, t, k_eff, base_cfg, **env)[1]
-                    for w in sample_worlds(histories, k_eff, pcfg)]
-            mc_stats = {aid: mean_and_variance([r[aid][0] for r in runs])
-                        for aid in gammas}
+        mc_stats = monte_carlo_importance(
+            sample_worlds(histories, k_eff, pcfg), ego, t, k_eff, base_cfg,
+            **env) if pcfg is not None else {}
 
         err = {}
         if t + cfg.horizon <= s.horizon_ticks:   # then k_eff == horizon

@@ -278,7 +278,7 @@ def test_c5_monte_carlo_correctness():
     hists = {"a": moving_actor("a", 22.0, road.lane_center(1), 6.0, 5)}
     pcfg = PredictionConfig(0.0, 0.0, sample_count=6, seed=3)
     mean, var = expected_actor_risk(hists, "a", ego, 5, 20, pcfg, cfg,
-                                    "euclid", road=road, radii={"a": 1.2},
+                                    road=road, radii={"a": 1.2},
                                     route=True)
     det = actor_importance({"a": predict_linear(hists["a"], 20)}, "a", ego,
                            5, 20, cfg, "euclid", road=road,
@@ -306,7 +306,7 @@ def test_c5_monte_carlo_correctness():
 
     pcfg = PredictionConfig(0.0, 0.0, sample_count=n, seed=77)
     mean, var = expected_actor_risk(
-        hists, "a", ego, 5, k, pcfg, cfg, "euclid", road=road,
+        hists, "a", ego, 5, k, pcfg, cfg, road=road,
         radii={"a": 1.2}, route=True, sampler=sampler)
     g_b = actor_importance({"a": brake}, "a", ego, 5, k, cfg, "euclid",
                            road=road, radii={"a": 1.2}, route=True)

@@ -45,6 +45,8 @@ class TestCasestudyCommand:
         ("--lane-change-duration", "inf", "lane_change_duration"),
         ("--ego-speed", "nan", "ego_speed"),
         ("--ego-speed", "-1", "ego_speed"),
+        ("--lane-change-duration", "-5", "lane_change_duration"),
+        ("--brake-decel", "-1", "brake_decel"),
     ])
     def test_bad_params_exit_3_names_field(self, tmp_path, capsys, flag,
                                            value, field):
@@ -100,11 +102,12 @@ class TestOracleCommand:
         assert len(out) == 2  # header + total row, no actor rows
         assert float(out[1].split(",")[4]) == 0.0
 
-    def test_cap_exceeded_exit_5(self, tmp_path, casestudy_path):
+    def test_cap_exceeded_exit_5(self, tmp_path, casestudy_path, capsys):
         assert main(["oracle", "--scenario", str(casestudy_path),
                      "--k", "40", "--steps", "40",
                      "--maneuvers",
                      "keep,shift_left,shift_right,brake,accelerate"]) == 5
+        assert "--steps" in capsys.readouterr().err
 
     def test_degenerate_universe_exit_4(self, tmp_path):
         # single-lane road with a shift-only lattice: nothing is in-bounds

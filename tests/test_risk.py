@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from navrisk.planner import (
     plan_sampling,
     world_arrays,
 )
-from navrisk.prediction import PredictionConfig, predict_linear
+from navrisk.prediction import PredictionConfig, predict_linear, \
+    sample_worlds
 from navrisk.risk import (
     LatticeCapExceeded,
     PlanDistribution,
@@ -29,6 +31,7 @@ from navrisk.risk import (
     leave_one_out,
     mean_and_variance,
     min_risk_selection,
+    monte_carlo_importance,
     plan_divergence_kl,
     route_goal,
     total_risk_exact,
@@ -655,7 +658,7 @@ class TestExpectedRisk:
         pcfg = PredictionConfig(0.0, 0.0, sample_count=4, seed=2)
         cfg = importance_cfg()
         mean, var = expected_actor_risk(
-            hists, "a", ego, 5, 30, pcfg, cfg, "euclid",
+            hists, "a", ego, 5, 30, pcfg, cfg,
             road=ROAD3, radii={"a": 1.2})
         from navrisk.prediction import predict_linear
         det = actor_importance(
@@ -691,7 +694,7 @@ class TestExpectedRisk:
         hists = {"a": moving_actor("a", 22.0, ROAD3.lane_center(1), 7.0, 5)}
         pcfg = PredictionConfig(0.0, 0.0, sample_count=n, seed=77)
         mean, var = expected_actor_risk(
-            hists, "a", ego, 5, k, pcfg, cfg, "euclid",
+            hists, "a", ego, 5, k, pcfg, cfg,
             road=ROAD3, radii={"a": 1.2}, route=True, sampler=sampler)
         g_b = actor_importance({"a": brake}, "a", ego, 5, k, cfg, "euclid",
                                road=ROAD3, radii={"a": 1.2}, route=True)
@@ -702,6 +705,41 @@ class TestExpectedRisk:
         assert abs(mean - oracle) <= 3 * se + 1e-12
         assert var >= 0.0
         assert mean >= 0.0
+
+
+class TestMonteCarloImportance:
+    def test_equals_expected_actor_risk(self):
+        # sampled futures of three case-study ticks: every actor's entry is
+        # its expected_actor_risk, which draws the same worlds
+        pcfg = PredictionConfig(0.35, 0.02, sample_count=2, seed=5)
+        for road, world, ego, t, k, cfg, radii in islice(case_study_worlds(),
+                                                         3):
+            hists = {aid: Trajectory(aid, t, tr.dt, tr.states[:1])
+                     for aid, tr in world.items()}
+            env = dict(road=road, radii=radii, ego_radius=radii[EGO_ID],
+                       dt=DT, route=True)
+            got = monte_carlo_importance(sample_worlds(hists, k, pcfg), ego,
+                                         t, k, cfg, **env)
+            assert list(got) == list(world)
+            for aid in world:
+                assert got[aid] == expected_actor_risk(
+                    hists, aid, ego, t, k, pcfg, cfg, **env)
+
+    def test_no_worlds_rejected(self):
+        ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
+        with pytest.raises(ScenarioError, match="no sampled worlds"):
+            monte_carlo_importance([], ego, 0, 30, importance_cfg(),
+                                   road=ROAD3, radii={})
+
+    def test_error_names_the_sample(self):
+        ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
+        good = {"a": moving_actor("a", 25.0, ROAD3.lane_center(1), 6.0, 30)}
+        short = {"a": moving_actor("a", 25.0, ROAD3.lane_center(1), 6.0, 20)}
+        with pytest.raises(ScenarioError,
+                           match=r"^sample 1: world actor 'a' spans"):
+            monte_carlo_importance([good, short], ego, 0, 30,
+                                   importance_cfg(), road=ROAD3,
+                                   radii={"a": 1.2})
 
 
 class TestMinRiskSelection:

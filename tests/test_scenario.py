@@ -195,7 +195,7 @@ class TestCaseStudy:
         p = CaseStudyParams(brake_decel=0.0)
         s = generate_case_study(p)
         s5 = next(ph for ph in s.phases if ph.name == "s5")
-        mover = s.npc_trajectories[p.lane_change_actor]
+        mover = s.npc_trajectories["cutin"]
         seg = mover.speeds[s5.start_tick:s5.end_tick + 1]
         assert np.all(np.abs(seg - seg[0]) < 1e-9)
 
@@ -208,6 +208,23 @@ class TestCaseStudy:
         p = CaseStudyParams(lead_speed=99.0)
         with pytest.raises(ScenarioError, match="lead"):
             generate_case_study(p)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("accel", 0.0, "accel: must be positive"),   # s1 never settled
+        ("init_speed_factor", -0.5, "init_speed_factor: must be >= 0"),
+    ])
+    def test_out_of_contract_params_name_field(self, field, value, message):
+        with pytest.raises(ScenarioError, match=message):
+            CaseStudyParams(**{field: value})
+
+    def test_case_study_params_settable_fields(self):
+        from dataclasses import fields
+        assert [f.name for f in fields(CaseStudyParams)] == [
+            "dt", "ego_lane", "ego_speed", "accel", "init_speed_factor",
+            "lead_speed", "lead_slow_speed", "cutin_speed",
+            "cutin_merge_speed", "near_offset", "near_speed", "far_offset",
+            "far_speed", "rear_speed", "outer_speed", "lane_change_duration",
+            "brake_decel", "steady_ticks", "steady2_ticks", "tail_ticks"]
 
     def test_phase_boundaries_near_reference_timing(self):
         # with dt/speeds tuned, event-triggered boundaries land near
