@@ -4,8 +4,10 @@ enumerate_plans realizes the trajectory-set semantics exactly at small
 scale: every maneuver sequence on a lattice (keep / shift_left /
 shift_right / brake / accelerate per decision step) is rendered and
 filtered against road bounds, the speed limit and, when a world is given,
-collisions.  plan_sampling is a budgeted rewiring sampling planner over
-(x, y) standing in for a generic single-trajectory planner.
+collisions.  The render goes level by level, each in-bounds prefix once,
+with every float equal to a per-sequence render (see lattice_blockers).
+plan_sampling is a budgeted rewiring sampling planner over (x, y)
+standing in for a generic single-trajectory planner.
 
 plan_sampling draws its entire sample stream from cfg.seed alone before
 growing the tree; acceptance or rejection of a candidate never consumes
@@ -36,12 +38,11 @@ bit-identical to an all-numpy growth.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -204,45 +205,6 @@ def _plan_cost(traj: Trajectory, road: RoadMap,
 # Maneuver lattice
 # ---------------------------------------------------------------------------
 
-def _render_lattice(seq: Sequence[str], road: RoadMap, ego: ActorState,
-                    lattice: LatticeConfig, dt: float):
-    """Render a maneuver sequence to (xs, ys, vs) columns, or None if it
-    leaves the road or exceeds the speed limit.  Positions integrate
-    trapezoidally; lateral shifts follow a cosine ramp across the step."""
-    m = lattice.ticks_per_step
-    lane = road.lane_of(ego.position_y)
-    y = ego.position_y
-    v = ego.speed
-    xs = [ego.position_x]
-    ys = [y]
-    vs = [v]
-    for man in seq:
-        v_end = v
-        y_end = y
-        if man == "shift_left":
-            lane += 1
-        elif man == "shift_right":
-            lane -= 1
-        elif man == "brake":
-            v_end = max(0.0, v - SPEED_STEP)
-        elif man == "accelerate":
-            v_end = v + SPEED_STEP
-        if not (0 <= lane < road.lane_count):
-            return None
-        if v_end > road.speed_limit + 1e-9:
-            return None
-        if man in ("shift_left", "shift_right"):
-            y_end = road.lane_center(lane)
-        for i in range(1, m + 1):
-            v_i = v + (v_end - v) * i / m
-            xs.append(xs[-1] + 0.5 * (vs[-1] + v_i) * dt)
-            tau = i / m
-            ys.append(y + (y_end - y) * 0.5 * (1 - math.cos(math.pi * tau)))
-            vs.append(v_i)
-        v, y = v_end, y_end
-    return xs, ys, vs
-
-
 def _states_from_columns(xs, ys, vs) -> tuple[ActorState, ...]:
     n = len(xs)
     out = []
@@ -271,20 +233,67 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
     order, their (U, 3, k+1) array of (xs, ys, vs) columns, and the (U, m)
     blocker matrix: [u, j] is True iff plan u collides with the j-th actor
     of world.  Every exact plan count of the window reduces this matrix.
+
+    The render goes level by level: level d holds every in-bounds d-step
+    prefix, each extended by every maneuver, prefix-major in sorted
+    maneuver order, so the survivors come out in product order.  A prefix
+    that leaves the road or exceeds the speed limit is dropped once, with
+    all its extensions.  Each step applies the per-sequence scalar
+    operations elementwise in the same order: v + ((v_end - v) * i) / m,
+    trapezoidal x tick by tick, and y + (y_end - y) * 0.5 * c_i with the
+    m factors c_i from math.cos; so every column is bit-identical to a
+    sequence rendered alone (tests/oracles.walk_render).
     """
     if lattice.horizon != k:
         raise ScenarioError(
             f"lattice covers {lattice.horizon} ticks but horizon k = {k}")
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
-    seqs, cols = [], []
-    for seq in itertools.product(lattice.maneuvers,
-                                 repeat=lattice.decision_steps):
-        c = _render_lattice(seq, road, ego, lattice, dt)
-        if c is not None:
-            seqs.append(seq)
-            cols.append(np.array(c))
-    cols = np.array(cols).reshape(len(seqs), 3, k + 1)
+    names, m = lattice.maneuvers, lattice.ticks_per_step
+    shift = np.array([{"shift_left": 1, "shift_right": -1}.get(n, 0)
+                      for n in names])
+    accel = np.array([n == "accelerate" for n in names])
+    brake = np.array([n == "brake" for n in names])
+    centers = np.array([road.lane_center(i) for i in range(road.lane_count)])
+    ramp = np.array([1 - math.cos(math.pi * (i / m)) for i in range(1, m + 1)])
+    # each prefix's last rendered x and v, and the (y, v, lane) the next
+    # step starts from: the last step's targets, not its last rendered tick
+    x, v_col, y, v = (np.array([f], dtype=float) for f in (
+        ego.position_x, ego.speed, ego.position_y, ego.speed))
+    lane = np.array([road.lane_of(ego.position_y)])
+    levels = []   # per level: (parent index, maneuver index, (P, 3, m) cols)
+    for _ in range(lattice.decision_steps):
+        parent = np.repeat(np.arange(len(x)), len(names))
+        man = np.tile(np.arange(len(names)), len(x))
+        lane_end = lane[parent] + shift[man]
+        v0 = v[parent]
+        v_end = np.where(accel[man], v0 + SPEED_STEP, np.where(
+            brake[man], np.maximum(0.0, v0 - SPEED_STEP), v0))
+        ok = (lane_end >= 0) & (lane_end < road.lane_count) & \
+            ~(v_end > road.speed_limit + 1e-9)
+        parent, man, lane, v0, v = (a[ok] for a in (
+            parent, man, lane_end, v0, v_end))
+        y0 = y[parent]
+        y = np.where(shift[man] != 0, centers[lane], y0)
+        vs = v0[:, None] + ((v - v0)[:, None] * np.arange(1, m + 1)) / m
+        ys = y0[:, None] + ((y - y0) * 0.5)[:, None] * ramp
+        xs = np.empty_like(vs)
+        x, v_col = x[parent], v_col[parent]
+        for i in range(m):
+            x = x + 0.5 * (v_col + vs[:, i]) * dt
+            xs[:, i], v_col = x, vs[:, i]
+        levels.append((parent, man, np.stack((xs, ys, vs), axis=1)))
+    # gather each survivor's columns and maneuvers up its parent chain
+    cols = np.empty((len(x), 3, k + 1))
+    cols[:, :, 0] = (ego.position_x, ego.position_y, ego.speed)
+    seq_idx = np.empty((len(x), lattice.decision_steps), dtype=int)
+    row = np.arange(len(x))
+    for d in range(lattice.decision_steps - 1, -1, -1):
+        parent, man, lvl = levels[d]
+        cols[:, :, 1 + d * m:1 + (d + 1) * m] = lvl[row]
+        seq_idx[:, d] = man[row]
+        row = parent[row]
+    seqs = list(map(tuple, np.array(names, dtype=object)[seq_idx].tolist()))
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     xy = cols[:, :2].transpose(0, 2, 1)   # (U, k+1, 2) view of xs, ys
     blockers = np.empty((len(seqs), len(rsum)), dtype=bool)

@@ -408,6 +408,7 @@ def run_phase_script(
 
 CASE_STUDY_ROAD = RoadMap(3, 3.5, 900.0, 14.0)
 EGO_X = 40.0                # the ego's start along the road
+EGO_LANE = 1                # the middle lane: actors flank it on both sides
 ACTOR_RADIUS = 1.2          # of the ego and of every npc
 # start offsets ahead of the ego; near's and far's are CaseStudyParams fields
 LEAD_OFFSET, CUTIN_OFFSET, REAR_OFFSET, OUTER_OFFSET = 18.0, -4.0, -14.0, 19.0
@@ -430,7 +431,6 @@ class CaseStudyParams:
 
     dt: float = 0.1
 
-    ego_lane: int = 1
     ego_speed: float = 10.0       # planner target; traffic paces it down
 
     accel: float = 1.5
@@ -477,12 +477,12 @@ class CaseStudyParams:
     def actor_table(self) -> dict[str, tuple[int, float, float]]:
         """actor_id -> (lane, start offset from EGO_X, target speed)."""
         return {
-            "lead": (self.ego_lane, LEAD_OFFSET, self.lead_speed),
-            "cutin": (self.ego_lane - 1, CUTIN_OFFSET, self.cutin_speed),
-            "near": (self.ego_lane + 1, self.near_offset, self.near_speed),
-            "far": (self.ego_lane + 1, self.far_offset, self.far_speed),
-            "rear": (self.ego_lane - 1, REAR_OFFSET, self.rear_speed),
-            "outer": (self.ego_lane - 1, OUTER_OFFSET, self.outer_speed),
+            "lead": (EGO_LANE, LEAD_OFFSET, self.lead_speed),
+            "cutin": (EGO_LANE - 1, CUTIN_OFFSET, self.cutin_speed),
+            "near": (EGO_LANE + 1, self.near_offset, self.near_speed),
+            "far": (EGO_LANE + 1, self.far_offset, self.far_speed),
+            "rear": (EGO_LANE - 1, REAR_OFFSET, self.rear_speed),
+            "outer": (EGO_LANE - 1, OUTER_OFFSET, self.outer_speed),
         }
 
 
@@ -496,13 +496,17 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
     road = CASE_STUDY_ROAD
     table = params.actor_table()
 
-    ego_row = (params.ego_lane, 0.0, params.ego_speed)
-    for aid, (lane, _, speed) in [*table.items(), (EGO_ID, ego_row)]:
-        if not (0 <= lane < road.lane_count):
-            raise ScenarioError(f"actor {aid!r}: lane {lane} does not exist")
+    ego_row = (EGO_LANE, 0.0, params.ego_speed)
+    for aid, (_, _, speed) in [*table.items(), (EGO_ID, ego_row)]:
         if speed > road.speed_limit + 1e-9:
             raise ScenarioError(
                 f"actor {aid!r}: target speed {speed} exceeds speed "
+                f"limit {road.speed_limit}")
+        if aid != EGO_ID and \
+                params.init_speed_factor * speed > road.speed_limit + 1e-9:
+            raise ScenarioError(
+                f"actor {aid!r}: start speed init_speed_factor "
+                f"{params.init_speed_factor} x {speed} exceeds speed "
                 f"limit {road.speed_limit}")
 
     initial = {
@@ -518,7 +522,7 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
     merge = params.cutin_merge_speed
     s3_cmds = {MERGER: ActorCommand(
         target_speed=params.cutin_speed if merge is None else merge,
-        accel=params.accel, target_lane=params.ego_lane,
+        accel=params.accel, target_lane=EGO_LANE,
         lane_change_duration=params.lane_change_duration)}
     if params.lead_slow_speed is not None:
         s3_cmds["lead"] = ActorCommand(target_speed=params.lead_slow_speed,
@@ -543,7 +547,7 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
     trajs, spans = run_phase_script(
         phases, initial, road, params.dt, tail_ticks=params.tail_ticks)
 
-    ego = ActorState(EGO_X, road.lane_center(params.ego_lane),
+    ego = ActorState(EGO_X, road.lane_center(EGO_LANE),
                      0.0, params.ego_speed)
     radii = {aid: ACTOR_RADIUS for aid in (*table, EGO_ID)}
     horizon = next(iter(trajs.values())).end_tick

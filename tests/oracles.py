@@ -5,6 +5,11 @@ machinery: recursive graph walks instead of itertools products, plain
 float loops instead of numpy, so that the production code is checked
 against a second implementation of the same contracts.
 
+walk_render renders one maneuver sequence at a time with the scalar
+float expressions that planner.lattice_blockers applies level by level
+to whole arrays of prefixes; it is the == reference for that render:
+the same sequences, and columns equal to the last bit.
+
 The one exception is the sampling planner's tree growth:
 reference_grow_tree and reference_edge_blockers keep the earlier
 all-numpy growth, against which planner._grow_tree, whose growth loop
@@ -56,9 +61,10 @@ def lane_walks(lane_count, start_lane, steps, allow_keep=True,
 def walk_render(seq, road, ego, tps, speed_step, dt):
     """Plain-python rendering of one maneuver sequence.
 
-    Returns (positions, ok) where ok is False for out-of-bounds or
-    over-limit sequences.  Mirrors the production contract: cosine lateral
-    ramps between lane centers, trapezoidal longitudinal integration.
+    Returns (positions, speeds, ok) where ok is False for out-of-bounds
+    or over-limit sequences.  Mirrors the production contract: cosine
+    lateral ramps between lane centers, trapezoidal longitudinal
+    integration.
     """
     lane = int(min(max(ego.position_y // road.lane_width, 0),
                    road.lane_count - 1))
@@ -79,9 +85,9 @@ def walk_render(seq, road, ego, tps, speed_step, dt):
         elif man == "accelerate":
             v_end = v + speed_step
         if lane < 0 or lane >= road.lane_count:
-            return None, False
+            return None, None, False
         if v_end > road.speed_limit + 1e-9:
-            return None, False
+            return None, None, False
         if man in ("shift_left", "shift_right"):
             y_end = (lane + 0.5) * road.lane_width
         for i in range(1, tps + 1):
@@ -92,7 +98,7 @@ def walk_render(seq, road, ego, tps, speed_step, dt):
             pos.append((x, yy))
             vs.append(v_i)
         v, y = v_end, y_end
-    return pos, True
+    return pos, vs, True
 
 
 def walk_enumerate(road, ego, steps, maneuvers, tps, speed_step, dt,
@@ -118,7 +124,7 @@ def walk_enumerate(road, ego, steps, maneuvers, tps, speed_step, dt,
     universe = 0
     survivors = set()
     for seq in sequences:
-        pos, ok = walk_render(seq, road, ego, tps, speed_step, dt)
+        pos, _, ok = walk_render(seq, road, ego, tps, speed_step, dt)
         if not ok:
             continue
         universe += 1

@@ -1,0 +1,170 @@
+"""The lattice's exactness claims as properties on generated windows.
+
+planner.lattice_blockers renders the maneuver lattice level by level,
+sharing every in-bounds prefix, and reduces one (plans x actors) blocker
+matrix to every exact count of the window.  Both are checked here against
+the per-sequence oracles of tests/oracles.py: the render with == on
+every column float (walk_render), and the risk and KL reductions against
+the recursive walk enumeration (walk_enumerate).
+"""
+
+import itertools
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+
+from navrisk.planner import (
+    MANEUVERS,
+    SAFETY_MARGIN,
+    SPEED_STEP,
+    LatticeConfig,
+    lattice_blockers,
+)
+from navrisk.risk import (
+    DegenerateScenario,
+    PlanDistribution,
+    all_actor_importance_kl,
+    all_actor_risk_exact,
+    plan_divergence_kl,
+)
+from navrisk.scenario import (
+    EGO_ID,
+    ActorState,
+    RoadMap,
+    Scenario,
+    Trajectory,
+)
+
+from oracles import walk_enumerate, walk_render, world_to_positions
+
+EXACT = settings(max_examples=150, deadline=None, derandomize=True,
+                 suppress_health_check=[HealthCheck.too_slow])
+SUBSETS = [c for r in range(1, len(MANEUVERS) + 1)
+           for c in itertools.combinations(MANEUVERS, r)]
+RADIUS = 1.2
+
+
+def rendered(road, ego, lattice, dt):
+    """The walk_render-filtered product: (sequence, xs, ys, vs) of every
+    in-bounds, within-limit sequence, in itertools.product order."""
+    out = []
+    for seq in itertools.product(lattice.maneuvers,
+                                 repeat=lattice.decision_steps):
+        pos, vs, ok = walk_render(seq, road, ego, lattice.ticks_per_step,
+                                  SPEED_STEP, dt)
+        if ok:
+            out.append((seq, [p[0] for p in pos], [p[1] for p in pos], vs))
+    return out
+
+
+@st.composite
+def windows(draw, max_universe):
+    """(road, ego, lattice, dt): 1-4 lanes; the ego at a lane centre, on a
+    lane edge or the road edge, and at speeds up to above the limit,
+    including within the limit's 1e-9 tolerance; a lattice of at most
+    max_universe sequences."""
+    road = RoadMap(draw(st.integers(1, 4)),
+                   draw(st.sampled_from((3.0, 3.5, 3.7))), 300.0,
+                   draw(st.sampled_from((13.7, 14.0, 15.0))))
+    lane = draw(st.integers(0, road.lane_count - 1))
+    y = draw(st.sampled_from((road.lane_center(lane),
+                              lane * road.lane_width,
+                              (lane + 1) * road.lane_width)))
+    limit = road.speed_limit
+    speed = draw(st.sampled_from((
+        draw(st.floats(0.0, limit)), 0.0, 1.0, limit - SPEED_STEP, limit,
+        limit + 5e-10, limit + 1.0, limit + 2.5)))
+    ego = ActorState(draw(st.floats(0.0, 100.0)), y, 0.0, speed)
+    maneuvers = draw(st.sampled_from(SUBSETS))
+    steps = draw(st.integers(1, next(
+        d for d in range(6, 0, -1) if len(maneuvers) ** d <= max_universe)))
+    lattice = LatticeConfig(steps, maneuvers, draw(st.integers(1, 10)))
+    return road, ego, lattice, draw(st.sampled_from((0.1, 0.05, 0.25)))
+
+
+def assert_render_exact(road, ego, lattice, dt):
+    seqs, cols, blockers = lattice_blockers(
+        road, ego, 0, lattice.horizon, lattice, {}, {}, dt=dt)
+    want = rendered(road, ego, lattice, dt)
+    assert seqs == [w[0] for w in want]
+    assert cols.shape == (len(want), 3, lattice.horizon + 1)
+    assert blockers.shape == (len(want), 0)
+    for u, (_, xs, ys, vs) in enumerate(want):
+        assert cols[u].tolist() == [xs, ys, vs]
+
+
+@given(windows(max_universe=729))
+@EXACT
+def test_level_wise_render_equals_walk_render(window):
+    assert_render_exact(*window)
+
+
+@pytest.mark.parametrize("maneuvers", SUBSETS, ids="+".join)
+def test_every_maneuver_subset_renders_exactly(maneuvers):
+    road = RoadMap(3, 3.5, 300.0, 14.0)
+    for ego in (ActorState(12.3, road.lane_center(1), 0.0, 7.1),
+                ActorState(5.0, 3.5, 0.0, 14.0 + 5e-10)):
+        steps = 4 if len(maneuvers) > 3 else 5
+        assert_render_exact(road, ego, LatticeConfig(steps, maneuvers, 3),
+                            0.1)
+
+
+@st.composite
+def worlds(draw):
+    """A small window plus 0-3 actors, parked or driving along the road
+    near the ego's reach, as a Scenario starting at tick 0."""
+    road, ego, lattice, dt = draw(windows(max_universe=81))
+    k = lattice.horizon
+    actors = {}
+    for i in range(draw(st.integers(0, 3))):
+        x0 = ego.position_x + draw(st.integers(-4, 60)) / 2
+        y = draw(st.sampled_from((
+            draw(st.floats(0.0, road.width)),
+            road.lane_center(draw(st.integers(0, road.lane_count - 1))))))
+        speed = draw(st.sampled_from((0.0, 3.0, 7.5)))
+        aid = f"a{i}"
+        actors[aid] = Trajectory(aid, 0, dt, tuple(
+            ActorState(x0 + speed * dt * j, y, 0.0, speed)
+            for j in range(k + 1)))
+    radii = {EGO_ID: RADIUS, **{aid: RADIUS for aid in actors}}
+    return Scenario(map=road, npc_trajectories=actors, ego_initial=ego,
+                    horizon_ticks=k, dt=dt, actor_radius=radii), lattice
+
+
+def walk_counts(s, lattice, actors):
+    """walk_enumerate's (universe size, survivor set) among actors."""
+    return walk_enumerate(
+        s.map, s.ego_initial, lattice.decision_steps, lattice.maneuvers,
+        lattice.ticks_per_step, SPEED_STEP, s.dt,
+        world_to_positions(actors),
+        {aid: RADIUS + RADIUS + SAFETY_MARGIN for aid in actors})
+
+
+@given(worlds())
+@EXACT
+def test_exact_risk_and_kl_equal_walk_enumeration(case):
+    s, lattice = case
+    k, actors = lattice.horizon, s.npc_trajectories
+    universe, survivors = walk_counts(s, lattice, actors)
+    if universe == 0:
+        with pytest.raises(DegenerateScenario):
+            all_actor_risk_exact(s, 0, k, lattice)
+        return
+    without = {aid: walk_counts(s, lattice, {
+        a: tr for a, tr in actors.items() if a != aid})[1]
+        for aid in actors}
+
+    got = all_actor_risk_exact(s, 0, k, lattice)
+    assert (got.z_empty, got.z) == (universe, len(survivors))
+    assert got.total == (universe - len(survivors)) / universe
+    assert got.per_actor == {
+        aid: (len(w) - len(survivors)) / universe
+        for aid, w in without.items()}
+
+    seqs = [w[0] for w in rendered(s.map, s.ego_initial, lattice, s.dt)]
+    p = PlanDistribution.uniform_feasible(seqs, survivors)
+    assert all_actor_importance_kl(
+        actors, s.ego_initial, 0, k, lattice, road=s.map,
+        radii=s.actor_radius, ego_radius=RADIUS, dt=s.dt) == {
+        aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(
+            seqs, w)) for aid, w in without.items()}

@@ -5,6 +5,7 @@ import pytest
 
 from navrisk.scenario import (
     EGO_ID,
+    EGO_LANE,
     ActorCommand,
     ActorState,
     CaseStudyParams,
@@ -199,10 +200,18 @@ class TestCaseStudy:
         seg = mover.speeds[s5.start_tick:s5.end_tick + 1]
         assert np.all(np.abs(seg - seg[0]) < 1e-9)
 
-    def test_infeasible_lane_reports_actor(self):
-        p = CaseStudyParams(ego_lane=0)  # cutin would start in lane -1
-        with pytest.raises(ScenarioError, match="cutin"):
-            generate_case_study(p)
+    def test_ego_lane_is_not_a_setting(self):
+        # actors start one lane either side of the ego on the 3-lane road,
+        # so the middle lane is the only one that works
+        assert EGO_LANE == 1
+        with pytest.raises(TypeError, match="ego_lane"):
+            CaseStudyParams(ego_lane=0)
+
+    def test_overspeed_start_reports_actor_and_factor(self):
+        # lead's 5.5 m/s target would start at 16.5 m/s on the 14 m/s road
+        with pytest.raises(ScenarioError,
+                           match="'lead'.*init_speed_factor 3.0"):
+            generate_case_study(CaseStudyParams(init_speed_factor=3.0))
 
     def test_overspeed_target_reports_actor(self):
         p = CaseStudyParams(lead_speed=99.0)
@@ -220,7 +229,7 @@ class TestCaseStudy:
     def test_case_study_params_settable_fields(self):
         from dataclasses import fields
         assert [f.name for f in fields(CaseStudyParams)] == [
-            "dt", "ego_lane", "ego_speed", "accel", "init_speed_factor",
+            "dt", "ego_speed", "accel", "init_speed_factor",
             "lead_speed", "lead_slow_speed", "cutin_speed",
             "cutin_merge_speed", "near_offset", "near_speed", "far_offset",
             "far_speed", "rear_speed", "outer_speed", "lane_change_duration",
