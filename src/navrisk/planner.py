@@ -5,7 +5,10 @@ scale: every maneuver sequence on a lattice (keep / shift_left /
 shift_right / brake / accelerate per decision step) is rendered and
 filtered against road bounds, the speed limit and, when a world is given,
 collisions.  The render goes level by level, each in-bounds prefix once,
-with every float equal to a per-sequence render (see lattice_blockers).
+with every float equal to a per-sequence render, and so do the collision
+bits: each level tests only its own ticks and inherits its parent's bits
+(see lattice_blockers).  Full columns are gathered only for the plans
+enumerate_plans returns; the exact counts need none.
 plan_sampling is a budgeted rewiring sampling planner over (x, y)
 standing in for a generic single-trajectory planner.
 
@@ -230,9 +233,11 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
     """Render the lattice once and test every plan against every actor.
 
     Returns the in-bounds, within-limit sequences in itertools.product
-    order, their (U, 3, k+1) array of (xs, ys, vs) columns, and the (U, m)
+    order, a columns(rows) function that gathers the (len(rows), 3, k+1)
+    array of (xs, ys, vs) columns of the sequences at rows, and the (U, m)
     blocker matrix: [u, j] is True iff plan u collides with the j-th actor
-    of world.  Every exact plan count of the window reduces this matrix.
+    of world.  Every exact plan count of the window reduces this matrix,
+    so the counts never build a column array.
 
     The render goes level by level: level d holds every in-bounds d-step
     prefix, each extended by every maneuver, prefix-major in sorted
@@ -243,6 +248,12 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
     trapezoidal x tick by tick, and y + (y_end - y) * 0.5 * c_i with the
     m factors c_i from math.cos; so every column is bit-identical to a
     sequence rendered alone (tests/oracles.walk_render).
+
+    The blocker bits follow the same levels.  The tick-0 position, which
+    every sequence shares, is tested once per actor; each level tests
+    only its own m ticks with _hits and ORs them into its parent prefix's
+    bits.  A plan collides iff it hits at some tick, so the bits are those
+    of _hits over all k+1 ticks of each plan, on the same floats.
     """
     if lattice.horizon != k:
         raise ScenarioError(
@@ -256,13 +267,16 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
     brake = np.array([n == "brake" for n in names])
     centers = np.array([road.lane_center(i) for i in range(road.lane_count)])
     ramp = np.array([1 - math.cos(math.pi * (i / m)) for i in range(1, m + 1)])
+    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     # each prefix's last rendered x and v, and the (y, v, lane) the next
     # step starts from: the last step's targets, not its last rendered tick
     x, v_col, y, v = (np.array([f], dtype=float) for f in (
         ego.position_x, ego.speed, ego.position_y, ego.speed))
     lane = np.array([road.lane_of(ego.position_y)])
+    hit = _hits(obs[:, 0], np.array([ego.position_x, ego.position_y]),
+                rsum)[None, :]
     levels = []   # per level: (parent index, maneuver index, (P, 3, m) cols)
-    for _ in range(lattice.decision_steps):
+    for d in range(lattice.decision_steps):
         parent = np.repeat(np.arange(len(x)), len(names))
         man = np.tile(np.arange(len(names)), len(x))
         lane_end = lane[parent] + shift[man]
@@ -282,24 +296,33 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
         for i in range(m):
             x = x + 0.5 * (v_col + vs[:, i]) * dt
             xs[:, i], v_col = x, vs[:, i]
-        levels.append((parent, man, np.stack((xs, ys, vs), axis=1)))
-    # gather each survivor's columns and maneuvers up its parent chain
-    cols = np.empty((len(x), 3, k + 1))
-    cols[:, :, 0] = (ego.position_x, ego.position_y, ego.speed)
+        lvl = np.stack((xs, ys, vs), axis=1)
+        xy = lvl[:, :2].transpose(0, 2, 1)   # (P, m, 2) view of xs, ys
+        hit = hit[parent]
+        for j in range(len(rsum)):   # one actor at a time bounds peak memory
+            hit[:, j] |= _hits(obs[j, 1 + d * m:1 + (d + 1) * m], xy,
+                               rsum[j]).any(axis=1)
+        levels.append((parent, man, lvl))
+    # decode each survivor's maneuvers up its parent chain
     seq_idx = np.empty((len(x), lattice.decision_steps), dtype=int)
     row = np.arange(len(x))
     for d in range(lattice.decision_steps - 1, -1, -1):
-        parent, man, lvl = levels[d]
-        cols[:, :, 1 + d * m:1 + (d + 1) * m] = lvl[row]
+        parent, man, _ = levels[d]
         seq_idx[:, d] = man[row]
         row = parent[row]
     seqs = list(map(tuple, np.array(names, dtype=object)[seq_idx].tolist()))
-    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    xy = cols[:, :2].transpose(0, 2, 1)   # (U, k+1, 2) view of xs, ys
-    blockers = np.empty((len(seqs), len(rsum)), dtype=bool)
-    for j in range(len(rsum)):   # one actor at a time bounds peak memory
-        blockers[:, j] = _hits(obs[j], xy, rsum[j]).any(axis=1)
-    return seqs, cols, blockers
+
+    def columns(rows) -> np.ndarray:
+        cols = np.empty((len(rows), 3, k + 1))
+        cols[:, :, 0] = (ego.position_x, ego.position_y, ego.speed)
+        row = np.asarray(rows, dtype=int)
+        for d in range(lattice.decision_steps - 1, -1, -1):
+            parent, _, lvl = levels[d]
+            cols[:, :, 1 + d * m:1 + (d + 1) * m] = lvl[row]
+            row = parent[row]
+        return cols
+
+    return seqs, columns, hit
 
 
 def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
@@ -309,18 +332,19 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
                     ego_radius: float = 1.2,
                     dt: float = 0.1) -> PlanSet:
     """Enumerate every maneuver sequence, render it, and keep the in-bounds,
-    within-limit and (when a world is given) collision-free ones.
+    within-limit and (when a world is given) collision-free ones.  Columns
+    are gathered only for the plans kept.
 
     universe_size counts the in-bounds sequences regardless of the world, so
     it equals |plans| exactly when world is None.
     """
-    seqs, cols, blockers = lattice_blockers(
+    seqs, columns, blockers = lattice_blockers(
         road, ego, t, k, lattice, world or {}, radii or {},
         ego_radius=ego_radius, dt=dt)
+    rows = np.flatnonzero(~blockers.any(axis=1))
     plans = []
-    for u in np.flatnonzero(~blockers.any(axis=1)):
-        traj = Trajectory("ego", t, dt,
-                          _states_from_columns(*cols[u].tolist()))
+    for u, cols in zip(rows.tolist(), columns(rows).tolist()):
+        traj = Trajectory("ego", t, dt, _states_from_columns(*cols))
         plans.append(Plan(traj, _plan_cost(traj, road), maneuver_seq=seqs[u]))
     return PlanSet(tuple(plans), len(seqs))
 

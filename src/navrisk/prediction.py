@@ -10,7 +10,6 @@ paired across actor subsets and calls are order-independent.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -40,7 +39,9 @@ class PredictionConfig:
 def _actor_stream(seed: int, actor_id: str, t: int, sample: int
                   ) -> np.random.Generator:
     # Stable across runs and platforms: fold the opaque actor id through
-    # blake2s rather than hash().
+    # blake2s rather than hash().  Imported here, its only use, so that
+    # commands that sample nothing never load hashlib's OpenSSL module.
+    import hashlib
     digest = hashlib.blake2s(actor_id.encode(), digest_size=8).digest()
     key = int.from_bytes(digest, "little")
     ss = np.random.SeedSequence(

@@ -348,6 +348,8 @@ def all_actor_importance_kl(world: Mapping[str, Trajectory],
     check_cap(lattice)
     seqs, _, blockers = lattice_blockers(road, ego, t, k, lattice, world,
                                          radii, ego_radius=ego_radius, dt=dt)
+    if not seqs:
+        raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
     free, alone = _survivors(blockers)
     p = PlanDistribution.uniform_feasible(seqs, compress(seqs, free))
     return {aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(

@@ -57,7 +57,7 @@ class ActorState:
     speed: float
 
     def __post_init__(self):
-        if self.speed < 0.0:
+        if not self.speed >= 0.0:   # NaN fails too
             raise ScenarioError(f"speed must be >= 0, got {self.speed}")
         if not (-math.pi < self.heading <= math.pi):
             raise ScenarioError(

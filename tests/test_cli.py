@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,27 @@ class TestOracleCommand:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
             "cb9e8e4e4ef4aff7dcbc55b3de6ff23adb2bc9a0836ee77944bbb96213af56d6")
+
+
+    def test_oracle_never_loads_openssl(self, tmp_path):
+        # hashlib's OpenSSL module costs 3.6 MiB of resident memory; only
+        # the sampled futures of `run` need hashlib
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = (
+            "import sys\n"
+            "from navrisk.cli import main\n"
+            "case = sys.argv[1]\n"
+            "assert main(['casestudy', '--out', case]) == 0\n"
+            "assert main(['oracle', '--scenario', case, '--t', '20',\n"
+            "             '--k', '8', '--steps', '2']) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "case.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestRunCommand:

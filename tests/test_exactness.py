@@ -1,15 +1,18 @@
 """The lattice's exactness claims as properties on generated windows.
 
 planner.lattice_blockers renders the maneuver lattice level by level,
-sharing every in-bounds prefix, and reduces one (plans x actors) blocker
-matrix to every exact count of the window.  Both are checked here against
-the per-sequence oracles of tests/oracles.py: the render with == on
-every column float (walk_render), and the risk and KL reductions against
-the recursive walk enumeration (walk_enumerate).
+sharing every in-bounds prefix, fills the (plans x actors) blocker matrix
+level by level too (tick 0 once, then each level's own ticks ORed into
+its parent's bits), and reduces that matrix to every exact count of the
+window.  All of it is checked here against the per-sequence oracles of
+tests/oracles.py: the render, gathered for every sequence, with == on
+every column float (walk_render), and the plans, risk and KL reductions
+against the recursive walk enumeration (walk_enumerate).
 """
 
 import itertools
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
@@ -18,6 +21,8 @@ from navrisk.planner import (
     SAFETY_MARGIN,
     SPEED_STEP,
     LatticeConfig,
+    _hits,
+    enumerate_plans,
     lattice_blockers,
 )
 from navrisk.risk import (
@@ -83,14 +88,17 @@ def windows(draw, max_universe):
 
 
 def assert_render_exact(road, ego, lattice, dt):
-    seqs, cols, blockers = lattice_blockers(
+    seqs, columns, blockers = lattice_blockers(
         road, ego, 0, lattice.horizon, lattice, {}, {}, dt=dt)
     want = rendered(road, ego, lattice, dt)
     assert seqs == [w[0] for w in want]
+    cols = columns(np.arange(len(seqs)))
     assert cols.shape == (len(want), 3, lattice.horizon + 1)
     assert blockers.shape == (len(want), 0)
     for u, (_, xs, ys, vs) in enumerate(want):
         assert cols[u].tolist() == [xs, ys, vs]
+    some = np.arange(len(seqs))[::-2]   # any rows, in any order
+    assert columns(some).tolist() == cols[some].tolist()
 
 
 @given(windows(max_universe=729))
@@ -168,3 +176,70 @@ def test_exact_risk_and_kl_equal_walk_enumeration(case):
         radii=s.actor_radius, ego_radius=RADIUS, dt=s.dt) == {
         aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(
             seqs, w)) for aid, w in without.items()}
+
+
+@given(worlds())
+@EXACT
+def test_enumerate_plans_returns_walk_survivors(case):
+    s, lattice = case
+    actors = s.npc_trajectories
+    universe, survivors = walk_counts(s, lattice, actors)
+    got = enumerate_plans(s.map, s.ego_initial, 0, lattice.horizon, lattice,
+                          actors, s.actor_radius, ego_radius=RADIUS,
+                          dt=s.dt)
+    want = [w for w in rendered(s.map, s.ego_initial, lattice, s.dt)
+            if w[0] in survivors]
+    assert got.universe_size == universe
+    assert [p.maneuver_seq for p in got.plans] == [w[0] for w in want]
+    for plan, (_, xs, ys, vs) in zip(got.plans, want):
+        states = plan.trajectory.states
+        assert [st.position_x for st in states] == xs
+        assert [st.position_y for st in states] == ys
+        assert [st.speed for st in states] == vs
+
+
+# --- the level-wise blocker bits at the first and the last tick ------------
+
+ROAD = RoadMap(3, 3.5, 300.0, 14.0)
+EGO = ActorState(10.0, ROAD.lane_center(1), 0.0, 8.0)
+LEVELS = LatticeConfig(3, ("keep", "shift_left", "shift_right"), 4)
+FAR = ActorState(250.0, ROAD.lane_center(0), 0.0, 0.0)
+
+
+def blocker_column(actor):
+    """lattice_blockers' bits for one actor on the LEVELS window, and the
+    bits of _hits over every tick of each walk_render'ed sequence."""
+    seqs, _, blockers = lattice_blockers(
+        ROAD, EGO, 0, LEVELS.horizon, LEVELS, {"a": actor}, {"a": RADIUS},
+        ego_radius=RADIUS)
+    want = []
+    for seq in seqs:
+        pos, _, _ = walk_render(seq, ROAD, EGO, LEVELS.ticks_per_step,
+                                SPEED_STEP, 0.1)
+        want.append(bool(_hits(actor.xy, np.array(pos),
+                               RADIUS + RADIUS + SAFETY_MARGIN).any()))
+    return blockers[:, 0].tolist(), want
+
+
+def test_tick_zero_overlap_blocks_every_sequence():
+    # the actor sits on the ego at tick 0 only, then far down the road
+    k = LEVELS.horizon
+    actor = Trajectory("a", 0, 0.1, (EGO,) + (FAR,) * k)
+    got, want = blocker_column(actor)
+    assert len(got) > 1 and all(got) and got == want
+    s = Scenario(map=ROAD, npc_trajectories={"a": actor}, ego_initial=EGO,
+                 horizon_ticks=k, dt=0.1,
+                 actor_radius={EGO_ID: RADIUS, "a": RADIUS})
+    risk = all_actor_risk_exact(s, 0, k, LEVELS)
+    assert (risk.z, risk.total, risk.per_actor) == (0, 1.0, {"a": 1.0})
+
+
+def test_last_level_actor_blocks_only_the_sequences_it_reaches():
+    # far away until the last level's ticks, then parked in the left lane
+    # where the ego arrives: only the sequences that end there are hit
+    k, m = LEVELS.horizon, LEVELS.ticks_per_step
+    there = ActorState(19.0, ROAD.lane_center(2), 0.0, 0.0)
+    actor = Trajectory("a", 0, 0.1, (FAR,) * (k + 1 - m) + (there,) * m)
+    got, want = blocker_column(actor)
+    assert got == want
+    assert 0 < sum(got) < len(got)

@@ -111,6 +111,20 @@ def test_mutated_documents(workdir, mutations):
         assert err.startswith("error: $"), err
 
 
+@pytest.mark.parametrize("operator", ["kl", "euclid", "both"])
+def test_empty_universe_exit_4_for_every_operator(workdir, operator):
+    # an ego above the speed limit leaves no lattice sequence in bounds;
+    # the KL and the exact paths report it alike
+    fast = workdir / "fast_ego.json"
+    fast.write_text(json.dumps(_mutated(_case_doc(), ("ego", "state", 3),
+                                        20.0)))
+    code, err = _exit(["run", "--scenario", str(fast), "--operator",
+                       operator, "--exact-lattice", "--budget", "50",
+                       "--out", str(workdir / "fast")])
+    assert (code, err) == (4, "error: the map admits no plan "
+                              "(|Z empty| = 0)\n")
+
+
 # --- argument vectors -------------------------------------------------------
 
 INTS = ["0", "-1", "3"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -130,6 +131,19 @@ class TestExactRisk:
         # lattice is rendered
         with pytest.raises(LatticeCapExceeded):
             total_risk_exact(s, 0, 30, LatticeConfig(13, LATTICE3.maneuvers))
+
+    def test_case_study_window_in_bounded_memory(self):
+        # the counts read only the level-wise blocker bits: the (U, 3, k+1)
+        # columns of this window alone would take 9.5 MiB (U = 8,119)
+        s = generate_case_study()
+        lattice = LatticeConfig(10, LATTICE3.maneuvers, 5)
+        tracemalloc.start()
+        try:
+            all_actor_risk_exact(s, 20, 50, lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
     def test_matches_walk_oracle(self):
         rng = np.random.default_rng(21)

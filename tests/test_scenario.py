@@ -44,6 +44,12 @@ class TestTypes:
         with pytest.raises(ScenarioError):
             ActorState(0, 0, 0, -1.0)
 
+    def test_nan_speed_rejected(self):
+        # a NaN speed passes `speed < 0`; the lattice would then fail on
+        # a NaN heading that names neither the speed nor the ego
+        with pytest.raises(ScenarioError, match="speed must be >= 0"):
+            ActorState(10.0, 5.25, 0.0, float("nan"))
+
     def test_heading_range_enforced(self):
         with pytest.raises(ScenarioError):
             ActorState(0, 0, 4.0, 1.0)
