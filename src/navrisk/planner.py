@@ -7,8 +7,8 @@ filtered against road bounds, the speed limit and, when a world is given,
 collisions.  The render goes level by level, each in-bounds prefix once,
 with every float equal to a per-sequence render, and so do the collision
 bits: each level tests only its own ticks and inherits its parent's bits
-(see lattice_blockers).  Full columns are gathered only for the plans
-enumerate_plans returns; the exact counts need none.
+(see lattice_blockers).  The risks read only the blocker matrix; maneuver
+tuples and columns are decoded only for the plans enumerate_plans returns.
 plan_sampling is a budgeted rewiring sampling planner over (x, y)
 standing in for a generic single-trajectory planner.
 
@@ -42,14 +42,14 @@ bit-identical to an all-numpy growth.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .scenario import ActorState, RoadMap, ScenarioError, Trajectory, wrap_angle
+from .scenario import (
+    ActorState, RoadMap, ScenarioError, Trajectory, require_int, wrap_angle)
 
 MANEUVERS = ("accelerate", "brake", "keep", "shift_left", "shift_right")
 
@@ -94,10 +94,8 @@ class LatticeConfig:
     ticks_per_step: int = 10
 
     def __post_init__(self):
-        if self.decision_steps < 1:
-            raise ValueError("decision_steps must be >= 1")
-        if self.ticks_per_step < 1:
-            raise ValueError("ticks_per_step must be >= 1")
+        require_int("decision_steps", self.decision_steps, 1)
+        require_int("ticks_per_step", self.ticks_per_step, 1)
         if not self.maneuvers:
             raise ValueError("maneuver set must be non-empty")
         bad = set(self.maneuvers) - set(MANEUVERS)
@@ -127,9 +125,8 @@ class PlannerConfig:
     target_speed: float = 10.0
 
     def __post_init__(self):
-        if not isinstance(self.iteration_budget, numbers.Integral) or \
-                self.iteration_budget < 1:
-            raise ValueError("iteration_budget must be an integer >= 1")
+        require_int("iteration_budget", self.iteration_budget, 1)
+        require_int("seed", self.seed, 0)   # np.random.SeedSequence's rule
         if not self.target_speed > 0:
             raise ValueError("target_speed must be > 0")
         if not self.goal.advance >= 0:
@@ -232,12 +229,12 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
                      dt: float = 0.1):
     """Render the lattice once and test every plan against every actor.
 
-    Returns the in-bounds, within-limit sequences in itertools.product
-    order, a columns(rows) function that gathers the (len(rows), 3, k+1)
-    array of (xs, ys, vs) columns of the sequences at rows, and the (U, m)
-    blocker matrix: [u, j] is True iff plan u collides with the j-th actor
-    of world.  Every exact plan count of the window reduces this matrix,
-    so the counts never build a column array.
+    Returns (plans, blockers).  blockers is the (U, m) matrix over the U
+    in-bounds, within-limit sequences in itertools.product order: [u, j]
+    is True iff plan u collides with the j-th actor of world; every exact
+    count and KL importance of the window reduces it alone.  plans(rows)
+    walks the parent chain once for the maneuver tuples of the plans at
+    rows and their (len(rows), 3, k+1) array of (xs, ys, vs) columns.
 
     The render goes level by level: level d holds every in-bounds d-step
     prefix, each extended by every maneuver, prefix-major in sorted
@@ -303,26 +300,21 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
             hit[:, j] |= _hits(obs[j, 1 + d * m:1 + (d + 1) * m], xy,
                                rsum[j]).any(axis=1)
         levels.append((parent, man, lvl))
-    # decode each survivor's maneuvers up its parent chain
-    seq_idx = np.empty((len(x), lattice.decision_steps), dtype=int)
-    row = np.arange(len(x))
-    for d in range(lattice.decision_steps - 1, -1, -1):
-        parent, man, _ = levels[d]
-        seq_idx[:, d] = man[row]
-        row = parent[row]
-    seqs = list(map(tuple, np.array(names, dtype=object)[seq_idx].tolist()))
 
-    def columns(rows) -> np.ndarray:
-        cols = np.empty((len(rows), 3, k + 1))
-        cols[:, :, 0] = (ego.position_x, ego.position_y, ego.speed)
+    def plans(rows) -> tuple[list[tuple[str, ...]], np.ndarray]:
         row = np.asarray(rows, dtype=int)
+        seq_idx = np.empty((len(row), lattice.decision_steps), dtype=int)
+        cols = np.empty((len(row), 3, k + 1))
+        cols[:, :, 0] = (ego.position_x, ego.position_y, ego.speed)
         for d in range(lattice.decision_steps - 1, -1, -1):
-            parent, _, lvl = levels[d]
+            parent, man, lvl = levels[d]
+            seq_idx[:, d] = man[row]
             cols[:, :, 1 + d * m:1 + (d + 1) * m] = lvl[row]
             row = parent[row]
-        return cols
+        seqs = np.array(names, dtype=object)[seq_idx].tolist()
+        return list(map(tuple, seqs)), cols
 
-    return seqs, columns, hit
+    return plans, hit
 
 
 def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
@@ -332,21 +324,21 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
                     ego_radius: float = 1.2,
                     dt: float = 0.1) -> PlanSet:
     """Enumerate every maneuver sequence, render it, and keep the in-bounds,
-    within-limit and (when a world is given) collision-free ones.  Columns
-    are gathered only for the plans kept.
+    within-limit and (when a world is given) collision-free ones.  Maneuver
+    tuples and columns are gathered only for the plans kept.
 
     universe_size counts the in-bounds sequences regardless of the world, so
     it equals |plans| exactly when world is None.
     """
-    seqs, columns, blockers = lattice_blockers(
+    plans, blockers = lattice_blockers(
         road, ego, t, k, lattice, world or {}, radii or {},
         ego_radius=ego_radius, dt=dt)
-    rows = np.flatnonzero(~blockers.any(axis=1))
-    plans = []
-    for u, cols in zip(rows.tolist(), columns(rows).tolist()):
-        traj = Trajectory("ego", t, dt, _states_from_columns(*cols))
-        plans.append(Plan(traj, _plan_cost(traj, road), maneuver_seq=seqs[u]))
-    return PlanSet(tuple(plans), len(seqs))
+    seqs, cols = plans(np.flatnonzero(~blockers.any(axis=1)))
+    kept = []
+    for seq, c in zip(seqs, cols.tolist()):
+        traj = Trajectory("ego", t, dt, _states_from_columns(*c))
+        kept.append(Plan(traj, _plan_cost(traj, road), maneuver_seq=seq))
+    return PlanSet(tuple(kept), len(blockers))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .scenario import ActorState, ScenarioError, Trajectory, wrap_angle
+from .scenario import (
+    ActorState, ScenarioError, Trajectory, require_int, wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,8 @@ class PredictionConfig:
         if not (0 <= self.noise_accel_sigma < math.inf
                 and 0 <= self.noise_yawrate_sigma < math.inf):
             raise ValueError("noise sigmas must be finite and >= 0")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        require_int("sample_count", self.sample_count, 1)
+        require_int("seed", self.seed)
 
 
 def _actor_stream(seed: int, actor_id: str, t: int, sample: int

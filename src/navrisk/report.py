@@ -46,53 +46,31 @@ def _quartiles(values: list[float]):
     return float(med), float(q1), float(q3)
 
 
-def phase_summary(result: RunResult) -> dict[tuple[str, str], dict]:
-    """Per (phase, actor) medians and quartiles of risk and error."""
+def phase_summary_csv(result: RunResult) -> str:
+    """Per (phase, actor) medians and quartiles of risk and error, in
+    first-appearance order of phases, then of actors."""
     groups: dict[tuple[str, str], list[StepRecord]] = {}
     for r in result.records:
         groups.setdefault((r.phase, r.actor_id), []).append(r)
-    out = {}
-    for key, recs in groups.items():
-        ge = [r.gamma_euclid for r in recs if r.gamma_euclid is not None]
-        gk = [r.gamma_kl for r in recs if r.gamma_kl is not None]
-        pe = [r.prediction_error for r in recs
-              if r.prediction_error is not None]
-        ge_med, ge_q1, ge_q3 = _quartiles(ge)
-        kl_med, _, _ = _quartiles(gk)
-        pe_med, pe_q1, pe_q3 = _quartiles(pe)
-        out[key] = {
-            "n": len(recs),
-            "gamma_euclid_median": ge_med,
-            "gamma_euclid_q1": ge_q1,
-            "gamma_euclid_q3": ge_q3,
-            "gamma_kl_median": kl_med,
-            "prediction_error_median": pe_med,
-            "prediction_error_q1": pe_q1,
-            "prediction_error_q3": pe_q3,
-        }
-    return out
-
-
-def phase_summary_csv(result: RunResult) -> str:
-    summary = phase_summary(result)
-    phase_order = list(dict.fromkeys(r.phase for r in result.records))
-    actor_order = list(dict.fromkeys(r.actor_id for r in result.records))
+    phase_order = dict.fromkeys(r.phase for r in result.records)
+    actor_order = dict.fromkeys(r.actor_id for r in result.records)
     lines = [PHASE_CSV_HEADER]
     for phase in phase_order:
         for actor in actor_order:
-            row = summary.get((phase, actor))
-            if row is None:
+            recs = groups.get((phase, actor))
+            if recs is None:
                 continue
+            ge_med, ge_q1, ge_q3 = _quartiles(
+                [r.gamma_euclid for r in recs if r.gamma_euclid is not None])
+            kl_med, _, _ = _quartiles(
+                [r.gamma_kl for r in recs if r.gamma_kl is not None])
+            pe_med, pe_q1, pe_q3 = _quartiles(
+                [r.prediction_error for r in recs
+                 if r.prediction_error is not None])
             lines.append(",".join([
-                phase, actor, str(row["n"]),
-                _num(row["gamma_euclid_median"]),
-                _num(row["gamma_euclid_q1"]),
-                _num(row["gamma_euclid_q3"]),
-                _num(row["gamma_kl_median"]),
-                _num(row["prediction_error_median"]),
-                _num(row["prediction_error_q1"]),
-                _num(row["prediction_error_q3"]),
-            ]))
+                phase, actor, str(len(recs)),
+                *map(_num, (ge_med, ge_q1, ge_q3, kl_med,
+                            pe_med, pe_q1, pe_q3))]))
     return "\n".join(lines) + "\n"
 
 

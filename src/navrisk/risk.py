@@ -22,7 +22,6 @@ total risk is large (ablation masking).
 from __future__ import annotations
 
 import math
-from itertools import compress
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -117,14 +116,20 @@ class PlanDistribution:
         over the universe), which keeps the divergence finite.
         """
         universe = tuple(universe)
-        fs = set(feasible)
         if not universe:
             raise ValueError("empty universe")
-        u = np.array([1.0 / len(fs) if s in fs else 0.0 for s in universe]) \
-            if fs else np.zeros(len(universe))
-        p = (u + eps) / (1.0 + len(universe) * eps) if fs else \
-            np.full(len(universe), 1.0 / len(universe))
-        return cls(universe, p)
+        fs = set(feasible)
+        return cls(universe,
+                   _floored([s in fs for s in universe], len(fs), eps))
+
+
+def _floored(mask, count: int, eps: float) -> np.ndarray:
+    """1 / count on the plans that mask marks, 0 elsewhere, floored by eps
+    and renormalized over the universe; with count 0, uniform over it."""
+    if not count:
+        return np.full(len(mask), 1.0 / len(mask))
+    return (np.where(mask, 1.0 / count, 0.0) + eps) / \
+        (1.0 + len(mask) * eps)
 
 
 def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
@@ -160,7 +165,10 @@ class ExactRisk:
 
 def _survivors(blockers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the plans no actor blocks (U,) and of the plans whose only
-    blocker is actor j (U, m): ablating j frees exactly the latter."""
+    blocker is actor j (U, m): ablating j frees exactly the latter.
+    Raises DegenerateScenario when the universe is empty."""
+    if not len(blockers):
+        raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
     n = blockers.sum(axis=1)
     return n == 0, blockers & (n == 1)[:, None]
 
@@ -175,13 +183,11 @@ def all_actor_risk_exact(s: Scenario, t: int, k: int,
     check_cap(lattice)
     ego = ego if ego is not None else s.ego_initial
     world = slice_world(s, t, k)
-    seqs, _, blockers = lattice_blockers(
+    _, blockers = lattice_blockers(
         s.map, ego, t, k, lattice, world, s.actor_radius,
         ego_radius=s.radius_of(EGO_ID), dt=s.dt)
-    if not seqs:
-        raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
     free, alone = _survivors(blockers)
-    n, z = len(seqs), int(np.count_nonzero(free))
+    n, z = len(blockers), int(np.count_nonzero(free))
     freed = np.count_nonzero(alone, axis=0).tolist()   # |Z without i| - |Z|
     return ExactRisk(n, z, (n - z) / n,
                      {aid: f / n for aid, f in zip(world, freed)})
@@ -343,18 +349,19 @@ def all_actor_importance_kl(world: Mapping[str, Trajectory],
                             ) -> dict[str, float]:
     """operator="kl" importance of every actor of world from one lattice
     render: KL(p || q_i) between the epsilon-floored uniform distributions
-    over the plans of the full world (p) and of the world without actor i
-    (q_i), both over the empty-world universe."""
+    (PlanDistribution.uniform_feasible's) over the plans of the full world
+    (p) and of the world without actor i (q_i), both over the empty-world
+    universe and built on row masks of the blocker matrix."""
     check_cap(lattice)
-    seqs, _, blockers = lattice_blockers(road, ego, t, k, lattice, world,
-                                         radii, ego_radius=ego_radius, dt=dt)
-    if not seqs:
-        raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
+    _, blockers = lattice_blockers(road, ego, t, k, lattice, world, radii,
+                                   ego_radius=ego_radius, dt=dt)
     free, alone = _survivors(blockers)
-    p = PlanDistribution.uniform_feasible(seqs, compress(seqs, free))
-    return {aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(
-                seqs, compress(seqs, free | alone[:, j])))
-            for j, aid in enumerate(world)}
+    p = _floored(free, np.count_nonzero(free), KL_EPSILON)
+    kl = {}
+    for aid, mask in zip(world, (free[:, None] | alone).T):
+        q = _floored(mask, np.count_nonzero(mask), KL_EPSILON)
+        kl[aid] = float(np.sum(p * np.log(p / q)))
+    return kl
 
 
 def actor_importance(world: Mapping[str, Trajectory], actor_id: str,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -30,6 +31,16 @@ KINEMATIC_TOLERANCE = 0.2    # check_kinematics: allowed fractional deviation
 
 class ScenarioError(ValueError):
     """Raised for malformed scenarios, infeasible params or bad documents."""
+
+
+def require_int(name: str, value, least: Optional[int] = None) -> None:
+    """Raise ValueError naming the config field unless value is an integer
+    (>= least when given): a float count or seed would otherwise pass
+    construction and fail deep inside a run."""
+    if not isinstance(value, numbers.Integral) or \
+            (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def wrap_angle(a: float) -> float:
@@ -139,11 +150,15 @@ class RoadMap:
     speed_limit: float
 
     def __post_init__(self):
-        if self.lane_count < 1:
-            raise ScenarioError("lane_count must be >= 1")
-        if self.lane_width <= 0 or self.road_length <= 0 or self.speed_limit <= 0:
-            raise ScenarioError(
-                "lane_width, road_length and speed_limit must be positive")
+        if not isinstance(self.lane_count, numbers.Integral) or \
+                self.lane_count < 1:
+            raise ScenarioError(f"lane_count must be an integer >= 1, got "
+                                f"{self.lane_count!r}")
+        for name in ("lane_width", "road_length", "speed_limit"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:   # NaN fails too
+                raise ScenarioError(f"{name} must be finite and positive, "
+                                    f"got {value!r}")
 
     @property
     def width(self) -> float:

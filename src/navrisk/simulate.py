@@ -35,7 +35,7 @@ from .risk import (
 # bound here for perfbench/tracer.py, which wraps them in this module
 from .planner import plan_sampling  # noqa: F401
 from .risk import actor_importance, actor_risk_exact  # noqa: F401
-from .scenario import EGO_ID, ActorState, Scenario
+from .scenario import EGO_ID, ActorState, Scenario, require_int
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,11 @@ class RunConfig:
     iteration_budget: int = 700
 
     def __post_init__(self):
-        if self.replan_every < 1:
-            raise ValueError("replan_every must be >= 1")
-        if self.horizon < self.replan_every:
-            raise ValueError("horizon must be >= replan_every")
-        if self.iteration_budget < 1:
-            raise ValueError("iteration_budget must be >= 1")
-        if self.samples < 0:
-            raise ValueError("samples must be >= 0")
+        require_int("seed", self.seed)
+        require_int("replan_every", self.replan_every, 1)
+        require_int("horizon", self.horizon, self.replan_every)
+        require_int("iteration_budget", self.iteration_budget, 1)
+        require_int("samples", self.samples, 0)
         # the noise-sigma rule lives in PredictionConfig, which raises
         PredictionConfig(self.noise_accel, self.noise_yawrate)
         bad = set(self.operators) - {"euclid", "kl", "exact"}

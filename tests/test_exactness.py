@@ -88,17 +88,19 @@ def windows(draw, max_universe):
 
 
 def assert_render_exact(road, ego, lattice, dt):
-    seqs, columns, blockers = lattice_blockers(
+    plans, blockers = lattice_blockers(
         road, ego, 0, lattice.horizon, lattice, {}, {}, dt=dt)
     want = rendered(road, ego, lattice, dt)
+    seqs, cols = plans(np.arange(len(blockers)))
     assert seqs == [w[0] for w in want]
-    cols = columns(np.arange(len(seqs)))
     assert cols.shape == (len(want), 3, lattice.horizon + 1)
     assert blockers.shape == (len(want), 0)
     for u, (_, xs, ys, vs) in enumerate(want):
         assert cols[u].tolist() == [xs, ys, vs]
     some = np.arange(len(seqs))[::-2]   # any rows, in any order
-    assert columns(some).tolist() == cols[some].tolist()
+    some_seqs, some_cols = plans(some)
+    assert some_cols.tolist() == cols[some].tolist()
+    assert some_seqs == [seqs[u] for u in some]
 
 
 @given(windows(max_universe=729))
@@ -209,11 +211,11 @@ FAR = ActorState(250.0, ROAD.lane_center(0), 0.0, 0.0)
 def blocker_column(actor):
     """lattice_blockers' bits for one actor on the LEVELS window, and the
     bits of _hits over every tick of each walk_render'ed sequence."""
-    seqs, _, blockers = lattice_blockers(
+    plans, blockers = lattice_blockers(
         ROAD, EGO, 0, LEVELS.horizon, LEVELS, {"a": actor}, {"a": RADIUS},
         ego_radius=RADIUS)
     want = []
-    for seq in seqs:
+    for seq in plans(np.arange(len(blockers)))[0]:
         pos, _, _ = walk_render(seq, ROAD, EGO, LEVELS.ticks_per_step,
                                 SPEED_STEP, 0.1)
         want.append(bool(_hits(actor.xy, np.array(pos),
@@ -232,6 +234,15 @@ def test_tick_zero_overlap_blocks_every_sequence():
                  actor_radius={EGO_ID: RADIUS, "a": RADIUS})
     risk = all_actor_risk_exact(s, 0, k, LEVELS)
     assert (risk.z, risk.total, risk.per_actor) == (0, 1.0, {"a": 1.0})
+    # no plan survives with the actor and every plan without it; the KL
+    # equals its reference on PlanDistribution (0.0: both distributions
+    # are uniform over the universe)
+    seqs = [w[0] for w in rendered(ROAD, EGO, LEVELS, 0.1)]
+    p = PlanDistribution.uniform_feasible(seqs, [])
+    assert all_actor_importance_kl(
+        {"a": actor}, EGO, 0, k, LEVELS, road=ROAD, radii=s.actor_radius,
+        ego_radius=RADIUS) == {"a": plan_divergence_kl(
+            p, PlanDistribution.uniform_feasible(seqs, seqs))}
 
 
 def test_last_level_actor_blocks_only_the_sequences_it_reaches():

@@ -179,10 +179,22 @@ def sampling_cfg(**kw):
     ({"target_speed": float("nan")}, "target_speed"),
     ({"goal": GoalSpec(float("nan"), 1)}, "goal.advance"),
     ({"goal": GoalSpec(-20.0, 1)}, "goal.advance"),
+    ({"seed": 4.0}, "seed"),
+    ({"seed": -1}, "seed"),
 ])
 def test_planner_config_rejects_values_the_planner_cannot_use(kwargs, field):
     with pytest.raises(ValueError, match=field):
         sampling_cfg(**kwargs)
+
+
+@pytest.mark.parametrize("args, field", [
+    ((2.5,), "decision_steps"),
+    ((2.0,), "decision_steps"),
+    ((2, ("keep",), 2.5), "ticks_per_step"),
+])
+def test_lattice_config_rejects_non_integer_counts(args, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        LatticeConfig(*args)
 
 
 class TestSamplingPlanner:

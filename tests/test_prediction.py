@@ -171,6 +171,15 @@ class TestSamplePredictions:
         with pytest.raises(ValueError, match="noise sigmas"):
             PredictionConfig(*sigmas)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"sample_count": 1.5}, "sample_count"),
+        ({"sample_count": 2.0}, "sample_count"),
+        ({"seed": 4.0}, "seed"),
+    ])
+    def test_non_integer_count_or_seed_rejected(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PredictionConfig(**kwargs)
+
 
 class TestPredictionError:
     def test_identity_is_zero(self):

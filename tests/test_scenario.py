@@ -71,6 +71,17 @@ class TestTypes:
         with pytest.raises(ScenarioError, match="implied speed"):
             Trajectory("a", 0, 0.1, states).check_kinematics()
 
+    @pytest.mark.parametrize("args, field", [
+        ((2.5, 3.5, 900.0, 14.0), "lane_count"),
+        ((3, math.nan, 900.0, 14.0), "lane_width"),
+        ((3, 3.5, math.inf, 14.0), "road_length"),
+        ((3, 3.5, 900.0, math.nan), "speed_limit"),
+    ])
+    def test_road_rejects_non_integer_lanes_and_non_finite_sizes(
+            self, args, field):
+        with pytest.raises(ScenarioError, match=field):
+            RoadMap(*args)
+
     def test_lane_helpers(self):
         road = RoadMap(3, 3.5, 100.0, 10.0)
         assert road.lane_center(0) == pytest.approx(1.75)

@@ -96,6 +96,12 @@ class TestRunConfig:
         # gamma_kl and rho_exact blank
         ({"operators": ("euclid", "kl", "exact"),
           "lattice": LatticeConfig(2, ("keep",), 5)}, "horizon is 40"),
+        # a float count or seed would pass here and fail inside the run
+        ({"horizon": 40.0}, "horizon must be an integer"),
+        ({"replan_every": 15.0}, "replan_every must be an integer"),
+        ({"samples": 1.5}, "samples must be an integer"),
+        ({"seed": 4.0}, "seed must be an integer"),
+        ({"iteration_budget": 700.0}, "iteration_budget must be an integer"),
     ])
     def test_out_of_range_options_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
