@@ -1,5 +1,13 @@
 """Driving-scenario simulator and per-actor navigation risk engine."""
 
+import os
+
+# navrisk makes no BLAS call (no matrix product, dot or linalg), so the
+# OpenBLAS worker threads that numpy starts at import only burn CPU at
+# start-up.  One thread unless the user set another count; this runs before
+# the imports below, so it holds wherever navrisk is imported before numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .planner import (
     GoalSpec,
     LatticeConfig,

@@ -22,6 +22,7 @@ total risk is large (ablation masking).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -113,12 +114,21 @@ class PlanDistribution:
         """Uniform over feasible plans, floored by eps over the universe.
 
         With no feasible plan this degenerates to the floor itself (uniform
-        over the universe), which keeps the divergence finite.
+        over the universe), which keeps the divergence finite.  A repeated
+        universe plan, or a feasible plan outside the universe, raises
+        ValueError naming it.
         """
         universe = tuple(universe)
         if not universe:
             raise ValueError("empty universe")
+        index = set(universe)
+        if len(index) < len(universe):
+            plan = next(s for s, n in Counter(universe).items() if n > 1)
+            raise ValueError(f"universe repeats plan {plan!r}")
         fs = set(feasible)
+        if not fs <= index:
+            plan = next(s for s in feasible if s not in index)
+            raise ValueError(f"feasible plan {plan!r} is not in the universe")
         return cls(universe,
                    _floored([s in fs for s in universe], len(fs), eps))
 

@@ -625,24 +625,32 @@ def _require(doc: Mapping, key: str, path: str):
     return doc[key]
 
 
+def _field(path: str, key) -> str:
+    """The field path of key (an object field, or a list index) at path."""
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
+def _finite(value) -> bool:
+    # json.loads makes every number an int or a float, and a bool is
+    # neither by type; NaN fails the bound test
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _number(doc, key, path: str, integral: bool = False,
             nonneg: bool = False):
     """Read doc[key] (an object field, or a list index) as a finite real
     number: an int when integral, >= 0 when nonneg.  Anything else raises
-    ScenarioError naming the field path."""
-    if isinstance(key, int):
-        value, path = doc[key], f"{path}[{key}]"
-    else:
-        value, path = _require(doc, key, path), f"{path}.{key}"
-    # bool is an int subclass; NaN fails the bound test
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ScenarioError(f"{path}: expected a finite number, got "
-                            f"{value!r}")
+    ScenarioError naming the field path, which is formatted only then."""
+    value = doc[key] if isinstance(key, int) else _require(doc, key, path)
+    if not _finite(value):
+        raise ScenarioError(f"{_field(path, key)}: expected a finite number, "
+                            f"got {value!r}")
     if integral and value != int(value):
-        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
+        raise ScenarioError(f"{_field(path, key)}: expected an integer, got "
+                            f"{value!r}")
     if nonneg and value < 0:
-        raise ScenarioError(f"{path}: must be >= 0, got {value!r}")
+        raise ScenarioError(f"{_field(path, key)}: must be >= 0, got "
+                            f"{value!r}")
     return int(value) if integral else float(value)
 
 
@@ -661,18 +669,25 @@ def _list(value, path: str) -> list:
     return value
 
 
-def _at(path: str, make, *args):
-    """make(*args), with the path prefixed to any ScenarioError it raises."""
+def _at(path: str, key, make, *args):
+    """make(*args), with the field path of key at path (see _field)
+    prefixed to any ScenarioError it raises."""
     try:
         return make(*args)
     except ScenarioError as e:
-        raise ScenarioError(f"{path}: {e}") from e
+        raise ScenarioError(f"{_field(path, key)}: {e}") from e
 
 
-def _state(row, path: str) -> ActorState:
+def _state(doc, key, path: str) -> ActorState:
+    """Read doc[key] (as in _number) as an [x, y, heading, speed] row."""
+    row = doc[key] if isinstance(key, int) else _require(doc, key, path)
     if not isinstance(row, list) or len(row) != 4:
-        raise ScenarioError(f"{path}: expected [x, y, heading, speed]")
-    return _at(path, ActorState, *(_number(row, j, path) for j in range(4)))
+        raise ScenarioError(f"{_field(path, key)}: expected [x, y, heading, "
+                            f"speed]")
+    if not all(map(_finite, row)):
+        for c in range(4):   # raises at the first non-finite value
+            _number(row, c, _field(path, key))
+    return _at(path, key, ActorState, *map(float, row))
 
 
 def load_scenario(data: bytes | str) -> Scenario:
@@ -693,7 +708,7 @@ def load_scenario(data: bytes | str) -> Scenario:
     if type(version) is not int or version != SCENARIO_FORMAT_VERSION:
         raise ScenarioError(f"$.version: unsupported version {version!r}")
     m = _require(doc, "map", "$")
-    road = _at("$.map", RoadMap,
+    road = _at("$", "map", RoadMap,
                _number(m, "lane_count", "$.map", integral=True),
                *(_number(m, key, "$.map")
                  for key in ("lane_width", "road_length", "speed_limit")))
@@ -702,7 +717,7 @@ def load_scenario(data: bytes | str) -> Scenario:
         raise ScenarioError(f"$.dt: must be positive, got {dt!r}")
     horizon = _number(doc, "horizon_ticks", "$", integral=True, nonneg=True)
     ego_doc = _require(doc, "ego", "$")
-    ego = _state(_require(ego_doc, "state", "$.ego"), "$.ego.state")
+    ego = _state(ego_doc, "state", "$.ego")
     if not road.contains_y(ego.position_y):
         raise ScenarioError(f"$.ego.state: ego is off-road at y = "
                             f"{ego.position_y!r}")
@@ -715,15 +730,16 @@ def load_scenario(data: bytes | str) -> Scenario:
         if aid in trajs or aid == EGO_ID:
             raise ScenarioError(f"{path}.id: duplicate or reserved actor id "
                                 f"{aid!r}")
-        states_doc = _list(_require(a, "states", path), f"{path}.states")
+        states_path = f"{path}.states"
+        states_doc = _list(_require(a, "states", path), states_path)
         if len(states_doc) != horizon + 1:
             raise ScenarioError(
-                f"{path}.states: actor {aid!r} has {len(states_doc)} states, "
+                f"{states_path}: actor {aid!r} has {len(states_doc)} states, "
                 f"expected {horizon + 1} to cover ticks [0, {horizon}]")
-        states = tuple(_state(row, f"{path}.states[{j}]")
-                       for j, row in enumerate(states_doc))
+        states = tuple(_state(states_doc, j, states_path)
+                       for j in range(len(states_doc)))
         trajs[aid] = Trajectory(aid, 0, dt, states)
-        _at(f"{path}.states", trajs[aid].check_kinematics)
+        _at(path, "states", trajs[aid].check_kinematics)
         radii[aid] = _number(a, "radius", path, nonneg=True)
 
     phases = []

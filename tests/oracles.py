@@ -17,6 +17,7 @@ calls no numpy, is checked for bit-identical trees.  It is the numpy
 reference for every step: whole-array edge checks through the vectorized
 overlap rule planner._hits, the nearest node by np.argmin, and the
 neighbour set by np.nonzero, np.sqrt and np.lexsort over the tree arrays.
+replanned_gammas plans every leave-one-out world on its own such tree.
 """
 
 import math
@@ -29,9 +30,13 @@ from navrisk.planner import (
     STEER_STEP,
     PlannerConfig,
     PlanningInfeasible,
+    _goal_point,
     _hits,
+    _select_endpoint,
     _Tree,
+    world_arrays,
 )
+from navrisk.risk import route_goal, traj_difference_euclidean
 from navrisk.scenario import ActorState, RoadMap, ScenarioError
 
 
@@ -302,3 +307,33 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
         n += 1
 
     return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
+
+
+def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
+    """Independent reference for risk.leave_one_out (ego radius 1.2, dt
+    0.1): grow a tree for the full world and for every one-actor ablation
+    from scratch with the numpy reference growth, and plan each toward its
+    own routed goal (toward cfg.goal when route is False)."""
+    def plan(w):
+        obs, rsum = world_arrays(w, radii, 1.2, t, k)
+        goal = _goal_point(road, ego, route_goal(cfg, w, ego, road)
+                           if route else cfg.goal, 1.2)
+        try:
+            tree, _ = reference_grow_tree(road, ego, k, obs, rsum, cfg, 1.2,
+                                          0.1)
+            return _select_endpoint(tree, goal, obs, rsum, road, t, k, 0.1)
+        except PlanningInfeasible:
+            return None
+
+    full = plan(world)
+    out = {}
+    for aid in world:
+        m = plan({a: tr for a, tr in world.items() if a != aid})
+        if full is None and m is None:
+            out[aid] = (0.0, False)
+        elif full is None or m is None:
+            out[aid] = (road.road_length / k, True)
+        else:
+            out[aid] = (traj_difference_euclidean(full.trajectory,
+                                                  m.trajectory), False)
+    return full, out

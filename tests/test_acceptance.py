@@ -416,3 +416,18 @@ def test_c8_mitigation_demo_script():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "mitigation avoids the collision: OK" in proc.stdout
+
+
+def test_replicate_case_study_script(tmp_path):
+    """scripts/replicate_case_study.py runs against the current API, in a
+    fresh working directory, and passes its three checks (a)-(c)."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "replicate_case_study.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = [line for line in proc.stdout.splitlines()
+                if line.startswith(("(a) ", "(b) ", "(c) "))]
+    assert [line[:3] for line in verdicts] == ["(a)", "(b)", "(c)"]
+    assert all(line.endswith("  OK") for line in verdicts), proc.stdout
+    assert (tmp_path / "out" / "case_study" / "run.csv").is_file()

@@ -8,19 +8,31 @@ window.  All of it is checked here against the per-sequence oracles of
 tests/oracles.py: the render, gathered for every sequence, with == on
 every column float (walk_render), and the plans, risk and KL reductions
 against the recursive walk enumeration (walk_enumerate).
+
+risk.leave_one_out grows the full world's tree once and reuses it for
+every ablated actor that never alone blocked one of its edge checks; its
+edge checks decide each pair with planner._hit.  It is checked on
+generated worlds against replanned_gammas, which grows every world's
+tree from scratch with the numpy reference growth and its _hits rule.
 """
 
 import itertools
+import math
+import random
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
+from navrisk import planner
 from navrisk.planner import (
     MANEUVERS,
     SAFETY_MARGIN,
     SPEED_STEP,
+    GoalSpec,
     LatticeConfig,
+    PlannerConfig,
     _hits,
     enumerate_plans,
     lattice_blockers,
@@ -30,6 +42,7 @@ from navrisk.risk import (
     PlanDistribution,
     all_actor_importance_kl,
     all_actor_risk_exact,
+    leave_one_out,
     plan_divergence_kl,
 )
 from navrisk.scenario import (
@@ -40,7 +53,13 @@ from navrisk.scenario import (
     Trajectory,
 )
 
-from oracles import walk_enumerate, walk_render, world_to_positions
+from oracles import (
+    replanned_gammas,
+    static_actor,
+    walk_enumerate,
+    walk_render,
+    world_to_positions,
+)
 
 EXACT = settings(max_examples=150, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow])
@@ -254,3 +273,138 @@ def test_last_level_actor_blocks_only_the_sequences_it_reaches():
     got, want = blocker_column(actor)
     assert got == want
     assert 0 < sum(got) < len(got)
+
+
+# --- leave-one-out against independent replans -----------------------------
+
+LOO = settings(max_examples=40, deadline=None, derandomize=True,
+               suppress_health_check=[HealthCheck.too_slow])
+ROAD3 = RoadMap(3, 3.5, 300.0, 15.0)
+AWAY = (ROAD3.road_length + 50.0, -50.0)   # no check or route sees it
+
+
+class _Found(Exception):
+    pass
+
+
+def first_edge_point(ego, k, cfg):
+    """(tick, x, y, heading): where the growth's first edge check that
+    covers an integer tick puts the ego at the first such tick, computed
+    as planner._edge_blockers interpolates it, and the edge's heading.
+    That check is the same in every world whose root is free: the checks
+    before it test no tick."""
+    def spy(p0x, p0y, p1x, p1y, tick0, tick1, *_):
+        j = math.floor(tick0) + 1
+        if j > math.floor(tick1):
+            return ()
+        frac = (j - tick0) / (tick1 - tick0)
+        raise _Found(j, p0x + frac * (p1x - p0x), p0y + frac * (p1y - p0y),
+                     math.atan2(p1y - p0y, p1x - p0x))
+
+    with mock.patch.object(planner, "_edge_blockers", spy):
+        try:
+            planner._grow_tree(ROAD3, ego, k, np.zeros((0, k + 1, 2)),
+                               np.zeros(0), cfg, RADIUS, 0.1)
+        except _Found as found:
+            return found.args
+    return None
+
+
+def band_probe(aid, ego, k, cfg, rng):
+    """(trajectory, radius) of an actor that sits, at the tick of
+    first_edge_point only, where math.hypot and np.hypot of its offset from
+    the ego fall on the two sides of its radius sum, so only the np.hypot
+    decision inside _hit's 1e-12 band agrees with _hits.  It lies ahead
+    along the edge, so farther than that from the root, and is AWAY at
+    every other tick.  None when no edge check covers a tick."""
+    point = first_edge_point(ego, k, cfg)
+    if point is None:
+        return None
+    j, ex, ey, heading = point
+    while True:
+        h, a = rng.uniform(2.6, 3.4), heading + rng.uniform(-1.0, 1.0)
+        ox, oy = ex + h * math.cos(a), ey + h * math.sin(a)
+        dx, dy = ox - ex, oy - ey   # the offset _edge_blockers tests
+        hyp = math.hypot(dx, dy)
+        r = max(hyp, float(np.hypot(dx, dy)))
+        radius = r - RADIUS - SAFETY_MARGIN
+        if hyp != float(np.hypot(dx, dy)) and \
+                RADIUS + radius + SAFETY_MARGIN == r:   # world_arrays' sum
+            break
+    xy = [AWAY] * (k + 1)
+    xy[j] = (ox, oy)
+    return Trajectory(aid, 0, 0.1, tuple(ActorState(x, y, 0.0, 0.0)
+                                         for x, y in xy)), radius
+
+
+@st.composite
+def loo_worlds(draw):
+    """(world, ego, k, cfg, radii, route) on ROAD3 at tick 0, with budgets
+    of 50-300 and 0-6 actors: each driving or parked clear of the ego's
+    start, or parked exactly at its radius sum from it (2.5 or 3.0, so
+    the offset is exact); in about one world of two one of them is a band
+    probe instead, and in about one of five one is parked on the ego,
+    which encloses it at the root."""
+    route = draw(st.booleans())
+    lane = draw(st.integers(0, 2))
+    speed = draw(st.sampled_from((6.0, 10.0, 14.0)))
+    ego = ActorState(10.0, ROAD3.lane_center(lane), 0.0, speed)
+    k = draw(st.sampled_from((20, 30)))
+    cfg = PlannerConfig(
+        iteration_budget=draw(st.integers(50, 300)),
+        seed=draw(st.integers(0, 2 ** 31 - 1)),
+        goal=GoalSpec(draw(st.sampled_from((12.0, 18.0, 25.0))),
+                      draw(st.integers(0, 2))),
+        target_speed=speed)
+    kinds = [draw(st.sampled_from(("driving", "parked", "touching")))
+             for _ in range(draw(st.sampled_from(range(7))))]
+    # one probe at most: more would crowd the root's first edge
+    for kind, odds in (("probe", 2), ("enclosing", 5)):
+        if kinds and draw(st.integers(1, odds)) == 1:
+            kinds[draw(st.integers(0, len(kinds) - 1))] = kind
+    world, radii = {}, {}
+    for i, kind in enumerate(kinds):
+        aid, radius = f"a{i}", RADIUS
+        if kind == "driving":
+            v = draw(st.sampled_from((0.0, 4.0, 8.0)))
+            x0 = draw(st.floats(13.0, 40.0))
+            y = draw(st.floats(0.0, ROAD3.width))
+            traj = Trajectory(aid, 0, 0.1, tuple(
+                ActorState(x0 + v * 0.1 * j, y, 0.0, v)
+                for j in range(k + 1)))
+        elif kind == "parked":
+            traj = static_actor(aid, draw(st.floats(13.0, 40.0)),
+                                draw(st.floats(0.0, ROAD3.width)), k)
+        elif kind == "touching":
+            radius = draw(st.sampled_from((0.8, 1.3)))
+            r = RADIUS + radius + SAFETY_MARGIN
+            ux, uy = draw(st.sampled_from(((1, 0), (-1, 0), (0, 1),
+                                           (0, -1))))
+            traj = static_actor(aid, ego.position_x + ux * r,
+                                ego.position_y + uy * r, k)
+        elif kind == "enclosing":
+            traj = static_actor(aid, ego.position_x + 0.5, ego.position_y,
+                                k)
+        else:
+            probe = band_probe(aid, ego, k, cfg,
+                               random.Random(draw(st.integers(0, 2 ** 32))))
+            if probe is None:
+                continue
+            traj, radius = probe
+        world[aid], radii[aid] = traj, radius
+    return world, ego, k, cfg, radii, route
+
+
+@given(loo_worlds())
+@LOO
+def test_leave_one_out_equals_independent_replans(case):
+    world, ego, k, cfg, radii, route = case
+    full_ref, ref = replanned_gammas(ROAD3, world, ego, 0, k, cfg, radii,
+                                     route=route)
+    plan_full, gammas = leave_one_out(world, ego, 0, k, cfg, road=ROAD3,
+                                      radii=radii, route=route)
+    assert gammas == ref
+    assert (plan_full is None) == (full_ref is None)
+    if plan_full is not None:
+        assert plan_full.trajectory.xy.tolist() == \
+            full_ref.trajectory.xy.tolist()

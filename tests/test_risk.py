@@ -10,10 +10,7 @@ from navrisk.planner import (
     GoalSpec,
     LatticeConfig,
     PlannerConfig,
-    PlanningInfeasible,
     SPEED_STEP,
-    _goal_point,
-    _select_endpoint,
     enumerate_plans,
     plan_sampling,
     world_arrays,
@@ -34,7 +31,6 @@ from navrisk.risk import (
     min_risk_selection,
     monte_carlo_importance,
     plan_divergence_kl,
-    route_goal,
     total_risk_exact,
     traj_difference_euclidean,
 )
@@ -51,7 +47,7 @@ from navrisk.scenario import (
 from navrisk.simulate import RunConfig, run_simulation
 
 from oracles import (
-    reference_grow_tree,
+    replanned_gammas,
     static_actor,
     walk_enumerate,
     world_to_positions,
@@ -382,6 +378,16 @@ class TestKLOperator:
         with pytest.raises(ValueError, match="universe"):
             plan_divergence_kl(p, q)
 
+    @pytest.mark.parametrize("universe, feasible, named", [
+        ([("a",), ("b",)], [("c",)], "feasible plan ('c',) is not in the "
+                                     "universe"),
+        ([("a",), ("a",)], [("a",)], "universe repeats plan ('a',)"),
+    ], ids=["outside", "repeated"])
+    def test_bad_input_is_named(self, universe, feasible, named):
+        with pytest.raises(ValueError) as err:
+            PlanDistribution.uniform_feasible(universe, feasible)
+        assert str(err.value) == named
+
     def test_distribution_invariants(self):
         universe = [(f"s{i}",) for i in range(9)]
         p = PlanDistribution.uniform_feasible(universe, universe[:3])
@@ -575,34 +581,6 @@ def loo_cases():
     world = {"on_top": static_actor("on_top", 10.5, ROAD3.lane_center(1), 30),
              "a": moving_actor("a", 25.0, ROAD3.lane_center(0), 6.0, 30)}
     yield ROAD3, world, ego, 0, 30, cfg, {"on_top": 1.2, "a": 1.2}
-
-
-def replanned_gammas(road, world, ego, t, k, cfg, radii):
-    """Independent reference: grow a tree for the full world and for every
-    one-actor ablation from scratch with the numpy reference growth, and
-    plan each toward its own routed goal."""
-    def plan(w):
-        obs, rsum = world_arrays(w, radii, 1.2, t, k)
-        goal = _goal_point(road, ego, route_goal(cfg, w, ego, road), 1.2)
-        try:
-            tree, _ = reference_grow_tree(road, ego, k, obs, rsum, cfg, 1.2,
-                                          DT)
-            return _select_endpoint(tree, goal, obs, rsum, road, t, k, DT)
-        except PlanningInfeasible:
-            return None
-
-    full = plan(world)
-    out = {}
-    for aid in world:
-        m = plan({a: tr for a, tr in world.items() if a != aid})
-        if full is None and m is None:
-            out[aid] = (0.0, False)
-        elif full is None or m is None:
-            out[aid] = (road.road_length / k, True)
-        else:
-            out[aid] = (traj_difference_euclidean(full.trajectory,
-                                                  m.trajectory), False)
-    return full, out
 
 
 class TestLeaveOneOut:
