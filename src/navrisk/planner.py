@@ -29,9 +29,9 @@ that ablated world can still differ, through its re-routed goal and the
 endpoint checks (goal connection, hold, rendered path), which
 _select_endpoint repeats against the ablated obstacles.
 
-Collision is one rule in two forms: _hits, vectorized, for every check
-as long as the horizon or the lattice, and _hit, for one ego-actor pair
-of Python floats, in the tree-edge checks of _edge_blockers.  Tree
+Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r: _hits
+applies it to arrays, and _edge_blockers to the Python floats of the
+tree-edge checks, with the same correctly rounded IEEE operations.  Tree
 growth calls no numpy: node state lives in Python lists, and an x-sorted
 key list answers the nearest-node and neighbour queries (_nearest,
 _neighbours) with the same IEEE expressions, index and order as the
@@ -150,28 +150,24 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
             raise ScenarioError(
                 f"world actor {aid!r} spans [{traj.start_tick}, "
                 f"{traj.end_tick}], expected [{t}, {t + k}]")
+        r = ego_radius + radii[aid] + SAFETY_MARGIN
+        if not math.isfinite(r * r):   # _hits compares squares
+            raise ScenarioError(f"world actor {aid!r}: radius sum {r!r} "
+                                "has no finite square")
         xs.append(traj.xy)
-        rs.append(ego_radius + radii[aid] + SAFETY_MARGIN)
+        rs.append(r)
     return np.stack(xs), np.array(rs)
 
 
 def _hits(obs: np.ndarray, xy: np.ndarray, rsum) -> np.ndarray:
-    """The one overlap rule: center distance strictly below the inflated
-    radii sum; boundary contact is not a collision.  Broadcasts over the
-    leading axes of obs (..., 2), xy (..., 2) and rsum."""
-    return np.hypot(obs[..., 0] - xy[..., 0], obs[..., 1] - xy[..., 1]) < rsum
-
-
-def _hit(dx: float, dy: float, r: float) -> bool:
-    """_hits for one pair of Python floats (dx, dy = obstacle - ego), with
-    the same answer.  math.hypot and np.hypot are each within a few ulp of
-    the true distance, so they can only fall on different sides of r when
-    the distance is within 1e-12 * r of it; inside that band np.hypot
-    decides."""
-    h = math.hypot(dx, dy)
-    if abs(h - r) <= 1e-12 * r:
-        return bool(np.hypot(dx, dy) < r)
-    return h < r
+    """The one overlap rule, broadcast over the leading axes of obs (..., 2),
+    xy (..., 2) and rsum: a squared distance strictly below rsum * rsum, so
+    contact is no collision.  A square that overflows is rightly no hit,
+    since world_arrays keeps rsum * rsum finite."""
+    with np.errstate(over="ignore"):
+        dx = obs[..., 0] - xy[..., 0]
+        dy = obs[..., 1] - xy[..., 1]
+        return dx * dx + dy * dy < rsum * rsum
 
 
 def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
@@ -347,16 +343,16 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 
 def _obstacle_lists(obs: np.ndarray, rsum: np.ndarray):
     """obs and rsum as Python floats for _edge_blockers: x and y per actor
-    per tick, (m, k+1) nested lists each, and the (m,) radii sums."""
-    return obs[..., 0].tolist(), obs[..., 1].tolist(), rsum.tolist()
+    per tick, (m, k+1) nested lists each, and the (m,) rsum * rsum."""
+    return obs[..., 0].tolist(), obs[..., 1].tolist(), (rsum * rsum).tolist()
 
 
 def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
                    tick0: float, tick1: float, oxl, oyl,
-                   rl) -> tuple[int, ...]:
-    """The actors the edge p0 -> p1 hits: () if none, (a,) if actor a is
-    the only one, else two of them.  oxl, oyl, rl come from
-    _obstacle_lists."""
+                   r2l) -> tuple[int, ...]:
+    """The actors the edge p0 -> p1 hits, by _hits' rule: () if none, (a,)
+    if actor a is the only one, else two of them.  oxl, oyl, r2l come
+    from _obstacle_lists."""
     # collision semantics live on integer ticks; check every tick the edge
     # traversal covers, interpolating the ego along the edge
     j0 = math.floor(tick0) + 1   # smallest integer tick strictly after tick0
@@ -367,18 +363,17 @@ def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
         frac = (j - tick0) / span
         pts.append((j, p0x + frac * ddx, p0y + frac * ddy))
     found = ()
-    for a, r in enumerate(rl):
+    for a, r2 in enumerate(r2l):
         ox, oy = oxl[a], oyl[a]
         for j, ex, ey in pts:
-            # both hypots are >= max(|dx|, |dy|): a pair with an offset of
-            # at least r is no hit, whatever _hit would compute
+            # rounding is monotone and dy * dy >= 0, so the rounded sum is
+            # never below dx2: dx2 >= r2 is no hit
             dx = ox[j] - ex
-            if dx >= r or -dx >= r:
+            dx2 = dx * dx
+            if dx2 >= r2:
                 continue
             dy = oy[j] - ey
-            if dy >= r or -dy >= r:
-                continue
-            if _hit(dx, dy, r):
+            if dx2 + dy * dy < r2:
                 found += (a,)
                 if len(found) == 2:
                     return found
@@ -530,11 +525,11 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
                           (cfg.iteration_budget, 2))
 
-    oxl, oyl, rl = _obstacle_lists(obs, rsum)
-    sole = [False] * len(rl)
+    oxl, oyl, r2l = _obstacle_lists(obs, rsum)
+    sole = [False] * len(r2l)
 
     def edge_free(p0x, p0y, p1x, p1y, tick0, tick1) -> bool:
-        hit = _edge_blockers(p0x, p0y, p1x, p1y, tick0, tick1, oxl, oyl, rl)
+        hit = _edge_blockers(p0x, p0y, p1x, p1y, tick0, tick1, oxl, oyl, r2l)
         if len(hit) == 1:
             sole[hit[0]] = True
         return not hit
@@ -630,7 +625,7 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
     if n == 1:
         raise PlanningInfeasible(
             "no collision-free edge from the ego position")
-    oxl, oyl, rl = _obstacle_lists(obs, rsum)
+    oxl, oyl, r2l = _obstacle_lists(obs, rsum)
 
     gd = np.hypot(pts[:, 0] - goal[0], pts[:, 1] - goal[1])
     in_goal = np.nonzero(gd <= GOAL_TOLERANCE)[0]
@@ -658,7 +653,7 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
                         hit = _edge_blockers(*pts[best].tolist(),
                                              *goal.tolist(),
                                              float(tick[best]), nt,
-                                             oxl, oyl, rl)
+                                             oxl, oyl, r2l)
                         if not hit and _hold_free(goal, nt, k, obs, rsum):
                             vertices = np.vstack([vertices, goal])
                             end_pt, end_tick = goal, float(nt)

@@ -157,7 +157,8 @@ def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
 def check_cap(lattice: LatticeConfig, source: str = "lattice"):
     """Raise LatticeCapExceeded, naming `source` (what set the lattice), if
     the lattice has over UNIVERSE_CAP sequences."""
-    if len(lattice.maneuvers) ** lattice.decision_steps > UNIVERSE_CAP:
+    steps = min(lattice.decision_steps, 64)   # 2^64 > UNIVERSE_CAP, 1^s = 1
+    if len(lattice.maneuvers) ** steps > UNIVERSE_CAP:
         raise LatticeCapExceeded(
             f"{source}: {len(lattice.maneuvers)}^{lattice.decision_steps} "
             f"sequences exceed the cap of {UNIVERSE_CAP}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
@@ -26,6 +25,7 @@ EGO_ID = "ego"
 
 SCENARIO_FORMAT_VERSION = 1
 MAX_SCRIPT_TICKS = 200_000   # run_phase_script: longest wait for a trigger
+MAX_MAGNITUDE = 1e150        # load_scenario: largest magnitude of a number
 KINEMATIC_TOLERANCE = 0.2    # check_kinematics: allowed fractional deviation
 
 
@@ -482,6 +482,8 @@ class CaseStudyParams:
                 continue
             if not math.isfinite(value):
                 raise ScenarioError(f"{f.name}: must be finite, got {value!r}")
+            if f.name.endswith("_ticks") and value > MAX_SCRIPT_TICKS:
+                raise ScenarioError(f"{f.name}: must be <= {MAX_SCRIPT_TICKS}")
             if value <= 0 and f.name in ("dt", "accel",
                                          "lane_change_duration"):
                 raise ScenarioError(f"{f.name}: must be positive, got "
@@ -632,19 +634,20 @@ def _field(path: str, key) -> str:
 
 def _finite(value) -> bool:
     # json.loads makes every number an int or a float, and a bool is
-    # neither by type; NaN fails the bound test
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    # neither by type; NaN and inf fail the bound, which keeps every square
+    # planner._hits takes of a radius sum or a coordinate difference finite
+    return type(value) in (int, float) and abs(value) <= MAX_MAGNITUDE
 
 
 def _number(doc, key, path: str, integral: bool = False,
             nonneg: bool = False):
-    """Read doc[key] (an object field, or a list index) as a finite real
-    number: an int when integral, >= 0 when nonneg.  Anything else raises
-    ScenarioError naming the field path, which is formatted only then."""
+    """Read doc[key] (an object field, or a list index) as a number within
+    +-MAX_MAGNITUDE: an int when integral, >= 0 when nonneg.  Anything else
+    raises ScenarioError naming the field path, formatted only then."""
     value = doc[key] if isinstance(key, int) else _require(doc, key, path)
     if not _finite(value):
-        raise ScenarioError(f"{_field(path, key)}: expected a finite number, "
-                            f"got {value!r}")
+        raise ScenarioError(f"{_field(path, key)}: expected a number of "
+                            f"magnitude <= {MAX_MAGNITUDE:g}, got {value!r}")
     if integral and value != int(value):
         raise ScenarioError(f"{_field(path, key)}: expected an integer, got "
                             f"{value!r}")
@@ -685,7 +688,7 @@ def _state(doc, key, path: str) -> ActorState:
         raise ScenarioError(f"{_field(path, key)}: expected [x, y, heading, "
                             f"speed]")
     if not all(map(_finite, row)):
-        for c in range(4):   # raises at the first non-finite value
+        for c in range(4):   # raises at the first value out of bounds
             _number(row, c, _field(path, key))
     return _at(path, key, ActorState, *map(float, row))
 

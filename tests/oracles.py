@@ -8,7 +8,9 @@ against a second implementation of the same contracts.
 walk_render renders one maneuver sequence at a time with the scalar
 float expressions that planner.lattice_blockers applies level by level
 to whole arrays of prefixes; it is the == reference for that render:
-the same sequences, and columns equal to the last bit.
+the same sequences, and columns equal to the last bit.  walk_enumerate
+tests each rendered tick with the collision rule written out on Python
+floats, dx*dx + dy*dy < r*r, not through planner._hits.
 
 The one exception is the sampling planner's tree growth:
 reference_grow_tree and reference_edge_blockers keep the earlier
@@ -112,7 +114,8 @@ def walk_enumerate(road, ego, steps, maneuvers, tps, speed_step, dt,
     and return the collision-free sequence set.
 
     world_positions: {actor_id: [(x, y), ...]} per tick, length steps*tps+1.
-    thresholds: {actor_id: inflated radii sum}; strict < means collision.
+    thresholds: {actor_id: inflated radii sum}; a squared distance strictly
+    below its square means collision, in plain Python floats.
     """
     menu = sorted(set(maneuvers))
     sequences = []
@@ -138,7 +141,8 @@ def walk_enumerate(road, ego, steps, maneuvers, tps, speed_step, dt,
             for aid, opos in world_positions.items():
                 thr = thresholds[aid]
                 for (ex, ey), (ox, oy) in zip(pos, opos):
-                    if math.hypot(ex - ox, ey - oy) < thr:
+                    dx, dy = ox - ex, oy - ey
+                    if dx * dx + dy * dy < thr * thr:
                         hit = True
                         break
                 if hit:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,8 @@ class TestCasestudyCommand:
         ("--dt", "inf", "dt"),
         ("--steady-ticks", "-5", "steady_ticks"),
         ("--tail-ticks", "-1", "tail_ticks"),
+        ("--tail-ticks", "300000", "tail_ticks"),
+        ("--steady-ticks", "300000", "steady_ticks"),
         ("--brake-decel", "nan", "brake_decel"),
         ("--lane-change-duration", "inf", "lane_change_duration"),
         ("--ego-speed", "nan", "ego_speed"),
@@ -112,6 +115,16 @@ class TestOracleCommand:
                      "--maneuvers",
                      "keep,shift_left,shift_right,brake,accelerate"]) == 5
         assert "--steps" in capsys.readouterr().err
+
+    def test_huge_lattice_exit_5_at_once(self, casestudy_path, capsys):
+        # the cap check used to build 3^10000000 exactly, for about 5 s
+        start = time.perf_counter()
+        assert main(["oracle", "--scenario", str(casestudy_path),
+                     "--k", "10000000", "--steps", "10000000"]) == 5
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: --steps: 3^10000000 sequences exceed the cap of "
+            "1000000\n")
 
     def test_degenerate_universe_exit_4(self, tmp_path):
         # single-lane road with a shift-only lattice: nothing is in-bounds

@@ -11,9 +11,11 @@ against the recursive walk enumeration (walk_enumerate).
 
 risk.leave_one_out grows the full world's tree once and reuses it for
 every ablated actor that never alone blocked one of its edge checks; its
-edge checks decide each pair with planner._hit.  It is checked on
-generated worlds against replanned_gammas, which grows every world's
-tree from scratch with the numpy reference growth and its _hits rule.
+edge checks decide each pair in planner._edge_blockers, on Python floats.
+It is checked on generated worlds against replanned_gammas, which grows
+every world's tree from scratch with the numpy reference growth, whose
+edge checks go through planner._hits; a probe actor sits where the
+squared offset is at the squared radius sum or one ulp either side.
 """
 
 import itertools
@@ -310,31 +312,33 @@ def first_edge_point(ego, k, cfg):
     return None
 
 
-def band_probe(aid, ego, k, cfg, rng):
+def boundary_probe(aid, ego, k, cfg, rng):
     """(trajectory, radius) of an actor that sits, at the tick of
-    first_edge_point only, where math.hypot and np.hypot of its offset from
-    the ego fall on the two sides of its radius sum, so only the np.hypot
-    decision inside _hit's 1e-12 band agrees with _hits.  It lies ahead
-    along the edge, so farther than that from the root, and is AWAY at
-    every other tick.  None when no edge check covers a tick."""
+    first_edge_point only, where the squared offset d2 that
+    _edge_blockers computes from the ego is one ulp below, equal to or one
+    ulp above the square r*r of its radius sum (by the strict <, a hit,
+    then two misses).  It lies ahead along the edge, so farther than that
+    from the root, and is AWAY at every other tick.  None when no edge
+    check covers a tick."""
     point = first_edge_point(ego, k, cfg)
     if point is None:
         return None
     j, ex, ey, heading = point
+    side = rng.choice((-1, 0, 1))
     while True:
         h, a = rng.uniform(2.6, 3.4), heading + rng.uniform(-1.0, 1.0)
         ox, oy = ex + h * math.cos(a), ey + h * math.sin(a)
         dx, dy = ox - ex, oy - ey   # the offset _edge_blockers tests
-        hyp = math.hypot(dx, dy)
-        r = max(hyp, float(np.hypot(dx, dy)))
-        radius = r - RADIUS - SAFETY_MARGIN
-        if hyp != float(np.hypot(dx, dy)) and \
-                RADIUS + radius + SAFETY_MARGIN == r:   # world_arrays' sum
-            break
-    xy = [AWAY] * (k + 1)
-    xy[j] = (ox, oy)
-    return Trajectory(aid, 0, 0.1, tuple(ActorState(x, y, 0.0, 0.0)
-                                         for x, y in xy)), radius
+        d2 = dx * dx + dy * dy
+        for r in (math.sqrt(d2) + i * math.ulp(h) for i in (-1, 0, 1)):
+            radius = r - RADIUS - SAFETY_MARGIN
+            target = math.nextafter(r * r, side * math.inf) if side else r * r
+            if d2 == target and \
+                    RADIUS + radius + SAFETY_MARGIN == r:   # world_arrays' sum
+                xy = [AWAY] * (k + 1)
+                xy[j] = (ox, oy)
+                return Trajectory(aid, 0, 0.1, tuple(
+                    ActorState(x, y, 0.0, 0.0) for x, y in xy)), radius
 
 
 @st.composite
@@ -342,9 +346,9 @@ def loo_worlds(draw):
     """(world, ego, k, cfg, radii, route) on ROAD3 at tick 0, with budgets
     of 50-300 and 0-6 actors: each driving or parked clear of the ego's
     start, or parked exactly at its radius sum from it (2.5 or 3.0, so
-    the offset is exact); in about one world of two one of them is a band
-    probe instead, and in about one of five one is parked on the ego,
-    which encloses it at the root."""
+    the offset is exact); in about one world of two one of them is a
+    boundary probe instead, and in about one of five one is parked on the
+    ego, which encloses it at the root."""
     route = draw(st.booleans())
     lane = draw(st.integers(0, 2))
     speed = draw(st.sampled_from((6.0, 10.0, 14.0)))
@@ -386,8 +390,8 @@ def loo_worlds(draw):
             traj = static_actor(aid, ego.position_x + 0.5, ego.position_y,
                                 k)
         else:
-            probe = band_probe(aid, ego, k, cfg,
-                               random.Random(draw(st.integers(0, 2 ** 32))))
+            probe = boundary_probe(
+                aid, ego, k, cfg, random.Random(draw(st.integers(0, 2 ** 32))))
             if probe is None:
                 continue
             traj, radius = probe

@@ -15,7 +15,6 @@ from navrisk.planner import (
     _connect_order,
     _edge_blockers,
     _grow_tree,
-    _hit,
     _hits,
     _nearest,
     _neighbours,
@@ -67,6 +66,13 @@ class TestCollisionCheck:
         assert not collision_check(ego, world, {"a": 1.0}, 1.0)
         world = {"a": moving_actor("a", 0.0, 3.5 - 1e-9, 5.0, 10)}
         assert collision_check(ego, world, {"a": 1.0}, 1.0)
+
+    def test_radius_sum_whose_square_overflows_rejected(self):
+        # a hit by distance, but inf < inf would call it clear
+        ego = moving_actor("ego", 0.0, 1.0, 0.0, 2)
+        world = {"a": moving_actor("a", 1e199, 1.0, 0.0, 2)}
+        with pytest.raises(ScenarioError, match="world actor 'a'"):
+            collision_check(ego, world, {"a": 1e200}, 1.0)
 
     def test_window_mismatch_rejected(self):
         ego = moving_actor("ego", 0.0, 1.0, 5.0, 10)
@@ -285,38 +291,52 @@ class TestSamplingPlanner:
 
 
 class TestPairRule:
-    """_hit is _hits for one pair: the same answer on every input,
-    including distances where math.hypot and np.hypot differ."""
+    """_edge_blockers decides each ego-actor pair as _hits does: the same
+    rounded squares dx*dx + dy*dy and r*r, compared with the strict <."""
 
-    def test_boundary_where_the_hypots_differ(self):
+    @staticmethod
+    def edge_hit(dx, dy, r):
+        # one actor at (dx, dy) from an ego held at the origin over tick 1
+        # only, so the offset is exact; r*r comes from _obstacle_lists
+        obs = np.array([[[0.0, 0.0], [dx, dy]]])
+        lists = _obstacle_lists(obs, np.array([r]))
+        return _edge_blockers(0.0, 0.0, 0.0, 0.0, 0.5, 1.5, *lists) == (0,)
+
+    def test_at_the_squared_radius_and_its_neighbours(self):
+        # radius sums around sqrt(d2) put r*r at d2 and one ulp either side
         rng = np.random.default_rng(41)
-        pairs = []
-        while len(pairs) < 40:
-            dx, dy = (rng.normal(size=2) * rng.uniform(0.5, 20.0)).tolist()
-            if math.hypot(dx, dy) != float(np.hypot(dx, dy)):
-                pairs.append((dx, dy))
-        for dx, dy in pairs:
-            radii = []
-            for h in (float(np.hypot(dx, dy)), math.hypot(dx, dy)):
-                radii += [h, *np.nextafter(h, [0.0, math.inf]).tolist()]
-            for r in radii:
-                assert _hit(dx, dy, r) == bool(np.hypot(dx, dy) < r), \
+        d = rng.normal(size=(300, 2)) * rng.uniform(0.5, 20.0, (300, 1))
+        seen = {"below": 0, "at": 0, "above": 0}
+        for dx, dy in d.tolist():
+            d2 = dx * dx + dy * dy
+            r0 = math.sqrt(d2)
+            for r in (r0 + np.arange(-2, 3) * np.spacing(r0)).tolist():
+                r2 = r * r
+                want = bool(_hits(np.array([dx, dy]), np.zeros(2), r))
+                assert self.edge_hit(dx, dy, r) == want == (d2 < r2), \
                     (dx, dy, r)
+                if d2 == r2:
+                    seen["at"] += 1
+                elif d2 == math.nextafter(r2, -math.inf):
+                    seen["below"] += 1
+                elif d2 == math.nextafter(r2, math.inf):
+                    seen["above"] += 1
+        assert min(seen.values()) >= 30, seen
 
     def test_random_pairs_near_the_radius(self):
         rng = np.random.default_rng(42)
         d = rng.uniform(-6.0, 6.0, (10 ** 5, 2))
-        h = np.hypot(d[:, 0], d[:, 1])
+        h = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
         r = h + rng.integers(-3, 4, len(h)) * np.spacing(h)
         want = _hits(d, np.zeros(2), r).tolist()
-        got = [_hit(dx, dy, ri) for (dx, dy), ri in zip(d.tolist(),
-                                                        r.tolist())]
+        got = [self.edge_hit(dx, dy, ri)
+               for (dx, dy), ri in zip(d.tolist(), r.tolist())]
         assert got == want
         assert 0 < sum(got) < len(got)
 
     def test_no_hit_once_an_offset_reaches_r(self):
-        # _edge_blockers skips _hit when |dx| >= r or |dy| >= r: both hypots
-        # are >= max(|dx|, |dy|), so _hit is False on every such pair
+        # _edge_blockers skips a pair once dx*dx >= r*r: rounding is
+        # monotone and dy*dy >= 0, so the rule says no hit there too
         subnormal = 5e-324
         rng = np.random.default_rng(43)
         for r in [3.0, 2.5, 0.1, *rng.uniform(0.5, 6.0, 40).tolist()]:
@@ -326,12 +346,17 @@ class TestPairRule:
                               0.5 * r, r):
                     for dx, dy in ((off, other), (-off, other),
                                    (other, off), (other, -off)):
-                        assert not _hit(dx, dy, r), (dx, dy, r)
+                        assert not self.edge_hit(dx, dy, r), (dx, dy, r)
                         assert not _hits(np.array([dx, dy]), np.zeros(2), r)
+            # a squared offset that overflows is no hit, with no warning
+            for dx, dy in ((1e200, 0.0), (-1e300, 1e300)):
+                assert not self.edge_hit(dx, dy, r), (dx, dy, r)
+                assert not _hits(np.array([dx, dy]), np.zeros(2), r)
             # one ulp inside r with a zero or subnormal other offset hits
             for dx, dy in ((below, 0.0), (below, subnormal),
                            (-subnormal, -below)):
-                assert _hit(dx, dy, r), (dx, dy, r)
+                assert self.edge_hit(dx, dy, r), (dx, dy, r)
+                assert _hits(np.array([dx, dy]), np.zeros(2), r)
 
 
 def lattice_trees(count):
@@ -432,7 +457,7 @@ def reference_worlds():
              "a": moving_actor("a", 30.0, ROAD3.lane_center(0), 5.0, 30)}
     cfg = sampling_cfg(iteration_budget=300)
     obs, rsum = world_arrays(world, {"edge": 1.25, "a": 1.25}, 1.25, 0, 30)
-    assert math.hypot(13.0 - ego.position_x, 0.0) == rsum[0] == 3.0
+    assert 13.0 - ego.position_x == rsum[0] == 3.0
     yield ego, 30, obs, rsum, cfg, 1.25
 
 
@@ -474,7 +499,7 @@ class TestScalarKernel:
                                (0.0, -off), (off, 5e-324)):
                     oxl, oyl = [[0.0, ex + dx]], [[0.0, ey + dy]]
                     got = _edge_blockers(ex, ey, ex, ey, 0.5, 1.5, oxl, oyl,
-                                         [r])
+                                         [r * r])
                     assert got == ((0,) if blocked else ()), (dx, dy, r)
 
     def test_edge_blockers_contract(self):
