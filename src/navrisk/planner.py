@@ -30,24 +30,27 @@ endpoint checks (goal connection, hold, rendered path), which
 _select_endpoint repeats against the ablated obstacles.
 
 Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r: _hits
-applies it to arrays, and _edge_blockers to the Python floats of the
-tree-edge checks, with the same correctly rounded IEEE operations.  Tree
-growth calls no numpy: node state lives in Python lists, and an x-sorted
-key list answers the nearest-node and neighbour queries (_nearest,
-_neighbours) with the same IEEE expressions, index and order as the
-earlier np.argmin and np.nonzero/np.lexsort queries, so the tree is
-bit-identical to an all-numpy growth.
+applies it to arrays, and the C kernel _growth.c to the binary64 scalars
+of the tree-edge checks (_edge_blockers wraps its edge function), with
+the same correctly rounded IEEE operations.  The kernel runs the whole
+growth loop after _grow_tree has checked the root and drawn the samples:
+the nearest node by a bisect over x-sorted keys (ties to the lowest
+index, np.argmin's rule), the neighbours in ascending index (np.nonzero's
+order), and a stable sort by connect cost (np.lexsort's order), each with
+the same expressions in the same order as an all-numpy growth, so the
+tree is bit-identical to it (tests/oracles.py, reference_grow_tree).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from ._kernel import kernel
 from .scenario import (
     ActorState, RoadMap, ScenarioError, Trajectory, require_int, wrap_angle)
 
@@ -341,44 +344,33 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 # Budgeted sampling planner
 # ---------------------------------------------------------------------------
 
-def _obstacle_lists(obs: np.ndarray, rsum: np.ndarray):
-    """obs and rsum as Python floats for _edge_blockers: x and y per actor
-    per tick, (m, k+1) nested lists each, and the (m,) rsum * rsum."""
-    return obs[..., 0].tolist(), obs[..., 1].tolist(), (rsum * rsum).tolist()
+def _kernel_obstacles(obs: np.ndarray, rsum: np.ndarray, tick0: float,
+                      tick1: float) -> tuple[np.ndarray, np.ndarray]:
+    """obs as _growth.c reads it, C-ordered float64 (m, k+1, 2), and the
+    (m,) squared radius sums.  Raises ValueError unless obs has that shape
+    and covers every integer tick from tick0 to tick1."""
+    obs = np.ascontiguousarray(obs, dtype=np.float64)
+    if obs.ndim != 3 or obs.shape[0] != len(rsum) or obs.shape[2] != 2 \
+            or not (0.0 <= tick0 and tick1 < obs.shape[1]):
+        raise ValueError(f"obstacles of shape {obs.shape} with "
+                         f"{len(rsum)} radius sums do not cover ticks "
+                         f"{tick0!r} to {tick1!r}")
+    return obs, np.ascontiguousarray(rsum * rsum, dtype=np.float64)
 
 
 def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
-                   tick0: float, tick1: float, oxl, oyl,
-                   r2l) -> tuple[int, ...]:
-    """The actors the edge p0 -> p1 hits, by _hits' rule: () if none, (a,)
-    if actor a is the only one, else two of them.  oxl, oyl, r2l come
-    from _obstacle_lists."""
-    # collision semantics live on integer ticks; check every tick the edge
-    # traversal covers, interpolating the ego along the edge
-    j0 = math.floor(tick0) + 1   # smallest integer tick strictly after tick0
-    j1 = math.floor(tick1)       # largest integer tick at or before tick1
-    span, ddx, ddy = tick1 - tick0, p1x - p0x, p1y - p0y
-    pts = []
-    for j in range(j0, j1 + 1):
-        frac = (j - tick0) / span
-        pts.append((j, p0x + frac * ddx, p0y + frac * ddy))
-    found = ()
-    for a, r2 in enumerate(r2l):
-        ox, oy = oxl[a], oyl[a]
-        for j, ex, ey in pts:
-            # rounding is monotone and dy * dy >= 0, so the rounded sum is
-            # never below dx2: dx2 >= r2 is no hit
-            dx = ox[j] - ex
-            dx2 = dx * dx
-            if dx2 >= r2:
-                continue
-            dy = oy[j] - ey
-            if dx2 + dy * dy < r2:
-                found += (a,)
-                if len(found) == 2:
-                    return found
-                break
-    return found
+                   tick0: float, tick1: float, obs: np.ndarray,
+                   rsum: np.ndarray) -> tuple[int, ...]:
+    """The actors of world_arrays' (obs, rsum) that the edge p0 -> p1 hits
+    at the integer ticks it covers from tick0 to tick1, by _hits' rule:
+    () if none, (a,) if actor a is the only one, else two of them.  The
+    kernel's edge check, which the tree growth runs on every edge."""
+    obs, r2 = _kernel_obstacles(obs, rsum, tick0, tick1)
+    found = (ctypes.c_int32 * 2)()
+    count = kernel().navrisk_edge_blockers(
+        p0x, p0y, p1x, p1y, tick0, tick1, obs.ctypes.data, obs.shape[1],
+        r2.ctypes.data, len(r2), found)
+    return tuple(found[:count])
 
 
 def _hold_free(pt, tick, k, obs, rsum) -> bool:
@@ -439,59 +431,6 @@ def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
     ])
 
 
-def _nearest(xkeys: list, ids: list, ys: list, sx: float,
-             sy: float) -> tuple[int, float]:
-    """The node nearest (sx, sy) and its squared distance, by np.argmin's
-    rule: the lowest index among equal d2.  xkeys holds the node x
-    coordinates in ascending order and ids the node index of each key."""
-    best, best_d2 = -1, math.inf
-    p = bisect_left(xkeys, sx)
-    # scan right, then left, of sx; dx*dx grows along each scan and never
-    # exceeds d2, so a scan ends once dx*dx passes the best d2
-    for js in (range(p, len(xkeys)), range(p - 1, -1, -1)):
-        for j in js:
-            dx = xkeys[j] - sx
-            dx2 = dx * dx
-            if dx2 > best_d2:
-                break
-            i = ids[j]
-            dy = ys[i] - sy
-            d2 = dx2 + dy * dy
-            if d2 < best_d2 or (d2 == best_d2 and i < best):
-                best, best_d2 = i, d2
-    return best, best_d2
-
-
-def _neighbours(xkeys: list, ids: list, ys: list, cx: float, cy: float,
-                r: float) -> list[tuple[int, float]]:
-    """(index, distance) of every node with dx*dx + dy*dy <= r*r from
-    (cx, cy), in ascending index: the order np.nonzero gives."""
-    r2 = r * r
-    out = []
-    p = bisect_left(xkeys, cx)
-    for js in (range(p, len(xkeys)), range(p - 1, -1, -1)):
-        for j in js:
-            dx = xkeys[j] - cx
-            dx2 = dx * dx
-            if dx2 > r2:
-                break
-            i = ids[j]
-            dy = ys[i] - cy
-            d2 = dx2 + dy * dy
-            if d2 <= r2:
-                out.append((i, math.sqrt(d2)))
-    out.sort()
-    return out
-
-
-def _connect_order(nbrs: list[tuple[int, float]],
-                   costs: list) -> list[tuple[int, float]]:
-    """_neighbours' (index, distance) pairs by cost through the neighbour,
-    costs[i] + distance; the sort is stable, so equal costs keep ascending
-    index: np.lexsort's order."""
-    return sorted(nbrs, key=lambda nb: costs[nb[0]] + nb[1])
-
-
 def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
                rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
                dt: float) -> tuple[_Tree, np.ndarray]:
@@ -525,92 +464,20 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
                           (cfg.iteration_budget, 2))
 
-    oxl, oyl, r2l = _obstacle_lists(obs, rsum)
-    sole = [False] * len(r2l)
-
-    def edge_free(p0x, p0y, p1x, p1y, tick0, tick1) -> bool:
-        hit = _edge_blockers(p0x, p0y, p1x, p1y, tick0, tick1, oxl, oyl, r2l)
-        if len(hit) == 1:
-            sole[hit[0]] = True
-        return not hit
-
-    # node state as Python lists, plus the x-sorted keys of _nearest and
-    # _neighbours; every value comes from the same IEEE operations in the
-    # same order as in an all-numpy growth
-    xs, ys = [[v] for v in root.tolist()]
-    costs, tick = [0.0], [0.0]
-    parent, children = [-1], [0]
-    xkeys, ids = [xs[0]], [0]
-    n = 1
-
-    r_rewire = 2.0 * STEER_STEP
-    for sx, sy in samples.tolist():
-        ni, d2 = _nearest(xkeys, ids, ys, sx, sy)
-        dist = math.sqrt(d2)
-        if dist < 1e-12:
-            continue
-        f = min(STEER_STEP, dist) / dist
-        cx = xs[ni] + f * (sx - xs[ni])
-        cy = ys[ni] + f * (sy - ys[ni])
-        if cx < xs[ni] or not (y_lo <= cy <= y_hi):
-            continue
-
-        nbrs = _neighbours(xkeys, ids, ys, cx, cy, r_rewire)
-        if not nbrs:
-            dx, dy = xs[ni] - cx, ys[ni] - cy
-            nbrs = [(ni, math.sqrt(dx * dx + dy * dy))]
-
-        chosen = -1
-        chosen_d = 0.0
-        for i, d_i in _connect_order(nbrs, costs):
-            if xs[i] > cx + 1e-12:
-                continue
-            nt = tick[i] + d_i * inv
-            if nt > k:
-                continue
-            if edge_free(xs[i], ys[i], cx, cy, tick[i], nt):
-                chosen, chosen_d = i, d_i
-                break
-        if chosen < 0:
-            continue
-
-        c_n = costs[chosen] + chosen_d
-        t_n = tick[chosen] + chosen_d * inv
-        xs.append(cx)
-        ys.append(cy)
-        costs.append(c_n)
-        tick.append(t_n)
-        parent.append(chosen)
-        children.append(0)
-        children[chosen] += 1
-        j = bisect_left(xkeys, cx)
-        xkeys.insert(j, cx)
-        ids.insert(j, n)
-
-        # rewire: re-parent cheaper-through-new leaves; leaves only, so no
-        # arrival-time cascade needs repair
-        for i, d_i in nbrs:
-            if i == chosen or children[i] > 0:
-                continue
-            nc = c_n + d_i
-            if nc + 1e-12 >= costs[i]:
-                continue
-            if xs[i] + 1e-12 < cx:
-                continue
-            nt = t_n + d_i * inv
-            if nt > k:
-                continue
-            if edge_free(cx, cy, xs[i], ys[i], t_n, nt):
-                children[parent[i]] -= 1
-                parent[i] = n
-                costs[i] = nc
-                tick[i] = nt
-                children[n] += 1
-        n += 1
-
-    return _Tree(np.column_stack((xs, ys)), np.array(costs), np.array(tick),
-                 np.array(parent, dtype=np.int32), speed, inv), \
-        np.array(sole, dtype=bool)
+    # the kernel runs every iteration; see _growth.c
+    obs, r2 = _kernel_obstacles(obs, rsum, 0.0, k)
+    n_max = cfg.iteration_budget + 1
+    pts, cost, tick = np.empty((n_max, 2)), np.empty(n_max), np.empty(n_max)
+    parent = np.empty(n_max, dtype=np.int32)
+    sole = np.zeros(len(rsum), dtype=bool)
+    n = kernel().navrisk_grow(
+        samples.ctypes.data, cfg.iteration_budget, *root.tolist(), y_lo, y_hi,
+        inv, STEER_STEP, k, obs.ctypes.data, obs.shape[1], r2.ctypes.data,
+        len(r2), pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
+        parent.ctypes.data, sole.ctypes.data)
+    if n < 0:
+        raise MemoryError("no memory for the tree growth's work arrays")
+    return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
 
 
 def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
@@ -625,8 +492,6 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
     if n == 1:
         raise PlanningInfeasible(
             "no collision-free edge from the ego position")
-    oxl, oyl, r2l = _obstacle_lists(obs, rsum)
-
     gd = np.hypot(pts[:, 0] - goal[0], pts[:, 1] - goal[1])
     in_goal = np.nonzero(gd <= GOAL_TOLERANCE)[0]
     rounds = []
@@ -652,8 +517,8 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
                     if nt <= k:
                         hit = _edge_blockers(*pts[best].tolist(),
                                              *goal.tolist(),
-                                             float(tick[best]), nt,
-                                             oxl, oyl, r2l)
+                                             float(tick[best]), nt, obs,
+                                             rsum)
                         if not hit and _hold_free(goal, nt, k, obs, rsum):
                             vertices = np.vstack([vertices, goal])
                             end_pt, end_tick = goal, float(nt)

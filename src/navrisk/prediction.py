@@ -17,7 +17,8 @@ from typing import Mapping
 import numpy as np
 
 from .scenario import (
-    ActorState, ScenarioError, Trajectory, require_int, wrap_angle)
+    MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory, require_int,
+    wrap_angle)
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,8 @@ def _non_finite(actor_id: str, sample: int,
                 cfg: PredictionConfig) -> ValueError:
     return ValueError(
         f"sampled future of actor {actor_id!r}, sample {sample}, is not "
-        f"finite (noise_accel_sigma={cfg.noise_accel_sigma!r}, "
+        f"finite or beyond {MAX_MAGNITUDE:g} "
+        f"(noise_accel_sigma={cfg.noise_accel_sigma!r}, "
         f"noise_yawrate_sigma={cfg.noise_yawrate_sigma!r})")
 
 
@@ -82,8 +84,9 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
     Sample j integrates the linear model with per-tick acceleration and
     yaw-rate noise from the stream keyed (seed, actor_id, t, j); with both
     sigmas zero every sample equals predict_linear(history, k) exactly.
-    Raises ValueError when a noise draw or a sampled position is not
-    finite (sigmas too large for floating point).
+    Raises ValueError when a noise draw is not finite or a sampled
+    position is not within +-MAX_MAGNITUDE, the bound load_scenario puts
+    on every document number (sigmas too large for the scenario).
     """
     if k < 1:
         raise ScenarioError("prediction horizon k must be >= 1")
@@ -108,11 +111,10 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
             heading = wrap_angle(heading + w_i * dt)
             x += speed * dt * math.cos(heading)
             y += speed * dt * math.sin(heading)
+            # False for NaN and inf too
+            if not (abs(x) <= MAX_MAGNITUDE and abs(y) <= MAX_MAGNITUDE):
+                raise _non_finite(history.actor_id, j, cfg)
             states.append(ActorState(x, y, heading, speed))
-        # an overflow makes x or y non-finite for good, so the last state
-        # decides
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise _non_finite(history.actor_id, j, cfg)
         out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
     return out
 

@@ -14,15 +14,18 @@ floats, dx*dx + dy*dy < r*r, not through planner._hits.
 
 The one exception is the sampling planner's tree growth:
 reference_grow_tree and reference_edge_blockers keep the earlier
-all-numpy growth, against which planner._grow_tree, whose growth loop
-calls no numpy, is checked for bit-identical trees.  It is the numpy
-reference for every step: whole-array edge checks through the vectorized
-overlap rule planner._hits, the nearest node by np.argmin, and the
-neighbour set by np.nonzero, np.sqrt and np.lexsort over the tree arrays.
+all-numpy growth, against which planner._grow_tree, which runs every
+iteration in the compiled kernel navrisk/_growth.c, is checked for
+bit-identical trees.  It is the numpy reference for every step:
+whole-array edge checks through the vectorized overlap rule
+planner._hits, the nearest node by np.argmin, and the neighbour set by
+np.nonzero, np.sqrt and np.lexsort over the tree arrays.  On request it
+counts the ties it meets, where the kernel's tie rules decide.
 replanned_gammas plans every leave-one-out world on its own such tree.
 """
 
 import math
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -189,7 +192,8 @@ def reference_edge_blockers(p0, p1, tick0, tick1, obs, rsum,
 def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
                         obs: np.ndarray, rsum: np.ndarray,
                         cfg: PlannerConfig, ego_radius: float,
-                        dt: float) -> tuple[_Tree, np.ndarray]:
+                        dt: float, ties: Optional[Counter] = None
+                        ) -> tuple[_Tree, np.ndarray]:
     """Grow the rewiring tree for exactly cfg.iteration_budget samples
     among the obstacles (obs, rsum) of world_arrays.
 
@@ -198,6 +202,12 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
     cfg.goal only as the sample basis cfg.goal.advance, so removing a
     never-sole actor gives this same tree.  Raises PlanningInfeasible
     when the ego overlaps an obstacle at the planning tick.
+
+    When ties is given, adds to it the samples whose nearest node ties
+    in d2 with another ("nearest"), the new nodes whose x equals an
+    earlier node's ("x"), the neighbours exactly 2 * STEER_STEP away
+    ("at_r") and the neighbours whose connect cost equals an earlier
+    neighbour's ("cost").
     """
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
@@ -248,6 +258,8 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
         dy = pts[:n, 1] - s[1]
         d2 = dx * dx + dy * dy
         ni = int(np.argmin(d2))
+        if ties is not None:
+            ties["nearest"] += int(np.count_nonzero(d2 == d2[ni]) > 1)
         dist = math.sqrt(d2[ni])
         if dist < 1e-12:
             continue
@@ -264,6 +276,9 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
             nbrs = np.array([ni])
         cd = np.sqrt(cd2[nbrs])
         order = np.lexsort((nbrs, cost[nbrs] + cd))
+        if ties is not None:
+            ties["at_r"] += int(np.count_nonzero(cd2 == r_rewire * r_rewire))
+            ties["cost"] += nbrs.size - np.unique(cost[nbrs] + cd).size
 
         chosen = -1
         chosen_d = 0.0
@@ -281,6 +296,8 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
         if chosen < 0:
             continue
 
+        if ties is not None:
+            ties["x"] += int(np.any(pts[:n, 0] == cand[0]))
         pts[n] = cand
         parent[n] = chosen
         cost[n] = cost[chosen] + chosen_d

@@ -333,6 +333,18 @@ class TestRunCommand:
         assert "noise_accel_sigma=1e+308" in err
         assert not (tmp_path / "x" / "run.csv").exists()
 
+    def test_sampled_future_beyond_the_document_bound_exit_2(self, tmp_path,
+                                                             capsys):
+        # finite, but actors some 1e159 m away, which no collision check
+        # can hit; the run used to exit 0 with such Monte-Carlo columns
+        assert main(["run", "--casestudy-defaults", "--samples", "1",
+                     "--noise-accel", "1e160", "--budget", "50",
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampled future of actor '")
+        assert "', sample 0, is not finite or beyond 1e+150" in err
+        assert not (tmp_path / "x" / "run.csv").exists()
+
     def test_out_is_a_file_exit_2_before_planning(self, tmp_path,
                                                  casestudy_path, monkeypatch):
         def no_run(*args, **kwargs):

@@ -11,11 +11,12 @@ against the recursive walk enumeration (walk_enumerate).
 
 risk.leave_one_out grows the full world's tree once and reuses it for
 every ablated actor that never alone blocked one of its edge checks; its
-edge checks decide each pair in planner._edge_blockers, on Python floats.
-It is checked on generated worlds against replanned_gammas, which grows
-every world's tree from scratch with the numpy reference growth, whose
-edge checks go through planner._hits; a probe actor sits where the
-squared offset is at the squared radius sum or one ulp either side.
+growth runs in the compiled kernel navrisk/_growth.c, which decides each
+pair on binary64 scalars.  It is checked on generated worlds against
+replanned_gammas, which grows every world's tree from scratch with the
+numpy reference growth, whose edge checks go through planner._hits; a
+probe actor sits where the squared offset is at the squared radius sum
+or one ulp either side, in at least PROBES_AT_LEAST of the worlds.
 """
 
 import itertools
@@ -27,7 +28,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
-from navrisk import planner
 from navrisk.planner import (
     MANEUVERS,
     SAFETY_MARGIN,
@@ -55,7 +55,9 @@ from navrisk.scenario import (
     Trajectory,
 )
 
+import oracles
 from oracles import (
+    reference_grow_tree,
     replanned_gammas,
     static_actor,
     walk_enumerate,
@@ -281,6 +283,10 @@ def test_last_level_actor_blocks_only_the_sequences_it_reaches():
 
 LOO = settings(max_examples=40, deadline=None, derandomize=True,
                suppress_health_check=[HealthCheck.too_slow])
+# of the 40 worlds.  Which worlds Hypothesis draws depends on the other
+# test modules collected: 16 carry a probe in the full suite, 24 when
+# this module runs alone
+PROBES_AT_LEAST = 8
 ROAD3 = RoadMap(3, 3.5, 300.0, 15.0)
 AWAY = (ROAD3.road_length + 50.0, -50.0)   # no check or route sees it
 
@@ -291,22 +297,25 @@ class _Found(Exception):
 
 def first_edge_point(ego, k, cfg):
     """(tick, x, y, heading): where the growth's first edge check that
-    covers an integer tick puts the ego at the first such tick, computed
-    as planner._edge_blockers interpolates it, and the edge's heading.
+    covers an integer tick puts the ego at the first such tick, and the
+    edge's heading.  Found in reference_grow_tree, whose trees equal the
+    kernel's, and computed as both interpolate the ego: the same floats.
     That check is the same in every world whose root is free: the checks
     before it test no tick."""
-    def spy(p0x, p0y, p1x, p1y, tick0, tick1, *_):
+    def spy(p0, p1, tick0, tick1, *_):
+        tick0, tick1 = float(tick0), float(tick1)
         j = math.floor(tick0) + 1
         if j > math.floor(tick1):
-            return ()
+            return None
+        (p0x, p0y), (p1x, p1y) = p0.tolist(), p1.tolist()
         frac = (j - tick0) / (tick1 - tick0)
         raise _Found(j, p0x + frac * (p1x - p0x), p0y + frac * (p1y - p0y),
                      math.atan2(p1y - p0y, p1x - p0x))
 
-    with mock.patch.object(planner, "_edge_blockers", spy):
+    with mock.patch.object(oracles, "reference_edge_blockers", spy):
         try:
-            planner._grow_tree(ROAD3, ego, k, np.zeros((0, k + 1, 2)),
-                               np.zeros(0), cfg, RADIUS, 0.1)
+            reference_grow_tree(ROAD3, ego, k, np.zeros((0, k + 1, 2)),
+                                np.zeros(0), cfg, RADIUS, 0.1)
         except _Found as found:
             return found.args
     return None
@@ -315,7 +324,7 @@ def first_edge_point(ego, k, cfg):
 def boundary_probe(aid, ego, k, cfg, rng):
     """(trajectory, radius) of an actor that sits, at the tick of
     first_edge_point only, where the squared offset d2 that
-    _edge_blockers computes from the ego is one ulp below, equal to or one
+    the edge check computes from the ego is one ulp below, equal to or one
     ulp above the square r*r of its radius sum (by the strict <, a hit,
     then two misses).  It lies ahead along the edge, so farther than that
     from the root, and is AWAY at every other tick.  None when no edge
@@ -328,7 +337,7 @@ def boundary_probe(aid, ego, k, cfg, rng):
     while True:
         h, a = rng.uniform(2.6, 3.4), heading + rng.uniform(-1.0, 1.0)
         ox, oy = ex + h * math.cos(a), ey + h * math.sin(a)
-        dx, dy = ox - ex, oy - ey   # the offset _edge_blockers tests
+        dx, dy = ox - ex, oy - ey   # the offset the edge check tests
         d2 = dx * dx + dy * dy
         for r in (math.sqrt(d2) + i * math.ulp(h) for i in (-1, 0, 1)):
             radius = r - RADIUS - SAFETY_MARGIN
@@ -343,12 +352,12 @@ def boundary_probe(aid, ego, k, cfg, rng):
 
 @st.composite
 def loo_worlds(draw):
-    """(world, ego, k, cfg, radii, route) on ROAD3 at tick 0, with budgets
-    of 50-300 and 0-6 actors: each driving or parked clear of the ego's
-    start, or parked exactly at its radius sum from it (2.5 or 3.0, so
-    the offset is exact); in about one world of two one of them is a
-    boundary probe instead, and in about one of five one is parked on the
-    ego, which encloses it at the root."""
+    """(world, ego, k, cfg, radii, route, probed) on ROAD3 at tick 0, with
+    budgets of 50-300 and 0-6 actors: each driving or parked clear of the
+    ego's start, or parked exactly at its radius sum from it (2.5 or 3.0,
+    so the offset is exact); in about one world of two one of them is a
+    boundary probe instead (then probed is True), and in about one of
+    five one is parked on the ego, which encloses it at the root."""
     route = draw(st.booleans())
     lane = draw(st.integers(0, 2))
     speed = draw(st.sampled_from((6.0, 10.0, 14.0)))
@@ -366,7 +375,7 @@ def loo_worlds(draw):
     for kind, odds in (("probe", 2), ("enclosing", 5)):
         if kinds and draw(st.integers(1, odds)) == 1:
             kinds[draw(st.integers(0, len(kinds) - 1))] = kind
-    world, radii = {}, {}
+    world, radii, probed = {}, {}, False
     for i, kind in enumerate(kinds):
         aid, radius = f"a{i}", RADIUS
         if kind == "driving":
@@ -395,20 +404,30 @@ def loo_worlds(draw):
             if probe is None:
                 continue
             traj, radius = probe
+            probed = True
         world[aid], radii[aid] = traj, radius
-    return world, ego, k, cfg, radii, route
+    return world, ego, k, cfg, radii, route, probed
 
 
-@given(loo_worlds())
-@LOO
-def test_leave_one_out_equals_independent_replans(case):
-    world, ego, k, cfg, radii, route = case
-    full_ref, ref = replanned_gammas(ROAD3, world, ego, 0, k, cfg, radii,
-                                     route=route)
-    plan_full, gammas = leave_one_out(world, ego, 0, k, cfg, road=ROAD3,
-                                      radii=radii, route=route)
-    assert gammas == ref
-    assert (plan_full is None) == (full_ref is None)
-    if plan_full is not None:
-        assert plan_full.trajectory.xy.tolist() == \
-            full_ref.trajectory.xy.tolist()
+def test_leave_one_out_equals_independent_replans():
+    probes = []
+
+    @given(loo_worlds())
+    @LOO
+    def check(case):
+        world, ego, k, cfg, radii, route, probed = case
+        full_ref, ref = replanned_gammas(ROAD3, world, ego, 0, k, cfg, radii,
+                                         route=route)
+        plan_full, gammas = leave_one_out(world, ego, 0, k, cfg, road=ROAD3,
+                                          radii=radii, route=route)
+        assert gammas == ref
+        assert (plan_full is None) == (full_ref is None)
+        if plan_full is not None:
+            assert plan_full.trajectory.xy.tolist() == \
+                full_ref.trajectory.xy.tolist()
+        probes.append(probed)
+
+    check()
+    # a probe that silently stopped being placed would leave the
+    # boundary untested while every world still passes
+    assert sum(probes) >= PROBES_AT_LEAST, probes

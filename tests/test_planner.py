@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +13,9 @@ from navrisk.planner import (
     PlanningInfeasible,
     GOAL_TOLERANCE,
     SPEED_STEP,
-    STEER_STEP,
-    _connect_order,
     _edge_blockers,
     _grow_tree,
     _hits,
-    _nearest,
-    _neighbours,
-    _obstacle_lists,
     collision_check,
     enumerate_plans,
     plan_sampling,
@@ -297,10 +294,10 @@ class TestPairRule:
     @staticmethod
     def edge_hit(dx, dy, r):
         # one actor at (dx, dy) from an ego held at the origin over tick 1
-        # only, so the offset is exact; r*r comes from _obstacle_lists
+        # only, so the offset is exact
         obs = np.array([[[0.0, 0.0], [dx, dy]]])
-        lists = _obstacle_lists(obs, np.array([r]))
-        return _edge_blockers(0.0, 0.0, 0.0, 0.0, 0.5, 1.5, *lists) == (0,)
+        return _edge_blockers(0.0, 0.0, 0.0, 0.0, 0.5, 1.5, obs,
+                              np.array([r])) == (0,)
 
     def test_at_the_squared_radius_and_its_neighbours(self):
         # radius sums around sqrt(d2) put r*r at d2 and one ulp either side
@@ -359,74 +356,6 @@ class TestPairRule:
                 assert _hits(np.array([dx, dy]), np.zeros(2), r)
 
 
-def lattice_trees(count):
-    """(xs, ys, costs, xkeys, ids) of random node sets on a 0.25 m lattice,
-    with repeated nodes and a random order among equal x keys."""
-    rng = np.random.default_rng(1618)
-    for _ in range(count):
-        n = int(rng.integers(1, 160))
-        xs = (10.0 + 0.25 * rng.integers(0, 48, n)).tolist()
-        ys = (1.0 + 0.25 * rng.integers(0, 36, n)).tolist()
-        costs = (0.25 * rng.integers(0, 8, n)).tolist()
-        shuffled = rng.permutation(n).tolist()
-        ids = sorted(shuffled, key=xs.__getitem__)
-        yield xs, ys, costs, [xs[i] for i in ids], ids
-
-
-def lattice_queries(rng, count):
-    """Query points on the lattice, a third of them nudged off it."""
-    for q in range(count):
-        qx = 9.0 + 0.25 * int(rng.integers(0, 56))
-        qy = 0.25 * int(rng.integers(0, 44))
-        if q % 3 == 2:
-            qx += float(rng.uniform(-0.2, 0.2))
-            qy += float(rng.uniform(-0.2, 0.2))
-        yield qx, qy
-
-
-class TestTreeQueries:
-    """_nearest, _neighbours and _connect_order against the numpy queries
-    they replace: the same index, distance and order, on a 0.25 m lattice
-    where equal d2, equal x and neighbours at exactly r are common."""
-
-    def test_nearest_equals_argmin(self):
-        rng = np.random.default_rng(5)
-        ties = 0
-        for xs, ys, _, xkeys, ids in lattice_trees(150):
-            px, py = np.array(xs), np.array(ys)
-            for qx, qy in lattice_queries(rng, 12):
-                dx, dy = px - qx, py - qy
-                d2 = dx * dx + dy * dy
-                want = int(np.argmin(d2))
-                assert _nearest(xkeys, ids, ys, qx, qy) == \
-                    (want, float(d2[want]))
-                ties += int(np.count_nonzero(d2 == d2[want]) > 1)
-        assert ties > 50
-
-    @pytest.mark.parametrize("r", [2.0 * STEER_STEP, 1.25])
-    def test_neighbours_and_order_equal_nonzero_and_lexsort(self, r):
-        # on the lattice a node exactly r away is common: (r, 0) offsets,
-        # and for r = 1.25 also (0.75, 1.0)
-        rng = np.random.default_rng(8)
-        at_r = cost_ties = 0
-        for xs, ys, costs, xkeys, ids in lattice_trees(150):
-            px, py, cost = np.array(xs), np.array(ys), np.array(costs)
-            for cx, cy in lattice_queries(rng, 12):
-                cdx, cdy = px - cx, py - cy
-                cd2 = cdx * cdx + cdy * cdy
-                nbrs = np.nonzero(cd2 <= r * r)[0]
-                cd = np.sqrt(cd2[nbrs])
-                got = _neighbours(xkeys, ids, ys, cx, cy, r)
-                assert got == list(zip(nbrs.tolist(), cd.tolist()))
-                order = np.lexsort((nbrs, cost[nbrs] + cd))
-                assert _connect_order(got, costs) == \
-                    [got[o] for o in order.tolist()]
-                at_r += int(np.count_nonzero(cd2 == r * r))
-                key = (cost[nbrs] + cd).tolist()
-                cost_ties += len(key) - len(set(key))
-        assert at_r > 50 and cost_ties > 50
-
-
 def reference_worlds():
     """(ego, k, obs, rsum, cfg, ego_radius) for the kernel equality test:
     random worlds with 0-6 actors and budgets 100-300, then a parked actor
@@ -461,31 +390,41 @@ def reference_worlds():
     yield ego, 30, obs, rsum, cfg, 1.25
 
 
+def assert_same_growth(ego, k, obs, rsum, cfg, ego_r, ties=None):
+    """_grow_tree equals reference_grow_tree, raising alike or giving the
+    same tree and sole mask bit for bit; returns (tree, sole), or None
+    when both raise PlanningInfeasible."""
+    try:
+        ref, ref_sole = reference_grow_tree(ROAD3, ego, k, obs, rsum, cfg,
+                                            ego_r, DT, ties)
+    except PlanningInfeasible:
+        with pytest.raises(PlanningInfeasible):
+            _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+        return None
+    tree, sole = _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+    for field in ("pts", "cost", "tick", "parent"):
+        got, want = getattr(tree, field), getattr(ref, field)
+        assert got.dtype == want.dtype, field
+        assert got.tolist() == want.tolist(), field
+    assert (tree.speed, tree.inv) == (ref.speed, ref.inv)
+    assert sole.dtype == ref_sole.dtype
+    assert sole.tolist() == ref_sole.tolist()
+    return tree, sole
+
+
 class TestScalarKernel:
-    """The scalar growth kernel against the earlier numpy kernel, kept in
+    """The compiled growth kernel against the earlier numpy kernel, kept in
     oracles.py: the same tree and sole mask, bit for bit."""
 
     def test_grow_tree_equals_numpy_reference(self):
         sole_seen = not_sole_seen = grown = 0
-        for ego, k, obs, rsum, cfg, ego_r in reference_worlds():
-            try:
-                ref, ref_sole = reference_grow_tree(ROAD3, ego, k, obs, rsum,
-                                                    cfg, ego_r, DT)
-            except PlanningInfeasible:
-                with pytest.raises(PlanningInfeasible):
-                    _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+        for world in reference_worlds():
+            got = assert_same_growth(*world)
+            if got is None:
                 continue
-            tree, sole = _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
-            for field in ("pts", "cost", "tick", "parent"):
-                got, want = getattr(tree, field), getattr(ref, field)
-                assert got.dtype == want.dtype, field
-                assert got.tolist() == want.tolist(), field
-            assert (tree.speed, tree.inv) == (ref.speed, ref.inv)
-            assert sole.dtype == ref_sole.dtype
-            assert sole.tolist() == ref_sole.tolist()
             grown += 1
-            sole_seen += int(sole.sum())
-            not_sole_seen += int((~sole).sum())
+            sole_seen += int(got[1].sum())
+            not_sole_seen += int((~got[1]).sum())
         assert grown >= 30 and sole_seen > 0 and not_sole_seen > 0
 
     def test_edge_blockers_at_the_radius(self):
@@ -497,9 +436,9 @@ class TestScalarKernel:
             for off, blocked in ((below, True), (r, False)):
                 for dx, dy in ((off, 0.0), (-off, 0.0), (0.0, off),
                                (0.0, -off), (off, 5e-324)):
-                    oxl, oyl = [[0.0, ex + dx]], [[0.0, ey + dy]]
-                    got = _edge_blockers(ex, ey, ex, ey, 0.5, 1.5, oxl, oyl,
-                                         [r * r])
+                    obs = np.array([[[0.0, 0.0], [ex + dx, ey + dy]]])
+                    got = _edge_blockers(ex, ey, ex, ey, 0.5, 1.5, obs,
+                                         np.array([r]))
                     assert got == ((0,) if blocked else ()), (dx, dy, r)
 
     def test_edge_blockers_contract(self):
@@ -517,7 +456,6 @@ class TestScalarKernel:
                     float(rng.uniform(0.0, 4.0)), k)
                 radii[aid] = float(rng.uniform(0.5, 2.5))
             obs, rsum = world_arrays(world, radii, 1.2, 0, k)
-            lists = _obstacle_lists(obs, rsum)
             for _ in range(20):
                 p0 = rng.uniform((8.0, 0.0), (25.0, ROAD3.width))
                 p1 = p0 + rng.uniform(-4.0, 4.0, 2)
@@ -528,7 +466,7 @@ class TestScalarKernel:
                 truth = set() if mask is None else \
                     set(np.flatnonzero(mask).tolist())
                 got = _edge_blockers(*p0.tolist(), *p1.tolist(), tick0,
-                                     tick1, *lists)
+                                     tick1, obs, rsum)
                 if len(truth) < 2:
                     assert got == tuple(truth)
                 else:
@@ -536,3 +474,91 @@ class TestScalarKernel:
                     assert set(got) <= truth
                 seen[min(len(truth), 2)] += 1
         assert min(seen.values()) >= 50, seen
+
+    def test_edge_blockers_rejects_ticks_the_obstacles_do_not_cover(self):
+        # obs covers ticks 0-3; the kernel reads every integer tick of the
+        # edge, so an edge outside them is refused before any read
+        obs, rsum = np.zeros((1, 4, 2)), np.array([1.0])
+        for tick0, tick1 in ((-0.5, 1.0), (1.0, 4.0), (math.nan, 1.0),
+                             (0.0, math.nan)):
+            with pytest.raises(ValueError, match="do not cover"):
+                _edge_blockers(0.0, 0.0, 1.0, 0.0, tick0, tick1, obs, rsum)
+        assert _edge_blockers(0.0, 0.0, 1.0, 0.0, 0.0, 3.5, obs, rsum) == (0,)
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
+
+
+class LatticeStream:
+    """Stands in for np.random.default_rng in a growth: uniform returns
+    the real generator's draws rounded to the 0.25 m lattice."""
+
+    def __init__(self, seed):
+        self.rng = REAL_DEFAULT_RNG(seed)
+
+    def uniform(self, low, high, size):
+        return np.round(self.rng.uniform(low, high, size) * 4.0) / 4.0
+
+
+def lattice_worlds(count):
+    """(ego, k, obs, rsum, cfg, ego_radius) on the 0.25 m lattice: the ego
+    and 0-3 parked actors on lattice points, and a sample window 8-12 m
+    long, so that a growth on LatticeStream samples puts most nodes on
+    lattice points too."""
+    rng = np.random.default_rng(1618)
+    for _ in range(count):
+        k = int(rng.integers(15, 41))
+        ego = ActorState(10.0 + 0.25 * int(rng.integers(0, 8)),
+                         1.25 + 0.25 * int(rng.integers(0, 30)), 0.0, 10.0)
+        world, radii = {}, {}
+        for i in range(int(rng.integers(0, 4))):
+            aid = f"a{i}"
+            world[aid] = static_actor(
+                aid, ego.position_x + 0.25 * int(rng.integers(12, 48)),
+                0.25 * int(rng.integers(0, 43)), k)
+            radii[aid] = float(rng.choice((0.8, 1.3)))
+        cfg = sampling_cfg(iteration_budget=int(rng.integers(150, 301)),
+                           seed=int(rng.integers(0, 2 ** 31)),
+                           goal=GoalSpec(float(rng.choice((4.0, 8.0))), 1))
+        obs, rsum = world_arrays(world, radii, 1.2, 0, k)
+        yield ego, k, obs, rsum, cfg, 1.2
+
+
+class TestGrowthOnLattice:
+    """The kernel's tie rules, at growth level: its trees equal
+    reference_grow_tree's on sample streams rounded to a 0.25 m lattice,
+    where the nearest node ties in d2 (np.argmin's lowest index), a new
+    node shares x with an earlier one (the x-sorted keys), a neighbour
+    sits exactly 2 * STEER_STEP away (<=) and connect costs tie (the
+    stable sort), more than 50 times each."""
+
+    def test_ties_are_decided_as_the_reference_decides(self):
+        ties, worlds = Counter(), list(lattice_worlds(30))
+        with mock.patch.object(np.random, "default_rng", LatticeStream):
+            for world in worlds:
+                assert_same_growth(*world, ties=ties)
+        assert min(ties[key] for key in ("nearest", "x", "at_r", "cost")) \
+            > 50, ties
+
+    @pytest.mark.parametrize("k, budget, speed, actors, past_k", [
+        (30, 300, 10.0, False, 0),
+        (30, 1, 10.0, True, 0),
+        # 10^4 ticks per meter: no edge longer than 3 mm arrives by k
+        (30, 300, 1e-3, True, 0),
+        (1, 300, 10.0, True, 0),
+        (30, 3000, 10.0, True, 0),
+        (20, 300, 10.0, True, 7),
+    ], ids=["no actors", "budget 1", "every sample rejected", "k = 1",
+            "budget 3000", "obstacles past k"])
+    def test_edge_cases(self, k, budget, speed, actors, past_k):
+        ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, speed)
+        n = k + past_k
+        world = {"a": moving_actor("a", 16.0, ROAD3.lane_center(1), 3.0, n),
+                 "b": static_actor("b", 20.0, ROAD3.lane_center(2), n)} \
+            if actors else {}
+        obs, rsum = world_arrays(world, {"a": 1.2, "b": 1.2}, 1.2, 0, n)
+        cfg = sampling_cfg(iteration_budget=budget, target_speed=speed)
+        tree, sole = assert_same_growth(ego, k, obs, rsum, cfg, 1.2)
+        assert len(sole) == len(world)
+        nodes = len(tree.pts)
+        assert nodes == 1 if speed < 1.0 else 1 < nodes <= budget + 1

@@ -13,7 +13,8 @@ from navrisk.prediction import (
     sample_predictions,
     sample_worlds,
 )
-from navrisk.scenario import ActorState, ScenarioError, Trajectory
+from navrisk.scenario import (
+    MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory)
 
 DT = 0.1
 
@@ -158,10 +159,22 @@ class TestSamplePredictions:
                 sample_predictions(h, 30, cfg)
 
     def test_large_finite_sigma_still_samples(self):
+        # positions stay within MAX_MAGNITUDE: about 1e140 m at most
         h = history_from(0.0, 0.0, 0.0, 8.0)
-        cfg = PredictionConfig(1e300, 1e300, sample_count=2, seed=0)
+        cfg = PredictionConfig(1e140, 1e300, sample_count=2, seed=0)
         for traj in sample_predictions(h, 20, cfg):
             assert np.isfinite(traj.xy).all()
+            assert (np.abs(traj.xy) <= MAX_MAGNITUDE).all()
+
+    def test_position_beyond_max_magnitude_raises(self):
+        # finite, but far beyond any document number: no check could hit
+        # an actor there
+        h = history_from(0.0, 0.0, 0.0, 8.0, actor_id="far")
+        cfg = PredictionConfig(1e300, 0.0, sample_count=2, seed=0)
+        with pytest.raises(ValueError) as info:
+            sample_predictions(h, 20, cfg)
+        assert "'far', sample 0, is not finite or beyond 1e+150" in \
+            str(info.value)
 
     @pytest.mark.parametrize("sigmas", [
         (float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0),
