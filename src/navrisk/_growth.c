@@ -1,10 +1,13 @@
-/* The sampling planner's tree growth, called by planner._grow_tree.
+/* The sampling planner's tree growth, called by planner._grow_tree, and
+   its endpoint selection, called by planner._select_path.
 
    Every float is computed by the same binary64 expressions, in the same
    order, as the all-numpy reference growth (tests/oracles.py,
-   reference_grow_tree), so the two trees are equal bit for bit.  That
-   holds only if the compiler keeps each operation as written: no fused
-   multiply-add (-ffp-contract=off) and no reassociation (no -ffast-math).
+   reference_grow_tree), so the two trees are equal bit for bit, and as
+   the Python reference selection (reference_select_endpoint), so the
+   two select the same endpoint and positions.  That holds only if the
+   compiler keeps each operation as written: no fused multiply-add
+   (-ffp-contract=off) and no reassociation (no -ffast-math).
    navrisk/_kernel.py builds this file with those flags. */
 
 #include <math.h>
@@ -252,4 +255,191 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
     free(dwork);
     free(iwork);
     return n;
+}
+
+/* The order of one endpoint round: a before b, 0 if equal, NaN after
+   every number, as np.lexsort orders keys. */
+static int key_order(double a, double b)
+{
+    int na = a != a, nb = b != b;
+    if (na || nb)
+        return na - nb;
+    return (a > b) - (a < b);
+}
+
+/* Whether node i comes before node j in a round: by key1, then by key2
+   when it is not NULL, then by index.  Strict and total, so the round's
+   next candidate is the first node after the previous one. */
+static int precedes(const double *key1, const double *key2, int i, int j)
+{
+    int c = key_order(key1[i], key1[j]);
+    if (c == 0 && key2 != NULL)
+        c = key_order(key2[i], key2[j]);
+    return c < 0 || (c == 0 && i < j);
+}
+
+/* Whether (x, y), parked from tick `from` to k, stays clear of every
+   actor, by planner._hits' strict rule. */
+static int hold_free(double x, double y, double from, int k,
+                     const double *obs, int kp1, const double *r2, int m)
+{
+    double j0 = ceil(from);
+    if (!(j0 <= k))
+        return 1;
+    for (int a = 0; a < m; a++) {
+        const double *o = obs + (size_t)a * kp1 * 2;
+        for (long j = (long)j0; j <= k; j++) {
+            double dx = o[2 * j] - x, dy = o[2 * j + 1] - y;
+            if (dx * dx + dy * dy < r2[a])
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* Walk the nv vertices at `step` meters per tick for ticks 0..k, holding
+   the last vertex once the path is exhausted: writes path (k+1, 2) and
+   the segment index of each tick, -1 while holding.  seg_len and cum
+   hold nv entries each. */
+static void render(const double *v, int nv, double step, int k,
+                   double *seg_len, double *cum, double *path, int32_t *seg)
+{
+    int ns = nv - 1;
+    cum[0] = 0.0;
+    for (int i = 0; i < ns; i++) {
+        seg_len[i] = hypot(v[2 * i + 2] - v[2 * i],
+                           v[2 * i + 3] - v[2 * i + 1]);
+        cum[i + 1] = cum[i] + seg_len[i];
+    }
+    double total = cum[ns];
+    for (int j = 0; j <= k; j++) {
+        double s = (double)j * step;
+        if (s >= total || total == 0.0) {
+            path[2 * j] = v[2 * ns];
+            path[2 * j + 1] = v[2 * ns + 1];
+            seg[j] = -1;
+            continue;
+        }
+        /* bisect_right: the last i with cum[i] <= s */
+        int lo = 0, hi = ns + 1;
+        while (lo < hi) {
+            int mid = lo + (hi - lo) / 2;
+            if (s < cum[mid])
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        int i = lo - 1 < ns - 1 ? lo - 1 : ns - 1;
+        double f = seg_len[i] > 0 ? (s - cum[i]) / seg_len[i] : 0.0;
+        path[2 * j] = v[2 * i] + f * (v[2 * i + 2] - v[2 * i]);
+        path[2 * j + 1] = v[2 * i + 1] + f * (v[2 * i + 3] - v[2 * i + 1]);
+        seg[j] = i;
+    }
+}
+
+#define CANDIDATES 200   /* per round */
+
+/* Select the endpoint of a grown tree of n nodes (xy, cost, tick, parent
+   as navrisk_grow writes them) toward the goal (gx, gy), as
+   planner._select_path documents, among obs, kp1, r2 and m as for
+   navrisk_edge_blockers, with kp1 > k.  inv is ticks per meter and step
+   meters per tick.  Writes the chosen path's vertices (at most n + 1) to
+   verts, its positions (k+1, 2) to path and the segment of each tick to
+   seg, and info[0] = partial, info[1] = the vertex count.  Returns the
+   endpoint's node, -1 when no candidate stays clear, -2 when memory for
+   the work arrays cannot be had and -3 when a parent chain is not a
+   path to the root. */
+int navrisk_select(const double *xy, const double *cost, const double *tick,
+                   const int32_t *parent, int n, double gx, double gy,
+                   double tol, double inv, double step, int k,
+                   const double *obs, int kp1, const double *r2, int m,
+                   double *verts, double *path, int32_t *seg, int32_t *info)
+{
+    double *work = malloc((3 * (size_t)n + 2) * sizeof(double));
+    if (work == NULL)
+        return -2;
+    double *gd = work, *seg_len = work + n, *cum = work + 2 * (size_t)n + 1;
+    int32_t found[2];
+    int result = -1;
+
+    for (int i = 0; i < n; i++)
+        gd[i] = hypot(xy[2 * i] - gx, xy[2 * i + 1] - gy);
+
+    /* round 0: the nodes in the goal region by cost; round 1, partial:
+       every node by goal distance, then cost */
+    for (int partial = 0; partial < 2 && result == -1; partial++) {
+        const double *key1 = partial ? gd : cost;
+        const double *key2 = partial ? cost : NULL;
+        int prev = -1;
+        for (int c = 0; c < CANDIDATES && result == -1; c++) {
+            int best = -1;
+            for (int i = 0; i < n; i++) {
+                if (!partial && !(gd[i] <= tol))
+                    continue;
+                if ((prev < 0 || precedes(key1, key2, prev, i)) &&
+                    (best < 0 || precedes(key1, key2, i, best)))
+                    best = i;
+            }
+            if (best < 0)
+                break;
+            prev = best;
+
+            /* the chain root .. best into verts */
+            int nv = 0;
+            for (int p = best; p >= 0; p = parent[p]) {
+                if (p >= n || nv == n) {
+                    result = -3;
+                    break;
+                }
+                nv++;
+            }
+            if (result == -3)
+                break;
+            for (int p = best, q = nv - 1; p >= 0; p = parent[p], q--) {
+                verts[2 * q] = xy[2 * p];
+                verts[2 * q + 1] = xy[2 * p + 1];
+            }
+
+            /* connect to the goal point when that edge and the hold there
+               are clear; the plan parks at its endpoint until k */
+            double end_x = xy[2 * best], end_y = xy[2 * best + 1];
+            int to_goal = 0;
+            if (!partial && gd[best] > 1e-9 && gx + 1e-12 >= end_x) {
+                double nt = tick[best] + gd[best] * inv;
+                if (nt <= k &&
+                    navrisk_edge_blockers(end_x, end_y, gx, gy, tick[best],
+                                          nt, obs, kp1, r2, m, found) == 0 &&
+                    hold_free(gx, gy, nt, k, obs, kp1, r2, m)) {
+                    verts[2 * nv] = gx;
+                    verts[2 * nv + 1] = gy;
+                    nv++;
+                    to_goal = 1;
+                }
+            }
+            if (!to_goal &&
+                !hold_free(end_x, end_y, tick[best], k, obs, kp1, r2, m))
+                continue;
+
+            render(verts, nv, step, k, seg_len, cum, path, seg);
+            int clear = 1;
+            for (int a = 0; a < m && clear; a++) {
+                const double *o = obs + (size_t)a * kp1 * 2;
+                for (int j = 0; j <= k; j++) {
+                    double dx = o[2 * j] - path[2 * j];
+                    double dy = o[2 * j + 1] - path[2 * j + 1];
+                    if (dx * dx + dy * dy < r2[a]) {
+                        clear = 0;
+                        break;
+                    }
+                }
+            }
+            if (clear) {
+                info[0] = partial;
+                info[1] = nv;
+                result = best;
+            }
+        }
+    }
+    free(work);
+    return result;
 }

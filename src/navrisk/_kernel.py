@@ -1,4 +1,5 @@
-"""Build and load _growth.c, the planner's compiled tree growth.
+"""Build and load _growth.c, the planner's compiled tree growth and
+endpoint selection.
 
 kernel() compiles the C99 source once per checkout with the constant
 compiler COMPILER and FLAGS and loads it through ctypes.  The shared
@@ -7,8 +8,10 @@ crc32 of the source, the flags, the interpreter's cache tag and the
 machine, so an edited source or another platform gets its own file.  It
 is written to a temporary file in that directory and moved into place, so
 concurrent builds never load a partial file.  Where that directory is not
-writable the library is built in a private temporary directory for this
-process only.  Nothing is built or loaded until the first growth.
+writable the library is cached the same way, under the same name, in
+navrisk-<uid> under tempfile.gettempdir(), which is made 0700 and used
+only while it is a directory that this user owns and no one else can
+enter.  Nothing is built or loaded until the first growth.
 
 -ffp-contract=off keeps every a * b + c a rounded multiply and a rounded
 add, as in numpy and CPython; no -ffast-math, which would reassociate.
@@ -19,7 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import shutil
+import stat
 import sys
 import tempfile
 import zlib
@@ -34,6 +37,8 @@ SIGNATURES = {
     "navrisk_edge_blockers": (_D, _D, _D, _D, _D, _D, _P, _I, _P, _I, _P),
     "navrisk_grow": (_P, _I, _D, _D, _D, _D, _D, _D, _I, _P, _I, _P, _I, _P,
                      _P, _P, _P, _P),
+    "navrisk_select": (_P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _I, _P, _I,
+                       _P, _I, _P, _P, _P, _P),
 }
 
 
@@ -67,26 +72,34 @@ def _load(path: str) -> ctypes.CDLL:
     return lib
 
 
-@functools.cache
-def kernel() -> ctypes.CDLL:
-    """The loaded kernel, built on first use.  Raises OSError naming the
-    compiler command and the tail of its output when the build fails."""
-    source = SOURCE.read_bytes()
-    cache = SOURCE.parent / "__pycache__"
-    path = cache / _library_name(source)
-    if path.is_file():
-        return _load(str(path))
+def _user_cache() -> Path:
+    """The per-user cache directory, made 0700 if missing.  Raises OSError
+    unless it is a directory (not a link) of this user's, closed to
+    everyone else."""
+    path = Path(tempfile.gettempdir()) / f"navrisk-{os.getuid()}"
     try:
-        cache.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-    except OSError:   # not writable: a private build for this process
-        private = tempfile.mkdtemp()
-        try:
-            lib_path = os.path.join(private, path.name)
-            _compile(lib_path)
-            return _load(lib_path)
-        finally:   # a loaded library stays mapped once its file is gone
-            shutil.rmtree(private, ignore_errors=True)
+        path.mkdir(mode=0o700)
+    except FileExistsError:
+        pass
+    st = os.lstat(path)
+    if not stat.S_ISDIR(st.st_mode) or st.st_uid != os.getuid() \
+            or st.st_mode & 0o077:
+        raise OSError(f"cannot build the planner kernel: {path} is not a "
+                      f"directory private to this user")
+    return path
+
+
+def _writable(directory: Path) -> bool:
+    try:
+        directory.mkdir(exist_ok=True)
+    except OSError:
+        return False
+    return os.access(directory, os.W_OK)
+
+
+def _build(path: Path):
+    """Compile into a temporary file beside path, then move it there."""
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
     os.close(fd)
     try:
         _compile(tmp)
@@ -95,4 +108,17 @@ def kernel() -> ctypes.CDLL:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+@functools.cache
+def kernel() -> ctypes.CDLL:
+    """The loaded kernel, built on first use.  Raises OSError naming the
+    compiler command and the tail of its output when the build fails."""
+    name = _library_name(SOURCE.read_bytes())
+    cache = SOURCE.parent / "__pycache__"
+    if not (cache / name).is_file() and not _writable(cache):
+        cache = _user_cache()
+    path = cache / name
+    if not path.is_file():
+        _build(path)
     return _load(str(path))

@@ -19,26 +19,39 @@ arrival tick) so moving obstacles are checked where they will be, not
 where they are.
 
 plan_sampling is _grow_tree followed by _select_endpoint.  The tree never
-reads the goal point, and its sample stream depends only on cfg.seed and
-the sample basis cfg.goal.advance.  Leave-one-out runs over different
-actor subsets share one cfg, and so are paired experiments, with an
-exact reuse rule: an actor that was never the sole blocker of a
-growth edge check (connect or rewire) grows the same tree when removed,
-since every such check returns the same answer without it.  The plan of
-that ablated world can still differ, through its re-routed goal and the
-endpoint checks (goal connection, hold, rendered path), which
-_select_endpoint repeats against the ablated obstacles.
+reads the goal point, and its sample stream (_sample_stream) depends only
+on cfg.seed and the sample basis cfg.goal.advance.  Leave-one-out runs
+over different actor subsets share one cfg, and so one stream, and are
+paired experiments, with an exact reuse rule: an actor that was never the
+sole blocker of a growth edge check (connect or rewire) grows the same
+tree when removed, since every such check returns the same answer
+without it.  The plan of that ablated world can still differ, through
+its re-routed goal and the endpoint checks (goal connection, hold,
+rendered path), which _select_path repeats against the ablated
+obstacles.
 
 Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r: _hits
 applies it to arrays, and the C kernel _growth.c to the binary64 scalars
-of the tree-edge checks (_edge_blockers wraps its edge function), with
-the same correctly rounded IEEE operations.  The kernel runs the whole
-growth loop after _grow_tree has checked the root and drawn the samples:
-the nearest node by a bisect over x-sorted keys (ties to the lowest
-index, np.argmin's rule), the neighbours in ascending index (np.nonzero's
-order), and a stable sort by connect cost (np.lexsort's order), each with
-the same expressions in the same order as an all-numpy growth, so the
-tree is bit-identical to it (tests/oracles.py, reference_grow_tree).
+of the tree-edge checks (_edge_blockers wraps its edge function) and of
+the endpoint selection, with the same correctly rounded IEEE operations.
+The kernel runs the whole growth loop after _grow_tree has checked the
+root and drawn the samples: the nearest node by a bisect over x-sorted
+keys (ties to the lowest index, np.argmin's rule), the neighbours in
+ascending index (np.nonzero's order), and a stable sort by connect cost
+(np.lexsort's order), each with the same expressions in the same order
+as an all-numpy growth, so the tree is bit-identical to it
+(tests/oracles.py, reference_grow_tree).
+
+The endpoint rule lives in the kernel too: _select_path is a thin
+wrapper over navrisk_select, which runs the whole candidate loop (both
+rounds with their orders and ties, the 200-candidate cap, the goal edge
+and hold checks) and renders the chosen path at constant speed with the
+same binary64 expressions as the earlier Python selection
+(tests/oracles.py, reference_select_endpoint): hypot segment lengths, a
+running sum, bisect-right and f = (s - cum[i]) / seg_len[i].  It writes
+positions only; headings, ActorStates and the cost are built in Python
+(_path_plan) just for the Plan a caller reads, so leave-one-out compares
+its ablated plans as position arrays.
 """
 
 from __future__ import annotations
@@ -373,44 +386,6 @@ def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
     return tuple(found[:count])
 
 
-def _hold_free(pt, tick, k, obs, rsum) -> bool:
-    # a plan that ends at pt parks there from its arrival tick to t+k
-    j0 = math.ceil(tick)
-    if j0 > k:
-        return True
-    return not _hits(obs[:, j0:k + 1], pt, rsum[:, None]).any()
-
-
-def _render_path(vertices: np.ndarray, t: int, k: int, dt: float,
-                 speed: float) -> Trajectory:
-    """Walk the polyline at constant speed, holding the final state once the
-    path is exhausted (held states carry speed 0)."""
-    seg = np.diff(vertices, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-    total = cum[-1]
-    states = []
-    prev_heading = 0.0
-    step = speed * dt
-    for j in range(k + 1):
-        s = j * step
-        if s >= total or total == 0.0:
-            x, y = vertices[-1]
-            moving = False
-        else:
-            i = int(np.searchsorted(cum, s, side="right")) - 1
-            i = min(i, len(seg_len) - 1)
-            f = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
-            x = vertices[i, 0] + f * seg[i, 0]
-            y = vertices[i, 1] + f * seg[i, 1]
-            moving = True
-            prev_heading = math.atan2(seg[i, 1], seg[i, 0])
-        states.append(ActorState(
-            float(x), float(y), wrap_angle(prev_heading),
-            speed if moving else 0.0))
-    return Trajectory("ego", t, dt, tuple(states))
-
-
 class _Tree(NamedTuple):
     """A grown rewiring tree trimmed to its nodes: positions, path costs,
     arrival ticks (at `speed`, `inv` ticks per meter) and parents."""
@@ -431,11 +406,27 @@ def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
     ])
 
 
+def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
+                   ego_radius: float) -> np.ndarray:
+    """The (cfg.iteration_budget, 2) samples of a growth, drawn up front
+    from cfg.seed alone.  The window depends only on the ego state and the
+    sample basis cfg.goal.advance, never on a goal routed per world, so
+    every growth under one cfg reads the same stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    x_lo = ego.position_x
+    x_hi = min(ego.position_x + cfg.goal.advance + 2 * GOAL_TOLERANCE,
+               road.road_length)
+    y_lo, y_hi = ego_radius, road.width - ego_radius
+    return rng.uniform((x_lo, y_lo), (x_hi, y_hi), (cfg.iteration_budget, 2))
+
+
 def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
                rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
-               dt: float) -> tuple[_Tree, np.ndarray]:
+               dt: float, samples: Optional[np.ndarray] = None
+               ) -> tuple[_Tree, np.ndarray]:
     """Grow the rewiring tree for exactly cfg.iteration_budget samples
-    among the obstacles (obs, rsum) of world_arrays.
+    among the obstacles (obs, rsum) of world_arrays, on samples when
+    given (_sample_stream's for this cfg), else on a stream drawn here.
 
     Also returns the (m,) sole mask: actor j is sole iff some connect or
     rewire edge check was blocked by actor j alone.  The tree reads
@@ -452,17 +443,9 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     if _hits(obs[:, 0], root, rsum).any():
         raise PlanningInfeasible(
             "ego overlaps an obstacle at the planning tick")
-
-    # entire sample stream drawn up front from the seed; the window depends
-    # only on the ego state and the sample basis cfg.goal.advance, never on
-    # a goal routed per world
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    x_lo = ego.position_x
-    x_hi = min(ego.position_x + cfg.goal.advance + 2 * GOAL_TOLERANCE,
-               road.road_length)
+    if samples is None:
+        samples = _sample_stream(road, ego, cfg, ego_radius)
     y_lo, y_hi = ego_radius, road.width - ego_radius
-    samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
-                          (cfg.iteration_budget, 2))
 
     # the kernel runs every iteration; see _growth.c
     obs, r2 = _kernel_obstacles(obs, rsum, 0.0, k)
@@ -480,58 +463,84 @@ def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
 
 
-def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
-                     rsum: np.ndarray, road: RoadMap, t: int, k: int,
-                     dt: float) -> Plan:
+class _Path(NamedTuple):
+    """A selected plan as the kernel writes it: positions (k+1, 2), the
+    segment each tick moves along (-1 while it holds), the vertices those
+    index, the partial flag and the endpoint's tree node."""
+
+    xy: np.ndarray
+    seg: np.ndarray
+    vertices: np.ndarray
+    partial: bool
+    endpoint: int
+
+
+def _select_path(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
+                 rsum: np.ndarray, k: int, dt: float) -> _Path:
     """The cheapest tree path into the goal region that stays clear of
     (obs, rsum), connected to the goal point when that edge is clear, or
-    else the closest-approach path flagged partial.  Raises
-    PlanningInfeasible when no candidate endpoint stays collision-free."""
-    pts, cost, tick, parent = tree.pts, tree.cost, tree.tick, tree.parent
+    else the closest-approach path flagged partial, walked at tree.speed.
+    Raises PlanningInfeasible when no candidate endpoint stays clear.
+
+    navrisk_select in _growth.c tries up to 200 candidates per round:
+    the nodes within GOAL_TOLERANCE of the goal by cost, then every node
+    by goal distance and cost, ties to the lower index.  A candidate's
+    plan parks at its endpoint until k, so the endpoint must stay clear
+    until then by _hits' rule, and so must every rendered tick."""
+    pts, cost, tick = (np.ascontiguousarray(a, dtype=np.float64)
+                       for a in (tree.pts, tree.cost, tree.tick))
+    parent = np.ascontiguousarray(tree.parent, dtype=np.int32)
     n = len(pts)
+    if pts.shape != (n, 2) or not cost.shape == tick.shape == parent.shape \
+            == (n,) or not (tick >= 0.0).all():
+        raise ValueError("not a tree of (n, 2) points with n costs, "
+                         "parents and ticks >= 0")
     if n == 1:
         raise PlanningInfeasible(
             "no collision-free edge from the ego position")
-    gd = np.hypot(pts[:, 0] - goal[0], pts[:, 1] - goal[1])
-    in_goal = np.nonzero(gd <= GOAL_TOLERANCE)[0]
-    rounds = []
-    if in_goal.size:
-        rounds.append((in_goal[np.lexsort((in_goal, cost[in_goal]))], False))
-    rounds.append((np.lexsort((np.arange(n), cost, gd)), True))
+    obs, r2 = _kernel_obstacles(obs, rsum, 0.0, k)
+    vertices, xy = np.empty((n + 1, 2)), np.empty((k + 1, 2))
+    seg = np.empty(k + 1, dtype=np.int32)
+    info = (ctypes.c_int32 * 2)()
+    best = kernel().navrisk_select(
+        pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
+        parent.ctypes.data, n, float(goal[0]), float(goal[1]),
+        GOAL_TOLERANCE, tree.inv, tree.speed * dt, k, obs.ctypes.data,
+        obs.shape[1], r2.ctypes.data, len(r2), vertices.ctypes.data,
+        xy.ctypes.data, seg.ctypes.data, info)
+    if best == -1:
+        raise PlanningInfeasible("no candidate endpoint stays collision-free")
+    if best == -2:
+        raise MemoryError("no memory for the endpoint selection")
+    if best < 0:
+        raise ValueError("the tree's parent links do not reach the root")
+    return _Path(xy, seg, vertices[:info[1]], bool(info[0]), best)
 
-    # candidates in preference order; the plan parks at its endpoint until
-    # t+k, so the endpoint must also stay clear over the remaining ticks
-    for order, partial in rounds:
-        for best in order[:200]:
-            best = int(best)
-            chain = [best]
-            while parent[chain[-1]] >= 0:
-                chain.append(int(parent[chain[-1]]))
-            vertices = pts[chain[::-1]]
 
-            end_pt, end_tick = pts[best], float(tick[best])
-            if not partial:
-                d_goal = float(gd[best])
-                if d_goal > 1e-9 and goal[0] + 1e-12 >= pts[best, 0]:
-                    nt = float(tick[best]) + d_goal * tree.inv
-                    if nt <= k:
-                        hit = _edge_blockers(*pts[best].tolist(),
-                                             *goal.tolist(),
-                                             float(tick[best]), nt, obs,
-                                             rsum)
-                        if not hit and _hold_free(goal, nt, k, obs, rsum):
-                            vertices = np.vstack([vertices, goal])
-                            end_pt, end_tick = goal, float(nt)
-            if not _hold_free(end_pt, end_tick, k, obs, rsum):
-                continue
+def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
+               dt: float) -> Plan:
+    """The Plan of a selected path: each moving tick heads along its
+    segment (math.atan2) at speed, a holding tick keeps the last heading
+    at speed 0, and the cost leaves out the speed term."""
+    seg = np.diff(path.vertices, axis=0).tolist()
+    heading = [wrap_angle(math.atan2(dy, dx)) for dx, dy in seg]
+    h = 0.0
+    states = []
+    for (x, y), i in zip(path.xy.tolist(), path.seg.tolist()):
+        if i >= 0:
+            h = heading[i]
+        states.append(ActorState(x, y, h, speed if i >= 0 else 0.0))
+    traj = Trajectory("ego", t, dt, tuple(states))
+    return Plan(traj, _plan_cost(traj, road, include_speed_term=False),
+                partial=path.partial)
 
-            traj = _render_path(vertices, t, k, dt, tree.speed)
-            if _hits(obs, traj.xy, rsum[:, None]).any():
-                continue
-            return Plan(traj,
-                        _plan_cost(traj, road, include_speed_term=False),
-                        partial=partial)
-    raise PlanningInfeasible("no candidate endpoint stays collision-free")
+
+def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
+                     rsum: np.ndarray, road: RoadMap, t: int, k: int,
+                     dt: float) -> Plan:
+    """_select_path's plan as a Plan starting at tick t."""
+    return _path_plan(_select_path(tree, goal, obs, rsum, k, dt),
+                      tree.speed, road, t, dt)
 
 
 def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,

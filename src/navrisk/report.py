@@ -6,9 +6,8 @@ repr (shortest round-trip) and the SVGs embed no timestamps or random ids.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .simulate import RunResult, StepRecord
 
@@ -40,10 +39,24 @@ def run_csv(result: RunResult) -> str:
 
 
 def _quartiles(values: list[float]):
+    """(median, q1, q3) as np.percentile's default linear method gives
+    them: between the sorted values at the floor and the ceiling of
+    (n - 1) * q, by numpy's lerp rule, whose two forms are each exact at
+    their own end."""
     if not values:
         return None, None, None
-    q1, med, q3 = np.percentile(np.array(values), [25.0, 50.0, 75.0])
-    return float(med), float(q1), float(q3)
+    xs = sorted(values)
+    last = len(xs) - 1
+
+    def quantile(q: float) -> float:
+        v = last * q
+        i = math.floor(v)
+        if i >= last:
+            return xs[last]
+        a, b, t = xs[i], xs[i + 1], v - i
+        return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+    return quantile(0.5), quantile(0.25), quantile(0.75)
 
 
 def phase_summary_csv(result: RunResult) -> str:

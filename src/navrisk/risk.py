@@ -37,7 +37,10 @@ from .planner import (
     PlanningInfeasible,
     _goal_point,
     _grow_tree,
-    _select_endpoint,
+    _Path,
+    _path_plan,
+    _sample_stream,
+    _select_path,
     collision_check,
     enumerate_plans,  # noqa: F401 (wrapped by perfbench/tracer.py)
     lattice_blockers,
@@ -80,7 +83,11 @@ def traj_difference_euclidean(a: Trajectory, b: Trajectory) -> float:
     state; equal-horizon inputs (the normal case: both plans span [t, t+k])
     make this a pseudometric.
     """
-    xa, xb = a.xy, b.xy
+    return _mean_distance(a.xy, b.xy)
+
+
+def _mean_distance(xa: np.ndarray, xb: np.ndarray) -> float:
+    """traj_difference_euclidean on the (n, 2) position arrays."""
     n = max(len(xa), len(xb))
     if len(xa) < n:
         xa = np.vstack([xa, np.repeat(xa[-1:], n - len(xa), axis=0)])
@@ -237,28 +244,42 @@ MIN_ADVANCE = 2.0           # meters
 SWITCH_HYSTERESIS = 5.0     # meters of advance a lane switch must gain
 
 
+def _follow_term(traj: Trajectory, ego: ActorState, road: RoadMap,
+                 lane: int, ego_speed: float) -> Optional[float]:
+    """One occupant's soft-minimum term of follow_advance in lane, or None
+    when it never limits the advance there."""
+    lo = lane * road.lane_width
+    hi = lo + road.lane_width
+    xy = traj.xy
+    in_band = (xy[:, 1] >= lo) & (xy[:, 1] < hi)
+    ahead = (xy[:, 0] > ego.position_x) & (xy[:, 0] <= road.road_length)
+    if not np.any(in_band & ahead):
+        return None
+    gap = float(xy[0, 0]) - ego.position_x
+    v_occ = (float(xy[-1, 0]) - float(xy[0, 0])) / \
+        ((len(xy) - 1) * traj.dt) if len(xy) > 1 else traj.states[0].speed
+    if v_occ >= ego_speed - 1e-9:
+        return None  # never caught within any horizon
+    fa = max(0.0, (gap - FOLLOW_GAP) * ego_speed / (ego_speed - v_occ))
+    return math.exp(-fa / SOFTNESS)
+
+
+def _soft_advance(base_advance: float, terms) -> float:
+    """The clamped soft-minimum advance over the occupant terms, summed
+    in the order given after the base term; None terms are skipped."""
+    total = [math.exp(-base_advance / SOFTNESS)]
+    total += [x for x in terms if x is not None]
+    adv = -SOFTNESS * math.log(sum(total))
+    return float(min(max(adv, MIN_ADVANCE), base_advance))
+
+
 def follow_advance(world: Mapping[str, Trajectory], ego: ActorState,
                    road: RoadMap, lane: int, base_advance: float,
                    ego_speed: float) -> float:
     """Clamped goal advance in one lane given predicted occupants."""
-    lo = lane * road.lane_width
-    hi = lo + road.lane_width
-    terms = [math.exp(-base_advance / SOFTNESS)]
-    for traj in world.values():
-        xy = traj.xy
-        in_band = (xy[:, 1] >= lo) & (xy[:, 1] < hi)
-        ahead = (xy[:, 0] > ego.position_x) & (xy[:, 0] <= road.road_length)
-        if not np.any(in_band & ahead):
-            continue
-        gap = float(xy[0, 0]) - ego.position_x
-        v_occ = (float(xy[-1, 0]) - float(xy[0, 0])) / \
-            ((len(xy) - 1) * traj.dt) if len(xy) > 1 else traj.states[0].speed
-        if v_occ >= ego_speed - 1e-9:
-            continue  # never caught within any horizon
-        fa = max(0.0, (gap - FOLLOW_GAP) * ego_speed / (ego_speed - v_occ))
-        terms.append(math.exp(-fa / SOFTNESS))
-    adv = -SOFTNESS * math.log(sum(terms))
-    return float(min(max(adv, MIN_ADVANCE), base_advance))
+    return _soft_advance(base_advance, (
+        _follow_term(traj, ego, road, lane, ego_speed)
+        for traj in world.values()))
 
 
 def route_goal(cfg: PlannerConfig, world: Mapping[str, Trajectory],
@@ -275,17 +296,16 @@ def route_goal(cfg: PlannerConfig, world: Mapping[str, Trajectory],
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
 
-def _plan_change(plan_full: Optional[Plan], plan_m: Optional[Plan],
+def _plan_change(full: Optional[_Path], ablated: Optional[_Path],
                  road: RoadMap, k: int) -> tuple[float, bool]:
-    """(gamma, saturated) between the full-world and ablated plans: the mean
-    per-waypoint displacement, 0 if neither world admits a plan, and
+    """(gamma, saturated) between the full-world and ablated paths: the
+    mean per-waypoint displacement, 0 if neither world admits a plan, and
     road_length / k (saturated) if exactly one does."""
-    if plan_full is None and plan_m is None:
+    if full is None and ablated is None:
         return 0.0, False
-    if plan_full is None or plan_m is None:
+    if full is None or ablated is None:
         return road.road_length / k, True
-    return traj_difference_euclidean(plan_full.trajectory,
-                                     plan_m.trajectory), False
+    return _mean_distance(full.xy, ablated.xy), False
 
 
 def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
@@ -302,44 +322,60 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     route_goal.
 
     Every world is planned one way: an endpoint selected on a tree toward
-    its own goal among its own obstacle rows.  The full-world tree is
-    grown once.  Without an actor that never alone blocked one of its
-    edge checks the same tree grows, so that ablation reuses it; the
-    others, and all of them when the ego is enclosed at the root, grow
-    their own tree under the same cfg.
+    its own goal among its own obstacle rows.  The sample stream is drawn
+    once and the full-world tree grown once.  Without an actor that never
+    alone blocked one of its edge checks the same tree grows, so that
+    ablation reuses it; the others, and all of them when the ego is
+    enclosed at the root, grow their own tree on the same stream.  Each
+    actor's route term is computed once; a world's goal sums the terms of
+    its actors in world order, as route_goal does.  Only the full plan is
+    built as a Plan; the ablated ones are compared as positions.
     """
     wanted = set(world if actor_ids is None else actor_ids)
     if not wanted <= world.keys():
         raise ScenarioError(
             f"unknown actor ids {sorted(wanted - world.keys())!r}")
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
+    samples = _sample_stream(road, ego, cfg, ego_radius)
     try:
-        tree, sole = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt)
+        tree, sole = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt,
+                                samples)
     except PlanningInfeasible:
         tree, sole = None, np.ones(len(rsum), dtype=bool)
+    lane = cfg.goal.lane
+    if route:
+        speed = min(cfg.target_speed, road.speed_limit)
+        terms = [_follow_term(traj, ego, road, lane, speed)
+                 for traj in world.values()]
 
-    def plan(w: Mapping[str, Trajectory], keep, tree_w) -> Optional[Plan]:
-        """Plan w, whose obstacle rows keep selects, toward its goal
-        (routed for w when route is set) on tree_w, or on a tree grown
-        among those rows when tree_w is None."""
-        goal = _goal_point(road, ego, route_goal(cfg, w, ego, road)
-                           if route else cfg.goal, ego_radius)
+    def path(without: Optional[int], tree_w) -> Optional[_Path]:
+        """The selected path of the world without actor `without` (None:
+        the full world) toward its goal, on tree_w, or on a tree grown
+        among its obstacle rows when tree_w is None."""
+        advance = cfg.goal.advance if not route else _soft_advance(
+            cfg.goal.advance, (x for j, x in enumerate(terms)
+                               if j != without))
+        goal = _goal_point(road, ego, GoalSpec(advance, lane), ego_radius)
+        keep = slice(None) if without is None else \
+            np.arange(len(rsum)) != without
         o, r = obs[keep], rsum[keep]
         try:
             if tree_w is None:
-                tree_w, _ = _grow_tree(road, ego, k, o, r, cfg, ego_radius, dt)
-            return _select_endpoint(tree_w, goal, o, r, road, t, k, dt)
+                tree_w, _ = _grow_tree(road, ego, k, o, r, cfg, ego_radius,
+                                       dt, samples)
+            return _select_path(tree_w, goal, o, r, k, dt)
         except PlanningInfeasible:
             return None
 
-    plan_full = None if tree is None else plan(world, slice(None), tree)
+    full = None if tree is None else path(None, tree)
+    plan_full = None if full is None else _path_plan(full, tree.speed, road,
+                                                     t, dt)
     gammas = {}
     for j, aid in enumerate(world):
         if aid not in wanted:
             continue
-        plan_m = plan({a: tr for a, tr in world.items() if a != aid},
-                      np.arange(len(rsum)) != j, None if sole[j] else tree)
-        gammas[aid] = _plan_change(plan_full, plan_m, road, k)
+        gammas[aid] = _plan_change(
+            full, path(j, None if sole[j] else tree), road, k)
     return plan_full, gammas
 
 

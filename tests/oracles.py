@@ -12,8 +12,8 @@ the same sequences, and columns equal to the last bit.  walk_enumerate
 tests each rendered tick with the collision rule written out on Python
 floats, dx*dx + dy*dy < r*r, not through planner._hits.
 
-The one exception is the sampling planner's tree growth:
-reference_grow_tree and reference_edge_blockers keep the earlier
+The exceptions are the sampling planner's tree growth and endpoint
+selection.  reference_grow_tree and reference_edge_blockers keep the earlier
 all-numpy growth, against which planner._grow_tree, which runs every
 iteration in the compiled kernel navrisk/_growth.c, is checked for
 bit-identical trees.  It is the numpy reference for every step:
@@ -21,7 +21,12 @@ whole-array edge checks through the vectorized overlap rule
 planner._hits, the nearest node by np.argmin, and the neighbour set by
 np.nonzero, np.sqrt and np.lexsort over the tree arrays.  On request it
 counts the ties it meets, where the kernel's tie rules decide.
-replanned_gammas plans every leave-one-out world on its own such tree.
+reference_select_endpoint, reference_render_path and reference_hold_free
+keep the earlier Python endpoint selection (np.lexsort orders, the
+np.searchsorted walk, _hits for hold and path), against which
+planner._select_path, which runs it in the kernel, is checked for the
+same endpoint and positions.  replanned_gammas plans every leave-one-out
+world on its own such tree with that selection.
 """
 
 import math
@@ -33,16 +38,18 @@ import numpy as np
 from navrisk.planner import (
     GOAL_TOLERANCE,
     STEER_STEP,
+    Plan,
     PlannerConfig,
     PlanningInfeasible,
     _goal_point,
     _hits,
-    _select_endpoint,
+    _plan_cost,
     _Tree,
     world_arrays,
 )
 from navrisk.risk import route_goal, traj_difference_euclidean
-from navrisk.scenario import ActorState, RoadMap, ScenarioError
+from navrisk.scenario import (
+    ActorState, RoadMap, ScenarioError, Trajectory, wrap_angle)
 
 
 def lane_walks(lane_count, start_lane, steps, allow_keep=True,
@@ -330,11 +337,111 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
     return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
 
 
+# ---------------------------------------------------------------------------
+# Reference endpoint selection (the earlier Python selection, kept as it was)
+# ---------------------------------------------------------------------------
+
+def reference_hold_free(pt, tick, k, obs, rsum) -> bool:
+    # a plan that ends at pt parks there from its arrival tick to t+k
+    j0 = math.ceil(tick)
+    if j0 > k:
+        return True
+    return not _hits(obs[:, j0:k + 1], pt, rsum[:, None]).any()
+
+
+def reference_render_path(vertices: np.ndarray, t: int, k: int, dt: float,
+                          speed: float) -> Trajectory:
+    """Walk the polyline at constant speed, holding the final state once the
+    path is exhausted (held states carry speed 0)."""
+    seg = np.diff(vertices, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+    total = cum[-1]
+    states = []
+    prev_heading = 0.0
+    step = speed * dt
+    for j in range(k + 1):
+        s = j * step
+        if s >= total or total == 0.0:
+            x, y = vertices[-1]
+            moving = False
+        else:
+            i = int(np.searchsorted(cum, s, side="right")) - 1
+            i = min(i, len(seg_len) - 1)
+            f = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
+            x = vertices[i, 0] + f * seg[i, 0]
+            y = vertices[i, 1] + f * seg[i, 1]
+            moving = True
+            prev_heading = math.atan2(seg[i, 1], seg[i, 0])
+        states.append(ActorState(
+            float(x), float(y), wrap_angle(prev_heading),
+            speed if moving else 0.0))
+    return Trajectory("ego", t, dt, tuple(states))
+
+
+def reference_select_endpoint(tree: _Tree, goal: np.ndarray,
+                              obs: np.ndarray, rsum: np.ndarray,
+                              road: RoadMap, t: int, k: int,
+                              dt: float) -> tuple[Plan, int]:
+    """The cheapest tree path into the goal region that stays clear of
+    (obs, rsum), connected to the goal point when that edge is clear, or
+    else the closest-approach path flagged partial; with the endpoint's
+    tree node.  Raises PlanningInfeasible when no candidate endpoint stays
+    collision-free.  Goal edges are checked by reference_edge_blockers."""
+    pts, cost, tick, parent = tree.pts, tree.cost, tree.tick, tree.parent
+    n = len(pts)
+    if n == 1:
+        raise PlanningInfeasible(
+            "no collision-free edge from the ego position")
+    ticks = np.arange(obs.shape[1], dtype=float)
+    gd = np.hypot(pts[:, 0] - goal[0], pts[:, 1] - goal[1])
+    in_goal = np.nonzero(gd <= GOAL_TOLERANCE)[0]
+    rounds = []
+    if in_goal.size:
+        rounds.append((in_goal[np.lexsort((in_goal, cost[in_goal]))], False))
+    rounds.append((np.lexsort((np.arange(n), cost, gd)), True))
+
+    # candidates in preference order; the plan parks at its endpoint until
+    # t+k, so the endpoint must also stay clear over the remaining ticks
+    for order, partial in rounds:
+        for best in order[:200]:
+            best = int(best)
+            chain = [best]
+            while parent[chain[-1]] >= 0:
+                chain.append(int(parent[chain[-1]]))
+            vertices = pts[chain[::-1]]
+
+            end_pt, end_tick = pts[best], float(tick[best])
+            if not partial:
+                d_goal = float(gd[best])
+                if d_goal > 1e-9 and goal[0] + 1e-12 >= pts[best, 0]:
+                    nt = float(tick[best]) + d_goal * tree.inv
+                    if nt <= k:
+                        hit = reference_edge_blockers(
+                            pts[best], goal, float(tick[best]), nt, obs,
+                            rsum, ticks)
+                        if (hit is None or not hit.any()) and \
+                                reference_hold_free(goal, nt, k, obs, rsum):
+                            vertices = np.vstack([vertices, goal])
+                            end_pt, end_tick = goal, float(nt)
+            if not reference_hold_free(end_pt, end_tick, k, obs, rsum):
+                continue
+
+            traj = reference_render_path(vertices, t, k, dt, tree.speed)
+            if _hits(obs, traj.xy, rsum[:, None]).any():
+                continue
+            return Plan(traj,
+                        _plan_cost(traj, road, include_speed_term=False),
+                        partial=partial), best
+    raise PlanningInfeasible("no candidate endpoint stays collision-free")
+
+
 def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
     """Independent reference for risk.leave_one_out (ego radius 1.2, dt
     0.1): grow a tree for the full world and for every one-actor ablation
     from scratch with the numpy reference growth, and plan each toward its
-    own routed goal (toward cfg.goal when route is False)."""
+    own routed goal (toward cfg.goal when route is False) with the
+    reference selection."""
     def plan(w):
         obs, rsum = world_arrays(w, radii, 1.2, t, k)
         goal = _goal_point(road, ego, route_goal(cfg, w, ego, road)
@@ -342,7 +449,8 @@ def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
         try:
             tree, _ = reference_grow_tree(road, ego, k, obs, rsum, cfg, 1.2,
                                           0.1)
-            return _select_endpoint(tree, goal, obs, rsum, road, t, k, 0.1)
+            return reference_select_endpoint(tree, goal, obs, rsum, road, t,
+                                             k, 0.1)[0]
         except PlanningInfeasible:
             return None
 

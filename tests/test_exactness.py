@@ -16,12 +16,20 @@ pair on binary64 scalars.  It is checked on generated worlds against
 replanned_gammas, which grows every world's tree from scratch with the
 numpy reference growth, whose edge checks go through planner._hits; a
 probe actor sits where the squared offset is at the squared radius sum
-or one ulp either side, in at least PROBES_AT_LEAST of the worlds.
+or one ulp either side, in PROBES of the LOO_WORLDS worlds.
+
+planner._select_path runs the endpoint selection in the kernel; it is
+checked against reference_select_endpoint, the earlier Python selection,
+on grown trees, on synthetic trees on a 0.5 m lattice where costs, goal
+distances and cumulative path lengths tie, and on cases built for each
+rule: the tie-breaks, the hold at exactly the radius sum, a blocked goal
+edge and the 200-candidate cap.
 """
 
 import itertools
 import math
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -35,9 +43,16 @@ from navrisk.planner import (
     GoalSpec,
     LatticeConfig,
     PlannerConfig,
+    PlanningInfeasible,
+    _goal_point,
+    _grow_tree,
     _hits,
+    _select_endpoint,
+    _select_path,
+    _Tree,
     enumerate_plans,
     lattice_blockers,
+    world_arrays,
 )
 from navrisk.risk import (
     DegenerateScenario,
@@ -46,6 +61,7 @@ from navrisk.risk import (
     all_actor_risk_exact,
     leave_one_out,
     plan_divergence_kl,
+    route_goal,
 )
 from navrisk.scenario import (
     EGO_ID,
@@ -58,6 +74,7 @@ from navrisk.scenario import (
 import oracles
 from oracles import (
     reference_grow_tree,
+    reference_select_endpoint,
     replanned_gammas,
     static_actor,
     walk_enumerate,
@@ -281,12 +298,12 @@ def test_last_level_actor_blocks_only_the_sequences_it_reaches():
 
 # --- leave-one-out against independent replans -----------------------------
 
-LOO = settings(max_examples=40, deadline=None, derandomize=True,
-               suppress_health_check=[HealthCheck.too_slow])
-# of the 40 worlds.  Which worlds Hypothesis draws depends on the other
-# test modules collected: 16 carry a probe in the full suite, 24 when
-# this module runs alone
-PROBES_AT_LEAST = 8
+# The leave-one-out worlds come from random.Random(seed), seeds 0 to
+# LOO_WORLDS - 1, not from Hypothesis: a derandomized Hypothesis draw mixes
+# in literal constants of every non-test module already imported, so
+# which worlds it drew depended on the other test modules collected.
+LOO_WORLDS = 40
+PROBES = 17   # of the LOO_WORLDS worlds, those that carry a boundary probe
 ROAD3 = RoadMap(3, 3.5, 300.0, 15.0)
 AWAY = (ROAD3.road_length + 50.0, -50.0)   # no check or route sees it
 
@@ -350,57 +367,54 @@ def boundary_probe(aid, ego, k, cfg, rng):
                     ActorState(x, y, 0.0, 0.0) for x, y in xy)), radius
 
 
-@st.composite
-def loo_worlds(draw):
-    """(world, ego, k, cfg, radii, route, probed) on ROAD3 at tick 0, with
-    budgets of 50-300 and 0-6 actors: each driving or parked clear of the
-    ego's start, or parked exactly at its radius sum from it (2.5 or 3.0,
-    so the offset is exact); in about one world of two one of them is a
-    boundary probe instead (then probed is True), and in about one of
-    five one is parked on the ego, which encloses it at the root."""
-    route = draw(st.booleans())
-    lane = draw(st.integers(0, 2))
-    speed = draw(st.sampled_from((6.0, 10.0, 14.0)))
+def loo_world(rng):
+    """(world, ego, k, cfg, radii, route, probed) on ROAD3 at tick 0 from
+    rng, a random.Random, with budgets of 50-300 and 0-6 actors: each
+    driving or parked clear of the ego's start, or parked exactly at its
+    radius sum from it (2.5 or 3.0, so the offset is exact); in about one
+    world of two one of them is a boundary probe instead (then probed is
+    True), and in about one of five one is parked on the ego, which
+    encloses it at the root."""
+    route = rng.random() < 0.5
+    lane = rng.randint(0, 2)
+    speed = rng.choice((6.0, 10.0, 14.0))
     ego = ActorState(10.0, ROAD3.lane_center(lane), 0.0, speed)
-    k = draw(st.sampled_from((20, 30)))
+    k = rng.choice((20, 30))
     cfg = PlannerConfig(
-        iteration_budget=draw(st.integers(50, 300)),
-        seed=draw(st.integers(0, 2 ** 31 - 1)),
-        goal=GoalSpec(draw(st.sampled_from((12.0, 18.0, 25.0))),
-                      draw(st.integers(0, 2))),
+        iteration_budget=rng.randint(50, 300),
+        seed=rng.randrange(2 ** 31),
+        goal=GoalSpec(rng.choice((12.0, 18.0, 25.0)), rng.randint(0, 2)),
         target_speed=speed)
-    kinds = [draw(st.sampled_from(("driving", "parked", "touching")))
-             for _ in range(draw(st.sampled_from(range(7))))]
+    kinds = [rng.choice(("driving", "parked", "touching"))
+             for _ in range(rng.randrange(7))]
     # one probe at most: more would crowd the root's first edge
     for kind, odds in (("probe", 2), ("enclosing", 5)):
-        if kinds and draw(st.integers(1, odds)) == 1:
-            kinds[draw(st.integers(0, len(kinds) - 1))] = kind
+        if kinds and rng.randint(1, odds) == 1:
+            kinds[rng.randrange(len(kinds))] = kind
     world, radii, probed = {}, {}, False
     for i, kind in enumerate(kinds):
         aid, radius = f"a{i}", RADIUS
         if kind == "driving":
-            v = draw(st.sampled_from((0.0, 4.0, 8.0)))
-            x0 = draw(st.floats(13.0, 40.0))
-            y = draw(st.floats(0.0, ROAD3.width))
+            v = rng.choice((0.0, 4.0, 8.0))
+            x0 = rng.uniform(13.0, 40.0)
+            y = rng.uniform(0.0, ROAD3.width)
             traj = Trajectory(aid, 0, 0.1, tuple(
                 ActorState(x0 + v * 0.1 * j, y, 0.0, v)
                 for j in range(k + 1)))
         elif kind == "parked":
-            traj = static_actor(aid, draw(st.floats(13.0, 40.0)),
-                                draw(st.floats(0.0, ROAD3.width)), k)
+            traj = static_actor(aid, rng.uniform(13.0, 40.0),
+                                rng.uniform(0.0, ROAD3.width), k)
         elif kind == "touching":
-            radius = draw(st.sampled_from((0.8, 1.3)))
+            radius = rng.choice((0.8, 1.3))
             r = RADIUS + radius + SAFETY_MARGIN
-            ux, uy = draw(st.sampled_from(((1, 0), (-1, 0), (0, 1),
-                                           (0, -1))))
+            ux, uy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
             traj = static_actor(aid, ego.position_x + ux * r,
                                 ego.position_y + uy * r, k)
         elif kind == "enclosing":
             traj = static_actor(aid, ego.position_x + 0.5, ego.position_y,
                                 k)
         else:
-            probe = boundary_probe(
-                aid, ego, k, cfg, random.Random(draw(st.integers(0, 2 ** 32))))
+            probe = boundary_probe(aid, ego, k, cfg, rng)
             if probe is None:
                 continue
             traj, radius = probe
@@ -410,24 +424,220 @@ def loo_worlds(draw):
 
 
 def test_leave_one_out_equals_independent_replans():
-    probes = []
-
-    @given(loo_worlds())
-    @LOO
-    def check(case):
-        world, ego, k, cfg, radii, route, probed = case
+    probes = 0
+    for seed in range(LOO_WORLDS):
+        world, ego, k, cfg, radii, route, probed = loo_world(
+            random.Random(seed))
         full_ref, ref = replanned_gammas(ROAD3, world, ego, 0, k, cfg, radii,
                                          route=route)
         plan_full, gammas = leave_one_out(world, ego, 0, k, cfg, road=ROAD3,
                                           radii=radii, route=route)
-        assert gammas == ref
-        assert (plan_full is None) == (full_ref is None)
+        assert gammas == ref, seed
+        assert (plan_full is None) == (full_ref is None), seed
         if plan_full is not None:
-            assert plan_full.trajectory.xy.tolist() == \
-                full_ref.trajectory.xy.tolist()
-        probes.append(probed)
-
-    check()
+            assert plan_full == full_ref, seed
+        probes += probed
     # a probe that silently stopped being placed would leave the
     # boundary untested while every world still passes
-    assert sum(probes) >= PROBES_AT_LEAST, probes
+    assert probes == PROBES
+
+
+# --- endpoint selection against the Python reference -----------------------
+
+def assert_same_selection(tree, goal, obs, rsum, k):
+    """_select_path, which runs navrisk_select, against
+    reference_select_endpoint at tick 0 with dt 0.1: both raise
+    PlanningInfeasible, or they give the same endpoint, partial flag and
+    positions, and _select_endpoint the same Plan.  Returns the path, or
+    None when both raise."""
+    try:
+        ref, ref_end = reference_select_endpoint(tree, goal, obs, rsum,
+                                                 ROAD3, 0, k, 0.1)
+    except PlanningInfeasible:
+        with pytest.raises(PlanningInfeasible):
+            _select_path(tree, goal, obs, rsum, k, 0.1)
+        return None
+    path = _select_path(tree, goal, obs, rsum, k, 0.1)
+    assert (path.endpoint, path.partial) == (ref_end, ref.partial)
+    assert path.xy.tolist() == ref.trajectory.xy.tolist()
+    assert _select_endpoint(tree, goal, obs, rsum, ROAD3, 0, k, 0.1) == ref
+    return path
+
+
+def synthetic_tree(pts, cost, tick, parent):
+    """A _Tree of the given nodes walked at 10 m/s, so at dt 0.1 one
+    meter per tick."""
+    return _Tree(np.array(pts, dtype=float), np.array(cost, dtype=float),
+                 np.array(tick, dtype=float),
+                 np.array(parent, dtype=np.int32), 10.0, 1.0)
+
+
+def parked(points, k, radii):
+    """(obs, rsum) of actors parked at points for ticks 0..k."""
+    obs = np.array([[p] * (k + 1) for p in points], dtype=float)
+    return obs.reshape(len(points), k + 1, 2), np.array(radii, dtype=float)
+
+
+class TestEndpointSelection:
+    """navrisk_select against the earlier Python selection, kept in
+    oracles.py as reference_select_endpoint."""
+
+    def test_grown_trees(self):
+        # kernel-grown trees among 0-5 actors, toward the routed goal, a
+        # goal on a tree node and goals anywhere on the road
+        rng = np.random.default_rng(2024)
+        partial = connected = 0
+        for _ in range(40):
+            k = int(rng.choice((20, 30, 40)))
+            ego = ActorState(10.0, ROAD3.lane_center(int(rng.integers(3))),
+                             0.0, 10.0)
+            world, radii = {}, {}
+            for i in range(int(rng.integers(0, 6))):
+                aid, v = f"a{i}", float(rng.choice((0.0, 4.0, 8.0)))
+                x0, y = float(rng.uniform(13.0, 45.0)), \
+                    float(rng.uniform(0.0, ROAD3.width))
+                world[aid] = Trajectory(aid, 0, 0.1, tuple(
+                    ActorState(x0 + v * 0.1 * j, y, 0.0, v)
+                    for j in range(k + 1)))
+                radii[aid] = float(rng.choice((0.8, 1.2, 2.0)))
+            cfg = PlannerConfig(
+                iteration_budget=int(rng.integers(30, 400)),
+                seed=int(rng.integers(0, 2 ** 31)),
+                goal=GoalSpec(float(rng.choice((12.0, 25.0, 40.0))),
+                              int(rng.integers(3))), target_speed=10.0)
+            obs, rsum = world_arrays(world, radii, RADIUS, 0, k)
+            try:
+                tree, _ = _grow_tree(ROAD3, ego, k, obs, rsum, cfg, RADIUS,
+                                     0.1)
+            except PlanningInfeasible:
+                continue
+            goals = [_goal_point(ROAD3, ego, route_goal(cfg, world, ego,
+                                                        ROAD3), RADIUS),
+                     tree.pts[int(rng.integers(len(tree.pts)))],
+                     *rng.uniform((5.0, 0.0), (60.0, ROAD3.width), (3, 2))]
+            for goal in goals:
+                path = assert_same_selection(tree, goal, obs, rsum, k)
+                if path is not None:
+                    partial += path.partial
+                    connected += not path.partial and \
+                        path.vertices[-1].tolist() == list(goal)
+        assert partial > 10 and connected > 10, (partial, connected)
+
+    def test_lattice_trees(self):
+        # nodes, goals and parked actors on a 0.5 m lattice, costs and
+        # ticks on a coarse grid: equal costs, equal goal distances,
+        # contact at exactly the radius sum, and ticks whose distance
+        # along the path equals a vertex's (1 m per tick)
+        rng = np.random.default_rng(7)
+        outcomes = Counter()
+        for _ in range(300):
+            k = int(rng.integers(5, 25))
+            n = int(rng.integers(1, 40))
+            pts = [(10.0, 5.0)] + [
+                (10.0 + 0.5 * int(rng.integers(0, 30)),
+                 0.5 * int(rng.integers(0, 20))) for _ in range(n - 1)]
+            parent = [-1] + [int(rng.integers(0, i)) for i in range(1, n)]
+            cost = [0.0] + [float(rng.integers(1, 6)) for _ in range(n - 1)]
+            tick = [0.0] + [0.5 * int(rng.integers(0, 2 * k + 6))
+                            for _ in range(n - 1)]
+            tree = synthetic_tree(pts, cost, tick, parent)
+            goal = np.array([10.0 + 0.5 * int(rng.integers(0, 30)),
+                             0.5 * int(rng.integers(0, 20))])
+            m = int(rng.integers(0, 4))
+            obs, rsum = parked(
+                [(10.0 + 0.5 * int(rng.integers(0, 30)),
+                  0.5 * int(rng.integers(0, 20))) for _ in range(m)], k,
+                [float(rng.choice((1.0, 1.5, 2.5))) for _ in range(m)])
+            path = assert_same_selection(tree, goal, obs, rsum, k)
+            outcomes["none" if path is None else
+                     "partial" if path.partial else "goal"] += 1
+        assert min(outcomes.values()) > 15, outcomes
+
+    def test_single_node_and_no_feasible_endpoint(self):
+        k = 10
+        obs, rsum = parked([(20.0, 5.25)], k, [2.5])
+        root = synthetic_tree([(0.0, 5.25)], [0.0], [0.0], [-1])
+        assert assert_same_selection(root, np.array([1.0, 5.25]), obs, rsum,
+                                     k) is None
+        # an actor that covers the whole road from tick 1 on
+        obs = np.array([[(500.0, 500.0)] + [(5.0, 5.25)] * k]), \
+            np.array([100.0])
+        tree = synthetic_tree([(0.0, 5.25), (2.0, 5.25), (4.0, 6.0)],
+                              [0.0, 2.0, 4.1], [0.0, 2.0, 4.0], [-1, 0, 1])
+        for goal in ((2.5, 5.25), (50.0, 5.25)):
+            assert assert_same_selection(tree, np.array(goal), *obs,
+                                         k) is None
+
+    def test_equal_costs_and_goal_distances(self):
+        # two nodes mirrored about the goal's line: the same cost and goal
+        # distance; an actor parked by the first (lower index) blocks its
+        # hold, so the tie-break decides which one is tried next.  The
+        # goal lies behind them, so no goal edge is tried
+        k = 20
+        for goal_x in (7.5, 40.0):   # in the goal region, then not
+            tree = synthetic_tree(
+                [(0.0, 5.25), (8.0, 6.25), (8.0, 4.25), (6.0, 5.25)],
+                [0.0, 8.0, 8.0, 9.0], [0.0, 8.0, 8.0, 6.0], [-1, 0, 0, 0])
+            obs, rsum = parked([(8.0, 7.25)], k, [1.5])
+            path = assert_same_selection(tree, np.array([goal_x, 5.25]), obs,
+                                         rsum, k)
+            assert path.endpoint == 2 and path.partial == (goal_x == 40.0)
+
+    def test_hold_at_exactly_the_radius_sum(self):
+        # the endpoint parks exactly 3.0 from an actor: contact, no hit
+        k = 20
+        tree = synthetic_tree([(0.0, 5.25), (8.0, 5.25), (7.0, 5.25)],
+                              [0.0, 8.0, 9.0], [0.0, 8.0, 7.0], [-1, 0, 0])
+        for offset in ((0.0, 3.0), (3.0, 0.0), (0.0, -3.0)):
+            obs, rsum = parked([(8.0 + offset[0], 5.25 + offset[1])], k,
+                               [3.0])
+            path = assert_same_selection(tree, np.array([8.0, 5.25]), obs,
+                                         rsum, k)
+            assert path.endpoint == 1 and not path.partial
+        # one ulp inside, the hold is blocked: the other node is chosen
+        obs, rsum = parked([(8.0, math.nextafter(2.25, 3.0))], k, [3.0])
+        assert assert_same_selection(tree, np.array([8.0, 5.25]), obs, rsum,
+                                     k).endpoint == 2
+
+    def test_goal_edge_blocked_by_one_actor(self):
+        # the edge from the node to the goal crosses an actor that is
+        # there at tick 9 only: the plan ends at the node; without it, at
+        # the goal
+        k = 20
+        tree = synthetic_tree([(0.0, 5.25), (8.0, 5.25)], [0.0, 8.0],
+                              [0.0, 8.0], [-1, 0])
+        goal = np.array([9.5, 5.25])
+        obs = np.array([[(100.0, 100.0)] * (k + 1)])
+        obs[0, 9] = (8.75 + 0.25, 5.25)
+        for clear in (False, True):
+            path = assert_same_selection(
+                tree, goal, obs if not clear else obs[:0], np.array(
+                    [0.6] if not clear else []), k)
+            assert not path.partial and path.endpoint == 1
+            assert len(path.vertices) == (3 if clear else 2)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_more_than_200_candidates(self, partial):
+        # an actor parked on the goal blocks the hold of every node within
+        # 3 m whose tick is within k, and a node whose tick is past k
+        # holds clear; the render comes no nearer the goal than 10 m.
+        # Round one: 250 nodes in the goal region, the 199 cheapest
+        # blocked.  Round two: 150 in it and 49 more within 3 m, all
+        # blocked, then 51 farther.  Either way the 200th candidate is the
+        # first clear one
+        k, goal = 10, np.array([20.0, 5.25])
+        in_goal = 150 if partial else 250
+        pts, cost, tick = [(0.0, 5.25)], [0.0], [0.0]
+        for i in range(250 if partial else in_goal):
+            d = 1.9 * (i + 1) / in_goal if i < in_goal else \
+                2.05 + 0.019 * (i - in_goal)
+            a = 2.0 * math.pi * i / 61.0
+            pts.append((goal[0] + d * math.cos(a), goal[1] + d * math.sin(a)))
+            cost.append(20.0 if partial else 1000.0 - i)
+            blocked = i < 199 if partial else i > 50
+            tick.append(5.0 if blocked else 11.0)
+        tree = synthetic_tree(pts, cost, tick, [-1] + [0] * (len(pts) - 1))
+        obs, rsum = parked([tuple(goal)], k, [3.0])
+        path = assert_same_selection(tree, goal, obs, rsum, k)
+        assert path.partial == partial
+        assert path.endpoint == (200 if partial else 51)

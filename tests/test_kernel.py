@@ -79,31 +79,58 @@ def test_edited_source_gets_a_new_cache_name(pkg):
     assert again.stdout.split()[1].endswith(new)
 
 
+PLAN = (LOAD +
+        "from navrisk.planner import plan_sampling, PlannerConfig\n"
+        "from navrisk.scenario import ActorState, RoadMap\n"
+        "road = RoadMap(3, 3.5, 300.0, 15.0)\n"
+        "ego = ActorState(10.0, 5.25, 0.0, 10.0)\n"
+        "cfg = PlannerConfig(iteration_budget=200)\n"
+        "plan = plan_sampling(road, ego, 0, 30, {}, cfg, {})\n"
+        "print(len(plan.trajectory))\n")
+
+
 def test_unwritable_package_builds_privately(pkg, tmp_path):
     # read-only for any user but root; for root too, a file stands where
     # the cache directory would be
     (pkg / "__pycache__").write_text("")
-    private = tmp_path / "tmp"
-    private.mkdir()
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    private = tmp / f"navrisk-{os.getuid()}"
     pkg.chmod(0o555)
     try:
-        code = (LOAD +
-                "from navrisk.planner import plan_sampling, PlannerConfig\n"
-                "from navrisk.scenario import ActorState, RoadMap\n"
-                "road = RoadMap(3, 3.5, 300.0, 15.0)\n"
-                "ego = ActorState(10.0, 5.25, 0.0, 10.0)\n"
-                "cfg = PlannerConfig(iteration_budget=200)\n"
-                "plan = plan_sampling(road, ego, 0, 30, {}, cfg, {})\n"
-                "print(len(plan.trajectory))\n")
-        proc = run(pkg, code, tmpdir=private)
+        proc = run(pkg, PLAN, tmpdir=tmp)
+        # a second process loads the per-user build: no cc on PATH
+        again = run(pkg, PLAN, tmpdir=tmp, path=no_compiler(tmp_path))
     finally:
         pkg.chmod(0o755)
     assert proc.returncode == 0, proc.stderr
     loaded, length = proc.stdout.split()[1:]
-    assert Path(loaded).parent.parent == private and length == "31"
-    # the private build is removed once loaded
-    assert list(private.iterdir()) == []
+    assert Path(loaded).parent == private and length == "31"
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == proc.stdout
+    # one library, in a directory closed to other users
+    assert list(tmp.iterdir()) == [private]
+    assert [p.name for p in private.iterdir()] == [Path(loaded).name]
+    assert private.stat().st_mode & 0o777 == 0o700
     assert (pkg / "__pycache__").is_file()
+
+
+def test_private_cache_must_be_private(pkg, tmp_path):
+    (pkg / "__pycache__").write_text("")
+    tmp = tmp_path / "tmp"
+    private = tmp / f"navrisk-{os.getuid()}"
+    private.mkdir(parents=True)
+    private.chmod(0o777)   # others could plant a library in it
+    refused = [run(pkg, PLAN, tmpdir=tmp)]
+    if os.geteuid() == 0:   # only root can give it to another user
+        private.chmod(0o700)
+        os.chown(private, os.getuid() + 1, -1)
+        refused.append(run(pkg, PLAN, tmpdir=tmp))
+    for proc in refused:
+        assert proc.returncode != 0
+        assert f"{private} is not a directory private to this user" in \
+            proc.stderr
+    assert list(private.iterdir()) == []
 
 
 def test_without_a_compiler_run_exits_2_and_oracle_still_runs(pkg,

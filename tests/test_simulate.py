@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from navrisk.planner import LatticeConfig, PlannerConfig
 from navrisk.report import (
     PHASE_CSV_HEADER,
     RUN_CSV_HEADER,
+    _quartiles,
     phase_summary_csv,
     run_csv,
     scatter_svg,
@@ -143,3 +145,18 @@ class TestReports:
         assert s1.startswith("<svg") and s1.rstrip().endswith("</svg>")
         t1 = timeline_svg(result)
         assert t1.startswith("<svg") and "polyline" in t1
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=0, max_size=30))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_quartiles_equal_np_percentile(values):
+    got = _quartiles(values)
+    if not values:
+        assert got == (None, None, None)
+        return
+    with np.errstate(all="ignore"):   # b - a may overflow, as in numpy
+        q1, med, q3 = np.percentile(np.array(values), [25.0, 50.0, 75.0])
+    # == leaves the sign of a zero open: which of two equal zeros numpy's
+    # partition puts first is not specified
+    assert np.array_equal(got, (med, q1, q3), equal_nan=True)
