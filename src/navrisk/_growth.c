@@ -1,5 +1,8 @@
-/* The sampling planner's tree growth, called by planner._grow_tree, and
-   its endpoint selection, called by planner._select_path.
+/* The sampling planner's kernel: the tree growth, called by
+   planner._grow_tree, the endpoint selection, called by
+   planner._select_path, and both for every world of one leave-one-out
+   experiment in a single call, called by risk.leave_one_out through
+   planner._plan_worlds.
 
    Every float is computed by the same binary64 expressions, in the same
    order, as the all-numpy reference growth (tests/oracles.py,
@@ -15,54 +18,72 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The actors that the edge p0 -> p1 hits at the integer ticks its
-   traversal from tick0 to tick1 covers.  Returns how many, stopping at 2,
-   and writes them to found in ascending order.  obs is the (m, kp1, 2)
-   array of obstacle positions per tick and r2 the (m,) squared radius
-   sums: a squared distance strictly below r2 is a hit, as in
-   planner._hits.  The caller keeps 0 <= tick0 and tick1 < kp1. */
-int navrisk_edge_blockers(double p0x, double p0y, double p1x, double p1y,
-                          double tick0, double tick1, const double *obs,
-                          int kp1, const double *r2, int m, int32_t *found)
+/* The one edge rule.  The actors that the edge p0 -> p1 hits at the
+   integer ticks its traversal from tick0 to tick1 covers: how many,
+   stopping at 2, written to found in ascending order.  obs is the
+   (m, kp1, 2) array of obstacle positions per tick and r2 the (m,)
+   squared radius sums: a squared distance strictly below r2 is a hit, as
+   in planner._hits.  The ego's point at each covered tick is computed
+   once, into pts (2 * kp1 entries), and tested against every actor,
+   every tick with no branch, since a branch per pair mispredicts.  The
+   caller keeps 0 <= tick0 and tick1 < kp1. */
+static int blockers(double p0x, double p0y, double p1x, double p1y,
+                    double tick0, double tick1, const double *obs, int kp1,
+                    const double *r2, int m, double *pts, int32_t *found)
 {
     long j0 = (long)floor(tick0) + 1;   /* first integer tick after tick0 */
     long j1 = (long)floor(tick1);       /* last integer tick <= tick1 */
     double span = tick1 - tick0, ddx = p1x - p0x, ddy = p1y - p0y;
+    int nt = 0;
+    for (long j = j0; j <= j1; j++, nt++) {
+        double frac = ((double)j - tick0) / span;
+        pts[2 * nt] = p0x + frac * ddx;
+        pts[2 * nt + 1] = p0y + frac * ddy;
+    }
     int count = 0;
-    for (int a = 0; a < m; a++) {
-        const double *o = obs + (size_t)a * kp1 * 2;
-        for (long j = j0; j <= j1; j++) {
-            double frac = ((double)j - tick0) / span;
-            double dx = o[2 * j] - (p0x + frac * ddx);
-            double dx2 = dx * dx;
-            /* rounding is monotone and dy * dy >= 0, so the rounded sum is
-               never below dx2: dx2 >= r2 is no hit */
-            if (dx2 >= r2[a])
-                continue;
-            double dy = o[2 * j + 1] - (p0y + frac * ddy);
-            if (dx2 + dy * dy < r2[a]) {
-                found[count++] = a;
-                if (count == 2)
-                    return count;
+    for (int a = 0; a < m && nt > 0; a++) {
+        const double *o = obs + ((size_t)a * kp1 + (size_t)j0) * 2;
+        int hit = 0;
+        for (int q = 0; q < nt; q++) {
+            double dx = o[2 * q] - pts[2 * q];
+            double dy = o[2 * q + 1] - pts[2 * q + 1];
+            hit |= dx * dx + dy * dy < r2[a];
+        }
+        if (hit) {
+            found[count++] = a;
+            if (count == 2)
                 break;
-            }
         }
     }
     return count;
 }
 
-/* bisect_left: the first position in keys[0:n] whose key is >= v */
+/* blockers for planner._edge_blockers; -1 when its work memory cannot be
+   had. */
+int navrisk_edge_blockers(double p0x, double p0y, double p1x, double p1y,
+                          double tick0, double tick1, const double *obs,
+                          int kp1, const double *r2, int m, int32_t *found)
+{
+    double *pts = malloc(2 * (size_t)kp1 * sizeof(double));
+    if (pts == NULL)
+        return -1;
+    int count = blockers(p0x, p0y, p1x, p1y, tick0, tick1, obs, kp1, r2, m,
+                         pts, found);
+    free(pts);
+    return count;
+}
+
+/* bisect_left: the first position in keys[0:n] whose key is >= v, for
+   n >= 1.  Each step halves the range with a select, not a branch. */
 static int lower_bound(const double *keys, int n, double v)
 {
-    int lo = 0, hi = n;
-    while (lo < hi) {
-        int mid = lo + (hi - lo) / 2;
-        if (keys[mid] < v)
-            lo = mid + 1;
-        else
-            hi = mid;
+    const double *base = keys;
+    while (n > 1) {
+        int half = n / 2;
+        base = base[half] < v ? base + half : base;
+        n -= half;
     }
-    return lo;
+    return (int)(base - keys) + (*base < v);
 }
 
 /* One step of a nearest-node scan over the x-sorted keys: node i at
@@ -87,11 +108,17 @@ static int closer(double x, double y, int i, double sx, double sy,
 
 /* Grow the rewiring tree from the root (x0, y0) over the budget samples
    (sx, sy) pairs, exactly as planner._grow_tree documents; obs, kp1, r2
-   and m as for navrisk_edge_blockers, with kp1 > k.  Fills xy (n, 2),
-   cost, tick and parent for the n nodes it returns, and sets sole[a]
-   when some connect or rewire edge check was blocked by actor a alone.
-   Every output array holds budget + 1 entries.  Returns -1 when memory
-   for the work arrays cannot be had. */
+   and m as for blockers, with kp1 > k.  Fills xy (n, 2), cost, tick and
+   parent for the n nodes it returns, and sets sole[a] when some connect
+   or rewire edge check was blocked by actor a alone.  Every output array
+   holds budget + 1 entries.  Returns -1 when memory for the work arrays
+   cannot be had.
+
+   The nodes are also kept sorted by x, with their y beside, for the two
+   scans: the nearest node, and the neighbours within 2 * steer, which
+   end where dx * dx passes the bound.  dx is a rounded difference from a
+   fixed x, so it only grows in magnitude along either scan, and so does
+   dx * dx. */
 int navrisk_grow(const double *samples, int budget, double x0, double y0,
                  double y_lo, double y_hi, double inv, double steer, int k,
                  const double *obs, int kp1, const double *r2, int m,
@@ -99,16 +126,18 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
                  uint8_t *sole)
 {
     size_t n_max = (size_t)budget + 1;
-    double *dwork = malloc(3 * n_max * sizeof(double));
+    double *dwork = malloc((5 * n_max + 2 * (size_t)kp1) * sizeof(double));
     int32_t *iwork = malloc(4 * n_max * sizeof(int32_t));
     if (dwork == NULL || iwork == NULL) {
         free(dwork);
         free(iwork);
         return -1;
     }
-    double *xkey = dwork, *nb_d = dwork + n_max, *nb_key = dwork + 2 * n_max;
+    double *xkey = dwork, *ykey = dwork + n_max, *nb_d = dwork + 2 * n_max,
+           *c_key = dwork + 3 * n_max, *c_tick = dwork + 4 * n_max,
+           *pts = dwork + 5 * n_max;
     int32_t *children = iwork, *xid = iwork + n_max, *nb_i = iwork + 2 * n_max,
-            *ord = iwork + 3 * n_max;
+            *c_nb = iwork + 3 * n_max;
     double r = 2.0 * steer, r2_rewire = r * r;
     int32_t found[2];
 
@@ -119,6 +148,7 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
     parent[0] = -1;
     children[0] = 0;
     xkey[0] = x0;
+    ykey[0] = y0;
     xid[0] = 0;
     int n = 1;
 
@@ -131,12 +161,10 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
         double best_d2 = INFINITY;
         int p = lower_bound(xkey, n, sx);
         for (int j = p; j < n; j++)
-            if (!closer(xkey[j], xy[2 * xid[j] + 1], xid[j], sx, sy, &best,
-                        &best_d2))
+            if (!closer(xkey[j], ykey[j], xid[j], sx, sy, &best, &best_d2))
                 break;
         for (int j = p - 1; j >= 0; j--)
-            if (!closer(xkey[j], xy[2 * xid[j] + 1], xid[j], sx, sy, &best,
-                        &best_d2))
+            if (!closer(xkey[j], ykey[j], xid[j], sx, sy, &best, &best_d2))
                 break;
         int ni = best;
         double dist = sqrt(best_d2);
@@ -149,21 +177,32 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
         if (cx < nx || !(y_lo <= cy && cy <= y_hi))
             continue;
 
-        /* the neighbours within 2 * steer, in ascending index */
-        int nb = 0;
-        for (int i = 0; i < n; i++) {
-            double dx = xy[2 * i] - cx;
+        /* the neighbours within 2 * steer: scan right of cx, then left.
+           They come in x order; every use below orders them by index
+           (np.nonzero's order) where order matters */
+        int at = lower_bound(xkey, n, cx), nb = 0;
+        for (int j = at; j < n; j++) {
+            double dx = xkey[j] - cx;
             double dx2 = dx * dx;
             if (dx2 > r2_rewire)
-                continue;
-            double dy = xy[2 * i + 1] - cy;
-            double d2 = dx2 + dy * dy;
-            if (d2 <= r2_rewire) {
-                nb_i[nb] = i;
-                nb_d[nb] = sqrt(d2);
-                nb++;
-            }
+                break;
+            double dy = ykey[j] - cy;
+            nb_i[nb] = xid[j];
+            nb_d[nb] = dx2 + dy * dy;
+            nb += nb_d[nb] <= r2_rewire;
         }
+        for (int j = at - 1; j >= 0; j--) {
+            double dx = xkey[j] - cx;
+            double dx2 = dx * dx;
+            if (dx2 > r2_rewire)
+                break;
+            double dy = ykey[j] - cy;
+            nb_i[nb] = xid[j];
+            nb_d[nb] = dx2 + dy * dy;
+            nb += nb_d[nb] <= r2_rewire;
+        }
+        for (int o = 0; o < nb; o++)
+            nb_d[o] = sqrt(nb_d[o]);
         if (nb == 0) {
             double dx = nx - cx, dy = ny - cy;
             nb_i[0] = ni;
@@ -171,39 +210,45 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
             nb = 1;
         }
 
-        /* connect through the cheapest neighbour whose edge is clear: a
-           stable insertion sort by cost through it, so equal costs keep
-           ascending index */
+        /* connect through the cheapest neighbour whose edge is clear, by
+           cost through it and then by index (np.lexsort's order).  A
+           neighbour ahead of cx or arriving after k is never checked, so
+           it is dropped first; of the rest, each pick is the least left. */
+        int left = 0;
         for (int o = 0; o < nb; o++) {
-            double key = cost[nb_i[o]] + nb_d[o];
-            int q = o;
-            while (q > 0 && nb_key[ord[q - 1]] > key) {
-                ord[q] = ord[q - 1];
-                q--;
-            }
-            ord[q] = o;
-            nb_key[o] = key;
+            int i = nb_i[o];
+            if (xy[2 * i] > cx + 1e-12)
+                continue;
+            double nt = tick[i] + nb_d[o] * inv;
+            if (nt > k)
+                continue;
+            c_nb[left] = o;
+            c_key[left] = cost[i] + nb_d[o];
+            c_tick[left] = nt;
+            left++;
         }
         int chosen = -1;
         double chosen_d = 0.0;
-        for (int q = 0; q < nb; q++) {
-            int i = nb_i[ord[q]];
-            double d_i = nb_d[ord[q]];
-            if (xy[2 * i] > cx + 1e-12)
-                continue;
-            double nt = tick[i] + d_i * inv;
-            if (nt > k)
-                continue;
-            int hit = navrisk_edge_blockers(xy[2 * i], xy[2 * i + 1], cx, cy,
-                                            tick[i], nt, obs, kp1, r2, m,
-                                            found);
+        while (left > 0) {
+            int q = 0;
+            for (int c = 1; c < left; c++)
+                if (c_key[c] < c_key[q] ||
+                    (c_key[c] == c_key[q] && nb_i[c_nb[c]] < nb_i[c_nb[q]]))
+                    q = c;
+            int o = c_nb[q], i = nb_i[o];
+            int hit = blockers(xy[2 * i], xy[2 * i + 1], cx, cy, tick[i],
+                               c_tick[q], obs, kp1, r2, m, pts, found);
             if (hit == 1)
                 sole[found[0]] = 1;
             if (hit == 0) {
                 chosen = i;
-                chosen_d = d_i;
+                chosen_d = nb_d[o];
                 break;
             }
+            left--;
+            c_nb[q] = c_nb[left];
+            c_key[q] = c_key[left];
+            c_tick[q] = c_tick[left];
         }
         if (chosen < 0)
             continue;
@@ -217,17 +262,22 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
         parent[n] = chosen;
         children[n] = 0;
         children[chosen]++;
-        int at = lower_bound(xkey, n, cx);
         memmove(xkey + at + 1, xkey + at, (size_t)(n - at) * sizeof(double));
+        memmove(ykey + at + 1, ykey + at, (size_t)(n - at) * sizeof(double));
         memmove(xid + at + 1, xid + at, (size_t)(n - at) * sizeof(int32_t));
         xkey[at] = cx;
+        ykey[at] = cy;
         xid[at] = n;
 
         /* rewire: re-parent cheaper-through-new leaves; leaves only, so no
-           arrival-time cascade needs repair */
+           arrival-time cascade needs repair.  A re-parenting can turn a
+           later neighbour into a leaf, so they are visited by ascending
+           index.  Only whether a node is a leaf changes on the way, so
+           the other tests come first, and the few that pass are sorted */
+        left = 0;
         for (int o = 0; o < nb; o++) {
             int i = nb_i[o];
-            if (i == chosen || children[i] > 0)
+            if (i == chosen)
                 continue;
             double d_i = nb_d[o];
             double nc = c_n + d_i;
@@ -238,15 +288,29 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
             double nt = t_n + d_i * inv;
             if (nt > k)
                 continue;
-            int hit = navrisk_edge_blockers(cx, cy, xy[2 * i], xy[2 * i + 1],
-                                            t_n, nt, obs, kp1, r2, m, found);
+            int q = left++;
+            for (; q > 0 && nb_i[c_nb[q - 1]] > i; q--) {
+                c_nb[q] = c_nb[q - 1];
+                c_key[q] = c_key[q - 1];
+                c_tick[q] = c_tick[q - 1];
+            }
+            c_nb[q] = o;
+            c_key[q] = nc;
+            c_tick[q] = nt;
+        }
+        for (int q = 0; q < left; q++) {
+            int i = nb_i[c_nb[q]];
+            if (children[i] > 0)
+                continue;
+            int hit = blockers(cx, cy, xy[2 * i], xy[2 * i + 1], t_n,
+                               c_tick[q], obs, kp1, r2, m, pts, found);
             if (hit == 1)
                 sole[found[0]] = 1;
             if (hit == 0) {
                 children[parent[i]]--;
                 parent[i] = n;
-                cost[i] = nc;
-                tick[i] = nt;
+                cost[i] = c_key[q];
+                tick[i] = c_tick[q];
                 children[n]++;
             }
         }
@@ -342,7 +406,7 @@ static void render(const double *v, int nv, double step, int k,
 /* Select the endpoint of a grown tree of n nodes (xy, cost, tick, parent
    as navrisk_grow writes them) toward the goal (gx, gy), as
    planner._select_path documents, among obs, kp1, r2 and m as for
-   navrisk_edge_blockers, with kp1 > k.  inv is ticks per meter and step
+   blockers, with kp1 > k.  inv is ticks per meter and step
    meters per tick.  Writes the chosen path's vertices (at most n + 1) to
    verts, its positions (k+1, 2) to path and the segment of each tick to
    seg, and info[0] = partial, info[1] = the vertex count.  Returns the
@@ -355,10 +419,12 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
                    const double *obs, int kp1, const double *r2, int m,
                    double *verts, double *path, int32_t *seg, int32_t *info)
 {
-    double *work = malloc((3 * (size_t)n + 2) * sizeof(double));
+    double *work = malloc((3 * (size_t)n + 2 + 2 * (size_t)kp1) *
+                          sizeof(double));
     if (work == NULL)
         return -2;
-    double *gd = work, *seg_len = work + n, *cum = work + 2 * (size_t)n + 1;
+    double *gd = work, *seg_len = work + n, *cum = work + 2 * (size_t)n + 1,
+           *pts = work + 3 * (size_t)n + 2;
     int32_t found[2];
     int result = -1;
 
@@ -407,8 +473,8 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
             if (!partial && gd[best] > 1e-9 && gx + 1e-12 >= end_x) {
                 double nt = tick[best] + gd[best] * inv;
                 if (nt <= k &&
-                    navrisk_edge_blockers(end_x, end_y, gx, gy, tick[best],
-                                          nt, obs, kp1, r2, m, found) == 0 &&
+                    blockers(end_x, end_y, gx, gy, tick[best], nt, obs, kp1,
+                             r2, m, pts, found) == 0 &&
                     hold_free(gx, gy, nt, k, obs, kp1, r2, m)) {
                     verts[2 * nv] = gx;
                     verts[2 * nv + 1] = gy;
@@ -442,4 +508,143 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
     }
     free(work);
     return result;
+}
+
+/* What one world's selection gave: no plan, a partial one, or one into
+   the goal region. */
+enum { NO_PLAN = 0, PARTIAL = 1, REACHED = 2 };
+
+/* navrisk_select on a tree of n nodes, n = 0 when the root is blocked:
+   the world's status, or navrisk_select's -2 or -3.  A tree of the root
+   alone has no plan, as in planner._select_path. */
+static int plan_world(const double *xy, const double *cost,
+                      const double *tick, const int32_t *parent, int n,
+                      const double *goal, double tol, double inv,
+                      double step, int k, const double *obs, int kp1,
+                      const double *r2, int m, double *verts, double *path,
+                      int32_t *seg, int32_t *info)
+{
+    if (n <= 1)
+        return NO_PLAN;
+    int best = navrisk_select(xy, cost, tick, parent, n, goal[0], goal[1],
+                              tol, inv, step, k, obs, kp1, r2, m, verts,
+                              path, seg, info);
+    if (best == -1)
+        return NO_PLAN;
+    if (best < 0)
+        return best;
+    info[2] = best;
+    return info[0] ? PARTIAL : REACHED;
+}
+
+/* The worlds of one leave-one-out experiment, as risk.leave_one_out
+   documents: the full world among obs, kp1, r2 and m (as for blockers,
+   with kp1 > k), and for each actor a with wanted[a] the world without
+   a, every one grown from the root (x0, y0) on the same budget samples
+   (as for navrisk_grow) and selected toward its own goal, goals[0] for
+   the full world and goals[1 + a] without a (as for navrisk_select).
+
+   The root is checked at tick 0 by hold_free.  The full world is grown
+   once; the world without a reuses its tree unless a was a sole blocker
+   of one of its edge checks, and grows its own on the rows without a
+   when it was or when the full root is blocked.  Either way that world
+   is selected among the rows without a.
+
+   Writes each planned world's positions to paths (m + 1, k + 1, 2), row
+   0 the full world and row 1 + a the world without a, and its status
+   (0 no plan, 1 partial, 2 into the goal region) to status; the full
+   path's vertices to verts (budget + 2, 2) and its segment per tick to
+   seg (k + 1), with info[0] = partial, info[1] = the vertex count,
+   info[2] = the endpoint and info[3] = the trees grown; and regrown[a]
+   = 1 when the world without a did not reuse the full tree.  Returns 0,
+   -2 when memory for the work arrays cannot be had and -3 when a parent
+   chain is not a path to the root. */
+int navrisk_leave_one_out(const double *samples, int budget, double x0,
+                          double y0, double y_lo, double y_hi, double inv,
+                          double steer, double tol, double step, int k,
+                          const double *obs, int kp1, const double *r2,
+                          int m, const double *goals, const uint8_t *wanted,
+                          double *paths, int32_t *status, double *verts,
+                          int32_t *seg, int32_t *info, uint8_t *regrown)
+{
+    size_t n_max = (size_t)budget + 1, row = 2 * (size_t)kp1;
+    size_t rows = m > 0 ? (size_t)m - 1 : 0;
+    /* two trees (the full world's and one ablated world's), the ablated
+       rows, and an ablated selection's vertices and segments */
+    double *dwork = malloc((8 * n_max + rows * (row + 1) + 2 * n_max + 2) *
+                           sizeof(double));
+    int32_t *iwork = malloc((2 * n_max + (size_t)k + 1) * sizeof(int32_t));
+    uint8_t *sole = malloc(2 * (size_t)m + 1);
+    if (dwork == NULL || iwork == NULL || sole == NULL) {
+        free(dwork);
+        free(iwork);
+        free(sole);
+        return -2;
+    }
+    double *xy = dwork, *cost = dwork + 2 * n_max, *tick = dwork + 3 * n_max;
+    double *w_xy = dwork + 4 * n_max, *w_cost = dwork + 6 * n_max,
+           *w_tick = dwork + 7 * n_max;
+    double *w_obs = dwork + 8 * n_max, *w_r2 = w_obs + rows * row,
+           *w_verts = w_r2 + rows;
+    int32_t *parent = iwork, *w_parent = iwork + n_max,
+            *w_seg = iwork + 2 * n_max;
+    uint8_t *w_sole = sole + m;
+    int32_t w_info[3];
+    size_t path_size = 2 * ((size_t)k + 1);
+    int growths = 0, result = 0;
+
+    memset(sole, 0, 2 * (size_t)m + 1);
+    int n = 0;   /* no tree: the root is blocked */
+    if (hold_free(x0, y0, 0.0, 0, obs, kp1, r2, m)) {
+        n = navrisk_grow(samples, budget, x0, y0, y_lo, y_hi, inv, steer, k,
+                         obs, kp1, r2, m, xy, cost, tick, parent, sole);
+        growths++;
+    }
+    if (n < 0)
+        result = -2;
+    if (result == 0)
+        result = status[0] = plan_world(
+            xy, cost, tick, parent, n, goals, tol, inv, step, k, obs, kp1,
+            r2, m, verts, paths, seg, info);
+
+    for (int a = 0; a < m && result >= 0; a++) {
+        if (!wanted[a])
+            continue;
+        /* the rows without a */
+        memcpy(w_obs, obs, (size_t)a * row * sizeof(double));
+        memcpy(w_obs + (size_t)a * row, obs + ((size_t)a + 1) * row,
+               (size_t)(m - 1 - a) * row * sizeof(double));
+        memcpy(w_r2, r2, (size_t)a * sizeof(double));
+        memcpy(w_r2 + a, r2 + a + 1, (size_t)(m - 1 - a) * sizeof(double));
+        const double *t_xy = xy, *t_cost = cost, *t_tick = tick;
+        const int32_t *t_parent = parent;
+        int t_n = n;
+        if (n == 0 || sole[a]) {
+            regrown[a] = 1;
+            t_xy = w_xy;
+            t_cost = w_cost;
+            t_tick = w_tick;
+            t_parent = w_parent;
+            t_n = 0;
+            if (hold_free(x0, y0, 0.0, 0, w_obs, kp1, w_r2, m - 1)) {
+                t_n = navrisk_grow(samples, budget, x0, y0, y_lo, y_hi, inv,
+                                   steer, k, w_obs, kp1, w_r2, m - 1, w_xy,
+                                   w_cost, w_tick, w_parent, w_sole);
+                growths++;
+                if (t_n < 0) {
+                    result = -2;
+                    break;
+                }
+            }
+        }
+        result = status[1 + a] = plan_world(
+            t_xy, t_cost, t_tick, t_parent, t_n, goals + 2 * (1 + a), tol,
+            inv, step, k, w_obs, kp1, w_r2, m - 1, w_verts,
+            paths + (1 + (size_t)a) * path_size, w_seg, w_info);
+    }
+    info[3] = growths;
+    free(dwork);
+    free(iwork);
+    free(sole);
+    return result < 0 ? result : 0;
 }

@@ -1,5 +1,5 @@
-"""Build and load _growth.c, the planner's compiled tree growth and
-endpoint selection.
+"""Build and load _growth.c, the planner's compiled tree growth,
+endpoint selection and leave-one-out worlds.
 
 kernel() compiles the C99 source once per checkout with the constant
 compiler COMPILER and FLAGS and loads it through ctypes.  The shared
@@ -39,6 +39,8 @@ SIGNATURES = {
                      _P, _P, _P, _P),
     "navrisk_select": (_P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _I, _P, _I,
                        _P, _I, _P, _P, _P, _P),
+    "navrisk_leave_one_out": (_P, _I, _D, _D, _D, _D, _D, _D, _D, _D, _I, _P,
+                              _I, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P),
 }
 
 

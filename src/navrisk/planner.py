@@ -36,10 +36,11 @@ of the tree-edge checks (_edge_blockers wraps its edge function) and of
 the endpoint selection, with the same correctly rounded IEEE operations.
 The kernel runs the whole growth loop after _grow_tree has checked the
 root and drawn the samples: the nearest node by a bisect over x-sorted
-keys (ties to the lowest index, np.argmin's rule), the neighbours in
-ascending index (np.nonzero's order), and a stable sort by connect cost
-(np.lexsort's order), each with the same expressions in the same order
-as an all-numpy growth, so the tree is bit-identical to it
+keys (ties to the lowest index, np.argmin's rule), the neighbours by a
+scan of the same keys outward from the new point, taken by ascending
+index where order matters (np.nonzero's order), and the connect order
+by cost, then index (np.lexsort's order), each with the same
+expressions as an all-numpy growth, so the tree is bit-identical to it
 (tests/oracles.py, reference_grow_tree).
 
 The endpoint rule lives in the kernel too: _select_path is a thin
@@ -51,7 +52,10 @@ same binary64 expressions as the earlier Python selection
 running sum, bisect-right and f = (s - cum[i]) / seg_len[i].  It writes
 positions only; headings, ActorStates and the cost are built in Python
 (_path_plan) just for the Plan a caller reads, so leave-one-out compares
-its ablated plans as position arrays.
+its ablated plans as position arrays.  _plan_worlds plans every world of
+one leave-one-out experiment in one kernel call (navrisk_leave_one_out):
+the root check, the full growth and selection, and each ablation's
+selection on the full tree or on its own, with the reuse rule above.
 """
 
 from __future__ import annotations
@@ -383,6 +387,8 @@ def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
     count = kernel().navrisk_edge_blockers(
         p0x, p0y, p1x, p1y, tick0, tick1, obs.ctypes.data, obs.shape[1],
         r2.ctypes.data, len(r2), found)
+    if count < 0:
+        raise MemoryError("no memory for the edge check")
     return tuple(found[:count])
 
 
@@ -541,6 +547,66 @@ def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
     """_select_path's plan as a Plan starting at tick t."""
     return _path_plan(_select_path(tree, goal, obs, rsum, k, dt),
                       tree.speed, road, t, dt)
+
+
+class _Worlds(NamedTuple):
+    """The worlds of one leave-one-out experiment as navrisk_leave_one_out
+    plans them: the full world's _Path (None without a plan); for each
+    actor j the positions (k+1, 2) of the world without it (None where
+    that world has no plan or was not asked for); the trees grown; and
+    the (m,) mask of the ablations that did not reuse the full tree."""
+
+    full: Optional[_Path]
+    ablated: list[Optional[np.ndarray]]
+    growths: int
+    regrown: np.ndarray
+
+
+def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
+                 rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
+                 dt: float, goals: np.ndarray, wanted: np.ndarray
+                 ) -> _Worlds:
+    """Plan the full world of world_arrays' (obs, rsum) toward goals[0]
+    and, for each actor j with wanted[j], the world without it toward
+    goals[1 + j], all on _sample_stream's samples for cfg, in one call to
+    navrisk_leave_one_out: as _grow_tree and then _select_path would plan
+    each, except that a world without an actor that was never a sole
+    blocker of the full growth reuses its tree."""
+    if not road.contains_y(ego.position_y):
+        raise ScenarioError("ego is off-road")
+    obs, r2 = _kernel_obstacles(obs, rsum, 0.0, k)
+    m = len(r2)
+    goals = np.ascontiguousarray(goals, dtype=np.float64)
+    wanted = np.ascontiguousarray(wanted, dtype=np.uint8)
+    if goals.shape != (m + 1, 2) or wanted.shape != (m,):
+        raise ValueError(f"{goals.shape} goals and {wanted.shape} wanted "
+                         f"flags for {m} actors")
+    samples = _sample_stream(road, ego, cfg, ego_radius)
+    speed = min(cfg.target_speed, road.speed_limit)
+    inv = 1.0 / (speed * dt)          # ticks per meter of path
+    xy = np.empty((m + 1, k + 1, 2))
+    status = np.zeros(m + 1, dtype=np.int32)
+    verts = np.empty((cfg.iteration_budget + 2, 2))
+    seg = np.empty(k + 1, dtype=np.int32)
+    info = (ctypes.c_int32 * 4)()
+    regrown = np.zeros(m, dtype=bool)
+    err = kernel().navrisk_leave_one_out(
+        samples.ctypes.data, cfg.iteration_budget, ego.position_x,
+        ego.position_y, ego_radius, road.width - ego_radius, inv, STEER_STEP,
+        GOAL_TOLERANCE, speed * dt, k, obs.ctypes.data, obs.shape[1],
+        r2.ctypes.data, m, goals.ctypes.data, wanted.ctypes.data,
+        xy.ctypes.data, status.ctypes.data, verts.ctypes.data,
+        seg.ctypes.data, info, regrown.ctypes.data)
+    if err == -2:
+        raise MemoryError("no memory for the leave-one-out worlds")
+    if err < 0:
+        raise ValueError("a tree's parent links do not reach the root")
+    # a status is 0 for no plan (or an ablation not asked for), 1 for a
+    # partial plan and 2 for a plan into the goal region
+    full = None if not status[0] else _Path(
+        xy[0], seg, verts[:info[1]], bool(info[0]), info[2])
+    ablated = [xy[1 + j] if status[1 + j] else None for j in range(m)]
+    return _Worlds(full, ablated, info[3], regrown)
 
 
 def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,

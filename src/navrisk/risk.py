@@ -34,13 +34,9 @@ from .planner import (
     Plan,
     PlannerConfig,
     PlanSet,
-    PlanningInfeasible,
     _goal_point,
-    _grow_tree,
-    _Path,
     _path_plan,
-    _sample_stream,
-    _select_path,
+    _plan_worlds,
     collision_check,
     enumerate_plans,  # noqa: F401 (wrapped by perfbench/tracer.py)
     lattice_blockers,
@@ -273,13 +269,20 @@ def _soft_advance(base_advance: float, terms) -> float:
     return float(min(max(adv, MIN_ADVANCE), base_advance))
 
 
+def _lane_terms(world: Mapping[str, Trajectory], ego: ActorState,
+                road: RoadMap, lane: int, ego_speed: float
+                ) -> list[Optional[float]]:
+    """Every occupant's _follow_term in lane, in world order."""
+    return [_follow_term(traj, ego, road, lane, ego_speed)
+            for traj in world.values()]
+
+
 def follow_advance(world: Mapping[str, Trajectory], ego: ActorState,
                    road: RoadMap, lane: int, base_advance: float,
                    ego_speed: float) -> float:
     """Clamped goal advance in one lane given predicted occupants."""
-    return _soft_advance(base_advance, (
-        _follow_term(traj, ego, road, lane, ego_speed)
-        for traj in world.values()))
+    return _soft_advance(base_advance,
+                         _lane_terms(world, ego, road, lane, ego_speed))
 
 
 def route_goal(cfg: PlannerConfig, world: Mapping[str, Trajectory],
@@ -296,16 +299,16 @@ def route_goal(cfg: PlannerConfig, world: Mapping[str, Trajectory],
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
 
-def _plan_change(full: Optional[_Path], ablated: Optional[_Path],
+def _plan_change(full: Optional[np.ndarray], ablated: Optional[np.ndarray],
                  road: RoadMap, k: int) -> tuple[float, bool]:
-    """(gamma, saturated) between the full-world and ablated paths: the
-    mean per-waypoint displacement, 0 if neither world admits a plan, and
-    road_length / k (saturated) if exactly one does."""
+    """(gamma, saturated) between the full-world and ablated positions:
+    the mean per-waypoint displacement, 0 if neither world admits a plan,
+    and road_length / k (saturated) if exactly one does."""
     if full is None and ablated is None:
         return 0.0, False
     if full is None or ablated is None:
         return road.road_length / k, True
-    return _mean_distance(full.xy, ablated.xy), False
+    return _mean_distance(full, ablated), False
 
 
 def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
@@ -326,57 +329,58 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     once and the full-world tree grown once.  Without an actor that never
     alone blocked one of its edge checks the same tree grows, so that
     ablation reuses it; the others, and all of them when the ego is
-    enclosed at the root, grow their own tree on the same stream.  Each
-    actor's route term is computed once; a world's goal sums the terms of
-    its actors in world order, as route_goal does.  Only the full plan is
-    built as a Plan; the ablated ones are compared as positions.
+    enclosed at the root, grow their own tree on the same stream.  All of
+    it is one kernel call (planner._plan_worlds).  Each actor's route term
+    is computed once; a world's goal sums the terms of its actors in world
+    order, as route_goal does.  Only the full plan is built as a Plan; the
+    ablated ones are compared as positions.
     """
+    terms = None if not route else _lane_terms(
+        world, ego, road, cfg.goal.lane,
+        min(cfg.target_speed, road.speed_limit))
+    return _leave_one_out(world, ego, t, k, cfg, terms, road=road,
+                          radii=radii, ego_radius=ego_radius, dt=dt,
+                          actor_ids=actor_ids)
+
+
+def _leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
+                   k: int, cfg: PlannerConfig,
+                   terms: Optional[Sequence[Optional[float]]], *,
+                   road: RoadMap, radii: Mapping[str, float],
+                   ego_radius: float, dt: float,
+                   actor_ids: Optional[Sequence[str]] = None
+                   ) -> tuple[Optional[Plan], dict[str, tuple[float, bool]]]:
+    """leave_one_out on the route terms of world in cfg.goal.lane
+    (_lane_terms'), or unrouted when terms is None."""
     wanted = set(world if actor_ids is None else actor_ids)
     if not wanted <= world.keys():
         raise ScenarioError(
             f"unknown actor ids {sorted(wanted - world.keys())!r}")
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    samples = _sample_stream(road, ego, cfg, ego_radius)
-    try:
-        tree, sole = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt,
-                                samples)
-    except PlanningInfeasible:
-        tree, sole = None, np.ones(len(rsum), dtype=bool)
-    lane = cfg.goal.lane
-    if route:
-        speed = min(cfg.target_speed, road.speed_limit)
-        terms = [_follow_term(traj, ego, road, lane, speed)
-                 for traj in world.values()]
+    mask = np.array([aid in wanted for aid in world], dtype=bool)
 
-    def path(without: Optional[int], tree_w) -> Optional[_Path]:
-        """The selected path of the world without actor `without` (None:
-        the full world) toward its goal, on tree_w, or on a tree grown
-        among its obstacle rows when tree_w is None."""
-        advance = cfg.goal.advance if not route else _soft_advance(
+    def goal(without: Optional[int]) -> np.ndarray:
+        """The goal of the world without actor `without` (None: the full
+        world)."""
+        advance = cfg.goal.advance if terms is None else _soft_advance(
             cfg.goal.advance, (x for j, x in enumerate(terms)
                                if j != without))
-        goal = _goal_point(road, ego, GoalSpec(advance, lane), ego_radius)
-        keep = slice(None) if without is None else \
-            np.arange(len(rsum)) != without
-        o, r = obs[keep], rsum[keep]
-        try:
-            if tree_w is None:
-                tree_w, _ = _grow_tree(road, ego, k, o, r, cfg, ego_radius,
-                                       dt, samples)
-            return _select_path(tree_w, goal, o, r, k, dt)
-        except PlanningInfeasible:
-            return None
+        return _goal_point(road, ego, GoalSpec(advance, cfg.goal.lane),
+                           ego_radius)
 
-    full = None if tree is None else path(None, tree)
-    plan_full = None if full is None else _path_plan(full, tree.speed, road,
-                                                     t, dt)
-    gammas = {}
-    for j, aid in enumerate(world):
-        if aid not in wanted:
-            continue
-        gammas[aid] = _plan_change(
-            full, path(j, None if sole[j] else tree), road, k)
-    return plan_full, gammas
+    goals = np.zeros((len(world) + 1, 2))   # full world, then without j
+    goals[0] = goal(None)
+    for j in np.flatnonzero(mask).tolist():
+        goals[1 + j] = goal(j)
+    worlds = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
+                          goals, mask)
+    full = worlds.full
+    plan_full = None if full is None else _path_plan(
+        full, min(cfg.target_speed, road.speed_limit), road, t, dt)
+    return plan_full, {
+        aid: _plan_change(None if full is None else full.xy,
+                          worlds.ablated[j], road, k)
+        for j, aid in enumerate(world) if mask[j]}
 
 
 def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:

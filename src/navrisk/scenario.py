@@ -53,13 +53,14 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActorState:
     """Kinematic state of one actor at one tick.
 
     position_x runs along the road axis, position_y is lateral with 0 at the
     right road edge.  heading 0 points along the road axis; speed is the
-    displacement speed (m/s), always >= 0.
+    displacement speed (m/s), always >= 0.  Slotted: a run builds tens of
+    thousands of them, and a slotted one is built in about half the time.
     """
 
     position_x: float

@@ -26,10 +26,11 @@ from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
 from .risk import (
     SWITCH_HYSTERESIS,
+    _lane_terms,
+    _leave_one_out,
+    _soft_advance,
     all_actor_importance_kl,
     all_actor_risk_exact,
-    follow_advance,
-    leave_one_out,
     monte_carlo_importance,
 )
 # bound here for perfbench/tracer.py, which wraps them in this module
@@ -107,15 +108,12 @@ def _planner_seed(seed: int, t: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pick_lane(world, ego, s, base_advance, speed, preferred):
-    """Lane preference with hysteresis; adjacent switches only."""
-    road = s.map
+def _pick_lane(terms, road, base_advance, preferred):
+    """Lane preference with hysteresis; adjacent switches only.  terms(l)
+    gives the occupants' route terms in lane l (risk._lane_terms')."""
     candidates = [l for l in (preferred - 1, preferred, preferred + 1)
                   if 0 <= l < road.lane_count]
-    utility = {
-        l: follow_advance(world, ego, road, l, base_advance, speed)
-        for l in candidates
-    }
+    utility = {l: _soft_advance(base_advance, terms(l)) for l in candidates}
     # prefer the current lane, break remaining ties leftward (overtaking
     # side); switch only on a clear gain
     best = max(candidates,
@@ -159,20 +157,29 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
         world = {aid: predict_linear(h, k_eff)
                  for aid, h in histories.items()}
 
-        # route on the full predicted world; commit while mid-transition
+        # route on the full predicted world; commit while mid-transition.
+        # Each lane's terms are computed once: the preferred lane's route
+        # every leave-one-out world too
+        lanes = {}
+
+        def terms(lane):
+            if lane not in lanes:
+                lanes[lane] = _lane_terms(world, ego, road, lane, speed)
+            return lanes[lane]
+
         mid_change = abs(
             ego.position_y - road.lane_center(preferred)
         ) > 0.25 * road.lane_width
         if not mid_change:
-            preferred = _pick_lane(world, ego, s, base_advance, speed,
-                                   preferred)
+            preferred = _pick_lane(terms, road, base_advance, preferred)
 
         base_cfg = PlannerConfig(
             iteration_budget=cfg.iteration_budget,
             seed=_planner_seed(cfg.seed, t),
             goal=GoalSpec(base_advance, preferred), target_speed=speed)
-        plan_full, gammas = leave_one_out(world, ego, t, k_eff, base_cfg,
-                                          **env)
+        plan_full, gammas = _leave_one_out(
+            world, ego, t, k_eff, base_cfg, terms(preferred), road=road,
+            radii=radii, ego_radius=ego_radius, dt=s.dt)
 
         kl_values = {}
         rho_values = {}

@@ -259,6 +259,10 @@ RUN_PINS = {
     "casestudy-exact": (["--exact-lattice", "--operator", "both"], (
         "23d8b6297216c5d798548c11aad718d5f42145fa4dc9563f9f0fb7f1f64121ca",
         "e7a77cf17be0cf9ecf44b8637acdba5ac6616d7942714516ceae564d9a6c920e")),
+    # the benchmark's casestudy-mc workload at seed 42
+    "casestudy-mc": (["--samples", "2", "--seed", "42"], (
+        "29aa76a0dec307a700ebea27ebe65645f56689befda89e6c9bf2bcc5242c6c6b",
+        "98edcf2ca94eadd1d52d9d0f18f04676093c94dd6a43cea805e1585c3be77fce")),
 }
 
 

@@ -30,10 +30,10 @@ import itertools
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
 import pytest
 
 from navrisk.planner import (
@@ -82,8 +82,13 @@ from oracles import (
     world_to_positions,
 )
 
-EXACT = settings(max_examples=150, deadline=None, derandomize=True,
-                 suppress_health_check=[HealthCheck.too_slow])
+# Every generated window and world comes from random.Random(seed), seeds
+# 0 to EXAMPLES - 1, not from Hypothesis: a derandomized Hypothesis draw
+# mixes in literal constants of the navrisk modules imported when it runs,
+# so what it drew depended on the other test modules collected.  Each
+# test counts what its examples covered; the counts are the same wherever
+# the module runs.
+EXAMPLES = 150
 SUBSETS = [c for r in range(1, len(MANEUVERS) + 1)
            for c in itertools.combinations(MANEUVERS, r)]
 RADIUS = 1.2
@@ -102,29 +107,35 @@ def rendered(road, ego, lattice, dt):
     return out
 
 
-@st.composite
-def windows(draw, max_universe):
-    """(road, ego, lattice, dt): 1-4 lanes; the ego at a lane centre, on a
-    lane edge or the road edge, and at speeds up to above the limit,
-    including within the limit's 1e-9 tolerance; a lattice of at most
-    max_universe sequences."""
-    road = RoadMap(draw(st.integers(1, 4)),
-                   draw(st.sampled_from((3.0, 3.5, 3.7))), 300.0,
-                   draw(st.sampled_from((13.7, 14.0, 15.0))))
-    lane = draw(st.integers(0, road.lane_count - 1))
-    y = draw(st.sampled_from((road.lane_center(lane),
-                              lane * road.lane_width,
-                              (lane + 1) * road.lane_width)))
+@contextmanager
+def seeded(seed):
+    """random.Random(seed); an assertion failing under it names the
+    seed."""
+    try:
+        yield random.Random(seed)
+    except AssertionError as e:
+        raise AssertionError(f"the example of seed {seed}") from e
+
+
+def window(rng, max_universe):
+    """(road, ego, lattice, dt) from rng: 1-4 lanes; the ego at a lane
+    centre, on a lane edge or the road edge, and at speeds up to above the
+    limit, including within the limit's 1e-9 tolerance; a lattice of at
+    most max_universe sequences."""
+    road = RoadMap(rng.randint(1, 4), rng.choice((3.0, 3.5, 3.7)), 300.0,
+                   rng.choice((13.7, 14.0, 15.0)))
+    lane = rng.randint(0, road.lane_count - 1)
+    y = rng.choice((road.lane_center(lane), lane * road.lane_width,
+                    (lane + 1) * road.lane_width))
     limit = road.speed_limit
-    speed = draw(st.sampled_from((
-        draw(st.floats(0.0, limit)), 0.0, 1.0, limit - SPEED_STEP, limit,
-        limit + 5e-10, limit + 1.0, limit + 2.5)))
-    ego = ActorState(draw(st.floats(0.0, 100.0)), y, 0.0, speed)
-    maneuvers = draw(st.sampled_from(SUBSETS))
-    steps = draw(st.integers(1, next(
-        d for d in range(6, 0, -1) if len(maneuvers) ** d <= max_universe)))
-    lattice = LatticeConfig(steps, maneuvers, draw(st.integers(1, 10)))
-    return road, ego, lattice, draw(st.sampled_from((0.1, 0.05, 0.25)))
+    speed = rng.choice((rng.uniform(0.0, limit), 0.0, 1.0, limit - SPEED_STEP,
+                        limit, limit + 5e-10, limit + 1.0, limit + 2.5))
+    ego = ActorState(rng.uniform(0.0, 100.0), y, 0.0, speed)
+    maneuvers = rng.choice(SUBSETS)
+    steps = rng.randint(1, next(
+        d for d in range(6, 0, -1) if len(maneuvers) ** d <= max_universe))
+    lattice = LatticeConfig(steps, maneuvers, rng.randint(1, 10))
+    return road, ego, lattice, rng.choice((0.1, 0.05, 0.25))
 
 
 def assert_render_exact(road, ego, lattice, dt):
@@ -141,12 +152,20 @@ def assert_render_exact(road, ego, lattice, dt):
     some_seqs, some_cols = plans(some)
     assert some_cols.tolist() == cols[some].tolist()
     assert some_seqs == [seqs[u] for u in some]
+    return len(want)
 
 
-@given(windows(max_universe=729))
-@EXACT
-def test_level_wise_render_equals_walk_render(window):
-    assert_render_exact(*window)
+def test_level_wise_render_equals_walk_render():
+    seen = Counter()
+    for seed in range(EXAMPLES):
+        with seeded(seed) as rng:
+            road, ego, lattice, dt = window(rng, max_universe=729)
+            universe = assert_render_exact(road, ego, lattice, dt)
+        nominal = len(lattice.maneuvers) ** lattice.decision_steps
+        seen["empty"] += universe == 0
+        seen["pruned"] += 0 < universe < nominal
+        seen["over the limit"] += ego.speed > road.speed_limit
+    assert seen == {"empty": 43, "pruned": 86, "over the limit": 58}, seen
 
 
 @pytest.mark.parametrize("maneuvers", SUBSETS, ids="+".join)
@@ -159,19 +178,18 @@ def test_every_maneuver_subset_renders_exactly(maneuvers):
                             0.1)
 
 
-@st.composite
-def worlds(draw):
-    """A small window plus 0-3 actors, parked or driving along the road
-    near the ego's reach, as a Scenario starting at tick 0."""
-    road, ego, lattice, dt = draw(windows(max_universe=81))
+def world_case(rng):
+    """A small window from rng plus 0-3 actors, parked or driving along
+    the road near the ego's reach, as a Scenario starting at tick 0."""
+    road, ego, lattice, dt = window(rng, max_universe=81)
     k = lattice.horizon
     actors = {}
-    for i in range(draw(st.integers(0, 3))):
-        x0 = ego.position_x + draw(st.integers(-4, 60)) / 2
-        y = draw(st.sampled_from((
-            draw(st.floats(0.0, road.width)),
-            road.lane_center(draw(st.integers(0, road.lane_count - 1))))))
-        speed = draw(st.sampled_from((0.0, 3.0, 7.5)))
+    for i in range(rng.randint(0, 3)):
+        x0 = ego.position_x + rng.randint(-4, 60) / 2
+        y = rng.choice((
+            rng.uniform(0.0, road.width),
+            road.lane_center(rng.randint(0, road.lane_count - 1))))
+        speed = rng.choice((0.0, 3.0, 7.5))
         aid = f"a{i}"
         actors[aid] = Trajectory(aid, 0, dt, tuple(
             ActorState(x0 + speed * dt * j, y, 0.0, speed)
@@ -190,16 +208,25 @@ def walk_counts(s, lattice, actors):
         {aid: RADIUS + RADIUS + SAFETY_MARGIN for aid in actors})
 
 
-@given(worlds())
-@EXACT
-def test_exact_risk_and_kl_equal_walk_enumeration(case):
-    s, lattice = case
+def test_exact_risk_and_kl_equal_walk_enumeration():
+    seen = Counter()
+    for seed in range(EXAMPLES):
+        with seeded(seed) as rng:
+            s, lattice = world_case(rng)
+            seen[assert_exact_risk_and_kl(s, lattice)] += 1
+    assert seen == {"empty": 42, "none blocked": 76, "some blocked": 8,
+                    "all blocked": 24}, seen
+
+
+def assert_exact_risk_and_kl(s, lattice):
+    """The exact risks and KL importances of one window against the walk
+    enumeration; returns what the window covered."""
     k, actors = lattice.horizon, s.npc_trajectories
     universe, survivors = walk_counts(s, lattice, actors)
     if universe == 0:
         with pytest.raises(DegenerateScenario):
             all_actor_risk_exact(s, 0, k, lattice)
-        return
+        return "empty"
     without = {aid: walk_counts(s, lattice, {
         a: tr for a, tr in actors.items() if a != aid})[1]
         for aid in actors}
@@ -218,26 +245,33 @@ def test_exact_risk_and_kl_equal_walk_enumeration(case):
         radii=s.actor_radius, ego_radius=RADIUS, dt=s.dt) == {
         aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(
             seqs, w)) for aid, w in without.items()}
+    if len(survivors) == universe:
+        return "none blocked"
+    return "some blocked" if survivors else "all blocked"
 
 
-@given(worlds())
-@EXACT
-def test_enumerate_plans_returns_walk_survivors(case):
-    s, lattice = case
-    actors = s.npc_trajectories
-    universe, survivors = walk_counts(s, lattice, actors)
-    got = enumerate_plans(s.map, s.ego_initial, 0, lattice.horizon, lattice,
-                          actors, s.actor_radius, ego_radius=RADIUS,
-                          dt=s.dt)
-    want = [w for w in rendered(s.map, s.ego_initial, lattice, s.dt)
-            if w[0] in survivors]
-    assert got.universe_size == universe
-    assert [p.maneuver_seq for p in got.plans] == [w[0] for w in want]
-    for plan, (_, xs, ys, vs) in zip(got.plans, want):
-        states = plan.trajectory.states
-        assert [st.position_x for st in states] == xs
-        assert [st.position_y for st in states] == ys
-        assert [st.speed for st in states] == vs
+def test_enumerate_plans_returns_walk_survivors():
+    seen = Counter()
+    for seed in range(EXAMPLES):
+        with seeded(seed) as rng:
+            s, lattice = world_case(rng)
+            actors = s.npc_trajectories
+            universe, survivors = walk_counts(s, lattice, actors)
+            got = enumerate_plans(s.map, s.ego_initial, 0, lattice.horizon,
+                                  lattice, actors, s.actor_radius,
+                                  ego_radius=RADIUS, dt=s.dt)
+            want = [w for w in rendered(s.map, s.ego_initial, lattice, s.dt)
+                    if w[0] in survivors]
+            assert got.universe_size == universe
+            assert [p.maneuver_seq for p in got.plans] == [w[0] for w in want]
+            for plan, (_, xs, ys, vs) in zip(got.plans, want):
+                states = plan.trajectory.states
+                assert [st.position_x for st in states] == xs
+                assert [st.position_y for st in states] == ys
+                assert [st.speed for st in states] == vs
+        seen["kept"] += len(want)
+        seen["dropped"] += universe - len(want)
+    assert seen == {"kept": 745, "dropped": 262}, seen
 
 
 # --- the level-wise blocker bits at the first and the last tick ------------
@@ -298,10 +332,8 @@ def test_last_level_actor_blocks_only_the_sequences_it_reaches():
 
 # --- leave-one-out against independent replans -----------------------------
 
-# The leave-one-out worlds come from random.Random(seed), seeds 0 to
-# LOO_WORLDS - 1, not from Hypothesis: a derandomized Hypothesis draw mixes
-# in literal constants of every non-test module already imported, so
-# which worlds it drew depended on the other test modules collected.
+# The leave-one-out worlds come from random.Random(seed) too, seeds 0 to
+# LOO_WORLDS - 1.
 LOO_WORLDS = 40
 PROBES = 17   # of the LOO_WORLDS worlds, those that carry a boundary probe
 ROAD3 = RoadMap(3, 3.5, 300.0, 15.0)

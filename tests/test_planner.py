@@ -332,8 +332,8 @@ class TestPairRule:
         assert 0 < sum(got) < len(got)
 
     def test_no_hit_once_an_offset_reaches_r(self):
-        # _edge_blockers skips a pair once dx*dx >= r*r: rounding is
-        # monotone and dy*dy >= 0, so the rule says no hit there too
+        # an offset of r or more on one axis is no hit: rounding is
+        # monotone and dy*dy >= 0, so the rounded sum stays >= r*r
         subnormal = 5e-324
         rng = np.random.default_rng(43)
         for r in [3.0, 2.5, 0.1, *rng.uniform(0.5, 6.0, 40).tolist()]:

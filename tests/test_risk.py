@@ -5,7 +5,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from navrisk import planner, risk
+from navrisk import risk
 from navrisk.planner import (
     GoalSpec,
     LatticeConfig,
@@ -13,7 +13,6 @@ from navrisk.planner import (
     SPEED_STEP,
     enumerate_plans,
     plan_sampling,
-    world_arrays,
 )
 from navrisk.prediction import PredictionConfig, predict_linear, \
     sample_worlds
@@ -484,25 +483,17 @@ class TestActorImportance:
     def test_euclid_grows_at_most_two_trees(self, monkeypatch):
         # one full-world growth, plus a re-growth only when the actor was
         # a sole blocker; never the other actors' ablations
-        grown = []
-        grow = planner._grow_tree
-
-        def counted(*args, **kw):
-            grown.append(1)
-            return grow(*args, **kw)
-
-        monkeypatch.setattr(risk, "_grow_tree", counted)
-        monkeypatch.setattr(planner, "_grow_tree", counted)
         per_call = []
+        reports = kernel_reports(monkeypatch)
         for road, world, ego, t, k, cfg, radii in loo_cases():
             _, every = leave_one_out(world, ego, t, k, cfg, road=road,
                                      radii=radii, route=True)
             for aid in world:
-                grown.clear()
+                reports.clear()
                 assert actor_importance(
                     world, aid, ego, t, k, cfg, "euclid", road=road,
                     radii=radii, route=True) == every[aid][0]
-                per_call.append(len(grown))
+                per_call.append(sum(r.growths for r in reports))
         assert max(per_call) <= 2
         assert 1 in per_call and 2 in per_call
 
@@ -565,6 +556,21 @@ def case_study_worlds():
         yield s.map, world, ego, t, k, cfg, dict(s.actor_radius)
 
 
+def kernel_reports(monkeypatch):
+    """The list that every later leave_one_out call appends its kernel
+    report to (planner._Worlds: the trees grown, which ablations grew
+    their own)."""
+    reports = []
+    plan_worlds = risk._plan_worlds
+
+    def reported(*args, **kw):
+        reports.append(plan_worlds(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(risk, "_plan_worlds", reported)
+    return reports
+
+
 def loo_cases():
     """(road, world, ego, t, k, cfg, radii) for the equality test."""
     for world, ego, k, cfg in leave_one_out_worlds():
@@ -585,20 +591,13 @@ def loo_cases():
 
 class TestLeaveOneOut:
     def test_equals_independent_replans(self, monkeypatch):
-        grown_obs = []   # obstacle rows of every tree leave_one_out grows
-        grow = planner._grow_tree
-
-        def counted(road, ego, k, obs, *args, **kw):
-            grown_obs.append(obs)
-            return grow(road, ego, k, obs, *args, **kw)
-
-        monkeypatch.setattr(risk, "_grow_tree", counted)
+        reports = kernel_reports(monkeypatch)
         regrown, reused = set(), set()
         moved = enclosed = 0
         for n, (road, world, ego, t, k, cfg, radii) in enumerate(loo_cases()):
             full_ref, ref = replanned_gammas(road, world, ego, t, k, cfg,
                                              radii)
-            grown_obs.clear()
+            reports.clear()
             plan_full, gammas = leave_one_out(world, ego, t, k, cfg,
                                               road=road, radii=radii,
                                               route=True)
@@ -611,13 +610,10 @@ class TestLeaveOneOut:
                     full_ref.trajectory.xy.tolist()
             if "ghost" in world:
                 assert gammas["ghost"] == (0.0, False)
-            # a re-grown ablation lacks the removed actor's obstacle row
-            full_obs, _ = world_arrays(world, radii, 1.2, t, k)
-            grown = set()
-            for obs in grown_obs:
-                rows = {o.tobytes() for o in obs}
-                grown |= {(n, aid) for aid, o in zip(world, full_obs)
-                          if o.tobytes() not in rows}
+            # the kernel reports the ablations that grew their own tree
+            [report] = reports
+            grown = {(n, aid) for aid, again in zip(world, report.regrown)
+                     if again}
             regrown |= grown
             reused |= {(n, aid) for aid in world} - grown
             moved += sum(g > 0.0 for g, _ in gammas.values())

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -53,6 +55,23 @@ class TestTypes:
     def test_heading_range_enforced(self):
         with pytest.raises(ScenarioError):
             ActorState(0, 0, 4.0, 1.0)
+
+    def test_actor_state_is_an_immutable_value(self):
+        # slotted and frozen: no attribute can be set or added, and equal
+        # states stay equal, hash alike and survive a pickle round trip
+        a = ActorState(10.0, 5.25, 0.5, 3.0)
+        for name in ("speed", "position_x"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(a, name, 1.0)
+        # a new name: CPython 3.11's frozen slotted __setattr__ raises
+        # TypeError, later versions FrozenInstanceError
+        with pytest.raises((AttributeError, TypeError)):
+            a.other = 1.0
+        assert not hasattr(a, "__dict__") and not hasattr(a, "other")
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a) and b is not a
+        assert repr(a) == ("ActorState(position_x=10.0, position_y=5.25, "
+                           "heading=0.5, speed=3.0)")
 
     def test_wrap_angle(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)

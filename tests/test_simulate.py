@@ -1,8 +1,10 @@
 import math
+import random
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from navrisk.planner import LatticeConfig, PlannerConfig
 from navrisk.report import (
@@ -147,16 +149,62 @@ class TestReports:
         assert t1.startswith("<svg") and "polyline" in t1
 
 
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                min_size=0, max_size=30))
-@settings(max_examples=400, deadline=None, derandomize=True)
-def test_quartiles_equal_np_percentile(values):
-    got = _quartiles(values)
-    if not values:
-        assert got == (None, None, None)
-        return
-    with np.errstate(all="ignore"):   # b - a may overflow, as in numpy
-        q1, med, q3 = np.percentile(np.array(values), [25.0, 50.0, 75.0])
-    # == leaves the sign of a zero open: which of two equal zeros numpy's
-    # partition puts first is not specified
-    assert np.array_equal(got, (med, q1, q3), equal_nan=True)
+# The lists come from random.Random(seed), seeds 0 to QUARTILE_LISTS - 1,
+# not from Hypothesis: a derandomized Hypothesis draw mixes in literal
+# constants of the navrisk modules imported when it runs, so which lists
+# it drew depended on the other test modules collected.
+QUARTILE_LISTS = 400
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5,
+               1.0, -1.0, 1e-300, 1e300, -1e300, 1.7976931348623157e308,
+               -1.7976931348623157e308)
+
+
+def float_list(rng):
+    """0-30 finite floats from rng, a random.Random: edge values, repeats
+    of earlier ones, and finite floats of any bit pattern, or in one list
+    of three, of either sign above 9e307, so that the difference of two of
+    opposite signs overflows."""
+    huge = rng.random() < 1 / 3
+    out = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.random()
+        if kind < 0.2:
+            out.append(rng.choice(EDGE_FLOATS))
+        elif kind < 0.3 and out:
+            out.append(rng.choice(out))
+        elif huge:
+            out.append(rng.choice((-1.0, 1.0)) *
+                       rng.uniform(9e307, 1.7976931348623157e308))
+        else:
+            x = math.inf
+            while not math.isfinite(x):
+                x = struct.unpack("<d", rng.randbytes(8))[0]
+            out.append(x)
+    return out
+
+
+def test_quartiles_equal_np_percentile():
+    seen = Counter()
+    for seed in range(QUARTILE_LISTS):
+        values = float_list(random.Random(seed))
+        got = _quartiles(values)
+        if not values:
+            assert got == (None, None, None)
+            seen["empty"] += 1
+            continue
+        with np.errstate(all="ignore"):   # b - a may overflow, as in numpy
+            q1, med, q3 = np.percentile(np.array(values), [25.0, 50.0, 75.0])
+        # == leaves the sign of a zero open: which of two equal zeros numpy's
+        # partition puts first is not specified
+        assert np.array_equal(got, (med, q1, q3), equal_nan=True), seed
+        xs, last = sorted(values), len(values) - 1
+        seen["a quartile's b - a overflows"] += any(
+            math.isinf(xs[i + 1] - xs[i]) for i in (
+                math.floor(last * q) for q in (0.25, 0.5, 0.75))
+            if i < last)
+        seen["both zeros"] += {math.copysign(1.0, v)
+                               for v in values if v == 0.0} == {1.0, -1.0}
+        seen["repeats"] += len(set(values)) < len(values)
+    # the same lists wherever the module runs, so the same counts
+    assert seen == {"empty": 12, "a quartile's b - a overflows": 13,
+                    "both zeros": 21, "repeats": 286}, seen
