@@ -1,8 +1,11 @@
-/* The sampling planner's kernel: the tree growth, called by
-   planner._grow_tree, the endpoint selection, called by
-   planner._select_path, and both for every world of one leave-one-out
-   experiment in a single call, called by risk.leave_one_out through
-   planner._plan_worlds.
+/* The sampling planner's kernel.  navrisk_leave_one_out plans every
+   world of one leave-one-out experiment in a single call; it is the one
+   entry point the package calls, through planner._plan_worlds, for
+   risk.leave_one_out and for planner.plan_sampling, which asks for the
+   full world alone.  Its parts, the tree growth (navrisk_grow), the
+   endpoint selection (navrisk_select) and the edge check
+   (navrisk_edge_blockers), are exported for the tests that check each
+   against its reference (tests/kernel_calls.py).
 
    Every float is computed by the same binary64 expressions, in the same
    order, as the all-numpy reference growth (tests/oracles.py,
@@ -58,8 +61,8 @@ static int blockers(double p0x, double p0y, double p1x, double p1y,
     return count;
 }
 
-/* blockers for planner._edge_blockers; -1 when its work memory cannot be
-   had. */
+/* blockers on its own, for the tests; -1 when its work memory cannot
+   be had. */
 int navrisk_edge_blockers(double p0x, double p0y, double p1x, double p1y,
                           double tick0, double tick1, const double *obs,
                           int kp1, const double *r2, int m, int32_t *found)
@@ -107,7 +110,7 @@ static int closer(double x, double y, int i, double sx, double sy,
 }
 
 /* Grow the rewiring tree from the root (x0, y0) over the budget samples
-   (sx, sy) pairs, exactly as planner._grow_tree documents; obs, kp1, r2
+   (sx, sy) pairs, exactly as the numpy reference grows it; obs, kp1, r2
    and m as for blockers, with kp1 > k.  Fills xy (n, 2), cost, tick and
    parent for the n nodes it returns, and sets sole[a] when some connect
    or rewire edge check was blocked by actor a alone.  Every output array
@@ -404,15 +407,20 @@ static void render(const double *v, int nv, double step, int k,
 #define CANDIDATES 200   /* per round */
 
 /* Select the endpoint of a grown tree of n nodes (xy, cost, tick, parent
-   as navrisk_grow writes them) toward the goal (gx, gy), as
-   planner._select_path documents, among obs, kp1, r2 and m as for
-   blockers, with kp1 > k.  inv is ticks per meter and step
-   meters per tick.  Writes the chosen path's vertices (at most n + 1) to
-   verts, its positions (k+1, 2) to path and the segment of each tick to
-   seg, and info[0] = partial, info[1] = the vertex count.  Returns the
-   endpoint's node, -1 when no candidate stays clear, -2 when memory for
-   the work arrays cannot be had and -3 when a parent chain is not a
-   path to the root. */
+   as navrisk_grow writes them) toward the goal (gx, gy) among obs, kp1,
+   r2 and m as for blockers, with kp1 > k: the cheapest path into the
+   goal region that stays clear, connected to the goal point when that
+   edge is clear, else the closest-approach path, flagged partial.  Each
+   round tries up to CANDIDATES nodes: those within tol of the goal by
+   cost, then every node by goal distance and cost, ties to the lower
+   index.  A candidate's plan parks at its endpoint until k, so the
+   endpoint must stay clear until then, and so must every rendered tick.
+   inv is ticks per meter and step meters per tick.  Writes the chosen
+   path's vertices (at most n + 1) to verts, its positions (k+1, 2) to
+   path and the segment of each tick to seg, and info[0] = partial,
+   info[1] = the vertex count.  Returns the endpoint's node, -1 when no
+   candidate stays clear, -2 when memory for the work arrays cannot be
+   had and -3 when a parent chain is not a path to the root. */
 int navrisk_select(const double *xy, const double *cost, const double *tick,
                    const int32_t *parent, int n, double gx, double gy,
                    double tol, double inv, double step, int k,
@@ -516,7 +524,7 @@ enum { NO_PLAN = 0, PARTIAL = 1, REACHED = 2 };
 
 /* navrisk_select on a tree of n nodes, n = 0 when the root is blocked:
    the world's status, or navrisk_select's -2 or -3.  A tree of the root
-   alone has no plan, as in planner._select_path. */
+   alone has no plan. */
 static int plan_world(const double *xy, const double *cost,
                       const double *tick, const int32_t *parent, int n,
                       const double *goal, double tol, double inv,
@@ -533,7 +541,6 @@ static int plan_world(const double *xy, const double *cost,
         return NO_PLAN;
     if (best < 0)
         return best;
-    info[2] = best;
     return info[0] ? PARTIAL : REACHED;
 }
 
@@ -555,10 +562,11 @@ static int plan_world(const double *xy, const double *cost,
    (0 no plan, 1 partial, 2 into the goal region) to status; the full
    path's vertices to verts (budget + 2, 2) and its segment per tick to
    seg (k + 1), with info[0] = partial, info[1] = the vertex count,
-   info[2] = the endpoint and info[3] = the trees grown; and regrown[a]
-   = 1 when the world without a did not reuse the full tree.  Returns 0,
-   -2 when memory for the work arrays cannot be had and -3 when a parent
-   chain is not a path to the root. */
+   info[2] = the full tree's node count (0 when the root is blocked) and
+   info[3] = the trees grown; and regrown[a] = 1 when the world without
+   a did not reuse the full tree.  Returns 0, -2 when memory for the work
+   arrays cannot be had and -3 when a parent chain is not a path to the
+   root. */
 int navrisk_leave_one_out(const double *samples, int budget, double x0,
                           double y0, double y_lo, double y_hi, double inv,
                           double steer, double tol, double step, int k,
@@ -589,7 +597,7 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
     int32_t *parent = iwork, *w_parent = iwork + n_max,
             *w_seg = iwork + 2 * n_max;
     uint8_t *w_sole = sole + m;
-    int32_t w_info[3];
+    int32_t w_info[2];
     size_t path_size = 2 * ((size_t)k + 1);
     int growths = 0, result = 0;
 
@@ -642,6 +650,7 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
             inv, step, k, w_obs, kp1, w_r2, m - 1, w_verts,
             paths + (1 + (size_t)a) * path_size, w_seg, w_info);
     }
+    info[2] = n;
     info[3] = growths;
     free(dwork);
     free(iwork);

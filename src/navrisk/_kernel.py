@@ -1,5 +1,4 @@
-"""Build and load _growth.c, the planner's compiled tree growth,
-endpoint selection and leave-one-out worlds.
+"""Build and load _growth.c, the sampling planner's compiled kernel.
 
 kernel() compiles the C99 source once per checkout with the constant
 compiler COMPILER and FLAGS and loads it through ctypes.  The shared
@@ -7,11 +6,15 @@ library is cached in the package's __pycache__ under a name made from the
 crc32 of the source, the flags, the interpreter's cache tag and the
 machine, so an edited source or another platform gets its own file.  It
 is written to a temporary file in that directory and moved into place, so
-concurrent builds never load a partial file.  Where that directory is not
+concurrent builds never load a partial file.  A build there then unlinks
+the directory's other _growth-*.so files, which a process that has
+loaded one keeps using; so a checkout shared by two interpreters (two
+cache tags) rebuilds each time they alternate.  Where that directory is not
 writable the library is cached the same way, under the same name, in
 navrisk-<uid> under tempfile.gettempdir(), which is made 0700 and used
 only while it is a directory that this user owns and no one else can
-enter.  Nothing is built or loaded until the first growth.
+enter, and keeps every build.  Nothing is built or loaded until the
+first plan.
 
 -ffp-contract=off keeps every a * b + c a rounded multiply and a rounded
 add, as in numpy and CPython; no -ffast-math, which would reassociate.
@@ -19,6 +22,7 @@ add, as in numpy and CPython; no -ffast-math, which would reassociate.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -34,11 +38,6 @@ SOURCE = Path(__file__).with_name("_growth.c")
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
 SIGNATURES = {
-    "navrisk_edge_blockers": (_D, _D, _D, _D, _D, _D, _P, _I, _P, _I, _P),
-    "navrisk_grow": (_P, _I, _D, _D, _D, _D, _D, _D, _I, _P, _I, _P, _I, _P,
-                     _P, _P, _P, _P),
-    "navrisk_select": (_P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _I, _P, _I,
-                       _P, _I, _P, _P, _P, _P),
     "navrisk_leave_one_out": (_P, _I, _D, _D, _D, _D, _D, _D, _D, _D, _I, _P,
                               _I, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P),
 }
@@ -123,4 +122,9 @@ def kernel() -> ctypes.CDLL:
     path = cache / name
     if not path.is_file():
         _build(path)
+        if cache == SOURCE.parent / "__pycache__":
+            for old in cache.glob("_growth-*.so"):
+                if old != path:
+                    with contextlib.suppress(OSError):   # e.g. gone already
+                        old.unlink()
     return _load(str(path))

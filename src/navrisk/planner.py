@@ -18,44 +18,41 @@ extra randomness.  Tree edges are time-indexed (each node carries its
 arrival tick) so moving obstacles are checked where they will be, not
 where they are.
 
-plan_sampling is _grow_tree followed by _select_endpoint.  The tree never
-reads the goal point, and its sample stream (_sample_stream) depends only
-on cfg.seed and the sample basis cfg.goal.advance.  Leave-one-out runs
-over different actor subsets share one cfg, and so one stream, and are
-paired experiments, with an exact reuse rule: an actor that was never the
-sole blocker of a growth edge check (connect or rewire) grows the same
-tree when removed, since every such check returns the same answer
-without it.  The plan of that ablated world can still differ, through
-its re-routed goal and the endpoint checks (goal connection, hold,
-rendered path), which _select_path repeats against the ablated
-obstacles.
+The tree never reads the goal point, and its sample stream
+(_sample_stream) depends only on cfg.seed and the sample basis
+cfg.goal.advance.  Leave-one-out runs over different actor subsets share
+one cfg, and so one stream, and are paired experiments, with an exact
+reuse rule: an actor that was never the sole blocker of a growth edge
+check (connect or rewire) grows the same tree when removed, since every
+such check returns the same answer without it.  The plan of that ablated
+world can still differ, through its re-routed goal and the endpoint
+checks (goal connection, hold, rendered path), which are repeated
+against the ablated obstacles.
 
 Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r: _hits
 applies it to arrays, and the C kernel _growth.c to the binary64 scalars
-of the tree-edge checks (_edge_blockers wraps its edge function) and of
-the endpoint selection, with the same correctly rounded IEEE operations.
-The kernel runs the whole growth loop after _grow_tree has checked the
-root and drawn the samples: the nearest node by a bisect over x-sorted
-keys (ties to the lowest index, np.argmin's rule), the neighbours by a
-scan of the same keys outward from the new point, taken by ascending
-index where order matters (np.nonzero's order), and the connect order
-by cost, then index (np.lexsort's order), each with the same
-expressions as an all-numpy growth, so the tree is bit-identical to it
-(tests/oracles.py, reference_grow_tree).
-
-The endpoint rule lives in the kernel too: _select_path is a thin
-wrapper over navrisk_select, which runs the whole candidate loop (both
+of the tree-edge checks and of the endpoint selection, with the same
+correctly rounded IEEE operations.  The kernel grows the tree: the
+nearest node by a bisect over x-sorted keys (ties to the lowest index,
+np.argmin's rule), the neighbours by a scan of the same keys outward
+from the new point, taken by ascending index where order matters
+(np.nonzero's order), and the connect order by cost, then index
+(np.lexsort's order), each with the same expressions as an all-numpy
+growth, so the tree is bit-identical to it (tests/oracles.py,
+reference_grow_tree).  It selects the endpoint too: both candidate
 rounds with their orders and ties, the 200-candidate cap, the goal edge
-and hold checks) and renders the chosen path at constant speed with the
+and hold checks, and the chosen path rendered at constant speed with the
 same binary64 expressions as the earlier Python selection
 (tests/oracles.py, reference_select_endpoint): hypot segment lengths, a
 running sum, bisect-right and f = (s - cum[i]) / seg_len[i].  It writes
 positions only; headings, ActorStates and the cost are built in Python
 (_path_plan) just for the Plan a caller reads, so leave-one-out compares
-its ablated plans as position arrays.  _plan_worlds plans every world of
-one leave-one-out experiment in one kernel call (navrisk_leave_one_out):
-the root check, the full growth and selection, and each ablation's
-selection on the full tree or on its own, with the reuse rule above.
+its ablated plans as position arrays.
+
+Every sampled plan comes from one kernel call, _plan_worlds
+(navrisk_leave_one_out): the root check, the full growth and selection,
+and each ablation's selection on the full tree or on its own, with the
+reuse rule above.  plan_sampling is that call with no ablation asked for.
 """
 
 from __future__ import annotations
@@ -361,49 +358,6 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 # Budgeted sampling planner
 # ---------------------------------------------------------------------------
 
-def _kernel_obstacles(obs: np.ndarray, rsum: np.ndarray, tick0: float,
-                      tick1: float) -> tuple[np.ndarray, np.ndarray]:
-    """obs as _growth.c reads it, C-ordered float64 (m, k+1, 2), and the
-    (m,) squared radius sums.  Raises ValueError unless obs has that shape
-    and covers every integer tick from tick0 to tick1."""
-    obs = np.ascontiguousarray(obs, dtype=np.float64)
-    if obs.ndim != 3 or obs.shape[0] != len(rsum) or obs.shape[2] != 2 \
-            or not (0.0 <= tick0 and tick1 < obs.shape[1]):
-        raise ValueError(f"obstacles of shape {obs.shape} with "
-                         f"{len(rsum)} radius sums do not cover ticks "
-                         f"{tick0!r} to {tick1!r}")
-    return obs, np.ascontiguousarray(rsum * rsum, dtype=np.float64)
-
-
-def _edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
-                   tick0: float, tick1: float, obs: np.ndarray,
-                   rsum: np.ndarray) -> tuple[int, ...]:
-    """The actors of world_arrays' (obs, rsum) that the edge p0 -> p1 hits
-    at the integer ticks it covers from tick0 to tick1, by _hits' rule:
-    () if none, (a,) if actor a is the only one, else two of them.  The
-    kernel's edge check, which the tree growth runs on every edge."""
-    obs, r2 = _kernel_obstacles(obs, rsum, tick0, tick1)
-    found = (ctypes.c_int32 * 2)()
-    count = kernel().navrisk_edge_blockers(
-        p0x, p0y, p1x, p1y, tick0, tick1, obs.ctypes.data, obs.shape[1],
-        r2.ctypes.data, len(r2), found)
-    if count < 0:
-        raise MemoryError("no memory for the edge check")
-    return tuple(found[:count])
-
-
-class _Tree(NamedTuple):
-    """A grown rewiring tree trimmed to its nodes: positions, path costs,
-    arrival ticks (at `speed`, `inv` ticks per meter) and parents."""
-
-    pts: np.ndarray
-    cost: np.ndarray
-    tick: np.ndarray
-    parent: np.ndarray
-    speed: float
-    inv: float
-
-
 def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
                 ego_radius: float) -> np.ndarray:
     return np.array([
@@ -426,101 +380,15 @@ def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
     return rng.uniform((x_lo, y_lo), (x_hi, y_hi), (cfg.iteration_budget, 2))
 
 
-def _grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
-               rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
-               dt: float, samples: Optional[np.ndarray] = None
-               ) -> tuple[_Tree, np.ndarray]:
-    """Grow the rewiring tree for exactly cfg.iteration_budget samples
-    among the obstacles (obs, rsum) of world_arrays, on samples when
-    given (_sample_stream's for this cfg), else on a stream drawn here.
-
-    Also returns the (m,) sole mask: actor j is sole iff some connect or
-    rewire edge check was blocked by actor j alone.  The tree reads
-    cfg.goal only as the sample basis cfg.goal.advance, so removing a
-    never-sole actor gives this same tree.  Raises PlanningInfeasible
-    when the ego overlaps an obstacle at the planning tick.
-    """
-    if not road.contains_y(ego.position_y):
-        raise ScenarioError("ego is off-road")
-    speed = min(cfg.target_speed, road.speed_limit)
-    inv = 1.0 / (speed * dt)          # ticks per meter of path
-
-    root = np.array([ego.position_x, ego.position_y])
-    if _hits(obs[:, 0], root, rsum).any():
-        raise PlanningInfeasible(
-            "ego overlaps an obstacle at the planning tick")
-    if samples is None:
-        samples = _sample_stream(road, ego, cfg, ego_radius)
-    y_lo, y_hi = ego_radius, road.width - ego_radius
-
-    # the kernel runs every iteration; see _growth.c
-    obs, r2 = _kernel_obstacles(obs, rsum, 0.0, k)
-    n_max = cfg.iteration_budget + 1
-    pts, cost, tick = np.empty((n_max, 2)), np.empty(n_max), np.empty(n_max)
-    parent = np.empty(n_max, dtype=np.int32)
-    sole = np.zeros(len(rsum), dtype=bool)
-    n = kernel().navrisk_grow(
-        samples.ctypes.data, cfg.iteration_budget, *root.tolist(), y_lo, y_hi,
-        inv, STEER_STEP, k, obs.ctypes.data, obs.shape[1], r2.ctypes.data,
-        len(r2), pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
-        parent.ctypes.data, sole.ctypes.data)
-    if n < 0:
-        raise MemoryError("no memory for the tree growth's work arrays")
-    return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
-
-
 class _Path(NamedTuple):
     """A selected plan as the kernel writes it: positions (k+1, 2), the
     segment each tick moves along (-1 while it holds), the vertices those
-    index, the partial flag and the endpoint's tree node."""
+    index, and the partial flag."""
 
     xy: np.ndarray
     seg: np.ndarray
     vertices: np.ndarray
     partial: bool
-    endpoint: int
-
-
-def _select_path(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
-                 rsum: np.ndarray, k: int, dt: float) -> _Path:
-    """The cheapest tree path into the goal region that stays clear of
-    (obs, rsum), connected to the goal point when that edge is clear, or
-    else the closest-approach path flagged partial, walked at tree.speed.
-    Raises PlanningInfeasible when no candidate endpoint stays clear.
-
-    navrisk_select in _growth.c tries up to 200 candidates per round:
-    the nodes within GOAL_TOLERANCE of the goal by cost, then every node
-    by goal distance and cost, ties to the lower index.  A candidate's
-    plan parks at its endpoint until k, so the endpoint must stay clear
-    until then by _hits' rule, and so must every rendered tick."""
-    pts, cost, tick = (np.ascontiguousarray(a, dtype=np.float64)
-                       for a in (tree.pts, tree.cost, tree.tick))
-    parent = np.ascontiguousarray(tree.parent, dtype=np.int32)
-    n = len(pts)
-    if pts.shape != (n, 2) or not cost.shape == tick.shape == parent.shape \
-            == (n,) or not (tick >= 0.0).all():
-        raise ValueError("not a tree of (n, 2) points with n costs, "
-                         "parents and ticks >= 0")
-    if n == 1:
-        raise PlanningInfeasible(
-            "no collision-free edge from the ego position")
-    obs, r2 = _kernel_obstacles(obs, rsum, 0.0, k)
-    vertices, xy = np.empty((n + 1, 2)), np.empty((k + 1, 2))
-    seg = np.empty(k + 1, dtype=np.int32)
-    info = (ctypes.c_int32 * 2)()
-    best = kernel().navrisk_select(
-        pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
-        parent.ctypes.data, n, float(goal[0]), float(goal[1]),
-        GOAL_TOLERANCE, tree.inv, tree.speed * dt, k, obs.ctypes.data,
-        obs.shape[1], r2.ctypes.data, len(r2), vertices.ctypes.data,
-        xy.ctypes.data, seg.ctypes.data, info)
-    if best == -1:
-        raise PlanningInfeasible("no candidate endpoint stays collision-free")
-    if best == -2:
-        raise MemoryError("no memory for the endpoint selection")
-    if best < 0:
-        raise ValueError("the tree's parent links do not reach the root")
-    return _Path(xy, seg, vertices[:info[1]], bool(info[0]), best)
 
 
 def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
@@ -541,23 +409,18 @@ def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
                 partial=path.partial)
 
 
-def _select_endpoint(tree: _Tree, goal: np.ndarray, obs: np.ndarray,
-                     rsum: np.ndarray, road: RoadMap, t: int, k: int,
-                     dt: float) -> Plan:
-    """_select_path's plan as a Plan starting at tick t."""
-    return _path_plan(_select_path(tree, goal, obs, rsum, k, dt),
-                      tree.speed, road, t, dt)
-
-
 class _Worlds(NamedTuple):
     """The worlds of one leave-one-out experiment as navrisk_leave_one_out
     plans them: the full world's _Path (None without a plan); for each
     actor j the positions (k+1, 2) of the world without it (None where
-    that world has no plan or was not asked for); the trees grown; and
-    the (m,) mask of the ablations that did not reuse the full tree."""
+    that world has no plan or was not asked for); the full tree's node
+    count (0 when the ego overlaps an obstacle at the planning tick); the
+    trees grown; and the (m,) mask of the ablations that did not reuse
+    the full tree."""
 
     full: Optional[_Path]
     ablated: list[Optional[np.ndarray]]
+    nodes: int
     growths: int
     regrown: np.ndarray
 
@@ -569,13 +432,20 @@ def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     """Plan the full world of world_arrays' (obs, rsum) toward goals[0]
     and, for each actor j with wanted[j], the world without it toward
     goals[1 + j], all on _sample_stream's samples for cfg, in one call to
-    navrisk_leave_one_out: as _grow_tree and then _select_path would plan
-    each, except that a world without an actor that was never a sole
+    navrisk_leave_one_out.  A world is planned by growing the rewiring
+    tree for exactly cfg.iteration_budget samples and selecting its
+    endpoint, except that a world without an actor that was never a sole
     blocker of the full growth reuses its tree."""
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
-    obs, r2 = _kernel_obstacles(obs, rsum, 0.0, k)
+    # the kernel reads these buffers at the shapes it is told
+    obs = np.ascontiguousarray(obs, dtype=np.float64)
+    r2 = np.ascontiguousarray(rsum * rsum, dtype=np.float64)
     m = len(r2)
+    if obs.ndim != 3 or obs.shape[0] != m or obs.shape[2] != 2 \
+            or not k < obs.shape[1]:
+        raise ValueError(f"obstacles of shape {obs.shape} with {m} radius "
+                         f"sums do not cover ticks 0 to {k}")
     goals = np.ascontiguousarray(goals, dtype=np.float64)
     wanted = np.ascontiguousarray(wanted, dtype=np.uint8)
     if goals.shape != (m + 1, 2) or wanted.shape != (m,):
@@ -604,9 +474,9 @@ def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     # a status is 0 for no plan (or an ablation not asked for), 1 for a
     # partial plan and 2 for a plan into the goal region
     full = None if not status[0] else _Path(
-        xy[0], seg, verts[:info[1]], bool(info[0]), info[2])
+        xy[0], seg, verts[:info[1]], bool(info[0]))
     ablated = [xy[1 + j] if status[1 + j] else None for j in range(m)]
-    return _Worlds(full, ablated, info[3], regrown)
+    return _Worlds(full, ablated, info[2], info[3], regrown)
 
 
 def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
@@ -618,10 +488,20 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     iterations and return the cheapest collision-free trajectory into the
     goal region, or the closest-approach trajectory flagged partial.
 
-    Deterministic given its inputs.  Raises PlanningInfeasible when no
-    collision-free edge exists from the root (the ego is fully enclosed).
+    Deterministic given its inputs.  Raises PlanningInfeasible when the
+    ego overlaps an obstacle at the planning tick, when no collision-free
+    edge leaves it, or when no candidate endpoint stays collision-free.
     """
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    tree, _ = _grow_tree(road, ego, k, obs, rsum, cfg, ego_radius, dt)
-    return _select_endpoint(tree, _goal_point(road, ego, cfg.goal, ego_radius),
-                            obs, rsum, road, t, k, dt)
+    goal = _goal_point(road, ego, cfg.goal, ego_radius)
+    worlds = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
+                          np.tile(goal, (len(rsum) + 1, 1)),
+                          np.zeros(len(rsum), dtype=bool))
+    if worlds.full is None:   # why, by the full tree's node count
+        raise PlanningInfeasible((
+            "ego overlaps an obstacle at the planning tick",
+            "no collision-free edge from the ego position",
+            "no candidate endpoint stays collision-free",
+        )[min(worlds.nodes, 2)])
+    return _path_plan(worlds.full, min(cfg.target_speed, road.speed_limit),
+                      road, t, dt)

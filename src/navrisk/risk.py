@@ -242,7 +242,7 @@ SWITCH_HYSTERESIS = 5.0     # meters of advance a lane switch must gain
 
 def _follow_term(traj: Trajectory, ego: ActorState, road: RoadMap,
                  lane: int, ego_speed: float) -> Optional[float]:
-    """One occupant's soft-minimum term of follow_advance in lane, or None
+    """One occupant's soft-minimum term of _soft_advance in lane, or None
     when it never limits the advance there."""
     lo = lane * road.lane_width
     hi = lo + road.lane_width
@@ -277,24 +277,6 @@ def _lane_terms(world: Mapping[str, Trajectory], ego: ActorState,
             for traj in world.values()]
 
 
-def follow_advance(world: Mapping[str, Trajectory], ego: ActorState,
-                   road: RoadMap, lane: int, base_advance: float,
-                   ego_speed: float) -> float:
-    """Clamped goal advance in one lane given predicted occupants."""
-    return _soft_advance(base_advance,
-                         _lane_terms(world, ego, road, lane, ego_speed))
-
-
-def route_goal(cfg: PlannerConfig, world: Mapping[str, Trajectory],
-               ego: ActorState, road: RoadMap) -> GoalSpec:
-    """cfg.goal with its advance clamped for this world.  cfg itself is
-    left as it is: its goal.advance stays the planner's sample basis, so
-    paired runs share one stream."""
-    lane, speed = cfg.goal.lane, min(cfg.target_speed, road.speed_limit)
-    return GoalSpec(follow_advance(world, ego, road, lane, cfg.goal.advance,
-                                   speed), lane)
-
-
 # ---------------------------------------------------------------------------
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
@@ -321,8 +303,10 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     of them by default): plan the full world once, then each world without
     one of those actors under the same planner seed, and return the full
     plan (None if infeasible) with each such actor's (gamma, saturated),
-    in world order.  With route=True each world's goal is re-clamped by
-    route_goal.
+    in world order.  With route=True each world's goal advance is
+    re-clamped by its occupants of cfg.goal.lane (_soft_advance over its
+    _lane_terms); cfg itself is left as it is, so its goal.advance stays
+    the planner's sample basis and every world reads one stream.
 
     Every world is planned one way: an endpoint selected on a tree toward
     its own goal among its own obstacle rows.  The sample stream is drawn
@@ -332,7 +316,7 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     enclosed at the root, grow their own tree on the same stream.  All of
     it is one kernel call (planner._plan_worlds).  Each actor's route term
     is computed once; a world's goal sums the terms of its actors in world
-    order, as route_goal does.  Only the full plan is built as a Plan; the
+    order.  Only the full plan is built as a Plan; the
     ablated ones are compared as positions.
     """
     terms = None if not route else _lane_terms(

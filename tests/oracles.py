@@ -14,7 +14,7 @@ floats, dx*dx + dy*dy < r*r, not through planner._hits.
 
 The exceptions are the sampling planner's tree growth and endpoint
 selection.  reference_grow_tree and reference_edge_blockers keep the earlier
-all-numpy growth, against which planner._grow_tree, which runs every
+all-numpy growth, against which kernel_calls.grow_tree, which runs every
 iteration in the compiled kernel navrisk/_growth.c, is checked for
 bit-identical trees.  It is the numpy reference for every step:
 whole-array edge checks through the vectorized overlap rule
@@ -24,7 +24,7 @@ counts the ties it meets, where the kernel's tie rules decide.
 reference_select_endpoint, reference_render_path and reference_hold_free
 keep the earlier Python endpoint selection (np.lexsort orders, the
 np.searchsorted walk, _hits for hold and path), against which
-planner._select_path, which runs it in the kernel, is checked for the
+kernel_calls.select_path, which runs it in the kernel, is checked for the
 same endpoint and positions.  replanned_gammas plans every leave-one-out
 world on its own such tree with that selection.
 """
@@ -35,19 +35,20 @@ from typing import Optional
 
 import numpy as np
 
+from kernel_calls import Tree
 from navrisk.planner import (
     GOAL_TOLERANCE,
     STEER_STEP,
+    GoalSpec,
     Plan,
     PlannerConfig,
     PlanningInfeasible,
     _goal_point,
     _hits,
     _plan_cost,
-    _Tree,
     world_arrays,
 )
-from navrisk.risk import route_goal, traj_difference_euclidean
+from navrisk.risk import _lane_terms, _soft_advance, traj_difference_euclidean
 from navrisk.scenario import (
     ActorState, RoadMap, ScenarioError, Trajectory, wrap_angle)
 
@@ -200,7 +201,7 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
                         obs: np.ndarray, rsum: np.ndarray,
                         cfg: PlannerConfig, ego_radius: float,
                         dt: float, ties: Optional[Counter] = None
-                        ) -> tuple[_Tree, np.ndarray]:
+                        ) -> tuple[Tree, np.ndarray]:
     """Grow the rewiring tree for exactly cfg.iteration_budget samples
     among the obstacles (obs, rsum) of world_arrays.
 
@@ -334,7 +335,7 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
                 children[n] += 1
         n += 1
 
-    return _Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
+    return Tree(pts[:n], cost[:n], tick[:n], parent[:n], speed, inv), sole
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,7 @@ def reference_render_path(vertices: np.ndarray, t: int, k: int, dt: float,
     return Trajectory("ego", t, dt, tuple(states))
 
 
-def reference_select_endpoint(tree: _Tree, goal: np.ndarray,
+def reference_select_endpoint(tree: Tree, goal: np.ndarray,
                               obs: np.ndarray, rsum: np.ndarray,
                               road: RoadMap, t: int, k: int,
                               dt: float) -> tuple[Plan, int]:
@@ -442,10 +443,13 @@ def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
     from scratch with the numpy reference growth, and plan each toward its
     own routed goal (toward cfg.goal when route is False) with the
     reference selection."""
+    lane, speed = cfg.goal.lane, min(cfg.target_speed, road.speed_limit)
+
     def plan(w):
         obs, rsum = world_arrays(w, radii, 1.2, t, k)
-        goal = _goal_point(road, ego, route_goal(cfg, w, ego, road)
-                           if route else cfg.goal, 1.2)
+        advance = _soft_advance(cfg.goal.advance, _lane_terms(
+            w, ego, road, lane, speed)) if route else cfg.goal.advance
+        goal = _goal_point(road, ego, GoalSpec(advance, lane), 1.2)
         try:
             tree, _ = reference_grow_tree(road, ego, k, obs, rsum, cfg, 1.2,
                                           0.1)

@@ -18,8 +18,9 @@ numpy reference growth, whose edge checks go through planner._hits; a
 probe actor sits where the squared offset is at the squared radius sum
 or one ulp either side, in PROBES of the LOO_WORLDS worlds.
 
-planner._select_path runs the endpoint selection in the kernel; it is
-checked against reference_select_endpoint, the earlier Python selection,
+The kernel's endpoint selection, which kernel_calls.select_path runs on
+its own, is checked against reference_select_endpoint, the earlier
+Python selection,
 on grown trees, on synthetic trees on a 0.5 m lattice where costs, goal
 distances and cumulative path lengths tie, and on cases built for each
 rule: the tie-breaks, the hold at exactly the radius sum, a blocked goal
@@ -45,11 +46,7 @@ from navrisk.planner import (
     PlannerConfig,
     PlanningInfeasible,
     _goal_point,
-    _grow_tree,
     _hits,
-    _select_endpoint,
-    _select_path,
-    _Tree,
     enumerate_plans,
     lattice_blockers,
     world_arrays,
@@ -59,9 +56,10 @@ from navrisk.risk import (
     PlanDistribution,
     all_actor_importance_kl,
     all_actor_risk_exact,
+    _lane_terms,
+    _soft_advance,
     leave_one_out,
     plan_divergence_kl,
-    route_goal,
 )
 from navrisk.scenario import (
     EGO_ID,
@@ -72,6 +70,7 @@ from navrisk.scenario import (
 )
 
 import oracles
+from kernel_calls import Tree, grow_tree, select_endpoint, select_path
 from oracles import (
     reference_grow_tree,
     reference_select_endpoint,
@@ -477,29 +476,29 @@ def test_leave_one_out_equals_independent_replans():
 # --- endpoint selection against the Python reference -----------------------
 
 def assert_same_selection(tree, goal, obs, rsum, k):
-    """_select_path, which runs navrisk_select, against
+    """select_path, which runs navrisk_select, against
     reference_select_endpoint at tick 0 with dt 0.1: both raise
     PlanningInfeasible, or they give the same endpoint, partial flag and
-    positions, and _select_endpoint the same Plan.  Returns the path, or
-    None when both raise."""
+    positions, and select_endpoint the same Plan.  Returns the path and
+    its endpoint, or None when both raise."""
     try:
         ref, ref_end = reference_select_endpoint(tree, goal, obs, rsum,
                                                  ROAD3, 0, k, 0.1)
     except PlanningInfeasible:
         with pytest.raises(PlanningInfeasible):
-            _select_path(tree, goal, obs, rsum, k, 0.1)
+            select_path(tree, goal, obs, rsum, k, 0.1)
         return None
-    path = _select_path(tree, goal, obs, rsum, k, 0.1)
-    assert (path.endpoint, path.partial) == (ref_end, ref.partial)
+    path, end = select_path(tree, goal, obs, rsum, k, 0.1)
+    assert (end, path.partial) == (ref_end, ref.partial)
     assert path.xy.tolist() == ref.trajectory.xy.tolist()
-    assert _select_endpoint(tree, goal, obs, rsum, ROAD3, 0, k, 0.1) == ref
-    return path
+    assert select_endpoint(tree, goal, obs, rsum, ROAD3, 0, k, 0.1) == ref
+    return path, end
 
 
 def synthetic_tree(pts, cost, tick, parent):
-    """A _Tree of the given nodes walked at 10 m/s, so at dt 0.1 one
+    """A Tree of the given nodes walked at 10 m/s, so at dt 0.1 one
     meter per tick."""
-    return _Tree(np.array(pts, dtype=float), np.array(cost, dtype=float),
+    return Tree(np.array(pts, dtype=float), np.array(cost, dtype=float),
                  np.array(tick, dtype=float),
                  np.array(parent, dtype=np.int32), 10.0, 1.0)
 
@@ -539,17 +538,20 @@ class TestEndpointSelection:
                               int(rng.integers(3))), target_speed=10.0)
             obs, rsum = world_arrays(world, radii, RADIUS, 0, k)
             try:
-                tree, _ = _grow_tree(ROAD3, ego, k, obs, rsum, cfg, RADIUS,
-                                     0.1)
+                tree, _ = grow_tree(ROAD3, ego, k, obs, rsum, cfg, RADIUS,
+                                    0.1)
             except PlanningInfeasible:
                 continue
-            goals = [_goal_point(ROAD3, ego, route_goal(cfg, world, ego,
-                                                        ROAD3), RADIUS),
+            lane, speed = cfg.goal.lane, cfg.target_speed   # under the limit
+            routed = GoalSpec(_soft_advance(cfg.goal.advance, _lane_terms(
+                world, ego, ROAD3, lane, speed)), lane)
+            goals = [_goal_point(ROAD3, ego, routed, RADIUS),
                      tree.pts[int(rng.integers(len(tree.pts)))],
                      *rng.uniform((5.0, 0.0), (60.0, ROAD3.width), (3, 2))]
             for goal in goals:
-                path = assert_same_selection(tree, goal, obs, rsum, k)
-                if path is not None:
+                selected = assert_same_selection(tree, goal, obs, rsum, k)
+                if selected is not None:
+                    path = selected[0]
                     partial += path.partial
                     connected += not path.partial and \
                         path.vertices[-1].tolist() == list(goal)
@@ -580,9 +582,9 @@ class TestEndpointSelection:
                 [(10.0 + 0.5 * int(rng.integers(0, 30)),
                   0.5 * int(rng.integers(0, 20))) for _ in range(m)], k,
                 [float(rng.choice((1.0, 1.5, 2.5))) for _ in range(m)])
-            path = assert_same_selection(tree, goal, obs, rsum, k)
-            outcomes["none" if path is None else
-                     "partial" if path.partial else "goal"] += 1
+            selected = assert_same_selection(tree, goal, obs, rsum, k)
+            outcomes["none" if selected is None else
+                     "partial" if selected[0].partial else "goal"] += 1
         assert min(outcomes.values()) > 15, outcomes
 
     def test_single_node_and_no_feasible_endpoint(self):
@@ -611,9 +613,9 @@ class TestEndpointSelection:
                 [(0.0, 5.25), (8.0, 6.25), (8.0, 4.25), (6.0, 5.25)],
                 [0.0, 8.0, 8.0, 9.0], [0.0, 8.0, 8.0, 6.0], [-1, 0, 0, 0])
             obs, rsum = parked([(8.0, 7.25)], k, [1.5])
-            path = assert_same_selection(tree, np.array([goal_x, 5.25]), obs,
-                                         rsum, k)
-            assert path.endpoint == 2 and path.partial == (goal_x == 40.0)
+            path, end = assert_same_selection(
+                tree, np.array([goal_x, 5.25]), obs, rsum, k)
+            assert end == 2 and path.partial == (goal_x == 40.0)
 
     def test_hold_at_exactly_the_radius_sum(self):
         # the endpoint parks exactly 3.0 from an actor: contact, no hit
@@ -623,13 +625,13 @@ class TestEndpointSelection:
         for offset in ((0.0, 3.0), (3.0, 0.0), (0.0, -3.0)):
             obs, rsum = parked([(8.0 + offset[0], 5.25 + offset[1])], k,
                                [3.0])
-            path = assert_same_selection(tree, np.array([8.0, 5.25]), obs,
-                                         rsum, k)
-            assert path.endpoint == 1 and not path.partial
+            path, end = assert_same_selection(tree, np.array([8.0, 5.25]),
+                                              obs, rsum, k)
+            assert end == 1 and not path.partial
         # one ulp inside, the hold is blocked: the other node is chosen
         obs, rsum = parked([(8.0, math.nextafter(2.25, 3.0))], k, [3.0])
         assert assert_same_selection(tree, np.array([8.0, 5.25]), obs, rsum,
-                                     k).endpoint == 2
+                                     k)[1] == 2
 
     def test_goal_edge_blocked_by_one_actor(self):
         # the edge from the node to the goal crosses an actor that is
@@ -642,10 +644,10 @@ class TestEndpointSelection:
         obs = np.array([[(100.0, 100.0)] * (k + 1)])
         obs[0, 9] = (8.75 + 0.25, 5.25)
         for clear in (False, True):
-            path = assert_same_selection(
+            path, end = assert_same_selection(
                 tree, goal, obs if not clear else obs[:0], np.array(
                     [0.6] if not clear else []), k)
-            assert not path.partial and path.endpoint == 1
+            assert not path.partial and end == 1
             assert len(path.vertices) == (3 if clear else 2)
 
     @pytest.mark.parametrize("partial", [False, True])
@@ -670,6 +672,6 @@ class TestEndpointSelection:
             tick.append(5.0 if blocked else 11.0)
         tree = synthetic_tree(pts, cost, tick, [-1] + [0] * (len(pts) - 1))
         obs, rsum = parked([tuple(goal)], k, [3.0])
-        path = assert_same_selection(tree, goal, obs, rsum, k)
+        path, end = assert_same_selection(tree, goal, obs, rsum, k)
         assert path.partial == partial
-        assert path.endpoint == (200 if partial else 51)
+        assert end == (200 if partial else 51)

@@ -73,10 +73,10 @@ def test_edited_source_gets_a_new_cache_name(pkg):
         f.write("\n/* edited */\n")
     again = run(pkg, LOAD)
     assert again.returncode == 0, again.stderr
+    # the new build replaces the superseded one
     after = libraries(pkg)
-    assert len(before) == 1 and len(after) == 2 and before[0] in after
-    new = next(name for name in after if name not in before)
-    assert again.stdout.split()[1].endswith(new)
+    assert len(before) == 1 and len(after) == 1 and after != before
+    assert again.stdout.split()[1].endswith(after[0])
 
 
 PLAN = (LOAD +
@@ -113,6 +113,20 @@ def test_unwritable_package_builds_privately(pkg, tmp_path):
     assert [p.name for p in private.iterdir()] == [Path(loaded).name]
     assert private.stat().st_mode & 0o777 == 0o700
     assert (pkg / "__pycache__").is_file()
+
+
+def test_private_cache_keeps_other_builds(pkg, tmp_path):
+    # other checkouts and interpreters share the per-user directory, so a
+    # build there leaves their libraries alone
+    (pkg / "__pycache__").write_text("")
+    private = tmp_path / "tmp" / f"navrisk-{os.getuid()}"
+    private.mkdir(parents=True, mode=0o700)
+    other = private / "_growth-00000000.so"
+    other.write_text("")
+    proc = run(pkg, LOAD, tmpdir=private.parent)
+    assert proc.returncode == 0, proc.stderr
+    built = Path(proc.stdout.split()[1])
+    assert sorted(private.iterdir()) == sorted([other, built])
 
 
 def test_private_cache_must_be_private(pkg, tmp_path):

@@ -13,8 +13,6 @@ from navrisk.planner import (
     PlanningInfeasible,
     GOAL_TOLERANCE,
     SPEED_STEP,
-    _edge_blockers,
-    _grow_tree,
     _hits,
     collision_check,
     enumerate_plans,
@@ -23,6 +21,7 @@ from navrisk.planner import (
 )
 from navrisk.scenario import ActorState, RoadMap, ScenarioError, Trajectory
 
+from kernel_calls import edge_blockers, grow_tree
 from oracles import (
     lane_walks,
     reference_edge_blockers,
@@ -258,6 +257,34 @@ class TestSamplingPlanner:
             plan_sampling(ROAD3, ego, 0, 30, world, sampling_cfg(),
                           {"on_top": 1.2})
 
+    @pytest.mark.parametrize("case, message", [
+        ("ego overlaps", "ego overlaps an obstacle at the planning tick"),
+        ("no edge arrives by k",
+         "no collision-free edge from the ego position"),
+        ("everything blocked at k",
+         "no candidate endpoint stays collision-free"),
+    ])
+    def test_infeasible_says_why(self, case, message):
+        ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
+        cfg, world = sampling_cfg(iteration_budget=300), {}
+        if case == "ego overlaps":
+            world["a"] = static_actor("a", 10.5, ROAD3.lane_center(1), 30)
+        elif case == "no edge arrives by k":
+            # 10^4 ticks per meter: the tree stays the root alone
+            cfg = sampling_cfg(iteration_budget=300, target_speed=1e-3)
+        else:
+            # far away until k, then over the whole road: the tree grows,
+            # but every endpoint's hold reaches tick k
+            far = ActorState(ROAD3.road_length + 50.0, -50.0, 0.0, 0.0)
+            world["a"] = Trajectory("a", 0, DT, (far,) * 30 + (ego,))
+        with pytest.raises(PlanningInfeasible, match=f"^{message}$"):
+            plan_sampling(ROAD3, ego, 0, 30, world, cfg, {"a": 100.0})
+
+    def test_off_road_ego_rejected(self):
+        ego = ActorState(10.0, -1.0, 0.0, 10.0)
+        with pytest.raises(ScenarioError, match="^ego is off-road$"):
+            plan_sampling(ROAD3, ego, 0, 30, {}, sampling_cfg(), {})
+
     def test_returned_plans_collision_free_on_random_worlds(self):
         rng = np.random.default_rng(12)
         cfg = sampling_cfg(iteration_budget=400)
@@ -288,7 +315,7 @@ class TestSamplingPlanner:
 
 
 class TestPairRule:
-    """_edge_blockers decides each ego-actor pair as _hits does: the same
+    """edge_blockers decides each ego-actor pair as _hits does: the same
     rounded squares dx*dx + dy*dy and r*r, compared with the strict <."""
 
     @staticmethod
@@ -296,7 +323,7 @@ class TestPairRule:
         # one actor at (dx, dy) from an ego held at the origin over tick 1
         # only, so the offset is exact
         obs = np.array([[[0.0, 0.0], [dx, dy]]])
-        return _edge_blockers(0.0, 0.0, 0.0, 0.0, 0.5, 1.5, obs,
+        return edge_blockers(0.0, 0.0, 0.0, 0.0, 0.5, 1.5, obs,
                               np.array([r])) == (0,)
 
     def test_at_the_squared_radius_and_its_neighbours(self):
@@ -391,7 +418,7 @@ def reference_worlds():
 
 
 def assert_same_growth(ego, k, obs, rsum, cfg, ego_r, ties=None):
-    """_grow_tree equals reference_grow_tree, raising alike or giving the
+    """grow_tree equals reference_grow_tree, raising alike or giving the
     same tree and sole mask bit for bit; returns (tree, sole), or None
     when both raise PlanningInfeasible."""
     try:
@@ -399,9 +426,9 @@ def assert_same_growth(ego, k, obs, rsum, cfg, ego_r, ties=None):
                                             ego_r, DT, ties)
     except PlanningInfeasible:
         with pytest.raises(PlanningInfeasible):
-            _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+            grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
         return None
-    tree, sole = _grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+    tree, sole = grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
     for field in ("pts", "cost", "tick", "parent"):
         got, want = getattr(tree, field), getattr(ref, field)
         assert got.dtype == want.dtype, field
@@ -437,7 +464,7 @@ class TestScalarKernel:
                 for dx, dy in ((off, 0.0), (-off, 0.0), (0.0, off),
                                (0.0, -off), (off, 5e-324)):
                     obs = np.array([[[0.0, 0.0], [ex + dx, ey + dy]]])
-                    got = _edge_blockers(ex, ey, ex, ey, 0.5, 1.5, obs,
+                    got = edge_blockers(ex, ey, ex, ey, 0.5, 1.5, obs,
                                          np.array([r]))
                     assert got == ((0,) if blocked else ()), (dx, dy, r)
 
@@ -465,7 +492,7 @@ class TestScalarKernel:
                                                rsum, ticks)
                 truth = set() if mask is None else \
                     set(np.flatnonzero(mask).tolist())
-                got = _edge_blockers(*p0.tolist(), *p1.tolist(), tick0,
+                got = edge_blockers(*p0.tolist(), *p1.tolist(), tick0,
                                      tick1, obs, rsum)
                 if len(truth) < 2:
                     assert got == tuple(truth)
@@ -482,8 +509,8 @@ class TestScalarKernel:
         for tick0, tick1 in ((-0.5, 1.0), (1.0, 4.0), (math.nan, 1.0),
                              (0.0, math.nan)):
             with pytest.raises(ValueError, match="do not cover"):
-                _edge_blockers(0.0, 0.0, 1.0, 0.0, tick0, tick1, obs, rsum)
-        assert _edge_blockers(0.0, 0.0, 1.0, 0.0, 0.0, 3.5, obs, rsum) == (0,)
+                edge_blockers(0.0, 0.0, 1.0, 0.0, tick0, tick1, obs, rsum)
+        assert edge_blockers(0.0, 0.0, 1.0, 0.0, 0.0, 3.5, obs, rsum) == (0,)
 
 
 REAL_DEFAULT_RNG = np.random.default_rng

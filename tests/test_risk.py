@@ -24,7 +24,6 @@ from navrisk.risk import (
     all_actor_importance_kl,
     all_actor_risk_exact,
     expected_actor_risk,
-    follow_advance,
     leave_one_out,
     mean_and_variance,
     min_risk_selection,
@@ -395,23 +394,29 @@ class TestKLOperator:
 
 
 class TestRouter:
+    @staticmethod
+    def advance(world, ego):
+        # the routed goal advance in lane 1 from a base of 40 m at 10 m/s
+        return risk._soft_advance(
+            40.0, risk._lane_terms(world, ego, ROAD3, 1, 10.0))
+
     def test_empty_world_gives_base(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
-        adv = follow_advance({}, ego, ROAD3, 1, 40.0, 10.0)
+        adv = self.advance({}, ego)
         assert adv == pytest.approx(40.0, abs=1e-9)
 
     def test_slower_lead_clamps(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
         world = {"a": moving_actor("a", 22.0, ROAD3.lane_center(1), 7.0, 40)}
-        adv = follow_advance(world, ego, ROAD3, 1, 40.0, 10.0)
+        adv = self.advance(world, ego)
         # catch-aware clamp: (12 - 6) * 10 / 3 = 20, minus soft-min slack
         assert 15.0 < adv <= 20.0
 
     def test_faster_lead_ignored(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
         world = {"a": moving_actor("a", 22.0, ROAD3.lane_center(1), 12.0, 40)}
-        adv = follow_advance(world, ego, ROAD3, 1, 40.0, 10.0)
-        base = follow_advance({}, ego, ROAD3, 1, 40.0, 10.0)
+        adv = self.advance(world, ego)
+        base = self.advance({}, ego)
         assert adv == base
 
     def test_beyond_road_actor_exactly_no_op(self):
@@ -420,8 +425,8 @@ class TestRouter:
         far = dict(near)
         far["g"] = static_actor("g", ROAD3.road_length + 5.0,
                                 ROAD3.lane_center(1), 40)
-        a1 = follow_advance(near, ego, ROAD3, 1, 40.0, 10.0)
-        a2 = follow_advance(far, ego, ROAD3, 1, 40.0, 10.0)
+        a1 = self.advance(near, ego)
+        a2 = self.advance(far, ego)
         assert a1 == a2
 
 

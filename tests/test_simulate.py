@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from navrisk import risk, simulate
 from navrisk.planner import LatticeConfig, PlannerConfig
 from navrisk.report import (
     PHASE_CSV_HEADER,
@@ -18,6 +19,8 @@ from navrisk.report import (
 )
 from navrisk.scenario import CaseStudyParams, generate_case_study
 from navrisk.simulate import RunConfig, run_simulation
+
+from oracles import replanned_gammas
 
 FAST = RunConfig(iteration_budget=250)
 
@@ -77,6 +80,50 @@ class TestLoop:
         assert all(r.mean_gamma is not None and r.var_gamma is not None
                    for r in res.records)
         assert all(r.var_gamma >= 0.0 for r in res.records)
+
+
+def reference_leave_one_out(world, ego, t, k, cfg, terms, *, road, radii,
+                            ego_radius, dt, actor_ids=None):
+    """simulate._leave_one_out on the references: replanned_gammas grows
+    every world from scratch with the numpy growth and selects with the
+    Python selection, routed when terms are given."""
+    assert (ego_radius, dt, actor_ids) == (1.2, 0.1, None)
+    return replanned_gammas(road, world, ego, t, k, cfg, radii,
+                            route=terms is not None)
+
+
+def test_closed_loop_on_the_references_equals_the_kernel_run(monkeypatch):
+    # the ego executes each replan's full plan, so a wrong bit in any
+    # world compounds over the rest of the run
+    s = generate_case_study()
+    cfg = RunConfig(iteration_budget=200)
+    kernel = run_simulation(s, cfg)
+    monkeypatch.setattr(simulate, "_leave_one_out", reference_leave_one_out)
+    reference = run_simulation(s, cfg)
+    assert run_csv(reference) == run_csv(kernel)
+    assert phase_summary_csv(reference) == phase_summary_csv(kernel)
+    assert len(kernel.replan_ticks) == 28
+    assert any(r.gamma_euclid > 0.0 for r in kernel.records)
+
+
+def test_monte_carlo_loop_on_the_references_equals_the_kernel_run(
+        scenario, monkeypatch):
+    # each sampled world's leave-one-out on the references; the predicted
+    # world's stays on the kernel, which the run above checks
+    def sampled(world, ego, t, k, cfg, *, road, radii, ego_radius, dt,
+                route, actor_ids):
+        assert (ego_radius, dt, actor_ids) == (1.2, 0.1, None)
+        return replanned_gammas(road, world, ego, t, k, cfg, radii,
+                                route=route)
+
+    cfg = RunConfig(iteration_budget=100, samples=2, horizon=30,
+                    replan_every=30)
+    kernel = run_simulation(scenario, cfg)
+    monkeypatch.setattr(risk, "leave_one_out", sampled)
+    reference = run_simulation(scenario, cfg)
+    assert run_csv(reference) == run_csv(kernel)
+    assert phase_summary_csv(reference) == phase_summary_csv(kernel)
+    assert any(r.mean_gamma > 0.0 for r in kernel.records)
 
 
 class TestRunConfig:
