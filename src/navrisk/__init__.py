@@ -32,9 +32,8 @@ from .risk import (
     PlanDistribution,
     actor_importance,
     actor_risk_exact,
-    all_actor_importance_kl,
     all_actor_risk_exact,
-    expected_actor_risk,
+    lattice_risks,
     leave_one_out,
     min_risk_selection,
     monte_carlo_importance,

@@ -234,20 +234,21 @@ def _states_from_columns(xs, ys, vs) -> tuple[ActorState, ...]:
     return tuple(out)
 
 
-def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
-                     lattice: LatticeConfig,
-                     world: Mapping[str, Trajectory],
-                     radii: Mapping[str, float], *,
-                     ego_radius: float = 1.2,
-                     dt: float = 0.1):
-    """Render the lattice once and test every plan against every actor.
+def lattice_blockers(road: RoadMap, ego: ActorState, k: int,
+                     lattice: LatticeConfig, obs: np.ndarray,
+                     rsum: np.ndarray, *, dt: float = 0.1):
+    """Render the lattice once and test every plan against every obstacle
+    row.
 
-    Returns (plans, blockers).  blockers is the (U, m) matrix over the U
+    obs (n, k+1, 2) and rsum (n,) are obstacle rows as world_arrays
+    stacks them; the rows of several worlds of one window may be stacked
+    together, since each row's bits are computed on their own.  Returns
+    (plans, blockers).  blockers is the (U, n) matrix over the U
     in-bounds, within-limit sequences in itertools.product order: [u, j]
-    is True iff plan u collides with the j-th actor of world; every exact
-    count and KL importance of the window reduces it alone.  plans(rows)
-    walks the parent chain once for the maneuver tuples of the plans at
-    rows and their (len(rows), 3, k+1) array of (xs, ys, vs) columns.
+    is True iff plan u collides with row j; every exact count and KL
+    importance of the window reduces it alone.  plans(rows) walks the
+    parent chain once for the maneuver tuples of the plans at rows and
+    their (len(rows), 3, k+1) array of (xs, ys, vs) columns.
 
     The render goes level by level: level d holds every in-bounds d-step
     prefix, each extended by every maneuver, prefix-major in sorted
@@ -260,7 +261,7 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
     sequence rendered alone (tests/oracles.walk_render).
 
     The blocker bits follow the same levels.  The tick-0 position, which
-    every sequence shares, is tested once per actor; each level tests
+    every sequence shares, is tested once per row; each level tests
     only its own m ticks with _hits and ORs them into its parent prefix's
     bits.  A plan collides iff it hits at some tick, so the bits are those
     of _hits over all k+1 ticks of each plan, on the same floats.
@@ -277,7 +278,6 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
     brake = np.array([n == "brake" for n in names])
     centers = np.array([road.lane_center(i) for i in range(road.lane_count)])
     ramp = np.array([1 - math.cos(math.pi * (i / m)) for i in range(1, m + 1)])
-    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     # each prefix's last rendered x and v, and the (y, v, lane) the next
     # step starts from: the last step's targets, not its last rendered tick
     x, v_col, y, v = (np.array([f], dtype=float) for f in (
@@ -309,7 +309,7 @@ def lattice_blockers(road: RoadMap, ego: ActorState, t: int, k: int,
         lvl = np.stack((xs, ys, vs), axis=1)
         xy = lvl[:, :2].transpose(0, 2, 1)   # (P, m, 2) view of xs, ys
         hit = hit[parent]
-        for j in range(len(rsum)):   # one actor at a time bounds peak memory
+        for j in range(len(rsum)):   # one row at a time bounds peak memory
             hit[:, j] |= _hits(obs[j, 1 + d * m:1 + (d + 1) * m], xy,
                                rsum[j]).any(axis=1)
         levels.append((parent, man, lvl))
@@ -343,9 +343,9 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
     universe_size counts the in-bounds sequences regardless of the world, so
     it equals |plans| exactly when world is None.
     """
-    plans, blockers = lattice_blockers(
-        road, ego, t, k, lattice, world or {}, radii or {},
-        ego_radius=ego_radius, dt=dt)
+    obs, rsum = world_arrays(world or {}, radii or {}, ego_radius, t, k)
+    plans, blockers = lattice_blockers(road, ego, k, lattice, obs, rsum,
+                                       dt=dt)
     seqs, cols = plans(np.flatnonzero(~blockers.any(axis=1)))
     kept = []
     for seq, c in zip(seqs, cols.tolist()):

@@ -2,15 +2,18 @@
 
 Three layers:
 
-* exact set-reduction risk from lattice plan counts: the total risk is the
-  normalized loss of navigable plans caused by all actors, the per-actor
-  risk is the normalized count of plans that reappear when that actor is
-  ablated (computed as (|Z w/o i| - |Z|) / |Z empty| so it is nonnegative
-  under subset semantics);
+* lattice risks from plan counts on one maneuver-lattice window
+  (lattice_risks): the total risk is the normalized loss of navigable
+  plans caused by all actors, the exact per-actor risk is the normalized
+  count of plans that reappear when that actor is ablated (computed as
+  (|Z w/o i| - |Z|) / |Z empty| so it is nonnegative under subset
+  semantics), and the KL importance is the divergence between the
+  epsilon-floored plan distributions with and without the actor.  All of
+  them, for every world given (the predicted world and the ground-truth
+  slice of one replan tick), reduce one render's blocker matrix;
 * leave-one-out importance: replan with and without one actor, all
   randomness and routing inputs held fixed, and measure the plan change
-  with a per-waypoint Euclidean operator or a KL divergence over lattice
-  plan distributions;
+  with a per-waypoint Euclidean operator;
 * Monte-Carlo risk: the same importance evaluated across sampled futures,
   reported as sample mean and unbiased variance (monte_carlo_importance).
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .planner import (
     plan_sampling,  # noqa: F401 (wrapped by perfbench/tracer.py)
     world_arrays,
 )
-from .prediction import PredictionConfig, sample_worlds
 # bound here for perfbench/tracer.py, which wraps it in this module
 from .prediction import predict_linear  # noqa: F401
 from .scenario import (
@@ -169,42 +171,67 @@ def check_cap(lattice: LatticeConfig, source: str = "lattice"):
 
 @dataclass(frozen=True)
 class ExactRisk:
-    """Plan counts of one lattice window and the risks they give."""
+    """Plan counts of one world on a lattice window and the risks they
+    give."""
 
     z_empty: int                  # |Z empty|: in-bounds plans
     z: int                        # |Z|: plans no actor blocks
     total: float                  # (|Z empty| - |Z|) / |Z empty|
     per_actor: Mapping[str, float]  # (|Z without i| - |Z|) / |Z empty|
+    kl: Mapping[str, float]       # operator="kl" importance of actor i
 
 
-def _survivors(blockers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the plans no actor blocks (U,) and of the plans whose only
-    blocker is actor j (U, m): ablating j frees exactly the latter.
-    Raises DegenerateScenario when the universe is empty."""
-    if not len(blockers):
+def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
+                  lattice: LatticeConfig,
+                  worlds: Sequence[Mapping[str, Trajectory]],
+                  radii: Mapping[str, float], *, ego_radius: float = 1.2,
+                  dt: float = 0.1) -> list[ExactRisk]:
+    """The ExactRisk of each of worlds (one or more) on one lattice
+    window, from one render against the obstacle rows of all of them.
+
+    Each world's block of (plans x actors) blocker columns gives its
+    counts: |Z| counts the rows with no blocker in the block and
+    |Z without i| adds the rows whose only blocker is i.  The KL
+    importance of i is KL(p || q_i) between the epsilon-floored uniform
+    distributions (PlanDistribution.uniform_feasible's) over the plans of
+    the world (p) and of the world without i (q_i), both over the
+    empty-world universe.  Raises DegenerateScenario when that universe
+    is empty."""
+    check_cap(lattice)
+    arrays = [world_arrays(w, radii, ego_radius, t, k) for w in worlds]
+    obs, rsum = (np.concatenate(a) for a in zip(*arrays))
+    _, blockers = lattice_blockers(road, ego, k, lattice, obs, rsum, dt=dt)
+    n = len(blockers)
+    if not n:
         raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
-    n = blockers.sum(axis=1)
-    return n == 0, blockers & (n == 1)[:, None]
+    risks, start = [], 0
+    for world in worlds:
+        block = blockers[:, start:start + len(world)]
+        start += len(world)
+        count = block.sum(axis=1)
+        free = count == 0
+        alone = block & (count == 1)[:, None]   # j its only blocker
+        z = int(np.count_nonzero(free))
+        freed = np.count_nonzero(alone, axis=0).tolist()  # |Z w/o i| - |Z|
+        p = _floored(free, z, KL_EPSILON)
+        kl = []
+        for mask in (free[:, None] | alone).T:
+            q = _floored(mask, np.count_nonzero(mask), KL_EPSILON)
+            kl.append(float(np.sum(p * np.log(p / q))))
+        risks.append(ExactRisk(n, z, (n - z) / n,
+                               dict(zip(world, (f / n for f in freed))),
+                               dict(zip(world, kl))))
+    return risks
 
 
 def all_actor_risk_exact(s: Scenario, t: int, k: int,
                          lattice: LatticeConfig,
                          ego: Optional[ActorState] = None) -> ExactRisk:
-    """Exact set-reduction counts of the ground-truth world slice for the
-    total and every npc actor, from one (plans x actors) blocker matrix:
-    |Z| counts its rows with no blocker and |Z without i| adds the rows
-    whose only blocker is i."""
-    check_cap(lattice)
-    ego = ego if ego is not None else s.ego_initial
-    world = slice_world(s, t, k)
-    _, blockers = lattice_blockers(
-        s.map, ego, t, k, lattice, world, s.actor_radius,
-        ego_radius=s.radius_of(EGO_ID), dt=s.dt)
-    free, alone = _survivors(blockers)
-    n, z = len(blockers), int(np.count_nonzero(free))
-    freed = np.count_nonzero(alone, axis=0).tolist()   # |Z without i| - |Z|
-    return ExactRisk(n, z, (n - z) / n,
-                     {aid: f / n for aid, f in zip(world, freed)})
+    """lattice_risks of the ground-truth world slice alone."""
+    return lattice_risks(
+        s.map, s.ego_initial if ego is None else ego, t, k, lattice,
+        [slice_world(s, t, k)], s.actor_radius,
+        ego_radius=s.radius_of(EGO_ID), dt=s.dt)[0]
 
 
 def total_risk_exact(s: Scenario, t: int, k: int, lattice: LatticeConfig,
@@ -242,8 +269,8 @@ SWITCH_HYSTERESIS = 5.0     # meters of advance a lane switch must gain
 
 def _follow_term(traj: Trajectory, ego: ActorState, road: RoadMap,
                  lane: int, ego_speed: float) -> Optional[float]:
-    """One occupant's soft-minimum term of _soft_advance in lane, or None
-    when it never limits the advance there."""
+    """The advance one occupant of lane allows (a term of _soft_advance),
+    or None when it never limits the advance there."""
     lo = lane * road.lane_width
     hi = lo + road.lane_width
     xy = traj.xy
@@ -256,17 +283,25 @@ def _follow_term(traj: Trajectory, ego: ActorState, road: RoadMap,
         ((len(xy) - 1) * traj.dt) if len(xy) > 1 else traj.states[0].speed
     if v_occ >= ego_speed - 1e-9:
         return None  # never caught within any horizon
-    fa = max(0.0, (gap - FOLLOW_GAP) * ego_speed / (ego_speed - v_occ))
-    return math.exp(-fa / SOFTNESS)
+    return max(0.0, (gap - FOLLOW_GAP) * ego_speed / (ego_speed - v_occ))
 
 
 def _soft_advance(base_advance: float, terms) -> float:
-    """The clamped soft-minimum advance over the occupant terms, summed
-    in the order given after the base term; None terms are skipped."""
-    total = [math.exp(-base_advance / SOFTNESS)]
-    total += [x for x in terms if x is not None]
-    adv = -SOFTNESS * math.log(sum(total))
-    return float(min(max(adv, MIN_ADVANCE), base_advance))
+    """The clamped soft minimum of base_advance and the occupant advances
+    of terms, exponentiated and summed in the order given after the base
+    term; None terms are skipped.  When every exp underflows (advances
+    above about 745 * SOFTNESS) the sum is taken relative to the least
+    advance m instead, which puts the soft minimum in
+    [m - SOFTNESS * ln n, m] for n advances."""
+    adv = [base_advance] + [a for a in terms if a is not None]
+    total = sum([math.exp(-a / SOFTNESS) for a in adv])
+    if total:
+        soft = -SOFTNESS * math.log(total)
+    else:
+        m = min(adv)
+        soft = m - SOFTNESS * math.log(
+            sum([math.exp(-(a - m) / SOFTNESS) for a in adv]))
+    return float(min(max(soft, MIN_ADVANCE), base_advance))
 
 
 def _lane_terms(world: Mapping[str, Trajectory], ego: ActorState,
@@ -376,29 +411,6 @@ def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:
     return float(np.mean(arr)), float(np.var(arr, ddof=1))
 
 
-def all_actor_importance_kl(world: Mapping[str, Trajectory],
-                            ego: ActorState, t: int, k: int,
-                            lattice: LatticeConfig, *, road: RoadMap,
-                            radii: Mapping[str, float],
-                            ego_radius: float = 1.2, dt: float = 0.1
-                            ) -> dict[str, float]:
-    """operator="kl" importance of every actor of world from one lattice
-    render: KL(p || q_i) between the epsilon-floored uniform distributions
-    (PlanDistribution.uniform_feasible's) over the plans of the full world
-    (p) and of the world without actor i (q_i), both over the empty-world
-    universe and built on row masks of the blocker matrix."""
-    check_cap(lattice)
-    _, blockers = lattice_blockers(road, ego, t, k, lattice, world, radii,
-                                   ego_radius=ego_radius, dt=dt)
-    free, alone = _survivors(blockers)
-    p = _floored(free, np.count_nonzero(free), KL_EPSILON)
-    kl = {}
-    for aid, mask in zip(world, (free[:, None] | alone).T):
-        q = _floored(mask, np.count_nonzero(mask), KL_EPSILON)
-        kl[aid] = float(np.sum(p * np.log(p / q)))
-    return kl
-
-
 def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
                      ego: ActorState, t: int, k: int,
                      planner_cfg: PlannerConfig, operator: str = "euclid", *,
@@ -423,9 +435,8 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
     if operator == "kl":
         if lattice is None:
             raise ScenarioError("operator='kl' needs a lattice config")
-        return all_actor_importance_kl(
-            world, ego, t, k, lattice, road=road, radii=radii,
-            ego_radius=ego_radius, dt=dt)[actor_id]
+        return lattice_risks(road, ego, t, k, lattice, [world], radii,
+                             ego_radius=ego_radius, dt=dt)[0].kl[actor_id]
 
     if operator != "euclid":
         raise ScenarioError(f"unknown operator {operator!r}")
@@ -459,24 +470,6 @@ def monte_carlo_importance(worlds: Sequence[Mapping[str, Trajectory]],
             raise type(e)(f"sample {j}: {e}") from e
     return {aid: mean_and_variance([r[aid][0] for r in runs])
             for aid in runs[0]}
-
-
-def expected_actor_risk(histories: Mapping[str, Trajectory], actor_id: str,
-                        ego: ActorState, t: int, k: int,
-                        pred_cfg: PredictionConfig,
-                        planner_cfg: PlannerConfig, *,
-                        road: RoadMap, radii: Mapping[str, float],
-                        ego_radius: float = 1.2, dt: float = 0.1,
-                        route: bool = False,
-                        sampler: Optional[Callable] = None
-                        ) -> tuple[float, float]:
-    """One actor's entry of monte_carlo_importance over the worlds drawn
-    by `sampler(histories, k, pred_cfg)` (default: the keyed Gaussian
-    stream of sample_predictions)."""
-    return monte_carlo_importance(
-        (sampler or sample_worlds)(histories, k, pred_cfg), ego, t, k,
-        planner_cfg, road=road, radii=radii, ego_radius=ego_radius, dt=dt,
-        route=route, actor_ids=(actor_id,))[actor_id]
 
 
 # ---------------------------------------------------------------------------

@@ -174,8 +174,8 @@ class RoadMap:
         """Nearest lane index for a lateral position (clipped to the road)."""
         return int(min(max(y // self.lane_width, 0), self.lane_count - 1))
 
-    def contains_y(self, y: float, radius: float = 0.0) -> bool:
-        return radius <= y <= self.width - radius
+    def contains_y(self, y: float) -> bool:
+        return 0.0 <= y <= self.width
 
 
 @dataclass(frozen=True)

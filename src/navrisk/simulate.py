@@ -29,14 +29,13 @@ from .risk import (
     _lane_terms,
     _leave_one_out,
     _soft_advance,
-    all_actor_importance_kl,
-    all_actor_risk_exact,
+    lattice_risks,
     monte_carlo_importance,
 )
 # bound here for perfbench/tracer.py, which wraps them in this module
 from .planner import plan_sampling  # noqa: F401
 from .risk import actor_importance, actor_risk_exact  # noqa: F401
-from .scenario import EGO_ID, ActorState, Scenario, require_int
+from .scenario import EGO_ID, ActorState, Scenario, require_int, slice_world
 
 
 @dataclass(frozen=True)
@@ -181,17 +180,19 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
             world, ego, t, k_eff, base_cfg, terms(preferred), road=road,
             radii=radii, ego_radius=ego_radius, dt=s.dt)
 
-        kl_values = {}
-        rho_values = {}
-        lattice = cfg.lattice
-        if lattice is not None and lattice.horizon == k_eff:
+        # one lattice render serves the KL world (predicted) and the exact
+        # world (ground truth)
+        lattice_worlds = {}
+        if cfg.lattice is not None and cfg.lattice.horizon == k_eff:
             if "kl" in cfg.operators:
-                kl_values = all_actor_importance_kl(
-                    world, ego, t, k_eff, lattice, road=road,
-                    radii=radii, ego_radius=ego_radius, dt=s.dt)
+                lattice_worlds["kl"] = world
             if "exact" in cfg.operators:
-                rho_values = all_actor_risk_exact(
-                    s, t, k_eff, lattice, ego=ego).per_actor
+                lattice_worlds["exact"] = slice_world(s, t, k_eff)
+        risks = dict(zip(lattice_worlds, lattice_risks(
+            road, ego, t, k_eff, cfg.lattice, list(lattice_worlds.values()),
+            radii, ego_radius=ego_radius, dt=s.dt))) if lattice_worlds else {}
+        kl_values = risks["kl"].kl if "kl" in risks else {}
+        rho_values = risks["exact"].per_actor if "exact" in risks else {}
 
         mc_stats = monte_carlo_importance(
             sample_worlds(histories, k_eff, pcfg), ego, t, k_eff, base_cfg,

@@ -25,13 +25,14 @@ from navrisk.planner import (
     collision_check,
     enumerate_plans,
 )
-from navrisk.prediction import PredictionConfig, predict_linear
+from navrisk.prediction import PredictionConfig, predict_linear, \
+    sample_worlds
 from navrisk.risk import (
     PlanDistribution,
     actor_importance,
     actor_risk_exact,
-    expected_actor_risk,
     min_risk_selection,
+    monte_carlo_importance,
     plan_divergence_kl,
     total_risk_exact,
     traj_difference_euclidean,
@@ -263,6 +264,14 @@ RUN_PINS = {
     "casestudy-mc": (["--samples", "2", "--seed", "42"], (
         "29aa76a0dec307a700ebea27ebe65645f56689befda89e6c9bf2bcc5242c6c6b",
         "98edcf2ca94eadd1d52d9d0f18f04676093c94dd6a43cea805e1585c3be77fce")),
+    # the single-world lattice runs: the predicted world alone, and the
+    # ground-truth slice alone
+    "casestudy-kl": (["--operator", "kl", "--seed", "42"], (
+        "c874024262b18d34786a4d046708cae403a803c7b1422b154d7c0bd95de6c1a3",
+        "0b56d73c4b18b290a5480e880c96565307dd795e3ac174a07bf001d98391e019")),
+    "casestudy-exact-only": (["--exact-lattice", "--seed", "42"], (
+        "2007a6092e03a63bb674a82346483a67227f5bfa7b51d30bdc2b82ecded9a265",
+        "98edcf2ca94eadd1d52d9d0f18f04676093c94dd6a43cea805e1585c3be77fce")),
 }
 
 
@@ -286,9 +295,9 @@ def test_c5_monte_carlo_correctness():
     # zero-noise: variance exactly 0, mean exactly the deterministic gamma
     hists = {"a": moving_actor("a", 22.0, road.lane_center(1), 6.0, 5)}
     pcfg = PredictionConfig(0.0, 0.0, sample_count=6, seed=3)
-    mean, var = expected_actor_risk(hists, "a", ego, 5, 20, pcfg, cfg,
-                                    road=road, radii={"a": 1.2},
-                                    route=True)
+    mean, var = monte_carlo_importance(
+        sample_worlds(hists, 20, pcfg), ego, 5, 20, cfg, road=road,
+        radii={"a": 1.2}, route=True, actor_ids=("a",))["a"]
     det = actor_importance({"a": predict_linear(hists["a"], 20)}, "a", ego,
                            5, 20, cfg, "euclid", road=road,
                            radii={"a": 1.2}, route=True)
@@ -314,9 +323,9 @@ def test_c5_monte_carlo_correctness():
                 for _ in range(cfg_.sample_count)]
 
     pcfg = PredictionConfig(0.0, 0.0, sample_count=n, seed=77)
-    mean, var = expected_actor_risk(
-        hists, "a", ego, 5, k, pcfg, cfg, road=road,
-        radii={"a": 1.2}, route=True, sampler=sampler)
+    mean, var = monte_carlo_importance(
+        sampler(hists, k, pcfg), ego, 5, k, cfg, road=road,
+        radii={"a": 1.2}, route=True, actor_ids=("a",))["a"]
     g_b = actor_importance({"a": brake}, "a", ego, 5, k, cfg, "euclid",
                            road=road, radii={"a": 1.2}, route=True)
     g_c = actor_importance({"a": cruise}, "a", ego, 5, k, cfg, "euclid",

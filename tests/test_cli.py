@@ -276,6 +276,11 @@ class TestRunCommand:
         rows = (out / "run.csv").read_text().strip().split("\n")[1:]
         assert len(rows) == replans * len(s.npc_trajectories)
 
+    def test_long_horizon_routes(self, tmp_path):
+        # a 9 km base advance: every soft-minimum exp underflows to 0.0
+        assert main(["run", "--casestudy-defaults", "--horizon", "9000",
+                     "--budget", "50", "--out", str(tmp_path / "x")]) == 0
+
     def test_bad_config_exit_2(self, tmp_path, casestudy_path):
         assert main(["run", "--scenario", str(casestudy_path),
                      "--horizon", "41", "--exact-lattice",

@@ -7,7 +7,9 @@ its parent's bits), and reduces that matrix to every exact count of the
 window.  All of it is checked here against the per-sequence oracles of
 tests/oracles.py: the render, gathered for every sequence, with == on
 every column float (walk_render), and the plans, risk and KL reductions
-against the recursive walk enumeration (walk_enumerate).
+against the recursive walk enumeration (walk_enumerate).  One render
+against the stacked rows of several worlds (risk.lattice_risks) is
+checked against one render per world.
 
 risk.leave_one_out grows the full world's tree once and reuses it for
 every ablated actor that never alone blocked one of its edge checks; its
@@ -54,8 +56,8 @@ from navrisk.planner import (
 from navrisk.risk import (
     DegenerateScenario,
     PlanDistribution,
-    all_actor_importance_kl,
     all_actor_risk_exact,
+    lattice_risks,
     _lane_terms,
     _soft_advance,
     leave_one_out,
@@ -139,7 +141,8 @@ def window(rng, max_universe):
 
 def assert_render_exact(road, ego, lattice, dt):
     plans, blockers = lattice_blockers(
-        road, ego, 0, lattice.horizon, lattice, {}, {}, dt=dt)
+        road, ego, lattice.horizon, lattice,
+        *world_arrays({}, {}, RADIUS, 0, lattice.horizon), dt=dt)
     want = rendered(road, ego, lattice, dt)
     seqs, cols = plans(np.arange(len(blockers)))
     assert seqs == [w[0] for w in want]
@@ -177,11 +180,9 @@ def test_every_maneuver_subset_renders_exactly(maneuvers):
                             0.1)
 
 
-def world_case(rng):
-    """A small window from rng plus 0-3 actors, parked or driving along
-    the road near the ego's reach, as a Scenario starting at tick 0."""
-    road, ego, lattice, dt = window(rng, max_universe=81)
-    k = lattice.horizon
+def draw_actors(rng, road, ego, k, dt):
+    """0-3 actors a0, a1, ... from rng, parked or driving along the road
+    near the ego's reach, over ticks [0, k]."""
     actors = {}
     for i in range(rng.randint(0, 3)):
         x0 = ego.position_x + rng.randint(-4, 60) / 2
@@ -193,6 +194,15 @@ def world_case(rng):
         actors[aid] = Trajectory(aid, 0, dt, tuple(
             ActorState(x0 + speed * dt * j, y, 0.0, speed)
             for j in range(k + 1)))
+    return actors
+
+
+def world_case(rng):
+    """A small window from rng plus draw_actors' actors, as a Scenario
+    starting at tick 0."""
+    road, ego, lattice, dt = window(rng, max_universe=81)
+    k = lattice.horizon
+    actors = draw_actors(rng, road, ego, k, dt)
     radii = {EGO_ID: RADIUS, **{aid: RADIUS for aid in actors}}
     return Scenario(map=road, npc_trajectories=actors, ego_initial=ego,
                     horizon_ticks=k, dt=dt, actor_radius=radii), lattice
@@ -239,9 +249,7 @@ def assert_exact_risk_and_kl(s, lattice):
 
     seqs = [w[0] for w in rendered(s.map, s.ego_initial, lattice, s.dt)]
     p = PlanDistribution.uniform_feasible(seqs, survivors)
-    assert all_actor_importance_kl(
-        actors, s.ego_initial, 0, k, lattice, road=s.map,
-        radii=s.actor_radius, ego_radius=RADIUS, dt=s.dt) == {
+    assert got.kl == {
         aid: plan_divergence_kl(p, PlanDistribution.uniform_feasible(
             seqs, w)) for aid, w in without.items()}
     if len(survivors) == universe:
@@ -273,6 +281,41 @@ def test_enumerate_plans_returns_walk_survivors():
     assert seen == {"kept": 745, "dropped": 262}, seen
 
 
+def test_one_render_for_several_worlds_equals_one_render_each():
+    # lattice_risks stacks the obstacle rows of every world it is given
+    # under one render and reduces each world's block of blocker columns:
+    # that must give each world exactly what a render of it alone gives,
+    # == on every field, for 2-3 worlds that share actor ids and differ
+    # in actor count
+    seen = Counter()
+    radii = {f"a{i}": RADIUS for i in range(3)}
+    for seed in range(EXAMPLES):
+        with seeded(seed) as rng:
+            road, ego, lattice, dt = window(rng, max_universe=81)
+            k = lattice.horizon
+            worlds = [draw_actors(rng, road, ego, k, dt)
+                      for _ in range(rng.randint(2, 3))]
+
+            def risks(ws):
+                return lattice_risks(road, ego, 0, k, lattice, ws, radii,
+                                     ego_radius=RADIUS, dt=dt)
+
+            try:
+                got = risks(worlds)
+            except DegenerateScenario:
+                for w in worlds:
+                    with pytest.raises(DegenerateScenario):
+                        risks([w])
+                seen["empty universe"] += 1
+                continue
+            assert got == [risks([w])[0] for w in worlds]
+        seen["an empty world"] += any(not w for w in worlds)
+        seen["unequal actor counts"] += len({len(w) for w in worlds}) > 1
+        seen["unequal |Z|"] += len({r.z for r in got}) > 1
+    assert seen == {"empty universe": 42, "an empty world": 55,
+                    "unequal actor counts": 89, "unequal |Z|": 44}, seen
+
+
 # --- the level-wise blocker bits at the first and the last tick ------------
 
 ROAD = RoadMap(3, 3.5, 300.0, 14.0)
@@ -285,8 +328,8 @@ def blocker_column(actor):
     """lattice_blockers' bits for one actor on the LEVELS window, and the
     bits of _hits over every tick of each walk_render'ed sequence."""
     plans, blockers = lattice_blockers(
-        ROAD, EGO, 0, LEVELS.horizon, LEVELS, {"a": actor}, {"a": RADIUS},
-        ego_radius=RADIUS)
+        ROAD, EGO, LEVELS.horizon, LEVELS,
+        *world_arrays({"a": actor}, {"a": RADIUS}, RADIUS, 0, LEVELS.horizon))
     want = []
     for seq in plans(np.arange(len(blockers)))[0]:
         pos, _, _ = walk_render(seq, ROAD, EGO, LEVELS.ticks_per_step,
@@ -312,10 +355,8 @@ def test_tick_zero_overlap_blocks_every_sequence():
     # are uniform over the universe)
     seqs = [w[0] for w in rendered(ROAD, EGO, LEVELS, 0.1)]
     p = PlanDistribution.uniform_feasible(seqs, [])
-    assert all_actor_importance_kl(
-        {"a": actor}, EGO, 0, k, LEVELS, road=ROAD, radii=s.actor_radius,
-        ego_radius=RADIUS) == {"a": plan_divergence_kl(
-            p, PlanDistribution.uniform_feasible(seqs, seqs))}
+    assert risk.kl == {"a": plan_divergence_kl(
+        p, PlanDistribution.uniform_feasible(seqs, seqs))}
 
 
 def test_last_level_actor_blocks_only_the_sequences_it_reaches():

@@ -21,9 +21,7 @@ from navrisk.risk import (
     PlanDistribution,
     actor_importance,
     actor_risk_exact,
-    all_actor_importance_kl,
     all_actor_risk_exact,
-    expected_actor_risk,
     leave_one_out,
     mean_and_variance,
     min_risk_selection,
@@ -255,17 +253,14 @@ class TestAllActorForms:
             assert got.z_empty == universe == len(support)
             assert got.z == len(survivors)
             assert got.total == (universe - len(survivors)) / universe
-            kl = all_actor_importance_kl(
-                actors, ego, 0, k, lattice, road=road, radii=s.actor_radius,
-                ego_radius=s.radius_of(EGO_ID), dt=DT)
-            assert list(got.per_actor) == list(kl) == list(actors)
+            assert list(got.per_actor) == list(got.kl) == list(actors)
             for aid in actors:
                 _, surv_wo = walk(
                     {a: tr for a, tr in actors.items() if a != aid})
                 assert got.per_actor[aid] == \
                     (len(surv_wo) - len(survivors)) / universe
                 q = PlanDistribution.uniform_feasible(support, surv_wo)
-                assert kl[aid] == plan_divergence_kl(p, q)
+                assert got.kl[aid] == plan_divergence_kl(p, q)
                 checked += 1
         assert checked > 0
 
@@ -428,6 +423,16 @@ class TestRouter:
         a1 = self.advance(near, ego)
         a2 = self.advance(far, ego)
         assert a1 == a2
+
+    def test_underflowing_terms_keep_the_soft_minimum(self):
+        # above about 745 * SOFTNESS every exp(-a / SOFTNESS) is 0.0; the
+        # soft minimum is then taken relative to the least advance
+        assert math.exp(-1e5 / risk.SOFTNESS) == 0.0
+        assert risk._soft_advance(1e5, []) == 1e5
+        advances = [2e4, 1.5e4, None, 1.5e4 + 3.0, 1.6e4]
+        m, n = 1.5e4, 4
+        got = risk._soft_advance(advances[0], advances[1:])
+        assert m - risk.SOFTNESS * math.log(n) <= got <= m
 
 
 def importance_cfg(**kw):
@@ -650,9 +655,9 @@ class TestExpectedRisk:
         hists = {"a": moving_actor("a", 25.0, ROAD3.lane_center(1), 6.0, 5)}
         pcfg = PredictionConfig(0.0, 0.0, sample_count=4, seed=2)
         cfg = importance_cfg()
-        mean, var = expected_actor_risk(
-            hists, "a", ego, 5, 30, pcfg, cfg,
-            road=ROAD3, radii={"a": 1.2})
+        mean, var = monte_carlo_importance(
+            sample_worlds(hists, 30, pcfg), ego, 5, 30, cfg,
+            road=ROAD3, radii={"a": 1.2}, actor_ids=("a",))["a"]
         from navrisk.prediction import predict_linear
         det = actor_importance(
             {"a": predict_linear(hists["a"], 30)}, "a", ego, 5, 30, cfg,
@@ -686,9 +691,9 @@ class TestExpectedRisk:
         cfg = importance_cfg(goal=GoalSpec(20.0, 1), iteration_budget=250)
         hists = {"a": moving_actor("a", 22.0, ROAD3.lane_center(1), 7.0, 5)}
         pcfg = PredictionConfig(0.0, 0.0, sample_count=n, seed=77)
-        mean, var = expected_actor_risk(
-            hists, "a", ego, 5, k, pcfg, cfg,
-            road=ROAD3, radii={"a": 1.2}, route=True, sampler=sampler)
+        mean, var = monte_carlo_importance(
+            sampler(hists, k, pcfg), ego, 5, k, cfg, road=ROAD3,
+            radii={"a": 1.2}, route=True, actor_ids=("a",))["a"]
         g_b = actor_importance({"a": brake}, "a", ego, 5, k, cfg, "euclid",
                                road=ROAD3, radii={"a": 1.2}, route=True)
         g_c = actor_importance({"a": cruise}, "a", ego, 5, k, cfg, "euclid",
@@ -701,22 +706,22 @@ class TestExpectedRisk:
 
 
 class TestMonteCarloImportance:
-    def test_equals_expected_actor_risk(self):
-        # sampled futures of three case-study ticks: every actor's entry is
-        # its expected_actor_risk, which draws the same worlds
+    def test_one_actor_run_equals_its_entry_of_the_all_actor_run(self):
+        # sampled futures of three case-study ticks: every actor's entry
+        # is what a run ablating that actor alone gives on the same worlds
         pcfg = PredictionConfig(0.35, 0.02, sample_count=2, seed=5)
         for road, world, ego, t, k, cfg, radii in islice(case_study_worlds(),
                                                          3):
             hists = {aid: Trajectory(aid, t, tr.dt, tr.states[:1])
                      for aid, tr in world.items()}
+            worlds = sample_worlds(hists, k, pcfg)
             env = dict(road=road, radii=radii, ego_radius=radii[EGO_ID],
                        dt=DT, route=True)
-            got = monte_carlo_importance(sample_worlds(hists, k, pcfg), ego,
-                                         t, k, cfg, **env)
+            got = monte_carlo_importance(worlds, ego, t, k, cfg, **env)
             assert list(got) == list(world)
             for aid in world:
-                assert got[aid] == expected_actor_risk(
-                    hists, aid, ego, t, k, pcfg, cfg, **env)
+                assert got[aid] == monte_carlo_importance(
+                    worlds, ego, t, k, cfg, actor_ids=(aid,), **env)[aid]
 
     def test_no_worlds_rejected(self):
         ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)

@@ -73,6 +73,29 @@ class TestLoop:
             lo, hi = span[r.phase]
             assert lo <= r.tick <= hi
 
+    def test_one_lattice_render_per_window(self, scenario, monkeypatch):
+        # the KL world (predicted) and the exact world (ground truth) of a
+        # window share one render, against the obstacle rows of both
+        cfg = RunConfig(iteration_budget=50, horizon=20, replan_every=20,
+                        operators=("euclid", "kl", "exact"),
+                        lattice=LatticeConfig(2, ("keep",), 10))
+        rows = []
+        render = risk.lattice_blockers
+
+        def counted(road, ego, k, lattice, obs, rsum, **kw):
+            rows.append(len(obs))
+            return render(road, ego, k, lattice, obs, rsum, **kw)
+
+        monkeypatch.setattr(risk, "lattice_blockers", counted)
+        res = run_simulation(scenario, cfg)
+        windows = {t for t in res.replan_ticks
+                   if t + cfg.horizon <= scenario.horizon_ticks}
+        assert len(windows) > 1
+        assert rows == [2 * len(scenario.npc_trajectories)] * len(windows)
+        for r in res.records:
+            assert (r.gamma_kl is not None) == (r.tick in windows)
+            assert (r.rho_exact is not None) == (r.tick in windows)
+
     def test_monte_carlo_columns(self, scenario):
         cfg = RunConfig(iteration_budget=150, samples=3, horizon=30,
                         replan_every=30, noise_accel=0.5)
