@@ -139,5 +139,17 @@ def prediction_error(predicted: Trajectory, realized: Trajectory) -> float:
             f"window mismatch: predicted [{predicted.start_tick}, "
             f"{predicted.end_tick}] vs realized [{realized.start_tick}, "
             f"{realized.end_tick}]")
-    diff = predicted.xy - realized.xy
-    return float(np.mean(np.hypot(diff[:, 0], diff[:, 1])))
+    return _mean_distance(predicted.xy, realized.xy)
+
+
+def _mean_distance(xa: np.ndarray, xb: np.ndarray) -> float:
+    """Mean Euclidean distance per waypoint between (n, 2) position arrays;
+    the shorter one holds its final position.  risk's plan-change operator
+    and prediction_error both measure displacement with it."""
+    n = max(len(xa), len(xb))
+    if len(xa) < n:
+        xa = np.vstack([xa, np.repeat(xa[-1:], n - len(xa), axis=0)])
+    if len(xb) < n:
+        xb = np.vstack([xb, np.repeat(xb[-1:], n - len(xb), axis=0)])
+    d = xa - xb
+    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))

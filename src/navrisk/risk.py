@@ -46,6 +46,7 @@ from .planner import (
     plan_sampling,  # noqa: F401 (wrapped by perfbench/tracer.py)
     world_arrays,
 )
+from .prediction import _mean_distance
 # bound here for perfbench/tracer.py, which wraps it in this module
 from .prediction import predict_linear  # noqa: F401
 from .scenario import (
@@ -84,17 +85,6 @@ def traj_difference_euclidean(a: Trajectory, b: Trajectory) -> float:
     return _mean_distance(a.xy, b.xy)
 
 
-def _mean_distance(xa: np.ndarray, xb: np.ndarray) -> float:
-    """traj_difference_euclidean on the (n, 2) position arrays."""
-    n = max(len(xa), len(xb))
-    if len(xa) < n:
-        xa = np.vstack([xa, np.repeat(xa[-1:], n - len(xa), axis=0)])
-    if len(xb) < n:
-        xb = np.vstack([xb, np.repeat(xb[-1:], n - len(xb), axis=0)])
-    d = xa - xb
-    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
-
-
 @dataclass(frozen=True)
 class PlanDistribution:
     """Epsilon-floored distribution over the lattice plan universe."""
@@ -114,9 +104,10 @@ class PlanDistribution:
 
     @classmethod
     def uniform_feasible(cls, universe: Sequence[tuple[str, ...]],
-                         feasible: Sequence[tuple[str, ...]],
-                         eps: float = KL_EPSILON) -> "PlanDistribution":
-        """Uniform over feasible plans, floored by eps over the universe.
+                         feasible: Sequence[tuple[str, ...]]
+                         ) -> "PlanDistribution":
+        """Uniform over feasible plans, floored by KL_EPSILON over the
+        universe.
 
         With no feasible plan this degenerates to the floor itself (uniform
         over the universe), which keeps the divergence finite.  A repeated
@@ -135,16 +126,17 @@ class PlanDistribution:
             plan = next(s for s in feasible if s not in index)
             raise ValueError(f"feasible plan {plan!r} is not in the universe")
         return cls(universe,
-                   _floored([s in fs for s in universe], len(fs), eps))
+                   _floored([s in fs for s in universe], len(fs)))
 
 
-def _floored(mask, count: int, eps: float) -> np.ndarray:
-    """1 / count on the plans that mask marks, 0 elsewhere, floored by eps
-    and renormalized over the universe; with count 0, uniform over it."""
+def _floored(mask, count: int) -> np.ndarray:
+    """1 / count on the plans that mask marks, 0 elsewhere, floored by
+    KL_EPSILON and renormalized over the universe; with count 0, uniform
+    over it."""
     if not count:
         return np.full(len(mask), 1.0 / len(mask))
-    return (np.where(mask, 1.0 / count, 0.0) + eps) / \
-        (1.0 + len(mask) * eps)
+    return (np.where(mask, 1.0 / count, 0.0) + KL_EPSILON) / \
+        (1.0 + len(mask) * KL_EPSILON)
 
 
 def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
@@ -213,10 +205,10 @@ def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
         alone = block & (count == 1)[:, None]   # j its only blocker
         z = int(np.count_nonzero(free))
         freed = np.count_nonzero(alone, axis=0).tolist()  # |Z w/o i| - |Z|
-        p = _floored(free, z, KL_EPSILON)
+        p = _floored(free, z)
         kl = []
         for mask in (free[:, None] | alone).T:
-            q = _floored(mask, np.count_nonzero(mask), KL_EPSILON)
+            q = _floored(mask, np.count_nonzero(mask))
             kl.append(float(np.sum(p * np.log(p / q))))
         risks.append(ExactRisk(n, z, (n - z) / n,
                                dict(zip(world, (f / n for f in freed))),

@@ -1,10 +1,11 @@
-"""World model: road geometry, actor trajectories, phase-scripted scenarios.
+"""World model: road geometry, actor trajectories, the scripted case study.
 
 A scenario is a straight multi-lane one-way road segment, a set of scripted
 non-ego ("npc") trajectories on a uniform tick grid, and the ego's initial
-state.  Scenario generation is event-triggered: each phase of a script ends
-when its trigger fires (a tick budget, all actors settling at their target
-speeds, a lane change completing, or a braking actor reaching standstill).
+state.  The case study is generated by integrating its five phases in
+order; each phase ends on its own event (a tick count, every npc settling
+at its cruise speed, the merger's lane change completing, or the merger
+braking to a standstill).
 
 Scenario values are immutable after construction and safe to share across
 concurrent evaluators.
@@ -15,16 +16,16 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 EGO_ID = "ego"
 
 SCENARIO_FORMAT_VERSION = 1
-MAX_SCRIPT_TICKS = 200_000   # run_phase_script: longest wait for a trigger
+MAX_SCRIPT_TICKS = 200_000   # case study: latest phase end, largest tick count
 MAX_MAGNITUDE = 1e150        # load_scenario: largest magnitude of a number
 KINEMATIC_TOLERANCE = 0.2    # check_kinematics: allowed fractional deviation
 
@@ -232,193 +233,6 @@ def slice_world(s: Scenario, t: int, k: int) -> dict[str, Trajectory]:
 
 
 # ---------------------------------------------------------------------------
-# Phase scripting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ActorCommand:
-    """Per-phase command for one scripted actor.
-
-    target_speed is approached at accel (m/s^2); decel, when set, overrides
-    accel for slowing down (emergency braking uses a large decel toward 0).
-    target_lane triggers a cosine lateral ramp over lane_change_duration
-    seconds, starting at the phase's first tick.
-    """
-
-    target_speed: Optional[float] = None
-    accel: float = 1.5
-    decel: Optional[float] = None
-    target_lane: Optional[int] = None
-    lane_change_duration: float = 3.0
-
-
-@dataclass(frozen=True)
-class Phase:
-    """One scripted phase: a name, an end trigger, per-actor commands.
-
-    trigger kinds:
-      - ("ticks", n): ends n ticks after the phase starts
-      - ("speeds_settled", eps): ends when every commanded actor is within
-        eps of its target speed
-      - ("lane_settled", actor_id): ends when that actor's lateral ramp is done
-      - ("stopped", actor_id): ends when that actor reaches speed 0
-    """
-
-    name: str
-    trigger: tuple
-    commands: Mapping[str, ActorCommand] = field(default_factory=dict)
-
-
-@dataclass
-class _ScriptedActor:
-    x: float
-    y: float
-    vx: float
-    prev_vx: float = float("nan")
-    # lateral ramp state
-    ramp_from: float = 0.0
-    ramp_to: float = 0.0
-    ramp_start: int = -1
-    ramp_ticks: int = 0
-    target_speed: Optional[float] = None
-    accel: float = 1.5
-    decel: Optional[float] = None
-
-    def lateral_at(self, tick: int) -> tuple[float, float]:
-        """Cosine-ramp lateral position and velocity at a tick."""
-        if self.ramp_start < 0:
-            return self.y, 0.0
-        tau = (tick - self.ramp_start) / self.ramp_ticks
-        if tau >= 1.0:
-            return self.ramp_to, 0.0
-        dy = self.ramp_to - self.ramp_from
-        y = self.ramp_from + dy * 0.5 * (1.0 - math.cos(math.pi * tau))
-        vy = dy * 0.5 * math.pi * math.sin(math.pi * tau) / self.ramp_ticks
-        return y, vy
-
-
-def run_phase_script(
-    phases: Sequence[Phase],
-    initial: Mapping[str, ActorState],
-    road: RoadMap,
-    dt: float,
-    tail_ticks: int = 0,
-) -> tuple[dict[str, Trajectory], tuple[PhaseSpan, ...]]:
-    """Integrate scripted actors through the phases.
-
-    Longitudinal motion uses trapezoidal integration so that constant-speed
-    displacement is exactly v*dt per tick.  Returns the trajectories over
-    [0, T] and the realized phase spans (the last span absorbs tail_ticks).
-    Triggers fire exactly once, in phase order.
-    """
-    actors = {
-        aid: _ScriptedActor(
-            x=st.position_x, y=st.position_y,
-            vx=st.speed * math.cos(st.heading))
-        for aid, st in initial.items()
-    }
-    rows: dict[str, list[tuple[float, float, float, float]]] = {
-        aid: [] for aid in actors
-    }
-
-    def record(tick: int):
-        for aid, a in actors.items():
-            _, vy = a.lateral_at(tick)
-            speed = math.hypot(a.vx, vy)
-            heading = math.atan2(vy, a.vx) if speed > 0 else 0.0
-            rows[aid].append((a.x, a.y, heading, speed))
-
-    def step(tick: int):
-        # tick -> tick+1
-        for a in actors.values():
-            vx0 = a.vx
-            a.prev_vx = vx0
-            if a.target_speed is not None:
-                if a.target_speed < vx0:
-                    rate = a.decel if a.decel is not None else a.accel
-                    a.vx = max(a.target_speed, vx0 - rate * dt)
-                elif a.target_speed > vx0:
-                    a.vx = min(a.target_speed, vx0 + a.accel * dt)
-            a.x += 0.5 * (vx0 + a.vx) * dt
-            y1, _ = a.lateral_at(tick + 1)
-            a.y = y1
-
-    spans: list[PhaseSpan] = []
-    tick = 0
-    for index, phase in enumerate(phases):
-        start = tick
-        for aid, cmd in phase.commands.items():
-            if aid not in actors:
-                raise ScenarioError(f"phase {phase.name!r} commands unknown "
-                                    f"actor {aid!r}")
-            a = actors[aid]
-            if cmd.target_speed is not None:
-                if cmd.target_speed > road.speed_limit + 1e-9:
-                    raise ScenarioError(
-                        f"actor {aid!r}: target speed {cmd.target_speed} "
-                        f"exceeds speed limit {road.speed_limit}")
-                a.target_speed = cmd.target_speed
-            a.accel = cmd.accel
-            a.decel = cmd.decel
-            if cmd.target_lane is not None:
-                if not (0 <= cmd.target_lane < road.lane_count):
-                    raise ScenarioError(
-                        f"actor {aid!r}: lane change into nonexistent lane "
-                        f"{cmd.target_lane}")
-                a.ramp_from = a.y
-                a.ramp_to = road.lane_center(cmd.target_lane)
-                a.ramp_start = tick
-                a.ramp_ticks = max(1, round(cmd.lane_change_duration / dt))
-
-        kind = phase.trigger[0]
-
-        def fired(now: int) -> bool:
-            if kind == "ticks":
-                return now - start >= phase.trigger[1]
-            if kind == "speeds_settled":
-                # within tolerance and no longer changing, so steady phases
-                # start with every speed already clamped at its target
-                eps = phase.trigger[1]
-                return all(
-                    a.target_speed is None
-                    or (abs(a.vx - a.target_speed) <= eps
-                        and a.vx == a.prev_vx)
-                    for a in actors.values())
-            if kind == "lane_settled":
-                a = actors[phase.trigger[1]]
-                return a.ramp_start >= 0 and now - a.ramp_start >= a.ramp_ticks
-            if kind == "stopped":
-                return actors[phase.trigger[1]].vx <= 0.0
-            raise ScenarioError(f"unknown trigger kind {kind!r}")
-
-        while not fired(tick):
-            record(tick)
-            step(tick)
-            tick += 1
-            if tick > MAX_SCRIPT_TICKS:
-                raise ScenarioError(
-                    f"phase {phase.name!r} trigger never fired "
-                    f"within {MAX_SCRIPT_TICKS} ticks")
-        end = tick
-        if index == len(phases) - 1:
-            for _ in range(tail_ticks):
-                record(tick)
-                step(tick)
-                tick += 1
-            end = tick
-        spans.append(PhaseSpan(phase.name, start, end))
-
-    record(tick)  # final state at tick T
-    horizon = tick
-    trajs = {
-        aid: Trajectory(aid, 0, dt, tuple(
-            ActorState(x, y, wrap_angle(h), s) for x, y, h, s in seq))
-        for aid, seq in rows.items()
-    }
-    return trajs, tuple(spans)
-
-
-# ---------------------------------------------------------------------------
 # Case study generation
 # ---------------------------------------------------------------------------
 
@@ -452,18 +266,14 @@ class CaseStudyParams:
     accel: float = 1.5
     init_speed_factor: float = 0.6   # npcs start at this fraction of target
 
-    # per-actor cruise target speed, and start offset ahead of the ego for
-    # the two left-lane candidates
-    lead_speed: float = 5.5
+    # cruise target speed of every npc but cutin, and start offset ahead of
+    # the ego for the two left-lane candidates
+    traffic_speed: float = 5.5
     lead_slow_speed: Optional[float] = 4.8  # lead compresses from s3 onward
     cutin_speed: float = 6.5
     cutin_merge_speed: Optional[float] = 4.0  # None: merge without slowing
     near_offset: float = 17.0
-    near_speed: float = 5.5
     far_offset: float = 23.0
-    far_speed: float = 5.5
-    rear_speed: float = 5.5
-    outer_speed: float = 5.5
 
     lane_change_duration: float = 3.0
     # braking rate of the cutin actor at s5; 0 keeps a degenerate
@@ -475,8 +285,9 @@ class CaseStudyParams:
     tail_ticks: int = 45            # run-out after the braking actor stops
 
     def __post_init__(self):
-        # every number finite; every field but the start offsets >= 0, and
-        # dt, accel and lane_change_duration > 0
+        # every number finite and every tick count an integer; every field
+        # but the start offsets >= 0, and dt, accel and
+        # lane_change_duration > 0
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None:
@@ -491,92 +302,174 @@ class CaseStudyParams:
                                     f"{value!r}")
             if value < 0 and not f.name.endswith("_offset"):
                 raise ScenarioError(f"{f.name}: must be >= 0, got {value!r}")
+            if f.name.endswith("_ticks") and \
+                    not isinstance(value, numbers.Integral):
+                raise ScenarioError(f"{f.name}: must be an integer, got "
+                                    f"{value!r}")
+        # a longer lane change (inf included) could never end within the
+        # script's tick cap
+        if self.lane_change_duration / self.dt > MAX_SCRIPT_TICKS:
+            raise ScenarioError(
+                f"lane_change_duration: {self.lane_change_duration!r} s is "
+                f"more than {MAX_SCRIPT_TICKS} ticks of dt {self.dt!r}")
 
     def actor_table(self) -> dict[str, tuple[int, float, float]]:
         """actor_id -> (lane, start offset from EGO_X, target speed)."""
         return {
-            "lead": (EGO_LANE, LEAD_OFFSET, self.lead_speed),
+            "lead": (EGO_LANE, LEAD_OFFSET, self.traffic_speed),
             "cutin": (EGO_LANE - 1, CUTIN_OFFSET, self.cutin_speed),
-            "near": (EGO_LANE + 1, self.near_offset, self.near_speed),
-            "far": (EGO_LANE + 1, self.far_offset, self.far_speed),
-            "rear": (EGO_LANE - 1, REAR_OFFSET, self.rear_speed),
-            "outer": (EGO_LANE - 1, OUTER_OFFSET, self.outer_speed),
+            "near": (EGO_LANE + 1, self.near_offset, self.traffic_speed),
+            "far": (EGO_LANE + 1, self.far_offset, self.traffic_speed),
+            "rear": (EGO_LANE - 1, REAR_OFFSET, self.traffic_speed),
+            "outer": (EGO_LANE - 1, OUTER_OFFSET, self.traffic_speed),
         }
+
+
+@dataclass
+class _ScriptedActor:
+    """One npc of the case study: its speed approaches target at accel
+    (decel, when set, when slowing down), and a lane change is a cosine
+    lateral ramp of ramp_ticks ticks from ramp_start."""
+
+    x: float
+    y: float
+    vx: float
+    target: float
+    accel: float
+    decel: Optional[float] = None
+    prev_vx: float = float("nan")
+    ramp_from: float = 0.0
+    ramp_to: float = 0.0
+    ramp_start: int = -1
+    ramp_ticks: int = 0
+
+    def lateral_at(self, tick: int) -> tuple[float, float]:
+        """Cosine-ramp lateral position and velocity at a tick."""
+        if self.ramp_start < 0:
+            return self.y, 0.0
+        tau = (tick - self.ramp_start) / self.ramp_ticks
+        if tau >= 1.0:
+            return self.ramp_to, 0.0
+        dy = self.ramp_to - self.ramp_from
+        y = self.ramp_from + dy * 0.5 * (1.0 - math.cos(math.pi * tau))
+        vy = dy * 0.5 * math.pi * math.sin(math.pi * tau) / self.ramp_ticks
+        return y, vy
+
+    def state(self, tick: int) -> ActorState:
+        _, vy = self.lateral_at(tick)
+        speed = math.hypot(self.vx, vy)
+        heading = math.atan2(vy, self.vx) if speed > 0 else 0.0
+        return ActorState(self.x, self.y, wrap_angle(heading), speed)
+
+    def step(self, tick: int, dt: float) -> None:
+        """Advance from tick to tick + 1.  Trapezoidal integration makes a
+        constant speed's displacement exactly vx*dt per tick."""
+        vx0 = self.prev_vx = self.vx
+        if self.target < vx0:
+            rate = self.accel if self.decel is None else self.decel
+            self.vx = max(self.target, vx0 - rate * dt)
+        elif self.target > vx0:
+            self.vx = min(self.target, vx0 + self.accel * dt)
+        self.x += 0.5 * (vx0 + self.vx) * dt
+        self.y, _ = self.lateral_at(tick + 1)
 
 
 def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario:
     """Build the five-phase scenario (init / steady / lane change / steady /
-    emergency brake) by forward kinematic integration of the phase script.
+    emergency brake) by forward kinematic integration.
 
-    Replaying with identical params is bit-identical.  Raises ScenarioError
-    (naming the offending actor) for infeasible params.
+    Each phase ends on its own event: s1 once every npc has settled at its
+    cruise speed, s2 and s4 after a tick count, s3 when the merger's lane
+    change is done and s5 when it stands still.  The last phase that runs
+    takes the tail_ticks run-out.  Replaying with identical params is
+    bit-identical.  Raises ScenarioError (naming the offending actor) for
+    infeasible params.
     """
     road = CASE_STUDY_ROAD
+    dt = params.dt
     table = params.actor_table()
 
-    ego_row = (EGO_LANE, 0.0, params.ego_speed)
-    for aid, (_, _, speed) in [*table.items(), (EGO_ID, ego_row)]:
+    def check_limit(aid: str, what: str, speed: float) -> None:
         if speed > road.speed_limit + 1e-9:
-            raise ScenarioError(
-                f"actor {aid!r}: target speed {speed} exceeds speed "
-                f"limit {road.speed_limit}")
-        if aid != EGO_ID and \
-                params.init_speed_factor * speed > road.speed_limit + 1e-9:
-            raise ScenarioError(
-                f"actor {aid!r}: start speed init_speed_factor "
-                f"{params.init_speed_factor} x {speed} exceeds speed "
-                f"limit {road.speed_limit}")
+            raise ScenarioError(f"actor {aid!r}: {what} exceeds speed limit "
+                                f"{road.speed_limit}")
 
-    initial = {
-        aid: ActorState(EGO_X + off, road.lane_center(lane), 0.0,
-                        params.init_speed_factor * speed)
-        for aid, (lane, off, speed) in table.items()
-    }
+    factor = params.init_speed_factor
+    for aid, (_, _, speed) in table.items():
+        check_limit(aid, f"target speed {speed}", speed)
+        check_limit(aid, f"start speed init_speed_factor {factor} x {speed}",
+                    factor * speed)
+    check_limit(EGO_ID, f"target speed {params.ego_speed}", params.ego_speed)
 
-    cruise = {
-        aid: ActorCommand(target_speed=speed, accel=params.accel)
-        for aid, (_, _, speed) in table.items()
-    }
-    merge = params.cutin_merge_speed
-    s3_cmds = {MERGER: ActorCommand(
-        target_speed=params.cutin_speed if merge is None else merge,
-        accel=params.accel, target_lane=EGO_LANE,
-        lane_change_duration=params.lane_change_duration)}
-    if params.lead_slow_speed is not None:
-        s3_cmds["lead"] = ActorCommand(target_speed=params.lead_slow_speed,
-                                       accel=params.accel)
+    npcs = {aid: _ScriptedActor(EGO_X + off, road.lane_center(lane),
+                                factor * speed, speed, params.accel)
+            for aid, (lane, off, speed) in table.items()}
+    merger = npcs[MERGER]
+    rows: dict[str, list[ActorState]] = {aid: [] for aid in npcs}
+    spans: list[PhaseSpan] = []
+    tick = 0
 
-    phases = [
-        Phase("s1", ("speeds_settled", SETTLE_EPS), cruise),
-        Phase("s2", ("ticks", params.steady_ticks)),
-        Phase("s3", ("lane_settled", MERGER), s3_cmds),
-        Phase("s4", ("ticks", params.steady2_ticks)),
-    ]
-    # brake_decel None: no braking phase at all
+    def advance() -> None:
+        nonlocal tick
+        for aid, a in npcs.items():   # record before stepping
+            rows[aid].append(a.state(tick))
+        for a in npcs.values():
+            a.step(tick, dt)
+        tick += 1
+
+    def phase(name: str, done) -> None:
+        """Advance until done(ticks since the phase started) holds."""
+        start = tick
+        while not done(tick - start):
+            advance()
+            if tick > MAX_SCRIPT_TICKS:
+                raise ScenarioError(f"phase {name!r} trigger never fired "
+                                    f"within {MAX_SCRIPT_TICKS} ticks")
+        spans.append(PhaseSpan(name, start, tick))
+
+    # settled: within tolerance and no longer changing, so s2 starts with
+    # every speed already clamped at its target
+    phase("s1", lambda n: all(abs(a.vx - a.target) <= SETTLE_EPS
+                              and a.vx == a.prev_vx for a in npcs.values()))
+    phase("s2", lambda n: n >= params.steady_ticks)
+
+    merge, slow = params.cutin_merge_speed, params.lead_slow_speed
+    if merge is not None:
+        check_limit(MERGER, f"target speed {merge}", merge)
+        merger.target = merge
+    if slow is not None:
+        check_limit("lead", f"target speed {slow}", slow)
+        npcs["lead"].target = slow
+    merger.ramp_from, merger.ramp_to = merger.y, road.lane_center(EGO_LANE)
+    merger.ramp_start = tick
+    merger.ramp_ticks = max(1, round(params.lane_change_duration / dt))
+    phase("s3", lambda n: n >= merger.ramp_ticks)
+    phase("s4", lambda n: n >= params.steady2_ticks)
+
     if params.brake_decel == 0.0:
         # degenerate brake: keep cruising through s5 for a fixed run-out
-        phases.append(Phase("s5", ("ticks", params.steady2_ticks)))
-    elif params.brake_decel is not None:
-        phases.append(Phase(
-            "s5", ("stopped", MERGER),
-            {MERGER: ActorCommand(target_speed=0.0,
-                                  decel=params.brake_decel)}))
+        phase("s5", lambda n: n >= params.steady2_ticks)
+    elif params.brake_decel is not None:   # None: no braking phase at all
+        merger.target, merger.decel = 0.0, params.brake_decel
+        phase("s5", lambda n: merger.vx <= 0.0)
 
-    trajs, spans = run_phase_script(
-        phases, initial, road, params.dt, tail_ticks=params.tail_ticks)
+    for _ in range(params.tail_ticks):
+        advance()
+    spans[-1] = PhaseSpan(spans[-1].name, spans[-1].start_tick, tick)
+    for aid, a in npcs.items():   # the final state at tick T
+        rows[aid].append(a.state(tick))
 
     ego = ActorState(EGO_X, road.lane_center(EGO_LANE),
                      0.0, params.ego_speed)
-    radii = {aid: ACTOR_RADIUS for aid in (*table, EGO_ID)}
-    horizon = next(iter(trajs.values())).end_tick
     return Scenario(
         map=road,
-        npc_trajectories=trajs,
+        npc_trajectories={aid: Trajectory(aid, 0, dt, tuple(states))
+                          for aid, states in rows.items()},
         ego_initial=ego,
-        horizon_ticks=horizon,
-        dt=params.dt,
-        actor_radius=radii,
-        phases=spans,
+        horizon_ticks=tick,
+        dt=dt,
+        actor_radius={aid: ACTOR_RADIUS for aid in (*table, EGO_ID)},
+        phases=tuple(spans),
     )
 
 

@@ -50,6 +50,7 @@ class TestCasestudyCommand:
         ("--steady-ticks", "300000", "steady_ticks"),
         ("--brake-decel", "nan", "brake_decel"),
         ("--lane-change-duration", "inf", "lane_change_duration"),
+        ("--lane-change-duration", "1e308", "lane_change_duration"),
         ("--ego-speed", "nan", "ego_speed"),
         ("--ego-speed", "-1", "ego_speed"),
         ("--lane-change-duration", "-5", "lane_change_duration"),

@@ -17,6 +17,7 @@ from navrisk.planner import (
 from navrisk.prediction import PredictionConfig, predict_linear, \
     sample_worlds
 from navrisk.risk import (
+    KL_EPSILON,
     LatticeCapExceeded,
     PlanDistribution,
     actor_importance,
@@ -342,9 +343,9 @@ class TestKLOperator:
     def test_direct_summation_oracle(self):
         universe = [(f"s{i}",) for i in range(17)]
         feas = universe[:8]
-        eps = 1e-6
-        p = PlanDistribution.uniform_feasible(universe, feas, eps)
-        q = PlanDistribution.uniform_feasible(universe, universe, eps)
+        eps = KL_EPSILON
+        p = PlanDistribution.uniform_feasible(universe, feas)
+        q = PlanDistribution.uniform_feasible(universe, universe)
         # direct formula evaluation with plain floats
         pv = [((1 / 8 if u in feas else 0.0) + eps) / (1 + 17 * eps)
               for u in universe]

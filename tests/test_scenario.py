@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 from dataclasses import FrozenInstanceError
@@ -8,17 +9,15 @@ import pytest
 from navrisk.scenario import (
     EGO_ID,
     EGO_LANE,
-    ActorCommand,
+    MERGER,
     ActorState,
     CaseStudyParams,
-    Phase,
     RoadMap,
     Scenario,
     ScenarioError,
     Trajectory,
     generate_case_study,
     load_scenario,
-    run_phase_script,
     save_scenario,
     slice_world,
     wrap_angle,
@@ -156,56 +155,79 @@ class TestSliceWorld:
 
 
 class TestPhaseScript:
-    def test_braking_stop_ticks_match_closed_form(self):
+    """The default case study's five phases, integrated in order."""
+
+    def test_merger_brake_stop_ticks_match_closed_form(self):
         # discrete braking from v at rate a stops after ceil(v / (a*dt)) ticks
-        road = RoadMap(1, 3.5, 100.0, 10.0)
-        v0, decel, dt = 2.78, 6.0, 0.1
-        phases = [Phase("brake", ("stopped", "a"),
-                        {"a": ActorCommand(target_speed=0.0, decel=decel)})]
-        trajs, spans = run_phase_script(
-            phases, {"a": ActorState(0.0, 1.75, 0.0, v0)}, road, dt,
-            tail_ticks=3)
-        expected_ticks = math.ceil(v0 / (decel * dt))
-        assert expected_ticks == 5
-        speeds = trajs["a"].speeds
-        assert speeds[expected_ticks] == 0.0
-        assert speeds[expected_ticks - 1] > 0.0
+        p = CaseStudyParams()
+        s = generate_case_study(p)
+        s5 = s.phases[-1]
+        mover = s.npc_trajectories[MERGER]
+        v0 = mover.speeds[s5.start_tick]
+        expected_ticks = math.ceil(v0 / (p.brake_decel * p.dt))
+        assert v0 == p.cutin_merge_speed == 4.0 and expected_ticks == 15
+        stop = s5.start_tick + expected_ticks
+        assert mover.speeds[stop] == 0.0
+        assert mover.speeds[stop - 1] > 0.0
+        assert s5.end_tick == stop + p.tail_ticks
         # trapezoidal stopping distance matches v^2/(2a) to tick resolution
-        stop_x = trajs["a"].states[expected_ticks].position_x
-        assert abs(stop_x - v0 ** 2 / (2 * decel)) < v0 * dt
+        dist = mover.xy[stop, 0] - mover.xy[s5.start_tick, 0]
+        assert abs(dist - v0 ** 2 / (2 * p.brake_decel)) < v0 * p.dt
 
-    def test_constant_speed_displacement_exact(self):
-        road = RoadMap(1, 3.5, 500.0, 10.0)
-        phases = [Phase("cruise", ("ticks", 50))]
-        trajs, _ = run_phase_script(
-            phases, {"a": ActorState(0.0, 1.75, 0.0, 4.0)}, road, 0.1)
-        xs = trajs["a"].xy[:, 0]
-        steps = np.diff(xs)
-        assert np.all(np.abs(steps - 0.4) < 1e-6)
-        assert np.all(np.abs(trajs["a"].speeds - 4.0) < 1e-9)
+    def test_steady_displacement_exact(self):
+        s = generate_case_study()
+        s2 = s.phases[1]
+        for traj in s.npc_trajectories.values():
+            xs = traj.xy[s2.start_tick:s2.end_tick + 1, 0]
+            v = traj.speeds[s2.start_tick]
+            assert np.all(np.abs(np.diff(xs) - v * s.dt) < 1e-6)
 
-    def test_triggers_fire_once_in_order(self):
-        road = RoadMap(2, 3.5, 500.0, 10.0)
-        phases = [
-            Phase("accel", ("speeds_settled", 0.05),
-                  {"a": ActorCommand(target_speed=5.0)}),
-            Phase("hold", ("ticks", 20)),
-            Phase("change", ("lane_settled", "a"),
-                  {"a": ActorCommand(target_lane=1, lane_change_duration=1.0)}),
-        ]
-        init = {"a": ActorState(0.0, 1.75, 0.0, 0.0)}
-        trajs, spans = run_phase_script(phases, init, road, 0.1)
-        names = [p.name for p in spans]
-        assert names == ["accel", "hold", "change"]
-        for prev, cur in zip(spans, spans[1:]):
+    def test_phases_contiguous_and_lane_change_lands(self):
+        s = generate_case_study()
+        assert [p.name for p in s.phases] == ["s1", "s2", "s3", "s4", "s5"]
+        assert s.phases[0].start_tick == 0
+        for prev, cur in zip(s.phases, s.phases[1:]):
             assert prev.end_tick == cur.start_tick
             assert cur.end_tick > cur.start_tick
-        assert trajs["a"].states[-1].position_y == pytest.approx(5.25)
+        assert s.phases[-1].end_tick == s.horizon_ticks
+        s3 = s.phases[2]
+        assert s3.end_tick - s3.start_tick == 30   # 3.0 s at dt 0.1
+        merger = s.npc_trajectories[MERGER]
+        assert merger.states[s3.start_tick].position_y == 1.75
+        assert merger.states[s3.end_tick].position_y == 5.25
 
     def test_replay_bit_identical(self):
         a = generate_case_study()
         b = generate_case_study()
         assert save_scenario(a) == save_scenario(b)
+
+
+# the parameters of the reference timing test below
+REFERENCE_TIMING = dict(
+    accel=0.2, init_speed_factor=0.0, ego_speed=7.5, traffic_speed=7.5,
+    cutin_speed=7.5, cutin_merge_speed=None, steady_ticks=420,
+    lane_change_duration=24.0, steady2_ticks=180, brake_decel=0.15,
+    tail_ticks=190)
+
+# sha256 of save_scenario(generate_case_study(CaseStudyParams(**params)));
+# the first four are the documents of `navrisk casestudy` with no flag,
+# --no-brake, --brake-decel 0 and --no-merge-slowdown
+DOC_PINS = {
+    "default": ({}, (
+        "737d7c2412a22612b88e508193d4a69c103b41afa2ad6581fa05150d99ec7a7c")),
+    "no-brake": ({"brake_decel": None}, (
+        "a3201cf08b4c8df0f6f5690f129592546d44dbebe7e3843defb7ed44da72f247")),
+    "zero-brake": ({"brake_decel": 0.0}, (
+        "29f74c854ba87382265a98b197b93816115f922dc46b6c2fdccca078fad6d5f2")),
+    "no-merge-slowdown": ({"cutin_merge_speed": None}, (
+        "071a141329b124d8caed96aa92dada60fe7d8b123ebc465f85a4ba4b8248dae8")),
+    # scripts/mitigation_demo.py and test_c8_mitigation_demo
+    "mitigation": ({"cutin_merge_speed": 5.5, "lead_slow_speed": None,
+                    "near_offset": 45.0, "far_offset": 51.0}, (
+        "0ae6f468034900eea7fb74e7fa356bfeb907ae483ebc97f89f68fbea0f6b4acd")),
+    "reference-timing": (REFERENCE_TIMING, (
+        "cec686bb2a38e62aa6b1d81543b6844767aa28f419e57535c72a1cf346f423f3")),
+}
 
 
 class TestCaseStudy:
@@ -250,13 +272,14 @@ class TestCaseStudy:
             generate_case_study(CaseStudyParams(init_speed_factor=3.0))
 
     def test_overspeed_target_reports_actor(self):
-        p = CaseStudyParams(lead_speed=99.0)
-        with pytest.raises(ScenarioError, match="lead"):
+        p = CaseStudyParams(traffic_speed=99.0)
+        with pytest.raises(ScenarioError, match="'lead'"):
             generate_case_study(p)
 
     @pytest.mark.parametrize("field, value, message", [
         ("accel", 0.0, "accel: must be positive"),   # s1 never settled
         ("init_speed_factor", -0.5, "init_speed_factor: must be >= 0"),
+        ("tail_ticks", 2.5, "tail_ticks: must be an integer"),
     ])
     def test_out_of_contract_params_name_field(self, field, value, message):
         with pytest.raises(ScenarioError, match=message):
@@ -266,34 +289,27 @@ class TestCaseStudy:
         from dataclasses import fields
         assert [f.name for f in fields(CaseStudyParams)] == [
             "dt", "ego_speed", "accel", "init_speed_factor",
-            "lead_speed", "lead_slow_speed", "cutin_speed",
-            "cutin_merge_speed", "near_offset", "near_speed", "far_offset",
-            "far_speed", "rear_speed", "outer_speed", "lane_change_duration",
-            "brake_decel", "steady_ticks", "steady2_ticks", "tail_ticks"]
+            "traffic_speed", "lead_slow_speed", "cutin_speed",
+            "cutin_merge_speed", "near_offset", "far_offset",
+            "lane_change_duration", "brake_decel", "steady_ticks",
+            "steady2_ticks", "tail_ticks"]
 
     def test_phase_boundaries_near_reference_timing(self):
         # with dt/speeds tuned, event-triggered boundaries land near
         # (375, 795, 1035, 1215, 1905)
-        p = CaseStudyParams(
-            accel=0.2,
-            init_speed_factor=0.0,
-            ego_speed=7.5,
-            lead_speed=7.5, cutin_speed=7.5, near_speed=7.5, far_speed=7.5,
-            rear_speed=7.5, outer_speed=7.5,
-            cutin_merge_speed=None,
-            steady_ticks=420,
-            lane_change_duration=24.0,
-            steady2_ticks=180,
-            brake_decel=0.15,
-            tail_ticks=190,
-        )
-        s = generate_case_study(p)
+        s = generate_case_study(CaseStudyParams(**REFERENCE_TIMING))
         bounds = [ph.end_tick for ph in s.phases]
         for got, want in zip(bounds, (375, 795, 1035, 1215, 1905)):
             assert abs(got - want) <= 20
 
 
 class TestDocuments:
+    @pytest.mark.parametrize("name", sorted(DOC_PINS))
+    def test_case_study_document_byte_pinned(self, name):
+        params, want = DOC_PINS[name]
+        doc = save_scenario(generate_case_study(CaseStudyParams(**params)))
+        assert hashlib.sha256(doc).hexdigest() == want
+
     def test_round_trip(self):
         s = generate_case_study()
         data = save_scenario(s)
