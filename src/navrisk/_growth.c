@@ -14,7 +14,14 @@
    two select the same endpoint and positions.  That holds only if the
    compiler keeps each operation as written: no fused multiply-add
    (-ffp-contract=off) and no reassociation (no -ffast-math).
-   navrisk/_kernel.py builds this file with those flags. */
+   navrisk/_kernel.py builds this file with those flags.
+
+   The growth's sample stream is drawn here too (navrisk_uniform), and
+   the planner seed of each replan tick (navrisk_seed_state): numpy's
+   SeedSequence, PCG64 and Generator.uniform, ported bit for bit, so that
+   a run that samples no futures never loads numpy.random.  The numpy
+   forms are the references they are tested against (tests/oracles.py,
+   reference_sample_stream and reference_planner_seed). */
 
 #include <math.h>
 #include <stdint.h>
@@ -656,4 +663,167 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
     free(iwork);
     free(sole);
     return result < 0 ? result : 0;
+}
+
+/* numpy's SeedSequence: a pool of POOL uint32 words mixed from the
+   entropy, with numpy's constants. */
+#define POOL 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ value >> 16;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> 16;
+}
+
+/* Word i of SeedSequence's assembled entropy: the n_run words of the run
+   entropy, zeros up to n_pad, then the spawn key's words. */
+static uint32_t entropy_word(const uint32_t *run, int n_run, int n_pad,
+                             const uint32_t *spawn, int i)
+{
+    if (i < n_run)
+        return run[i];
+    return i < n_pad ? 0 : spawn[i - n_pad];
+}
+
+/* The pool of SeedSequence(entropy, spawn_key), given as little-endian
+   uint32 words, n_run >= 1 of them for the entropy (numpy's [0] for 0)
+   and n_spawn >= 0 for the spawn key.  The run entropy is zero-padded to
+   POOL words when a spawn key follows, as numpy pads it. */
+static void seed_pool(const uint32_t *run, int n_run, const uint32_t *spawn,
+                      int n_spawn, uint32_t *pool)
+{
+    int n_pad = n_spawn > 0 && n_run < POOL ? POOL : n_run;
+    int n = n_pad + n_spawn;
+    uint32_t h = INIT_A;
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < n ? entropy_word(run, n_run, n_pad, spawn, i)
+                                : 0, &h);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (int src = POOL; src < n; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst],
+                            hashmix(entropy_word(run, n_run, n_pad, spawn,
+                                                 src), &h));
+}
+
+/* SeedSequence.generate_state(n, np.uint64) of pool: 2 * n uint32 words,
+   each pair joined low word first. */
+static void generate_state(const uint32_t *pool, uint64_t *out, int n)
+{
+    uint32_t h = INIT_B;
+    for (int i = 0; i < 2 * n; i++) {
+        uint32_t v = pool[i % POOL] ^ h;
+        h *= MULT_B;
+        v *= h;
+        v ^= v >> 16;
+        if (i % 2 == 0)
+            out[i / 2] = v;
+        else
+            out[i / 2] |= (uint64_t)v << 32;
+    }
+}
+
+/* SeedSequence(entropy, spawn_key).generate_state(n, np.uint64) into
+   out, with entropy and spawn_key as for seed_pool. */
+void navrisk_seed_state(const uint32_t *run, int n_run,
+                        const uint32_t *spawn, int n_spawn, uint64_t *out,
+                        int n)
+{
+    uint32_t pool[POOL];
+    seed_pool(run, n_run, spawn, n_spawn, pool);
+    generate_state(pool, out, n);
+}
+
+/* numpy's PCG64: a 128-bit LCG, held as two uint64 halves (ISO C has no
+   128-bit integer), with the XSL-RR output. */
+typedef struct {
+    uint64_t hi, lo;
+} u128;
+
+static const u128 PCG_MULT = {2549297995355413924ull, 4865540595714422341ull};
+
+/* the full 128-bit product of two uint64s */
+static u128 mul_64(uint64_t x, uint64_t y)
+{
+    uint64_t x0 = x & 0xffffffffu, x1 = x >> 32;
+    uint64_t y0 = y & 0xffffffffu, y1 = y >> 32;
+    uint64_t w0 = x0 * y0;
+    uint64_t t = x1 * y0 + (w0 >> 32);
+    uint64_t w1 = (t & 0xffffffffu) + x0 * y1;
+    u128 r = {x1 * y1 + (t >> 32) + (w1 >> 32), x * y};
+    return r;
+}
+
+/* state * PCG_MULT + inc, mod 2^128 */
+static u128 pcg_step(u128 state, u128 inc)
+{
+    u128 r = mul_64(state.lo, PCG_MULT.lo);
+    r.hi += state.hi * PCG_MULT.lo + state.lo * PCG_MULT.hi;
+    r.lo += inc.lo;
+    r.hi += inc.hi + (r.lo < inc.lo);
+    return r;
+}
+
+typedef struct {
+    u128 state, inc;
+} pcg64;
+
+/* PCG64(SeedSequence(entropy)), entropy as for seed_pool: state 0, inc
+   = (seed[2:4] << 1) | 1, a step, seed[0:2] added, another step, for the
+   seed words generate_state(4, np.uint64) */
+static pcg64 pcg_seeded(const uint32_t *run, int n_run)
+{
+    uint32_t pool[POOL];
+    uint64_t seed[4];
+    seed_pool(run, n_run, NULL, 0, pool);
+    generate_state(pool, seed, 4);
+    pcg64 g = {{0, 0}, {seed[2] << 1 | seed[3] >> 63, seed[3] << 1 | 1u}};
+    g.state = pcg_step(g.state, g.inc);
+    g.state.lo += seed[1];
+    g.state.hi += seed[0] + (g.state.lo < seed[1]);
+    g.state = pcg_step(g.state, g.inc);
+    return g;
+}
+
+/* the next double in [0, 1) of Generator(g): a step, then the XSL-RR
+   output's top 53 bits */
+static double next_double(pcg64 *g)
+{
+    g->state = pcg_step(g->state, g->inc);
+    uint64_t x = g->state.hi ^ g->state.lo;
+    unsigned rot = (unsigned)(g->state.hi >> 58);
+    uint64_t bits = x >> rot | x << ((64u - rot) & 63u);
+    return (double)(bits >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Generator(PCG64(SeedSequence(entropy))).uniform((x_lo, y_lo), (x_hi,
+   y_hi), (budget, 2)) into out (budget, 2), entropy as for seed_pool:
+   x then y for each sample, each low + (high - low) * u. */
+void navrisk_uniform(const uint32_t *run, int n_run, double x_lo,
+                     double y_lo, double x_hi, double y_hi, int budget,
+                     double *out)
+{
+    pcg64 g = pcg_seeded(run, n_run);
+    double x_range = x_hi - x_lo, y_range = y_hi - y_lo;
+    for (int s = 0; s < budget; s++) {
+        out[2 * s] = x_lo + x_range * next_double(&g);
+        out[2 * s + 1] = y_lo + y_range * next_double(&g);
+    }
 }

@@ -37,9 +37,12 @@ FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("_growth.c")
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
-SIGNATURES = {
-    "navrisk_leave_one_out": (_P, _I, _D, _D, _D, _D, _D, _D, _D, _D, _I, _P,
-                              _I, _P, _I, _P, _P, _P, _P, _P, _P, _P, _P),
+SIGNATURES = {   # name: (argument types, result type)
+    "navrisk_leave_one_out": ((_P, _I, _D, _D, _D, _D, _D, _D, _D, _D, _I,
+                               _P, _I, _P, _I, _P, _P, _P, _P, _P, _P, _P,
+                               _P), _I),
+    "navrisk_seed_state": ((_P, _I, _P, _I, _P, _I), None),
+    "navrisk_uniform": ((_P, _I, _D, _D, _D, _D, _I, _P), None),
 }
 
 
@@ -67,9 +70,9 @@ def _compile(out: str):
 
 def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
-    for name, argtypes in SIGNATURES.items():
+    for name, (argtypes, restype) in SIGNATURES.items():
         fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+        fn.argtypes, fn.restype = argtypes, restype
     return lib
 
 

@@ -366,18 +366,38 @@ def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
     ])
 
 
+def _seed_words(n: int) -> ctypes.Array:
+    """The integer n >= 0 as numpy's SeedSequence reads it, and as
+    _growth.c's seed functions take it: uint32 words, least significant
+    first, the one word 0 for 0."""
+    n = int(n)
+    count = max(1, (n.bit_length() + 31) // 32)
+    return (ctypes.c_uint32 * count)(
+        *(n >> (32 * i) & 0xffffffff for i in range(count)))
+
+
 def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
                    ego_radius: float) -> np.ndarray:
     """The (cfg.iteration_budget, 2) samples of a growth, drawn up front
-    from cfg.seed alone.  The window depends only on the ego state and the
-    sample basis cfg.goal.advance, never on a goal routed per world, so
-    every growth under one cfg reads the same stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    from cfg.seed alone: numpy's default_rng(SeedSequence(cfg.seed))
+    .uniform over the window, drawn by the kernel.  The window depends
+    only on the ego state and the sample basis cfg.goal.advance, never on
+    a goal routed per world, so every growth under one cfg reads the same
+    stream.  Raises ValueError on a window of negative or non-finite
+    width."""
     x_lo = ego.position_x
     x_hi = min(ego.position_x + cfg.goal.advance + 2 * GOAL_TOLERANCE,
                road.road_length)
     y_lo, y_hi = ego_radius, road.width - ego_radius
-    return rng.uniform((x_lo, y_lo), (x_hi, y_hi), (cfg.iteration_budget, 2))
+    if not (0.0 <= x_hi - x_lo < math.inf and 0.0 <= y_hi - y_lo < math.inf):
+        raise ValueError(f"sample window [{x_lo!r}, {x_hi!r}] x "
+                         f"[{y_lo!r}, {y_hi!r}] has a negative or "
+                         f"non-finite width")
+    seed = _seed_words(cfg.seed)
+    samples = np.empty((cfg.iteration_budget, 2))
+    kernel().navrisk_uniform(seed, len(seed), x_lo, y_lo, x_hi, y_hi,
+                             cfg.iteration_budget, samples.ctypes.data)
+    return samples
 
 
 class _Path(NamedTuple):
@@ -436,7 +456,8 @@ def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     tree for exactly cfg.iteration_budget samples and selecting its
     endpoint, except that a world without an actor that was never a sole
     blocker of the full growth reuses its tree."""
-    if not road.contains_y(ego.position_y):
+    if not (road.contains_y(ego.position_y)
+            and ego.position_x <= road.road_length):
         raise ScenarioError("ego is off-road")
     # the kernel reads these buffers at the shapes it is told
     obs = np.ascontiguousarray(obs, dtype=np.float64)

@@ -41,8 +41,10 @@ class PredictionConfig:
 def _actor_stream(seed: int, actor_id: str, t: int, sample: int
                   ) -> np.random.Generator:
     # Stable across runs and platforms: fold the opaque actor id through
-    # blake2s rather than hash().  Imported here, its only use, so that
-    # commands that sample nothing never load hashlib's OpenSSL module.
+    # blake2s rather than hash().  This is the package's only use of
+    # hashlib and of numpy.random (which numpy loads on first access and
+    # which loads OpenSSL too); the planner draws its stream in the
+    # kernel, so commands that sample no futures load neither.
     import hashlib
     digest = hashlib.blake2s(actor_id.encode(), digest_size=8).digest()
     key = int.from_bytes(digest, "little")

@@ -400,6 +400,11 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
         check_limit(aid, f"start speed init_speed_factor {factor} x {speed}",
                     factor * speed)
     check_limit(EGO_ID, f"target speed {params.ego_speed}", params.ego_speed)
+    merge, slow = params.cutin_merge_speed, params.lead_slow_speed
+    if merge is not None:
+        check_limit(MERGER, f"target speed {merge}", merge)
+    if slow is not None:
+        check_limit("lead", f"target speed {slow}", slow)
 
     npcs = {aid: _ScriptedActor(EGO_X + off, road.lane_center(lane),
                                 factor * speed, speed, params.accel)
@@ -433,12 +438,9 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
                               and a.vx == a.prev_vx for a in npcs.values()))
     phase("s2", lambda n: n >= params.steady_ticks)
 
-    merge, slow = params.cutin_merge_speed, params.lead_slow_speed
     if merge is not None:
-        check_limit(MERGER, f"target speed {merge}", merge)
         merger.target = merge
     if slow is not None:
-        check_limit("lead", f"target speed {slow}", slow)
         npcs["lead"].target = slow
     merger.ramp_from, merger.ramp_to = merger.y, road.lane_center(EGO_LANE)
     merger.ramp_start = tick
@@ -618,6 +620,9 @@ def load_scenario(data: bytes | str) -> Scenario:
     if not road.contains_y(ego.position_y):
         raise ScenarioError(f"$.ego.state: ego is off-road at y = "
                             f"{ego.position_y!r}")
+    if ego.position_x > road.road_length:
+        raise ScenarioError(f"$.ego.state: ego is off-road at x = "
+                            f"{ego.position_x!r}")
 
     radii = {EGO_ID: _number(ego_doc, "radius", "$.ego", nonneg=True)}
     trajs: dict[str, Trajectory] = {}

@@ -16,12 +16,12 @@ phase active at planning time.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .planner import GoalSpec, LatticeConfig, PlannerConfig
+from ._kernel import kernel
+from .planner import GoalSpec, LatticeConfig, PlannerConfig, _seed_words
 from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
 from .risk import (
@@ -103,8 +103,13 @@ def _phase_at(s: Scenario, tick: int) -> str:
 
 
 def _planner_seed(seed: int, t: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed & (2 ** 64 - 1), spawn_key=(t,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """numpy's SeedSequence(seed mod 2**64, spawn_key=(t,))
+    .generate_state(1, np.uint64)[0], computed by the kernel."""
+    entropy, spawn = _seed_words(seed & (2 ** 64 - 1)), _seed_words(t)
+    out = ctypes.c_uint64()
+    kernel().navrisk_seed_state(entropy, len(entropy), spawn, len(spawn),
+                                ctypes.byref(out), 1)
+    return out.value
 
 
 def _pick_lane(terms, road, base_advance, preferred):

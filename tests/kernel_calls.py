@@ -11,7 +11,7 @@ the endpoint selection (navrisk_select) and edge_blockers the edge check
 
 import ctypes
 import functools
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -94,10 +94,11 @@ class Tree(NamedTuple):
 
 def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
               rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
-              dt: float) -> tuple[Tree, np.ndarray]:
+              dt: float, samples: Optional[np.ndarray] = None
+              ) -> tuple[Tree, np.ndarray]:
     """Grow the rewiring tree for exactly cfg.iteration_budget samples,
-    _sample_stream's for this cfg, among the obstacles (obs, rsum) of
-    world_arrays.
+    _sample_stream's for this cfg unless samples (cfg.iteration_budget,
+    2) are given, among the obstacles (obs, rsum) of world_arrays.
 
     Also returns the (m,) sole mask: actor j is sole iff some connect or
     rewire edge check was blocked by actor j alone.  Raises
@@ -113,7 +114,12 @@ def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     if _hits(obs[:, 0], root, rsum).any():
         raise PlanningInfeasible(
             "ego overlaps an obstacle at the planning tick")
-    samples = _sample_stream(road, ego, cfg, ego_radius)
+    if samples is None:
+        samples = _sample_stream(road, ego, cfg, ego_radius)
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    if samples.shape != (cfg.iteration_budget, 2):
+        raise ValueError(f"{samples.shape} samples for a budget of "
+                         f"{cfg.iteration_budget}")
     y_lo, y_hi = ego_radius, road.width - ego_radius
 
     obs, r2 = kernel_obstacles(obs, rsum, 0.0, k)

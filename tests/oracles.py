@@ -26,7 +26,11 @@ keep the earlier Python endpoint selection (np.lexsort orders, the
 np.searchsorted walk, _hits for hold and path), against which
 kernel_calls.select_path, which runs it in the kernel, is checked for the
 same endpoint and positions.  replanned_gammas plans every leave-one-out
-world on its own such tree with that selection.
+world on its own such tree with that selection.  reference_sample_stream
+and reference_planner_seed draw the growth's samples and the per-tick
+planner seeds with numpy.random itself, the == references for the
+kernel's port of SeedSequence, PCG64 and Generator.uniform
+(planner._sample_stream, simulate._planner_seed).
 """
 
 import math
@@ -197,13 +201,37 @@ def reference_edge_blockers(p0, p1, tick0, tick1, obs, rsum,
     return _hits(obs[:, j0:j1 + 1], pts, rsum[:, None]).any(axis=1)
 
 
+def reference_sample_stream(road: RoadMap, ego: ActorState,
+                            cfg: PlannerConfig,
+                            ego_radius: float) -> np.ndarray:
+    """The (cfg.iteration_budget, 2) samples of a growth as numpy draws
+    them, the == reference for planner._sample_stream: the entire stream
+    up front from cfg.seed, over a window that depends only on the ego
+    state and the sample basis cfg.goal.advance."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    x_lo = ego.position_x
+    x_hi = min(ego.position_x + cfg.goal.advance + 2 * GOAL_TOLERANCE,
+               road.road_length)
+    y_lo, y_hi = ego_radius, road.width - ego_radius
+    return rng.uniform((x_lo, y_lo), (x_hi, y_hi), (cfg.iteration_budget, 2))
+
+
+def reference_planner_seed(seed: int, t: int) -> int:
+    """The planner seed of replan tick t as numpy derives it, the ==
+    reference for simulate._planner_seed."""
+    ss = np.random.SeedSequence(entropy=seed & (2 ** 64 - 1), spawn_key=(t,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
                         obs: np.ndarray, rsum: np.ndarray,
                         cfg: PlannerConfig, ego_radius: float,
-                        dt: float, ties: Optional[Counter] = None
+                        dt: float, ties: Optional[Counter] = None,
+                        samples: Optional[np.ndarray] = None
                         ) -> tuple[Tree, np.ndarray]:
-    """Grow the rewiring tree for exactly cfg.iteration_budget samples
-    among the obstacles (obs, rsum) of world_arrays.
+    """Grow the rewiring tree for exactly cfg.iteration_budget samples,
+    reference_sample_stream's unless samples are given, among the
+    obstacles (obs, rsum) of world_arrays.
 
     Also returns the (m,) sole mask: actor j is sole iff some connect or
     rewire edge check was blocked by actor j alone.  The tree reads
@@ -227,15 +255,9 @@ def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,
         raise PlanningInfeasible(
             "ego overlaps an obstacle at the planning tick")
 
-    # entire sample stream drawn up front from the seed; the window depends
-    # only on the ego state and the sample basis cfg.goal.advance
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    x_lo = ego.position_x
-    x_hi = min(ego.position_x + cfg.goal.advance + 2 * GOAL_TOLERANCE,
-               road.road_length)
+    if samples is None:
+        samples = reference_sample_stream(road, ego, cfg, ego_radius)
     y_lo, y_hi = ego_radius, road.width - ego_radius
-    samples = rng.uniform((x_lo, y_lo), (x_hi, y_hi),
-                          (cfg.iteration_budget, 2))
 
     ticks = np.arange(k + 1, dtype=float)
     sole = np.zeros(len(rsum), dtype=bool)

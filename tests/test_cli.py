@@ -253,6 +253,32 @@ class TestOracleCommand:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("extra, loaded", [
+        ([], "False False"), (["--samples", "1"], "True True")],
+        ids=["no samples", "samples"])
+    def test_only_sampled_futures_load_numpy_random(self, tmp_path, extra,
+                                                    loaded):
+        # numpy.random, and through it hashlib's OpenSSL module, cost
+        # about 6 MiB of resident memory; the planner's stream and seeds
+        # are drawn in the kernel, so only the sampled futures load them.
+        # The run with samples shows that the probe sees them
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = (
+            "import sys\n"
+            "from navrisk.cli import main\n"
+            "assert main(['run', '--casestudy-defaults', '--budget', '50',\n"
+            "             '--replan-every', '40', '--out', sys.argv[1],\n"
+            "             *sys.argv[2:]]) == 0\n"
+            "print('numpy.random' in sys.modules,\n"
+            "      '_hashlib' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out"), *extra],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == loaded
+
     def test_run_emits_artifacts(self, tmp_path, casestudy_path):
         out = tmp_path / "out"
         code = main(["run", "--scenario", str(casestudy_path),

@@ -125,6 +125,20 @@ def test_empty_universe_exit_4_for_every_operator(workdir, operator):
                               "(|Z empty| = 0)\n")
 
 
+@pytest.mark.parametrize("axis, j, value", [("x", 0, 905.0),
+                                             ("y", 1, -1.0)])
+def test_off_road_ego_exit_3(workdir, axis, j, value):
+    # the road is 900 m long: an ego past its end would leave the
+    # planner's sample window a negative length
+    off = workdir / "off_road.json"
+    off.write_text(json.dumps(_mutated(_case_doc(), ("ego", "state", j),
+                                       value)))
+    code, err = _exit(["run", "--scenario", str(off), "--budget", "50",
+                       "--out", str(workdir / "off")])
+    assert (code, err) == (3, f"error: $.ego.state: ego is off-road at "
+                              f"{axis} = {value!r}\n")
+
+
 # --- argument vectors -------------------------------------------------------
 
 INTS = ["0", "-1", "3"]

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from oracles import (
     lane_walks,
     reference_edge_blockers,
     reference_grow_tree,
+    reference_sample_stream,
     static_actor,
     walk_enumerate,
     world_to_positions,
@@ -281,9 +281,11 @@ class TestSamplingPlanner:
             plan_sampling(ROAD3, ego, 0, 30, world, cfg, {"a": 100.0})
 
     def test_off_road_ego_rejected(self):
-        ego = ActorState(10.0, -1.0, 0.0, 10.0)
-        with pytest.raises(ScenarioError, match="^ego is off-road$"):
-            plan_sampling(ROAD3, ego, 0, 30, {}, sampling_cfg(), {})
+        # beside the road, and past its end
+        for x, y in ((10.0, -1.0), (300.5, 5.25)):
+            ego = ActorState(x, y, 0.0, 10.0)
+            with pytest.raises(ScenarioError, match="^ego is off-road$"):
+                plan_sampling(ROAD3, ego, 0, 30, {}, sampling_cfg(), {})
 
     def test_returned_plans_collision_free_on_random_worlds(self):
         rng = np.random.default_rng(12)
@@ -417,18 +419,21 @@ def reference_worlds():
     yield ego, 30, obs, rsum, cfg, 1.25
 
 
-def assert_same_growth(ego, k, obs, rsum, cfg, ego_r, ties=None):
-    """grow_tree equals reference_grow_tree, raising alike or giving the
-    same tree and sole mask bit for bit; returns (tree, sole), or None
-    when both raise PlanningInfeasible."""
+def assert_same_growth(ego, k, obs, rsum, cfg, ego_r, ties=None,
+                       samples=None):
+    """grow_tree equals reference_grow_tree, on the samples given or each
+    on its own stream for cfg, raising alike or giving the same tree and
+    sole mask bit for bit; returns (tree, sole), or None when both raise
+    PlanningInfeasible."""
     try:
         ref, ref_sole = reference_grow_tree(ROAD3, ego, k, obs, rsum, cfg,
-                                            ego_r, DT, ties)
+                                            ego_r, DT, ties, samples)
     except PlanningInfeasible:
         with pytest.raises(PlanningInfeasible):
-            grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+            grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT, samples)
         return None
-    tree, sole = grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT)
+    tree, sole = grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT,
+                           samples)
     for field in ("pts", "cost", "tick", "parent"):
         got, want = getattr(tree, field), getattr(ref, field)
         assert got.dtype == want.dtype, field
@@ -513,25 +518,17 @@ class TestScalarKernel:
         assert edge_blockers(0.0, 0.0, 1.0, 0.0, 0.0, 3.5, obs, rsum) == (0,)
 
 
-REAL_DEFAULT_RNG = np.random.default_rng
-
-
-class LatticeStream:
-    """Stands in for np.random.default_rng in a growth: uniform returns
-    the real generator's draws rounded to the 0.25 m lattice."""
-
-    def __init__(self, seed):
-        self.rng = REAL_DEFAULT_RNG(seed)
-
-    def uniform(self, low, high, size):
-        return np.round(self.rng.uniform(low, high, size) * 4.0) / 4.0
+def lattice_samples(ego, cfg, ego_radius):
+    """reference_sample_stream's samples rounded to the 0.25 m lattice."""
+    samples = reference_sample_stream(ROAD3, ego, cfg, ego_radius)
+    return np.round(samples * 4.0) / 4.0
 
 
 def lattice_worlds(count):
     """(ego, k, obs, rsum, cfg, ego_radius) on the 0.25 m lattice: the ego
     and 0-3 parked actors on lattice points, and a sample window 8-12 m
-    long, so that a growth on LatticeStream samples puts most nodes on
-    lattice points too."""
+    long, so that a growth on lattice_samples puts most nodes on lattice
+    points too."""
     rng = np.random.default_rng(1618)
     for _ in range(count):
         k = int(rng.integers(15, 41))
@@ -560,10 +557,11 @@ class TestGrowthOnLattice:
     stable sort), more than 50 times each."""
 
     def test_ties_are_decided_as_the_reference_decides(self):
-        ties, worlds = Counter(), list(lattice_worlds(30))
-        with mock.patch.object(np.random, "default_rng", LatticeStream):
-            for world in worlds:
-                assert_same_growth(*world, ties=ties)
+        ties = Counter()
+        for ego, k, obs, rsum, cfg, ego_r in lattice_worlds(30):
+            samples = lattice_samples(ego, cfg, ego_r)
+            assert_same_growth(ego, k, obs, rsum, cfg, ego_r, ties=ties,
+                               samples=samples)
         assert min(ties[key] for key in ("nearest", "x", "at_r", "cost")) \
             > 50, ties
 

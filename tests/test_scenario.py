@@ -2,6 +2,7 @@ import hashlib
 import math
 import pickle
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from navrisk.scenario import (
     Scenario,
     ScenarioError,
     Trajectory,
+    _ScriptedActor,
     generate_case_study,
     load_scenario,
     save_scenario,
@@ -275,6 +277,22 @@ class TestCaseStudy:
         p = CaseStudyParams(traffic_speed=99.0)
         with pytest.raises(ScenarioError, match="'lead'"):
             generate_case_study(p)
+
+    @pytest.mark.parametrize("steady_ticks", [190_000, 199_990])
+    @pytest.mark.parametrize("field, actor", [
+        ("cutin_merge_speed", MERGER), ("lead_slow_speed", "lead")])
+    def test_overspeed_s3_target_reported_before_integration(
+            self, field, actor, steady_ticks):
+        # checked with the other speeds, before s1 runs: not after
+        # integrating 190,000 ticks of s2, nor lost to s2 running out of
+        # ticks at 199,990
+        p = CaseStudyParams(steady_ticks=steady_ticks, **{field: 15.0})
+        with mock.patch.object(_ScriptedActor, "step",
+                               side_effect=AssertionError("integrated")):
+            with pytest.raises(ScenarioError,
+                               match=f"'{actor}': target speed 15.0 "
+                                     f"exceeds speed limit"):
+                generate_case_study(p)
 
     @pytest.mark.parametrize("field, value, message", [
         ("accel", 0.0, "accel: must be positive"),   # s1 never settled
