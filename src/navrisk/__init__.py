@@ -4,8 +4,10 @@ import os
 
 # navrisk makes no BLAS call (no matrix product, dot or linalg), so the
 # OpenBLAS worker threads that numpy starts at import only burn CPU at
-# start-up.  One thread unless the user set another count; this runs before
-# the imports below, so it holds wherever navrisk is imported before numpy.
+# start-up.  One thread unless the user set another count.  navrisk loads
+# numpy lazily, only in the functions that return or work on arrays (the
+# lattice, sampled futures, Trajectory.xy), so this holds wherever navrisk
+# is imported before numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .planner import (

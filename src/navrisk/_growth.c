@@ -21,7 +21,13 @@
    SeedSequence, PCG64 and Generator.uniform, ported bit for bit, so that
    a run that samples no futures never loads numpy.random.  The numpy
    forms are the references they are tested against (tests/oracles.py,
-   reference_sample_stream and reference_planner_seed). */
+   reference_sample_stream and reference_planner_seed).
+
+   navrisk_hypot_sum adds the displacements that every gamma_euclid,
+   prediction error and sampled plan's path length is made of, as
+   numpy's np.sum of np.hypot does, so that a run that samples no futures
+   and renders no lattice never loads numpy (tests/oracles.py,
+   reference_mean_distance and reference_plan_cost). */
 
 #include <math.h>
 #include <stdint.h>
@@ -826,4 +832,63 @@ void navrisk_uniform(const uint32_t *run, int n_run, double x_lo,
         out[2 * s] = x_lo + x_range * next_double(&g);
         out[2 * s + 1] = y_lo + y_range * next_double(&g);
     }
+}
+
+/* The displacement sums: libm's hypot, which numpy's np.hypot calls too
+   (CPython's math.hypot is its own algorithm and differs in the last
+   bit), summed in the order of numpy's pairwise summation, which
+   np.add.reduce, np.sum and np.mean use on a contiguous float64 array. */
+
+/* hypot of the i-th difference of the point arrays a (na points) and b
+   (nb points), each holding its last point past its end. */
+static double hypot_at(const double *a, long na, const double *b, long nb,
+                       long i)
+{
+    const double *p = a + 2 * (i < na ? i : na - 1);
+    const double *q = b + 2 * (i < nb ? i : nb - 1);
+    return hypot(p[0] - q[0], p[1] - q[1]);
+}
+
+/* numpy's pairwise sum of the n terms from term lo: one accumulator from
+   0.0 below 8 terms; up to 128, 8 accumulators over the blocks of 8,
+   combined pairwise, then the rest one by one; above that, the two
+   halves split at a multiple of 8. */
+static double pairwise(const double *a, long na, const double *b, long nb,
+                       long lo, long n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (long i = 0; i < n; i++)
+            res += hypot_at(a, na, b, nb, lo + i);
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        long i;
+        for (int j = 0; j < 8; j++)
+            r[j] = hypot_at(a, na, b, nb, lo + j);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += hypot_at(a, na, b, nb, lo + i + j);
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += hypot_at(a, na, b, nb, lo + i);
+        return res;
+    }
+    long n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, na, b, nb, lo, n2) +
+           pairwise(a, na, b, nb, lo + n2, n - n2);
+}
+
+/* The sum over i < max(na, nb) of hypot(a_i - b_i) for the (x, y) point
+   arrays a (na points) and b (nb points), the shorter holding its last
+   point: np.sum(np.hypot(d[:, 0], d[:, 1])) of the padded difference d,
+   bit for bit.  0 when either array holds no point. */
+double navrisk_hypot_sum(const double *a, int na, const double *b, int nb)
+{
+    if (na < 1 || nb < 1)
+        return 0.0;
+    return pairwise(a, na, b, nb, 0, na > nb ? na : nb);
 }

@@ -43,7 +43,15 @@ SIGNATURES = {   # name: (argument types, result type)
                                _P), _I),
     "navrisk_seed_state": ((_P, _I, _P, _I, _P, _I), None),
     "navrisk_uniform": ((_P, _I, _D, _D, _D, _D, _I, _P), None),
+    "navrisk_hypot_sum": ((_P, _I, _P, _I), _D),
 }
+
+
+def address(buf) -> int:
+    """The address of the data of buf, an array.array, for a pointer
+    argument; the caller keeps buf alive, and unresized, through the
+    call."""
+    return buf.buffer_info()[0]
 
 
 def _library_name(source: bytes) -> str:

@@ -146,7 +146,8 @@ def cmd_oracle(args) -> int:
         raise ValueError("--k must be >= 1")
     if args.k % args.steps:
         raise ValueError("--k must be divisible by --steps")
-    maneuvers = tuple(m.strip() for m in args.maneuvers.split(",") if m)
+    maneuvers = tuple(filter(None, (m.strip()
+                                    for m in args.maneuvers.split(","))))
     lattice = LatticeConfig(args.steps, maneuvers, args.k // args.steps)
     check_cap(lattice, source="--steps")
     scenario = _read_scenario(args.scenario)

@@ -59,14 +59,17 @@ from __future__ import annotations
 
 import ctypes
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
 
-import numpy as np
-
-from ._kernel import kernel
+from ._kernel import address, kernel
+from .prediction import _hypot_sum
 from .scenario import (
     ActorState, RoadMap, ScenarioError, Trajectory, require_int, wrap_angle)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MANEUVERS = ("accelerate", "brake", "keep", "shift_left", "shift_right")
 
@@ -155,13 +158,12 @@ class PlannerConfig:
 # ---------------------------------------------------------------------------
 
 def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
-                 ego_radius: float,
-                 t: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack obstacle positions to (m, k+1, 2) and inflated radii to (m,):
-    ego radius + actor radius + SAFETY_MARGIN."""
-    if not world:
-        return np.zeros((0, k + 1, 2)), np.zeros(0)
-    xs, rs = [], []
+                 ego_radius: float, t: int, k: int) -> tuple[array, array]:
+    """Stack the m obstacles' positions into one flat array('d') of
+    (m, k+1, 2) in C order, each actor's Trajectory.positions in world
+    order, and their inflated radii into an array('d') of m: ego radius +
+    actor radius + SAFETY_MARGIN."""
+    obs, rs = array("d"), array("d")
     for aid, traj in world.items():
         if traj.start_tick != t or traj.end_tick != t + k:
             raise ScenarioError(
@@ -171,9 +173,16 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
         if not math.isfinite(r * r):   # _hits compares squares
             raise ScenarioError(f"world actor {aid!r}: radius sum {r!r} "
                                 "has no finite square")
-        xs.append(traj.xy)
+        obs += traj.positions
         rs.append(r)
-    return np.stack(xs), np.array(rs)
+    return obs, rs
+
+
+def _rows(obs: array, rsum: array, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """world_arrays' buffers as numpy views, (m, k+1, 2) and (m,)."""
+    import numpy as np
+    return np.frombuffer(obs).reshape(len(rsum), k + 1, 2), \
+        np.frombuffer(rsum)
 
 
 def _hits(obs: np.ndarray, xy: np.ndarray, rsum) -> np.ndarray:
@@ -181,6 +190,7 @@ def _hits(obs: np.ndarray, xy: np.ndarray, rsum) -> np.ndarray:
     xy (..., 2) and rsum: a squared distance strictly below rsum * rsum, so
     contact is no collision.  A square that overflows is rightly no hit,
     since world_arrays keeps rsum * rsum finite."""
+    import numpy as np
     with np.errstate(over="ignore"):
         dx = obs[..., 0] - xy[..., 0]
         dy = obs[..., 1] - xy[..., 1]
@@ -191,7 +201,7 @@ def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
                     radii: Mapping[str, float], ego_radius: float) -> bool:
     """True iff the ego overlaps some actor at some tick."""
     t, k = ego_traj.start_tick, len(ego_traj) - 1
-    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
+    obs, rsum = _rows(*world_arrays(world, radii, ego_radius, t, k), k)
     return bool(_hits(obs, ego_traj.xy, rsum[:, None]).any())
 
 
@@ -202,13 +212,13 @@ def _plan_cost(traj: Trajectory, road: RoadMap,
     The comfort term covers commanded speed changes; constant-speed sampled
     plans skip it so that terminal hold padding is not billed as braking.
     """
-    xy = traj.xy
-    seg = np.diff(xy, axis=0)
-    length = float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
-    lanes = [road.lane_of(y) for y in xy[:, 1]]
+    p = traj.positions
+    length = _hypot_sum(p[2:], p[:-2])   # point i + 1 minus point i
+    lanes = [road.lane_of(y) for y in p[1::2]]
     lane_changes = sum(1 for a, b in zip(lanes, lanes[1:]) if a != b)
     cost = length + LANE_CHANGE_PENALTY * lane_changes
-    if include_speed_term:
+    if include_speed_term:   # the lattice's plans, which load numpy
+        import numpy as np
         dv = float(np.sum(np.abs(np.diff(traj.speeds))))
         cost += SPEED_CHANGE_PENALTY * dv
     return cost
@@ -235,14 +245,14 @@ def _states_from_columns(xs, ys, vs) -> tuple[ActorState, ...]:
 
 
 def lattice_blockers(road: RoadMap, ego: ActorState, k: int,
-                     lattice: LatticeConfig, obs: np.ndarray,
-                     rsum: np.ndarray, *, dt: float = 0.1):
+                     lattice: LatticeConfig, obs: array, rsum: array, *,
+                     dt: float = 0.1):
     """Render the lattice once and test every plan against every obstacle
     row.
 
     obs (n, k+1, 2) and rsum (n,) are obstacle rows as world_arrays
-    stacks them; the rows of several worlds of one window may be stacked
-    together, since each row's bits are computed on their own.  Returns
+    stacks them; the rows of several worlds of one window may be
+    concatenated, since each row's bits are computed on their own.  Returns
     (plans, blockers).  blockers is the (U, n) matrix over the U
     in-bounds, within-limit sequences in itertools.product order: [u, j]
     is True iff plan u collides with row j; every exact count and KL
@@ -271,6 +281,8 @@ def lattice_blockers(road: RoadMap, ego: ActorState, k: int,
             f"lattice covers {lattice.horizon} ticks but horizon k = {k}")
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
+    import numpy as np
+    obs, rsum = _rows(obs, rsum, k)
     names, m = lattice.maneuvers, lattice.ticks_per_step
     shift = np.array([{"shift_left": 1, "shift_right": -1}.get(n, 0)
                       for n in names])
@@ -343,6 +355,7 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
     universe_size counts the in-bounds sequences regardless of the world, so
     it equals |plans| exactly when world is None.
     """
+    import numpy as np
     obs, rsum = world_arrays(world or {}, radii or {}, ego_radius, t, k)
     plans, blockers = lattice_blockers(road, ego, k, lattice, obs, rsum,
                                        dt=dt)
@@ -359,11 +372,9 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 # ---------------------------------------------------------------------------
 
 def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
-                ego_radius: float) -> np.ndarray:
-    return np.array([
-        min(ego.position_x + goal.advance, road.road_length - ego_radius),
-        road.lane_center(goal.lane),
-    ])
+                ego_radius: float) -> tuple[float, float]:
+    return (min(ego.position_x + goal.advance, road.road_length - ego_radius),
+            road.lane_center(goal.lane))
 
 
 def _seed_words(n: int) -> ctypes.Array:
@@ -377,8 +388,9 @@ def _seed_words(n: int) -> ctypes.Array:
 
 
 def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
-                   ego_radius: float) -> np.ndarray:
-    """The (cfg.iteration_budget, 2) samples of a growth, drawn up front
+                   ego_radius: float) -> array:
+    """The (cfg.iteration_budget, 2) samples of a growth as one flat
+    array('d') of (x, y) pairs, drawn up front
     from cfg.seed alone: numpy's default_rng(SeedSequence(cfg.seed))
     .uniform over the window, drawn by the kernel.  The window depends
     only on the ego state and the sample basis cfg.goal.advance, never on
@@ -394,20 +406,25 @@ def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
                          f"[{y_lo!r}, {y_hi!r}] has a negative or "
                          f"non-finite width")
     seed = _seed_words(cfg.seed)
-    samples = np.empty((cfg.iteration_budget, 2))
+    samples = _doubles(2 * cfg.iteration_budget)
     kernel().navrisk_uniform(seed, len(seed), x_lo, y_lo, x_hi, y_hi,
-                             cfg.iteration_budget, samples.ctypes.data)
+                             cfg.iteration_budget, address(samples))
     return samples
 
 
-class _Path(NamedTuple):
-    """A selected plan as the kernel writes it: positions (k+1, 2), the
-    segment each tick moves along (-1 while it holds), the vertices those
-    index, and the partial flag."""
+def _doubles(n: int) -> array:
+    """A zeroed array('d') of n entries, for the kernel to write."""
+    return array("d", bytes(8 * n))
 
-    xy: np.ndarray
-    seg: np.ndarray
-    vertices: np.ndarray
+
+class _Path(NamedTuple):
+    """A selected plan as the kernel writes it: positions (k+1, 2) and the
+    vertices (n, 2) as flat array('d')s of (x, y) pairs, the segment each
+    tick moves along (-1 while it holds) and the partial flag."""
+
+    xy: array
+    seg: array
+    vertices: array
     partial: bool
 
 
@@ -416,14 +433,16 @@ def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
     """The Plan of a selected path: each moving tick heads along its
     segment (math.atan2) at speed, a holding tick keeps the last heading
     at speed 0, and the cost leaves out the speed term."""
-    seg = np.diff(path.vertices, axis=0).tolist()
-    heading = [wrap_angle(math.atan2(dy, dx)) for dx, dy in seg]
+    v, xy = path.vertices, path.xy
+    heading = [wrap_angle(math.atan2(v[j + 3] - v[j + 1], v[j + 2] - v[j]))
+               for j in range(0, len(v) - 2, 2)]
     h = 0.0
     states = []
-    for (x, y), i in zip(path.xy.tolist(), path.seg.tolist()):
+    for j, i in enumerate(path.seg):
         if i >= 0:
             h = heading[i]
-        states.append(ActorState(x, y, h, speed if i >= 0 else 0.0))
+        states.append(ActorState(xy[2 * j], xy[2 * j + 1], h,
+                                 speed if i >= 0 else 0.0))
     traj = Trajectory("ego", t, dt, tuple(states))
     return Plan(traj, _plan_cost(traj, road, include_speed_term=False),
                 partial=path.partial)
@@ -432,62 +451,58 @@ def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
 class _Worlds(NamedTuple):
     """The worlds of one leave-one-out experiment as navrisk_leave_one_out
     plans them: the full world's _Path (None without a plan); for each
-    actor j the positions (k+1, 2) of the world without it (None where
-    that world has no plan or was not asked for); the full tree's node
-    count (0 when the ego overlaps an obstacle at the planning tick); the
-    trees grown; and the (m,) mask of the ablations that did not reuse
-    the full tree."""
+    actor j the positions (k+1, 2) of the world without it, a flat
+    array('d') as in _Path (None where that world has no plan or was not
+    asked for); the full tree's node count (0 when the ego overlaps an
+    obstacle at the planning tick); the trees grown; and the (m,) flags,
+    1 for each ablation that did not reuse the full tree."""
 
     full: Optional[_Path]
-    ablated: list[Optional[np.ndarray]]
+    ablated: list[Optional[array]]
     nodes: int
     growths: int
-    regrown: np.ndarray
+    regrown: array
 
 
-def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
-                 rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
-                 dt: float, goals: np.ndarray, wanted: np.ndarray
-                 ) -> _Worlds:
+def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: array,
+                 rsum: array, cfg: PlannerConfig, ego_radius: float,
+                 dt: float, goals: array, wanted: array) -> _Worlds:
     """Plan the full world of world_arrays' (obs, rsum) toward goals[0]
     and, for each actor j with wanted[j], the world without it toward
     goals[1 + j], all on _sample_stream's samples for cfg, in one call to
-    navrisk_leave_one_out.  A world is planned by growing the rewiring
-    tree for exactly cfg.iteration_budget samples and selecting its
-    endpoint, except that a world without an actor that was never a sole
-    blocker of the full growth reuses its tree."""
+    navrisk_leave_one_out; goals is a flat array('d') of (x, y) pairs and
+    wanted an array('B') of flags.  A world is planned by growing the
+    rewiring tree for exactly cfg.iteration_budget samples and selecting
+    its endpoint, except that a world without an actor that was never a
+    sole blocker of the full growth reuses its tree."""
     if not (road.contains_y(ego.position_y)
             and ego.position_x <= road.road_length):
         raise ScenarioError("ego is off-road")
-    # the kernel reads these buffers at the shapes it is told
-    obs = np.ascontiguousarray(obs, dtype=np.float64)
-    r2 = np.ascontiguousarray(rsum * rsum, dtype=np.float64)
-    m = len(r2)
-    if obs.ndim != 3 or obs.shape[0] != m or obs.shape[2] != 2 \
-            or not k < obs.shape[1]:
-        raise ValueError(f"obstacles of shape {obs.shape} with {m} radius "
+    # the kernel reads these buffers at the sizes it is told
+    m, row = len(rsum), 2 * (k + 1)
+    if obs.typecode != "d" or len(obs) != m * row:
+        raise ValueError(f"{len(obs)} obstacle coordinates with {m} radius "
                          f"sums do not cover ticks 0 to {k}")
-    goals = np.ascontiguousarray(goals, dtype=np.float64)
-    wanted = np.ascontiguousarray(wanted, dtype=np.uint8)
-    if goals.shape != (m + 1, 2) or wanted.shape != (m,):
-        raise ValueError(f"{goals.shape} goals and {wanted.shape} wanted "
-                         f"flags for {m} actors")
+    if goals.typecode != "d" or len(goals) != 2 * (m + 1) \
+            or wanted.itemsize != 1 or len(wanted) != m:
+        raise ValueError(f"{len(goals)} goal coordinates and {len(wanted)} "
+                         f"wanted flags for {m} actors")
+    r2 = array("d", [r * r for r in rsum])
     samples = _sample_stream(road, ego, cfg, ego_radius)
     speed = min(cfg.target_speed, road.speed_limit)
     inv = 1.0 / (speed * dt)          # ticks per meter of path
-    xy = np.empty((m + 1, k + 1, 2))
-    status = np.zeros(m + 1, dtype=np.int32)
-    verts = np.empty((cfg.iteration_budget + 2, 2))
-    seg = np.empty(k + 1, dtype=np.int32)
+    xy = _doubles((m + 1) * row)
+    status = array("i", bytes(4 * (m + 1)))
+    verts = _doubles(2 * (cfg.iteration_budget + 2))
+    seg = array("i", bytes(4 * (k + 1)))
     info = (ctypes.c_int32 * 4)()
-    regrown = np.zeros(m, dtype=bool)
+    regrown = array("B", bytes(m))
     err = kernel().navrisk_leave_one_out(
-        samples.ctypes.data, cfg.iteration_budget, ego.position_x,
+        address(samples), cfg.iteration_budget, ego.position_x,
         ego.position_y, ego_radius, road.width - ego_radius, inv, STEER_STEP,
-        GOAL_TOLERANCE, speed * dt, k, obs.ctypes.data, obs.shape[1],
-        r2.ctypes.data, m, goals.ctypes.data, wanted.ctypes.data,
-        xy.ctypes.data, status.ctypes.data, verts.ctypes.data,
-        seg.ctypes.data, info, regrown.ctypes.data)
+        GOAL_TOLERANCE, speed * dt, k, address(obs), k + 1, address(r2), m,
+        address(goals), address(wanted), address(xy), address(status),
+        address(verts), address(seg), info, address(regrown))
     if err == -2:
         raise MemoryError("no memory for the leave-one-out worlds")
     if err < 0:
@@ -495,8 +510,9 @@ def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     # a status is 0 for no plan (or an ablation not asked for), 1 for a
     # partial plan and 2 for a plan into the goal region
     full = None if not status[0] else _Path(
-        xy[0], seg, verts[:info[1]], bool(info[0]))
-    ablated = [xy[1 + j] if status[1 + j] else None for j in range(m)]
+        xy[:row], seg, verts[:2 * info[1]], bool(info[0]))
+    ablated = [xy[(1 + j) * row:(2 + j) * row] if status[1 + j] else None
+               for j in range(m)]
     return _Worlds(full, ablated, info[2], info[3], regrown)
 
 
@@ -516,8 +532,8 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     goal = _goal_point(road, ego, cfg.goal, ego_radius)
     worlds = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
-                          np.tile(goal, (len(rsum) + 1, 1)),
-                          np.zeros(len(rsum), dtype=bool))
+                          array("d", goal * (len(rsum) + 1)),
+                          array("B", bytes(len(rsum))))
     if worlds.full is None:   # why, by the full tree's node count
         raise PlanningInfeasible((
             "ego overlaps an obstacle at the planning tick",

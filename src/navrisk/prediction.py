@@ -11,14 +11,17 @@ paired across actor subsets and calls are order-independent.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
-
+from ._kernel import address, kernel
 from .scenario import (
     MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory, require_int,
     wrap_angle)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,7 @@ def _actor_stream(seed: int, actor_id: str, t: int, sample: int
     # which loads OpenSSL too); the planner draws its stream in the
     # kernel, so commands that sample no futures load neither.
     import hashlib
+    import numpy as np
     digest = hashlib.blake2s(actor_id.encode(), digest_size=8).digest()
     key = int.from_bytes(digest, "little")
     ss = np.random.SeedSequence(
@@ -100,6 +104,7 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
         if cfg.noise_accel_sigma == 0.0 and cfg.noise_yawrate_sigma == 0.0:
             out.append(predict_linear(history, k))
             continue
+        import numpy as np
         rng = _actor_stream(cfg.seed, history.actor_id, t, j)
         accel = rng.normal(0.0, cfg.noise_accel_sigma, size=k)
         yawrate = rng.normal(0.0, cfg.noise_yawrate_sigma, size=k)
@@ -141,17 +146,22 @@ def prediction_error(predicted: Trajectory, realized: Trajectory) -> float:
             f"window mismatch: predicted [{predicted.start_tick}, "
             f"{predicted.end_tick}] vs realized [{realized.start_tick}, "
             f"{realized.end_tick}]")
-    return _mean_distance(predicted.xy, realized.xy)
+    return _mean_distance(predicted.positions, realized.positions)
 
 
-def _mean_distance(xa: np.ndarray, xb: np.ndarray) -> float:
-    """Mean Euclidean distance per waypoint between (n, 2) position arrays;
-    the shorter one holds its final position.  risk's plan-change operator
+def _hypot_sum(a: array, b: array) -> float:
+    """The sum of the Euclidean distances between the points of a and b,
+    flat array('d')s of (x, y) pairs, the shorter holding its last point,
+    as np.sum(np.hypot(...)) gives it on the padded difference, bit for
+    bit (_growth.c's navrisk_hypot_sum: libm hypot in numpy's pairwise
+    order); 0.0 when either holds no point."""
+    return kernel().navrisk_hypot_sum(address(a), len(a) // 2, address(b),
+                                      len(b) // 2)
+
+
+def _mean_distance(a: array, b: array) -> float:
+    """Mean Euclidean distance per waypoint between the positions a and b,
+    flat array('d')s of (x, y) pairs, each holding at least one point; the
+    shorter one holds its final position.  risk's plan-change operator
     and prediction_error both measure displacement with it."""
-    n = max(len(xa), len(xb))
-    if len(xa) < n:
-        xa = np.vstack([xa, np.repeat(xa[-1:], n - len(xa), axis=0)])
-    if len(xb) < n:
-        xb = np.vstack([xb, np.repeat(xb[-1:], n - len(xb), axis=0)])
-    d = xa - xb
-    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
+    return _hypot_sum(a, b) / (max(len(a), len(b)) // 2)

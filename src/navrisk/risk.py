@@ -25,11 +25,10 @@ total risk is large (ablation masking).
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .planner import (
     GoalSpec,
@@ -59,6 +58,9 @@ from .scenario import (
     slice_world,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 KL_EPSILON = 1e-6
 UNIVERSE_CAP = 1_000_000
 
@@ -82,7 +84,7 @@ def traj_difference_euclidean(a: Trajectory, b: Trajectory) -> float:
     state; equal-horizon inputs (the normal case: both plans span [t, t+k])
     make this a pseudometric.
     """
-    return _mean_distance(a.xy, b.xy)
+    return _mean_distance(a.positions, b.positions)
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,7 @@ class PlanDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
         if len(self.support) != len(p):
@@ -133,6 +136,7 @@ def _floored(mask, count: int) -> np.ndarray:
     """1 / count on the plans that mask marks, 0 elsewhere, floored by
     KL_EPSILON and renormalized over the universe; with count 0, uniform
     over it."""
+    import numpy as np
     if not count:
         return np.full(len(mask), 1.0 / len(mask))
     return (np.where(mask, 1.0 / count, 0.0) + KL_EPSILON) / \
@@ -143,6 +147,7 @@ def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
     """KL(p || q) in nats over a shared universe; >= 0, zero iff p = q."""
     if p.support != q.support:
         raise ValueError("distributions must share the same plan universe")
+    import numpy as np
     pa, qa = p.probabilities, q.probabilities
     return float(np.sum(pa * np.log(pa / qa)))
 
@@ -189,9 +194,13 @@ def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
     the world (p) and of the world without i (q_i), both over the
     empty-world universe.  Raises DegenerateScenario when that universe
     is empty."""
+    import numpy as np
     check_cap(lattice)
-    arrays = [world_arrays(w, radii, ego_radius, t, k) for w in worlds]
-    obs, rsum = (np.concatenate(a) for a in zip(*arrays))
+    obs, rsum = array("d"), array("d")
+    for w in worlds:
+        w_obs, w_rsum = world_arrays(w, radii, ego_radius, t, k)
+        obs += w_obs
+        rsum += w_rsum
     _, blockers = lattice_blockers(road, ego, k, lattice, obs, rsum, dt=dt)
     n = len(blockers)
     if not n:
@@ -265,14 +274,14 @@ def _follow_term(traj: Trajectory, ego: ActorState, road: RoadMap,
     or None when it never limits the advance there."""
     lo = lane * road.lane_width
     hi = lo + road.lane_width
-    xy = traj.xy
-    in_band = (xy[:, 1] >= lo) & (xy[:, 1] < hi)
-    ahead = (xy[:, 0] > ego.position_x) & (xy[:, 0] <= road.road_length)
-    if not np.any(in_band & ahead):
+    p = traj.positions
+    xs, ys = p[0::2], p[1::2]
+    if not any(lo <= y < hi and ego.position_x < x <= road.road_length
+               for x, y in zip(xs, ys)):
         return None
-    gap = float(xy[0, 0]) - ego.position_x
-    v_occ = (float(xy[-1, 0]) - float(xy[0, 0])) / \
-        ((len(xy) - 1) * traj.dt) if len(xy) > 1 else traj.states[0].speed
+    gap = xs[0] - ego.position_x
+    v_occ = (xs[-1] - xs[0]) / ((len(xs) - 1) * traj.dt) if len(xs) > 1 \
+        else traj.states[0].speed
     if v_occ >= ego_speed - 1e-9:
         return None  # never caught within any horizon
     return max(0.0, (gap - FOLLOW_GAP) * ego_speed / (ego_speed - v_occ))
@@ -308,9 +317,10 @@ def _lane_terms(world: Mapping[str, Trajectory], ego: ActorState,
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
 
-def _plan_change(full: Optional[np.ndarray], ablated: Optional[np.ndarray],
+def _plan_change(full: Optional[array], ablated: Optional[array],
                  road: RoadMap, k: int) -> tuple[float, bool]:
-    """(gamma, saturated) between the full-world and ablated positions:
+    """(gamma, saturated) between the full-world and ablated positions
+    (flat (x, y) buffers, as planner._Worlds holds them):
     the mean per-waypoint displacement, 0 if neither world admits a plan,
     and road_length / k (saturated) if exactly one does."""
     if full is None and ablated is None:
@@ -368,9 +378,9 @@ def _leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
         raise ScenarioError(
             f"unknown actor ids {sorted(wanted - world.keys())!r}")
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    mask = np.array([aid in wanted for aid in world], dtype=bool)
+    mask = array("B", [aid in wanted for aid in world])
 
-    def goal(without: Optional[int]) -> np.ndarray:
+    def goal(without: Optional[int]) -> tuple[float, float]:
         """The goal of the world without actor `without` (None: the full
         world)."""
         advance = cfg.goal.advance if terms is None else _soft_advance(
@@ -379,10 +389,11 @@ def _leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
         return _goal_point(road, ego, GoalSpec(advance, cfg.goal.lane),
                            ego_radius)
 
-    goals = np.zeros((len(world) + 1, 2))   # full world, then without j
-    goals[0] = goal(None)
-    for j in np.flatnonzero(mask).tolist():
-        goals[1 + j] = goal(j)
+    # the full world, then the world without each j; (0, 0) for one not
+    # asked for
+    goals = array("d", goal(None))
+    for j, asked in enumerate(mask):
+        goals.extend(goal(j) if asked else (0.0, 0.0))
     worlds = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
                           goals, mask)
     full = worlds.full
@@ -397,6 +408,7 @@ def _leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
 def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:
     """Sample mean and unbiased variance; exactly (gamma, 0.0) when every
     sample is equal."""
+    import numpy as np
     arr = np.array(gammas)
     if float(arr.max()) == float(arr.min()):
         return float(arr[0]), 0.0

@@ -16,11 +16,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EGO_ID = "ego"
 
@@ -106,12 +108,23 @@ class Trajectory:
         return self.start_tick + len(self.states) - 1
 
     @cached_property
+    def positions(self) -> array:
+        """Positions as one flat array('d'): x0, y0, x1, y1, ...; the
+        buffer the planner kernel reads and .xy views."""
+        return array("d", [c for s in self.states
+                           for c in (s.position_x, s.position_y)])
+
+    @cached_property
     def xy(self) -> np.ndarray:
-        """Positions as an (n, 2) array."""
-        return np.array([(s.position_x, s.position_y) for s in self.states])
+        """Positions as a read-only (n, 2) array, a view of .positions."""
+        import numpy as np   # only callers that want arrays load numpy
+        xy = np.frombuffer(self.positions).reshape(-1, 2)
+        xy.flags.writeable = False
+        return xy
 
     @cached_property
     def speeds(self) -> np.ndarray:
+        import numpy as np
         return np.array([s.speed for s in self.states])
 
     def window(self, t: int, k: int) -> "Trajectory":

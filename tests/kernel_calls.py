@@ -6,12 +6,14 @@ the parts that call is made of, and these wrappers call them as it does,
 so that the tests can check each part against its reference in
 oracles.py: grow_tree runs the tree growth (navrisk_grow), select_path
 the endpoint selection (navrisk_select) and edge_blockers the edge check
-(navrisk_edge_blockers).
+(navrisk_edge_blockers).  They take and return numpy arrays, and
+obstacle_arrays gives world_arrays' buffers as such.
 """
 
 import ctypes
 import functools
-from typing import NamedTuple, Optional
+from array import array
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,9 +27,11 @@ from navrisk.planner import (
     _hits,
     _Path,
     _path_plan,
+    _rows,
     _sample_stream,
+    world_arrays,
 )
-from navrisk.scenario import ActorState, RoadMap, ScenarioError
+from navrisk.scenario import ActorState, RoadMap, ScenarioError, Trajectory
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
 SIGNATURES = {
@@ -37,6 +41,14 @@ SIGNATURES = {
     "navrisk_select": (_P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _I, _P, _I,
                        _P, _I, _P, _P, _P, _P),
 }
+
+
+def obstacle_arrays(world: Mapping[str, Trajectory],
+                    radii: Mapping[str, float], ego_radius: float, t: int,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """world_arrays' obstacle rows as numpy arrays, (m, k+1, 2) and
+    (m,)."""
+    return _rows(*world_arrays(world, radii, ego_radius, t, k), k)
 
 
 @functools.cache
@@ -80,6 +92,17 @@ def edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
     return tuple(found[:count])
 
 
+class Selected(NamedTuple):
+    """A selected path as select_path returns it: positions (k+1, 2), the
+    segment each tick moves along (-1 while it holds), the vertices (n,
+    2) those index, and the partial flag."""
+
+    xy: np.ndarray
+    seg: np.ndarray
+    vertices: np.ndarray
+    partial: bool
+
+
 class Tree(NamedTuple):
     """A grown rewiring tree trimmed to its nodes: positions, path costs,
     arrival ticks (at `speed`, `inv` ticks per meter) and parents."""
@@ -115,7 +138,8 @@ def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
         raise PlanningInfeasible(
             "ego overlaps an obstacle at the planning tick")
     if samples is None:
-        samples = _sample_stream(road, ego, cfg, ego_radius)
+        samples = np.frombuffer(
+            _sample_stream(road, ego, cfg, ego_radius)).reshape(-1, 2)
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.shape != (cfg.iteration_budget, 2):
         raise ValueError(f"{samples.shape} samples for a budget of "
@@ -138,7 +162,8 @@ def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
 
 
 def select_path(tree: Tree, goal: np.ndarray, obs: np.ndarray,
-                rsum: np.ndarray, k: int, dt: float) -> tuple[_Path, int]:
+                rsum: np.ndarray, k: int, dt: float
+                ) -> tuple[Selected, int]:
     """navrisk_select's path on tree toward goal among (obs, rsum), walked
     at tree.speed, and its endpoint's tree node.  Raises
     PlanningInfeasible when no candidate endpoint stays clear."""
@@ -169,12 +194,15 @@ def select_path(tree: Tree, goal: np.ndarray, obs: np.ndarray,
         raise MemoryError("no memory for the endpoint selection")
     if best < 0:
         raise ValueError("the tree's parent links do not reach the root")
-    return _Path(xy, seg, vertices[:info[1]], bool(info[0])), best
+    return Selected(xy, seg, vertices[:info[1]], bool(info[0])), best
 
 
 def select_endpoint(tree: Tree, goal: np.ndarray, obs: np.ndarray,
                     rsum: np.ndarray, road: RoadMap, t: int, k: int,
                     dt: float) -> Plan:
     """select_path's plan as a Plan starting at tick t."""
-    return _path_plan(select_path(tree, goal, obs, rsum, k, dt)[0],
-                      tree.speed, road, t, dt)
+    path = select_path(tree, goal, obs, rsum, k, dt)[0]
+    flat = _Path(array("d", path.xy.ravel().tolist()),
+                 array("i", path.seg.tolist()),
+                 array("d", path.vertices.ravel().tolist()), path.partial)
+    return _path_plan(flat, tree.speed, road, t, dt)

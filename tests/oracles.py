@@ -31,6 +31,11 @@ and reference_planner_seed draw the growth's samples and the per-tick
 planner seeds with numpy.random itself, the == references for the
 kernel's port of SeedSequence, PCG64 and Generator.uniform
 (planner._sample_stream, simulate._planner_seed).
+
+reference_mean_distance and reference_plan_cost measure displacement and
+path length with np.hypot and np.mean or np.sum, the == references for
+the kernel's hypot sum (prediction._mean_distance, planner._plan_cost),
+which adds libm hypot distances in numpy's pairwise order.
 """
 
 import math
@@ -39,9 +44,11 @@ from typing import Optional
 
 import numpy as np
 
-from kernel_calls import Tree
+from kernel_calls import Tree, obstacle_arrays
 from navrisk.planner import (
     GOAL_TOLERANCE,
+    LANE_CHANGE_PENALTY,
+    SPEED_CHANGE_PENALTY,
     STEER_STEP,
     GoalSpec,
     Plan,
@@ -49,8 +56,6 @@ from navrisk.planner import (
     PlanningInfeasible,
     _goal_point,
     _hits,
-    _plan_cost,
-    world_arrays,
 )
 from navrisk.risk import _lane_terms, _soft_advance, traj_difference_euclidean
 from navrisk.scenario import (
@@ -412,6 +417,7 @@ def reference_select_endpoint(tree: Tree, goal: np.ndarray,
     tree node.  Raises PlanningInfeasible when no candidate endpoint stays
     collision-free.  Goal edges are checked by reference_edge_blockers."""
     pts, cost, tick, parent = tree.pts, tree.cost, tree.tick, tree.parent
+    goal = np.asarray(goal, dtype=float)   # planner._goal_point's is a tuple
     n = len(pts)
     if n == 1:
         raise PlanningInfeasible(
@@ -454,7 +460,8 @@ def reference_select_endpoint(tree: Tree, goal: np.ndarray,
             if _hits(obs, traj.xy, rsum[:, None]).any():
                 continue
             return Plan(traj,
-                        _plan_cost(traj, road, include_speed_term=False),
+                        reference_plan_cost(traj, road,
+                                            include_speed_term=False),
                         partial=partial), best
     raise PlanningInfeasible("no candidate endpoint stays collision-free")
 
@@ -468,7 +475,7 @@ def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
     lane, speed = cfg.goal.lane, min(cfg.target_speed, road.speed_limit)
 
     def plan(w):
-        obs, rsum = world_arrays(w, radii, 1.2, t, k)
+        obs, rsum = obstacle_arrays(w, radii, 1.2, t, k)
         advance = _soft_advance(cfg.goal.advance, _lane_terms(
             w, ego, road, lane, speed)) if route else cfg.goal.advance
         goal = _goal_point(road, ego, GoalSpec(advance, lane), 1.2)
@@ -492,3 +499,37 @@ def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
             out[aid] = (traj_difference_euclidean(full.trajectory,
                                                   m.trajectory), False)
     return full, out
+
+
+# ---------------------------------------------------------------------------
+# Displacement and path length with numpy
+# ---------------------------------------------------------------------------
+
+def reference_mean_distance(xa: np.ndarray, xb: np.ndarray) -> float:
+    """Mean Euclidean distance per waypoint between (n, 2) position arrays,
+    the shorter one holding its final position: the == reference for
+    prediction._mean_distance."""
+    n = max(len(xa), len(xb))
+    if len(xa) < n:
+        xa = np.vstack([xa, np.repeat(xa[-1:], n - len(xa), axis=0)])
+    if len(xb) < n:
+        xb = np.vstack([xb, np.repeat(xb[-1:], n - len(xb), axis=0)])
+    d = xa - xb
+    return float(np.mean(np.hypot(d[:, 0], d[:, 1])))
+
+
+def reference_plan_cost(traj: Trajectory, road: RoadMap,
+                        include_speed_term: bool = True) -> float:
+    """Path length + lane-change penalty + comfort term, the path length
+    by np.sum over np.hypot of the segments: the == reference for
+    planner._plan_cost."""
+    xy = traj.xy
+    seg = np.diff(xy, axis=0)
+    length = float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
+    lanes = [road.lane_of(y) for y in xy[:, 1]]
+    lane_changes = sum(1 for a, b in zip(lanes, lanes[1:]) if a != b)
+    cost = length + LANE_CHANGE_PENALTY * lane_changes
+    if include_speed_term:
+        dv = float(np.sum(np.abs(np.diff(traj.speeds))))
+        cost += SPEED_CHANGE_PENALTY * dv
+    return cost

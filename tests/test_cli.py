@@ -19,6 +19,46 @@ def casestudy_path(tmp_path_factory):
     return path
 
 
+def run_probe(code: str, *args: str) -> str:
+    """The last line that code prints in a fresh interpreter that imports
+    navrisk from this checkout's src/, given args as sys.argv[1:]."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+SMALL_RUN = ["run", "--casestudy-defaults", "--budget", "50",
+             "--replan-every", "40", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (SMALL_RUN, False),
+    (["casestudy", "--out", "{out}"], False),
+    ([*SMALL_RUN, "--samples", "1"], True),
+    ([*SMALL_RUN, "--exact-lattice"], True),
+    (["oracle", "--scenario", "{case}", "--t", "20", "--k", "8",
+      "--steps", "2"], True),
+], ids=["run", "casestudy", "run samples", "run exact", "oracle"])
+def test_only_array_commands_load_numpy(casestudy_path, tmp_path, argv,
+                                        loaded):
+    # numpy costs about 12 MiB of resident memory and 0.07-0.1 s of
+    # start-up; the default run computes its risks with the kernel and
+    # plain floats, and only the lattice and the sampled futures load
+    # numpy.  The commands that do load it show that the probe sees it
+    args = [a.format(out=tmp_path / "out", case=casestudy_path)
+            for a in argv]
+    code = ("import sys\n"
+            "from navrisk.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print('numpy' in sys.modules)\n")
+    assert run_probe(code, *args) == str(loaded)
+
+
 class TestCasestudyCommand:
     def test_document_round_trips(self, casestudy_path):
         s = load_scenario(casestudy_path.read_bytes())
@@ -209,6 +249,20 @@ class TestOracleCommand:
                      "--maneuvers", maneuvers]) == 2
         assert "maneuver" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("maneuvers", ["keep,,shift_left",
+                                           "keep,shift_left, ",
+                                           " keep , shift_left"])
+    def test_empty_maneuver_names_skipped(self, casestudy_path, capsys,
+                                          maneuvers):
+        # a name is stripped before an empty one is dropped, so a blank
+        # after the last comma is no unknown maneuver ''
+        argv = ["oracle", "--scenario", str(casestudy_path), "--t", "20",
+                "--k", "8", "--steps", "2", "--maneuvers"]
+        assert main([*argv, "keep,shift_left"]) == 0
+        want = capsys.readouterr().out
+        assert main([*argv, maneuvers]) == 0
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("t", ["-1", "400"])
     def test_window_outside_scenario_exit_2(self, casestudy_path, capsys,
                                             t):
@@ -234,9 +288,6 @@ class TestOracleCommand:
     def test_oracle_never_loads_openssl(self, tmp_path):
         # hashlib's OpenSSL module costs 3.6 MiB of resident memory; only
         # the sampled futures of `run` need hashlib
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         code = (
             "import sys\n"
             "from navrisk.cli import main\n"
@@ -245,11 +296,7 @@ class TestOracleCommand:
             "assert main(['oracle', '--scenario', case, '--t', '20',\n"
             "             '--k', '8', '--steps', '2']) == 0\n"
             "print('_hashlib' in sys.modules)\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "case.json")],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert run_probe(code, str(tmp_path / "case.json")) == "False"
 
 
 class TestRunCommand:
@@ -262,9 +309,6 @@ class TestRunCommand:
         # about 6 MiB of resident memory; the planner's stream and seeds
         # are drawn in the kernel, so only the sampled futures load them.
         # The run with samples shows that the probe sees them
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         code = (
             "import sys\n"
             "from navrisk.cli import main\n"
@@ -273,11 +317,7 @@ class TestRunCommand:
             "             *sys.argv[2:]]) == 0\n"
             "print('numpy.random' in sys.modules,\n"
             "      '_hashlib' in sys.modules)\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "out"), *extra],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == loaded
+        assert run_probe(code, str(tmp_path / "out"), *extra) == loaded
 
     def test_run_emits_artifacts(self, tmp_path, casestudy_path):
         out = tmp_path / "out"

@@ -72,7 +72,8 @@ from navrisk.scenario import (
 )
 
 import oracles
-from kernel_calls import Tree, grow_tree, select_endpoint, select_path
+from kernel_calls import (
+    Tree, grow_tree, obstacle_arrays, select_endpoint, select_path)
 from oracles import (
     reference_grow_tree,
     reference_select_endpoint,
@@ -577,7 +578,7 @@ class TestEndpointSelection:
                 seed=int(rng.integers(0, 2 ** 31)),
                 goal=GoalSpec(float(rng.choice((12.0, 25.0, 40.0))),
                               int(rng.integers(3))), target_speed=10.0)
-            obs, rsum = world_arrays(world, radii, RADIUS, 0, k)
+            obs, rsum = obstacle_arrays(world, radii, RADIUS, 0, k)
             try:
                 tree, _ = grow_tree(ROAD3, ego, k, obs, rsum, cfg, RADIUS,
                                     0.1)

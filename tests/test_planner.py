@@ -16,11 +16,10 @@ from navrisk.planner import (
     collision_check,
     enumerate_plans,
     plan_sampling,
-    world_arrays,
 )
 from navrisk.scenario import ActorState, RoadMap, ScenarioError, Trajectory
 
-from kernel_calls import edge_blockers, grow_tree
+from kernel_calls import edge_blockers, grow_tree, obstacle_arrays
 from oracles import (
     lane_walks,
     reference_edge_blockers,
@@ -407,14 +406,14 @@ def reference_worlds():
                            seed=int(rng.integers(0, 2 ** 31)),
                            goal=GoalSpec(float(rng.uniform(15.0, 35.0)),
                                          int(rng.integers(3))))
-        obs, rsum = world_arrays(world, radii, 1.2, 0, k)
+        obs, rsum = obstacle_arrays(world, radii, 1.2, 0, k)
         yield ego, k, obs, rsum, cfg, 1.2
     # rsum = 1.25 + 1.25 + 0.5 = 3.0 exactly, and the actor sits 3.0 ahead
     ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
     world = {"edge": static_actor("edge", 13.0, ROAD3.lane_center(1), 30),
              "a": moving_actor("a", 30.0, ROAD3.lane_center(0), 5.0, 30)}
     cfg = sampling_cfg(iteration_budget=300)
-    obs, rsum = world_arrays(world, {"edge": 1.25, "a": 1.25}, 1.25, 0, 30)
+    obs, rsum = obstacle_arrays(world, {"edge": 1.25, "a": 1.25}, 1.25, 0, 30)
     assert 13.0 - ego.position_x == rsum[0] == 3.0
     yield ego, 30, obs, rsum, cfg, 1.25
 
@@ -487,7 +486,7 @@ class TestScalarKernel:
                     float(rng.uniform(0.0, ROAD3.width)),
                     float(rng.uniform(0.0, 4.0)), k)
                 radii[aid] = float(rng.uniform(0.5, 2.5))
-            obs, rsum = world_arrays(world, radii, 1.2, 0, k)
+            obs, rsum = obstacle_arrays(world, radii, 1.2, 0, k)
             for _ in range(20):
                 p0 = rng.uniform((8.0, 0.0), (25.0, ROAD3.width))
                 p1 = p0 + rng.uniform(-4.0, 4.0, 2)
@@ -544,7 +543,7 @@ def lattice_worlds(count):
         cfg = sampling_cfg(iteration_budget=int(rng.integers(150, 301)),
                            seed=int(rng.integers(0, 2 ** 31)),
                            goal=GoalSpec(float(rng.choice((4.0, 8.0))), 1))
-        obs, rsum = world_arrays(world, radii, 1.2, 0, k)
+        obs, rsum = obstacle_arrays(world, radii, 1.2, 0, k)
         yield ego, k, obs, rsum, cfg, 1.2
 
 
@@ -581,7 +580,7 @@ class TestGrowthOnLattice:
         world = {"a": moving_actor("a", 16.0, ROAD3.lane_center(1), 3.0, n),
                  "b": static_actor("b", 20.0, ROAD3.lane_center(2), n)} \
             if actors else {}
-        obs, rsum = world_arrays(world, {"a": 1.2, "b": 1.2}, 1.2, 0, n)
+        obs, rsum = obstacle_arrays(world, {"a": 1.2, "b": 1.2}, 1.2, 0, n)
         cfg = sampling_cfg(iteration_budget=budget, target_speed=speed)
         tree, sole = assert_same_growth(ego, k, obs, rsum, cfg, 1.2)
         assert len(sole) == len(world)

@@ -83,7 +83,7 @@ class TestLoop:
         render = risk.lattice_blockers
 
         def counted(road, ego, k, lattice, obs, rsum, **kw):
-            rows.append(len(obs))
+            rows.append(len(rsum))
             return render(road, ego, k, lattice, obs, rsum, **kw)
 
         monkeypatch.setattr(risk, "lattice_blockers", counted)

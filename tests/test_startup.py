@@ -1,7 +1,9 @@
-"""Start-up cost: importing navrisk starts no idle BLAS worker threads.
+"""Start-up cost: numpy, loaded through navrisk, starts no idle BLAS
+worker threads.
 
-navrisk/__init__.py defaults OPENBLAS_NUM_THREADS to 1 before numpy is
-imported, because navrisk makes no BLAS call and the worker threads that
+navrisk/__init__.py defaults OPENBLAS_NUM_THREADS to 1 at import, before
+any of its functions loads numpy (lazily, where it returns or works on
+arrays), because navrisk makes no BLAS call and the worker threads that
 OpenBLAS starts at import only burn CPU.  A value already set is kept.
 """
 
@@ -14,7 +16,13 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-PROBE = ("import os, navrisk; print(os.environ['OPENBLAS_NUM_THREADS']); "
+# import navrisk, then load numpy through it: a Trajectory's .xy is a
+# numpy view
+PROBE = ("import os, sys, navrisk; assert 'numpy' not in sys.modules; "
+         "navrisk.Trajectory('a', 0, 0.1, "
+         "(navrisk.ActorState(0.0, 0.0, 0.0, 0.0),)).xy; "
+         "assert 'numpy' in sys.modules; "
+         "print(os.environ['OPENBLAS_NUM_THREADS']); "
          "print(next(line.split()[1] for line in open('/proc/self/status') "
          "if line.startswith('Threads:')))")
 BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "inner", "tensordot",
@@ -23,7 +31,8 @@ BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "inner", "tensordot",
 
 def import_navrisk(blas_threads=None):
     """(OPENBLAS_NUM_THREADS, thread count) seen by a fresh interpreter
-    after `import navrisk`, started with the variable unset or as given."""
+    after `import navrisk` and numpy's import through it, started with the
+    variable unset or as given."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPATH")}
     env["PYTHONPATH"] = str(SRC)
