@@ -24,10 +24,16 @@
    reference_sample_stream and reference_planner_seed).
 
    navrisk_hypot_sum adds the displacements that every gamma_euclid,
-   prediction error and sampled plan's path length is made of, as
-   numpy's np.sum of np.hypot does, so that a run that samples no futures
-   and renders no lattice never loads numpy (tests/oracles.py,
-   reference_mean_distance and reference_plan_cost). */
+   prediction error and plan's path length and speed changes are made
+   of, as numpy's np.sum of np.hypot does, so that a run that samples no
+   futures never loads numpy (tests/oracles.py, reference_mean_distance,
+   reference_plan_cost and reference_speed_change).
+
+   navrisk_lattice walks the maneuver lattice depth first and counts the
+   plans each obstacle row blocks, with the binary64 expressions of the
+   earlier numpy level render (tests/oracles.py,
+   reference_lattice_blockers), so that the exact risks load no numpy
+   either. */
 
 #include <math.h>
 #include <stdint.h>
@@ -891,4 +897,163 @@ double navrisk_hypot_sum(const double *a, int na, const double *b, int nb)
     if (na < 1 || nb < 1)
         return 0.0;
     return pairwise(a, na, b, nb, 0, na > nb ? na : nb);
+}
+
+/* The maneuver lattice, walked depth first.  The sequences of np
+   maneuvers over steps decision steps are visited in product order (the
+   maneuvers sorted, as LatticeConfig keeps them), each in-bounds prefix
+   once: a prefix that leaves the lanes [0, lanes) or whose end speed
+   passes limit + 1e-9 is dropped with all its extensions.  Maneuver p
+   moves shift[p] lanes and changes the speed by accel[p] steps of step
+   (+1 accelerates, -1 brakes to no less than 0).  With render 0 the walk
+   only counts the in-bounds sequences, U, which it returns (-1 when out
+   of memory); it writes nothing.
+
+   With render 1 each in-bounds step is rendered with the binary64
+   expressions of a sequence rendered alone (tests/oracles.py,
+   walk_render): speed v0 + ((v1 - v0) * i) / m, trapezoidal x + (0.5 *
+   (vc + v_i)) * dt and lateral y0 + ((y1 - y0) * 0.5) * ramp[i - 1], for
+   the m ticks i = 1 .. m of the step, where (y0, v0) are the previous
+   step's targets, not its last rendered tick.  ego holds (x, y, v) at
+   tick 0 and lane its lane.
+
+   A plan collides with obstacle row j of obs ((n, steps * m + 1, 2)
+   positions, r2 (n) squared radius sums) iff some tick of it has
+   dx * dx + dy * dy < r2[j] (planner._hits' rule).  Tick 0 is tested
+   once per row; each step tests only its own m ticks, for the rows its
+   parent prefix does not already hit, and inherits its parent's bits
+   from a stack of depth steps.  The rows form nw world blocks of sizes
+   ws[0 .. nw - 1].  For world block w, z[w] counts the plans no row of
+   the block hits, and freed[j] the plans that row j alone of its block
+   hits.  If cls is not NULL, cls[u * nw + w] is plan u's class in block
+   w: -1 free, the index of row j within the block if j alone hits it,
+   or -2, for the first cap plans.  If seq is not NULL, the first cap
+   plans that no row hits are listed in order: seq (cap, steps) their
+   maneuver indices and cols (cap, 3, steps * m + 1) their x, y and v
+   columns. */
+int64_t navrisk_lattice(const double *ego, int lane, const double *centers,
+                        int lanes, double limit, double step, double dt,
+                        const int *shift, const int *accel, int np,
+                        int steps, int m, const double *ramp,
+                        const double *obs, const double *r2, int n,
+                        const int *ws, int nw, int render, int64_t *z,
+                        int64_t *freed, int32_t *cls, int32_t *seq,
+                        double *cols, int64_t cap)
+{
+    /* per depth d: the prefix's last rendered x and speed (xl, vl), the
+       targets (yt, vt) and lane the next step starts from, the maneuver
+       idx[d] of step d being tried and the bits of the rows the prefix
+       hits; (px, py, pv) the columns of the path being walked */
+    size_t kp1 = (size_t)steps * m + 1, nb = (size_t)(steps + 1) * n;
+    double *xl = malloc(sizeof(double) * (4 * (size_t)(steps + 1) + 3 * kp1));
+    int *ln = malloc(sizeof(int) * 2 * (size_t)(steps + 1));
+    unsigned char *bits = malloc(nb ? nb : 1);
+    if (!xl || !ln || !bits) {
+        free(xl);
+        free(ln);
+        free(bits);
+        return -1;
+    }
+    double *vl = xl + steps + 1, *yt = vl + steps + 1, *vt = yt + steps + 1;
+    double *px = vt + steps + 1, *py = px + kp1, *pv = py + kp1;
+    int *lane_at = ln, *idx = ln + steps + 1;
+    double bound = limit + 1e-9;
+    int64_t u = 0, kept = 0;
+
+    xl[0] = px[0] = ego[0];
+    yt[0] = py[0] = ego[1];
+    vl[0] = vt[0] = pv[0] = ego[2];
+    lane_at[0] = lane;
+    for (int j = 0; j < n && render; j++) {
+        double dx = obs[j * kp1 * 2] - ego[0];
+        double dy = obs[j * kp1 * 2 + 1] - ego[1];
+        bits[j] = dx * dx + dy * dy < r2[j];
+    }
+    int d = 0;
+    idx[0] = 0;
+    while (d >= 0) {
+        if (idx[d] == np) {   /* every extension of this prefix is done */
+            if (--d >= 0)
+                idx[d]++;
+            continue;
+        }
+        int p = idx[d];
+        int to = lane_at[d] + shift[p];
+        double v0 = vt[d], v1 = v0;
+        if (accel[p] > 0)
+            v1 = v0 + step;
+        else if (accel[p] < 0)
+            v1 = v0 - step > 0.0 ? v0 - step : 0.0;
+        if (to < 0 || to >= lanes || v1 > bound) {
+            idx[d]++;
+            continue;
+        }
+        lane_at[d + 1] = to;
+        vt[d + 1] = v1;
+        yt[d + 1] = shift[p] ? centers[to] : yt[d];
+        if (render) {
+            size_t t0 = 1 + (size_t)d * m;
+            double x = xl[d], vc = vl[d], y0 = yt[d], y1 = yt[d + 1];
+            for (int i = 0; i < m; i++) {
+                double vi = v0 + ((v1 - v0) * (i + 1)) / m;
+                x = x + 0.5 * (vc + vi) * dt;
+                px[t0 + i] = x;
+                py[t0 + i] = y0 + ((y1 - y0) * 0.5) * ramp[i];
+                pv[t0 + i] = vc = vi;
+            }
+            xl[d + 1] = x;
+            vl[d + 1] = vc;
+            const unsigned char *up = bits + (size_t)d * n;
+            unsigned char *here = bits + (size_t)(d + 1) * n;
+            for (int j = 0; j < n; j++) {
+                unsigned char hit = up[j];
+                const double *o = obs + ((size_t)j * kp1 + t0) * 2;
+                for (int i = 0; i < m && !hit; i++) {
+                    double dx = o[2 * i] - px[t0 + i];
+                    double dy = o[2 * i + 1] - py[t0 + i];
+                    hit = dx * dx + dy * dy < r2[j];
+                }
+                here[j] = hit;
+            }
+        }
+        if (d + 1 < steps) {   /* descend into the extensions */
+            idx[++d] = 0;
+            continue;
+        }
+        if (render) {   /* a whole in-bounds sequence: plan u */
+            const unsigned char *b = bits + (size_t)steps * n;
+            int any = 0;
+            for (int w = 0, j0 = 0; w < nw; j0 += ws[w++]) {
+                int hits = 0, last = -1;
+                for (int j = j0; j < j0 + ws[w]; j++)
+                    if (b[j]) {
+                        hits++;
+                        last = j;
+                    }
+                if (hits == 0)
+                    z[w]++;
+                else if (hits == 1)
+                    freed[last]++;
+                if (cls && u < cap)
+                    cls[u * nw + w] = hits == 0 ? -1 :
+                                      hits == 1 ? last - j0 : -2;
+                any |= hits;
+            }
+            if (seq && !any && kept < cap) {
+                for (int s = 0; s < steps; s++)
+                    seq[kept * steps + s] = idx[s];
+                double *c = cols + (size_t)kept * 3 * kp1;
+                memcpy(c, px, sizeof(double) * kp1);
+                memcpy(c + kp1, py, sizeof(double) * kp1);
+                memcpy(c + 2 * kp1, pv, sizeof(double) * kp1);
+            }
+            kept += !any;
+        }
+        u++;
+        idx[d]++;
+    }
+    free(xl);
+    free(ln);
+    free(bits);
+    return u;
 }

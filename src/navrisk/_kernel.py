@@ -1,4 +1,4 @@
-"""Build and load _growth.c, the sampling planner's compiled kernel.
+"""Build and load _growth.c, the planners' compiled kernel.
 
 kernel() compiles the C99 source once per checkout with the constant
 compiler COMPILER and FLAGS and loads it through ctypes.  The shared
@@ -14,7 +14,7 @@ writable the library is cached the same way, under the same name, in
 navrisk-<uid> under tempfile.gettempdir(), which is made 0700 and used
 only while it is a directory that this user owns and no one else can
 enter, and keeps every build.  Nothing is built or loaded until the
-first plan.
+first plan or lattice walk.
 
 -ffp-contract=off keeps every a * b + c a rounded multiply and a rounded
 add, as in numpy and CPython; no -ffast-math, which would reassociate.
@@ -37,6 +37,7 @@ FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("_growth.c")
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+_Q = ctypes.c_int64
 SIGNATURES = {   # name: (argument types, result type)
     "navrisk_leave_one_out": ((_P, _I, _D, _D, _D, _D, _D, _D, _D, _D, _I,
                                _P, _I, _P, _I, _P, _P, _P, _P, _P, _P, _P,
@@ -44,6 +45,9 @@ SIGNATURES = {   # name: (argument types, result type)
     "navrisk_seed_state": ((_P, _I, _P, _I, _P, _I), None),
     "navrisk_uniform": ((_P, _I, _D, _D, _D, _D, _I, _P), None),
     "navrisk_hypot_sum": ((_P, _I, _P, _I), _D),
+    "navrisk_lattice": ((_P, _I, _P, _I, _D, _D, _D, _P, _P, _I, _I, _I, _P,
+                         _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _Q),
+                        _Q),
 }
 
 

@@ -4,13 +4,16 @@ enumerate_plans realizes the trajectory-set semantics exactly at small
 scale: every maneuver sequence on a lattice (keep / shift_left /
 shift_right / brake / accelerate per decision step) is rendered and
 filtered against road bounds, the speed limit and, when a world is given,
-collisions.  The render goes level by level, each in-bounds prefix once,
-with every float equal to a per-sequence render, and so do the collision
-bits: each level tests only its own ticks and inherits its parent's bits
-(see lattice_blockers).  The risks read only the blocker matrix; maneuver
-tuples and columns are decoded only for the plans enumerate_plans returns.
-plan_sampling is a budgeted rewiring sampling planner over (x, y)
-standing in for a generic single-trajectory planner.
+collisions.  The compiled kernel walks the lattice depth first in product
+order (_walk, navrisk_lattice), rendering each in-bounds prefix once with
+every float equal to a per-sequence render, and so are the collision
+bits: each step tests only its own ticks and inherits its parent's bits
+from a stack as deep as the lattice.  A walk writes counts and each
+plan's class per world, which is all the risks read, in memory that
+grows with the plans, not with their ticks; maneuvers and columns are
+listed only for the plans enumerate_plans returns.  plan_sampling is a
+budgeted rewiring sampling planner over (x, y) standing in for a generic
+single-trajectory planner.
 
 plan_sampling draws its entire sample stream from cfg.seed alone before
 growing the tree; acceptance or rejection of a candidate never consumes
@@ -30,9 +33,9 @@ checks (goal connection, hold, rendered path), which are repeated
 against the ablated obstacles.
 
 Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r: _hits
-applies it to arrays, and the C kernel _growth.c to the binary64 scalars
-of the tree-edge checks and of the endpoint selection, with the same
-correctly rounded IEEE operations.  The kernel grows the tree: the
+applies it to arrays (collision_check), and the C kernel _growth.c to the
+binary64 scalars of the lattice walk, the tree-edge checks and the
+endpoint selection, with the same correctly rounded IEEE operations.  The kernel grows the tree: the
 nearest node by a bisect over x-sorted keys (ties to the lowest index,
 np.argmin's rule), the neighbours by a scan of the same keys outward
 from the new point, taken by ascending index where order matters
@@ -61,7 +64,7 @@ import ctypes
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
 
 from ._kernel import address, kernel
 from .prediction import _hypot_sum
@@ -217,11 +220,20 @@ def _plan_cost(traj: Trajectory, road: RoadMap,
     lanes = [road.lane_of(y) for y in p[1::2]]
     lane_changes = sum(1 for a, b in zip(lanes, lanes[1:]) if a != b)
     cost = length + LANE_CHANGE_PENALTY * lane_changes
-    if include_speed_term:   # the lattice's plans, which load numpy
-        import numpy as np
-        dv = float(np.sum(np.abs(np.diff(traj.speeds))))
-        cost += SPEED_CHANGE_PENALTY * dv
+    if include_speed_term:   # the lattice's plans
+        cost += SPEED_CHANGE_PENALTY * _speed_change(
+            [s.speed for s in traj.states])
     return cost
+
+
+def _speed_change(speeds: Sequence[float]) -> float:
+    """The sum of |v[i + 1] - v[i]| over speeds, as
+    np.sum(np.abs(np.diff(speeds))) gives it, bit for bit: hypot(dv, 0.0)
+    is |dv| exactly, so _hypot_sum over the points (v, 0.0) adds the same
+    terms in numpy's pairwise order."""
+    pts = _doubles(2 * len(speeds))
+    pts[0::2] = array("d", speeds)
+    return _hypot_sum(pts[2:], pts[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -244,102 +256,113 @@ def _states_from_columns(xs, ys, vs) -> tuple[ActorState, ...]:
     return tuple(out)
 
 
-def lattice_blockers(road: RoadMap, ego: ActorState, k: int,
-                     lattice: LatticeConfig, obs: array, rsum: array, *,
-                     dt: float = 0.1):
-    """Render the lattice once and test every plan against every obstacle
-    row.
+# a plan's class in one world block, besides the index of the one row
+# that alone blocks it
+FREE, BLOCKED = -1, -2
 
-    obs (n, k+1, 2) and rsum (n,) are obstacle rows as world_arrays
-    stacks them; the rows of several worlds of one window may be
-    concatenated, since each row's bits are computed on their own.  Returns
-    (plans, blockers).  blockers is the (U, n) matrix over the U
-    in-bounds, within-limit sequences in itertools.product order: [u, j]
-    is True iff plan u collides with row j; every exact count and KL
-    importance of the window reduces it alone.  plans(rows) walks the
-    parent chain once for the maneuver tuples of the plans at rows and
-    their (len(rows), 3, k+1) array of (xs, ys, vs) columns.
 
-    The render goes level by level: level d holds every in-bounds d-step
-    prefix, each extended by every maneuver, prefix-major in sorted
-    maneuver order, so the survivors come out in product order.  A prefix
-    that leaves the road or exceeds the speed limit is dropped once, with
-    all its extensions.  Each step applies the per-sequence scalar
-    operations elementwise in the same order: v + ((v_end - v) * i) / m,
-    trapezoidal x tick by tick, and y + (y_end - y) * 0.5 * c_i with the
-    m factors c_i from math.cos; so every column is bit-identical to a
-    sequence rendered alone (tests/oracles.walk_render).
+class LatticeWalk(NamedTuple):
+    """What one walk of the lattice writes (_walk).  universe counts the
+    in-bounds, within-limit sequences (|Z empty|).  For world block w, z[w]
+    counts the plans no row of the block blocks, and freed[j] the plans
+    that row j alone of its block blocks.  classes, when asked for, holds
+    plan u's class in block w at u * len(z) + w: FREE, the index within
+    the block of the one row that blocks it, or BLOCKED.  seqs and cols,
+    when asked for, list the first plans that no row blocks, in product
+    order: (kept, steps) maneuver indices and (kept, 3, k+1) columns of
+    x, y and v."""
 
-    The blocker bits follow the same levels.  The tick-0 position, which
-    every sequence shares, is tested once per row; each level tests
-    only its own m ticks with _hits and ORs them into its parent prefix's
-    bits.  A plan collides iff it hits at some tick, so the bits are those
-    of _hits over all k+1 ticks of each plan, on the same floats.
-    """
+    universe: int
+    z: array
+    freed: array
+    classes: Optional[array] = None
+    seqs: Optional[array] = None
+    cols: Optional[array] = None
+
+
+def _walk(road: RoadMap, ego: ActorState, k: int, lattice: LatticeConfig,
+          obs: array, rsum: array, sizes: Sequence[int], *, dt: float,
+          render: bool = True, universe: Optional[int] = None,
+          kept: int = 0) -> LatticeWalk:
+    """One navrisk_lattice call: the lattice walked depth first in product
+    order, each in-bounds prefix rendered once, against the obstacle rows
+    of world_arrays' (obs, rsum), which form world blocks of the given
+    sizes.  With render False only universe is counted.  Asked for a
+    universe, the walk writes the classes of that many plans; asked for
+    kept, it lists that many of the unblocked plans (one or the other)."""
     if lattice.horizon != k:
         raise ScenarioError(
             f"lattice covers {lattice.horizon} ticks but horizon k = {k}")
     if not road.contains_y(ego.position_y):
         raise ScenarioError("ego is off-road")
-    import numpy as np
-    obs, rsum = _rows(obs, rsum, k)
-    names, m = lattice.maneuvers, lattice.ticks_per_step
-    shift = np.array([{"shift_left": 1, "shift_right": -1}.get(n, 0)
-                      for n in names])
-    accel = np.array([n == "accelerate" for n in names])
-    brake = np.array([n == "brake" for n in names])
-    centers = np.array([road.lane_center(i) for i in range(road.lane_count)])
-    ramp = np.array([1 - math.cos(math.pi * (i / m)) for i in range(1, m + 1)])
-    # each prefix's last rendered x and v, and the (y, v, lane) the next
-    # step starts from: the last step's targets, not its last rendered tick
-    x, v_col, y, v = (np.array([f], dtype=float) for f in (
-        ego.position_x, ego.speed, ego.position_y, ego.speed))
-    lane = np.array([road.lane_of(ego.position_y)])
-    hit = _hits(obs[:, 0], np.array([ego.position_x, ego.position_y]),
-                rsum)[None, :]
-    levels = []   # per level: (parent index, maneuver index, (P, 3, m) cols)
-    for d in range(lattice.decision_steps):
-        parent = np.repeat(np.arange(len(x)), len(names))
-        man = np.tile(np.arange(len(names)), len(x))
-        lane_end = lane[parent] + shift[man]
-        v0 = v[parent]
-        v_end = np.where(accel[man], v0 + SPEED_STEP, np.where(
-            brake[man], np.maximum(0.0, v0 - SPEED_STEP), v0))
-        ok = (lane_end >= 0) & (lane_end < road.lane_count) & \
-            ~(v_end > road.speed_limit + 1e-9)
-        parent, man, lane, v0, v = (a[ok] for a in (
-            parent, man, lane_end, v0, v_end))
-        y0 = y[parent]
-        y = np.where(shift[man] != 0, centers[lane], y0)
-        vs = v0[:, None] + ((v - v0)[:, None] * np.arange(1, m + 1)) / m
-        ys = y0[:, None] + ((y - y0) * 0.5)[:, None] * ramp
-        xs = np.empty_like(vs)
-        x, v_col = x[parent], v_col[parent]
-        for i in range(m):
-            x = x + 0.5 * (v_col + vs[:, i]) * dt
-            xs[:, i], v_col = x, vs[:, i]
-        lvl = np.stack((xs, ys, vs), axis=1)
-        xy = lvl[:, :2].transpose(0, 2, 1)   # (P, m, 2) view of xs, ys
-        hit = hit[parent]
-        for j in range(len(rsum)):   # one row at a time bounds peak memory
-            hit[:, j] |= _hits(obs[j, 1 + d * m:1 + (d + 1) * m], xy,
-                               rsum[j]).any(axis=1)
-        levels.append((parent, man, lvl))
+    n, steps, m = len(rsum), lattice.decision_steps, lattice.ticks_per_step
+    if obs.typecode != "d" or len(obs) != n * 2 * (k + 1) \
+            or sum(sizes) != n or min(sizes, default=0) < 0:
+        raise ValueError(f"{len(obs)} obstacle coordinates in blocks "
+                         f"{list(sizes)} do not give {n} rows of ticks 0 "
+                         f"to {k}")
+    names = lattice.maneuvers
+    shift = array("i", [{"shift_left": 1, "shift_right": -1}.get(a, 0)
+                        for a in names])
+    accel = array("i", [{"accelerate": 1, "brake": -1}.get(a, 0)
+                        for a in names])
+    centers = array("d", [road.lane_center(i)
+                          for i in range(road.lane_count)])
+    ramp = array("d", [1 - math.cos(math.pi * (i / m))
+                       for i in range(1, m + 1)])
+    r2 = array("d", [r * r for r in rsum])
+    ws = array("i", sizes)
+    z, freed = array("q", bytes(8 * len(ws))), array("q", bytes(8 * n))
+    classes = None if universe is None else \
+        array("i", bytes(4 * universe * len(ws)))
+    seqs = array("i", bytes(4 * kept * steps)) if kept else None
+    cols = _doubles(kept * 3 * (k + 1)) if kept else None
+    start = array("d", (ego.position_x, ego.position_y, ego.speed))
+    count = kernel().navrisk_lattice(
+        address(start), road.lane_of(ego.position_y), address(centers),
+        road.lane_count, road.speed_limit, SPEED_STEP, dt, address(shift),
+        address(accel), len(names), steps, m, address(ramp), address(obs),
+        address(r2), n, address(ws), len(ws), render, address(z),
+        address(freed),
+        *(None if b is None else address(b) for b in (classes, seqs, cols)),
+        kept if universe is None else universe)
+    if count < 0:
+        raise MemoryError("no memory for the lattice walk")
+    if universe is not None and count != universe:
+        raise ValueError(f"the walk found {count} plans, not {universe}")
+    return LatticeWalk(count, z, freed, classes, seqs, cols)
 
-    def plans(rows) -> tuple[list[tuple[str, ...]], np.ndarray]:
-        row = np.asarray(rows, dtype=int)
-        seq_idx = np.empty((len(row), lattice.decision_steps), dtype=int)
-        cols = np.empty((len(row), 3, k + 1))
-        cols[:, :, 0] = (ego.position_x, ego.position_y, ego.speed)
-        for d in range(lattice.decision_steps - 1, -1, -1):
-            parent, man, lvl = levels[d]
-            seq_idx[:, d] = man[row]
-            cols[:, :, 1 + d * m:1 + (d + 1) * m] = lvl[row]
-            row = parent[row]
-        seqs = np.array(names, dtype=object)[seq_idx].tolist()
-        return list(map(tuple, seqs)), cols
 
-    return plans, hit
+def lattice_walk(road: RoadMap, ego: ActorState, k: int,
+                 lattice: LatticeConfig, obs: array, rsum: array,
+                 sizes: Sequence[int], *, dt: float = 0.1) -> LatticeWalk:
+    """The counts and classes of every plan of the lattice against the
+    obstacle rows of world_arrays' (obs, rsum), concatenated for worlds
+    whose row counts are sizes, from one render (_walk): each row's bits
+    are its own, so one render serves every world of a window.  The
+    classes buffer is sized by a walk that only counts the plans."""
+    universe = _walk(road, ego, k, lattice, obs, rsum, sizes, dt=dt,
+                     render=False).universe
+    return _walk(road, ego, k, lattice, obs, rsum, sizes, dt=dt,
+                 universe=universe)
+
+
+def _unblocked(road: RoadMap, ego: ActorState, k: int,
+               lattice: LatticeConfig, obs: array, rsum: array, *,
+               dt: float) -> tuple[int, list[tuple[str, ...]], list]:
+    """The in-bounds sequence count and, in product order, the maneuvers
+    and (xs, ys, vs) columns of every plan that no row of world_arrays'
+    (obs, rsum) blocks: one walk counts them, and a second lists them."""
+    counts = _walk(road, ego, k, lattice, obs, rsum, [len(rsum)], dt=dt)
+    n = counts.z[0]
+    listed = _walk(road, ego, k, lattice, obs, rsum, [len(rsum)], dt=dt,
+                   kept=n)
+    names, steps, row = lattice.maneuvers, lattice.decision_steps, k + 1
+    seqs = [tuple(names[i] for i in listed.seqs[steps * u:steps * (u + 1)])
+            for u in range(n)]
+    cols = [tuple(listed.cols[row * c:row * (c + 1)]
+                  for c in range(3 * u, 3 * u + 3)) for u in range(n)]
+    return counts.universe, seqs, cols
 
 
 def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
@@ -350,21 +373,19 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
                     dt: float = 0.1) -> PlanSet:
     """Enumerate every maneuver sequence, render it, and keep the in-bounds,
     within-limit and (when a world is given) collision-free ones.  Maneuver
-    tuples and columns are gathered only for the plans kept.
+    tuples and columns are listed only for the plans kept.
 
     universe_size counts the in-bounds sequences regardless of the world, so
     it equals |plans| exactly when world is None.
     """
-    import numpy as np
     obs, rsum = world_arrays(world or {}, radii or {}, ego_radius, t, k)
-    plans, blockers = lattice_blockers(road, ego, k, lattice, obs, rsum,
-                                       dt=dt)
-    seqs, cols = plans(np.flatnonzero(~blockers.any(axis=1)))
+    universe, seqs, cols = _unblocked(road, ego, k, lattice, obs, rsum,
+                                      dt=dt)
     kept = []
-    for seq, c in zip(seqs, cols.tolist()):
+    for seq, c in zip(seqs, cols):
         traj = Trajectory("ego", t, dt, _states_from_columns(*c))
         kept.append(Plan(traj, _plan_cost(traj, road), maneuver_seq=seq))
-    return PlanSet(tuple(kept), len(blockers))
+    return PlanSet(tuple(kept), universe)
 
 
 # ---------------------------------------------------------------------------

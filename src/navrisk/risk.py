@@ -10,7 +10,8 @@ Three layers:
   semantics), and the KL importance is the divergence between the
   epsilon-floored plan distributions with and without the actor.  All of
   them, for every world given (the predicted world and the ground-truth
-  slice of one replan tick), reduce one render's blocker matrix;
+  slice of one replan tick), come from one render's plan counts and
+  classes; the KL importance, which loads numpy, only when it is read;
 * leave-one-out importance: replan with and without one actor, all
   randomness and routing inputs held fixed, and measure the plan change
   with a per-waypoint Euclidean operator;
@@ -24,13 +25,15 @@ total risk is large (ablation masking).
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .planner import (
+    FREE,
     GoalSpec,
     LatticeConfig,
     Plan,
@@ -41,7 +44,7 @@ from .planner import (
     _plan_worlds,
     collision_check,
     enumerate_plans,  # noqa: F401 (wrapped by perfbench/tracer.py)
-    lattice_blockers,
+    lattice_walk,
     plan_sampling,  # noqa: F401 (wrapped by perfbench/tracer.py)
     world_arrays,
 )
@@ -169,13 +172,37 @@ def check_cap(lattice: LatticeConfig, source: str = "lattice"):
 @dataclass(frozen=True)
 class ExactRisk:
     """Plan counts of one world on a lattice window and the risks they
-    give."""
+    give.  kl is computed, with numpy, on first read."""
 
     z_empty: int                  # |Z empty|: in-bounds plans
     z: int                        # |Z|: plans no actor blocks
     total: float                  # (|Z empty| - |Z|) / |Z empty|
     per_actor: Mapping[str, float]  # (|Z without i| - |Z|) / |Z empty|
-    kl: Mapping[str, float]       # operator="kl" importance of actor i
+    kl_of: Callable[[], Mapping[str, float]] = field(repr=False,
+                                                     compare=False)
+
+    @functools.cached_property
+    def kl(self) -> Mapping[str, float]:
+        """operator="kl" importance of each actor."""
+        return self.kl_of()
+
+
+def _kl(classes: array, block: int, blocks: int, z: int,
+        actors: Sequence[str]) -> dict[str, float]:
+    """The KL importance of each of actors, the world block block of
+    blocks in a lattice_walk's classes: KL(p || q_i) between _floored's
+    distributions on the plans free of the block (p, z of them) and on
+    those free of it or blocked by actor i alone (q_i)."""
+    import numpy as np
+    cls = np.frombuffer(classes, dtype=np.intc)[block::blocks]
+    free = cls == FREE
+    p = _floored(free, z)
+    kl = {}
+    for j, aid in enumerate(actors):
+        mask = free | (cls == j)
+        q = _floored(mask, np.count_nonzero(mask))
+        kl[aid] = float(np.sum(p * np.log(p / q)))
+    return kl
 
 
 def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
@@ -184,44 +211,37 @@ def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
                   radii: Mapping[str, float], *, ego_radius: float = 1.2,
                   dt: float = 0.1) -> list[ExactRisk]:
     """The ExactRisk of each of worlds (one or more) on one lattice
-    window, from one render against the obstacle rows of all of them.
+    window, from one render against the obstacle rows of all of them
+    (planner.lattice_walk).
 
-    Each world's block of (plans x actors) blocker columns gives its
-    counts: |Z| counts the rows with no blocker in the block and
-    |Z without i| adds the rows whose only blocker is i.  The KL
-    importance of i is KL(p || q_i) between the epsilon-floored uniform
-    distributions (PlanDistribution.uniform_feasible's) over the plans of
-    the world (p) and of the world without i (q_i), both over the
-    empty-world universe.  Raises DegenerateScenario when that universe
-    is empty."""
-    import numpy as np
+    Each world's block of rows gives its counts: |Z| counts the plans no
+    row of the block blocks and |Z without i| adds the plans that i alone
+    blocks.  The KL importance of i is KL(p || q_i) between the
+    epsilon-floored uniform distributions (PlanDistribution.
+    uniform_feasible's) over the plans of the world (p) and of the world
+    without i (q_i), both over the empty-world universe, read from the
+    plans' classes.  Raises DegenerateScenario when that universe is
+    empty."""
     check_cap(lattice)
     obs, rsum = array("d"), array("d")
     for w in worlds:
         w_obs, w_rsum = world_arrays(w, radii, ego_radius, t, k)
         obs += w_obs
         rsum += w_rsum
-    _, blockers = lattice_blockers(road, ego, k, lattice, obs, rsum, dt=dt)
-    n = len(blockers)
+    walk = lattice_walk(road, ego, k, lattice, obs, rsum,
+                        [len(w) for w in worlds], dt=dt)
+    n = walk.universe
     if not n:
         raise DegenerateScenario("the map admits no plan (|Z empty| = 0)")
     risks, start = [], 0
-    for world in worlds:
-        block = blockers[:, start:start + len(world)]
+    for b, world in enumerate(worlds):
+        z = walk.z[b]
+        freed = walk.freed[start:start + len(world)]   # |Z w/o i| - |Z|
         start += len(world)
-        count = block.sum(axis=1)
-        free = count == 0
-        alone = block & (count == 1)[:, None]   # j its only blocker
-        z = int(np.count_nonzero(free))
-        freed = np.count_nonzero(alone, axis=0).tolist()  # |Z w/o i| - |Z|
-        p = _floored(free, z)
-        kl = []
-        for mask in (free[:, None] | alone).T:
-            q = _floored(mask, np.count_nonzero(mask))
-            kl.append(float(np.sum(p * np.log(p / q))))
-        risks.append(ExactRisk(n, z, (n - z) / n,
-                               dict(zip(world, (f / n for f in freed))),
-                               dict(zip(world, kl))))
+        risks.append(ExactRisk(
+            n, z, (n - z) / n, dict(zip(world, (f / n for f in freed))),
+            functools.partial(_kl, walk.classes, b, len(worlds), z,
+                              tuple(world))))
     return risks
 
 

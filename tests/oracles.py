@@ -6,11 +6,15 @@ float loops instead of numpy, so that the production code is checked
 against a second implementation of the same contracts.
 
 walk_render renders one maneuver sequence at a time with the scalar
-float expressions that planner.lattice_blockers applies level by level
-to whole arrays of prefixes; it is the == reference for that render:
-the same sequences, and columns equal to the last bit.  walk_enumerate
-tests each rendered tick with the collision rule written out on Python
-floats, dx*dx + dy*dy < r*r, not through planner._hits.
+float expressions that the kernel's lattice walk (planner._walk,
+navrisk_lattice in navrisk/_growth.c) applies prefix by prefix; it is
+the == reference for that render: the same sequences, and columns equal
+to the last bit.  walk_enumerate tests each rendered tick with the
+collision rule written out on Python floats, dx*dx + dy*dy < r*r, not
+through planner._hits.  reference_lattice_blockers keeps the earlier
+numpy render, level by level over whole arrays of prefixes, with its
+(plans x rows) blocker matrix: the == reference for the walk's counts,
+plan classes and listed columns.
 
 The exceptions are the sampling planner's tree growth and endpoint
 selection.  reference_grow_tree and reference_edge_blockers keep the earlier
@@ -35,7 +39,9 @@ kernel's port of SeedSequence, PCG64 and Generator.uniform
 reference_mean_distance and reference_plan_cost measure displacement and
 path length with np.hypot and np.mean or np.sum, the == references for
 the kernel's hypot sum (prediction._mean_distance, planner._plan_cost),
-which adds libm hypot distances in numpy's pairwise order.
+which adds libm hypot distances in numpy's pairwise order;
+reference_speed_change sums the plan cost's speed changes with np.sum,
+the == reference for planner._speed_change.
 """
 
 import math
@@ -49,6 +55,7 @@ from navrisk.planner import (
     GOAL_TOLERANCE,
     LANE_CHANGE_PENALTY,
     SPEED_CHANGE_PENALTY,
+    SPEED_STEP,
     STEER_STEP,
     GoalSpec,
     Plan,
@@ -56,6 +63,7 @@ from navrisk.planner import (
     PlanningInfeasible,
     _goal_point,
     _hits,
+    _rows,
 )
 from navrisk.risk import _lane_terms, _soft_advance, traj_difference_euclidean
 from navrisk.scenario import (
@@ -170,6 +178,103 @@ def walk_enumerate(road, ego, steps, maneuvers, tps, speed_step, dt,
         if not hit:
             survivors.add(seq)
     return universe, survivors
+
+
+def reference_lattice_blockers(road: RoadMap, ego: ActorState, k: int,
+                               lattice, obs, rsum, *, dt: float = 0.1):
+    """The earlier numpy render of the lattice, level by level, and every
+    plan tested against every obstacle row: the == reference for the
+    kernel's depth-first walk (planner._walk).
+
+    obs (n, k+1, 2) and rsum (n,) are obstacle rows as world_arrays
+    stacks them; the rows of several worlds of one window may be
+    concatenated, since each row's bits are computed on their own.  Returns
+    (plans, blockers).  blockers is the (U, n) matrix over the U
+    in-bounds, within-limit sequences in itertools.product order: [u, j]
+    is True iff plan u collides with row j; the kernel's counts and plan
+    classes are reductions of it.  plans(rows) walks the parent chain once
+    for the maneuver tuples of the plans at rows and their (len(rows), 3,
+    k+1) array of (xs, ys, vs) columns.
+
+    The render goes level by level: level d holds every in-bounds d-step
+    prefix, each extended by every maneuver, prefix-major in sorted
+    maneuver order, so the survivors come out in product order.  A prefix
+    that leaves the road or exceeds the speed limit is dropped once, with
+    all its extensions.  Each step applies the per-sequence scalar
+    operations elementwise in the same order: v + ((v_end - v) * i) / m,
+    trapezoidal x tick by tick, and y + (y_end - y) * 0.5 * c_i with the
+    m factors c_i from math.cos; so every column is bit-identical to a
+    sequence rendered alone (walk_render).
+
+    The blocker bits follow the same levels.  The tick-0 position, which
+    every sequence shares, is tested once per row; each level tests
+    only its own m ticks with _hits and ORs them into its parent prefix's
+    bits.  A plan collides iff it hits at some tick, so the bits are those
+    of _hits over all k+1 ticks of each plan, on the same floats.
+    """
+    if lattice.horizon != k:
+        raise ScenarioError(
+            f"lattice covers {lattice.horizon} ticks but horizon k = {k}")
+    if not road.contains_y(ego.position_y):
+        raise ScenarioError("ego is off-road")
+    obs, rsum = _rows(obs, rsum, k)
+    names, m = lattice.maneuvers, lattice.ticks_per_step
+    shift = np.array([{"shift_left": 1, "shift_right": -1}.get(n, 0)
+                      for n in names])
+    accel = np.array([n == "accelerate" for n in names])
+    brake = np.array([n == "brake" for n in names])
+    centers = np.array([road.lane_center(i) for i in range(road.lane_count)])
+    ramp = np.array([1 - math.cos(math.pi * (i / m)) for i in range(1, m + 1)])
+    # each prefix's last rendered x and v, and the (y, v, lane) the next
+    # step starts from: the last step's targets, not its last rendered tick
+    x, v_col, y, v = (np.array([f], dtype=float) for f in (
+        ego.position_x, ego.speed, ego.position_y, ego.speed))
+    lane = np.array([road.lane_of(ego.position_y)])
+    hit = _hits(obs[:, 0], np.array([ego.position_x, ego.position_y]),
+                rsum)[None, :]
+    levels = []   # per level: (parent index, maneuver index, (P, 3, m) cols)
+    for d in range(lattice.decision_steps):
+        parent = np.repeat(np.arange(len(x)), len(names))
+        man = np.tile(np.arange(len(names)), len(x))
+        lane_end = lane[parent] + shift[man]
+        v0 = v[parent]
+        v_end = np.where(accel[man], v0 + SPEED_STEP, np.where(
+            brake[man], np.maximum(0.0, v0 - SPEED_STEP), v0))
+        ok = (lane_end >= 0) & (lane_end < road.lane_count) & \
+            ~(v_end > road.speed_limit + 1e-9)
+        parent, man, lane, v0, v = (a[ok] for a in (
+            parent, man, lane_end, v0, v_end))
+        y0 = y[parent]
+        y = np.where(shift[man] != 0, centers[lane], y0)
+        vs = v0[:, None] + ((v - v0)[:, None] * np.arange(1, m + 1)) / m
+        ys = y0[:, None] + ((y - y0) * 0.5)[:, None] * ramp
+        xs = np.empty_like(vs)
+        x, v_col = x[parent], v_col[parent]
+        for i in range(m):
+            x = x + 0.5 * (v_col + vs[:, i]) * dt
+            xs[:, i], v_col = x, vs[:, i]
+        lvl = np.stack((xs, ys, vs), axis=1)
+        xy = lvl[:, :2].transpose(0, 2, 1)   # (P, m, 2) view of xs, ys
+        hit = hit[parent]
+        for j in range(len(rsum)):   # one row at a time bounds peak memory
+            hit[:, j] |= _hits(obs[j, 1 + d * m:1 + (d + 1) * m], xy,
+                               rsum[j]).any(axis=1)
+        levels.append((parent, man, lvl))
+
+    def plans(rows) -> tuple[list[tuple[str, ...]], np.ndarray]:
+        row = np.asarray(rows, dtype=int)
+        seq_idx = np.empty((len(row), lattice.decision_steps), dtype=int)
+        cols = np.empty((len(row), 3, k + 1))
+        cols[:, :, 0] = (ego.position_x, ego.position_y, ego.speed)
+        for d in range(lattice.decision_steps - 1, -1, -1):
+            parent, man, lvl = levels[d]
+            seq_idx[:, d] = man[row]
+            cols[:, :, 1 + d * m:1 + (d + 1) * m] = lvl[row]
+            row = parent[row]
+        seqs = np.array(names, dtype=object)[seq_idx].tolist()
+        return list(map(tuple, seqs)), cols
+
+    return plans, hit
 
 
 def world_to_positions(world):
@@ -530,6 +635,11 @@ def reference_plan_cost(traj: Trajectory, road: RoadMap,
     lane_changes = sum(1 for a, b in zip(lanes, lanes[1:]) if a != b)
     cost = length + LANE_CHANGE_PENALTY * lane_changes
     if include_speed_term:
-        dv = float(np.sum(np.abs(np.diff(traj.speeds))))
-        cost += SPEED_CHANGE_PENALTY * dv
+        cost += SPEED_CHANGE_PENALTY * reference_speed_change(traj.speeds)
     return cost
+
+
+def reference_speed_change(speeds) -> float:
+    """np.sum(np.abs(np.diff(speeds))): the == reference for
+    planner._speed_change, the plan cost's comfort term."""
+    return float(np.sum(np.abs(np.diff(np.asarray(speeds, dtype=float)))))

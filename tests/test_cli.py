@@ -40,16 +40,19 @@ SMALL_RUN = ["run", "--casestudy-defaults", "--budget", "50",
     (SMALL_RUN, False),
     (["casestudy", "--out", "{out}"], False),
     ([*SMALL_RUN, "--samples", "1"], True),
-    ([*SMALL_RUN, "--exact-lattice"], True),
+    ([*SMALL_RUN, "--exact-lattice"], False),
+    ([*SMALL_RUN, "--exact-lattice", "--operator", "kl"], True),
     (["oracle", "--scenario", "{case}", "--t", "20", "--k", "8",
-      "--steps", "2"], True),
-], ids=["run", "casestudy", "run samples", "run exact", "oracle"])
+      "--steps", "2"], False),
+], ids=["run", "casestudy", "run samples", "run exact", "run exact kl",
+        "oracle"])
 def test_only_array_commands_load_numpy(casestudy_path, tmp_path, argv,
                                         loaded):
     # numpy costs about 12 MiB of resident memory and 0.07-0.1 s of
-    # start-up; the default run computes its risks with the kernel and
-    # plain floats, and only the lattice and the sampled futures load
-    # numpy.  The commands that do load it show that the probe sees it
+    # start-up; the runs and the oracle compute their risks with the
+    # kernel and plain floats (the lattice is walked in the kernel), and
+    # only the sampled futures and the KL importance load numpy.  The
+    # commands that do load it show that the probe sees it
     args = [a.format(out=tmp_path / "out", case=casestudy_path)
             for a in argv]
     code = ("import sys\n"

@@ -1,15 +1,18 @@
 """The lattice's exactness claims as properties on generated windows.
 
-planner.lattice_blockers renders the maneuver lattice level by level,
-sharing every in-bounds prefix, fills the (plans x actors) blocker matrix
-level by level too (tick 0 once, then each level's own ticks ORed into
-its parent's bits), and reduces that matrix to every exact count of the
-window.  All of it is checked here against the per-sequence oracles of
-tests/oracles.py: the render, gathered for every sequence, with == on
+The compiled kernel walks the maneuver lattice depth first
+(planner._walk, navrisk_lattice), rendering every in-bounds prefix once
+and inheriting its parent's blocker bits (tick 0 once, then each step's
+own ticks), and counts every exact count of the window from those bits.
+All of it is checked here against the per-sequence oracles of
+tests/oracles.py: the render, listed for every sequence, with == on
 every column float (walk_render), and the plans, risk and KL reductions
-against the recursive walk enumeration (walk_enumerate).  One render
-against the stacked rows of several worlds (risk.lattice_risks) is
-checked against one render per world.
+against the recursive walk enumeration (walk_enumerate).  The earlier
+numpy level render, reference_lattice_blockers, is checked against the
+same oracles, since tests/test_lattice_kernel.py compares the kernel
+with it on random windows and obstacle rows.  One render against the
+stacked rows of several worlds (risk.lattice_risks) is checked against
+one render per world.
 
 risk.leave_one_out grows the full world's tree once and reuses it for
 every ablated actor that never alone blocked one of its edge checks; its
@@ -49,8 +52,9 @@ from navrisk.planner import (
     PlanningInfeasible,
     _goal_point,
     _hits,
+    _unblocked,
     enumerate_plans,
-    lattice_blockers,
+    lattice_walk,
     world_arrays,
 )
 from navrisk.risk import (
@@ -76,6 +80,7 @@ from kernel_calls import (
     Tree, grow_tree, obstacle_arrays, select_endpoint, select_path)
 from oracles import (
     reference_grow_tree,
+    reference_lattice_blockers,
     reference_select_endpoint,
     replanned_gammas,
     static_actor,
@@ -141,10 +146,16 @@ def window(rng, max_universe):
 
 
 def assert_render_exact(road, ego, lattice, dt):
-    plans, blockers = lattice_blockers(
-        road, ego, lattice.horizon, lattice,
-        *world_arrays({}, {}, RADIUS, 0, lattice.horizon), dt=dt)
+    empty = world_arrays({}, {}, RADIUS, 0, lattice.horizon)
+    plans, blockers = reference_lattice_blockers(
+        road, ego, lattice.horizon, lattice, *empty, dt=dt)
     want = rendered(road, ego, lattice, dt)
+    universe, kernel_seqs, kernel_cols = _unblocked(
+        road, ego, lattice.horizon, lattice, *empty, dt=dt)
+    assert universe == len(want)
+    assert kernel_seqs == [w[0] for w in want]
+    assert [[c.tolist() for c in cs] for cs in kernel_cols] == \
+        [[xs, ys, vs] for _, xs, ys, vs in want]
     seqs, cols = plans(np.arange(len(blockers)))
     assert seqs == [w[0] for w in want]
     assert cols.shape == (len(want), 3, lattice.horizon + 1)
@@ -284,10 +295,10 @@ def test_enumerate_plans_returns_walk_survivors():
 
 def test_one_render_for_several_worlds_equals_one_render_each():
     # lattice_risks stacks the obstacle rows of every world it is given
-    # under one render and reduces each world's block of blocker columns:
-    # that must give each world exactly what a render of it alone gives,
-    # == on every field, for 2-3 worlds that share actor ids and differ
-    # in actor count
+    # under one render and counts each world's block of rows: that must
+    # give each world exactly what a render of it alone gives, == on
+    # every field and on the KL importances it computes when read, for 2-3
+    # worlds that share actor ids and differ in actor count
     seen = Counter()
     radii = {f"a{i}": RADIUS for i in range(3)}
     for seed in range(EXAMPLES):
@@ -309,7 +320,9 @@ def test_one_render_for_several_worlds_equals_one_render_each():
                         risks([w])
                 seen["empty universe"] += 1
                 continue
-            assert got == [risks([w])[0] for w in worlds]
+            alone = [risks([w])[0] for w in worlds]
+            assert got == alone
+            assert [r.kl for r in got] == [r.kl for r in alone]
         seen["an empty world"] += any(not w for w in worlds)
         seen["unequal actor counts"] += len({len(w) for w in worlds}) > 1
         seen["unequal |Z|"] += len({r.z for r in got}) > 1
@@ -326,18 +339,22 @@ FAR = ActorState(250.0, ROAD.lane_center(0), 0.0, 0.0)
 
 
 def blocker_column(actor):
-    """lattice_blockers' bits for one actor on the LEVELS window, and the
+    """The kernel walk's bits for one actor on the LEVELS window (the
+    plans it alone blocks), reference_lattice_blockers' bits, and the
     bits of _hits over every tick of each walk_render'ed sequence."""
-    plans, blockers = lattice_blockers(
-        ROAD, EGO, LEVELS.horizon, LEVELS,
-        *world_arrays({"a": actor}, {"a": RADIUS}, RADIUS, 0, LEVELS.horizon))
+    rows = world_arrays({"a": actor}, {"a": RADIUS}, RADIUS, 0,
+                        LEVELS.horizon)
+    plans, blockers = reference_lattice_blockers(
+        ROAD, EGO, LEVELS.horizon, LEVELS, *rows)
+    walk = lattice_walk(ROAD, EGO, LEVELS.horizon, LEVELS, *rows, [1])
     want = []
     for seq in plans(np.arange(len(blockers)))[0]:
         pos, _, _ = walk_render(seq, ROAD, EGO, LEVELS.ticks_per_step,
                                 SPEED_STEP, 0.1)
         want.append(bool(_hits(actor.xy, np.array(pos),
                                RADIUS + RADIUS + SAFETY_MARGIN).any()))
-    return blockers[:, 0].tolist(), want
+    assert blockers[:, 0].tolist() == want
+    return [c == 0 for c in walk.classes], want
 
 
 def test_tick_zero_overlap_blocks_every_sequence():

@@ -7,7 +7,10 @@ numpy forms, oracles.reference_mean_distance and reference_plan_cost, bit
 for bit, on positions drawn with random.Random: lengths on both sides of
 the pairwise blocks (1, 7, 8, 9, 41, 128, 129 and 600), unequal lengths
 (the shorter array holding its last point), zero displacements and
-magnitudes near scenario.MAX_MAGNITUDE.
+magnitudes near scenario.MAX_MAGNITUDE.  The plan cost's comfort term,
+planner._speed_change, sums |dv| through the same kernel sum and must
+equal np.sum(np.abs(np.diff(v))) (oracles.reference_speed_change), which
+a sequential sum does not.
 """
 
 import random
@@ -16,11 +19,12 @@ from array import array
 import numpy as np
 import pytest
 
-from navrisk.planner import _plan_cost
+from navrisk.planner import _plan_cost, _speed_change
 from navrisk.prediction import _mean_distance
 from navrisk.scenario import MAX_MAGNITUDE, ActorState, RoadMap, Trajectory
 
-from oracles import reference_mean_distance, reference_plan_cost
+from oracles import (
+    reference_mean_distance, reference_plan_cost, reference_speed_change)
 
 LENGTHS = (1, 7, 8, 9, 41, 128, 129, 600)
 KINDS = ("walk", "spread", "huge", "still")
@@ -105,3 +109,21 @@ def test_plan_cost_equals_numpy(speed_term):
                 traj = Trajectory("ego", 0, 0.1, states)
                 assert _plan_cost(traj, ROAD, speed_term) == \
                     reference_plan_cost(traj, ROAD, speed_term), (n, kind)
+
+
+def test_speed_change_equals_numpy():
+    # hypot(dv, 0.0) is |dv|, added in numpy's pairwise order; a
+    # sequential sum of the same terms differs on some of these lists
+    rng = random.Random(1500)
+    sequential_differs = 0
+    for n in (1, 2, 7, 8, 9, 128, 129, 1000):
+        for _ in range(20):
+            speeds = [rng.choice((rng.uniform(0.0, 14.0), 1.5 * rng.randint(
+                0, 9))) for _ in range(n)]
+            want = reference_speed_change(speeds)
+            assert _speed_change(speeds) == want, n
+            sequential = 0.0
+            for a, b in zip(speeds, speeds[1:]):
+                sequential += abs(b - a)
+            sequential_differs += sequential != want
+    assert sequential_differs > 0

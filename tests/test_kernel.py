@@ -147,8 +147,8 @@ def test_private_cache_must_be_private(pkg, tmp_path):
     assert list(private.iterdir()) == []
 
 
-def test_without_a_compiler_run_exits_2_and_oracle_still_runs(pkg,
-                                                              tmp_path):
+def test_without_a_compiler_run_and_oracle_exit_2_casestudy_runs(pkg,
+                                                                tmp_path):
     path = no_compiler(tmp_path)
     out, case = tmp_path / "out", tmp_path / "case.json"
     proc = run(pkg, "import sys\n"
@@ -161,15 +161,19 @@ def test_without_a_compiler_run_exits_2_and_oracle_still_runs(pkg,
         "error: cannot build the planner kernel: cc -O2 -std=c99")
     assert "Traceback" not in proc.stderr
     assert not (out / "run.csv").exists()
-    # oracle and casestudy never build or load the kernel
+    # casestudy never builds or loads the kernel; oracle walks the lattice
+    # in it, so it exits 2 as run does
     proc = run(pkg, "import sys\n"
                "from navrisk.cli import main\n"
                "from navrisk._kernel import kernel\n"
                "assert main(['casestudy', '--out', sys.argv[1]]) == 0\n"
-               "assert main(['oracle', '--scenario', sys.argv[1], '--t',\n"
-               "             '20', '--k', '8', '--steps', '2']) == 0\n"
-               "print(kernel.cache_info().currsize)\n",
+               "print(kernel.cache_info().currsize)\n"
+               "sys.exit(main(['oracle', '--scenario', sys.argv[1], '--t',\n"
+               "               '20', '--k', '8', '--steps', '2']))\n",
                str(case), path=path)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 2
     assert proc.stdout.splitlines()[-1] == "0"
+    assert proc.stderr.startswith(
+        "error: cannot build the planner kernel: cc -O2 -std=c99")
+    assert "Traceback" not in proc.stderr
     assert libraries(pkg) == []

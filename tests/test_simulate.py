@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from navrisk import risk, simulate
+from navrisk import planner, risk, simulate
 from navrisk.planner import LatticeConfig, PlannerConfig
 from navrisk.report import (
     PHASE_CSV_HEADER,
@@ -80,13 +80,16 @@ class TestLoop:
                         operators=("euclid", "kl", "exact"),
                         lattice=LatticeConfig(2, ("keep",), 10))
         rows = []
-        render = risk.lattice_blockers
+        walk = planner._walk
 
-        def counted(road, ego, k, lattice, obs, rsum, **kw):
-            rows.append(len(rsum))
-            return render(road, ego, k, lattice, obs, rsum, **kw)
+        def counted(road, ego, k, lattice, obs, rsum, sizes, *, dt,
+                    render=True, **kw):
+            if render:   # a walk that renders, not one that only counts
+                rows.append(len(rsum))
+            return walk(road, ego, k, lattice, obs, rsum, sizes, dt=dt,
+                        render=render, **kw)
 
-        monkeypatch.setattr(risk, "lattice_blockers", counted)
+        monkeypatch.setattr(planner, "_walk", counted)
         res = run_simulation(scenario, cfg)
         windows = {t for t in res.replan_ticks
                    if t + cfg.horizon <= scenario.horizon_ticks}

@@ -1,6 +1,10 @@
-"""Start-up cost: numpy, loaded through navrisk, starts no idle BLAS
-worker threads.
+"""Start-up cost: which commands load numpy, and numpy, loaded through
+navrisk, starts no idle BLAS worker threads.
 
+The lattice is walked in the compiled kernel, so enumerate_plans and the
+exact risks load no numpy; reading a KL importance (ExactRisk.kl) does.
+tests/test_cli.py probes the commands the same way: oracle and run
+--exact-lattice load no numpy, run --operator kl does.
 navrisk/__init__.py defaults OPENBLAS_NUM_THREADS to 1 at import, before
 any of its functions loads numpy (lazily, where it returns or works on
 arrays), because navrisk makes no BLAS call and the worker threads that
@@ -55,6 +59,41 @@ def test_import_starts_no_blas_threads():
                     reason="needs /proc/self/status")
 def test_a_set_thread_count_is_kept():
     assert import_navrisk("2")[0] == "2"
+
+
+def loads_numpy(code):
+    """Whether a fresh interpreter that runs code ends with numpy in
+    sys.modules."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.split()[-1]]
+
+
+def test_enumerate_plans_loads_no_numpy():
+    assert not loads_numpy(
+        "from navrisk import ActorState, RoadMap, LatticeConfig, "
+        "enumerate_plans\n"
+        "plans = enumerate_plans(RoadMap(3, 3.5, 300.0, 14.0),\n"
+        "    ActorState(10.0, 5.25, 0.0, 8.0), 0, 20,\n"
+        "    LatticeConfig(2, ('keep', 'brake', 'shift_left'), 10))\n"
+        "assert len(plans) == 8 and plans.plans[0].cost > 0")
+
+
+@pytest.mark.parametrize("read_kl", [False, True])
+def test_exact_risk_loads_numpy_when_kl_is_read(read_kl):
+    assert loads_numpy(
+        "from navrisk import LatticeConfig, all_actor_risk_exact, "
+        "generate_case_study\n"
+        "risk = all_actor_risk_exact(generate_case_study(), 20, 40,\n"
+        "    LatticeConfig(8, ('keep', 'shift_left', 'shift_right'), 5))\n"
+        "assert risk.z_empty == 1393\n"
+        + ("assert set(risk.kl) == set(risk.per_actor)" if read_kl
+           else "")) is read_kl
 
 
 def test_navrisk_makes_no_blas_call():
