@@ -5,9 +5,9 @@ import os
 # navrisk makes no BLAS call (no matrix product, dot or linalg), so the
 # OpenBLAS worker threads that numpy starts at import only burn CPU at
 # start-up.  One thread unless the user set another count.  navrisk loads
-# numpy lazily, only in the functions that return or work on arrays (the
-# lattice, sampled futures, Trajectory.xy), so this holds wherever navrisk
-# is imported before numpy.
+# numpy lazily, only where it works on arrays (the sampled futures, their
+# statistics and the KL importance), so this holds wherever navrisk is
+# imported before numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .planner import (
@@ -31,7 +31,6 @@ from .prediction import (
 from .risk import (
     DegenerateScenario,
     LatticeCapExceeded,
-    PlanDistribution,
     actor_importance,
     actor_risk_exact,
     all_actor_risk_exact,
@@ -39,9 +38,7 @@ from .risk import (
     leave_one_out,
     min_risk_selection,
     monte_carlo_importance,
-    plan_divergence_kl,
     total_risk_exact,
-    traj_difference_euclidean,
 )
 from .scenario import (
     ActorState,

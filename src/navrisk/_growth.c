@@ -1,11 +1,12 @@
 /* The sampling planner's kernel.  navrisk_leave_one_out plans every
    world of one leave-one-out experiment in a single call; it is the one
-   entry point the package calls, through planner._plan_worlds, for
+   entry point the package plans through, planner._plan_worlds, for
    risk.leave_one_out and for planner.plan_sampling, which asks for the
    full world alone.  Its parts, the tree growth (navrisk_grow), the
    endpoint selection (navrisk_select) and the edge check
    (navrisk_edge_blockers), are exported for the tests that check each
-   against its reference (tests/kernel_calls.py).
+   against its reference (tests/kernel_calls.py).  The rendered-path
+   check (navrisk_path_clear) is planner.collision_check.
 
    Every float is computed by the same binary64 expressions, in the same
    order, as the all-numpy reference growth (tests/oracles.py,
@@ -45,7 +46,7 @@
    stopping at 2, written to found in ascending order.  obs is the
    (m, kp1, 2) array of obstacle positions per tick and r2 the (m,)
    squared radius sums: a squared distance strictly below r2 is a hit, as
-   in planner._hits.  The ego's point at each covered tick is computed
+   in path_clear.  The ego's point at each covered tick is computed
    once, into pts (2 * kp1 entries), and tested against every actor,
    every tick with no branch, since a branch per pair mispredicts.  The
    caller keeps 0 <= tick0 and tick1 < kp1. */
@@ -365,7 +366,7 @@ static int precedes(const double *key1, const double *key2, int i, int j)
 }
 
 /* Whether (x, y), parked from tick `from` to k, stays clear of every
-   actor, by planner._hits' strict rule. */
+   actor, by path_clear's strict rule. */
 static int hold_free(double x, double y, double from, int k,
                      const double *obs, int kp1, const double *r2, int m)
 {
@@ -381,6 +382,31 @@ static int hold_free(double x, double y, double from, int k,
         }
     }
     return 1;
+}
+
+/* Whether the positions path (k+1, 2) stay clear of every actor at
+   ticks 0..k, by the strict rule: a squared distance below r2 is a hit.
+   obs, kp1, r2 and m as for blockers, with kp1 > k. */
+static int path_clear(const double *path, int k, const double *obs,
+                      int kp1, const double *r2, int m)
+{
+    for (int a = 0; a < m; a++) {
+        const double *o = obs + (size_t)a * kp1 * 2;
+        for (int j = 0; j <= k; j++) {
+            double dx = o[2 * j] - path[2 * j];
+            double dy = o[2 * j + 1] - path[2 * j + 1];
+            if (dx * dx + dy * dy < r2[a])
+                return 0;
+        }
+    }
+    return 1;
+}
+
+/* path_clear on its own, for planner.collision_check. */
+int navrisk_path_clear(const double *path, int k, const double *obs,
+                       int kp1, const double *r2, int m)
+{
+    return path_clear(path, k, obs, kp1, r2, m);
 }
 
 /* Walk the nv vertices at `step` meters per tick for ticks 0..k, holding
@@ -514,19 +540,7 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
                 continue;
 
             render(verts, nv, step, k, seg_len, cum, path, seg);
-            int clear = 1;
-            for (int a = 0; a < m && clear; a++) {
-                const double *o = obs + (size_t)a * kp1 * 2;
-                for (int j = 0; j <= k; j++) {
-                    double dx = o[2 * j] - path[2 * j];
-                    double dy = o[2 * j + 1] - path[2 * j + 1];
-                    if (dx * dx + dy * dy < r2[a]) {
-                        clear = 0;
-                        break;
-                    }
-                }
-            }
-            if (clear) {
+            if (path_clear(path, k, obs, kp1, r2, m)) {
                 info[0] = partial;
                 info[1] = nv;
                 result = best;
@@ -919,7 +933,7 @@ double navrisk_hypot_sum(const double *a, int na, const double *b, int nb)
 
    A plan collides with obstacle row j of obs ((n, steps * m + 1, 2)
    positions, r2 (n) squared radius sums) iff some tick of it has
-   dx * dx + dy * dy < r2[j] (planner._hits' rule).  Tick 0 is tested
+   dx * dx + dy * dy < r2[j] (path_clear's rule).  Tick 0 is tested
    once per row; each step tests only its own m ticks, for the rows its
    parent prefix does not already hit, and inherits its parent's bits
    from a stack of depth steps.  The rows form nw world blocks of sizes

@@ -45,6 +45,7 @@ SIGNATURES = {   # name: (argument types, result type)
     "navrisk_seed_state": ((_P, _I, _P, _I, _P, _I), None),
     "navrisk_uniform": ((_P, _I, _D, _D, _D, _D, _I, _P), None),
     "navrisk_hypot_sum": ((_P, _I, _P, _I), _D),
+    "navrisk_path_clear": ((_P, _I, _P, _I, _P, _I), _I),
     "navrisk_lattice": ((_P, _I, _P, _I, _D, _D, _D, _P, _P, _I, _I, _I, _P,
                          _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _Q),
                         _Q),

@@ -32,10 +32,10 @@ world can still differ, through its re-routed goal and the endpoint
 checks (goal connection, hold, rendered path), which are repeated
 against the ablated obstacles.
 
-Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r: _hits
-applies it to arrays (collision_check), and the C kernel _growth.c to the
-binary64 scalars of the lattice walk, the tree-edge checks and the
-endpoint selection, with the same correctly rounded IEEE operations.  The kernel grows the tree: the
+Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r, applied
+by the C kernel _growth.c to the binary64 scalars of the lattice walk,
+the tree-edge checks, the endpoint selection and collision_check (its
+rendered-path check, navrisk_path_clear).  The kernel grows the tree: the
 nearest node by a bisect over x-sorted keys (ties to the lowest index,
 np.argmin's rule), the neighbours by a scan of the same keys outward
 from the new point, taken by ascending index where order matters
@@ -64,15 +64,12 @@ import ctypes
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ._kernel import address, kernel
 from .prediction import _hypot_sum
 from .scenario import (
     ActorState, RoadMap, ScenarioError, Trajectory, require_int, wrap_angle)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MANEUVERS = ("accelerate", "brake", "keep", "shift_left", "shift_right")
 
@@ -173,7 +170,7 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
                 f"world actor {aid!r} spans [{traj.start_tick}, "
                 f"{traj.end_tick}], expected [{t}, {t + k}]")
         r = ego_radius + radii[aid] + SAFETY_MARGIN
-        if not math.isfinite(r * r):   # _hits compares squares
+        if not math.isfinite(r * r):   # the kernel compares squares
             raise ScenarioError(f"world actor {aid!r}: radius sum {r!r} "
                                 "has no finite square")
         obs += traj.positions
@@ -181,31 +178,18 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
     return obs, rs
 
 
-def _rows(obs: array, rsum: array, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """world_arrays' buffers as numpy views, (m, k+1, 2) and (m,)."""
-    import numpy as np
-    return np.frombuffer(obs).reshape(len(rsum), k + 1, 2), \
-        np.frombuffer(rsum)
-
-
-def _hits(obs: np.ndarray, xy: np.ndarray, rsum) -> np.ndarray:
-    """The one overlap rule, broadcast over the leading axes of obs (..., 2),
-    xy (..., 2) and rsum: a squared distance strictly below rsum * rsum, so
-    contact is no collision.  A square that overflows is rightly no hit,
-    since world_arrays keeps rsum * rsum finite."""
-    import numpy as np
-    with np.errstate(over="ignore"):
-        dx = obs[..., 0] - xy[..., 0]
-        dy = obs[..., 1] - xy[..., 1]
-        return dx * dx + dy * dy < rsum * rsum
-
-
 def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
                     radii: Mapping[str, float], ego_radius: float) -> bool:
-    """True iff the ego overlaps some actor at some tick."""
+    """True iff the ego overlaps some actor at some tick: a squared
+    distance strictly below the squared radius sum, so contact is no
+    collision.  A square that overflows is rightly no hit, since
+    world_arrays keeps each squared radius sum finite."""
     t, k = ego_traj.start_tick, len(ego_traj) - 1
-    obs, rsum = _rows(*world_arrays(world, radii, ego_radius, t, k), k)
-    return bool(_hits(obs, ego_traj.xy, rsum[:, None]).any())
+    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
+    r2 = array("d", [r * r for r in rsum])
+    return not kernel().navrisk_path_clear(
+        address(ego_traj.positions), k, address(obs), k + 1, address(r2),
+        len(r2))
 
 
 def _plan_cost(traj: Trajectory, road: RoadMap,

@@ -89,22 +89,21 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
 
     Sample j integrates the linear model with per-tick acceleration and
     yaw-rate noise from the stream keyed (seed, actor_id, t, j); with both
-    sigmas zero every sample equals predict_linear(history, k) exactly.
+    sigmas zero every sample is the one predict_linear(history, k).
     Raises ValueError when a noise draw is not finite or a sampled
     position is not within +-MAX_MAGNITUDE, the bound load_scenario puts
     on every document number (sigmas too large for the scenario).
     """
     if k < 1:
         raise ScenarioError("prediction horizon k must be >= 1")
+    if cfg.noise_accel_sigma == 0.0 and cfg.noise_yawrate_sigma == 0.0:
+        return [predict_linear(history, k)] * cfg.sample_count
+    import numpy as np
     last = history.states[-1]
     dt = history.dt
     t = history.end_tick
     out = []
     for j in range(cfg.sample_count):
-        if cfg.noise_accel_sigma == 0.0 and cfg.noise_yawrate_sigma == 0.0:
-            out.append(predict_linear(history, k))
-            continue
-        import numpy as np
         rng = _actor_stream(cfg.seed, history.actor_id, t, j)
         accel = rng.normal(0.0, cfg.noise_accel_sigma, size=k)
         yawrate = rng.normal(0.0, cfg.noise_yawrate_sigma, size=k)

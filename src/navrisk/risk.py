@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
@@ -77,85 +76,6 @@ class LatticeCapExceeded(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Difference operators
-# ---------------------------------------------------------------------------
-
-def traj_difference_euclidean(a: Trajectory, b: Trajectory) -> float:
-    """Mean Euclidean position distance per waypoint.
-
-    Unequal spans are aligned by holding the shorter trajectory's final
-    state; equal-horizon inputs (the normal case: both plans span [t, t+k])
-    make this a pseudometric.
-    """
-    return _mean_distance(a.positions, b.positions)
-
-
-@dataclass(frozen=True)
-class PlanDistribution:
-    """Epsilon-floored distribution over the lattice plan universe."""
-
-    support: tuple[tuple[str, ...], ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-        p = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "probabilities", p)
-        if len(self.support) != len(p):
-            raise ValueError("support and probabilities differ in length")
-        if abs(float(np.sum(p)) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1 within 1e-9")
-        if len(p) and float(np.min(p)) < KL_EPSILON / len(p):
-            raise ValueError("probabilities must be epsilon-floored")
-
-    @classmethod
-    def uniform_feasible(cls, universe: Sequence[tuple[str, ...]],
-                         feasible: Sequence[tuple[str, ...]]
-                         ) -> "PlanDistribution":
-        """Uniform over feasible plans, floored by KL_EPSILON over the
-        universe.
-
-        With no feasible plan this degenerates to the floor itself (uniform
-        over the universe), which keeps the divergence finite.  A repeated
-        universe plan, or a feasible plan outside the universe, raises
-        ValueError naming it.
-        """
-        universe = tuple(universe)
-        if not universe:
-            raise ValueError("empty universe")
-        index = set(universe)
-        if len(index) < len(universe):
-            plan = next(s for s, n in Counter(universe).items() if n > 1)
-            raise ValueError(f"universe repeats plan {plan!r}")
-        fs = set(feasible)
-        if not fs <= index:
-            plan = next(s for s in feasible if s not in index)
-            raise ValueError(f"feasible plan {plan!r} is not in the universe")
-        return cls(universe,
-                   _floored([s in fs for s in universe], len(fs)))
-
-
-def _floored(mask, count: int) -> np.ndarray:
-    """1 / count on the plans that mask marks, 0 elsewhere, floored by
-    KL_EPSILON and renormalized over the universe; with count 0, uniform
-    over it."""
-    import numpy as np
-    if not count:
-        return np.full(len(mask), 1.0 / len(mask))
-    return (np.where(mask, 1.0 / count, 0.0) + KL_EPSILON) / \
-        (1.0 + len(mask) * KL_EPSILON)
-
-
-def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
-    """KL(p || q) in nats over a shared universe; >= 0, zero iff p = q."""
-    if p.support != q.support:
-        raise ValueError("distributions must share the same plan universe")
-    import numpy as np
-    pa, qa = p.probabilities, q.probabilities
-    return float(np.sum(pa * np.log(pa / qa)))
-
-
-# ---------------------------------------------------------------------------
 # Exact set-reduction risk
 # ---------------------------------------------------------------------------
 
@@ -185,6 +105,17 @@ class ExactRisk:
     def kl(self) -> Mapping[str, float]:
         """operator="kl" importance of each actor."""
         return self.kl_of()
+
+
+def _floored(mask, count: int) -> np.ndarray:
+    """1 / count on the plans that mask marks, 0 elsewhere, floored by
+    KL_EPSILON and renormalized over the universe; with count 0, uniform
+    over it."""
+    import numpy as np
+    if not count:
+        return np.full(len(mask), 1.0 / len(mask))
+    return (np.where(mask, 1.0 / count, 0.0) + KL_EPSILON) / \
+        (1.0 + len(mask) * KL_EPSILON)
 
 
 def _kl(classes: array, block: int, blocks: int, z: int,
@@ -217,10 +148,9 @@ def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
     Each world's block of rows gives its counts: |Z| counts the plans no
     row of the block blocks and |Z without i| adds the plans that i alone
     blocks.  The KL importance of i is KL(p || q_i) between the
-    epsilon-floored uniform distributions (PlanDistribution.
-    uniform_feasible's) over the plans of the world (p) and of the world
-    without i (q_i), both over the empty-world universe, read from the
-    plans' classes.  Raises DegenerateScenario when that universe is
+    epsilon-floored uniform distributions (_floored's) over the plans of
+    the world (p) and of the world without i (q_i), both over the
+    empty-world universe, read from the plans' classes.  Raises DegenerateScenario when that universe is
     empty."""
     check_cap(lattice)
     obs, rsum = array("d"), array("d")

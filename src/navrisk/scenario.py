@@ -19,10 +19,7 @@ import numbers
 from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Optional
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Mapping, Optional
 
 EGO_ID = "ego"
 
@@ -44,6 +41,14 @@ def require_int(name: str, value, least: Optional[int] = None) -> None:
             (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _require_dt(dt: float) -> None:
+    """Raise ScenarioError naming dt unless 0 < dt < inf; NaN fails too."""
+    if dt <= 0.0:
+        raise ScenarioError("dt must be positive")
+    if not dt < math.inf:
+        raise ScenarioError(f"dt must be finite, got {dt!r}")
 
 
 def wrap_angle(a: float) -> float:
@@ -95,8 +100,7 @@ class Trajectory:
     def __post_init__(self):
         if len(self.states) == 0:
             raise ScenarioError(f"trajectory of {self.actor_id!r} is empty")
-        if self.dt <= 0.0:
-            raise ScenarioError("dt must be positive")
+        _require_dt(self.dt)
         if not isinstance(self.states, tuple):
             object.__setattr__(self, "states", tuple(self.states))
 
@@ -110,22 +114,9 @@ class Trajectory:
     @cached_property
     def positions(self) -> array:
         """Positions as one flat array('d'): x0, y0, x1, y1, ...; the
-        buffer the planner kernel reads and .xy views."""
+        buffer the planner kernel reads."""
         return array("d", [c for s in self.states
                            for c in (s.position_x, s.position_y)])
-
-    @cached_property
-    def xy(self) -> np.ndarray:
-        """Positions as a read-only (n, 2) array, a view of .positions."""
-        import numpy as np   # only callers that want arrays load numpy
-        xy = np.frombuffer(self.positions).reshape(-1, 2)
-        xy.flags.writeable = False
-        return xy
-
-    @cached_property
-    def speeds(self) -> np.ndarray:
-        import numpy as np
-        return np.array([s.speed for s in self.states])
 
     def window(self, t: int, k: int) -> "Trajectory":
         """Restrict to ticks [t, t+k], re-indexed with start_tick = t."""
@@ -212,6 +203,7 @@ class Scenario:
     phases: tuple[PhaseSpan, ...] = ()
 
     def __post_init__(self):
+        _require_dt(self.dt)
         if EGO_ID in self.npc_trajectories:
             raise ScenarioError(
                 f"actor id {EGO_ID!r} is reserved for the ego vehicle")
@@ -544,7 +536,7 @@ def _field(path: str, key) -> str:
 def _finite(value) -> bool:
     # json.loads makes every number an int or a float, and a bool is
     # neither by type; NaN and inf fail the bound, which keeps every square
-    # planner._hits takes of a radius sum or a coordinate difference finite
+    # the kernel takes of a radius sum or a coordinate difference finite
     return type(value) in (int, float) and abs(value) <= MAX_MAGNITUDE
 
 

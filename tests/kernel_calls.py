@@ -6,14 +6,14 @@ the parts that call is made of, and these wrappers call them as it does,
 so that the tests can check each part against its reference in
 oracles.py: grow_tree runs the tree growth (navrisk_grow), select_path
 the endpoint selection (navrisk_select) and edge_blockers the edge check
-(navrisk_edge_blockers).  They take and return numpy arrays, and
-obstacle_arrays gives world_arrays' buffers as such.
+(navrisk_edge_blockers).  They take and return numpy arrays, as
+oracles.obstacle_arrays gives world_arrays' buffers.
 """
 
 import ctypes
 import functools
 from array import array
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,14 +24,12 @@ from navrisk.planner import (
     Plan,
     PlannerConfig,
     PlanningInfeasible,
-    _hits,
     _Path,
     _path_plan,
-    _rows,
     _sample_stream,
-    world_arrays,
 )
-from navrisk.scenario import ActorState, RoadMap, ScenarioError, Trajectory
+from navrisk.scenario import ActorState, RoadMap, ScenarioError
+from oracles import Tree, _hits
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
 SIGNATURES = {
@@ -41,14 +39,6 @@ SIGNATURES = {
     "navrisk_select": (_P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _I, _P, _I,
                        _P, _I, _P, _P, _P, _P),
 }
-
-
-def obstacle_arrays(world: Mapping[str, Trajectory],
-                    radii: Mapping[str, float], ego_radius: float, t: int,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
-    """world_arrays' obstacle rows as numpy arrays, (m, k+1, 2) and
-    (m,)."""
-    return _rows(*world_arrays(world, radii, ego_radius, t, k), k)
 
 
 @functools.cache
@@ -101,18 +91,6 @@ class Selected(NamedTuple):
     seg: np.ndarray
     vertices: np.ndarray
     partial: bool
-
-
-class Tree(NamedTuple):
-    """A grown rewiring tree trimmed to its nodes: positions, path costs,
-    arrival ticks (at `speed`, `inv` ticks per meter) and parents."""
-
-    pts: np.ndarray
-    cost: np.ndarray
-    tick: np.ndarray
-    parent: np.ndarray
-    speed: float
-    inv: float
 
 
 def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,

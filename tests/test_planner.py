@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -12,20 +13,23 @@ from navrisk.planner import (
     PlanningInfeasible,
     GOAL_TOLERANCE,
     SPEED_STEP,
-    _hits,
     collision_check,
     enumerate_plans,
     plan_sampling,
 )
-from navrisk.scenario import ActorState, RoadMap, ScenarioError, Trajectory
+from navrisk.scenario import (
+    MAX_MAGNITUDE, ActorState, RoadMap, ScenarioError, Trajectory)
 
-from kernel_calls import edge_blockers, grow_tree, obstacle_arrays
+from kernel_calls import edge_blockers, grow_tree
 from oracles import (
+    _hits,
     lane_walks,
+    obstacle_arrays,
     reference_edge_blockers,
     reference_grow_tree,
     reference_sample_stream,
     static_actor,
+    traj_xy,
     walk_enumerate,
     world_to_positions,
 )
@@ -74,6 +78,58 @@ class TestCollisionCheck:
         world = {"a": moving_actor("a", 0.0, 3.5, 5.0, 12)}
         with pytest.raises(ScenarioError):
             collision_check(ego, world, {"a": 1.0}, 1.0)
+
+    def test_equals_the_array_rule_on_drawn_windows(self):
+        # collision_check (the kernel's path check) against oracles._hits
+        # on windows of 1-8 actors and k from 0 to 60.  Ego points and
+        # radius sums are multiples of 0.25, so an actor placed at the
+        # radius sum along an axis is in exact contact (no hit); far actors
+        # sit up to MAX_MAGNITUDE away, and some beyond 1e154, where a
+        # squared offset overflows to inf (no hit either)
+        rng = random.Random(28)
+        seen = Counter()
+
+        def offset(kind, r):
+            if kind == "near":
+                return rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)
+            if kind == "contact":
+                if rng.random() < 0.5:
+                    return rng.choice(((r, 0.0), (-r, 0.0), (0.0, r),
+                                       (0.0, -r)))
+                return 2.0 * r + rng.uniform(0.0, 5.0), rng.uniform(-r, r)
+            top = MAX_MAGNITUDE if rng.random() < 0.5 else 1e300
+            return tuple(rng.choice((-1.0, 1.0)) *
+                         10.0 ** rng.uniform(0.0, math.log10(top))
+                         for _ in range(2))
+
+        for _ in range(400):
+            k = rng.randint(0, 60)
+            ego_r = rng.choice((1.0, 1.25))
+            ego = Trajectory("ego", 3, DT, tuple(
+                ActorState(0.25 * rng.randint(0, 400),
+                           0.25 * rng.randint(0, 42), 0.0, 0.0)
+                for _ in range(k + 1)))
+            world, radii = {}, {}
+            for i in range(rng.randint(1, 8)):
+                aid = f"a{i}"
+                radii[aid] = rng.choice((0.75, 1.25, 2.25))
+                kind = rng.choice(("near", "contact", "far"))
+                r = ego_r + radii[aid] + 0.5
+                world[aid] = Trajectory(aid, 3, DT, tuple(
+                    ActorState(st.position_x + dx, st.position_y + dy,
+                               0.0, 0.0)
+                    for st in ego.states for dx, dy in [offset(kind, r)]))
+            obs, rsum = obstacle_arrays(world, radii, ego_r, 3, k)
+            want = bool(_hits(obs, traj_xy(ego), rsum[:, None]).any())
+            assert collision_check(ego, world, radii, ego_r) == want
+            with np.errstate(over="ignore"):
+                d = obs - traj_xy(ego)
+                d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+            r2 = (rsum * rsum)[:, None]
+            seen["hit" if want else "clear"] += 1
+            seen["decided by contact"] += bool((d2 <= r2).any()) != want
+            seen["overflow"] += bool(np.isinf(d2).any())
+        assert min(seen.values()) >= 40, seen
 
 
 class TestLattice:
@@ -162,7 +218,7 @@ class TestLattice:
         lattice = LatticeConfig(4, ("keep", "shift_left", "shift_right"), 5)
         ps = enumerate_plans(ROAD3, ego, 0, 20, lattice)
         for p in ps.plans:
-            ys = p.trajectory.xy[:, 1]
+            ys = traj_xy(p.trajectory)[:, 1]
             assert np.all(ys >= 0.0) and np.all(ys <= ROAD3.width)
 
 
@@ -305,7 +361,7 @@ class TestSamplingPlanner:
             except PlanningInfeasible:
                 continue
             assert not collision_check(plan.trajectory, world, radii, 1.2)
-            ys = plan.trajectory.xy[:, 1]
+            ys = traj_xy(plan.trajectory)[:, 1]
             assert np.all(ys >= 0.0) and np.all(ys <= ROAD3.width)
 
     def test_trajectory_spans_window(self):

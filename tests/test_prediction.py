@@ -16,6 +16,8 @@ from navrisk.prediction import (
 from navrisk.scenario import (
     MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory)
 
+from oracles import traj_xy
+
 DT = 0.1
 
 
@@ -92,6 +94,8 @@ class TestSamplePredictions:
         samples = sample_predictions(h, 10, cfg)
         det = predict_linear(h, 10)
         assert all(s.states == det.states for s in samples)
+        # one prediction, shared by every sample
+        assert len(samples) == 5 and all(s is samples[0] for s in samples)
 
     def test_same_seed_bit_identical(self):
         h = history_from(0.0, 0.0, 0.0, 8.0)
@@ -163,8 +167,8 @@ class TestSamplePredictions:
         h = history_from(0.0, 0.0, 0.0, 8.0)
         cfg = PredictionConfig(1e140, 1e300, sample_count=2, seed=0)
         for traj in sample_predictions(h, 20, cfg):
-            assert np.isfinite(traj.xy).all()
-            assert (np.abs(traj.xy) <= MAX_MAGNITUDE).all()
+            assert np.isfinite(traj_xy(traj)).all()
+            assert (np.abs(traj_xy(traj)) <= MAX_MAGNITUDE).all()
 
     def test_position_beyond_max_magnitude_raises(self):
         # finite, but far beyond any document number: no check could hit

@@ -14,12 +14,11 @@ from navrisk.planner import (
     enumerate_plans,
     plan_sampling,
 )
-from navrisk.prediction import PredictionConfig, predict_linear, \
-    sample_worlds
+from navrisk.prediction import PredictionConfig, _mean_distance, \
+    predict_linear, sample_worlds
 from navrisk.risk import (
     KL_EPSILON,
     LatticeCapExceeded,
-    PlanDistribution,
     actor_importance,
     actor_risk_exact,
     all_actor_risk_exact,
@@ -27,9 +26,7 @@ from navrisk.risk import (
     mean_and_variance,
     min_risk_selection,
     monte_carlo_importance,
-    plan_divergence_kl,
     total_risk_exact,
-    traj_difference_euclidean,
 )
 from navrisk.scenario import (
     EGO_ID,
@@ -44,8 +41,11 @@ from navrisk.scenario import (
 from navrisk.simulate import RunConfig, run_simulation
 
 from oracles import (
+    PlanDistribution,
+    plan_divergence_kl,
     replanned_gammas,
     static_actor,
+    traj_xy,
     walk_enumerate,
     world_to_positions,
 )
@@ -280,12 +280,12 @@ class TestAllActorForms:
 class TestEuclideanOperator:
     def test_identity(self):
         a = moving_actor("p", 0.0, 5.25, 10.0, 20)
-        assert traj_difference_euclidean(a, a) == 0.0
+        assert _mean_distance(a.positions, a.positions) == 0.0
 
     def test_constant_lane_offset(self):
         a = moving_actor("p", 0.0, 5.25, 10.0, 20)
         b = moving_actor("p", 0.0, 5.25 + 3.5, 10.0, 20)
-        assert traj_difference_euclidean(a, b) == pytest.approx(3.5)
+        assert _mean_distance(a.positions, b.positions) == pytest.approx(3.5)
 
     def test_braking_closed_form(self):
         # displacement gap at tick j is a*(j*dt)^2/2 exactly under
@@ -301,13 +301,13 @@ class TestEuclideanOperator:
             states.append(ActorState(x, 5.25, 0.0, v))
         braking = Trajectory("p", 0, DT, tuple(states))
         want = np.mean([0.5 * a_dec * (j * DT) ** 2 for j in range(k + 1)])
-        assert traj_difference_euclidean(straight, braking) == pytest.approx(
-            float(want), abs=1e-9)
+        assert _mean_distance(straight.positions, braking.positions) == \
+            pytest.approx(float(want), abs=1e-9)
 
     def test_hold_padding_alignment(self):
         a = moving_actor("p", 0.0, 5.25, 10.0, 20)
         short = Trajectory("p", 0, DT, a.states[:11])
-        d = traj_difference_euclidean(a, short)
+        d = _mean_distance(a.positions, short.positions)
         # held final state sits at x=10; mean gap over 21 ticks
         gaps = [max(0.0, 10.0 * DT * j - 10.0 * DT * min(j, 10))
                 for j in range(21)]
@@ -324,14 +324,14 @@ class TestEuclideanOperator:
                     ActorState(float(x), float(y), 0.0, 0.0) for x, y in xy)
                 trajs.append(Trajectory("r", 0, DT, states))
             a, b, c = trajs
-            dab = traj_difference_euclidean(a, b)
-            dba = traj_difference_euclidean(b, a)
-            dac = traj_difference_euclidean(a, c)
-            dbc = traj_difference_euclidean(b, c)
+            dab = _mean_distance(a.positions, b.positions)
+            dba = _mean_distance(b.positions, a.positions)
+            dac = _mean_distance(a.positions, c.positions)
+            dbc = _mean_distance(b.positions, c.positions)
             assert dab >= 0
             assert abs(dab - dba) <= 1e-9
             assert dac <= dab + dbc + 1e-9
-            assert traj_difference_euclidean(a, a) <= 1e-12
+            assert _mean_distance(a.positions, a.positions) <= 1e-12
 
 
 class TestKLOperator:
@@ -617,8 +617,8 @@ class TestLeaveOneOut:
             if plan_full is None:
                 enclosed += 1
             else:
-                assert plan_full.trajectory.xy.tolist() == \
-                    full_ref.trajectory.xy.tolist()
+                assert traj_xy(plan_full.trajectory).tolist() == \
+                    traj_xy(full_ref.trajectory).tolist()
             if "ghost" in world:
                 assert gammas["ghost"] == (0.0, False)
             # the kernel reports the ablations that grew their own tree

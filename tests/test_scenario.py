@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -25,11 +26,17 @@ from navrisk.scenario import (
     wrap_angle,
 )
 
+from oracles import traj_xy
+
 
 def make_straight(actor_id="a", n=10, speed=5.0, dt=0.1, y=1.75):
     states = tuple(
         ActorState(speed * dt * i, y, 0.0, speed) for i in range(n + 1))
     return Trajectory(actor_id, 0, dt, states)
+
+
+def speeds(traj):
+    return np.array([s.speed for s in traj.states])
 
 
 def tiny_scenario(n=10):
@@ -82,6 +89,24 @@ class TestTypes:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ScenarioError):
             Trajectory("a", 0, 0.1, ())
+
+    # NaN passes `dt <= 0` and the scenario's dt-mismatch test alike
+    BAD_DT = pytest.mark.parametrize("dt, message", [
+        (0.0, "dt must be positive"),
+        (-0.1, "dt must be positive"),
+        (math.nan, "dt must be finite, got nan"),
+        (math.inf, "dt must be finite, got inf"),
+    ])
+
+    @BAD_DT
+    def test_trajectory_rejects_dt_outside_zero_to_inf(self, dt, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            Trajectory("a", 0, dt, (ActorState(0.0, 0.0, 0.0, 0.0),))
+
+    @BAD_DT
+    def test_scenario_rejects_dt_outside_zero_to_inf(self, dt, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            dataclasses.replace(generate_case_study(), dt=dt)
 
     def test_kinematic_check_passes_for_consistent(self):
         make_straight().check_kinematics()
@@ -165,23 +190,23 @@ class TestPhaseScript:
         s = generate_case_study(p)
         s5 = s.phases[-1]
         mover = s.npc_trajectories[MERGER]
-        v0 = mover.speeds[s5.start_tick]
+        v0 = mover.states[s5.start_tick].speed
         expected_ticks = math.ceil(v0 / (p.brake_decel * p.dt))
         assert v0 == p.cutin_merge_speed == 4.0 and expected_ticks == 15
         stop = s5.start_tick + expected_ticks
-        assert mover.speeds[stop] == 0.0
-        assert mover.speeds[stop - 1] > 0.0
+        assert mover.states[stop].speed == 0.0
+        assert mover.states[stop - 1].speed > 0.0
         assert s5.end_tick == stop + p.tail_ticks
         # trapezoidal stopping distance matches v^2/(2a) to tick resolution
-        dist = mover.xy[stop, 0] - mover.xy[s5.start_tick, 0]
+        dist = traj_xy(mover)[stop, 0] - traj_xy(mover)[s5.start_tick, 0]
         assert abs(dist - v0 ** 2 / (2 * p.brake_decel)) < v0 * p.dt
 
     def test_steady_displacement_exact(self):
         s = generate_case_study()
         s2 = s.phases[1]
         for traj in s.npc_trajectories.values():
-            xs = traj.xy[s2.start_tick:s2.end_tick + 1, 0]
-            v = traj.speeds[s2.start_tick]
+            xs = traj_xy(traj)[s2.start_tick:s2.end_tick + 1, 0]
+            v = traj.states[s2.start_tick].speed
             assert np.all(np.abs(np.diff(xs) - v * s.dt) < 1e-6)
 
     def test_phases_contiguous_and_lane_change_lands(self):
@@ -244,7 +269,7 @@ class TestCaseStudy:
         s = generate_case_study()
         s2 = next(p for p in s.phases if p.name == "s2")
         for traj in s.npc_trajectories.values():
-            seg = traj.speeds[s2.start_tick:s2.end_tick + 1]
+            seg = speeds(traj)[s2.start_tick:s2.end_tick + 1]
             assert np.all(np.abs(seg - seg[0]) < 1e-9)
 
     def test_all_trajectories_kinematically_consistent(self):
@@ -257,7 +282,7 @@ class TestCaseStudy:
         s = generate_case_study(p)
         s5 = next(ph for ph in s.phases if ph.name == "s5")
         mover = s.npc_trajectories["cutin"]
-        seg = mover.speeds[s5.start_tick:s5.end_tick + 1]
+        seg = speeds(mover)[s5.start_tick:s5.end_tick + 1]
         assert np.all(np.abs(seg - seg[0]) < 1e-9)
 
     def test_ego_lane_is_not_a_setting(self):

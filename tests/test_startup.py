@@ -1,8 +1,10 @@
-"""Start-up cost: which commands load numpy, and numpy, loaded through
+"""Start-up cost: which commands load numpy, and numpy, imported after
 navrisk, starts no idle BLAS worker threads.
 
-The lattice is walked in the compiled kernel, so enumerate_plans and the
-exact risks load no numpy; reading a KL importance (ExactRisk.kl) does.
+The lattice is walked and every collision checked in the compiled
+kernel, so enumerate_plans, the exact risks, collision_check and
+min_risk_selection load no numpy; reading a KL importance (ExactRisk.kl)
+does.
 tests/test_cli.py probes the commands the same way: oracle and run
 --exact-lattice load no numpy, run --operator kl does.
 navrisk/__init__.py defaults OPENBLAS_NUM_THREADS to 1 at import, before
@@ -20,11 +22,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# import navrisk, then load numpy through it: a Trajectory's .xy is a
-# numpy view
+# import navrisk, then numpy after it
 PROBE = ("import os, sys, navrisk; assert 'numpy' not in sys.modules; "
-         "navrisk.Trajectory('a', 0, 0.1, "
-         "(navrisk.ActorState(0.0, 0.0, 0.0, 0.0),)).xy; "
+         "import numpy; "
          "assert 'numpy' in sys.modules; "
          "print(os.environ['OPENBLAS_NUM_THREADS']); "
          "print(next(line.split()[1] for line in open('/proc/self/status') "
@@ -35,7 +35,7 @@ BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "inner", "tensordot",
 
 def import_navrisk(blas_threads=None):
     """(OPENBLAS_NUM_THREADS, thread count) seen by a fresh interpreter
-    after `import navrisk` and numpy's import through it, started with the
+    after `import navrisk` and then `import numpy`, started with the
     variable unset or as given."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPATH")}
@@ -82,6 +82,25 @@ def test_enumerate_plans_loads_no_numpy():
         "    ActorState(10.0, 5.25, 0.0, 8.0), 0, 20,\n"
         "    LatticeConfig(2, ('keep', 'brake', 'shift_left'), 10))\n"
         "assert len(plans) == 8 and plans.plans[0].cost > 0")
+
+
+def test_collision_check_and_min_risk_selection_load_no_numpy():
+    assert not loads_numpy(
+        "from navrisk import (ActorState, LatticeConfig, RoadMap,\n"
+        "    Trajectory, collision_check, enumerate_plans,\n"
+        "    min_risk_selection)\n"
+        "road, ego = RoadMap(3, 3.5, 300.0, 14.0), "
+        "ActorState(10.0, 5.25, 0.0, 8.0)\n"
+        "plans = enumerate_plans(road, ego, 0, 20,\n"
+        "    LatticeConfig(2, ('keep', 'shift_left'), 10))\n"
+        "lead = Trajectory('lead', 0, 0.1,\n"
+        "    (ActorState(25.0, 5.25, 0.0, 0.0),) * 21)\n"
+        "world, radii = {'lead': lead}, {'lead': 1.2}\n"
+        "keep = min(plans.plans, key=lambda p: p.cost)\n"
+        "assert keep.maneuver_seq == ('keep', 'keep')\n"
+        "assert collision_check(keep.trajectory, world, radii, 1.2)\n"
+        "sel = min_risk_selection(plans, [world], radii)\n"
+        "assert not collision_check(sel.plan.trajectory, world, radii, 1.2)")
 
 
 @pytest.mark.parametrize("read_kl", [False, True])
