@@ -17,18 +17,21 @@
    (-ffp-contract=off) and no reassociation (no -ffast-math).
    navrisk/_kernel.py builds this file with those flags.
 
-   The growth's sample stream is drawn here too (navrisk_uniform), and
-   the planner seed of each replan tick (navrisk_seed_state): numpy's
-   SeedSequence, PCG64 and Generator.uniform, ported bit for bit, so that
-   a run that samples no futures never loads numpy.random.  The numpy
-   forms are the references they are tested against (tests/oracles.py,
-   reference_sample_stream and reference_planner_seed).
+   The growth's sample stream is drawn here too (navrisk_uniform), the
+   planner seed of each replan tick (navrisk_seed_state) and each sampled
+   future of an actor (navrisk_sample_future): numpy's SeedSequence,
+   PCG64, Generator.uniform and Generator.normal, ported bit for bit, so
+   that no run loads numpy.random.  The numpy forms are the references
+   they are tested against (tests/oracles.py, reference_sample_stream,
+   reference_planner_seed and reference_sample_predictions).
 
    navrisk_hypot_sum adds the displacements that every gamma_euclid,
-   prediction error and plan's path length and speed changes are made
-   of, as numpy's np.sum of np.hypot does, so that a run that samples no
-   futures never loads numpy (tests/oracles.py, reference_mean_distance,
-   reference_plan_cost and reference_speed_change).
+   prediction error and plan's path length are made of, as numpy's
+   np.sum of np.hypot does, and navrisk_sum a plan's speed changes and
+   the Monte-Carlo means and variances, as np.sum, np.mean and np.var
+   do, so that no run without a KL importance loads numpy
+   (tests/oracles.py, reference_mean_distance, reference_plan_cost,
+   reference_speed_change and reference_mean_and_variance).
 
    navrisk_lattice walks the maneuver lattice depth first and counts the
    plans each obstacle row blocks, with the binary64 expressions of the
@@ -811,14 +814,15 @@ typedef struct {
     u128 state, inc;
 } pcg64;
 
-/* PCG64(SeedSequence(entropy)), entropy as for seed_pool: state 0, inc
-   = (seed[2:4] << 1) | 1, a step, seed[0:2] added, another step, for the
-   seed words generate_state(4, np.uint64) */
-static pcg64 pcg_seeded(const uint32_t *run, int n_run)
+/* PCG64(SeedSequence(entropy, spawn_key)), entropy and spawn_key as for
+   seed_pool: state 0, inc = (seed[2:4] << 1) | 1, a step, seed[0:2]
+   added, another step, for the seed words generate_state(4, np.uint64) */
+static pcg64 pcg_seeded(const uint32_t *run, int n_run,
+                        const uint32_t *spawn, int n_spawn)
 {
     uint32_t pool[POOL];
     uint64_t seed[4];
-    seed_pool(run, n_run, NULL, 0, pool);
+    seed_pool(run, n_run, spawn, n_spawn, pool);
     generate_state(pool, seed, 4);
     pcg64 g = {{0, 0}, {seed[2] << 1 | seed[3] >> 63, seed[3] << 1 | 1u}};
     g.state = pcg_step(g.state, g.inc);
@@ -828,15 +832,20 @@ static pcg64 pcg_seeded(const uint32_t *run, int n_run)
     return g;
 }
 
-/* the next double in [0, 1) of Generator(g): a step, then the XSL-RR
-   output's top 53 bits */
-static double next_double(pcg64 *g)
+/* the next uint64 of g: a step, then the XSL-RR output */
+static uint64_t next_uint64(pcg64 *g)
 {
     g->state = pcg_step(g->state, g->inc);
     uint64_t x = g->state.hi ^ g->state.lo;
     unsigned rot = (unsigned)(g->state.hi >> 58);
-    uint64_t bits = x >> rot | x << ((64u - rot) & 63u);
-    return (double)(bits >> 11) * (1.0 / 9007199254740992.0);
+    return x >> rot | x << ((64u - rot) & 63u);
+}
+
+/* the next double in [0, 1) of Generator(g): the next uint64's top 53
+   bits */
+static double next_double(pcg64 *g)
+{
+    return (double)(next_uint64(g) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* Generator(PCG64(SeedSequence(entropy))).uniform((x_lo, y_lo), (x_hi,
@@ -846,7 +855,7 @@ void navrisk_uniform(const uint32_t *run, int n_run, double x_lo,
                      double y_lo, double x_hi, double y_hi, int budget,
                      double *out)
 {
-    pcg64 g = pcg_seeded(run, n_run);
+    pcg64 g = pcg_seeded(run, n_run, NULL, 0);
     double x_range = x_hi - x_lo, y_range = y_hi - y_lo;
     for (int s = 0; s < budget; s++) {
         out[2 * s] = x_lo + x_range * next_double(&g);
@@ -854,16 +863,404 @@ void navrisk_uniform(const uint32_t *run, int n_run, double x_lo,
     }
 }
 
-/* The displacement sums: libm's hypot, which numpy's np.hypot calls too
-   (CPython's math.hypot is its own algorithm and differs in the last
-   bit), summed in the order of numpy's pairwise summation, which
-   np.add.reduce, np.sum and np.mean use on a contiguous float64 array. */
+/* numpy's Generator.normal: the ziggurat of random_standard_normal, with
+   numpy's tables (ki_double, wi_double and fi_double of its
+   distributions.c, whose values tests/test_normal_stream.py checks
+   against the installed numpy's archive) and its tail constants. */
+static const uint64_t ki_double[256] = {
+    0xef33d8025ef6aull, 0x0000000000000ull, 0xc08be98fbc6a8ull,
+    0xda354fabd8142ull, 0xe51f67ec1eeeaull, 0xeb255e9d3f77eull,
+    0xeef4b817ecab9ull, 0xf19470afa44aaull, 0xf37ed61ffcb18ull,
+    0xf4f469561255cull, 0xf61a5e41ba396ull, 0xf707a755396a4ull,
+    0xf7cb2ec28449aull, 0xf86f10c6357d3ull, 0xf8fa6578325deull,
+    0xf9724c74dd0daull, 0xf9da907dbf509ull, 0xfa360f581fa74ull,
+    0xfa86fde5b4bf8ull, 0xfacf160d354dcull, 0xfb0fb6718b90full,
+    0xfb49f8d5374c6ull, 0xfb7ec2366fe77ull, 0xfbaece9a1e50eull,
+    0xfbdab9d040bedull, 0xfc03060ff6c57ull, 0xfc2821037a248ull,
+    0xfc4a67ae25bd1ull, 0xfc6a2977aee31ull, 0xfc87aa92896a4ull,
+    0xfca325e4bde85ull, 0xfcbcce902231aull, 0xfcd4d12f839c4ull,
+    0xfceb54d8fec99ull, 0xfd007bf1dc930ull, 0xfd1464dd6c4e6ull,
+    0xfd272a8e2f450ull, 0xfd38e4ff0c91eull, 0xfd49a9990b478ull,
+    0xfd598b8920f53ull, 0xfd689c08e99ecull, 0xfd76ea9c8e832ull,
+    0xfd848547b08e8ull, 0xfd9178bad2c8cull, 0xfd9dd07a7add2ull,
+    0xfda9970105e8cull, 0xfdb4d5dc02e20ull, 0xfdbf95c5bfcd0ull,
+    0xfdc9debb99a7dull, 0xfdd3b8118729dull, 0xfddd288342f90ull,
+    0xfde6364369f64ull, 0xfdeee708d514eull, 0xfdf7401a6b42eull,
+    0xfdff46599ed40ull, 0xfe06fe4bc24f2ull, 0xfe0e6c225a258ull,
+    0xfe1593c28b84cull, 0xfe1c78cbc3f99ull, 0xfe231e9db1caaull,
+    0xfe29885da1b91ull, 0xfe2fb8fb54186ull, 0xfe35b33558d4aull,
+    0xfe3b799d0002aull, 0xfe410e99ead7full, 0xfe46746d47734ull,
+    0xfe4bad34c095cull, 0xfe50baed29524ull, 0xfe559f74ebc78ull,
+    0xfe5a5c8e41212ull, 0xfe5ef3e138689ull, 0xfe6366fd91078ull,
+    0xfe67b75c6d578ull, 0xfe6be661e11aaull, 0xfe6ff55e5f4f2ull,
+    0xfe73e5900a702ull, 0xfe77b823e9e39ull, 0xfe7b6e37070a2ull,
+    0xfe7f08d774243ull, 0xfe8289053f08cull, 0xfe85efb35173aull,
+    0xfe893dc840864ull, 0xfe8c741f0cebcull, 0xfe8f9387d4ef6ull,
+    0xfe929cc879b1dull, 0xfe95909d388eaull, 0xfe986fb939aa2ull,
+    0xfe9b3ac714866ull, 0xfe9df2694b6d5ull, 0xfea0973abe67cull,
+    0xfea329cf166a4ull, 0xfea5aab32952cull, 0xfea81a6d5741aull,
+    0xfeaa797de1cf0ull, 0xfeacc85f3d920ull, 0xfeaf07865e63cull,
+    0xfeb13762fec13ull, 0xfeb3585fe2a4aull, 0xfeb56ae3162b4ull,
+    0xfeb76f4e284faull, 0xfeb965fe62014ull, 0xfebb4f4cf9d7cull,
+    0xfebd2b8f449d0ull, 0xfebefb16e2e3eull, 0xfec0be31ebde8ull,
+    0xfec2752b15a15ull, 0xfec42049dafd3ull, 0xfec5bfd29f196ull,
+    0xfec75406ceef4ull, 0xfec8dd2500cb4ull, 0xfeca5b6911f12ull,
+    0xfecbcf0c427feull, 0xfecd38454fb15ull, 0xfece97488c8b3ull,
+    0xfecfec47f91b7ull, 0xfed1377358528ull, 0xfed278f844903ull,
+    0xfed3b10242f4cull, 0xfed4dfbad586eull, 0xfed605498c3ddull,
+    0xfed721d414fe8ull, 0xfed8357e4a982ull, 0xfed9406a42cc8ull,
+    0xfeda42b85b704ull, 0xfedb3c8746ab4ull, 0xfedc2df416652ull,
+    0xfedd171a46e52ull, 0xfeddf813c8ad3ull, 0xfeded0f909980ull,
+    0xfedfa1e0fd414ull, 0xfee06ae124bc4ull, 0xfee12c0d95a06ull,
+    0xfee1e579006e0ull, 0xfee29734b6524ull, 0xfee34150ae4bcull,
+    0xfee3e3db89b3cull, 0xfee47ee2982f4ull, 0xfee51271db086ull,
+    0xfee59e9407f41ull, 0xfee623528b42eull, 0xfee6a0b5897f1ull,
+    0xfee716c3e077aull, 0xfee7858327b82ull, 0xfee7ecf7b06baull,
+    0xfee84d2484ab2ull, 0xfee8a60b66343ull, 0xfee8f7accc851ull,
+    0xfee94207e25daull, 0xfee9851a829eaull, 0xfee9c0e13485cull,
+    0xfee9f557273f4ull, 0xfeea22762ccaeull, 0xfeea4836b42acull,
+    0xfeea668fc2d71ull, 0xfeea7d76ed6faull, 0xfeea8ce04fa0aull,
+    0xfeea94be8333bull, 0xfeea950296410ull, 0xfeea8d9c0075eull,
+    0xfeea7e7897654ull, 0xfeea678481d24ull, 0xfeea48aa29e83ull,
+    0xfeea21d22e4daull, 0xfee9f2e352024ull, 0xfee9bbc26af2eull,
+    0xfee97c524f2e4ull, 0xfee93473c0a3aull, 0xfee8e40557516ull,
+    0xfee88ae369c7aull, 0xfee828e7f3dfdull, 0xfee7bdea7b888ull,
+    0xfee749bff37ffull, 0xfee6cc3a9bd5eull, 0xfee64529e007eull,
+    0xfee5b45a32888ull, 0xfee51994e57b6ull, 0xfee474a0006cfull,
+    0xfee3c53e12c50ull, 0xfee30b2e02ad8ull, 0xfee2462ad8205ull,
+    0xfee175eb83c5aull, 0xfee09a22a1447ull, 0xfedfb27e349ccull,
+    0xfedebea76216cull, 0xfeddbe422047eull, 0xfedcb0ece39d3ull,
+    0xfedb964042cf4ull, 0xfeda6dce938c9ull, 0xfed937237e98dull,
+    0xfed7f1c38a836ull, 0xfed69d2b9c02bull, 0xfed538d06ae00ull,
+    0xfed3c41dea422ull, 0xfed23e76a2fd8ull, 0xfed0a732fe644ull,
+    0xfecefda07fe34ull, 0xfecd4100eb7b8ull, 0xfecb708956eb4ull,
+    0xfec98b61230c1ull, 0xfec790a0da978ull, 0xfec57f50f31feull,
+    0xfec356686c962ull, 0xfec114cb4b335ull, 0xfebeb948e6fd0ull,
+    0xfebc429a0b692ull, 0xfeb9af5ee0cdcull, 0xfeb6fe1c98542ull,
+    0xfeb42d3ad1f9eull, 0xfeb13b00b2d4bull, 0xfeae2591a02e9ull,
+    0xfeaaeae992257ull, 0xfea788d8ee326ull, 0xfea3fcffd73e5ull,
+    0xfea044c8dd9f6ull, 0xfe9c5d62f563bull, 0xfe9843ba947a4ull,
+    0xfe93f471d4728ull, 0xfe8f6bd76c5d6ull, 0xfe8aa5dc4e8e6ull,
+    0xfe859e07ab1eaull, 0xfe804f690a940ull, 0xfe7ab488233c0ull,
+    0xfe74c751f6aa5ull, 0xfe6e8102aa202ull, 0xfe67da0b6abd8ull,
+    0xfe60c9f38307eull, 0xfe5947338f742ull, 0xfe51470977280ull,
+    0xfe48bd436f458ull, 0xfe3f9bffd1e37ull, 0xfe35d35eeb19cull,
+    0xfe2b5122fe4feull, 0xfe20003995557ull, 0xfe13c82788314ull,
+    0xfe068c4ee67b0ull, 0xfdf82b02b71aaull, 0xfde87c57efeaaull,
+    0xfdd7509c63bfdull, 0xfdc46e529bf13ull, 0xfdaf8f82e0282ull,
+    0xfd985e1b2ba75ull, 0xfd7e6ef48cf04ull, 0xfd613adbd650bull,
+    0xfd40149e2f012ull, 0xfd1a1a7b4c7acull, 0xfcee204761f9eull,
+    0xfcba8d85e11b2ull, 0xfc7d26ecd2d22ull, 0xfc32b2f1e22edull,
+    0xfbd6581c0b83aull, 0xfb606c4005434ull, 0xfac40582a2874ull,
+    0xf9e971e014598ull, 0xf89fa48a41dfcull, 0xf66c5f7f0302cull,
+    0xf1a5a4b331c4aull
+};
 
-/* hypot of the i-th difference of the point arrays a (na points) and b
-   (nb points), each holding its last point past its end. */
-static double hypot_at(const double *a, long na, const double *b, long nb,
-                       long i)
+static const double wi_double[256] = {
+    0x1.f493b7815d979p-51, 0x1.b8d0be3fdf6c6p-55, 0x1.250af3c2c5bb4p-54,
+    0x1.57cb938443b61p-54, 0x1.801fce82fa70cp-54, 0x1.a230c2e4cd0bcp-54,
+    0x1.c004d2f3861f7p-54, 0x1.dac2f5a747274p-54, 0x1.f32482d4cd5c3p-54,
+    0x1.04d32278ebbadp-53, 0x1.0f5053b025d43p-53, 0x1.192a697413677p-53,
+    0x1.227a28f7a1af5p-53, 0x1.2b52e3863d880p-53, 0x1.33c3fc05791f5p-53,
+    0x1.3bd9ec1a2b12fp-53, 0x1.439ef8dff9b55p-53, 0x1.4b1bb363dfea7p-53,
+    0x1.52575621ad374p-53, 0x1.59580a707ce96p-53, 0x1.60231cfd97eeap-53,
+    0x1.66bd261a37c3dp-53, 0x1.6d2a292000570p-53, 0x1.736dad346f8a6p-53,
+    0x1.798ad10b32a77p-53, 0x1.7f845ad46f543p-53, 0x1.855cc53430a77p-53,
+    0x1.8b1649e7b769ap-53, 0x1.90b2ea94ecf98p-53, 0x1.96347822c1eeap-53,
+    0x1.9b9c98e38c546p-53, 0x1.a0eccdca4a72cp-53, 0x1.a62676d77cd59p-53,
+    0x1.ab4ad6e101630p-53, 0x1.b05b16d136c9cp-53, 0x1.b558487427a29p-53,
+    0x1.ba4368e529f3ap-53, 0x1.bf1d62abf8232p-53, 0x1.c3e70f9594ef3p-53,
+    0x1.c8a13a5323b61p-53, 0x1.cd4c9fe72268bp-53, 0x1.d1e9f0e80b748p-53,
+    0x1.d679d29e41f10p-53, 0x1.dafce0023b8c3p-53, 0x1.df73aa9f17653p-53,
+    0x1.e3debb5d2edfep-53, 0x1.e83e9337a6f00p-53, 0x1.ec93abdf982cep-53,
+    0x1.f0de784f06226p-53, 0x1.f51f654d8f688p-53, 0x1.f956d9e87d7aep-53,
+    0x1.fd8537dfa2eacp-53, 0x1.00d56e04234ecp-52, 0x1.02e40f5398f9ap-52,
+    0x1.04eea9e16a5fcp-52, 0x1.06f565b72a010p-52, 0x1.08f869071f40bp-52,
+    0x1.0af7d84bc6113p-52, 0x1.0cf3d664bcc7fp-52, 0x1.0eec84b16086bp-52,
+    0x1.10e20329515eep-52, 0x1.12d4707310fbep-52, 0x1.14c3e9f8e9141p-52,
+    0x1.16b08bfc4201ep-52, 0x1.189a71a78da34p-52, 0x1.1a81b51ee6d88p-52,
+    0x1.1c666f8f82acbp-52, 0x1.1e48b93e0d42ep-52, 0x1.2028a9940a09fp-52,
+    0x1.2206572c4c6e9p-52, 0x1.23e1d7de9c31fp-52, 0x1.25bb40ca96bfbp-52,
+    0x1.2792a661dd37fp-52, 0x1.29681c719d71bp-52, 0x1.2b3bb62b82edap-52,
+    0x1.2d0d862e1b853p-52, 0x1.2edd9e8cba98ep-52, 0x1.30ac10d6e48d7p-52,
+    0x1.3278ee1f4b930p-52, 0x1.3444470265ea1p-52, 0x1.360e2baca52d5p-52,
+    0x1.37d6abe05586ap-52, 0x1.399dd6fb2b264p-52, 0x1.3b63bbfb83d03p-52,
+    0x1.3d28698561de0p-52, 0x1.3eebede725a83p-52, 0x1.40ae571e09e74p-52,
+    0x1.426fb2da6745dp-52, 0x1.44300e83c30a4p-52, 0x1.45ef773cac75dp-52,
+    0x1.47adf9e66c336p-52, 0x1.496ba32488f2fp-52, 0x1.4b287f602415dp-52,
+    0x1.4ce49acb311dcp-52, 0x1.4ea001638a605p-52, 0x1.505abef5e5562p-52,
+    0x1.5214df20a8b5ap-52, 0x1.53ce6d56a664fp-52, 0x1.558774e1bb2c8p-52,
+    0x1.574000e555f78p-52, 0x1.58f81c60e8514p-52, 0x1.5aafd23241b59p-52,
+    0x1.5c672d17d733dp-52, 0x1.5e1e37b2f8cd3p-52, 0x1.5fd4fc89f5e38p-52,
+    0x1.618b860a31fc3p-52, 0x1.6341de8a2b0a2p-52, 0x1.64f8104b7260bp-52,
+    0x1.66ae257c99672p-52, 0x1.6864283b13137p-52, 0x1.6a1a22950b2b1p-52,
+    0x1.6bd01e8b343bbp-52, 0x1.6d8626128d352p-52, 0x1.6f3c43161f854p-52,
+    0x1.70f27f78b68ebp-52, 0x1.72a8e516914c6p-52, 0x1.745f7dc70eedcp-52,
+    0x1.7616535e5731fp-52, 0x1.77cd6faeff449p-52, 0x1.7984dc8babd93p-52,
+    0x1.7b3ca3c8b1409p-52, 0x1.7cf4cf3db22fbp-52, 0x1.7ead68c73dee7p-52,
+    0x1.80667a486ea1fp-52, 0x1.82200dac88676p-52, 0x1.83da2ce899f15p-52,
+    0x1.8594e1fd1f5bdp-52, 0x1.875036f7a7ec5p-52, 0x1.890c35f47f72dp-52,
+    0x1.8ac8e9205c043p-52, 0x1.8c865aba10c9cp-52, 0x1.8e44951446a27p-52,
+    0x1.9003a2973b58fp-52, 0x1.91c38dc288347p-52, 0x1.9384612ef0afcp-52,
+    0x1.954627903a28ap-52, 0x1.9708ebb70d5eep-52, 0x1.98ccb892e2a31p-52,
+    0x1.9a919933f99bfp-52, 0x1.9c5798cd5d92cp-52, 0x1.9e1ec2b6f7411p-52,
+    0x1.9fe7226fad24ap-52, 0x1.a1b0c39f93692p-52, 0x1.a37bb21a2c85bp-52,
+    0x1.a547f9e0bbb88p-52, 0x1.a715a724aa9a4p-52, 0x1.a8e4c64a0313dp-52,
+    0x1.aab563e9ff108p-52, 0x1.ac878cd5af5cep-52, 0x1.ae5b4e18bb336p-52,
+    0x1.b030b4fc3a11ap-52, 0x1.b207cf09a985bp-52, 0x1.b3e0aa0e00c00p-52,
+    0x1.b5bb541ce3d03p-52, 0x1.b797db93f8927p-52, 0x1.b9764f1e5f73cp-52,
+    0x1.bb56bdb85256ep-52, 0x1.bd3936b2ec0a2p-52, 0x1.bf1dc9b81ae83p-52,
+    0x1.c10486cec16a0p-52, 0x1.c2ed7e5f07a2dp-52, 0x1.c4d8c136e0d1cp-52,
+    0x1.c6c6608ec8705p-52, 0x1.c8b66e0eba617p-52, 0x1.caa8fbd36a2abp-52,
+    0x1.cc9e1c73bd690p-52, 0x1.ce95e3068e037p-52, 0x1.d0906328b8f6ep-52,
+    0x1.d28db1037ef20p-52, 0x1.d48de1533c647p-52, 0x1.d691096e7f123p-52,
+    0x1.d8973f4d7fba5p-52, 0x1.daa0999206e70p-52, 0x1.dcad2f8fc490ep-52,
+    0x1.debd195522e37p-52, 0x1.e0d06fb49d21cp-52, 0x1.e2e74c4ea46f6p-52,
+    0x1.e501c99c1d188p-52, 0x1.e72002f97fe25p-52, 0x1.e94214b2abf0ap-52,
+    0x1.eb681c0f76f08p-52, 0x1.ed9237610a73ap-52, 0x1.efc086101eca9p-52,
+    0x1.f1f328ac25321p-52, 0x1.f42a40fb74d6dp-52, 0x1.f665f20c90168p-52,
+    0x1.f8a6604899782p-52, 0x1.faebb187122bfp-52, 0x1.fd360d22fe785p-52,
+    0x1.ff859c118f60bp-52, 0x1.00ed447d3a075p-51, 0x1.021a8028fc947p-51,
+    0x1.034a983a902abp-51, 0x1.047da4e3ef5c7p-51, 0x1.05b3bf6adb37ep-51,
+    0x1.06ed023a72668p-51, 0x1.082988f632e17p-51, 0x1.0969708e8a254p-51,
+    0x1.0aacd7571c0c4p-51, 0x1.0bf3dd1eed448p-51, 0x1.0d3ea34aa3d30p-51,
+    0x1.0e8d4cf116593p-51, 0x1.0fdffefa69fb6p-51, 0x1.1136e04207041p-51,
+    0x1.129219bbb5d35p-51, 0x1.13f1d69c4096dp-51, 0x1.1556448602e3bp-51,
+    0x1.16bf93b9deef3p-51, 0x1.182df74d21261p-51, 0x1.19a1a564eebacp-51,
+    0x1.1b1ad777f2f8ep-51, 0x1.1c99ca971a694p-51, 0x1.1e1ebfbe4ae39p-51,
+    0x1.1fa9fc2e2d901p-51, 0x1.213bc9d04cc81p-51, 0x1.22d477a6fd3eep-51,
+    0x1.24745a4ac9c24p-51, 0x1.261bcc77658e0p-51, 0x1.27cb2faa8592ep-51,
+    0x1.2982ecd770e78p-51, 0x1.2b437532a0a52p-51, 0x1.2d0d43196db97p-51,
+    0x1.2ee0db1a978f5p-51, 0x1.30becd256aeeep-51, 0x1.32a7b5e68a4a3p-51,
+    0x1.349c405ae12a3p-51, 0x1.369d27a33a840p-51, 0x1.38ab39256410ap-51,
+    0x1.3ac7570ae88fap-51, 0x1.3cf27b31704a6p-51, 0x1.3f2dbaa60f475p-51,
+    0x1.417a49cb9e5dap-51, 0x1.43d9815545e94p-51, 0x1.464ce44a73a15p-51,
+    0x1.48d62759c43bcp-51, 0x1.4b7739d6b5a27p-51, 0x1.4e3250dcd8902p-51,
+    0x1.5109f53e9ac41p-51, 0x1.54011523a7e42p-51, 0x1.571b1a94ae41bp-51,
+    0x1.5a5c08b718dd9p-51, 0x1.5dc8a243ad0fep-51, 0x1.61669cf861e4cp-51,
+    0x1.653ce7b006aeap-51, 0x1.69540be9fe5c3p-51, 0x1.6db6b8d09e232p-51,
+    0x1.72728f05f7a34p-51, 0x1.7799556090673p-51, 0x1.7d42df4d6ce8cp-51,
+    0x1.839030529f234p-51, 0x1.8ab0fbfaa7c14p-51, 0x1.92ee0946f4496p-51,
+    0x1.9cbee014057abp-51, 0x1.a8fdc7894775ap-51, 0x1.b981f3878fdb1p-51,
+    0x1.d3bb48209ad33p-51
+};
+
+static const double fi_double[256] = {
+    0x1.0000000000000p+0, 0x1.f446ac979f087p-1, 0x1.eb7545b6ca915p-1,
+    0x1.e3f11e027f077p-1, 0x1.dd36fa704de95p-1, 0x1.d70920657bcf2p-1,
+    0x1.d144978a119dcp-1, 0x1.cbd33a8a72debp-1, 0x1.c6a5ecea9787fp-1,
+    0x1.c1b1cd9eebaeap-1, 0x1.bceeb4ee1dc82p-1, 0x1.b85653a8ff552p-1,
+    0x1.b3e3a8234dd10p-1, 0x1.af92a3f6ce8a2p-1, 0x1.ab5fef17a2504p-1,
+    0x1.a748bd550c9e1p-1, 0x1.a34aafdf5af0fp-1, 0x1.9f63bee651fd8p-1,
+    0x1.9b9228d240681p-1, 0x1.97d4657617ac1p-1, 0x1.94291c21b7a47p-1,
+    0x1.908f1bd31714fp-1, 0x1.8d0554fe60aa8p-1, 0x1.898ad48badf02p-1,
+    0x1.861ebfc37bcacp-1, 0x1.82c050f56cf6ep-1, 0x1.7f6ed4b20e2cbp-1,
+    0x1.7c29a779c6858p-1, 0x1.78f033ca0b0d5p-1, 0x1.75c1f0770d856p-1,
+    0x1.729e5f43f6d12p-1, 0x1.6f850baea7aeep-1, 0x1.6c7589e635a89p-1,
+    0x1.696f75e513b2ap-1, 0x1.667272a92e323p-1, 0x1.637e298550c18p-1,
+    0x1.6092498802665p-1, 0x1.5dae86f4aff6ap-1, 0x1.5ad29acc85c89p-1,
+    0x1.57fe4264c8d8fp-1, 0x1.55313f08d9e46p-1, 0x1.526b55a656cd5p-1,
+    0x1.4fac4e820b667p-1, 0x1.4cf3f4f494ec0p-1, 0x1.4a42172dc5278p-1,
+    0x1.479685fdf5012p-1, 0x1.44f114a493679p-1, 0x1.425198a355fe3p-1,
+    0x1.3fb7e99585b82p-1, 0x1.3d23e10af31a3p-1, 0x1.3a955a662cd0ep-1,
+    0x1.380c32bda00d5p-1, 0x1.358848bf550e9p-1, 0x1.33097c9703a35p-1,
+    0x1.308fafd6438efp-1, 0x1.2e1ac55ea3beep-1, 0x1.2baaa14d7954ap-1,
+    0x1.293f28e93cd15p-1, 0x1.26d84290504edp-1, 0x1.2475d5a90db84p-1,
+    0x1.2217ca92ff7f2p-1, 0x1.1fbe0a9929620p-1, 0x1.1d687fe549969p-1,
+    0x1.1b171573fd111p-1, 0x1.18c9b709b3c50p-1, 0x1.16805128639dap-1,
+    0x1.143ad105ea99cp-1, 0x1.11f9248311f38p-1, 0x1.0fbb3a2325913p-1,
+    0x1.0d810104142a0p-1, 0x1.0b4a68d70d9aep-1, 0x1.091761d995d81p-1,
+    0x1.06e7dccf03c36p-1, 0x1.04bbcafa63f2ep-1, 0x1.02931e18b822ap-1,
+    0x1.006dc85b8cac4p-1, 0x1.fc9778c7bbda1p-2, 0x1.f859da7a900cap-2,
+    0x1.f4229cb2f7af3p-2, 0x1.eff1a717e8f95p-2, 0x1.ebc6e20bd1f54p-2,
+    0x1.e7a236a4ec3c5p-2, 0x1.e3838ea5f9b85p-2, 0x1.df6ad47763a09p-2,
+    0x1.db57f320b56b1p-2, 0x1.d74ad6426de33p-2, 0x1.d3436a1021080p-2,
+    0x1.cf419b4ae5b6dp-2, 0x1.cb45573c0a848p-2, 0x1.c74e8bb00d7c7p-2,
+    0x1.c35d26f1d2cb8p-2, 0x1.bf7117c616a17p-2, 0x1.bb8a4d6716d91p-2,
+    0x1.b7a8b7807131bp-2, 0x1.b3cc462b331cap-2, 0x1.aff4e9ea18552p-2,
+    0x1.ac2293a5f5a9ep-2, 0x1.a85534aa4d880p-2, 0x1.a48cbea20c04dp-2,
+    0x1.a0c923946843ep-2, 0x1.9d0a55e1e93dfp-2, 0x1.995048418c0c6p-2,
+    0x1.959aedbe09f93p-2, 0x1.91ea39b33cb17p-2, 0x1.8e3e1fcb9f115p-2,
+    0x1.8a9693fde9188p-2, 0x1.86f38a8ac5ab6p-2, 0x1.8354f7faa0dd9p-2,
+    0x1.7fbad11b8d911p-2, 0x1.7c250aff414b0p-2, 0x1.78939af9252ebp-2,
+    0x1.7506769c7b1edp-2, 0x1.717d93ba9614cp-2, 0x1.6df8e86124caap-2,
+    0x1.6a786ad88de21p-2, 0x1.66fc11a25cbe2p-2, 0x1.6383d377be515p-2,
+    0x1.600fa7480d2c8p-2, 0x1.5c9f84376c244p-2, 0x1.5933619d6eebep-2,
+    0x1.55cb3703d0100p-2, 0x1.5266fc2533bedp-2, 0x1.4f06a8ebf6d92p-2,
+    0x1.4baa357109ca2p-2, 0x1.485199fad6ad4p-2, 0x1.44fccefc324fep-2,
+    0x1.41abcd1357a19p-2, 0x1.3e5e8d08ed2dbp-2, 0x1.3b1507cf143aep-2,
+    0x1.37cf368081379p-2, 0x1.348d125f9d19ep-2, 0x1.314e94d5af62fp-2,
+    0x1.2e13b77210766p-2, 0x1.2adc73e963fddp-2, 0x1.27a8c414db11ep-2,
+    0x1.2478a1f17de89p-2, 0x1.214c079f7cc9ep-2, 0x1.1e22ef6188116p-2,
+    0x1.1afd539c2f050p-2, 0x1.17db2ed5454e8p-2, 0x1.14bc7bb34ee67p-2,
+    0x1.11a134fcf2423p-2, 0x1.0e895598709c4p-2, 0x1.0b74d88b242dap-2,
+    0x1.0863b8f904336p-2, 0x1.0555f2242e9d9p-2, 0x1.024b7f6c7747ep-2,
+    0x1.fe88b89df93c5p-3, 0x1.f88108cb83235p-3, 0x1.f27fe6ce998d2p-3,
+    0x1.ec854a4c99c44p-3, 0x1.e6912b2283cddp-3, 0x1.e0a3816457184p-3,
+    0x1.dabc455c7900ap-3, 0x1.d4db6f8b2514fp-3, 0x1.cf00f8a5e6fccp-3,
+    0x1.c92cd9971df53p-3, 0x1.c35f0b7d89d47p-3, 0x1.bd9787abe18a1p-3,
+    0x1.b7d647a8731aap-3, 0x1.b21b452ccd13ap-3, 0x1.ac667a2571807p-3,
+    0x1.a6b7e0b19267ep-3, 0x1.a10f7322d7e3dp-3, 0x1.9b6d2bfd2fe5ap-3,
+    0x1.95d105f6a7c27p-3, 0x1.903afbf74fa69p-3, 0x1.8aab09192815bp-3,
+    0x1.852128a819a38p-3, 0x1.7f9d5621f7175p-3, 0x1.7a1f8d368a323p-3,
+    0x1.74a7c9c7ab5a6p-3, 0x1.6f3607e964716p-3, 0x1.69ca43e21f25cp-3,
+    0x1.64647a2adf19cp-3, 0x1.5f04a76f883f9p-3, 0x1.59aac88f31d6cp-3,
+    0x1.5456da9c86835p-3, 0x1.4f08dade31fc1p-3, 0x1.49c0c6cf5ce2dp-3,
+    0x1.447e9c20375d5p-3, 0x1.3f4258b6931aep-3, 0x1.3a0bfaae8d7eep-3,
+    0x1.34db805b4ab88p-3, 0x1.2fb0e847c2a65p-3, 0x1.2a8c3137a071ap-3,
+    0x1.256d5a2835eb7p-3, 0x1.2054625183c34p-3, 0x1.1b41492757d42p-3,
+    0x1.16340e5a82d63p-3, 0x1.112cb1da26eb9p-3, 0x1.0c2b33d5209bap-3,
+    0x1.072f94bb8bf85p-3, 0x1.0239d54067d2ap-3, 0x1.fa93ecb6b222cp-4,
+    0x1.f0bff29520e1cp-4, 0x1.e6f7bf29aa54bp-4, 0x1.dd3b56176e88fp-4,
+    0x1.d38abb9bd91e5p-4, 0x1.c9e5f493b740ap-4, 0x1.c04d0680b1015p-4,
+    0x1.b6bff78f2e233p-4, 0x1.ad3ece9caf633p-4, 0x1.a3c9933ea6286p-4,
+    0x1.9a604dc9d5b19p-4, 0x1.9103075a4a0abp-4, 0x1.87b1c9dbf2852p-4,
+    0x1.7e6ca013eefd6p-4, 0x1.753395aaa1176p-4, 0x1.6c06b73694a4cp-4,
+    0x1.62e6124854d18p-4, 0x1.59d1b577466a4p-4, 0x1.50c9b06fa2baep-4,
+    0x1.47ce1401b2213p-4, 0x1.3edef23269a86p-4, 0x1.35fc5e4d93e70p-4,
+    0x1.2d266cf9b3111p-4, 0x1.245d344dd0d91p-4, 0x1.1ba0cbe97897dp-4,
+    0x1.12f14d0f2179dp-4, 0x1.0a4ed2c159625p-4, 0x1.01b979e30e497p-4,
+    0x1.f262c2b6c6e35p-5, 0x1.e16d547b25181p-5, 0x1.d092efeadf162p-5,
+    0x1.bfd3e0f282a2cp-5, 0x1.af30790385f70p-5, 0x1.9ea90f9295563p-5,
+    0x1.8e3e02a68b5abp-5, 0x1.7defb77af271ep-5, 0x1.6dbe9b398d064p-5,
+    0x1.5dab23cf2add4p-5, 0x1.4db5d0e11275dp-5, 0x1.3ddf2ce98eecbp-5,
+    0x1.2e27ce83df497p-5, 0x1.1e9059f1f6abcp-5, 0x1.0f1982e968011p-5,
+    0x1.ff881d718a5c4p-6, 0x1.e121adb828c75p-6, 0x1.c301983cd091ap-6,
+    0x1.a529f4e22ebf8p-6, 0x1.879d1b600c10ap-6, 0x1.6a5daf40bbf82p-6,
+    0x1.4d6eaf2fbb064p-6, 0x1.30d388dab5e13p-6, 0x1.1490334603012p-6,
+    0x1.f152a4f72dd49p-7, 0x1.ba48d274f8facp-7, 0x1.841040d8da478p-7,
+    0x1.4eb96421acfe0p-7, 0x1.1a59229952f92p-7, 0x1.ce160f8ec6837p-8,
+    0x1.69ea8d90cb85dp-8, 0x1.08a1f03b0b1fdp-8, 0x1.55f9f43c1b067p-9,
+    0x1.4a605b6b9f70fp-10
+};
+
+static const double NOR_R = 3.6541528853610087963519472518;
+static const double NOR_INV_R = 0.27366123732975827203338247596;
+
+/* the next standard normal draw of Generator(g): of a uint64, the low 8
+   bits pick the strip, the next bit the sign and the 52 above it rabs;
+   the base strip's rejections go to the tail beyond NOR_R, the others'
+   to the wedge test */
+static double standard_normal(pcg64 *g)
 {
+    for (;;) {
+        uint64_t r = next_uint64(g);
+        int idx = (int)(r & 0xff);
+        r >>= 8;
+        uint64_t rabs = (r >> 1) & 0x000fffffffffffffull;
+        double x = (double)rabs * wi_double[idx];
+        if (r & 0x1)
+            x = -x;
+        if (rabs < ki_double[idx])
+            return x;
+        if (idx == 0) {
+            for (;;) {
+                /* 1 - u, so that the log never sees 0 */
+                double xx = -NOR_INV_R * log1p(-next_double(g));
+                double yy = -log1p(-next_double(g));
+                if (yy + yy > xx * xx)
+                    return (rabs >> 8) & 0x1 ? -(NOR_R + xx) : NOR_R + xx;
+            }
+        }
+        if ((fi_double[idx - 1] - fi_double[idx]) * next_double(g) +
+            fi_double[idx] < exp(-0.5 * x * x))
+            return x;
+    }
+}
+
+/* an angle wrapped into (-pi, pi], as scenario.wrap_angle wraps it, with
+   math.pi's double (M_PI is not C99) */
+static double wrap_angle(double a)
+{
+    const double pi = 0x1.921fb54442d18p+1;
+    a = fmod(a, 2.0 * pi);
+    if (a > pi)
+        a -= 2.0 * pi;
+    else if (a <= -pi)
+        a += 2.0 * pi;
+    return a;
+}
+
+/* n draws of Generator(g).normal(0.0, sigma) into out, every stride-th
+   entry: 0.0 + sigma * z, which a zero sigma draws too.  Returns 1, with
+   the rest undrawn, at a draw that is not finite; 0 otherwise. */
+static int normals(pcg64 *g, double sigma, int n, double *out, int stride)
+{
+    for (int i = 0; i < n; i++) {
+        double v = 0.0 + sigma * standard_normal(g);
+        if (!isfinite(v))
+            return 1;
+        out[(size_t)i * stride] = v;
+    }
+    return 0;
+}
+
+/* normals on its own, for the tests (tests/test_normal_stream.py):
+   Generator(PCG64(SeedSequence(entropy, spawn_key))).normal(0.0, sigma,
+   n) into out, entropy and spawn_key as for seed_pool. */
+int navrisk_normal(const uint32_t *run, int n_run, const uint32_t *spawn,
+                   int n_spawn, double sigma, int n, double *out)
+{
+    pcg64 g = pcg_seeded(run, n_run, spawn, n_spawn);
+    return normals(&g, sigma, n, out, 1);
+}
+
+/* One sampled future of prediction.sample_predictions: the stream
+   Generator(PCG64(SeedSequence(entropy, spawn_key))), entropy and
+   spawn_key as for seed_pool, draws k accelerations normal(0.0,
+   accel_sigma) and then k yaw rates normal(0.0, yaw_sigma), and the
+   linear model integrates them from the state (x, y, heading, speed)
+   over ticks of dt, with the binary64 expressions of the Python loop it
+   replaces (tests/oracles.py, reference_sample_predictions).  Writes the
+   k + 1 rows (x, y, heading, speed) into rows, the first the given
+   state; each row's noise is drawn into its speed and heading slots
+   first.  Returns 1, with rows partly written, when a draw is not finite
+   or a position leaves [-bound, bound]; 0 otherwise. */
+int navrisk_sample_future(const uint32_t *run, int n_run,
+                          const uint32_t *spawn, int n_spawn,
+                          double accel_sigma, double yaw_sigma, int k,
+                          double x, double y, double heading, double speed,
+                          double dt, double bound, double *rows)
+{
+    pcg64 g = pcg_seeded(run, n_run, spawn, n_spawn);
+    if (normals(&g, accel_sigma, k, rows + 7, 4) ||
+        normals(&g, yaw_sigma, k, rows + 6, 4))
+        return 1;
+    rows[0] = x;
+    rows[1] = y;
+    rows[2] = heading;
+    rows[3] = speed;
+    for (int i = 1; i <= k; i++) {
+        double *row = rows + 4 * i;
+        double v = speed + row[3] * dt;
+        speed = v > 0.0 ? v : 0.0;   /* max(0.0, v), 0.0 for NaN */
+        heading = wrap_angle(heading + row[2] * dt);
+        x += speed * dt * cos(heading);
+        y += speed * dt * sin(heading);
+        row[0] = x;
+        row[1] = y;
+        row[2] = heading;
+        row[3] = speed;
+        if (!(fabs(x) <= bound && fabs(y) <= bound))   /* NaN fails too */
+            return 1;
+    }
+    return 0;
+}
+
+/* The sums in the order of numpy's pairwise summation, which
+   np.add.reduce, np.sum, np.mean and np.var use on a contiguous float64
+   array: the displacement sums, of libm's hypot, which numpy's np.hypot
+   calls too (CPython's math.hypot is its own algorithm and differs in
+   the last bit), and plain sums of values. */
+
+/* Term i of a sum: a[i] when b is NULL; otherwise hypot of the i-th
+   difference of the point arrays a (na points) and b (nb points), each
+   holding its last point past its end. */
+static double term_at(const double *a, long na, const double *b, long nb,
+                      long i)
+{
+    if (b == NULL)
+        return a[i];
     const double *p = a + 2 * (i < na ? i : na - 1);
     const double *q = b + 2 * (i < nb ? i : nb - 1);
     return hypot(p[0] - q[0], p[1] - q[1]);
@@ -879,21 +1276,21 @@ static double pairwise(const double *a, long na, const double *b, long nb,
     if (n < 8) {
         double res = 0.0;
         for (long i = 0; i < n; i++)
-            res += hypot_at(a, na, b, nb, lo + i);
+            res += term_at(a, na, b, nb, lo + i);
         return res;
     }
     if (n <= 128) {
         double r[8];
         long i;
         for (int j = 0; j < 8; j++)
-            r[j] = hypot_at(a, na, b, nb, lo + j);
+            r[j] = term_at(a, na, b, nb, lo + j);
         for (i = 8; i < n - n % 8; i += 8)
             for (int j = 0; j < 8; j++)
-                r[j] += hypot_at(a, na, b, nb, lo + i + j);
+                r[j] += term_at(a, na, b, nb, lo + i + j);
         double res = ((r[0] + r[1]) + (r[2] + r[3])) +
                      ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
-            res += hypot_at(a, na, b, nb, lo + i);
+            res += term_at(a, na, b, nb, lo + i);
         return res;
     }
     long n2 = n / 2;
@@ -911,6 +1308,12 @@ double navrisk_hypot_sum(const double *a, int na, const double *b, int nb)
     if (na < 1 || nb < 1)
         return 0.0;
     return pairwise(a, na, b, nb, 0, na > nb ? na : nb);
+}
+
+/* np.sum of the n values v, bit for bit; 0.0 for none. */
+double navrisk_sum(const double *v, int n)
+{
+    return n < 1 ? 0.0 : pairwise(v, n, NULL, 0, 0, n);
 }
 
 /* The maneuver lattice, walked depth first.  The sequences of np

@@ -44,7 +44,10 @@ SIGNATURES = {   # name: (argument types, result type)
                                _P), _I),
     "navrisk_seed_state": ((_P, _I, _P, _I, _P, _I), None),
     "navrisk_uniform": ((_P, _I, _D, _D, _D, _D, _I, _P), None),
+    "navrisk_sample_future": ((_P, _I, _P, _I, _D, _D, _I, _D, _D, _D, _D,
+                               _D, _D, _P), _I),
     "navrisk_hypot_sum": ((_P, _I, _P, _I), _D),
+    "navrisk_sum": ((_P, _I), _D),
     "navrisk_path_clear": ((_P, _I, _P, _I, _P, _I), _I),
     "navrisk_lattice": ((_P, _I, _P, _I, _D, _D, _D, _P, _P, _I, _I, _I, _P,
                          _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _Q),
@@ -57,6 +60,18 @@ def address(buf) -> int:
     argument; the caller keeps buf alive, and unresized, through the
     call."""
     return buf.buffer_info()[0]
+
+
+def seed_words(*ns: int) -> ctypes.Array:
+    """The integers ns >= 0 as numpy's SeedSequence reads them, and as
+    _growth.c's seed functions take them: each as uint32 words, least
+    significant first, the one word 0 for 0, and the words of several
+    concatenated, as SeedSequence reads a tuple spawn key."""
+    words = []
+    for n in map(int, ns):
+        words += (n >> (32 * i) & 0xffffffff
+                  for i in range(max(1, (n.bit_length() + 31) // 32)))
+    return (ctypes.c_uint32 * len(words))(*words)
 
 
 def _library_name(source: bytes) -> str:

@@ -66,8 +66,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from ._kernel import address, kernel
-from .prediction import _hypot_sum
+from ._kernel import address, kernel, seed_words
+from .prediction import _hypot_sum, _sum
 from .scenario import (
     ActorState, RoadMap, ScenarioError, Trajectory, require_int, wrap_angle)
 
@@ -162,13 +162,18 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
     """Stack the m obstacles' positions into one flat array('d') of
     (m, k+1, 2) in C order, each actor's Trajectory.positions in world
     order, and their inflated radii into an array('d') of m: ego radius +
-    actor radius + SAFETY_MARGIN."""
+    actor radius + SAFETY_MARGIN.  Raises ScenarioError for an actor
+    with a position that is not finite, which no squared distance could
+    put within its radius sum."""
     obs, rs = array("d"), array("d")
     for aid, traj in world.items():
         if traj.start_tick != t or traj.end_tick != t + k:
             raise ScenarioError(
                 f"world actor {aid!r} spans [{traj.start_tick}, "
                 f"{traj.end_tick}], expected [{t}, {t + k}]")
+        if not all(map(math.isfinite, traj.positions)):
+            raise ScenarioError(
+                f"world actor {aid!r} has a position that is not finite")
         r = ego_radius + radii[aid] + SAFETY_MARGIN
         if not math.isfinite(r * r):   # the kernel compares squares
             raise ScenarioError(f"world actor {aid!r}: radius sum {r!r} "
@@ -178,18 +183,33 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
     return obs, rs
 
 
-def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
-                    radii: Mapping[str, float], ego_radius: float) -> bool:
-    """True iff the ego overlaps some actor at some tick: a squared
-    distance strictly below the squared radius sum, so contact is no
-    collision.  A square that overflows is rightly no hit, since
-    world_arrays keeps each squared radius sum finite."""
-    t, k = ego_traj.start_tick, len(ego_traj) - 1
+def _collision_rows(world: Mapping[str, Trajectory],
+                   radii: Mapping[str, float], ego_radius: float, t: int,
+                   k: int) -> tuple[array, array]:
+    """world_arrays' obstacle rows and their squared radius sums, the
+    buffers _collides reads."""
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    r2 = array("d", [r * r for r in rsum])
+    return obs, array("d", [r * r for r in rsum])
+
+
+def _collides(ego_traj: Trajectory, obs: array, r2: array) -> bool:
+    """True iff the ego overlaps some obstacle row of _collision_rows' (obs,
+    r2), made for the ego's span, at some tick: a squared distance
+    strictly below the squared radius sum, so contact is no collision.  A
+    square that overflows is rightly no hit, since world_arrays keeps
+    each squared radius sum finite."""
+    k = len(ego_traj) - 1
     return not kernel().navrisk_path_clear(
         address(ego_traj.positions), k, address(obs), k + 1, address(r2),
         len(r2))
+
+
+def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
+                    radii: Mapping[str, float], ego_radius: float) -> bool:
+    """True iff the ego overlaps some actor of world at some tick
+    (_collides)."""
+    return _collides(ego_traj, *_collision_rows(
+        world, radii, ego_radius, ego_traj.start_tick, len(ego_traj) - 1))
 
 
 def _plan_cost(traj: Trajectory, road: RoadMap,
@@ -212,12 +232,8 @@ def _plan_cost(traj: Trajectory, road: RoadMap,
 
 def _speed_change(speeds: Sequence[float]) -> float:
     """The sum of |v[i + 1] - v[i]| over speeds, as
-    np.sum(np.abs(np.diff(speeds))) gives it, bit for bit: hypot(dv, 0.0)
-    is |dv| exactly, so _hypot_sum over the points (v, 0.0) adds the same
-    terms in numpy's pairwise order."""
-    pts = _doubles(2 * len(speeds))
-    pts[0::2] = array("d", speeds)
-    return _hypot_sum(pts[2:], pts[:-2])
+    np.sum(np.abs(np.diff(speeds))) gives it, bit for bit."""
+    return _sum([abs(b - a) for a, b in zip(speeds, speeds[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +398,6 @@ def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
             road.lane_center(goal.lane))
 
 
-def _seed_words(n: int) -> ctypes.Array:
-    """The integer n >= 0 as numpy's SeedSequence reads it, and as
-    _growth.c's seed functions take it: uint32 words, least significant
-    first, the one word 0 for 0."""
-    n = int(n)
-    count = max(1, (n.bit_length() + 31) // 32)
-    return (ctypes.c_uint32 * count)(
-        *(n >> (32 * i) & 0xffffffff for i in range(count)))
-
-
 def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
                    ego_radius: float) -> array:
     """The (cfg.iteration_budget, 2) samples of a growth as one flat
@@ -410,7 +416,7 @@ def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
         raise ValueError(f"sample window [{x_lo!r}, {x_hi!r}] x "
                          f"[{y_lo!r}, {y_hi!r}] has a negative or "
                          f"non-finite width")
-    seed = _seed_words(cfg.seed)
+    seed = seed_words(cfg.seed)
     samples = _doubles(2 * cfg.iteration_budget)
     kernel().navrisk_uniform(seed, len(seed), x_lo, y_lo, x_hi, y_hi,
                              cfg.iteration_budget, address(samples))

@@ -6,6 +6,14 @@ same kinematics under zero-mean Gaussian per-tick perturbations of
 longitudinal acceleration and yaw rate.  Random streams are keyed by
 (seed, actor_id, t, sample index) so that leave-one-out evaluations are
 paired across actor subsets and calls are order-independent.
+
+Each sampled future is one call of the compiled kernel,
+navrisk_sample_future in _growth.c: numpy's SeedSequence, PCG64 and
+Generator.normal (its ziggurat, with numpy's tables), ported bit for bit,
+draw the noise, and the kernel integrates it with the scalar expressions
+of a Python float loop, so that sampling loads no numpy.  numpy's own
+draws and that loop are the references they are tested against
+(tests/oracles.py, reference_sample_predictions).
 """
 
 from __future__ import annotations
@@ -13,15 +21,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-from ._kernel import address, kernel
+from ._kernel import address, kernel, seed_words
 from .scenario import (
-    MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory, require_int,
-    wrap_angle)
-
-if TYPE_CHECKING:
-    import numpy as np
+    MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory, require_int)
 
 
 @dataclass(frozen=True)
@@ -41,21 +45,14 @@ class PredictionConfig:
         require_int("seed", self.seed)
 
 
-def _actor_stream(seed: int, actor_id: str, t: int, sample: int
-                  ) -> np.random.Generator:
-    # Stable across runs and platforms: fold the opaque actor id through
-    # blake2s rather than hash().  This is the package's only use of
-    # hashlib and of numpy.random (which numpy loads on first access and
-    # which loads OpenSSL too); the planner draws its stream in the
-    # kernel, so commands that sample no futures load neither.
-    import hashlib
-    import numpy as np
-    digest = hashlib.blake2s(actor_id.encode(), digest_size=8).digest()
-    key = int.from_bytes(digest, "little")
-    ss = np.random.SeedSequence(
-        entropy=seed & (2 ** 64 - 1),
-        spawn_key=(key, t & (2 ** 63 - 1), sample))
-    return np.random.default_rng(ss)
+def _actor_key(actor_id: str) -> int:
+    """The actor's word of its streams' spawn keys: stable across runs and
+    platforms, the opaque id folded through blake2s rather than hash().
+    _blake2's blake2s is the object hashlib.blake2s is, without the
+    OpenSSL module that importing hashlib loads."""
+    from _blake2 import blake2s
+    return int.from_bytes(blake2s(actor_id.encode(), digest_size=8).digest(),
+                          "little")
 
 
 def predict_linear(history: Trajectory, k: int) -> Trajectory:
@@ -98,29 +95,24 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
         raise ScenarioError("prediction horizon k must be >= 1")
     if cfg.noise_accel_sigma == 0.0 and cfg.noise_yawrate_sigma == 0.0:
         return [predict_linear(history, k)] * cfg.sample_count
-    import numpy as np
     last = history.states[-1]
     dt = history.dt
     t = history.end_tick
+    entropy = seed_words(cfg.seed & (2 ** 64 - 1))
+    key = _actor_key(history.actor_id)
+    rows = array("d", bytes(32 * (k + 1)))
     out = []
     for j in range(cfg.sample_count):
-        rng = _actor_stream(cfg.seed, history.actor_id, t, j)
-        accel = rng.normal(0.0, cfg.noise_accel_sigma, size=k)
-        yawrate = rng.normal(0.0, cfg.noise_yawrate_sigma, size=k)
-        if not (np.isfinite(accel).all() and np.isfinite(yawrate).all()):
+        spawn = seed_words(key, t & (2 ** 63 - 1), j)
+        if kernel().navrisk_sample_future(
+                entropy, len(entropy), spawn, len(spawn),
+                cfg.noise_accel_sigma, cfg.noise_yawrate_sigma, k,
+                last.position_x, last.position_y, last.heading, last.speed,
+                dt, MAX_MAGNITUDE, address(rows)):
             raise _non_finite(history.actor_id, j, cfg)
-        x, y, heading, speed = (last.position_x, last.position_y,
-                                last.heading, last.speed)
         states = [last]
-        for a_i, w_i in zip(accel.tolist(), yawrate.tolist()):
-            speed = max(0.0, speed + a_i * dt)
-            heading = wrap_angle(heading + w_i * dt)
-            x += speed * dt * math.cos(heading)
-            y += speed * dt * math.sin(heading)
-            # False for NaN and inf too
-            if not (abs(x) <= MAX_MAGNITUDE and abs(y) <= MAX_MAGNITUDE):
-                raise _non_finite(history.actor_id, j, cfg)
-            states.append(ActorState(x, y, heading, speed))
+        states += (ActorState(*rows[i:i + 4])
+                   for i in range(4, 4 * (k + 1), 4))
         out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
     return out
 
@@ -156,6 +148,13 @@ def _hypot_sum(a: array, b: array) -> float:
     order); 0.0 when either holds no point."""
     return kernel().navrisk_hypot_sum(address(a), len(a) // 2, address(b),
                                       len(b) // 2)
+
+
+def _sum(values) -> float:
+    """np.sum of the floats values, bit for bit (_growth.c's navrisk_sum:
+    numpy's pairwise order)."""
+    buf = array("d", values)
+    return kernel().navrisk_sum(address(buf), len(buf))
 
 
 def _mean_distance(a: array, b: array) -> float:

@@ -38,16 +38,17 @@ from .planner import (
     Plan,
     PlannerConfig,
     PlanSet,
+    _collides,
+    _collision_rows,
     _goal_point,
     _path_plan,
     _plan_worlds,
-    collision_check,
     enumerate_plans,  # noqa: F401 (wrapped by perfbench/tracer.py)
     lattice_walk,
     plan_sampling,  # noqa: F401 (wrapped by perfbench/tracer.py)
     world_arrays,
 )
-from .prediction import _mean_distance
+from .prediction import _mean_distance, _sum
 # bound here for perfbench/tracer.py, which wraps it in this module
 from .prediction import predict_linear  # noqa: F401
 from .scenario import (
@@ -356,13 +357,16 @@ def _leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
 
 
 def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and unbiased variance; exactly (gamma, 0.0) when every
-    sample is equal."""
-    import numpy as np
-    arr = np.array(gammas)
-    if float(arr.max()) == float(arr.min()):
-        return float(arr[0]), 0.0
-    return float(np.mean(arr)), float(np.var(arr, ddof=1))
+    """Sample mean and unbiased variance, as np.mean and np.var(ddof=1)
+    compute them: the sum over n, and the sum of the squared deviations
+    from that mean over n - 1.  Exactly (gamma, 0.0) when every sample is
+    equal."""
+    first = gammas[0]
+    if all(g == first for g in gammas):   # False with a NaN, as in numpy
+        return float(first), 0.0
+    n = len(gammas)
+    mean = _sum(gammas) / n
+    return mean, _sum([(g - mean) * (g - mean) for g in gammas]) / (n - 1)
 
 
 def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
@@ -448,10 +452,14 @@ def min_risk_selection(candidates: PlanSet,
     if not sampled_worlds:
         raise ScenarioError("no sampled worlds")
     scored = []
+    rows = {}   # each world's collision rows, made once per plan span
     for idx, plan in enumerate(candidates.plans):
-        hits = sum(
-            collision_check(plan.trajectory, w, radii, ego_radius)
-            for w in sampled_worlds)
+        traj = plan.trajectory
+        span = (traj.start_tick, len(traj) - 1)
+        if span not in rows:
+            rows[span] = [_collision_rows(w, radii, ego_radius, *span)
+                          for w in sampled_worlds]
+        hits = sum(_collides(traj, *r) for r in rows[span])
         scored.append((hits, plan.cost, plan.maneuver_seq or (), idx))
     scored.sort()
     hits, _, _, idx = scored[0]

@@ -20,8 +20,8 @@ import ctypes
 from dataclasses import dataclass
 from typing import Optional
 
-from ._kernel import kernel
-from .planner import GoalSpec, LatticeConfig, PlannerConfig, _seed_words
+from ._kernel import kernel, seed_words
+from .planner import GoalSpec, LatticeConfig, PlannerConfig
 from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
 from .risk import (
@@ -105,7 +105,7 @@ def _phase_at(s: Scenario, tick: int) -> str:
 def _planner_seed(seed: int, t: int) -> int:
     """numpy's SeedSequence(seed mod 2**64, spawn_key=(t,))
     .generate_state(1, np.uint64)[0], computed by the kernel."""
-    entropy, spawn = _seed_words(seed & (2 ** 64 - 1)), _seed_words(t)
+    entropy, spawn = seed_words(seed & (2 ** 64 - 1)), seed_words(t)
     out = ctypes.c_uint64()
     kernel().navrisk_seed_state(entropy, len(entropy), spawn, len(spawn),
                                 ctypes.byref(out), 1)

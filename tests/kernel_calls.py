@@ -7,7 +7,9 @@ so that the tests can check each part against its reference in
 oracles.py: grow_tree runs the tree growth (navrisk_grow), select_path
 the endpoint selection (navrisk_select) and edge_blockers the edge check
 (navrisk_edge_blockers).  They take and return numpy arrays, as
-oracles.obstacle_arrays gives world_arrays' buffers.
+oracles.obstacle_arrays gives world_arrays' buffers.  parts() also
+gives the sampled futures' noise draw on its own (navrisk_normal), which
+tests/test_normal_stream.py compares with numpy's Generator.normal.
 """
 
 import ctypes
@@ -38,6 +40,7 @@ SIGNATURES = {
                      _P, _P, _P, _P),
     "navrisk_select": (_P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _I, _P, _I,
                        _P, _I, _P, _P, _P, _P),
+    "navrisk_normal": (_P, _I, _P, _I, _D, _I, _P),
 }
 
 

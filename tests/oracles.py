@@ -35,6 +35,12 @@ and reference_planner_seed draw the growth's samples and the per-tick
 planner seeds with numpy.random itself, the == references for the
 kernel's port of SeedSequence, PCG64 and Generator.uniform
 (planner._sample_stream, simulate._planner_seed).
+reference_actor_stream and reference_sample_predictions draw the sampled
+futures' noise with numpy's Generator.normal and integrate it in a
+Python float loop, the == references for the kernel's ziggurat and
+integration (prediction.sample_predictions);
+reference_mean_and_variance is np.mean and np.var(ddof=1), the ==
+reference for risk.mean_and_variance.
 
 reference_mean_distance and reference_plan_cost measure displacement and
 path length with np.hypot and np.mean or np.sum, the == references for
@@ -52,6 +58,7 @@ plan classes.  traj_xy views a Trajectory's positions as an (n, 2)
 array.
 """
 
+import hashlib
 import math
 from array import array
 from collections import Counter
@@ -73,10 +80,11 @@ from navrisk.planner import (
     _goal_point,
     world_arrays,
 )
-from navrisk.prediction import _mean_distance
+from navrisk.prediction import PredictionConfig, _mean_distance, _non_finite
 from navrisk.risk import KL_EPSILON, _lane_terms, _soft_advance
 from navrisk.scenario import (
-    ActorState, RoadMap, ScenarioError, Trajectory, wrap_angle)
+    MAX_MAGNITUDE, ActorState, RoadMap, ScenarioError, Trajectory,
+    wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +452,60 @@ def reference_planner_seed(seed: int, t: int) -> int:
     reference for simulate._planner_seed."""
     ss = np.random.SeedSequence(entropy=seed & (2 ** 64 - 1), spawn_key=(t,))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def reference_actor_stream(seed: int, actor_id: str, t: int, sample: int
+                           ) -> np.random.Generator:
+    """The noise stream of sample `sample` of actor_id's futures at tick t,
+    as numpy.random draws it: the == reference for the stream that
+    _growth.c's navrisk_sample_future seeds."""
+    digest = hashlib.blake2s(actor_id.encode(), digest_size=8).digest()
+    key = int.from_bytes(digest, "little")
+    ss = np.random.SeedSequence(
+        entropy=seed & (2 ** 64 - 1),
+        spawn_key=(key, t & (2 ** 63 - 1), sample))
+    return np.random.default_rng(ss)
+
+
+def reference_sample_predictions(history: Trajectory, k: int,
+                                 cfg: PredictionConfig) -> list[Trajectory]:
+    """The sampled futures of one actor drawn with numpy's
+    Generator.normal and integrated in a Python float loop: the ==
+    reference for prediction.sample_predictions, raising the same
+    ValueError."""
+    last = history.states[-1]
+    dt = history.dt
+    t = history.end_tick
+    out = []
+    for j in range(cfg.sample_count):
+        rng = reference_actor_stream(cfg.seed, history.actor_id, t, j)
+        accel = rng.normal(0.0, cfg.noise_accel_sigma, size=k)
+        yawrate = rng.normal(0.0, cfg.noise_yawrate_sigma, size=k)
+        if not (np.isfinite(accel).all() and np.isfinite(yawrate).all()):
+            raise _non_finite(history.actor_id, j, cfg)
+        x, y, heading, speed = (last.position_x, last.position_y,
+                                last.heading, last.speed)
+        states = [last]
+        for a_i, w_i in zip(accel.tolist(), yawrate.tolist()):
+            speed = max(0.0, speed + a_i * dt)
+            heading = wrap_angle(heading + w_i * dt)
+            x += speed * dt * math.cos(heading)
+            y += speed * dt * math.sin(heading)
+            # False for NaN and inf too
+            if not (abs(x) <= MAX_MAGNITUDE and abs(y) <= MAX_MAGNITUDE):
+                raise _non_finite(history.actor_id, j, cfg)
+            states.append(ActorState(x, y, heading, speed))
+        out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
+    return out
+
+
+def reference_mean_and_variance(gammas) -> tuple[float, float]:
+    """np.mean and np.var(ddof=1) of gammas, (gamma, 0.0) when every one
+    is equal: the == reference for risk.mean_and_variance."""
+    arr = np.array(gammas)
+    if float(arr.max()) == float(arr.min()):
+        return float(arr[0]), 0.0
+    return float(np.mean(arr)), float(np.var(arr, ddof=1))
 
 
 def reference_grow_tree(road: RoadMap, ego: ActorState, k: int,

@@ -39,7 +39,7 @@ SMALL_RUN = ["run", "--casestudy-defaults", "--budget", "50",
 @pytest.mark.parametrize("argv, loaded", [
     (SMALL_RUN, False),
     (["casestudy", "--out", "{out}"], False),
-    ([*SMALL_RUN, "--samples", "1"], True),
+    ([*SMALL_RUN, "--samples", "1"], False),
     ([*SMALL_RUN, "--exact-lattice"], False),
     ([*SMALL_RUN, "--exact-lattice", "--operator", "kl"], True),
     (["oracle", "--scenario", "{case}", "--t", "20", "--k", "8",
@@ -50,9 +50,9 @@ def test_only_array_commands_load_numpy(casestudy_path, tmp_path, argv,
                                         loaded):
     # numpy costs about 12 MiB of resident memory and 0.07-0.1 s of
     # start-up; the runs and the oracle compute their risks with the
-    # kernel and plain floats (the lattice is walked in the kernel), and
-    # only the sampled futures and the KL importance load numpy.  The
-    # commands that do load it show that the probe sees it
+    # kernel and plain floats (the lattice is walked and the sampled
+    # futures drawn in the kernel), and only the KL importance loads
+    # numpy.  The run that reads it shows that the probe sees numpy
     args = [a.format(out=tmp_path / "out", case=casestudy_path)
             for a in argv]
     code = ("import sys\n"
@@ -289,8 +289,9 @@ class TestOracleCommand:
 
 
     def test_oracle_never_loads_openssl(self, tmp_path):
-        # hashlib's OpenSSL module costs 3.6 MiB of resident memory; only
-        # the sampled futures of `run` need hashlib
+        # hashlib's OpenSSL module costs 3.6 MiB of resident memory; no
+        # command needs it, since the sampled futures key their streams
+        # with _blake2's blake2s
         code = (
             "import sys\n"
             "from navrisk.cli import main\n"
@@ -303,22 +304,26 @@ class TestOracleCommand:
 
 
 class TestRunCommand:
-    @pytest.mark.parametrize("extra, loaded", [
-        ([], "False False"), (["--samples", "1"], "True True")],
-        ids=["no samples", "samples"])
+    @pytest.mark.parametrize("extra, imports, loaded", [
+        ([], "", "False False False"),
+        (["--samples", "2"], "", "False False False"),
+        ([], "import numpy.random\n", "True True True")],
+        ids=["no samples", "samples", "numpy.random imported"])
     def test_only_sampled_futures_load_numpy_random(self, tmp_path, extra,
-                                                    loaded):
+                                                    imports, loaded):
         # numpy.random, and through it hashlib's OpenSSL module, cost
         # about 6 MiB of resident memory; the planner's stream and seeds
-        # are drawn in the kernel, so only the sampled futures load them.
-        # The run with samples shows that the probe sees them
+        # and the sampled futures' noise are drawn in the kernel, so no
+        # run loads them.  The run that imports numpy.random itself shows
+        # that the probe sees them
         code = (
             "import sys\n"
+            f"{imports}"
             "from navrisk.cli import main\n"
             "assert main(['run', '--casestudy-defaults', '--budget', '50',\n"
             "             '--replan-every', '40', '--out', sys.argv[1],\n"
             "             *sys.argv[2:]]) == 0\n"
-            "print('numpy.random' in sys.modules,\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules,\n"
             "      '_hashlib' in sys.modules)\n")
         assert run_probe(code, str(tmp_path / "out"), *extra) == loaded
 

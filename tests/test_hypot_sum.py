@@ -8,9 +8,9 @@ for bit, on positions drawn with random.Random: lengths on both sides of
 the pairwise blocks (1, 7, 8, 9, 41, 128, 129 and 600), unequal lengths
 (the shorter array holding its last point), zero displacements and
 magnitudes near scenario.MAX_MAGNITUDE.  The plan cost's comfort term,
-planner._speed_change, sums |dv| through the same kernel sum and must
-equal np.sum(np.abs(np.diff(v))) (oracles.reference_speed_change), which
-a sequential sum does not.
+planner._speed_change, sums |dv| in the same pairwise order
+(navrisk_sum) and must equal np.sum(np.abs(np.diff(v)))
+(oracles.reference_speed_change), which a sequential sum does not.
 """
 
 import random
@@ -112,8 +112,8 @@ def test_plan_cost_equals_numpy(speed_term):
 
 
 def test_speed_change_equals_numpy():
-    # hypot(dv, 0.0) is |dv|, added in numpy's pairwise order; a
-    # sequential sum of the same terms differs on some of these lists
+    # |dv| added in numpy's pairwise order; a sequential sum of the same
+    # terms differs on some of these lists
     rng = random.Random(1500)
     sequential_differs = 0
     for n in (1, 2, 7, 8, 9, 128, 129, 1000):

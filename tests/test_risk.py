@@ -11,6 +11,7 @@ from navrisk.planner import (
     LatticeConfig,
     PlannerConfig,
     SPEED_STEP,
+    collision_check,
     enumerate_plans,
     plan_sampling,
 )
@@ -789,8 +790,75 @@ class TestMinRiskSelection:
         assert result.plan.maneuver_seq != ("keep", "keep")
         assert not result.all_candidates_always_collide
 
-        from navrisk.planner import collision_check
         assert collision_check(keep_plan.trajectory, truth, {"lead": 1.2},
                                1.2)
         assert not collision_check(result.plan.trajectory, truth,
                                    {"lead": 1.2}, 1.2)
+
+    def test_each_world_stacked_once(self, monkeypatch):
+        # every candidate is checked against every world, but each world's
+        # obstacle rows are made once for all of them
+        from navrisk import planner
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return world_arrays(*args)
+
+        candidates = enumerate_plans(ROAD3, self.ego, 0, 30, self.lattice)
+        worlds = [{"a": moving_actor("a", x, ROAD3.lane_center(1), 5.0, 30)}
+                  for x in (20.0, 40.0, 60.0, 150.0, 200.0)]
+        assert len(candidates.plans) > 1
+        world_arrays = planner.world_arrays
+        monkeypatch.setattr(planner, "world_arrays", counted)
+        got = min_risk_selection(candidates, worlds, {"a": 1.2})
+        assert len(calls) == len(worlds)
+        monkeypatch.undo()
+        hits = [sum(collision_check(p.trajectory, w, {"a": 1.2}, 1.2)
+                    for w in worlds) for p in candidates.plans]
+        assert got.collision_fraction == min(hits) / len(worlds)
+
+
+def actor_with(axis: str, value: float, k: int = 30) -> Trajectory:
+    """An actor parked on EGO_MID's position at every tick of [0, k] but
+    tick 3, where its x or y is value."""
+    states = []
+    for i in range(k + 1):
+        x, y = EGO_MID.position_x, EGO_MID.position_y
+        if i == 3:
+            x, y = (value, y) if axis == "x" else (x, value)
+        states.append(ActorState(x, y, 0.0, 0.0))
+    return Trajectory("a", 0, DT, tuple(states))
+
+
+NON_FINITE = [(axis, value) for axis in ("x", "y")
+              for value in (math.nan, math.inf, -math.inf)]
+NOT_FINITE = "world actor 'a' has a position that is not finite"
+
+
+class TestNonFiniteActors:
+    """A NaN or infinite position is no squared distance below any radius
+    sum, so such an actor would collide with nothing: world_arrays, which
+    stacks the worlds that collision_check, the lattice walk and both
+    planners read, refuses it."""
+
+    @pytest.mark.parametrize("axis, value", NON_FINITE)
+    def test_collision_check(self, axis, value):
+        ego = Trajectory("ego", 0, DT, (EGO_MID,) * 31)
+        assert collision_check(ego, {"a": actor_with("x", 10.0)},
+                               {"a": 1.2}, 1.2)
+        with pytest.raises(ScenarioError, match=NOT_FINITE):
+            collision_check(ego, {"a": actor_with(axis, value)}, {"a": 1.2},
+                            1.2)
+
+    @pytest.mark.parametrize("axis, value", NON_FINITE)
+    def test_all_actor_risk_exact(self, axis, value):
+        s = build_scenario({"a": actor_with(axis, value)}, EGO_MID)
+        with pytest.raises(ScenarioError, match=NOT_FINITE):
+            all_actor_risk_exact(s, 0, 30, LATTICE3)
+
+    @pytest.mark.parametrize("axis, value", NON_FINITE)
+    def test_leave_one_out(self, axis, value):
+        with pytest.raises(ScenarioError, match=NOT_FINITE):
+            leave_one_out({"a": actor_with(axis, value)}, EGO_MID, 0, 30,
+                          importance_cfg(), road=ROAD3, radii={"a": 1.2})

@@ -5,8 +5,8 @@ The lattice is walked and every collision checked in the compiled
 kernel, so enumerate_plans, the exact risks, collision_check and
 min_risk_selection load no numpy; reading a KL importance (ExactRisk.kl)
 does.
-tests/test_cli.py probes the commands the same way: oracle and run
---exact-lattice load no numpy, run --operator kl does.
+tests/test_cli.py probes the commands the same way: oracle, run
+--exact-lattice and run --samples load no numpy, run --operator kl does.
 navrisk/__init__.py defaults OPENBLAS_NUM_THREADS to 1 at import, before
 any of its functions loads numpy (lazily, where it returns or works on
 arrays), because navrisk makes no BLAS call and the worker threads that
