@@ -5,8 +5,14 @@
    full world alone.  Its parts, the tree growth (navrisk_grow), the
    endpoint selection (navrisk_select) and the edge check
    (navrisk_edge_blockers), are exported for the tests that check each
-   against its reference (tests/kernel_calls.py).  The rendered-path
-   check (navrisk_path_clear) is planner.collision_check.
+   against its reference (tests/kernel_calls.py).  The path check
+   (navrisk_path_clear) is planner.collision_check.
+
+   Collision is one rule, written once (overlaps): an obstacle overlaps
+   the ego iff dx * dx + dy * dy < r * r, strictly, on the radius sum r.
+   The edge check, the path and hold checks and the lattice walk all call
+   it, and every entry point takes the radius sums of
+   planner.world_arrays, which it squares only there.
 
    Every float is computed by the same binary64 expressions, in the same
    order, as the all-numpy reference growth (tests/oracles.py,
@@ -44,18 +50,26 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The one edge rule.  The actors that the edge p0 -> p1 hits at the
+/* The collision rule: whether an obstacle (dx, dy) away overlaps, its
+   squared distance strictly below the square of the radius sum r, so
+   that contact is no collision.  Without fused multiply-add, r * r has
+   the bits of Python's r * r, which world_arrays keeps finite. */
+static int overlaps(double dx, double dy, double r)
+{
+    return dx * dx + dy * dy < r * r;
+}
+
+/* The edge check.  The actors that the edge p0 -> p1 hits at the
    integer ticks its traversal from tick0 to tick1 covers: how many,
    stopping at 2, written to found in ascending order.  obs is the
-   (m, kp1, 2) array of obstacle positions per tick and r2 the (m,)
-   squared radius sums: a squared distance strictly below r2 is a hit, as
-   in path_clear.  The ego's point at each covered tick is computed
-   once, into pts (2 * kp1 entries), and tested against every actor,
-   every tick with no branch, since a branch per pair mispredicts.  The
-   caller keeps 0 <= tick0 and tick1 < kp1. */
+   (m, kp1, 2) array of obstacle positions per tick and rsum the (m,)
+   radius sums.  The ego's point at each covered tick is computed once,
+   into pts (2 * kp1 entries), and tested against every actor, every
+   tick with no branch, since a branch per pair mispredicts.  The caller
+   keeps 0 <= tick0 and tick1 < kp1. */
 static int blockers(double p0x, double p0y, double p1x, double p1y,
                     double tick0, double tick1, const double *obs, int kp1,
-                    const double *r2, int m, double *pts, int32_t *found)
+                    const double *rsum, int m, double *pts, int32_t *found)
 {
     long j0 = (long)floor(tick0) + 1;   /* first integer tick after tick0 */
     long j1 = (long)floor(tick1);       /* last integer tick <= tick1 */
@@ -70,11 +84,9 @@ static int blockers(double p0x, double p0y, double p1x, double p1y,
     for (int a = 0; a < m && nt > 0; a++) {
         const double *o = obs + ((size_t)a * kp1 + (size_t)j0) * 2;
         int hit = 0;
-        for (int q = 0; q < nt; q++) {
-            double dx = o[2 * q] - pts[2 * q];
-            double dy = o[2 * q + 1] - pts[2 * q + 1];
-            hit |= dx * dx + dy * dy < r2[a];
-        }
+        for (int q = 0; q < nt; q++)
+            hit |= overlaps(o[2 * q] - pts[2 * q],
+                            o[2 * q + 1] - pts[2 * q + 1], rsum[a]);
         if (hit) {
             found[count++] = a;
             if (count == 2)
@@ -88,13 +100,14 @@ static int blockers(double p0x, double p0y, double p1x, double p1y,
    be had. */
 int navrisk_edge_blockers(double p0x, double p0y, double p1x, double p1y,
                           double tick0, double tick1, const double *obs,
-                          int kp1, const double *r2, int m, int32_t *found)
+                          int kp1, const double *rsum, int m,
+                          int32_t *found)
 {
     double *pts = malloc(2 * (size_t)kp1 * sizeof(double));
     if (pts == NULL)
         return -1;
-    int count = blockers(p0x, p0y, p1x, p1y, tick0, tick1, obs, kp1, r2, m,
-                         pts, found);
+    int count = blockers(p0x, p0y, p1x, p1y, tick0, tick1, obs, kp1, rsum,
+                         m, pts, found);
     free(pts);
     return count;
 }
@@ -133,7 +146,7 @@ static int closer(double x, double y, int i, double sx, double sy,
 }
 
 /* Grow the rewiring tree from the root (x0, y0) over the budget samples
-   (sx, sy) pairs, exactly as the numpy reference grows it; obs, kp1, r2
+   (sx, sy) pairs, exactly as the numpy reference grows it; obs, kp1, rsum
    and m as for blockers, with kp1 > k.  Fills xy (n, 2), cost, tick and
    parent for the n nodes it returns, and sets sole[a] when some connect
    or rewire edge check was blocked by actor a alone.  Every output array
@@ -147,7 +160,7 @@ static int closer(double x, double y, int i, double sx, double sy,
    dx * dx. */
 int navrisk_grow(const double *samples, int budget, double x0, double y0,
                  double y_lo, double y_hi, double inv, double steer, int k,
-                 const double *obs, int kp1, const double *r2, int m,
+                 const double *obs, int kp1, const double *rsum, int m,
                  double *xy, double *cost, double *tick, int32_t *parent,
                  uint8_t *sole)
 {
@@ -164,7 +177,7 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
            *pts = dwork + 5 * n_max;
     int32_t *children = iwork, *xid = iwork + n_max, *nb_i = iwork + 2 * n_max,
             *c_nb = iwork + 3 * n_max;
-    double r = 2.0 * steer, r2_rewire = r * r;
+    double reach = 2.0 * steer, r2_rewire = reach * reach;
     int32_t found[2];
 
     xy[0] = x0;
@@ -263,7 +276,7 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
                     q = c;
             int o = c_nb[q], i = nb_i[o];
             int hit = blockers(xy[2 * i], xy[2 * i + 1], cx, cy, tick[i],
-                               c_tick[q], obs, kp1, r2, m, pts, found);
+                               c_tick[q], obs, kp1, rsum, m, pts, found);
             if (hit == 1)
                 sole[found[0]] = 1;
             if (hit == 0) {
@@ -329,7 +342,7 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
             if (children[i] > 0)
                 continue;
             int hit = blockers(cx, cy, xy[2 * i], xy[2 * i + 1], t_n,
-                               c_tick[q], obs, kp1, r2, m, pts, found);
+                               c_tick[q], obs, kp1, rsum, m, pts, found);
             if (hit == 1)
                 sole[found[0]] = 1;
             if (hit == 0) {
@@ -368,48 +381,32 @@ static int precedes(const double *key1, const double *key2, int i, int j)
     return c < 0 || (c == 0 && i < j);
 }
 
+/* Whether the ego's positions at ticks j0..k stay clear of every actor,
+   its position at tick j at path[stride * j]: stride 2 for a path of
+   (k+1, 2) positions, 0 for one parked point.  obs, kp1, rsum and m as
+   for blockers, with 0 <= j0 and kp1 > k. */
+int navrisk_path_clear(const double *path, int stride, int j0, int k,
+                       const double *obs, int kp1, const double *rsum, int m)
+{
+    for (int a = 0; a < m; a++) {
+        const double *o = obs + (size_t)a * kp1 * 2;
+        for (int j = j0; j <= k; j++)
+            if (overlaps(o[2 * j] - path[stride * j],
+                         o[2 * j + 1] - path[stride * j + 1], rsum[a]))
+                return 0;
+    }
+    return 1;
+}
+
 /* Whether (x, y), parked from tick `from` to k, stays clear of every
-   actor, by path_clear's strict rule. */
+   actor. */
 static int hold_free(double x, double y, double from, int k,
-                     const double *obs, int kp1, const double *r2, int m)
+                     const double *obs, int kp1, const double *rsum, int m)
 {
     double j0 = ceil(from);
-    if (!(j0 <= k))
-        return 1;
-    for (int a = 0; a < m; a++) {
-        const double *o = obs + (size_t)a * kp1 * 2;
-        for (long j = (long)j0; j <= k; j++) {
-            double dx = o[2 * j] - x, dy = o[2 * j + 1] - y;
-            if (dx * dx + dy * dy < r2[a])
-                return 0;
-        }
-    }
-    return 1;
-}
-
-/* Whether the positions path (k+1, 2) stay clear of every actor at
-   ticks 0..k, by the strict rule: a squared distance below r2 is a hit.
-   obs, kp1, r2 and m as for blockers, with kp1 > k. */
-static int path_clear(const double *path, int k, const double *obs,
-                      int kp1, const double *r2, int m)
-{
-    for (int a = 0; a < m; a++) {
-        const double *o = obs + (size_t)a * kp1 * 2;
-        for (int j = 0; j <= k; j++) {
-            double dx = o[2 * j] - path[2 * j];
-            double dy = o[2 * j + 1] - path[2 * j + 1];
-            if (dx * dx + dy * dy < r2[a])
-                return 0;
-        }
-    }
-    return 1;
-}
-
-/* path_clear on its own, for planner.collision_check. */
-int navrisk_path_clear(const double *path, int k, const double *obs,
-                       int kp1, const double *r2, int m)
-{
-    return path_clear(path, k, obs, kp1, r2, m);
+    const double at[2] = {x, y};
+    return !(j0 <= k) ||
+           navrisk_path_clear(at, 0, (int)j0, k, obs, kp1, rsum, m);
 }
 
 /* Walk the nv vertices at `step` meters per tick for ticks 0..k, holding
@@ -456,7 +453,7 @@ static void render(const double *v, int nv, double step, int k,
 
 /* Select the endpoint of a grown tree of n nodes (xy, cost, tick, parent
    as navrisk_grow writes them) toward the goal (gx, gy) among obs, kp1,
-   r2 and m as for blockers, with kp1 > k: the cheapest path into the
+   rsum and m as for blockers, with kp1 > k: the cheapest path into the
    goal region that stays clear, connected to the goal point when that
    edge is clear, else the closest-approach path, flagged partial.  Each
    round tries up to CANDIDATES nodes: those within tol of the goal by
@@ -472,7 +469,7 @@ static void render(const double *v, int nv, double step, int k,
 int navrisk_select(const double *xy, const double *cost, const double *tick,
                    const int32_t *parent, int n, double gx, double gy,
                    double tol, double inv, double step, int k,
-                   const double *obs, int kp1, const double *r2, int m,
+                   const double *obs, int kp1, const double *rsum, int m,
                    double *verts, double *path, int32_t *seg, int32_t *info)
 {
     double *work = malloc((3 * (size_t)n + 2 + 2 * (size_t)kp1) *
@@ -530,8 +527,8 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
                 double nt = tick[best] + gd[best] * inv;
                 if (nt <= k &&
                     blockers(end_x, end_y, gx, gy, tick[best], nt, obs, kp1,
-                             r2, m, pts, found) == 0 &&
-                    hold_free(gx, gy, nt, k, obs, kp1, r2, m)) {
+                             rsum, m, pts, found) == 0 &&
+                    hold_free(gx, gy, nt, k, obs, kp1, rsum, m)) {
                     verts[2 * nv] = gx;
                     verts[2 * nv + 1] = gy;
                     nv++;
@@ -539,11 +536,11 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
                 }
             }
             if (!to_goal &&
-                !hold_free(end_x, end_y, tick[best], k, obs, kp1, r2, m))
+                !hold_free(end_x, end_y, tick[best], k, obs, kp1, rsum, m))
                 continue;
 
             render(verts, nv, step, k, seg_len, cum, path, seg);
-            if (path_clear(path, k, obs, kp1, r2, m)) {
+            if (navrisk_path_clear(path, 2, 0, k, obs, kp1, rsum, m)) {
                 info[0] = partial;
                 info[1] = nv;
                 result = best;
@@ -565,13 +562,13 @@ static int plan_world(const double *xy, const double *cost,
                       const double *tick, const int32_t *parent, int n,
                       const double *goal, double tol, double inv,
                       double step, int k, const double *obs, int kp1,
-                      const double *r2, int m, double *verts, double *path,
+                      const double *rsum, int m, double *verts, double *path,
                       int32_t *seg, int32_t *info)
 {
     if (n <= 1)
         return NO_PLAN;
     int best = navrisk_select(xy, cost, tick, parent, n, goal[0], goal[1],
-                              tol, inv, step, k, obs, kp1, r2, m, verts,
+                              tol, inv, step, k, obs, kp1, rsum, m, verts,
                               path, seg, info);
     if (best == -1)
         return NO_PLAN;
@@ -581,7 +578,7 @@ static int plan_world(const double *xy, const double *cost,
 }
 
 /* The worlds of one leave-one-out experiment, as risk.leave_one_out
-   documents: the full world among obs, kp1, r2 and m (as for blockers,
+   documents: the full world among obs, kp1, rsum and m (as for blockers,
    with kp1 > k), and for each actor a with wanted[a] the world without
    a, every one grown from the root (x0, y0) on the same budget samples
    (as for navrisk_grow) and selected toward its own goal, goals[0] for
@@ -606,7 +603,7 @@ static int plan_world(const double *xy, const double *cost,
 int navrisk_leave_one_out(const double *samples, int budget, double x0,
                           double y0, double y_lo, double y_hi, double inv,
                           double steer, double tol, double step, int k,
-                          const double *obs, int kp1, const double *r2,
+                          const double *obs, int kp1, const double *rsum,
                           int m, const double *goals, const uint8_t *wanted,
                           double *paths, int32_t *status, double *verts,
                           int32_t *seg, int32_t *info, uint8_t *regrown)
@@ -628,8 +625,8 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
     double *xy = dwork, *cost = dwork + 2 * n_max, *tick = dwork + 3 * n_max;
     double *w_xy = dwork + 4 * n_max, *w_cost = dwork + 6 * n_max,
            *w_tick = dwork + 7 * n_max;
-    double *w_obs = dwork + 8 * n_max, *w_r2 = w_obs + rows * row,
-           *w_verts = w_r2 + rows;
+    double *w_obs = dwork + 8 * n_max, *w_rsum = w_obs + rows * row,
+           *w_verts = w_rsum + rows;
     int32_t *parent = iwork, *w_parent = iwork + n_max,
             *w_seg = iwork + 2 * n_max;
     uint8_t *w_sole = sole + m;
@@ -639,9 +636,9 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
 
     memset(sole, 0, 2 * (size_t)m + 1);
     int n = 0;   /* no tree: the root is blocked */
-    if (hold_free(x0, y0, 0.0, 0, obs, kp1, r2, m)) {
+    if (hold_free(x0, y0, 0.0, 0, obs, kp1, rsum, m)) {
         n = navrisk_grow(samples, budget, x0, y0, y_lo, y_hi, inv, steer, k,
-                         obs, kp1, r2, m, xy, cost, tick, parent, sole);
+                         obs, kp1, rsum, m, xy, cost, tick, parent, sole);
         growths++;
     }
     if (n < 0)
@@ -649,7 +646,7 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
     if (result == 0)
         result = status[0] = plan_world(
             xy, cost, tick, parent, n, goals, tol, inv, step, k, obs, kp1,
-            r2, m, verts, paths, seg, info);
+            rsum, m, verts, paths, seg, info);
 
     for (int a = 0; a < m && result >= 0; a++) {
         if (!wanted[a])
@@ -658,8 +655,8 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
         memcpy(w_obs, obs, (size_t)a * row * sizeof(double));
         memcpy(w_obs + (size_t)a * row, obs + ((size_t)a + 1) * row,
                (size_t)(m - 1 - a) * row * sizeof(double));
-        memcpy(w_r2, r2, (size_t)a * sizeof(double));
-        memcpy(w_r2 + a, r2 + a + 1, (size_t)(m - 1 - a) * sizeof(double));
+        memcpy(w_rsum, rsum, (size_t)a * sizeof(double));
+        memcpy(w_rsum + a, rsum + a + 1, (size_t)(m - 1 - a) * sizeof(double));
         const double *t_xy = xy, *t_cost = cost, *t_tick = tick;
         const int32_t *t_parent = parent;
         int t_n = n;
@@ -670,9 +667,9 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
             t_tick = w_tick;
             t_parent = w_parent;
             t_n = 0;
-            if (hold_free(x0, y0, 0.0, 0, w_obs, kp1, w_r2, m - 1)) {
+            if (hold_free(x0, y0, 0.0, 0, w_obs, kp1, w_rsum, m - 1)) {
                 t_n = navrisk_grow(samples, budget, x0, y0, y_lo, y_hi, inv,
-                                   steer, k, w_obs, kp1, w_r2, m - 1, w_xy,
+                                   steer, k, w_obs, kp1, w_rsum, m - 1, w_xy,
                                    w_cost, w_tick, w_parent, w_sole);
                 growths++;
                 if (t_n < 0) {
@@ -683,7 +680,7 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
         }
         result = status[1 + a] = plan_world(
             t_xy, t_cost, t_tick, t_parent, t_n, goals + 2 * (1 + a), tol,
-            inv, step, k, w_obs, kp1, w_r2, m - 1, w_verts,
+            inv, step, k, w_obs, kp1, w_rsum, m - 1, w_verts,
             paths + (1 + (size_t)a) * path_size, w_seg, w_info);
     }
     info[2] = n;
@@ -1335,8 +1332,8 @@ double navrisk_sum(const double *v, int n)
    tick 0 and lane its lane.
 
    A plan collides with obstacle row j of obs ((n, steps * m + 1, 2)
-   positions, r2 (n) squared radius sums) iff some tick of it has
-   dx * dx + dy * dy < r2[j] (path_clear's rule).  Tick 0 is tested
+   positions, rsum (n) radius sums) iff some tick of it overlaps row j
+   (the collision rule, overlaps).  Tick 0 is tested
    once per row; each step tests only its own m ticks, for the rows its
    parent prefix does not already hit, and inherits its parent's bits
    from a stack of depth steps.  The rows form nw world blocks of sizes
@@ -1352,7 +1349,7 @@ int64_t navrisk_lattice(const double *ego, int lane, const double *centers,
                         int lanes, double limit, double step, double dt,
                         const int *shift, const int *accel, int np,
                         int steps, int m, const double *ramp,
-                        const double *obs, const double *r2, int n,
+                        const double *obs, const double *rsum, int n,
                         const int *ws, int nw, int render, int64_t *z,
                         int64_t *freed, int32_t *cls, int32_t *seq,
                         double *cols, int64_t cap)
@@ -1381,11 +1378,9 @@ int64_t navrisk_lattice(const double *ego, int lane, const double *centers,
     yt[0] = py[0] = ego[1];
     vl[0] = vt[0] = pv[0] = ego[2];
     lane_at[0] = lane;
-    for (int j = 0; j < n && render; j++) {
-        double dx = obs[j * kp1 * 2] - ego[0];
-        double dy = obs[j * kp1 * 2 + 1] - ego[1];
-        bits[j] = dx * dx + dy * dy < r2[j];
-    }
+    for (int j = 0; j < n && render; j++)
+        bits[j] = overlaps(obs[j * kp1 * 2] - ego[0],
+                           obs[j * kp1 * 2 + 1] - ego[1], rsum[j]);
     int d = 0;
     idx[0] = 0;
     while (d >= 0) {
@@ -1425,11 +1420,9 @@ int64_t navrisk_lattice(const double *ego, int lane, const double *centers,
             for (int j = 0; j < n; j++) {
                 unsigned char hit = up[j];
                 const double *o = obs + ((size_t)j * kp1 + t0) * 2;
-                for (int i = 0; i < m && !hit; i++) {
-                    double dx = o[2 * i] - px[t0 + i];
-                    double dy = o[2 * i + 1] - py[t0 + i];
-                    hit = dx * dx + dy * dy < r2[j];
-                }
+                for (int i = 0; i < m && !hit; i++)
+                    hit = overlaps(o[2 * i] - px[t0 + i],
+                                   o[2 * i + 1] - py[t0 + i], rsum[j]);
                 here[j] = hit;
             }
         }

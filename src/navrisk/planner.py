@@ -32,10 +32,12 @@ world can still differ, through its re-routed goal and the endpoint
 checks (goal connection, hold, rendered path), which are repeated
 against the ablated obstacles.
 
-Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r, applied
-by the C kernel _growth.c to the binary64 scalars of the lattice walk,
-the tree-edge checks, the endpoint selection and collision_check (its
-rendered-path check, navrisk_path_clear).  The kernel grows the tree: the
+Collision is one rule, dx*dx + dy*dy < r*r on the radius sum r, written
+once in the C kernel _growth.c and applied there to the binary64 scalars
+of the lattice walk, the tree-edge checks, the endpoint selection and
+collision_check (its path check, navrisk_path_clear).  Every kernel call
+takes world_arrays' radius sums, which the kernel alone squares.  The
+kernel grows the tree: the
 nearest node by a bisect over x-sorted keys (ties to the lowest index,
 np.argmin's rule), the neighbours by a scan of the same keys outward
 from the new point, taken by ascending index where order matters
@@ -175,7 +177,7 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
             raise ScenarioError(
                 f"world actor {aid!r} has a position that is not finite")
         r = ego_radius + radii[aid] + SAFETY_MARGIN
-        if not math.isfinite(r * r):   # the kernel compares squares
+        if not math.isfinite(r * r):   # the kernel squares it
             raise ScenarioError(f"world actor {aid!r}: radius sum {r!r} "
                                 "has no finite square")
         obs += traj.positions
@@ -183,32 +185,21 @@ def world_arrays(world: Mapping[str, Trajectory], radii: Mapping[str, float],
     return obs, rs
 
 
-def _collision_rows(world: Mapping[str, Trajectory],
-                   radii: Mapping[str, float], ego_radius: float, t: int,
-                   k: int) -> tuple[array, array]:
-    """world_arrays' obstacle rows and their squared radius sums, the
-    buffers _collides reads."""
-    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    return obs, array("d", [r * r for r in rsum])
-
-
-def _collides(ego_traj: Trajectory, obs: array, r2: array) -> bool:
-    """True iff the ego overlaps some obstacle row of _collision_rows' (obs,
-    r2), made for the ego's span, at some tick: a squared distance
-    strictly below the squared radius sum, so contact is no collision.  A
-    square that overflows is rightly no hit, since world_arrays keeps
-    each squared radius sum finite."""
+def _collides(ego_traj: Trajectory, obs: array, rsum: array) -> bool:
+    """True iff the ego overlaps some obstacle row of world_arrays' (obs,
+    rsum), made for the ego's span, at some tick, by the kernel's
+    collision rule: contact is no collision."""
     k = len(ego_traj) - 1
     return not kernel().navrisk_path_clear(
-        address(ego_traj.positions), k, address(obs), k + 1, address(r2),
-        len(r2))
+        address(ego_traj.positions), 2, 0, k, address(obs), k + 1,
+        address(rsum), len(rsum))
 
 
 def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
                     radii: Mapping[str, float], ego_radius: float) -> bool:
     """True iff the ego overlaps some actor of world at some tick
     (_collides)."""
-    return _collides(ego_traj, *_collision_rows(
+    return _collides(ego_traj, *world_arrays(
         world, radii, ego_radius, ego_traj.start_tick, len(ego_traj) - 1))
 
 
@@ -310,7 +301,6 @@ def _walk(road: RoadMap, ego: ActorState, k: int, lattice: LatticeConfig,
                           for i in range(road.lane_count)])
     ramp = array("d", [1 - math.cos(math.pi * (i / m))
                        for i in range(1, m + 1)])
-    r2 = array("d", [r * r for r in rsum])
     ws = array("i", sizes)
     z, freed = array("q", bytes(8 * len(ws))), array("q", bytes(8 * n))
     classes = None if universe is None else \
@@ -322,7 +312,7 @@ def _walk(road: RoadMap, ego: ActorState, k: int, lattice: LatticeConfig,
         address(start), road.lane_of(ego.position_y), address(centers),
         road.lane_count, road.speed_limit, SPEED_STEP, dt, address(shift),
         address(accel), len(names), steps, m, address(ramp), address(obs),
-        address(r2), n, address(ws), len(ws), render, address(z),
+        address(rsum), n, address(ws), len(ws), render, address(z),
         address(freed),
         *(None if b is None else address(b) for b in (classes, seqs, cols)),
         kept if universe is None else universe)
@@ -498,7 +488,6 @@ def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: array,
             or wanted.itemsize != 1 or len(wanted) != m:
         raise ValueError(f"{len(goals)} goal coordinates and {len(wanted)} "
                          f"wanted flags for {m} actors")
-    r2 = array("d", [r * r for r in rsum])
     samples = _sample_stream(road, ego, cfg, ego_radius)
     speed = min(cfg.target_speed, road.speed_limit)
     inv = 1.0 / (speed * dt)          # ticks per meter of path
@@ -511,7 +500,7 @@ def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: array,
     err = kernel().navrisk_leave_one_out(
         address(samples), cfg.iteration_budget, ego.position_x,
         ego.position_y, ego_radius, road.width - ego_radius, inv, STEER_STEP,
-        GOAL_TOLERANCE, speed * dt, k, address(obs), k + 1, address(r2), m,
+        GOAL_TOLERANCE, speed * dt, k, address(obs), k + 1, address(rsum), m,
         address(goals), address(wanted), address(xy), address(status),
         address(verts), address(seg), info, address(regrown))
     if err == -2:

@@ -39,7 +39,6 @@ from .planner import (
     PlannerConfig,
     PlanSet,
     _collides,
-    _collision_rows,
     _goal_point,
     _path_plan,
     _plan_worlds,
@@ -457,7 +456,7 @@ def min_risk_selection(candidates: PlanSet,
         traj = plan.trajectory
         span = (traj.start_tick, len(traj) - 1)
         if span not in rows:
-            rows[span] = [_collision_rows(w, radii, ego_radius, *span)
+            rows[span] = [world_arrays(w, radii, ego_radius, *span)
                           for w in sampled_worlds]
         hits = sum(_collides(traj, *r) for r in rows[span])
         scored.append((hits, plan.cost, plan.maneuver_seq or (), idx))

@@ -25,6 +25,9 @@ EGO_ID = "ego"
 
 SCENARIO_FORMAT_VERSION = 1
 MAX_SCRIPT_TICKS = 200_000   # case study: latest phase end, largest tick count
+# load_scenario: longest horizon, a case study's latest phase end plus its
+# longest tail; an actor-less document could otherwise claim any horizon
+MAX_HORIZON_TICKS = 2 * MAX_SCRIPT_TICKS
 MAX_MAGNITUDE = 1e150        # load_scenario: largest magnitude of a number
 KINEMATIC_TOLERANCE = 0.2    # check_kinematics: allowed fractional deviation
 
@@ -620,6 +623,9 @@ def load_scenario(data: bytes | str) -> Scenario:
     if dt <= 0:
         raise ScenarioError(f"$.dt: must be positive, got {dt!r}")
     horizon = _number(doc, "horizon_ticks", "$", integral=True, nonneg=True)
+    if horizon > MAX_HORIZON_TICKS:
+        raise ScenarioError(f"$.horizon_ticks: must be <= "
+                            f"{MAX_HORIZON_TICKS}, got {horizon}")
     ego_doc = _require(doc, "ego", "$")
     ego = _state(ego_doc, "state", "$.ego")
     if not road.contains_y(ego.position_y):

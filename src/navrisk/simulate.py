@@ -53,7 +53,9 @@ class RunConfig:
     iteration_budget: int = 700
 
     def __post_init__(self):
-        require_int("seed", self.seed)
+        require_int("seed", self.seed, 0)
+        if self.seed >= 2 ** 64:
+            raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
         require_int("replan_every", self.replan_every, 1)
         require_int("horizon", self.horizon, self.replan_every)
         require_int("iteration_budget", self.iteration_budget, 1)

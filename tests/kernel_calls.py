@@ -56,16 +56,16 @@ def parts() -> ctypes.CDLL:
 
 def kernel_obstacles(obs: np.ndarray, rsum: np.ndarray, tick0: float,
                      tick1: float) -> tuple[np.ndarray, np.ndarray]:
-    """obs as _growth.c reads it, C-ordered float64 (m, k+1, 2), and the
-    (m,) squared radius sums.  Raises ValueError unless obs has that shape
-    and covers every integer tick from tick0 to tick1."""
+    """obs and rsum as _growth.c reads them, C-ordered float64 (m, k+1, 2)
+    and (m,).  Raises ValueError unless obs has that shape and covers
+    every integer tick from tick0 to tick1."""
     obs = np.ascontiguousarray(obs, dtype=np.float64)
     if obs.ndim != 3 or obs.shape[0] != len(rsum) or obs.shape[2] != 2 \
             or not (0.0 <= tick0 and tick1 < obs.shape[1]):
         raise ValueError(f"obstacles of shape {obs.shape} with "
                          f"{len(rsum)} radius sums do not cover ticks "
                          f"{tick0!r} to {tick1!r}")
-    return obs, np.ascontiguousarray(rsum * rsum, dtype=np.float64)
+    return obs, np.ascontiguousarray(rsum, dtype=np.float64)
 
 
 def edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
@@ -75,11 +75,11 @@ def edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
     at the integer ticks it covers from tick0 to tick1, by _hits' rule:
     () if none, (a,) if actor a is the only one, else two of them.  The
     kernel's edge check, which the tree growth runs on every edge."""
-    obs, r2 = kernel_obstacles(obs, rsum, tick0, tick1)
+    obs, rsum = kernel_obstacles(obs, rsum, tick0, tick1)
     found = (ctypes.c_int32 * 2)()
     count = parts().navrisk_edge_blockers(
         p0x, p0y, p1x, p1y, tick0, tick1, obs.ctypes.data, obs.shape[1],
-        r2.ctypes.data, len(r2), found)
+        rsum.ctypes.data, len(rsum), found)
     if count < 0:
         raise MemoryError("no memory for the edge check")
     return tuple(found[:count])
@@ -127,15 +127,15 @@ def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
                          f"{cfg.iteration_budget}")
     y_lo, y_hi = ego_radius, road.width - ego_radius
 
-    obs, r2 = kernel_obstacles(obs, rsum, 0.0, k)
+    obs, rsum = kernel_obstacles(obs, rsum, 0.0, k)
     n_max = cfg.iteration_budget + 1
     pts, cost, tick = np.empty((n_max, 2)), np.empty(n_max), np.empty(n_max)
     parent = np.empty(n_max, dtype=np.int32)
     sole = np.zeros(len(rsum), dtype=bool)
     n = parts().navrisk_grow(
         samples.ctypes.data, cfg.iteration_budget, *root.tolist(), y_lo, y_hi,
-        inv, STEER_STEP, k, obs.ctypes.data, obs.shape[1], r2.ctypes.data,
-        len(r2), pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
+        inv, STEER_STEP, k, obs.ctypes.data, obs.shape[1], rsum.ctypes.data,
+        len(rsum), pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
         parent.ctypes.data, sole.ctypes.data)
     if n < 0:
         raise MemoryError("no memory for the tree growth's work arrays")
@@ -159,7 +159,7 @@ def select_path(tree: Tree, goal: np.ndarray, obs: np.ndarray,
     if n == 1:
         raise PlanningInfeasible(
             "no collision-free edge from the ego position")
-    obs, r2 = kernel_obstacles(obs, rsum, 0.0, k)
+    obs, rsum = kernel_obstacles(obs, rsum, 0.0, k)
     vertices, xy = np.empty((n + 1, 2)), np.empty((k + 1, 2))
     seg = np.empty(k + 1, dtype=np.int32)
     info = (ctypes.c_int32 * 2)()
@@ -167,7 +167,7 @@ def select_path(tree: Tree, goal: np.ndarray, obs: np.ndarray,
         pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
         parent.ctypes.data, n, float(goal[0]), float(goal[1]),
         GOAL_TOLERANCE, tree.inv, tree.speed * dt, k, obs.ctypes.data,
-        obs.shape[1], r2.ctypes.data, len(r2), vertices.ctypes.data,
+        obs.shape[1], rsum.ctypes.data, len(rsum), vertices.ctypes.data,
         xy.ctypes.data, seg.ctypes.data, info)
     if best == -1:
         raise PlanningInfeasible("no candidate endpoint stays collision-free")

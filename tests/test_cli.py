@@ -390,6 +390,8 @@ class TestRunCommand:
         ["--samples", "1", "--noise-accel", "-1"],
         ["--noise-yawrate", "nan"],
         ["--noise-accel", "inf"],
+        ["--seed", "-1"],
+        ["--seed", str(2 ** 64 + 42)],
     ])
     def test_bad_run_option_exit_2_before_any_work(
             self, tmp_path, casestudy_path, monkeypatch, flags):
@@ -441,6 +443,29 @@ class TestRunCommand:
         bad.write_text('{"version": 1}')
         assert main(["run", "--scenario", str(bad),
                      "--out", str(tmp_path / "y")]) == 3
+
+    def test_actorless_huge_horizon_exit_3_at_once(self, tmp_path):
+        # an actor needs a state row per tick, so only a document with no
+        # actors claims such a horizon cheaply; the run used to plan its
+        # 6.7e7 replans
+        from navrisk.scenario import (EGO_ID, MAX_HORIZON_TICKS, ActorState,
+                                      RoadMap, Scenario)
+        road = RoadMap(3, 3.5, 300.0, 15.0)
+        doc = tmp_path / "long.json"
+        doc.write_bytes(save_scenario(Scenario(
+            map=road, npc_trajectories={},
+            ego_initial=ActorState(10.0, road.lane_center(1), 0.0, 1.0),
+            horizon_ticks=10 ** 9, dt=0.1, actor_radius={EGO_ID: 1.2})))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "navrisk.cli", "run", "--scenario",
+             str(doc), "--out", str(tmp_path / "y")],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 3
+        assert f"$.horizon_ticks: must be <= {MAX_HORIZON_TICKS}" \
+            in proc.stderr
 
     def test_exact_lattice_and_kl_columns(self, tmp_path):
         # small scenario so the lattice pass stays fast

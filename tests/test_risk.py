@@ -798,7 +798,6 @@ class TestMinRiskSelection:
     def test_each_world_stacked_once(self, monkeypatch):
         # every candidate is checked against every world, but each world's
         # obstacle rows are made once for all of them
-        from navrisk import planner
         calls = []
 
         def counted(*args):
@@ -809,8 +808,8 @@ class TestMinRiskSelection:
         worlds = [{"a": moving_actor("a", x, ROAD3.lane_center(1), 5.0, 30)}
                   for x in (20.0, 40.0, 60.0, 150.0, 200.0)]
         assert len(candidates.plans) > 1
-        world_arrays = planner.world_arrays
-        monkeypatch.setattr(planner, "world_arrays", counted)
+        world_arrays = risk.world_arrays
+        monkeypatch.setattr(risk, "world_arrays", counted)
         got = min_risk_selection(candidates, worlds, {"a": 1.2})
         assert len(calls) == len(worlds)
         monkeypatch.undo()

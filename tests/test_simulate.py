@@ -179,6 +179,9 @@ class TestRunConfig:
         ({"samples": 1.5}, "samples must be an integer"),
         ({"seed": 4.0}, "seed must be an integer"),
         ({"iteration_budget": 700.0}, "iteration_budget must be an integer"),
+        # --seed is a U64; the run's streams would reduce it mod 2**64
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": 2 ** 64}, "seed must be below 2\\*\\*64"),
     ])
     def test_out_of_range_options_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
