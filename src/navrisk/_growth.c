@@ -35,15 +35,17 @@
    prediction error and plan's path length are made of, as numpy's
    np.sum of np.hypot does, and navrisk_sum a plan's speed changes and
    the Monte-Carlo means and variances, as np.sum, np.mean and np.var
-   do, so that no run without a KL importance loads numpy
-   (tests/oracles.py, reference_mean_distance, reference_plan_cost,
-   reference_speed_change and reference_mean_and_variance).
+   do, so that no run loads numpy (tests/oracles.py,
+   reference_mean_distance, reference_plan_cost, reference_speed_change
+   and reference_mean_and_variance).
 
    navrisk_lattice walks the maneuver lattice depth first and counts the
    plans each obstacle row blocks, with the binary64 expressions of the
    earlier numpy level render (tests/oracles.py,
    reference_lattice_blockers), so that the exact risks load no numpy
-   either. */
+   either; navrisk_class_sum adds a KL importance's one term per plan
+   class over the walk's classes, as np.sum adds the per-plan terms
+   (tests/oracles.py, reference_kl). */
 
 #include <math.h>
 #include <stdint.h>
@@ -1248,18 +1250,34 @@ int navrisk_sample_future(const uint32_t *run, int n_run,
    np.add.reduce, np.sum, np.mean and np.var use on a contiguous float64
    array: the displacement sums, of libm's hypot, which numpy's np.hypot
    calls too (CPython's math.hypot is its own algorithm and differs in
-   the last bit), and plain sums of values. */
+   the last bit), plain sums of values, and the KL importance's sum of
+   one term per plan class. */
 
-/* Term i of a sum: a[i] when b is NULL; otherwise hypot of the i-th
-   difference of the point arrays a (na points) and b (nb points), each
-   holding its last point past its end. */
-static double term_at(const double *a, long na, const double *b, long nb,
-                      long i)
+/* Where the terms of a sum come from (term_at): the values a, when b
+   and cls are NULL; hypot of the differences of the point arrays a (na
+   points) and b (nb points), each holding its last point past its end,
+   when b is not; or, when cls is not NULL, a[0], a[1] or a[2] by the
+   class cls[i * stride] of plan i: free (-1), row j alone, or any
+   other. */
+struct terms {
+    const double *a, *b;
+    long na, nb;
+    const int32_t *cls;
+    long stride;
+    int j;
+};
+
+/* Term i of a sum. */
+static double term_at(const struct terms *s, long i)
 {
-    if (b == NULL)
-        return a[i];
-    const double *p = a + 2 * (i < na ? i : na - 1);
-    const double *q = b + 2 * (i < nb ? i : nb - 1);
+    if (s->cls) {
+        int32_t c = s->cls[i * s->stride];
+        return s->a[c == -1 ? 0 : c == s->j ? 1 : 2];
+    }
+    if (s->b == NULL)
+        return s->a[i];
+    const double *p = s->a + 2 * (i < s->na ? i : s->na - 1);
+    const double *q = s->b + 2 * (i < s->nb ? i : s->nb - 1);
     return hypot(p[0] - q[0], p[1] - q[1]);
 }
 
@@ -1267,33 +1285,31 @@ static double term_at(const double *a, long na, const double *b, long nb,
    0.0 below 8 terms; up to 128, 8 accumulators over the blocks of 8,
    combined pairwise, then the rest one by one; above that, the two
    halves split at a multiple of 8. */
-static double pairwise(const double *a, long na, const double *b, long nb,
-                       long lo, long n)
+static double pairwise(const struct terms *s, long lo, long n)
 {
     if (n < 8) {
         double res = 0.0;
         for (long i = 0; i < n; i++)
-            res += term_at(a, na, b, nb, lo + i);
+            res += term_at(s, lo + i);
         return res;
     }
     if (n <= 128) {
         double r[8];
         long i;
         for (int j = 0; j < 8; j++)
-            r[j] = term_at(a, na, b, nb, lo + j);
+            r[j] = term_at(s, lo + j);
         for (i = 8; i < n - n % 8; i += 8)
             for (int j = 0; j < 8; j++)
-                r[j] += term_at(a, na, b, nb, lo + i + j);
+                r[j] += term_at(s, lo + i + j);
         double res = ((r[0] + r[1]) + (r[2] + r[3])) +
                      ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
-            res += term_at(a, na, b, nb, lo + i);
+            res += term_at(s, lo + i);
         return res;
     }
     long n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise(a, na, b, nb, lo, n2) +
-           pairwise(a, na, b, nb, lo + n2, n - n2);
+    return pairwise(s, lo, n2) + pairwise(s, lo + n2, n - n2);
 }
 
 /* The sum over i < max(na, nb) of hypot(a_i - b_i) for the (x, y) point
@@ -1304,13 +1320,27 @@ double navrisk_hypot_sum(const double *a, int na, const double *b, int nb)
 {
     if (na < 1 || nb < 1)
         return 0.0;
-    return pairwise(a, na, b, nb, 0, na > nb ? na : nb);
+    struct terms s = {a, b, na, nb, NULL, 0, 0};
+    return pairwise(&s, 0, na > nb ? na : nb);
 }
 
 /* np.sum of the n values v, bit for bit; 0.0 for none. */
 double navrisk_sum(const double *v, int n)
 {
-    return n < 1 ? 0.0 : pairwise(v, n, NULL, 0, 0, n);
+    struct terms s = {v, NULL, n, 0, NULL, 0, 0};
+    return n < 1 ? 0.0 : pairwise(&s, 0, n);
+}
+
+/* The sum over the n plans u of terms[0] where cls[u * stride] is -1
+   (free), terms[1] where it is j (row j alone blocks the plan) and
+   terms[2] elsewhere, in numpy's pairwise order: np.sum of the per-plan
+   terms, bit for bit; 0.0 for no plan.  cls is one world block's column
+   of navrisk_lattice's classes, stride the number of blocks. */
+double navrisk_class_sum(const int32_t *cls, int n, int stride, int j,
+                         const double *terms)
+{
+    struct terms s = {terms, NULL, 3, 0, cls, stride, j};
+    return n < 1 ? 0.0 : pairwise(&s, 0, n);
 }
 
 /* The maneuver lattice, walked depth first.  The sequences of np

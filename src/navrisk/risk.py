@@ -11,7 +11,8 @@ Three layers:
   epsilon-floored plan distributions with and without the actor.  All of
   them, for every world given (the predicted world and the ground-truth
   slice of one replan tick), come from one render's plan counts and
-  classes; the KL importance, which loads numpy, only when it is read;
+  classes; the KL importance only when it is read, from one term per
+  plan class, summed in the kernel;
 * leave-one-out importance: replan with and without one actor, all
   randomness and routing inputs held fixed, and measure the plan change
   with a per-waypoint Euclidean operator;
@@ -29,10 +30,10 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
+from ._kernel import address, kernel
 from .planner import (
-    FREE,
     GoalSpec,
     LatticeConfig,
     Plan,
@@ -59,9 +60,6 @@ from .scenario import (
     Trajectory,
     slice_world,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 KL_EPSILON = 1e-6
 UNIVERSE_CAP = 1_000_000
@@ -92,7 +90,7 @@ def check_cap(lattice: LatticeConfig, source: str = "lattice"):
 @dataclass(frozen=True)
 class ExactRisk:
     """Plan counts of one world on a lattice window and the risks they
-    give.  kl is computed, with numpy, on first read."""
+    give.  kl is computed on first read (_kl)."""
 
     z_empty: int                  # |Z empty|: in-bounds plans
     z: int                        # |Z|: plans no actor blocks
@@ -107,32 +105,36 @@ class ExactRisk:
         return self.kl_of()
 
 
-def _floored(mask, count: int) -> np.ndarray:
-    """1 / count on the plans that mask marks, 0 elsewhere, floored by
-    KL_EPSILON and renormalized over the universe; with count 0, uniform
-    over it."""
-    import numpy as np
-    if not count:
-        return np.full(len(mask), 1.0 / len(mask))
-    return (np.where(mask, 1.0 / count, 0.0) + KL_EPSILON) / \
-        (1.0 + len(mask) * KL_EPSILON)
-
-
 def _kl(classes: array, block: int, blocks: int, z: int,
-        actors: Sequence[str]) -> dict[str, float]:
+        freed: Sequence[int], actors: Sequence[str]) -> dict[str, float]:
     """The KL importance of each of actors, the world block block of
-    blocks in a lattice_walk's classes: KL(p || q_i) between _floored's
-    distributions on the plans free of the block (p, z of them) and on
-    those free of it or blocked by actor i alone (q_i)."""
-    import numpy as np
-    cls = np.frombuffer(classes, dtype=np.intc)[block::blocks]
-    free = cls == FREE
-    p = _floored(free, z)
-    kl = {}
+    blocks in a lattice_walk's classes: KL(p || q_j) between the
+    epsilon-floored uniform distributions on the z plans free of the
+    block (p) and on the z + freed[j] free of it or blocked by actor j
+    alone (q_j).  Each term p * log(p / q) takes one value per plan
+    class (free, j alone, other), from math.log (libm's log), and the
+    kernel adds them plan by plan in np.sum's pairwise order."""
+    n = len(classes) // blocks
+    scale = 1.0 + n * KL_EPSILON
+
+    def floored(count: int) -> tuple[float, float]:
+        """(in, out): the probability of a plan among count and of one
+        outside them, 1 / count and 0 floored by KL_EPSILON and
+        renormalized over the universe; 1 / U for both with count 0."""
+        if not count:
+            return 1.0 / n, 1.0 / n
+        return (1.0 / count + KL_EPSILON) / scale, KL_EPSILON / scale
+
+    pf, p0 = floored(z)
+    at = address(classes) + classes.itemsize * block
+    terms, kl = array("d", bytes(24)), {}
     for j, aid in enumerate(actors):
-        mask = free | (cls == j)
-        q = _floored(mask, np.count_nonzero(mask))
-        kl[aid] = float(np.sum(p * np.log(p / q)))
+        qf, q0 = floored(z + freed[j])
+        terms[0] = pf * math.log(pf / qf)
+        terms[1] = p0 * math.log(p0 / qf)
+        terms[2] = p0 * math.log(p0 / q0)
+        kl[aid] = kernel().navrisk_class_sum(at, n, blocks, j,
+                                             address(terms))
     return kl
 
 
@@ -148,10 +150,10 @@ def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
     Each world's block of rows gives its counts: |Z| counts the plans no
     row of the block blocks and |Z without i| adds the plans that i alone
     blocks.  The KL importance of i is KL(p || q_i) between the
-    epsilon-floored uniform distributions (_floored's) over the plans of
-    the world (p) and of the world without i (q_i), both over the
-    empty-world universe, read from the plans' classes.  Raises DegenerateScenario when that universe is
-    empty."""
+    epsilon-floored uniform distributions over the plans of the world
+    (p) and of the world without i (q_i), both over the empty-world
+    universe, read from the plans' classes when it is first read (_kl).
+    Raises DegenerateScenario when that universe is empty."""
     check_cap(lattice)
     obs, rsum = array("d"), array("d")
     for w in worlds:
@@ -171,7 +173,7 @@ def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
         risks.append(ExactRisk(
             n, z, (n - z) / n, dict(zip(world, (f / n for f in freed))),
             functools.partial(_kl, walk.classes, b, len(worlds), z,
-                              tuple(world))))
+                              freed, tuple(world))))
     return risks
 
 

@@ -52,10 +52,14 @@ the == reference for planner._speed_change.
 _hits is the collision rule on numpy arrays, the == reference for the
 kernel's scalar checks (planner.collision_check, kernel_calls'
 edge_blockers).  PlanDistribution and plan_divergence_kl are the KL
-operator on maneuver tuples, written out without risk._floored: the ==
-reference for the KL importances that risk.lattice_risks reads from
-plan classes.  traj_xy views a Trajectory's positions as an (n, 2)
-array.
+operator on maneuver tuples, written out without the plan classes: the
+== reference for the KL importances that risk.lattice_risks reads from
+plan classes.  reference_kl is the earlier numpy risk._kl on those
+classes, _floored's arrays and np.sum of p * log(p / q): with libm_log,
+the == reference for the kernel's class sum (risk._kl,
+navrisk_class_sum); with np.log, numpy's own log, which equals libm's
+where numpy does not dispatch it to its AVX512 loop.  traj_xy views a
+Trajectory's positions as an (n, 2) array.
 """
 
 import hashlib
@@ -68,6 +72,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from navrisk.planner import (
+    FREE,
     GOAL_TOLERANCE,
     LANE_CHANGE_PENALTY,
     SPEED_CHANGE_PENALTY,
@@ -177,6 +182,43 @@ def plan_divergence_kl(p: PlanDistribution, q: PlanDistribution) -> float:
         raise ValueError("distributions must share the same plan universe")
     pa, qa = p.probabilities, q.probabilities
     return float(np.sum(pa * np.log(pa / qa)))
+
+
+def _floored(mask: np.ndarray, count: int) -> np.ndarray:
+    """1 / count on the plans that mask marks, 0 elsewhere, floored by
+    KL_EPSILON and renormalized over the universe; with count 0, uniform
+    over it."""
+    if not count:
+        return np.full(len(mask), 1.0 / len(mask))
+    return (np.where(mask, 1.0 / count, 0.0) + KL_EPSILON) / \
+        (1.0 + len(mask) * KL_EPSILON)
+
+
+def libm_log(x: np.ndarray) -> np.ndarray:
+    """math.log, which calls libm's log, of each element of x."""
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def reference_kl(classes: array, block: int, blocks: int, z: int,
+                 actors: Sequence[str], log=np.log,
+                 add=np.sum) -> dict[str, float]:
+    """The KL importance of each of actors, the world block block of
+    blocks in a lattice_walk's classes, as the earlier numpy risk._kl
+    computed it: KL(p || q_i) between _floored's distributions on the
+    plans free of the block (p, z of them) and on those free of it or
+    blocked by actor i alone (q_i, counted from the mask), each term
+    p * log(p / q) over whole arrays, summed by np.sum.  With
+    log=libm_log the terms take libm's log, as risk._kl's do; add
+    replaces the sum."""
+    cls = np.frombuffer(classes, dtype=np.intc)[block::blocks]
+    free = cls == FREE
+    p = _floored(free, z)
+    kl = {}
+    for j, aid in enumerate(actors):
+        mask = free | (cls == j)
+        q = _floored(mask, np.count_nonzero(mask))
+        kl[aid] = float(add(p * log(p / q)))
+    return kl
 
 
 def lane_walks(lane_count, start_lane, steps, allow_keep=True,

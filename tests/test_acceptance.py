@@ -275,6 +275,19 @@ RUN_PINS = {
     "casestudy-exact-only": (["--exact-lattice", "--seed", "42"], (
         "2007a6092e03a63bb674a82346483a67227f5bfa7b51d30bdc2b82ecded9a265",
         "98edcf2ca94eadd1d52d9d0f18f04676093c94dd6a43cea805e1585c3be77fce")),
+    "casestudy-mc4": (["--samples", "4", "--seed", "42"], (
+        "95e85259067265d350e23529fb3568f571098ba75df616f0887a3518eb195ed4",
+        "98edcf2ca94eadd1d52d9d0f18f04676093c94dd6a43cea805e1585c3be77fce")),
+    # the default, exact and Monte-Carlo runs at a second seed
+    "seed7": (["--seed", "7"], (
+        "1c89f00376153c550e2d315a6f6d499e75d77f0c87a8b84b59db18499897d6ec",
+        "d983cfef71ceb3c28a8e023a54c5f5d0ab16977c2a9cdaf512575853f739c698")),
+    "seed7-exact": (["--exact-lattice", "--operator", "both", "--seed", "7"], (
+        "2b23195e0e688ad4494fc0aad91af23495e02bc70169a9dc1ad04dc52ff0c326",
+        "cf6c1a6e1b25253bec70b4a074c1dde10135182a2fb54470bf6c33ae8fae2ba4")),
+    "seed7-mc": (["--samples", "2", "--seed", "7"], (
+        "74763e25bee7276ab5671cde2478b0c0c62ea88d28e292d596e3922dfea4a99c",
+        "d983cfef71ceb3c28a8e023a54c5f5d0ab16977c2a9cdaf512575853f739c698")),
 }
 
 

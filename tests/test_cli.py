@@ -41,18 +41,22 @@ SMALL_RUN = ["run", "--casestudy-defaults", "--budget", "50",
     (["casestudy", "--out", "{out}"], False),
     ([*SMALL_RUN, "--samples", "1"], False),
     ([*SMALL_RUN, "--exact-lattice"], False),
-    ([*SMALL_RUN, "--exact-lattice", "--operator", "kl"], True),
+    ([*SMALL_RUN, "--exact-lattice", "--operator", "kl"], False),
+    ([*SMALL_RUN, "--exact-lattice", "--operator", "both"], False),
+    ([*SMALL_RUN, "--samples", "1", "--exact-lattice", "--operator",
+      "both"], False),
     (["oracle", "--scenario", "{case}", "--t", "20", "--k", "8",
       "--steps", "2"], False),
 ], ids=["run", "casestudy", "run samples", "run exact", "run exact kl",
-        "oracle"])
+        "run exact both", "run samples exact both", "oracle"])
 def test_only_array_commands_load_numpy(casestudy_path, tmp_path, argv,
                                         loaded):
     # numpy costs about 12 MiB of resident memory and 0.07-0.1 s of
     # start-up; the runs and the oracle compute their risks with the
-    # kernel and plain floats (the lattice is walked and the sampled
-    # futures drawn in the kernel), and only the KL importance loads
-    # numpy.  The run that reads it shows that the probe sees numpy
+    # kernel and plain floats (the lattice is walked, the sampled futures
+    # drawn and the KL importance summed in the kernel), so no command
+    # loads numpy.  TestRunCommand's run that imports numpy.random itself
+    # shows that such a probe sees numpy
     args = [a.format(out=tmp_path / "out", case=casestudy_path)
             for a in argv]
     code = ("import sys\n"

@@ -1,16 +1,12 @@
-"""Start-up cost: which commands load numpy, and numpy, imported after
-navrisk, starts no idle BLAS worker threads.
+"""Start-up cost: no navrisk module imports numpy, and no function
+loads it.
 
-The lattice is walked and every collision checked in the compiled
-kernel, so enumerate_plans, the exact risks, collision_check and
-min_risk_selection load no numpy; reading a KL importance (ExactRisk.kl)
-does.
-tests/test_cli.py probes the commands the same way: oracle, run
---exact-lattice and run --samples load no numpy, run --operator kl does.
-navrisk/__init__.py defaults OPENBLAS_NUM_THREADS to 1 at import, before
-any of its functions loads numpy (lazily, where it returns or works on
-arrays), because navrisk makes no BLAS call and the worker threads that
-OpenBLAS starts at import only burn CPU.  A value already set is kept.
+The lattice is walked, every collision checked and every sum, the KL
+importance's among them, taken in the compiled kernel, so
+enumerate_plans, the exact risks and their KL importances,
+collision_check and min_risk_selection load no numpy.
+tests/test_cli.py probes the commands the same way: no command loads
+numpy, run --operator kl and --samples among them.
 """
 
 import ast
@@ -22,43 +18,6 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# import navrisk, then numpy after it
-PROBE = ("import os, sys, navrisk; assert 'numpy' not in sys.modules; "
-         "import numpy; "
-         "assert 'numpy' in sys.modules; "
-         "print(os.environ['OPENBLAS_NUM_THREADS']); "
-         "print(next(line.split()[1] for line in open('/proc/self/status') "
-         "if line.startswith('Threads:')))")
-BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "inner", "tensordot",
-              "vdot"}
-
-
-def import_navrisk(blas_threads=None):
-    """(OPENBLAS_NUM_THREADS, thread count) seen by a fresh interpreter
-    after `import navrisk` and then `import numpy`, started with the
-    variable unset or as given."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPATH")}
-    env["PYTHONPATH"] = str(SRC)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    value, threads = proc.stdout.split()
-    return value, int(threads)
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="needs /proc/self/status")
-def test_import_starts_no_blas_threads():
-    assert import_navrisk() == ("1", 1)
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="needs /proc/self/status")
-def test_a_set_thread_count_is_kept():
-    assert import_navrisk("2")[0] == "2"
 
 
 def loads_numpy(code):
@@ -104,29 +63,27 @@ def test_collision_check_and_min_risk_selection_load_no_numpy():
 
 
 @pytest.mark.parametrize("read_kl", [False, True])
-def test_exact_risk_loads_numpy_when_kl_is_read(read_kl):
-    assert loads_numpy(
+def test_exact_risk_loads_no_numpy_either_way(read_kl):
+    assert not loads_numpy(
         "from navrisk import LatticeConfig, all_actor_risk_exact, "
         "generate_case_study\n"
         "risk = all_actor_risk_exact(generate_case_study(), 20, 40,\n"
         "    LatticeConfig(8, ('keep', 'shift_left', 'shift_right'), 5))\n"
         "assert risk.z_empty == 1393\n"
         + ("assert set(risk.kl) == set(risk.per_actor)" if read_kl
-           else "")) is read_kl
+           else ""))
 
 
-def test_navrisk_makes_no_blas_call():
-    """The reason for the default: no matrix product operator, and no
-    dot/matmul/linalg/einsum/inner/tensordot/vdot, in any module."""
+def test_no_module_imports_numpy():
+    """No import statement of any module names numpy, at top level or
+    inside a function."""
     found = []
     for path in sorted((SRC / "navrisk").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
-                    isinstance(node.op, ast.MatMult):
-                found.append((path.name, node.lineno, "@"))
-            name = (node.attr if isinstance(node, ast.Attribute) else
-                    node.id if isinstance(node, ast.Name) else
-                    node.name if isinstance(node, ast.alias) else None)
-            if name in BLAS_NAMES:
-                found.append((path.name, getattr(node, "lineno", 0), name))
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [(path.name, node.lineno, n) for n in names
+                      if n.split(".")[0] == "numpy"]
     assert found == []
