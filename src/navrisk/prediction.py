@@ -88,8 +88,8 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
     yaw-rate noise from the stream keyed (seed, actor_id, t, j); with both
     sigmas zero every sample is the one predict_linear(history, k).
     Raises ValueError when a noise draw is not finite or a sampled
-    position is not within +-MAX_MAGNITUDE, the bound load_scenario puts
-    on every document number (sigmas too large for the scenario).
+    position is not within +-MAX_MAGNITUDE, the bound a Scenario puts on
+    every number it holds (sigmas too large for the scenario).
     """
     if k < 1:
         raise ScenarioError("prediction horizon k must be >= 1")

@@ -7,6 +7,10 @@ order; each phase ends on its own event (a tick count, every npc settling
 at its cruise speed, the merger's lane change completing, or the merger
 braking to a standstill).
 
+Each value checks its own rules when built, and Scenario those that tie
+them together, naming the field's path in the scenario document, so every
+Scenario saves to a document that load_scenario reads back equal.
+
 Scenario values are immutable after construction and safe to share across
 concurrent evaluators.
 """
@@ -25,10 +29,9 @@ EGO_ID = "ego"
 
 SCENARIO_FORMAT_VERSION = 1
 MAX_SCRIPT_TICKS = 200_000   # case study: latest phase end, largest tick count
-# load_scenario: longest horizon, a case study's latest phase end plus its
-# longest tail; an actor-less document could otherwise claim any horizon
+# Scenario: longest horizon, a case study's latest phase end plus its tail
 MAX_HORIZON_TICKS = 2 * MAX_SCRIPT_TICKS
-MAX_MAGNITUDE = 1e150        # load_scenario: largest magnitude of a number
+MAX_MAGNITUDE = 1e150        # Scenario: largest magnitude of a number
 KINEMATIC_TOLERANCE = 0.2    # check_kinematics: allowed fractional deviation
 
 
@@ -36,22 +39,47 @@ class ScenarioError(ValueError):
     """Raised for malformed scenarios, infeasible params or bad documents."""
 
 
-def require_int(name: str, value, least: Optional[int] = None) -> None:
-    """Raise ValueError naming the config field unless value is an integer
-    (>= least when given): a float count or seed would otherwise pass
+def require_int(name: str, value, least: Optional[int] = None,
+                error: type = ValueError) -> None:
+    """Raise error naming the field unless value is an integer, and not a
+    bool (>= least when given): a float count or seed would otherwise pass
     construction and fail deep inside a run."""
-    if not isinstance(value, numbers.Integral) or \
-            (least is not None and value < least):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 
-def _require_dt(dt: float) -> None:
-    """Raise ScenarioError naming dt unless 0 < dt < inf; NaN fails too."""
+def _require_dt(dt: float) -> float:
+    """dt, or ScenarioError naming dt unless 0 < dt <= MAX_MAGNITUDE."""
     if dt <= 0.0:
         raise ScenarioError("dt must be positive")
     if not dt < math.inf:
         raise ScenarioError(f"dt must be finite, got {dt!r}")
+    if dt > MAX_MAGNITUDE:
+        raise ScenarioError(f"dt must be <= {MAX_MAGNITUDE:g}, got {dt!r}")
+    return dt
+
+
+def _require_id(actor_id) -> str:
+    if not isinstance(actor_id, str) or not actor_id:
+        raise ScenarioError(f"actor_id must be a non-empty string, got "
+                            f"{actor_id!r}")
+    return actor_id
+
+
+def _field(path: str, key) -> str:
+    """The field path of key (an object field, or a list index) at path."""
+    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+
+
+def _at(path: str, key, make, *args):
+    """make(*args), with the field path of key at path (see _field)
+    prefixed to any ScenarioError it raises."""
+    try:
+        return make(*args)
+    except ScenarioError as e:
+        raise ScenarioError(f"{_field(path, key)}: {e}") from e
 
 
 def wrap_angle(a: float) -> float:
@@ -86,10 +114,6 @@ class ActorState:
             raise ScenarioError(
                 f"heading must lie in (-pi, pi], got {self.heading}")
 
-    @property
-    def xy(self) -> tuple[float, float]:
-        return (self.position_x, self.position_y)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -101,6 +125,7 @@ class Trajectory:
     states: tuple[ActorState, ...]
 
     def __post_init__(self):
+        _require_id(self.actor_id)   # O(1): a run builds thousands
         if len(self.states) == 0:
             raise ScenarioError(f"trajectory of {self.actor_id!r} is empty")
         _require_dt(self.dt)
@@ -139,7 +164,8 @@ class Trajectory:
         """
         for i in range(len(self.states) - 1):
             a, b = self.states[i], self.states[i + 1]
-            implied = math.dist(a.xy, b.xy) / self.dt
+            implied = math.hypot(b.position_x - a.position_x,
+                                 b.position_y - a.position_y) / self.dt
             mid = 0.5 * (a.speed + b.speed)
             if abs(implied - mid) > KINEMATIC_TOLERANCE * mid + 1e-9:
                 raise ScenarioError(
@@ -159,15 +185,12 @@ class RoadMap:
     speed_limit: float
 
     def __post_init__(self):
-        if not isinstance(self.lane_count, numbers.Integral) or \
-                self.lane_count < 1:
-            raise ScenarioError(f"lane_count must be an integer >= 1, got "
-                                f"{self.lane_count!r}")
-        for name in ("lane_width", "road_length", "speed_limit"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:   # NaN fails too
-                raise ScenarioError(f"{name} must be finite and positive, "
-                                    f"got {value!r}")
+        require_int("lane_count", self.lane_count, 1, ScenarioError)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value <= MAX_MAGNITUDE:   # NaN fails too
+                raise ScenarioError(f"{f.name} must be positive and <= "
+                                    f"{MAX_MAGNITUDE:g}, got {value!r}")
 
     @property
     def width(self) -> float:
@@ -192,6 +215,27 @@ class PhaseSpan:
     start_tick: int
     end_tick: int
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ScenarioError(f"name must be a string, got {self.name!r}")
+        require_int("start_tick", self.start_tick, 0, ScenarioError)
+        require_int("end_tick", self.end_tick, self.start_tick, ScenarioError)
+
+
+def _bounded(states, row_path: str) -> None:
+    """Raise ScenarioError naming row_path.format(j) + [c] for the first
+    value c of a state j beyond +-MAX_MAGNITUDE (NaN and inf too)."""
+    for j, st in enumerate(states):
+        # a heading lies in (-pi, pi] and a speed is >= 0 already
+        if not (abs(st.position_x) <= MAX_MAGNITUDE and st.speed <=
+                MAX_MAGNITUDE and abs(st.position_y) <= MAX_MAGNITUDE):
+            row = (st.position_x, st.position_y, st.heading, st.speed)
+            c = next(c for c, v in enumerate(row)
+                     if not abs(v) <= MAX_MAGNITUDE)
+            raise ScenarioError(f"{row_path.format(j)}[{c}]: expected a "
+                                f"number of magnitude <= "
+                                f"{MAX_MAGNITUDE:g}, got {row[c]!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -207,25 +251,49 @@ class Scenario:
 
     def __post_init__(self):
         _require_dt(self.dt)
-        if EGO_ID in self.npc_trajectories:
-            raise ScenarioError(
-                f"actor id {EGO_ID!r} is reserved for the ego vehicle")
-        for aid, traj in self.npc_trajectories.items():
+        h, ego = self.horizon_ticks, self.ego_initial
+        require_int("$.horizon_ticks:", h, 0, ScenarioError)
+        if h > MAX_HORIZON_TICKS:
+            raise ScenarioError(f"$.horizon_ticks: must be <= "
+                                f"{MAX_HORIZON_TICKS}, got {h}")
+        object.__setattr__(self, "phases", tuple(self.phases))
+        _bounded((ego,), "$.ego.state")
+        if not self.map.contains_y(ego.position_y):
+            raise ScenarioError(f"$.ego.state: ego is off-road at y = "
+                                f"{ego.position_y!r}")
+        if ego.position_x > self.map.road_length:
+            raise ScenarioError(f"$.ego.state: ego is off-road at x = "
+                                f"{ego.position_x!r}")
+        paths = {EGO_ID: "$.ego"}   # of each actor's document object
+        for i, (aid, traj) in enumerate(self.npc_trajectories.items()):
+            path = paths[aid] = f"$.actors[{i}]"
+            if aid == EGO_ID:
+                raise ScenarioError(f"{path}.id: actor id {EGO_ID!r} is "
+                                    f"reserved for the ego vehicle")
             if traj.actor_id != aid:
+                raise ScenarioError(f"{path}.id: trajectory keyed {aid!r} "
+                                    f"carries actor_id {traj.actor_id!r}")
+            # a document holds one dt, and one state per tick
+            if (traj.start_tick, traj.end_tick, traj.dt) != (0, h, self.dt):
                 raise ScenarioError(
-                    f"trajectory keyed {aid!r} carries actor_id "
-                    f"{traj.actor_id!r}")
-            if traj.start_tick != 0 or traj.end_tick != self.horizon_ticks:
-                raise ScenarioError(
-                    f"actor {aid!r}: trajectory must cover ticks "
-                    f"[0, {self.horizon_ticks}], got "
-                    f"[{traj.start_tick}, {traj.end_tick}]")
-            if abs(traj.dt - self.dt) > 1e-12:
-                raise ScenarioError(f"actor {aid!r}: dt mismatch")
-        missing = set(self.npc_trajectories) | {EGO_ID}
-        missing -= set(self.actor_radius)
-        if missing:
-            raise ScenarioError(f"missing actor_radius for {sorted(missing)}")
+                    f"{path}.states: actor {aid!r} covers ticks "
+                    f"[{traj.start_tick}, {traj.end_tick}] at dt "
+                    f"{traj.dt!r}, not [0, {h}] at {self.dt!r}")
+            _bounded(traj.states, path + ".states[{}]")
+            _at(path, "states", traj.check_kinematics)
+        if self.actor_radius.keys() != paths.keys():
+            raise ScenarioError(
+                f"actor_radius: keys {sorted(self.actor_radius, key=repr)} "
+                f"are not the npc ids and {EGO_ID!r}")
+        for aid, path in paths.items():
+            r = self.actor_radius[aid]
+            if not 0.0 <= r <= MAX_MAGNITUDE:   # NaN fails too
+                raise ScenarioError(f"{path}.radius: must be within "
+                                    f"[0, {MAX_MAGNITUDE:g}], got {r!r}")
+        for i, p in enumerate(self.phases):
+            if p.end_tick > h:
+                raise ScenarioError(f"$.phase_metadata[{i}]: span ends at "
+                                    f"{p.end_tick}, after tick {h}")
 
     def radius_of(self, actor_id: str) -> float:
         return self.actor_radius[actor_id]
@@ -308,12 +376,10 @@ class CaseStudyParams:
                                          "lane_change_duration"):
                 raise ScenarioError(f"{f.name}: must be positive, got "
                                     f"{value!r}")
+            if f.name.endswith("_ticks"):
+                require_int(f"{f.name}:", value, 0, ScenarioError)
             if value < 0 and not f.name.endswith("_offset"):
                 raise ScenarioError(f"{f.name}: must be >= 0, got {value!r}")
-            if f.name.endswith("_ticks") and \
-                    not isinstance(value, numbers.Integral):
-                raise ScenarioError(f"{f.name}: must be an integer, got "
-                                    f"{value!r}")
         # a longer lane change (inf included) could never end within the
         # script's tick cap
         if self.lane_change_duration / self.dt > MAX_SCRIPT_TICKS:
@@ -488,101 +554,61 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
 # ---------------------------------------------------------------------------
 
 def save_scenario(s: Scenario) -> bytes:
-    """Serialize to the versioned scenario document (JSON, floats decimal)."""
+    """Serialize to the versioned scenario document (JSON, floats decimal),
+    each number as its field's int or float, as load_scenario reads it."""
+    def row(st: ActorState) -> list[float]:
+        return [float(st.position_x), float(st.position_y),
+                float(st.heading), float(st.speed)]
     doc = {
         "version": SCENARIO_FORMAT_VERSION,
-        "map": {
-            "lane_count": s.map.lane_count,
-            "lane_width": s.map.lane_width,
-            "road_length": s.map.road_length,
-            "speed_limit": s.map.speed_limit,
-        },
-        "dt": s.dt,
-        "horizon_ticks": s.horizon_ticks,
-        "ego": {
-            "state": [s.ego_initial.position_x, s.ego_initial.position_y,
-                      s.ego_initial.heading, s.ego_initial.speed],
-            "radius": s.actor_radius[EGO_ID],
-        },
+        "map": {"lane_count": int(s.map.lane_count), **{
+            key: float(getattr(s.map, key))
+            for key in ("lane_width", "road_length", "speed_limit")}},
+        "dt": float(s.dt),
+        "horizon_ticks": int(s.horizon_ticks),
+        "ego": {"state": row(s.ego_initial),
+                "radius": float(s.actor_radius[EGO_ID])},
         "actors": [
-            {
-                "id": aid,
-                "radius": s.actor_radius[aid],
-                "states": [
-                    [st.position_x, st.position_y, st.heading, st.speed]
-                    for st in traj.states
-                ],
-            }
+            {"id": aid, "radius": float(s.actor_radius[aid]),
+             "states": [row(st) for st in traj.states]}
             for aid, traj in s.npc_trajectories.items()
         ],
         "phase_metadata": [
-            {"name": p.name, "start_tick": p.start_tick, "end_tick": p.end_tick}
+            {"name": p.name, "start_tick": int(p.start_tick),
+             "end_tick": int(p.end_tick)}
             for p in s.phases
         ],
     }
     return (json.dumps(doc, indent=1) + "\n").encode()
 
 
-def _require(doc: Mapping, key: str, path: str):
+def _require(doc: Mapping, key: str, path: str, kind: type = object):
+    """doc[key], or ScenarioError naming the field unless doc is an object
+    holding key, of kind (list or str) when given."""
     if not isinstance(doc, Mapping):
         raise ScenarioError(f"{path}: expected an object")
     if key not in doc:
         raise ScenarioError(f"{path}.{key}: missing field")
+    if not isinstance(doc[key], kind):
+        raise ScenarioError(f"{path}.{key}: expected a "
+                            f"{'list' if kind is list else 'string'}")
     return doc[key]
 
 
-def _field(path: str, key) -> str:
-    """The field path of key (an object field, or a list index) at path."""
-    return f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
-
-
-def _finite(value) -> bool:
-    # json.loads makes every number an int or a float, and a bool is
-    # neither by type; NaN and inf fail the bound, which keeps every square
-    # the kernel takes of a radius sum or a coordinate difference finite
-    return type(value) in (int, float) and abs(value) <= MAX_MAGNITUDE
-
-
-def _number(doc, key, path: str, integral: bool = False,
-            nonneg: bool = False):
-    """Read doc[key] (an object field, or a list index) as a number within
-    +-MAX_MAGNITUDE: an int when integral, >= 0 when nonneg.  Anything else
-    raises ScenarioError naming the field path, formatted only then."""
+def _number(doc, key, path: str, integral: bool = False):
+    """Read doc[key] (an object field, or a list index) as a float, or an
+    int when integral, or raise ScenarioError naming the field path."""
     value = doc[key] if isinstance(key, int) else _require(doc, key, path)
-    if not _finite(value):
-        raise ScenarioError(f"{_field(path, key)}: expected a number of "
-                            f"magnitude <= {MAX_MAGNITUDE:g}, got {value!r}")
-    if integral and value != int(value):
-        raise ScenarioError(f"{_field(path, key)}: expected an integer, got "
-                            f"{value!r}")
-    if nonneg and value < 0:
-        raise ScenarioError(f"{_field(path, key)}: must be >= 0, got "
-                            f"{value!r}")
-    return int(value) if integral else float(value)
-
-
-def _string(doc, key: str, path: str, nonempty: bool = False) -> str:
-    value = _require(doc, key, path)
-    if not isinstance(value, str) or (nonempty and not value):
-        raise ScenarioError(f"{path}.{key}: expected a "
-                            f"{'non-empty ' if nonempty else ''}string, got "
-                            f"{value!r}")
-    return value
-
-
-def _list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{path}: expected a list")
-    return value
-
-
-def _at(path: str, key, make, *args):
-    """make(*args), with the field path of key at path (see _field)
-    prefixed to any ScenarioError it raises."""
-    try:
-        return make(*args)
-    except ScenarioError as e:
-        raise ScenarioError(f"{_field(path, key)}: {e}") from e
+    if type(value) in (int, float):   # json's numbers; a bool is neither
+        try:   # int() of NaN or inf, or float() of an int beyond binary64
+            number = int(value) if integral else float(value)
+            if number == value or not integral:
+                return number
+        except (OverflowError, ValueError):
+            pass
+    raise ScenarioError(f"{_field(path, key)}: expected "
+                        f"{'an integer' if integral else 'a number'}, got "
+                        f"{value!r}")
 
 
 def _state(doc, key, path: str) -> ActorState:
@@ -591,24 +617,20 @@ def _state(doc, key, path: str) -> ActorState:
     if not isinstance(row, list) or len(row) != 4:
         raise ScenarioError(f"{_field(path, key)}: expected [x, y, heading, "
                             f"speed]")
-    if not all(map(_finite, row)):
-        for c in range(4):   # raises at the first value out of bounds
-            _number(row, c, _field(path, key))
-    return _at(path, key, ActorState, *map(float, row))
+    if {*map(type, row)} != {float}:   # an int, or no number at all
+        row = [_number(row, c, _field(path, key)) for c in range(4)]
+    return _at(path, key, ActorState, *row)
 
 
 def load_scenario(data: bytes | str) -> Scenario:
-    """Parse and validate a scenario document.
-
-    Schema violations report the offending field path; duplicate actor ids
-    and trajectories not covering [0, horizon_ticks] are rejected.
-    """
+    """Parse a scenario document into a Scenario.  Reads its shape and JSON
+    types (fields, version 1, objects, lists, numbers, integers for counts
+    and ticks, strings) and no actor id twice; every other rule is the
+    rule of the value built, which names the offending field path."""
     try:
         doc = json.loads(data)
     except ValueError as e:   # also undecodable bytes
         raise ScenarioError(f"document is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ScenarioError("document root must be an object")
 
     version = _require(doc, "version", "$")
     # bool is an int subclass, and True == 1
@@ -619,55 +641,32 @@ def load_scenario(data: bytes | str) -> Scenario:
                _number(m, "lane_count", "$.map", integral=True),
                *(_number(m, key, "$.map")
                  for key in ("lane_width", "road_length", "speed_limit")))
-    dt = _number(doc, "dt", "$")
-    if dt <= 0:
-        raise ScenarioError(f"$.dt: must be positive, got {dt!r}")
-    horizon = _number(doc, "horizon_ticks", "$", integral=True, nonneg=True)
-    if horizon > MAX_HORIZON_TICKS:
-        raise ScenarioError(f"$.horizon_ticks: must be <= "
-                            f"{MAX_HORIZON_TICKS}, got {horizon}")
+    # a Trajectory takes dt and its id before the Scenario exists
+    dt = _at("$", "dt", _require_dt, _number(doc, "dt", "$"))
+    horizon = _number(doc, "horizon_ticks", "$", integral=True)
     ego_doc = _require(doc, "ego", "$")
     ego = _state(ego_doc, "state", "$.ego")
-    if not road.contains_y(ego.position_y):
-        raise ScenarioError(f"$.ego.state: ego is off-road at y = "
-                            f"{ego.position_y!r}")
-    if ego.position_x > road.road_length:
-        raise ScenarioError(f"$.ego.state: ego is off-road at x = "
-                            f"{ego.position_x!r}")
 
-    radii = {EGO_ID: _number(ego_doc, "radius", "$.ego", nonneg=True)}
+    radii = {EGO_ID: _number(ego_doc, "radius", "$.ego")}
     trajs: dict[str, Trajectory] = {}
-    for i, a in enumerate(_list(_require(doc, "actors", "$"), "$.actors")):
+    for i, a in enumerate(_require(doc, "actors", "$", list)):
         path = f"$.actors[{i}]"
-        aid = _string(a, "id", path, nonempty=True)
-        if aid in trajs or aid == EGO_ID:
-            raise ScenarioError(f"{path}.id: duplicate or reserved actor id "
-                                f"{aid!r}")
-        states_path = f"{path}.states"
-        states_doc = _list(_require(a, "states", path), states_path)
-        if len(states_doc) != horizon + 1:
-            raise ScenarioError(
-                f"{states_path}: actor {aid!r} has {len(states_doc)} states, "
-                f"expected {horizon + 1} to cover ticks [0, {horizon}]")
-        states = tuple(_state(states_doc, j, states_path)
-                       for j in range(len(states_doc)))
-        trajs[aid] = Trajectory(aid, 0, dt, states)
-        _at(path, "states", trajs[aid].check_kinematics)
-        radii[aid] = _number(a, "radius", path, nonneg=True)
+        aid = _at(path, "id", _require_id, _require(a, "id", path))
+        if aid in trajs:
+            raise ScenarioError(f"{path}.id: duplicate actor id {aid!r}")
+        rows, rows_path = _require(a, "states", path, list), f"{path}.states"
+        trajs[aid] = _at(path, "states", Trajectory, aid, 0, dt, tuple(
+            _state(rows, j, rows_path) for j in range(len(rows))))
+        radii[aid] = _number(a, "radius", path)
 
-    phases = []
-    for i, p in enumerate(_list(doc.get("phase_metadata", []),
-                                "$.phase_metadata")):
+    phases = []   # phase_metadata may be left out
+    for i, p in enumerate(_require({"phase_metadata": [], **doc},
+                                   "phase_metadata", "$", list)):
         path = f"$.phase_metadata[{i}]"
-        span = PhaseSpan(_string(p, "name", path),
-                         _number(p, "start_tick", path, integral=True),
-                         _number(p, "end_tick", path, integral=True))
-        if not 0 <= span.start_tick <= span.end_tick <= horizon:
-            raise ScenarioError(
-                f"{path}: span [{span.start_tick}, {span.end_tick}] is not "
-                f"an ordered span within [0, {horizon}]")
-        phases.append(span)
-    return Scenario(
-        map=road, npc_trajectories=trajs, ego_initial=ego,
-        horizon_ticks=horizon, dt=dt, actor_radius=radii,
-        phases=tuple(phases))
+        phases.append(_at("$.phase_metadata", i, PhaseSpan,
+                          _require(p, "name", path, str),
+                          _number(p, "start_tick", path, integral=True),
+                          _number(p, "end_tick", path, integral=True)))
+    return Scenario(map=road, npc_trajectories=trajs, ego_initial=ego,
+                    horizon_ticks=horizon, dt=dt, actor_radius=radii,
+                    phases=phases)

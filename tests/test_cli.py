@@ -456,10 +456,12 @@ class TestRunCommand:
                                       RoadMap, Scenario)
         road = RoadMap(3, 3.5, 300.0, 15.0)
         doc = tmp_path / "long.json"
-        doc.write_bytes(save_scenario(Scenario(
+        # a Scenario refuses such a horizon, so the document is edited
+        data = json.loads(save_scenario(Scenario(
             map=road, npc_trajectories={},
             ego_initial=ActorState(10.0, road.lane_center(1), 0.0, 1.0),
-            horizon_ticks=10 ** 9, dt=0.1, actor_radius={EGO_ID: 1.2})))
+            horizon_ticks=0, dt=0.1, actor_radius={EGO_ID: 1.2})))
+        doc.write_text(json.dumps({**data, "horizon_ticks": 10 ** 9}))
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))}

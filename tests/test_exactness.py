@@ -69,6 +69,7 @@ from navrisk.scenario import (
     ActorState,
     RoadMap,
     Scenario,
+    ScenarioError,
     Trajectory,
 )
 
@@ -365,10 +366,14 @@ def test_tick_zero_overlap_blocks_every_sequence():
     actor = Trajectory("a", 0, 0.1, (EGO,) + (FAR,) * k)
     got, want = blocker_column(actor)
     assert len(got) > 1 and all(got) and got == want
-    s = Scenario(map=ROAD, npc_trajectories={"a": actor}, ego_initial=EGO,
+    # a scenario refuses the jump; the lattice takes the world as it is
+    with pytest.raises(ScenarioError, match=r"^\$\.actors\[0\]\.states: "
+                                            r"actor 'a': implied speed"):
+        Scenario(map=ROAD, npc_trajectories={"a": actor}, ego_initial=EGO,
                  horizon_ticks=k, dt=0.1,
                  actor_radius={EGO_ID: RADIUS, "a": RADIUS})
-    risk = all_actor_risk_exact(s, 0, k, LEVELS)
+    risk, = lattice_risks(ROAD, EGO, 0, k, LEVELS, [{"a": actor}],
+                          {"a": RADIUS}, ego_radius=RADIUS, dt=0.1)
     assert (risk.z, risk.total, risk.per_actor) == (0, 1.0, {"a": 1.0})
     # no plan survives with the actor and every plan without it; the KL
     # equals its reference on PlanDistribution (0.0: both distributions

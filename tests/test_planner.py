@@ -262,7 +262,8 @@ class TestSamplingPlanner:
         assert not plan.partial
         end = plan.trajectory.states[-1]
         goal = (ego.position_x + 25.0, ROAD3.lane_center(1))
-        assert math.dist(end.xy, goal) <= GOAL_TOLERANCE + 1e-9
+        assert math.dist((end.position_x, end.position_y), goal) \
+            <= GOAL_TOLERANCE + 1e-9
         assert plan.cost <= 25.0 * 1.05
         assert plan.cost >= 25.0 - GOAL_TOLERANCE
 

@@ -23,6 +23,7 @@ from navrisk.risk import (
     actor_importance,
     actor_risk_exact,
     all_actor_risk_exact,
+    lattice_risks,
     leave_one_out,
     mean_and_variance,
     min_risk_selection,
@@ -472,7 +473,8 @@ class TestActorImportance:
         p_full = plan_sampling(ROAD3, ego, 0, 30, world, cfg, {"stop": 1.2})
         p_wo = plan_sampling(ROAD3, ego, 0, 30, {}, cfg, {})
         dists = [
-            math.dist(a.xy, b.xy) for a, b in
+            math.dist((a.position_x, a.position_y),
+                      (b.position_x, b.position_y)) for a, b in
             zip(p_full.trajectory.states, p_wo.trajectory.states)
         ]
         assert g == pytest.approx(sum(dists) / len(dists), abs=1e-12)
@@ -852,9 +854,15 @@ class TestNonFiniteActors:
 
     @pytest.mark.parametrize("axis, value", NON_FINITE)
     def test_all_actor_risk_exact(self, axis, value):
-        s = build_scenario({"a": actor_with(axis, value)}, EGO_MID)
+        # a scenario refuses the actor at once; the lattice takes the world
+        world = {"a": actor_with(axis, value)}
+        with pytest.raises(ScenarioError, match=r"^\$\.actors\[0\]\.states"
+                                                r"\[3\]\[[01]\]: expected a "
+                                                r"number of magnitude"):
+            build_scenario(world, EGO_MID)
         with pytest.raises(ScenarioError, match=NOT_FINITE):
-            all_actor_risk_exact(s, 0, 30, LATTICE3)
+            lattice_risks(ROAD3, EGO_MID, 0, 30, LATTICE3, [world],
+                          {"a": 1.2}, ego_radius=1.2, dt=DT)
 
     @pytest.mark.parametrize("axis, value", NON_FINITE)
     def test_leave_one_out(self, axis, value):

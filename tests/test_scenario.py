@@ -5,15 +5,19 @@ import pickle
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
+from hypothesis import example, given, reject, settings, strategies as st
 import numpy as np
 import pytest
 
 from navrisk.scenario import (
     EGO_ID,
     EGO_LANE,
+    MAX_HORIZON_TICKS,
+    MAX_MAGNITUDE,
     MERGER,
     ActorState,
     CaseStudyParams,
+    PhaseSpan,
     RoadMap,
     Scenario,
     ScenarioError,
@@ -121,6 +125,8 @@ class TestTypes:
         ((3, math.nan, 900.0, 14.0), "lane_width"),
         ((3, 3.5, math.inf, 14.0), "road_length"),
         ((3, 3.5, 900.0, math.nan), "speed_limit"),
+        ((True, 3.5, 900.0, 14.0), "lane_count must be an integer >= 1, "
+                                   "got True"),
     ])
     def test_road_rejects_non_integer_lanes_and_non_finite_sizes(
             self, args, field):
@@ -387,3 +393,168 @@ class TestDocuments:
     def test_bad_version(self):
         with pytest.raises(ScenarioError, match="version"):
             load_scenario(b'{"version": 99}')
+
+
+# --- one contract: a Scenario the constructors accept round-trips ----------
+
+def values(lo, hi):
+    """Numbers in [lo, hi]: its bounds and boundary values (0, MAX_MAGNITUDE,
+    an int and a bool where a float belongs) or a float drawn near 0."""
+    edges = [v for v in (0.0, -0.0, 1, True, 0.1, 3.5, MAX_MAGNITUDE,
+                         -MAX_MAGNITUDE) if lo <= v <= hi]
+    return st.sampled_from([lo, hi, *edges]) | st.floats(max(lo, -1e3),
+                                                         min(hi, 1e3))
+
+
+@st.composite
+def scenario_parts(draw):
+    """The arguments of build_scenario for a small scenario: 0 to 3 npcs
+    moving along the road at constant speed, 0 to 2 phases, and a
+    horizon of up to 3 ticks, or of up to MAX_HORIZON_TICKS without npcs.
+    Some draws break the contract (an npc moving beyond MAX_MAGNITUDE,
+    or standing still where its x + v * dt rounds back to x), and the
+    constructors refuse them."""
+    road = (draw(st.sampled_from([1, 3, int(MAX_MAGNITUDE)])),
+            *(draw(values(0.1, MAX_MAGNITUDE)) for _ in range(3)))
+    width = min(road[0] * road[1], MAX_MAGNITUDE)
+    dt = draw(values(1e-3, MAX_MAGNITUDE))
+    ids = draw(st.lists(st.text(min_size=1, max_size=2).filter(
+        lambda a: a != EGO_ID), max_size=3, unique=True))
+    horizon = draw(st.integers(0, 3) if ids else
+                   st.sampled_from([0, 1, MAX_HORIZON_TICKS]))
+    ego = (draw(values(-MAX_MAGNITUDE, road[2])), draw(values(0.0, width)),
+           draw(values(math.nextafter(-math.pi, 0.0), math.pi)),
+           draw(values(0.0, MAX_MAGNITUDE)))
+    actors = {aid: (draw(values(-MAX_MAGNITUDE, MAX_MAGNITUDE)),
+                    draw(values(0.0, 10.0)), draw(values(0.0, 30.0)),
+                    draw(values(0.0, MAX_MAGNITUDE))) for aid in ids}
+    phases = [(draw(st.text(max_size=2)), *sorted(
+        draw(st.integers(0, min(horizon, 3))) for _ in range(2)))
+        for _ in range(draw(st.integers(0, 2)))]
+    return road, dt, horizon, ego, draw(values(0.0, MAX_MAGNITUDE)), \
+        actors, phases
+
+
+def build_scenario(road, dt, horizon, ego, ego_radius, actors, phases):
+    """actors maps an id to (x at tick 0, y, speed, radius)."""
+    trajs = {aid: Trajectory(aid, 0, dt, tuple(
+        ActorState(x + v * dt * i, y, 0.0, v) for i in range(horizon + 1)))
+        for aid, (x, y, v, _) in actors.items()}
+    radii = {EGO_ID: ego_radius, **{aid: a[3] for aid, a in actors.items()}}
+    return Scenario(RoadMap(*road), trajs, ActorState(*ego), horizon, dt,
+                    radii, tuple(PhaseSpan(*p) for p in phases))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenario_parts())
+# the boundaries, each once: no npcs or phases at the longest horizon; every
+# number of the road, dt, the ego and the radii at its largest magnitude;
+# npcs parked at +-MAX_MAGNITUDE and at 0, one of radius 0
+@example(((1, 3.5, 900.0, 14.0), 0.1, MAX_HORIZON_TICKS,
+          (0.0, 0.0, 0.0, 0.0), 0.0, {}, []))
+@example(((3, MAX_MAGNITUDE, MAX_MAGNITUDE, MAX_MAGNITUDE), MAX_MAGNITUDE,
+          1, (-MAX_MAGNITUDE, MAX_MAGNITUDE, math.pi, MAX_MAGNITUDE),
+          MAX_MAGNITUDE, {}, [("", 0, 1)]))
+@example(((2, 3.5, 200.0, 15.0), 0.1, 3, (40.0, 1.75, 0.0, 5.0), 1.2,
+          {"a": (MAX_MAGNITUDE, 0.0, 0.0, 0.0),
+           "b": (-MAX_MAGNITUDE, 7.0, 0.0, MAX_MAGNITUDE),
+           "c": (0.0, 5.25, 5.0, 1.2)}, [("s1", 0, 2), ("s2", 2, 3)]))
+def test_every_accepted_scenario_round_trips(parts):
+    try:
+        s = build_scenario(*parts)
+    except ScenarioError:
+        reject()
+    data = save_scenario(s)
+    back = load_scenario(data)
+    assert back == s
+    assert save_scenario(back) == data
+
+
+def _replace_actor(s, aid, **changes):
+    trajs = dict(s.npc_trajectories)
+    trajs[aid] = dataclasses.replace(trajs[aid], **changes)
+    return dataclasses.replace(s, npc_trajectories=trajs)
+
+
+def _rename_lead(s, aid):
+    """s with "lead" keyed, and carrying the actor id, aid."""
+    def renamed(mapping, value):
+        return {aid if k == "lead" else k: value(k, v)
+                for k, v in mapping.items()}
+    return dataclasses.replace(
+        s, actor_radius=renamed(s.actor_radius, lambda k, r: r),
+        npc_trajectories=renamed(s.npc_trajectories, lambda k, t: (
+            dataclasses.replace(t, actor_id=aid) if k == "lead" else t)))
+
+
+def _teleport(s):
+    states = s.npc_trajectories["lead"].states
+    jump = dataclasses.replace(states[10], position_x=500.0)
+    return _replace_actor(s, "lead",
+                          states=states[:10] + (jump,) + states[11:])
+
+
+def _actorless(horizon):
+    road = RoadMap(3, 3.5, 300.0, 15.0)
+    return Scenario(road, {}, ActorState(10.0, 5.25, 0.0, 1.0), horizon,
+                    0.1, {EGO_ID: 1.2})
+
+
+# each Scenario once saved a document that did not load back as it
+BROKEN = {
+    "ego radius nan": (lambda s: dataclasses.replace(
+        s, actor_radius={**s.actor_radius, EGO_ID: math.nan}),
+        r"^\$\.ego\.radius: must be within \[0, 1e\+150\], got nan$"),
+    "ego radius -1": (lambda s: dataclasses.replace(
+        s, actor_radius={**s.actor_radius, EGO_ID: -1.0}),
+        r"^\$\.ego\.radius: .* got -1\.0$"),
+    "lane_count True": (lambda s: dataclasses.replace(s.map, lane_count=True),
+                        r"^lane_count must be an integer >= 1, got True$"),
+    "integer phase name": (lambda s: PhaseSpan(3, 0, 10),
+                           r"^name must be a string, got 3$"),
+    "phase past the horizon": (lambda s: dataclasses.replace(
+        s, phases=s.phases[:-1] + (PhaseSpan("s5", s.phases[-1].start_tick,
+                                             s.horizon_ticks + 1),)),
+        r"^\$\.phase_metadata\[4\]: span ends at 410, after tick 409$"),
+    "ego past the road's end": (lambda s: dataclasses.replace(
+        s, ego_initial=ActorState(950.0, 5.25, 0.0, 10.0)),
+        r"^\$\.ego\.state: ego is off-road at x = 950\.0$"),
+    "ego speed inf": (lambda s: dataclasses.replace(
+        s, ego_initial=ActorState(40.0, 5.25, 0.0, math.inf)),
+        r"^\$\.ego\.state\[3\]: expected a number of magnitude <= "
+        r"1e\+150, got inf$"),
+    "horizon -3": (lambda s: _actorless(-3),
+                   r"^\$\.horizon_ticks: must be an integer >= 0, got -3$"),
+    "horizon 10**9": (lambda s: _actorless(10 ** 9),
+                      r"^\$\.horizon_ticks: must be <= 400000, got "
+                      r"1000000000$"),
+    "horizon 2.5": (lambda s: _actorless(2.5),
+                    r"^\$\.horizon_ticks: must be an integer >= 0, got 2\.5$"),
+    "empty actor id": (lambda s: _rename_lead(s, ""),
+                       r"^actor_id must be a non-empty string, got ''$"),
+    "integer actor id": (lambda s: _rename_lead(s, 7),
+                         r"^actor_id must be a non-empty string, got 7$"),
+    "teleporting actor": (_teleport,
+                          r"^\$\.actors\[0\]\.states: actor 'lead': "
+                          r"implied speed .* at tick 9 "),
+    "road_length 1e200": (lambda s: dataclasses.replace(s.map,
+                                                        road_length=1e200),
+                          r"^road_length must be positive and <= 1e\+150, "
+                          r"got 1e\+200$"),
+    "dt off by 1e-13": (lambda s: _replace_actor(s, "lead", dt=0.1 + 1e-13),
+                        r"^\$\.actors\[0\]\.states: actor 'lead' covers "
+                        r"ticks \[0, 409\] at dt 0\.1000000000001\d*, not "
+                        r"\[0, 409\] at 0\.1$"),
+    "radius of no actor": (lambda s: dataclasses.replace(
+        s, actor_radius={**s.actor_radius, "ghost": 1.2}),
+        r"^actor_radius: keys \[.*'ghost'.*\] are not the npc ids and "
+        r"'ego'$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_scenario_refuses_what_would_not_round_trip(case):
+    make, message = BROKEN[case]
+    s = generate_case_study()
+    with pytest.raises(ScenarioError, match=message):
+        make(s)

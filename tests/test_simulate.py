@@ -182,6 +182,8 @@ class TestRunConfig:
         # --seed is a U64; the run's streams would reduce it mod 2**64
         ({"seed": -1}, "seed must be an integer >= 0"),
         ({"seed": 2 ** 64}, "seed must be below 2\\*\\*64"),
+        # a bool is an int by type, and would run as seed 1
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
     ])
     def test_out_of_range_options_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
