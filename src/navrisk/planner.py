@@ -297,8 +297,12 @@ def _walk(road: RoadMap, ego: ActorState, k: int, lattice: LatticeConfig,
                         for a in names])
     accel = array("i", [{"accelerate": 1, "brake": -1}.get(a, 0)
                         for a in names])
-    centers = array("d", [road.lane_center(i)
-                          for i in range(road.lane_count)])
+    # only the lanes that steps shifts can reach, lo and up: the walk's
+    # time and memory do not grow with road.lane_count
+    lane = road.lane_of(ego.position_y)
+    lo = max(0, lane - steps)
+    centers = array("d", [road.lane_center(i) for i in range(
+        lo, min(road.lane_count, lane + steps + 1))])
     ramp = array("d", [1 - math.cos(math.pi * (i / m))
                        for i in range(1, m + 1)])
     ws = array("i", sizes)
@@ -309,8 +313,8 @@ def _walk(road: RoadMap, ego: ActorState, k: int, lattice: LatticeConfig,
     cols = _doubles(kept * 3 * (k + 1)) if kept else None
     start = array("d", (ego.position_x, ego.position_y, ego.speed))
     count = kernel().navrisk_lattice(
-        address(start), road.lane_of(ego.position_y), address(centers),
-        road.lane_count, road.speed_limit, SPEED_STEP, dt, address(shift),
+        address(start), lane - lo, address(centers), len(centers),
+        road.speed_limit, SPEED_STEP, dt, address(shift),
         address(accel), len(names), steps, m, address(ramp), address(obs),
         address(rsum), n, address(ws), len(ws), render, address(z),
         address(freed),

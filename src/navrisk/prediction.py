@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ._kernel import address, kernel, seed_words
-from .scenario import (
-    MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory, require_int)
+from .scenario import MAX_MAGNITUDE, ScenarioError, Trajectory, require_int
 
 
 @dataclass(frozen=True)
@@ -56,19 +55,19 @@ def _actor_key(actor_id: str) -> int:
 
 
 def predict_linear(history: Trajectory, k: int) -> Trajectory:
-    """Constant-velocity, constant-heading extrapolation of the last state."""
+    """Constant-velocity, constant-heading extrapolation of the last state:
+    tick j of the k moves to x0 + j * dx, y0 + j * dy."""
     if k < 1:
         raise ScenarioError("prediction horizon k must be >= 1")
-    last = history.states[-1]
+    last = history.rows[-4:]
+    x, y, heading, speed = last
     dt = history.dt
-    dx = last.speed * dt * math.cos(last.heading)
-    dy = last.speed * dt * math.sin(last.heading)
-    states = [last]
-    for j in range(1, k + 1):
-        states.append(ActorState(
-            last.position_x + j * dx, last.position_y + j * dy,
-            last.heading, last.speed))
-    return Trajectory(history.actor_id, history.end_tick, dt, tuple(states))
+    dx = speed * dt * math.cos(heading)
+    dy = speed * dt * math.sin(heading)
+    rows = last * (k + 1)   # every row holds the heading and speed
+    rows[4::4] = array("d", [x + j * dx for j in range(1, k + 1)])
+    rows[5::4] = array("d", [y + j * dy for j in range(1, k + 1)])
+    return Trajectory.from_rows(history.actor_id, history.end_tick, dt, rows)
 
 
 def _non_finite(actor_id: str, sample: int,
@@ -95,25 +94,23 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
         raise ScenarioError("prediction horizon k must be >= 1")
     if cfg.noise_accel_sigma == 0.0 and cfg.noise_yawrate_sigma == 0.0:
         return [predict_linear(history, k)] * cfg.sample_count
-    last = history.states[-1]
+    x, y, heading, speed = history.rows[-4:]
     dt = history.dt
     t = history.end_tick
     entropy = seed_words(cfg.seed & (2 ** 64 - 1))
     key = _actor_key(history.actor_id)
-    rows = array("d", bytes(32 * (k + 1)))
     out = []
     for j in range(cfg.sample_count):
         spawn = seed_words(key, t & (2 ** 63 - 1), j)
+        rows = array("d", bytes(32 * (k + 1)))
         if kernel().navrisk_sample_future(
                 entropy, len(entropy), spawn, len(spawn),
                 cfg.noise_accel_sigma, cfg.noise_yawrate_sigma, k,
-                last.position_x, last.position_y, last.heading, last.speed,
-                dt, MAX_MAGNITUDE, address(rows)):
+                x, y, heading, speed, dt, MAX_MAGNITUDE, address(rows)):
             raise _non_finite(history.actor_id, j, cfg)
-        states = [last]
-        states += (ActorState(*rows[i:i + 4])
-                   for i in range(4, 4 * (k + 1), 4))
-        out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
+        # the kernel keeps each speed >= 0 and wraps each heading into
+        # (-pi, pi], as ActorState requires (tests/test_prediction.py)
+        out.append(Trajectory.from_rows(history.actor_id, t, dt, rows))
     return out
 
 

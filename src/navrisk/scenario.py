@@ -17,7 +17,6 @@ concurrent evaluators.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from array import array
@@ -98,7 +97,7 @@ class ActorState:
 
     position_x runs along the road axis, position_y is lateral with 0 at the
     right road edge.  heading 0 points along the road axis; speed is the
-    displacement speed (m/s), always >= 0.  Slotted: a run builds tens of
+    displacement speed (m/s), always >= 0.  Slotted: a run builds
     thousands of them, and a slotted one is built in about half the time.
     """
 
@@ -117,7 +116,15 @@ class ActorState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Timestamped state sequence of one actor on a uniform tick grid."""
+    """Timestamped state sequence of one actor on a uniform tick grid.
+
+    Its ticks are held as rows, one flat array('d') of (x, y, heading,
+    speed) per tick, which len, end_tick, positions and window read.
+    Built from ActorStates, a trajectory makes its rows from them on first
+    read.  Built from rows (from_rows), as predicted and sampled futures
+    are, it makes its states through ActorState on first read, and keeps
+    them.  Equality, hash and repr read the states either way.
+    """
 
     actor_id: str
     start_tick: int
@@ -125,26 +132,65 @@ class Trajectory:
     states: tuple[ActorState, ...]
 
     def __post_init__(self):
-        _require_id(self.actor_id)   # O(1): a run builds thousands
-        if len(self.states) == 0:
-            raise ScenarioError(f"trajectory of {self.actor_id!r} is empty")
-        _require_dt(self.dt)
+        self._check(len(self.states))
         if not isinstance(self.states, tuple):
             object.__setattr__(self, "states", tuple(self.states))
 
+    @classmethod
+    def from_rows(cls, actor_id: str, start_tick: int, dt: float,
+                  rows: array) -> "Trajectory":
+        """The trajectory whose ticks are the (x, y, heading, speed) rows
+        of rows, a flat array('d') it keeps (the caller hands it over).
+        Each row must meet ActorState's rules; they are checked when the
+        states are first read."""
+        if not isinstance(rows, array) or rows.typecode != "d" \
+                or len(rows) % 4:
+            raise ValueError("rows must be an array('d') of 4 values a tick")
+        traj = object.__new__(cls)
+        traj.__dict__.update(actor_id=actor_id, start_tick=start_tick, dt=dt,
+                             rows=rows)
+        traj._check(len(rows) // 4)
+        return traj
+
+    def _check(self, ticks: int) -> None:
+        _require_id(self.actor_id)   # O(1): a run builds thousands
+        if ticks == 0:
+            raise ScenarioError(f"trajectory of {self.actor_id!r} is empty")
+        _require_dt(self.dt)
+
+    def __getattr__(self, name: str):
+        # only the states of a row-built trajectory are missing, until read
+        rows = self.__dict__.get("rows") if name == "states" else None
+        if rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        states = tuple(map(ActorState, rows[0::4], rows[1::4], rows[2::4],
+                           rows[3::4]))
+        object.__setattr__(self, "states", states)
+        return states
+
+    @cached_property
+    def rows(self) -> array:
+        """The ticks as one flat array('d'): x0, y0, heading0, speed0,
+        x1, ..."""
+        return array("d", [c for s in self.states for c in (
+            s.position_x, s.position_y, s.heading, s.speed)])
+
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.rows) // 4
 
     @property
     def end_tick(self) -> int:
-        return self.start_tick + len(self.states) - 1
+        return self.start_tick + len(self) - 1
 
     @cached_property
     def positions(self) -> array:
         """Positions as one flat array('d'): x0, y0, x1, y1, ...; the
         buffer the planner kernel reads."""
-        return array("d", [c for s in self.states
-                           for c in (s.position_x, s.position_y)])
+        rows = self.rows
+        p = array("d", bytes(4 * len(rows)))   # 2 of each row's 4 doubles
+        p[0::2], p[1::2] = rows[0::4], rows[1::4]
+        return p
 
     def window(self, t: int, k: int) -> "Trajectory":
         """Restrict to ticks [t, t+k], re-indexed with start_tick = t."""
@@ -152,8 +198,9 @@ class Trajectory:
             raise ScenarioError(
                 f"window [{t}, {t + k}] outside trajectory span "
                 f"[{self.start_tick}, {self.end_tick}] of {self.actor_id!r}")
-        i = t - self.start_tick
-        return Trajectory(self.actor_id, t, self.dt, self.states[i:i + k + 1])
+        i = 4 * (t - self.start_tick)
+        return Trajectory.from_rows(self.actor_id, t, self.dt,
+                                    self.rows[i:i + 4 * (k + 1)])
 
     def check_kinematics(self) -> None:
         """Verify per-tick displacement against the stored speed midpoint.
@@ -273,13 +320,14 @@ class Scenario:
             if traj.actor_id != aid:
                 raise ScenarioError(f"{path}.id: trajectory keyed {aid!r} "
                                     f"carries actor_id {traj.actor_id!r}")
+            # before the rows are made: a state beyond binary64 has none
+            _bounded(traj.states, path + ".states[{}]")
             # a document holds one dt, and one state per tick
             if (traj.start_tick, traj.end_tick, traj.dt) != (0, h, self.dt):
                 raise ScenarioError(
                     f"{path}.states: actor {aid!r} covers ticks "
                     f"[{traj.start_tick}, {traj.end_tick}] at dt "
                     f"{traj.dt!r}, not [0, {h}] at {self.dt!r}")
-            _bounded(traj.states, path + ".states[{}]")
             _at(path, "states", traj.check_kinematics)
         if self.actor_radius.keys() != paths.keys():
             raise ScenarioError(
@@ -555,10 +603,9 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
 
 def save_scenario(s: Scenario) -> bytes:
     """Serialize to the versioned scenario document (JSON, floats decimal),
-    each number as its field's int or float, as load_scenario reads it."""
-    def row(st: ActorState) -> list[float]:
-        return [float(st.position_x), float(st.position_y),
-                float(st.heading), float(st.speed)]
+    each number as its field's int or float, as load_scenario reads it,
+    laid out as json.dumps(doc, indent=1) lays it out (_layout)."""
+    st = s.ego_initial
     doc = {
         "version": SCENARIO_FORMAT_VERSION,
         "map": {"lane_count": int(s.map.lane_count), **{
@@ -566,11 +613,12 @@ def save_scenario(s: Scenario) -> bytes:
             for key in ("lane_width", "road_length", "speed_limit")}},
         "dt": float(s.dt),
         "horizon_ticks": int(s.horizon_ticks),
-        "ego": {"state": row(s.ego_initial),
+        "ego": {"state": [float(st.position_x), float(st.position_y),
+                          float(st.heading), float(st.speed)],
                 "radius": float(s.actor_radius[EGO_ID])},
         "actors": [
             {"id": aid, "radius": float(s.actor_radius[aid]),
-             "states": [row(st) for st in traj.states]}
+             "states": traj.rows}
             for aid, traj in s.npc_trajectories.items()
         ],
         "phase_metadata": [
@@ -579,7 +627,32 @@ def save_scenario(s: Scenario) -> bytes:
             for p in s.phases
         ],
     }
-    return (json.dumps(doc, indent=1) + "\n").encode()
+    return (_layout(doc) + "\n").encode()
+
+
+def _layout(value, depth: int = 0) -> str:
+    """value, nested depth levels deep, as json.dumps(value, indent=1) lays
+    it out, without json's pure-Python encoder: each string and number is
+    json's C encoder's, and an array('d') of (x, y, heading, speed) rows
+    is laid out as the list of 4-number lists it holds, in one %-format
+    (%r writes the float repr that json writes)."""
+    import json   # loaded only to write or read a document
+    pad = "\n" + " " * (depth + 1)
+    brackets = "[]"
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{json.dumps(key)}: {_layout(v, depth + 1)}"
+                 for key, v in value.items()]
+    elif isinstance(value, list):
+        items = [_layout(v, depth + 1) for v in value]
+    elif isinstance(value, array):
+        row = pad + " " + ("," + pad + " ").join(["%r"] * 4) + pad
+        items = ["[" + row + "]"] * (len(value) // 4)
+    else:
+        return json.dumps(value)
+    text = brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + \
+        brackets[1] if items else brackets
+    return text % tuple(value) if isinstance(value, array) else text
 
 
 def _require(doc: Mapping, key: str, path: str, kind: type = object):
@@ -627,6 +700,7 @@ def load_scenario(data: bytes | str) -> Scenario:
     types (fields, version 1, objects, lists, numbers, integers for counts
     and ticks, strings) and no actor id twice; every other rule is the
     rule of the value built, which names the offending field path."""
+    import json
     try:
         doc = json.loads(data)
     except ValueError as e:   # also undecodable bytes

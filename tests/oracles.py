@@ -40,7 +40,11 @@ futures' noise with numpy's Generator.normal and integrate it in a
 Python float loop, the == references for the kernel's ziggurat and
 integration (prediction.sample_predictions);
 reference_mean_and_variance is np.mean and np.var(ddof=1), the ==
-reference for risk.mean_and_variance.
+reference for risk.mean_and_variance.  reference_predict_linear builds
+the linear prediction state by state through ActorState, the ==
+reference for prediction.predict_linear's rows.  reference_save_scenario
+is the earlier document writer, json.dumps(doc, indent=1) and its
+pure-Python encoder, the == reference for scenario.save_scenario.
 
 reference_mean_distance and reference_plan_cost measure displacement and
 path length with np.hypot and np.mean or np.sum, the == references for
@@ -63,6 +67,7 @@ Trajectory's positions as an (n, 2) array.
 """
 
 import hashlib
+import json
 import math
 from array import array
 from collections import Counter
@@ -88,8 +93,8 @@ from navrisk.planner import (
 from navrisk.prediction import PredictionConfig, _mean_distance, _non_finite
 from navrisk.risk import KL_EPSILON, _lane_terms, _soft_advance
 from navrisk.scenario import (
-    MAX_MAGNITUDE, ActorState, RoadMap, ScenarioError, Trajectory,
-    wrap_angle)
+    EGO_ID, MAX_MAGNITUDE, SCENARIO_FORMAT_VERSION, ActorState, RoadMap,
+    Scenario, ScenarioError, Trajectory, wrap_angle)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +544,50 @@ def reference_sample_predictions(history: Trajectory, k: int,
             states.append(ActorState(x, y, heading, speed))
         out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
     return out
+
+
+def reference_predict_linear(history: Trajectory, k: int) -> Trajectory:
+    """predict_linear state by state: tick j of the k is the last state
+    moved by j * (dx, dy), each an ActorState."""
+    last = history.states[-1]
+    dt = history.dt
+    dx = last.speed * dt * math.cos(last.heading)
+    dy = last.speed * dt * math.sin(last.heading)
+    states = [last]
+    for j in range(1, k + 1):
+        states.append(ActorState(
+            last.position_x + j * dx, last.position_y + j * dy,
+            last.heading, last.speed))
+    return Trajectory(history.actor_id, history.end_tick, dt, tuple(states))
+
+
+def reference_save_scenario(s: Scenario) -> bytes:
+    """The scenario document as json.dumps(doc, indent=1) writes it, through
+    json's pure-Python encoder: the == reference for save_scenario."""
+    def row(st: ActorState) -> list[float]:
+        return [float(st.position_x), float(st.position_y),
+                float(st.heading), float(st.speed)]
+    doc = {
+        "version": SCENARIO_FORMAT_VERSION,
+        "map": {"lane_count": int(s.map.lane_count), **{
+            key: float(getattr(s.map, key))
+            for key in ("lane_width", "road_length", "speed_limit")}},
+        "dt": float(s.dt),
+        "horizon_ticks": int(s.horizon_ticks),
+        "ego": {"state": row(s.ego_initial),
+                "radius": float(s.actor_radius[EGO_ID])},
+        "actors": [
+            {"id": aid, "radius": float(s.actor_radius[aid]),
+             "states": [row(st) for st in traj.states]}
+            for aid, traj in s.npc_trajectories.items()
+        ],
+        "phase_metadata": [
+            {"name": p.name, "start_tick": int(p.start_tick),
+             "end_tick": int(p.end_tick)}
+            for p in s.phases
+        ],
+    }
+    return (json.dumps(doc, indent=1) + "\n").encode()
 
 
 def reference_mean_and_variance(gammas) -> tuple[float, float]:

@@ -291,6 +291,35 @@ class TestOracleCommand:
         assert hashlib.sha256(out).hexdigest() == (
             "cb9e8e4e4ef4aff7dcbc55b3de6ff23adb2bc9a0836ee77944bbb96213af56d6")
 
+    def test_million_lanes_table_and_memory(self, casestudy_path, tmp_path,
+                                            capsys):
+        # the walk reads only the lanes its steps can reach, so 10^6 lanes
+        # print the table that one centre per lane gave (two steps from
+        # lane 1 reach lane 3, so 8 plans against 3 lanes' 7), and trace
+        # no per-lane memory: one centre per lane traced a 38.6 MiB peak
+        doc = json.loads(casestudy_path.read_bytes())
+        doc["map"]["lane_count"] = 10 ** 6
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--scenario", str(path), "--t", "20",
+                     "--k", "8", "--steps", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "kind,actor_id,z_empty,z,rho\n"
+            "total,,8,8,0.0\n"
+            + "".join(f"actor,{aid},8,8,0.0\n" for aid in (
+                "lead", "cutin", "near", "far", "rear", "outer")))
+        import tracemalloc
+        from navrisk.planner import LatticeConfig
+        from navrisk.risk import all_actor_risk_exact
+        s = load_scenario(path.read_bytes())
+        lattice = LatticeConfig(2, ("keep", "shift_left", "shift_right"), 4)
+        tracemalloc.start()
+        try:
+            risk = all_actor_risk_exact(s, 20, 8, lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (risk.z_empty, risk.z) == (8, 8) and peak < 2 ** 20
 
     def test_oracle_never_loads_openssl(self, tmp_path):
         # hashlib's OpenSSL module costs 3.6 MiB of resident memory; no

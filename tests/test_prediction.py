@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from navrisk.prediction import (
 from navrisk.scenario import (
     MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory)
 
-from oracles import traj_xy
+from oracles import reference_predict_linear, traj_xy
 
 DT = 0.1
 
@@ -87,7 +88,58 @@ class TestPredictLinear:
             expected, abs=1e-6)
 
 
+    def test_rows_equal_the_state_by_state_prediction(self):
+        # x0 + j * dx for each tick j: a running x += dx drifts from it
+        rng = random.Random(0)
+        for _ in range(200):
+            last = ActorState(
+                rng.uniform(-1e3, 1e3), rng.uniform(-1.0, 1.0) * 10 **
+                rng.randint(0, 9), rng.uniform(-math.pi, math.pi),
+                rng.choice((0.0, rng.uniform(0.0, 30.0))))
+            h = Trajectory("a", rng.randint(0, 50), rng.choice(
+                (0.1, 0.05, 0.37)), (last,) * rng.randint(1, 3))
+            k = rng.randint(1, 60)
+            got, want = predict_linear(h, k), reference_predict_linear(h, k)
+            assert got.rows.tobytes() == want.rows.tobytes()
+            assert got == want and got.start_tick == h.end_tick
+
+
 class TestSamplePredictions:
+    def test_sampled_rows_meet_actor_state_rules(self):
+        """Every row the kernel writes has a speed >= 0 and a heading in
+        (-pi, pi], so a sampled future's states need no check per tick:
+        random sigmas of every size up to 1e300, where a future is either
+        refused (ValueError) or meets both rules."""
+        rng = random.Random(0)
+        kept = refused = 0
+        for _ in range(300):
+            last = ActorState(
+                rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
+                rng.choice((math.pi, math.nextafter(-math.pi, 0.0),
+                            rng.uniform(-math.pi, math.pi))),
+                rng.choice((0.0, rng.uniform(0.0, 30.0))))
+            sigmas = [rng.choice((0.0, 10 ** rng.uniform(-3.0, 300.0)))
+                      for _ in range(2)]
+            if sigmas == [0.0, 0.0]:
+                continue
+            h = Trajectory("a", 0, rng.choice((0.1, 1.0, 1e3)), (last,))
+            cfg = PredictionConfig(*sigmas, rng.randint(1, 3),
+                                   rng.randrange(2 ** 64))
+            try:
+                futures = sample_predictions(h, rng.randint(1, 60), cfg)
+            except ValueError:
+                refused += 1
+                continue
+            for traj in futures:
+                rows = traj.rows
+                assert all(v >= 0.0 for v in rows[3::4])
+                assert all(-math.pi < a <= math.pi for a in rows[2::4])
+                assert all(abs(c) <= MAX_MAGNITUDE for c in traj.positions)
+                assert len(traj.states) == len(rows) // 4
+            kept += 1
+        assert kept > 100 and refused > 10
+
+
     def test_zero_noise_collapses_to_linear(self):
         h = history_from(0.0, 1.0, 0.1, 8.0)
         cfg = PredictionConfig(sample_count=5, seed=3)

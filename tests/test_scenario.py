@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
+from array import array
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -30,7 +32,7 @@ from navrisk.scenario import (
     wrap_angle,
 )
 
-from oracles import traj_xy
+from oracles import reference_save_scenario, traj_xy
 
 
 def make_straight(actor_id="a", n=10, speed=5.0, dt=0.1, y=1.75):
@@ -185,6 +187,100 @@ class TestSliceWorld:
             for aid in whole:
                 spliced = left[aid].states + right[aid].states[1:]
                 assert spliced == whole[aid].states
+
+
+# --- row-built trajectories: the same values as state-built ones ----------
+
+def drawn_states(rng, n):
+    """n ActorStates from rng: positions near 0 and of every magnitude up
+    to MAX_MAGNITUDE, -0.0, headings at and near the bounds of (-pi, pi],
+    speeds from 0."""
+    def pick(*edges):
+        return rng.choice((*edges, rng.uniform(-1e3, 1e3),
+                           rng.uniform(-1.0, 1.0) * 10 ** rng.randint(0, 150)))
+    return tuple(ActorState(
+        pick(0.0, -0.0, MAX_MAGNITUDE), pick(0.0, -MAX_MAGNITUDE),
+        rng.choice((math.pi, math.nextafter(-math.pi, 0.0), 0.0,
+                    rng.uniform(-math.pi, math.pi))),
+        abs(pick(0.0, MAX_MAGNITUDE))) for _ in range(n))
+
+
+def rows_of(states):
+    return array("d", [c for s in states for c in (
+        s.position_x, s.position_y, s.heading, s.speed)])
+
+
+class TestRowBuiltTrajectory:
+    """Trajectory.from_rows holds the rows that predicted and sampled
+    futures are written as; it must be the trajectory that the same
+    states give, in every reading."""
+
+    def test_equal_to_the_state_built_trajectory_in_every_reading(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            states = drawn_states(rng, rng.randint(1, 30))
+            t0, dt = rng.randint(0, 50), rng.choice((0.1, 0.05, 1.0))
+            built = Trajectory("a", t0, dt, states)
+            rowed = Trajectory.from_rows("a", t0, dt, rows_of(states))
+            xy = array("d", [c for s in states
+                             for c in (s.position_x, s.position_y)])
+            assert rowed == built and built == rowed
+            assert hash(rowed) == hash(built)
+            assert repr(rowed) == repr(built)
+            assert rowed.states == states
+            assert len(rowed) == len(built) == len(states)
+            assert rowed.end_tick == built.end_tick == t0 + len(states) - 1
+            assert rowed.positions == built.positions == xy
+            assert rowed.rows == built.rows == rows_of(states)
+
+    def test_windows_are_the_states_of_their_ticks(self):
+        rng = random.Random(1)
+        for _ in range(200):
+            states = drawn_states(rng, rng.randint(1, 30))
+            t0 = rng.randint(0, 50)
+            t = t0 + rng.randint(0, len(states) - 1)
+            k = rng.randint(0, t0 + len(states) - 1 - t)
+            want = Trajectory("a", t, 0.1, states[t - t0:t - t0 + k + 1])
+            for traj in (Trajectory("a", t0, 0.1, states),
+                         Trajectory.from_rows("a", t0, 0.1, rows_of(states))):
+                got = traj.window(t, k)
+                assert got == want and hash(got) == hash(want)
+                assert (got.start_tick, got.end_tick) == (t, t + k)
+                assert got.positions == want.positions
+                assert got.rows == rows_of(want.states)
+
+    def test_states_are_checked_when_first_read(self):
+        traj = Trajectory.from_rows("a", 0, 0.1, array("d", [0, 0, 0, -1.0]))
+        assert len(traj) == 1 and traj.positions == array("d", [0, 0])
+        with pytest.raises(ScenarioError, match="speed must be >= 0"):
+            traj.states
+
+    @pytest.mark.parametrize("rows, error, message", [
+        (array("d"), ScenarioError, "trajectory of 'a' is empty"),
+        (array("d", (0.0,) * 6), ValueError, "rows must be"),
+        (array("f", (0.0,) * 4), ValueError, "rows must be"),
+        ([0.0] * 4, ValueError, "rows must be"),
+    ])
+    def test_from_rows_rejects_no_partial_or_other_rows(self, rows, error,
+                                                        message):
+        with pytest.raises(error, match=f"^{message}"):
+            Trajectory.from_rows("a", 0, 0.1, rows)
+
+    def test_from_rows_checks_dt_and_id(self):
+        with pytest.raises(ScenarioError, match="dt must be positive"):
+            Trajectory.from_rows("a", 0, 0.0, array("d", (0.0,) * 4))
+        with pytest.raises(ScenarioError, match="actor_id"):
+            Trajectory.from_rows("", 0, 0.1, array("d", (0.0,) * 4))
+
+    def test_pickles_replaces_and_refuses_other_names(self):
+        states = drawn_states(random.Random(2), 5)
+        traj = Trajectory.from_rows("a", 3, 0.1, rows_of(states))
+        back = pickle.loads(pickle.dumps(traj))
+        assert back == traj and back.rows == traj.rows
+        moved = dataclasses.replace(traj, start_tick=4)
+        assert moved.states == states and moved.end_tick == 8
+        with pytest.raises(AttributeError, match="'other'"):
+            traj.other
 
 
 class TestPhaseScript:
@@ -465,6 +561,7 @@ def test_every_accepted_scenario_round_trips(parts):
     except ScenarioError:
         reject()
     data = save_scenario(s)
+    assert data == reference_save_scenario(s)
     back = load_scenario(data)
     assert back == s
     assert save_scenario(back) == data
