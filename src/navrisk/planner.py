@@ -50,9 +50,9 @@ and hold checks, and the chosen path rendered at constant speed with the
 same binary64 expressions as the earlier Python selection
 (tests/oracles.py, reference_select_endpoint): hypot segment lengths, a
 running sum, bisect-right and f = (s - cum[i]) / seg_len[i].  It writes
-positions only; headings, ActorStates and the cost are built in Python
-(_path_plan) just for the Plan a caller reads, so leave-one-out compares
-its ablated plans as position arrays.
+positions only; the headings, the trajectory's rows and the cost are
+built in Python (_path_plan) just for the Plan a caller reads, so
+leave-one-out compares its ablated plans as position arrays.
 
 Every sampled plan comes from one kernel call, _plan_worlds
 (navrisk_leave_one_out): the root check, the full growth and selection,
@@ -216,8 +216,7 @@ def _plan_cost(traj: Trajectory, road: RoadMap,
     lane_changes = sum(1 for a, b in zip(lanes, lanes[1:]) if a != b)
     cost = length + LANE_CHANGE_PENALTY * lane_changes
     if include_speed_term:   # the lattice's plans
-        cost += SPEED_CHANGE_PENALTY * _speed_change(
-            [s.speed for s in traj.states])
+        cost += SPEED_CHANGE_PENALTY * _speed_change(traj.rows[3::4])
     return cost
 
 
@@ -231,20 +230,26 @@ def _speed_change(speeds: Sequence[float]) -> float:
 # Maneuver lattice
 # ---------------------------------------------------------------------------
 
-def _states_from_columns(xs, ys, vs) -> tuple[ActorState, ...]:
-    n = len(xs)
-    out = []
-    prev_heading = 0.0
-    for i in range(n):
-        if i + 1 < n:
-            dx = xs[i + 1] - xs[i]
-            dy = ys[i + 1] - ys[i]
-            h = math.atan2(dy, dx) if (dx or dy) else prev_heading
-        else:
-            h = prev_heading
-        prev_heading = h
-        out.append(ActorState(xs[i], ys[i], wrap_angle(h), vs[i]))
-    return tuple(out)
+def _rows(xs: array, ys: array, headings, vs) -> array:
+    """The Trajectory rows of the columns xs, ys, headings and vs."""
+    rows = _doubles(4 * len(xs))
+    rows[0::4], rows[1::4] = xs, ys
+    rows[2::4], rows[3::4] = array("d", headings), array("d", vs)
+    return rows
+
+
+def _rows_from_columns(xs: array, ys: array, vs: array) -> array:
+    """The rows of a lattice plan's (xs, ys, vs) columns: each tick heads
+    toward the next tick's position, and keeps the heading before it
+    where it does not move and at the last tick."""
+    headings, h = [], 0.0
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        if dx or dy:
+            h = wrap_angle(math.atan2(dy, dx))
+        headings.append(h)
+    headings.append(h)
+    return _rows(xs, ys, headings, vs)
 
 
 # a plan's class in one world block, besides the index of the one row
@@ -377,7 +382,7 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
                                       dt=dt)
     kept = []
     for seq, c in zip(seqs, cols):
-        traj = Trajectory("ego", t, dt, _states_from_columns(*c))
+        traj = Trajectory("ego", t, dt, _rows_from_columns(*c))
         kept.append(Plan(traj, _plan_cost(traj, road), maneuver_seq=seq))
     return PlanSet(tuple(kept), universe)
 
@@ -441,14 +446,14 @@ def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
     v, xy = path.vertices, path.xy
     heading = [wrap_angle(math.atan2(v[j + 3] - v[j + 1], v[j + 2] - v[j]))
                for j in range(0, len(v) - 2, 2)]
-    h = 0.0
-    states = []
-    for j, i in enumerate(path.seg):
+    headings, h = [], 0.0
+    for i in path.seg:
         if i >= 0:
             h = heading[i]
-        states.append(ActorState(xy[2 * j], xy[2 * j + 1], h,
-                                 speed if i >= 0 else 0.0))
-    traj = Trajectory("ego", t, dt, tuple(states))
+        headings.append(h)
+    traj = Trajectory("ego", t, dt, _rows(
+        xy[0::2], xy[1::2], headings,
+        [speed if i >= 0 else 0.0 for i in path.seg]))
     return Plan(traj, _plan_cost(traj, road, include_speed_term=False),
                 partial=path.partial)
 

@@ -41,7 +41,10 @@ class PredictionConfig:
                 and 0 <= self.noise_yawrate_sigma < math.inf):
             raise ValueError("noise sigmas must be finite and >= 0")
         require_int("sample_count", self.sample_count, 1)
-        require_int("seed", self.seed)
+        # a U64, as --seed is: masked to 64 bits, two seeds drew alike
+        require_int("seed", self.seed, 0)
+        if self.seed >= 2 ** 64:
+            raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
 
 
 def _actor_key(actor_id: str) -> int:
@@ -67,7 +70,7 @@ def predict_linear(history: Trajectory, k: int) -> Trajectory:
     rows = last * (k + 1)   # every row holds the heading and speed
     rows[4::4] = array("d", [x + j * dx for j in range(1, k + 1)])
     rows[5::4] = array("d", [y + j * dy for j in range(1, k + 1)])
-    return Trajectory.from_rows(history.actor_id, history.end_tick, dt, rows)
+    return Trajectory(history.actor_id, history.end_tick, dt, rows)
 
 
 def _non_finite(actor_id: str, sample: int,
@@ -97,7 +100,7 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
     x, y, heading, speed = history.rows[-4:]
     dt = history.dt
     t = history.end_tick
-    entropy = seed_words(cfg.seed & (2 ** 64 - 1))
+    entropy = seed_words(cfg.seed)
     key = _actor_key(history.actor_id)
     out = []
     for j in range(cfg.sample_count):
@@ -108,9 +111,7 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
                 cfg.noise_accel_sigma, cfg.noise_yawrate_sigma, k,
                 x, y, heading, speed, dt, MAX_MAGNITUDE, address(rows)):
             raise _non_finite(history.actor_id, j, cfg)
-        # the kernel keeps each speed >= 0 and wraps each heading into
-        # (-pi, pi], as ActorState requires (tests/test_prediction.py)
-        out.append(Trajectory.from_rows(history.actor_id, t, dt, rows))
+        out.append(Trajectory(history.actor_id, t, dt, rows))
     return out
 
 

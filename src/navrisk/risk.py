@@ -233,7 +233,7 @@ def _follow_term(traj: Trajectory, ego: ActorState, road: RoadMap,
         return None
     gap = xs[0] - ego.position_x
     v_occ = (xs[-1] - xs[0]) / ((len(xs) - 1) * traj.dt) if len(xs) > 1 \
-        else traj.states[0].speed
+        else traj.rows[3]
     if v_occ >= ego_speed - 1e-9:
         return None  # never caught within any horizon
     return max(0.0, (gap - FOLLOW_GAP) * ego_speed / (ego_speed - v_occ))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -43,8 +43,8 @@ def require_int(name: str, value, least: Optional[int] = None,
     """Raise error naming the field unless value is an integer, and not a
     bool (>= least when given): a float count or seed would otherwise pass
     construction and fail deep inside a run."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or (least is not None and value < least):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(
+            value, numbers.Integral)) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise error(f"{name} must be an integer{bound}, got {value!r}")
 
@@ -97,8 +97,8 @@ class ActorState:
 
     position_x runs along the road axis, position_y is lateral with 0 at the
     right road edge.  heading 0 points along the road axis; speed is the
-    displacement speed (m/s), always >= 0.  Slotted: a run builds
-    thousands of them, and a slotted one is built in about half the time.
+    displacement speed (m/s), always >= 0.  A run builds one per replan
+    tick, the ego's; a trajectory holds rows, not states.
     """
 
     position_x: float
@@ -116,65 +116,43 @@ class ActorState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Timestamped state sequence of one actor on a uniform tick grid.
+    """One actor's ticks from start_tick on a uniform grid, held as rows:
+    one flat array('d') of (x, y, heading, speed) per tick, kept as given.
 
-    Its ticks are held as rows, one flat array('d') of (x, y, heading,
-    speed) per tick, which len, end_tick, positions and window read.
-    Built from ActorStates, a trajectory makes its rows from them on first
-    read.  Built from rows (from_rows), as predicted and sampled futures
-    are, it makes its states through ActorState on first read, and keeps
-    them.  Equality, hash and repr read the states either way.
+    Every rule is checked when it is built, ActorState's on every row (an
+    error names the row j as states[j]).  states is a read-only view of
+    the rows as ActorStates, built on first read.  Equality compares the
+    rows; the hash leaves them out.
     """
 
     actor_id: str
     start_tick: int
     dt: float
-    states: tuple[ActorState, ...]
+    rows: array = field(hash=False)
 
     def __post_init__(self):
-        self._check(len(self.states))
-        if not isinstance(self.states, tuple):
-            object.__setattr__(self, "states", tuple(self.states))
-
-    @classmethod
-    def from_rows(cls, actor_id: str, start_tick: int, dt: float,
-                  rows: array) -> "Trajectory":
-        """The trajectory whose ticks are the (x, y, heading, speed) rows
-        of rows, a flat array('d') it keeps (the caller hands it over).
-        Each row must meet ActorState's rules; they are checked when the
-        states are first read."""
+        _require_id(self.actor_id)
+        require_int("start_tick", self.start_tick, 0, ScenarioError)
+        _require_dt(self.dt)
+        rows = self.rows
         if not isinstance(rows, array) or rows.typecode != "d" \
                 or len(rows) % 4:
             raise ValueError("rows must be an array('d') of 4 values a tick")
-        traj = object.__new__(cls)
-        traj.__dict__.update(actor_id=actor_id, start_tick=start_tick, dt=dt,
-                             rows=rows)
-        traj._check(len(rows) // 4)
-        return traj
-
-    def _check(self, ticks: int) -> None:
-        _require_id(self.actor_id)   # O(1): a run builds thousands
-        if ticks == 0:
-            raise ScenarioError(f"trajectory of {self.actor_id!r} is empty")
-        _require_dt(self.dt)
-
-    def __getattr__(self, name: str):
-        # only the states of a row-built trajectory are missing, until read
-        rows = self.__dict__.get("rows") if name == "states" else None
-        if rows is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        states = tuple(map(ActorState, rows[0::4], rows[1::4], rows[2::4],
-                           rows[3::4]))
-        object.__setattr__(self, "states", states)
-        return states
+        if not rows:
+            raise ScenarioError(
+                f"states: trajectory of {self.actor_id!r} is empty")
+        h, v = rows[2::4], rows[3::4]
+        total = sum(h) + sum(v)   # NaN with a NaN, which min and max miss
+        if not (total == total and -math.pi < min(h) and max(h) <= math.pi
+                and min(v) >= 0.0):   # then ActorState names the first row
+            for j in range(0, len(rows), 4):
+                _at("states", j // 4, ActorState, *rows[j:j + 4])
 
     @cached_property
-    def rows(self) -> array:
-        """The ticks as one flat array('d'): x0, y0, heading0, speed0,
-        x1, ..."""
-        return array("d", [c for s in self.states for c in (
-            s.position_x, s.position_y, s.heading, s.speed)])
+    def states(self) -> tuple[ActorState, ...]:
+        """The rows as ActorStates."""
+        r = self.rows
+        return tuple(map(ActorState, r[0::4], r[1::4], r[2::4], r[3::4]))
 
     def __len__(self) -> int:
         return len(self.rows) // 4
@@ -199,8 +177,8 @@ class Trajectory:
                 f"window [{t}, {t + k}] outside trajectory span "
                 f"[{self.start_tick}, {self.end_tick}] of {self.actor_id!r}")
         i = 4 * (t - self.start_tick)
-        return Trajectory.from_rows(self.actor_id, t, self.dt,
-                                    self.rows[i:i + 4 * (k + 1)])
+        return Trajectory(self.actor_id, t, self.dt,
+                          self.rows[i:i + 4 * (k + 1)])
 
     def check_kinematics(self) -> None:
         """Verify per-tick displacement against the stored speed midpoint.
@@ -209,11 +187,12 @@ class Trajectory:
         (fraction) of the midpoint of the two stored speeds; an absolute
         slack of 1e-9 covers standstill states.
         """
-        for i in range(len(self.states) - 1):
-            a, b = self.states[i], self.states[i + 1]
-            implied = math.hypot(b.position_x - a.position_x,
-                                 b.position_y - a.position_y) / self.dt
-            mid = 0.5 * (a.speed + b.speed)
+        r = self.rows
+        xs, ys, vs = r[0::4], r[1::4], r[3::4]
+        for i, (x0, x1, y0, y1, v0, v1) in enumerate(zip(
+                xs, xs[1:], ys, ys[1:], vs, vs[1:])):
+            implied = math.hypot(x1 - x0, y1 - y0) / self.dt
+            mid = 0.5 * (v0 + v1)
             if abs(implied - mid) > KINEMATIC_TOLERANCE * mid + 1e-9:
                 raise ScenarioError(
                     f"actor {self.actor_id!r}: implied speed {implied:.4f} at "
@@ -269,19 +248,19 @@ class PhaseSpan:
         require_int("end_tick", self.end_tick, self.start_tick, ScenarioError)
 
 
-def _bounded(states, row_path: str) -> None:
+def _bounded(rows, row_path: str) -> None:
     """Raise ScenarioError naming row_path.format(j) + [c] for the first
-    value c of a state j beyond +-MAX_MAGNITUDE (NaN and inf too)."""
-    for j, st in enumerate(states):
-        # a heading lies in (-pi, pi] and a speed is >= 0 already
-        if not (abs(st.position_x) <= MAX_MAGNITUDE and st.speed <=
-                MAX_MAGNITUDE and abs(st.position_y) <= MAX_MAGNITUDE):
-            row = (st.position_x, st.position_y, st.heading, st.speed)
-            c = next(c for c, v in enumerate(row)
-                     if not abs(v) <= MAX_MAGNITUDE)
-            raise ScenarioError(f"{row_path.format(j)}[{c}]: expected a "
-                                f"number of magnitude <= "
-                                f"{MAX_MAGNITUDE:g}, got {row[c]!r}")
+    value c of a row j of rows (flat, 4 values a row) beyond
+    +-MAX_MAGNITUDE (NaN and inf too)."""
+    total = sum(rows)   # NaN with a NaN, where min and max may miss it
+    if total == total and -MAX_MAGNITUDE <= min(rows) \
+            and max(rows) <= MAX_MAGNITUDE:
+        return
+    for i, v in enumerate(rows):
+        if not abs(v) <= MAX_MAGNITUDE:
+            raise ScenarioError(f"{row_path.format(i // 4)}[{i % 4}]: "
+                                f"expected a number of magnitude <= "
+                                f"{MAX_MAGNITUDE:g}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -304,7 +283,8 @@ class Scenario:
             raise ScenarioError(f"$.horizon_ticks: must be <= "
                                 f"{MAX_HORIZON_TICKS}, got {h}")
         object.__setattr__(self, "phases", tuple(self.phases))
-        _bounded((ego,), "$.ego.state")
+        _bounded((ego.position_x, ego.position_y, ego.heading, ego.speed),
+                 "$.ego.state")
         if not self.map.contains_y(ego.position_y):
             raise ScenarioError(f"$.ego.state: ego is off-road at y = "
                                 f"{ego.position_y!r}")
@@ -320,8 +300,7 @@ class Scenario:
             if traj.actor_id != aid:
                 raise ScenarioError(f"{path}.id: trajectory keyed {aid!r} "
                                     f"carries actor_id {traj.actor_id!r}")
-            # before the rows are made: a state beyond binary64 has none
-            _bounded(traj.states, path + ".states[{}]")
+            _bounded(traj.rows, path + ".states[{}]")
             # a document holds one dt, and one state per tick
             if (traj.start_tick, traj.end_tick, traj.dt) != (0, h, self.dt):
                 raise ScenarioError(
@@ -477,11 +456,13 @@ class _ScriptedActor:
         vy = dy * 0.5 * math.pi * math.sin(math.pi * tau) / self.ramp_ticks
         return y, vy
 
-    def state(self, tick: int) -> ActorState:
+    def row(self, tick: int) -> tuple[float, float, float, float]:
+        """(x, y, heading, speed) at tick; atan2 of a vx >= 0 lies in
+        [-pi/2, pi/2] already."""
         _, vy = self.lateral_at(tick)
         speed = math.hypot(self.vx, vy)
         heading = math.atan2(vy, self.vx) if speed > 0 else 0.0
-        return ActorState(self.x, self.y, wrap_angle(heading), speed)
+        return self.x, self.y, heading, speed
 
     def step(self, tick: int, dt: float) -> None:
         """Advance from tick to tick + 1.  Trapezoidal integration makes a
@@ -532,14 +513,14 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
                                 factor * speed, speed, params.accel)
             for aid, (lane, off, speed) in table.items()}
     merger = npcs[MERGER]
-    rows: dict[str, list[ActorState]] = {aid: [] for aid in npcs}
+    rows = {aid: array("d") for aid in npcs}
     spans: list[PhaseSpan] = []
     tick = 0
 
     def advance() -> None:
         nonlocal tick
         for aid, a in npcs.items():   # record before stepping
-            rows[aid].append(a.state(tick))
+            rows[aid].extend(a.row(tick))
         for a in npcs.values():
             a.step(tick, dt)
         tick += 1
@@ -581,14 +562,14 @@ def generate_case_study(params: CaseStudyParams = CaseStudyParams()) -> Scenario
         advance()
     spans[-1] = PhaseSpan(spans[-1].name, spans[-1].start_tick, tick)
     for aid, a in npcs.items():   # the final state at tick T
-        rows[aid].append(a.state(tick))
+        rows[aid].extend(a.row(tick))
 
     ego = ActorState(EGO_X, road.lane_center(EGO_LANE),
                      0.0, params.ego_speed)
     return Scenario(
         map=road,
-        npc_trajectories={aid: Trajectory(aid, 0, dt, tuple(states))
-                          for aid, states in rows.items()},
+        npc_trajectories={aid: Trajectory(aid, 0, dt, r)
+                          for aid, r in rows.items()},
         ego_initial=ego,
         horizon_ticks=tick,
         dt=dt,
@@ -684,7 +665,7 @@ def _number(doc, key, path: str, integral: bool = False):
                         f"{value!r}")
 
 
-def _state(doc, key, path: str) -> ActorState:
+def _row(doc, key, path: str) -> list[float]:
     """Read doc[key] (as in _number) as an [x, y, heading, speed] row."""
     row = doc[key] if isinstance(key, int) else _require(doc, key, path)
     if not isinstance(row, list) or len(row) != 4:
@@ -692,7 +673,7 @@ def _state(doc, key, path: str) -> ActorState:
                             f"speed]")
     if {*map(type, row)} != {float}:   # an int, or no number at all
         row = [_number(row, c, _field(path, key)) for c in range(4)]
-    return _at(path, key, ActorState, *row)
+    return row
 
 
 def load_scenario(data: bytes | str) -> Scenario:
@@ -719,7 +700,7 @@ def load_scenario(data: bytes | str) -> Scenario:
     dt = _at("$", "dt", _require_dt, _number(doc, "dt", "$"))
     horizon = _number(doc, "horizon_ticks", "$", integral=True)
     ego_doc = _require(doc, "ego", "$")
-    ego = _state(ego_doc, "state", "$.ego")
+    ego = _at("$.ego", "state", ActorState, *_row(ego_doc, "state", "$.ego"))
 
     radii = {EGO_ID: _number(ego_doc, "radius", "$.ego")}
     trajs: dict[str, Trajectory] = {}
@@ -728,9 +709,13 @@ def load_scenario(data: bytes | str) -> Scenario:
         aid = _at(path, "id", _require_id, _require(a, "id", path))
         if aid in trajs:
             raise ScenarioError(f"{path}.id: duplicate actor id {aid!r}")
-        rows, rows_path = _require(a, "states", path, list), f"{path}.states"
-        trajs[aid] = _at(path, "states", Trajectory, aid, 0, dt, tuple(
-            _state(rows, j, rows_path) for j in range(len(rows))))
+        states, rows = _require(a, "states", path, list), array("d")
+        for j in range(len(states)):
+            rows.extend(_row(states, j, f"{path}.states"))
+        try:   # its errors name states, or the row states[j]
+            trajs[aid] = Trajectory(aid, 0, dt, rows)
+        except ScenarioError as e:
+            raise ScenarioError(f"{path}.{e}") from e
         radii[aid] = _number(a, "radius", path)
 
     phases = []   # phase_metadata may be left out

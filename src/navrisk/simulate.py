@@ -53,15 +53,13 @@ class RunConfig:
     iteration_budget: int = 700
 
     def __post_init__(self):
-        require_int("seed", self.seed, 0)
-        if self.seed >= 2 ** 64:
-            raise ValueError(f"seed must be below 2**64, got {self.seed!r}")
+        # PredictionConfig holds the seed and noise-sigma rules, and raises
+        PredictionConfig(self.noise_accel, self.noise_yawrate,
+                         seed=self.seed)
         require_int("replan_every", self.replan_every, 1)
         require_int("horizon", self.horizon, self.replan_every)
         require_int("iteration_budget", self.iteration_budget, 1)
         require_int("samples", self.samples, 0)
-        # the noise-sigma rule lives in PredictionConfig, which raises
-        PredictionConfig(self.noise_accel, self.noise_yawrate)
         bad = set(self.operators) - {"euclid", "kl", "exact"}
         if bad:
             raise ValueError(f"unknown operators {sorted(bad)}")
@@ -105,9 +103,9 @@ def _phase_at(s: Scenario, tick: int) -> str:
 
 
 def _planner_seed(seed: int, t: int) -> int:
-    """numpy's SeedSequence(seed mod 2**64, spawn_key=(t,))
+    """numpy's SeedSequence(seed, spawn_key=(t,))
     .generate_state(1, np.uint64)[0], computed by the kernel."""
-    entropy, spawn = seed_words(seed & (2 ** 64 - 1)), seed_words(t)
+    entropy, spawn = seed_words(seed), seed_words(t)
     out = ctypes.c_uint64()
     kernel().navrisk_seed_state(entropy, len(entropy), spawn, len(spawn),
                                 ctypes.byref(out), 1)
@@ -227,8 +225,9 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
             ))
 
         steps = min(cfg.replan_every, k_eff)
-        if plan_full is not None:
-            ego = plan_full.trajectory.states[steps]
+        if plan_full is not None:   # the plan's row at tick t + steps
+            i = 4 * steps
+            ego = ActorState(*plan_full.trajectory.rows[i:i + 4])
         # with no feasible plan the ego holds position
 
     return RunResult(tuple(records), tuple(ego_states), tuple(replan_ticks))

@@ -63,7 +63,9 @@ classes, _floored's arrays and np.sum of p * log(p / q): with libm_log,
 the == reference for the kernel's class sum (risk._kl,
 navrisk_class_sum); with np.log, numpy's own log, which equals libm's
 where numpy does not dispatch it to its AVX512 loop.  traj_xy views a
-Trajectory's positions as an (n, 2) array.
+Trajectory's positions as an (n, 2) array, and state_trajectory builds a
+Trajectory state by state, from ActorStates, which the package itself
+never does.
 """
 
 import hashlib
@@ -95,6 +97,18 @@ from navrisk.risk import KL_EPSILON, _lane_terms, _soft_advance
 from navrisk.scenario import (
     EGO_ID, MAX_MAGNITUDE, SCENARIO_FORMAT_VERSION, ActorState, RoadMap,
     Scenario, ScenarioError, Trajectory, wrap_angle)
+
+
+def rows_of(states: Sequence[ActorState]) -> array:
+    """The (x, y, heading, speed) rows of states, one flat array('d')."""
+    return array("d", [c for s in states for c in (
+        s.position_x, s.position_y, s.heading, s.speed)])
+
+
+def state_trajectory(actor_id: str, start_tick: int, dt: float,
+                     states: Sequence[ActorState]) -> Trajectory:
+    """The Trajectory whose ticks are states (rows_of)."""
+    return Trajectory(actor_id, start_tick, dt, rows_of(states))
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +457,8 @@ def world_to_positions(world):
 
 def static_actor(actor_id, x, y, n, dt=0.1):
     """A parked actor holding one position for n+1 ticks."""
-    from navrisk.scenario import ActorState, Trajectory
     state = ActorState(x, y, 0.0, 0.0)
-    return Trajectory(actor_id, 0, dt, tuple(state for _ in range(n + 1)))
+    return state_trajectory(actor_id, 0, dt, (state,) * (n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +510,7 @@ def reference_sample_stream(road: RoadMap, ego: ActorState,
 def reference_planner_seed(seed: int, t: int) -> int:
     """The planner seed of replan tick t as numpy derives it, the ==
     reference for simulate._planner_seed."""
-    ss = np.random.SeedSequence(entropy=seed & (2 ** 64 - 1), spawn_key=(t,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(t,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -509,7 +522,7 @@ def reference_actor_stream(seed: int, actor_id: str, t: int, sample: int
     digest = hashlib.blake2s(actor_id.encode(), digest_size=8).digest()
     key = int.from_bytes(digest, "little")
     ss = np.random.SeedSequence(
-        entropy=seed & (2 ** 64 - 1),
+        entropy=seed,
         spawn_key=(key, t & (2 ** 63 - 1), sample))
     return np.random.default_rng(ss)
 
@@ -542,7 +555,7 @@ def reference_sample_predictions(history: Trajectory, k: int,
             if not (abs(x) <= MAX_MAGNITUDE and abs(y) <= MAX_MAGNITUDE):
                 raise _non_finite(history.actor_id, j, cfg)
             states.append(ActorState(x, y, heading, speed))
-        out.append(Trajectory(history.actor_id, t, dt, tuple(states)))
+        out.append(state_trajectory(history.actor_id, t, dt, tuple(states)))
     return out
 
 
@@ -558,7 +571,7 @@ def reference_predict_linear(history: Trajectory, k: int) -> Trajectory:
         states.append(ActorState(
             last.position_x + j * dx, last.position_y + j * dy,
             last.heading, last.speed))
-    return Trajectory(history.actor_id, history.end_tick, dt, tuple(states))
+    return state_trajectory(history.actor_id, history.end_tick, dt, states)
 
 
 def reference_save_scenario(s: Scenario) -> bytes:
@@ -775,7 +788,7 @@ def reference_render_path(vertices: np.ndarray, t: int, k: int, dt: float,
         states.append(ActorState(
             float(x), float(y), wrap_angle(prev_heading),
             speed if moving else 0.0))
-    return Trajectory("ego", t, dt, tuple(states))
+    return state_trajectory("ego", t, dt, tuple(states))
 
 
 def reference_select_endpoint(tree: Tree, goal: np.ndarray,

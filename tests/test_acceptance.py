@@ -40,7 +40,6 @@ from navrisk.scenario import (
     CaseStudyParams,
     RoadMap,
     Scenario,
-    Trajectory,
     generate_case_study,
     slice_world,
 )
@@ -48,6 +47,7 @@ from navrisk.scenario import (
 from oracles import (
     PlanDistribution,
     plan_divergence_kl,
+    state_trajectory,
     static_actor,
     walk_enumerate,
     world_to_positions,
@@ -67,7 +67,7 @@ def build_scenario(actors, ego, n, road, radii=None):
 def moving_actor(actor_id, x0, y, speed, n, dt=DT):
     states = tuple(
         ActorState(x0 + speed * dt * i, y, 0.0, speed) for i in range(n + 1))
-    return Trajectory(actor_id, 0, dt, states)
+    return state_trajectory(actor_id, 0, dt, states)
 
 
 def test_c1_exact_oracle_equivalence():
@@ -323,7 +323,7 @@ def test_c5_monte_carlo_correctness():
     # two-branch mixture at n = 500 within 3 standard errors
     k, n = 20, 500
     cruise = moving_actor("a", 22.0, road.lane_center(1), 7.0, k)
-    cruise = Trajectory("a", 5, DT, cruise.states)
+    cruise = state_trajectory("a", 5, DT, cruise.states)
     states = [ActorState(22.0, road.lane_center(1), 0.0, 7.0)]
     x, v = 22.0, 7.0
     for _ in range(k):
@@ -331,7 +331,7 @@ def test_c5_monte_carlo_correctness():
         x += 0.5 * (v + v2) * DT
         v = v2
         states.append(ActorState(x, road.lane_center(1), 0.0, v2))
-    brake = Trajectory("a", 5, DT, tuple(states))
+    brake = state_trajectory("a", 5, DT, tuple(states))
 
     def sampler(histories, k_, cfg_):
         rng = np.random.default_rng(cfg_.seed)
@@ -375,7 +375,7 @@ def test_c6_operator_properties():
         trajs = []
         for _ in range(3):
             xy = rng.uniform(-25, 25, (m, 2))
-            trajs.append(Trajectory("r", 0, DT, tuple(
+            trajs.append(state_trajectory("r", 0, DT, tuple(
                 ActorState(float(a), float(b), 0.0, 0.0) for a, b in xy)))
         a, b, c = trajs
         dab = _mean_distance(a.positions, b.positions)

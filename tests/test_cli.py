@@ -119,11 +119,11 @@ class TestCasestudyCommand:
 class TestOracleCommand:
     def test_table_matches_fixture(self, tmp_path, capsys):
         # three lanes, ego mid-lane, one static blocker in the top lane
-        from navrisk.scenario import (ActorState, RoadMap, Scenario,
-                                      Trajectory, EGO_ID)
+        from navrisk.scenario import ActorState, RoadMap, Scenario, EGO_ID
+        from oracles import state_trajectory
         road = RoadMap(3, 3.5, 300.0, 15.0)
         state = ActorState(11.5, road.lane_center(2), 0.0, 0.0)
-        blk = Trajectory("blk", 0, 0.1, tuple(state for _ in range(31)))
+        blk = state_trajectory("blk", 0, 0.1, (state,) * 31)
         s = Scenario(map=road, npc_trajectories={"blk": blk},
                      ego_initial=ActorState(10.0, road.lane_center(1),
                                             0.0, 1.0),

@@ -70,7 +70,6 @@ from navrisk.scenario import (
     RoadMap,
     Scenario,
     ScenarioError,
-    Trajectory,
 )
 
 import oracles
@@ -85,6 +84,7 @@ from oracles import (
     reference_lattice_blockers,
     reference_select_endpoint,
     replanned_gammas,
+    state_trajectory,
     static_actor,
     traj_xy,
     walk_enumerate,
@@ -206,7 +206,7 @@ def draw_actors(rng, road, ego, k, dt):
             road.lane_center(rng.randint(0, road.lane_count - 1))))
         speed = rng.choice((0.0, 3.0, 7.5))
         aid = f"a{i}"
-        actors[aid] = Trajectory(aid, 0, dt, tuple(
+        actors[aid] = state_trajectory(aid, 0, dt, tuple(
             ActorState(x0 + speed * dt * j, y, 0.0, speed)
             for j in range(k + 1)))
     return actors
@@ -363,7 +363,7 @@ def blocker_column(actor):
 def test_tick_zero_overlap_blocks_every_sequence():
     # the actor sits on the ego at tick 0 only, then far down the road
     k = LEVELS.horizon
-    actor = Trajectory("a", 0, 0.1, (EGO,) + (FAR,) * k)
+    actor = state_trajectory("a", 0, 0.1, (EGO,) + (FAR,) * k)
     got, want = blocker_column(actor)
     assert len(got) > 1 and all(got) and got == want
     # a scenario refuses the jump; the lattice takes the world as it is
@@ -389,7 +389,7 @@ def test_last_level_actor_blocks_only_the_sequences_it_reaches():
     # where the ego arrives: only the sequences that end there are hit
     k, m = LEVELS.horizon, LEVELS.ticks_per_step
     there = ActorState(19.0, ROAD.lane_center(2), 0.0, 0.0)
-    actor = Trajectory("a", 0, 0.1, (FAR,) * (k + 1 - m) + (there,) * m)
+    actor = state_trajectory("a", 0, 0.1, (FAR,) * (k + 1 - m) + (there,) * m)
     got, want = blocker_column(actor)
     assert got == want
     assert 0 < sum(got) < len(got)
@@ -460,7 +460,7 @@ def boundary_probe(aid, ego, k, cfg, rng):
                     RADIUS + radius + SAFETY_MARGIN == r:   # world_arrays' sum
                 xy = [AWAY] * (k + 1)
                 xy[j] = (ox, oy)
-                return Trajectory(aid, 0, 0.1, tuple(
+                return state_trajectory(aid, 0, 0.1, tuple(
                     ActorState(x, y, 0.0, 0.0) for x, y in xy)), radius
 
 
@@ -495,7 +495,7 @@ def loo_world(rng):
             v = rng.choice((0.0, 4.0, 8.0))
             x0 = rng.uniform(13.0, 40.0)
             y = rng.uniform(0.0, ROAD3.width)
-            traj = Trajectory(aid, 0, 0.1, tuple(
+            traj = state_trajectory(aid, 0, 0.1, tuple(
                 ActorState(x0 + v * 0.1 * j, y, 0.0, v)
                 for j in range(k + 1)))
         elif kind == "parked":
@@ -593,7 +593,7 @@ class TestEndpointSelection:
                 aid, v = f"a{i}", float(rng.choice((0.0, 4.0, 8.0)))
                 x0, y = float(rng.uniform(13.0, 45.0)), \
                     float(rng.uniform(0.0, ROAD3.width))
-                world[aid] = Trajectory(aid, 0, 0.1, tuple(
+                world[aid] = state_trajectory(aid, 0, 0.1, tuple(
                     ActorState(x0 + v * 0.1 * j, y, 0.0, v)
                     for j in range(k + 1)))
                 radii[aid] = float(rng.choice((0.8, 1.2, 2.0)))

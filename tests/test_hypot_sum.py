@@ -21,10 +21,11 @@ import pytest
 
 from navrisk.planner import _plan_cost, _speed_change
 from navrisk.prediction import _mean_distance
-from navrisk.scenario import MAX_MAGNITUDE, ActorState, RoadMap, Trajectory
+from navrisk.scenario import MAX_MAGNITUDE, ActorState, RoadMap
 
 from oracles import (
-    reference_mean_distance, reference_plan_cost, reference_speed_change)
+    reference_mean_distance, reference_plan_cost, reference_speed_change,
+    state_trajectory)
 
 LENGTHS = (1, 7, 8, 9, 41, 128, 129, 600)
 KINDS = ("walk", "spread", "huge", "still")
@@ -106,7 +107,7 @@ def test_plan_cost_equals_numpy(speed_term):
             for _ in range(3):
                 states = tuple(ActorState(x, y, 0.0, rng.uniform(0.0, 14.0))
                                for x, y in draw_points(rng, n, kind))
-                traj = Trajectory("ego", 0, 0.1, states)
+                traj = state_trajectory("ego", 0, 0.1, states)
                 assert _plan_cost(traj, ROAD, speed_term) == \
                     reference_plan_cost(traj, ROAD, speed_term), (n, kind)
 

@@ -34,10 +34,12 @@ from navrisk._kernel import SOURCE, address, seed_words
 from navrisk.prediction import (
     PredictionConfig, _actor_key, sample_predictions)
 from navrisk.risk import mean_and_variance
-from navrisk.scenario import MAX_MAGNITUDE, ActorState, Trajectory
+from navrisk.scenario import MAX_MAGNITUDE, ActorState
 
 from kernel_calls import parts
-from oracles import reference_mean_and_variance, reference_sample_predictions
+from oracles import (
+    reference_mean_and_variance, reference_sample_predictions,
+    state_trajectory)
 
 EDGE_KEYS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 SIGMAS = (0.0, 1e-3, 0.3, 1.0, 2.5)
@@ -168,16 +170,25 @@ def history_cases(count):
         speed = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 30.0)
         state = ActorState(rng.uniform(-1e4, 1e4), rng.uniform(-50.0, 50.0),
                            heading, speed)
-        history = Trajectory(f"actor{i}", rng.getrandbits(
+        history = state_trajectory(f"actor{i}", rng.getrandbits(
             rng.choice((4, 12, 40, 70))), rng.choice((0.05, 0.1, 0.5)),
             (state,))
         accel = rng.choice((0.0, 0.3, 2.0, 8.0, 50.0, 1e160, 1e308))
         yaw = rng.choice((0.0, 0.02, 0.5, 3.0, 40.0))
         if accel == yaw == 0.0:
             yaw = 0.5
+        # a seed has at most 64 bits (test_seed_beyond_64_bits_refused)
         cfg = PredictionConfig(accel, yaw, rng.randint(1, 4),
-                               rng.getrandbits(rng.choice((8, 64, 80))))
+                               rng.getrandbits(rng.choice((8, 32, 64))))
         yield history, rng.randint(1, 80), cfg
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 80 + 5])
+def test_seed_beyond_64_bits_refused(seed):
+    # masked to 64 bits, seeds 2**64 and 0 drew the same futures, and so
+    # did -1 and 2**64 - 1
+    with pytest.raises(ValueError, match="^seed must be"):
+        PredictionConfig(0.3, 0.0, 1, seed)
 
 
 def test_sample_predictions_equal_the_numpy_loop():
@@ -205,7 +216,7 @@ def test_sample_predictions_equal_the_numpy_loop():
 
 def test_future_beyond_the_bound_raises_the_same_error():
     state = ActorState(0.0, 0.0, 0.0, 10.0)
-    history = Trajectory("far", 3, 0.1, (state,))
+    history = state_trajectory("far", 3, 0.1, (state,))
     cfg = PredictionConfig(1e160, 0.0, 2, 5)
     with pytest.raises(ValueError) as got:
         sample_predictions(history, 20, cfg)

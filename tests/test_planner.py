@@ -18,7 +18,7 @@ from navrisk.planner import (
     plan_sampling,
 )
 from navrisk.scenario import (
-    MAX_MAGNITUDE, ActorState, RoadMap, ScenarioError, Trajectory)
+    MAX_MAGNITUDE, ActorState, RoadMap, ScenarioError)
 
 from kernel_calls import edge_blockers, grow_tree
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     reference_edge_blockers,
     reference_grow_tree,
     reference_sample_stream,
+    state_trajectory,
     static_actor,
     traj_xy,
     walk_enumerate,
@@ -40,7 +41,7 @@ DT = 0.1
 def moving_actor(actor_id, x0, y, speed, n, dt=DT):
     states = tuple(
         ActorState(x0 + speed * dt * i, y, 0.0, speed) for i in range(n + 1))
-    return Trajectory(actor_id, 0, dt, states)
+    return state_trajectory(actor_id, 0, dt, states)
 
 
 ROAD3 = RoadMap(3, 3.5, 300.0, 15.0)
@@ -105,7 +106,7 @@ class TestCollisionCheck:
         for _ in range(400):
             k = rng.randint(0, 60)
             ego_r = rng.choice((1.0, 1.25))
-            ego = Trajectory("ego", 3, DT, tuple(
+            ego = state_trajectory("ego", 3, DT, tuple(
                 ActorState(0.25 * rng.randint(0, 400),
                            0.25 * rng.randint(0, 42), 0.0, 0.0)
                 for _ in range(k + 1)))
@@ -115,7 +116,7 @@ class TestCollisionCheck:
                 radii[aid] = rng.choice((0.75, 1.25, 2.25))
                 kind = rng.choice(("near", "contact", "far"))
                 r = ego_r + radii[aid] + 0.5
-                world[aid] = Trajectory(aid, 3, DT, tuple(
+                world[aid] = state_trajectory(aid, 3, DT, tuple(
                     ActorState(st.position_x + dx, st.position_y + dy,
                                0.0, 0.0)
                     for st in ego.states for dx, dy in [offset(kind, r)]))
@@ -332,7 +333,7 @@ class TestSamplingPlanner:
             # far away until k, then over the whole road: the tree grows,
             # but every endpoint's hold reaches tick k
             far = ActorState(ROAD3.road_length + 50.0, -50.0, 0.0, 0.0)
-            world["a"] = Trajectory("a", 0, DT, (far,) * 30 + (ego,))
+            world["a"] = state_trajectory("a", 0, DT, (far,) * 30 + (ego,))
         with pytest.raises(PlanningInfeasible, match=f"^{message}$"):
             plan_sampling(ROAD3, ego, 0, 30, world, cfg, {"a": 100.0})
 

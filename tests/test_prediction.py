@@ -15,9 +15,9 @@ from navrisk.prediction import (
     sample_worlds,
 )
 from navrisk.scenario import (
-    MAX_MAGNITUDE, ActorState, ScenarioError, Trajectory)
+    MAX_MAGNITUDE, ActorState, ScenarioError)
 
-from oracles import reference_predict_linear, traj_xy
+from oracles import reference_predict_linear, state_trajectory, traj_xy
 
 DT = 0.1
 
@@ -30,7 +30,7 @@ def history_from(x, y, heading, speed, n=5, actor_id="a"):
             x - i * speed * DT * math.cos(heading),
             y - i * speed * DT * math.sin(heading),
             heading, speed))
-    return Trajectory(actor_id, 0, DT, tuple(states))
+    return state_trajectory(actor_id, 0, DT, tuple(states))
 
 
 def decelerating_truth(v0, a, k, actor_id="a", start_tick=5):
@@ -42,7 +42,7 @@ def decelerating_truth(v0, a, k, actor_id="a", start_tick=5):
         x += 0.5 * (v + v_next) * DT
         v = v_next
         states.append(ActorState(x, 0.0, 0.0, v))
-    return Trajectory(actor_id, start_tick, DT, tuple(states))
+    return state_trajectory(actor_id, start_tick, DT, tuple(states))
 
 
 class TestPredictLinear:
@@ -74,7 +74,7 @@ class TestPredictLinear:
 
     def test_empty_history_rejected(self):
         with pytest.raises(ScenarioError):
-            Trajectory("a", 0, DT, ())
+            state_trajectory("a", 0, DT, ())
 
     def test_decelerating_truth_error_matches_closed_form(self):
         # per-waypoint displacement at step j is a*(j*dt)^2/2 until the stop;
@@ -96,7 +96,7 @@ class TestPredictLinear:
                 rng.uniform(-1e3, 1e3), rng.uniform(-1.0, 1.0) * 10 **
                 rng.randint(0, 9), rng.uniform(-math.pi, math.pi),
                 rng.choice((0.0, rng.uniform(0.0, 30.0))))
-            h = Trajectory("a", rng.randint(0, 50), rng.choice(
+            h = state_trajectory("a", rng.randint(0, 50), rng.choice(
                 (0.1, 0.05, 0.37)), (last,) * rng.randint(1, 3))
             k = rng.randint(1, 60)
             got, want = predict_linear(h, k), reference_predict_linear(h, k)
@@ -122,7 +122,7 @@ class TestSamplePredictions:
                       for _ in range(2)]
             if sigmas == [0.0, 0.0]:
                 continue
-            h = Trajectory("a", 0, rng.choice((0.1, 1.0, 1e3)), (last,))
+            h = state_trajectory("a", 0, rng.choice((0.1, 1.0, 1e3)), (last,))
             cfg = PredictionConfig(*sigmas, rng.randint(1, 3),
                                    rng.randrange(2 ** 64))
             try:
@@ -207,7 +207,7 @@ class TestSamplePredictions:
         # finite draws (|z| would need to pass 17) whose speed overflows:
         # 1e307 m/s^2 over a 100 s tick
         states = (ActorState(0.0, 0.0, 0.0, 1.0),) * 2
-        h = Trajectory("slow", 0, 100.0, states)
+        h = state_trajectory("slow", 0, 100.0, states)
         cfg = PredictionConfig(1e307, 0.0, sample_count=2, seed=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -257,7 +257,7 @@ class TestPredictionError:
 
     def test_constant_lateral_offset(self):
         a = history_from(0, 0, 0, 5)
-        shifted = Trajectory(a.actor_id, a.start_tick, a.dt, tuple(
+        shifted = state_trajectory(a.actor_id, a.start_tick, a.dt, tuple(
             ActorState(s.position_x, s.position_y + 1.0, s.heading, s.speed)
             for s in a.states))
         assert prediction_error(a, shifted) == pytest.approx(1.0)

@@ -46,6 +46,7 @@ from oracles import (
     PlanDistribution,
     plan_divergence_kl,
     replanned_gammas,
+    state_trajectory,
     static_actor,
     traj_xy,
     walk_enumerate,
@@ -59,7 +60,7 @@ ROAD3 = RoadMap(3, 3.5, 300.0, 15.0)
 def moving_actor(actor_id, x0, y, speed, n, dt=DT):
     states = tuple(
         ActorState(x0 + speed * dt * i, y, 0.0, speed) for i in range(n + 1))
-    return Trajectory(actor_id, 0, dt, states)
+    return state_trajectory(actor_id, 0, dt, states)
 
 
 def build_scenario(actors, ego, n=30, road=ROAD3, radii=None):
@@ -301,14 +302,14 @@ class TestEuclideanOperator:
             x += 0.5 * (v + v2) * DT
             v = v2
             states.append(ActorState(x, 5.25, 0.0, v))
-        braking = Trajectory("p", 0, DT, tuple(states))
+        braking = state_trajectory("p", 0, DT, tuple(states))
         want = np.mean([0.5 * a_dec * (j * DT) ** 2 for j in range(k + 1)])
         assert _mean_distance(straight.positions, braking.positions) == \
             pytest.approx(float(want), abs=1e-9)
 
     def test_hold_padding_alignment(self):
         a = moving_actor("p", 0.0, 5.25, 10.0, 20)
-        short = Trajectory("p", 0, DT, a.states[:11])
+        short = state_trajectory("p", 0, DT, a.states[:11])
         d = _mean_distance(a.positions, short.positions)
         # held final state sits at x=10; mean gap over 21 ticks
         gaps = [max(0.0, 10.0 * DT * j - 10.0 * DT * min(j, 10))
@@ -324,7 +325,7 @@ class TestEuclideanOperator:
                 xy = rng.uniform(-20, 20, (n, 2))
                 states = tuple(
                     ActorState(float(x), float(y), 0.0, 0.0) for x, y in xy)
-                trajs.append(Trajectory("r", 0, DT, states))
+                trajs.append(state_trajectory("r", 0, DT, states))
             a, b, c = trajs
             dab = _mean_distance(a.positions, b.positions)
             dba = _mean_distance(b.positions, a.positions)
@@ -682,8 +683,8 @@ class TestExpectedRisk:
             x += 0.5 * (v + v2) * DT
             v = v2
             states.append(ActorState(x, ROAD3.lane_center(1), 0.0, v2))
-        brake = Trajectory("a", 5, DT, tuple(states))
-        cruise = Trajectory("a", 5, DT, cruise.states)
+        brake = state_trajectory("a", 5, DT, states)
+        cruise = state_trajectory("a", 5, DT, cruise.states)
 
         def sampler(histories, k_, cfg_):
             rng = np.random.default_rng(cfg_.seed)
@@ -716,7 +717,7 @@ class TestMonteCarloImportance:
         pcfg = PredictionConfig(0.35, 0.02, sample_count=2, seed=5)
         for road, world, ego, t, k, cfg, radii in islice(case_study_worlds(),
                                                          3):
-            hists = {aid: Trajectory(aid, t, tr.dt, tr.states[:1])
+            hists = {aid: state_trajectory(aid, t, tr.dt, tr.states[:1])
                      for aid, tr in world.items()}
             worlds = sample_worlds(hists, k, pcfg)
             env = dict(road=road, radii=radii, ego_radius=radii[EGO_ID],
@@ -782,7 +783,7 @@ class TestMinRiskSelection:
             x += 0.5 * (v + v2) * DT
             v = v2
             states.append(ActorState(x, ROAD3.lane_center(1), 0.0, v2))
-        truth = {"lead": Trajectory("lead", 0, DT, tuple(states))}
+        truth = {"lead": state_trajectory("lead", 0, DT, tuple(states))}
 
         candidates = enumerate_plans(ROAD3, self.ego, 0, k, self.lattice)
         keep_plan = min(candidates.plans, key=lambda p: p.cost)
@@ -829,7 +830,7 @@ def actor_with(axis: str, value: float, k: int = 30) -> Trajectory:
         if i == 3:
             x, y = (value, y) if axis == "x" else (x, value)
         states.append(ActorState(x, y, 0.0, 0.0))
-    return Trajectory("a", 0, DT, tuple(states))
+    return state_trajectory("a", 0, DT, tuple(states))
 
 
 NON_FINITE = [(axis, value) for axis in ("x", "y")
@@ -845,7 +846,7 @@ class TestNonFiniteActors:
 
     @pytest.mark.parametrize("axis, value", NON_FINITE)
     def test_collision_check(self, axis, value):
-        ego = Trajectory("ego", 0, DT, (EGO_MID,) * 31)
+        ego = state_trajectory("ego", 0, DT, (EGO_MID,) * 31)
         assert collision_check(ego, {"a": actor_with("x", 10.0)},
                                {"a": 1.2}, 1.2)
         with pytest.raises(ScenarioError, match=NOT_FINITE):

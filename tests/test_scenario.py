@@ -3,6 +3,7 @@ import hashlib
 import math
 import pickle
 import random
+import re
 from array import array
 from dataclasses import FrozenInstanceError
 from unittest import mock
@@ -32,13 +33,14 @@ from navrisk.scenario import (
     wrap_angle,
 )
 
-from oracles import reference_save_scenario, traj_xy
+from oracles import (
+    reference_save_scenario, rows_of, state_trajectory, traj_xy)
 
 
 def make_straight(actor_id="a", n=10, speed=5.0, dt=0.1, y=1.75):
     states = tuple(
         ActorState(speed * dt * i, y, 0.0, speed) for i in range(n + 1))
-    return Trajectory(actor_id, 0, dt, states)
+    return state_trajectory(actor_id, 0, dt, states)
 
 
 def speeds(traj):
@@ -94,7 +96,7 @@ class TestTypes:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ScenarioError):
-            Trajectory("a", 0, 0.1, ())
+            Trajectory("a", 0, 0.1, array("d"))
 
     # NaN passes `dt <= 0` and the scenario's dt-mismatch test alike
     BAD_DT = pytest.mark.parametrize("dt, message", [
@@ -107,7 +109,7 @@ class TestTypes:
     @BAD_DT
     def test_trajectory_rejects_dt_outside_zero_to_inf(self, dt, message):
         with pytest.raises(ScenarioError, match=f"^{message}$"):
-            Trajectory("a", 0, dt, (ActorState(0.0, 0.0, 0.0, 0.0),))
+            Trajectory("a", 0, dt, array("d", (0.0,) * 4))
 
     @BAD_DT
     def test_scenario_rejects_dt_outside_zero_to_inf(self, dt, message):
@@ -120,7 +122,7 @@ class TestTypes:
     def test_kinematic_check_rejects_teleport(self):
         states = (ActorState(0, 0, 0, 1.0), ActorState(50, 0, 0, 1.0))
         with pytest.raises(ScenarioError, match="implied speed"):
-            Trajectory("a", 0, 0.1, states).check_kinematics()
+            state_trajectory("a", 0, 0.1, states).check_kinematics()
 
     @pytest.mark.parametrize("args, field", [
         ((2.5, 3.5, 900.0, 14.0), "lane_count"),
@@ -189,7 +191,7 @@ class TestSliceWorld:
                 assert spliced == whole[aid].states
 
 
-# --- row-built trajectories: the same values as state-built ones ----------
+# --- trajectories: rows, checked when built ----------------------------------
 
 def drawn_states(rng, n):
     """n ActorStates from rng: positions near 0 and of every magnitude up
@@ -205,28 +207,26 @@ def drawn_states(rng, n):
         abs(pick(0.0, MAX_MAGNITUDE))) for _ in range(n))
 
 
-def rows_of(states):
-    return array("d", [c for s in states for c in (
-        s.position_x, s.position_y, s.heading, s.speed)])
-
-
 class TestRowBuiltTrajectory:
-    """Trajectory.from_rows holds the rows that predicted and sampled
+    """A Trajectory is built from the rows that predicted and sampled
     futures are written as; it must be the trajectory that the same
-    states give, in every reading."""
+    states give, in every reading, and refuse the rows no ActorState
+    could hold."""
 
     def test_equal_to_the_state_built_trajectory_in_every_reading(self):
         rng = random.Random(0)
         for _ in range(200):
             states = drawn_states(rng, rng.randint(1, 30))
             t0, dt = rng.randint(0, 50), rng.choice((0.1, 0.05, 1.0))
-            built = Trajectory("a", t0, dt, states)
-            rowed = Trajectory.from_rows("a", t0, dt, rows_of(states))
+            built = state_trajectory("a", t0, dt, states)
+            rowed = Trajectory("a", t0, dt, rows_of(states))
             xy = array("d", [c for s in states
                              for c in (s.position_x, s.position_y)])
             assert rowed == built and built == rowed
             assert hash(rowed) == hash(built)
-            assert repr(rowed) == repr(built)
+            assert repr(rowed) == repr(built) == (
+                f"Trajectory(actor_id='a', start_tick={t0}, dt={dt!r}, "
+                f"rows={rows_of(states)!r})")
             assert rowed.states == states
             assert len(rowed) == len(built) == len(states)
             assert rowed.end_tick == built.end_tick == t0 + len(states) - 1
@@ -240,47 +240,74 @@ class TestRowBuiltTrajectory:
             t0 = rng.randint(0, 50)
             t = t0 + rng.randint(0, len(states) - 1)
             k = rng.randint(0, t0 + len(states) - 1 - t)
-            want = Trajectory("a", t, 0.1, states[t - t0:t - t0 + k + 1])
-            for traj in (Trajectory("a", t0, 0.1, states),
-                         Trajectory.from_rows("a", t0, 0.1, rows_of(states))):
-                got = traj.window(t, k)
-                assert got == want and hash(got) == hash(want)
-                assert (got.start_tick, got.end_tick) == (t, t + k)
-                assert got.positions == want.positions
-                assert got.rows == rows_of(want.states)
+            want = state_trajectory("a", t, 0.1,
+                                    states[t - t0:t - t0 + k + 1])
+            got = Trajectory("a", t0, 0.1, rows_of(states)).window(t, k)
+            assert got == want and hash(got) == hash(want)
+            assert (got.start_tick, got.end_tick) == (t, t + k)
+            assert got.positions == want.positions
+            assert got.rows == rows_of(want.states)
 
-    def test_states_are_checked_when_first_read(self):
-        traj = Trajectory.from_rows("a", 0, 0.1, array("d", [0, 0, 0, -1.0]))
-        assert len(traj) == 1 and traj.positions == array("d", [0, 0])
-        with pytest.raises(ScenarioError, match="speed must be >= 0"):
-            traj.states
+    def test_rows_are_refused_when_built(self):
+        # a row that breaks ActorState's rules, at each tick of four; a
+        # NaN that min and max would pass over is found too
+        for row, message in [
+                ((0.0, 0.0, 0.0, -1.0), "speed must be >= 0, got -1.0"),
+                ((0.0, 0.0, 0.0, math.nan), "speed must be >= 0, got nan"),
+                ((0.0, 0.0, math.nan, 1.0),
+                 "heading must lie in (-pi, pi], got nan"),
+                ((0.0, 0.0, -math.pi, 1.0),
+                 "heading must lie in (-pi, pi], got -3.141592653589793"),
+                ((0.0, 0.0, 7.0, 1.0),
+                 "heading must lie in (-pi, pi], got 7.0")]:
+            for j in range(4):
+                rows = array("d", (0.0,) * 16)
+                rows[4 * j:4 * j + 4] = array("d", row)
+                with pytest.raises(ScenarioError) as e:
+                    Trajectory("a", 0, 0.1, rows)
+                assert str(e.value) == f"states[{j}]: {message}"
+
+    def test_rows_differing_in_the_sign_of_zero_are_equal(self):
+        zero = Trajectory("a", 0, 0.1, array("d", (0.0,) * 8))
+        minus = Trajectory("a", 0, 0.1, array("d", (-0.0,) * 8))
+        assert zero == minus and hash(zero) == hash(minus)
+        assert zero.states == minus.states
 
     @pytest.mark.parametrize("rows, error, message", [
-        (array("d"), ScenarioError, "trajectory of 'a' is empty"),
+        (array("d"), ScenarioError, "states: trajectory of 'a' is empty"),
         (array("d", (0.0,) * 6), ValueError, "rows must be"),
         (array("f", (0.0,) * 4), ValueError, "rows must be"),
         ([0.0] * 4, ValueError, "rows must be"),
     ])
     def test_from_rows_rejects_no_partial_or_other_rows(self, rows, error,
                                                         message):
-        with pytest.raises(error, match=f"^{message}"):
-            Trajectory.from_rows("a", 0, 0.1, rows)
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            Trajectory("a", 0, 0.1, rows)
 
     def test_from_rows_checks_dt_and_id(self):
         with pytest.raises(ScenarioError, match="dt must be positive"):
-            Trajectory.from_rows("a", 0, 0.0, array("d", (0.0,) * 4))
+            Trajectory("a", 0, 0.0, array("d", (0.0,) * 4))
         with pytest.raises(ScenarioError, match="actor_id"):
-            Trajectory.from_rows("", 0, 0.1, array("d", (0.0,) * 4))
+            Trajectory("", 0, 0.1, array("d", (0.0,) * 4))
+
+    @pytest.mark.parametrize("start_tick", [1.5, -3, True])
+    def test_start_tick_is_an_integer_from_0(self, start_tick):
+        # 1.5 once gave end_tick 3.5 and a TypeError from window(1.5, 1)
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"start_tick must be an integer >= 0, got {start_tick!r}")):
+            Trajectory("a", start_tick, 0.1, array("d", (0.0,) * 8))
 
     def test_pickles_replaces_and_refuses_other_names(self):
         states = drawn_states(random.Random(2), 5)
-        traj = Trajectory.from_rows("a", 3, 0.1, rows_of(states))
+        traj = Trajectory("a", 3, 0.1, rows_of(states))
         back = pickle.loads(pickle.dumps(traj))
         assert back == traj and back.rows == traj.rows
         moved = dataclasses.replace(traj, start_tick=4)
         assert moved.states == states and moved.end_tick == 8
         with pytest.raises(AttributeError, match="'other'"):
             traj.other
+        with pytest.raises(FrozenInstanceError):
+            traj.states = states
 
 
 class TestPhaseScript:
@@ -533,7 +560,7 @@ def scenario_parts(draw):
 
 def build_scenario(road, dt, horizon, ego, ego_radius, actors, phases):
     """actors maps an id to (x at tick 0, y, speed, radius)."""
-    trajs = {aid: Trajectory(aid, 0, dt, tuple(
+    trajs = {aid: state_trajectory(aid, 0, dt, tuple(
         ActorState(x + v * dt * i, y, 0.0, v) for i in range(horizon + 1)))
         for aid, (x, y, v, _) in actors.items()}
     radii = {EGO_ID: ego_radius, **{aid: a[3] for aid, a in actors.items()}}
@@ -585,10 +612,9 @@ def _rename_lead(s, aid):
 
 
 def _teleport(s):
-    states = s.npc_trajectories["lead"].states
-    jump = dataclasses.replace(states[10], position_x=500.0)
-    return _replace_actor(s, "lead",
-                          states=states[:10] + (jump,) + states[11:])
+    rows = array("d", s.npc_trajectories["lead"].rows)
+    rows[4 * 10] = 500.0   # tick 10's x
+    return _replace_actor(s, "lead", rows=rows)
 
 
 def _actorless(horizon):

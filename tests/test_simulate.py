@@ -2,6 +2,7 @@ import math
 import random
 import struct
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from navrisk.report import (
     scatter_svg,
     timeline_svg,
 )
-from navrisk.scenario import CaseStudyParams, generate_case_study
+from navrisk.scenario import (
+    ActorState, CaseStudyParams, generate_case_study, load_scenario,
+    save_scenario)
 from navrisk.simulate import RunConfig, run_simulation
 
 from oracles import replanned_gammas
@@ -36,6 +39,40 @@ def scenario():
 @pytest.fixture(scope="module")
 def result(scenario):
     return run_simulation(scenario, FAST)
+
+
+def states_built(fn, *args):
+    """fn(*args) and the number of ActorStates built in it, counted in
+    ActorState.__post_init__."""
+    built = 0
+    check = ActorState.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        check(self)
+
+    with mock.patch.object(ActorState, "__post_init__", counting):
+        return fn(*args), built
+
+
+class TestNoStatePerTick:
+    """A trajectory is its rows: the package builds the ego's ActorStates
+    and no state per tick of a trajectory (2,461 for the case study and
+    1,085 for a seed-42 run, before)."""
+
+    def test_the_case_study_builds_the_ego_alone(self):
+        s, built = states_built(generate_case_study)
+        assert built == 1
+        back, built = states_built(load_scenario, save_scenario(s))
+        assert built == 1 and back == s
+
+    @pytest.mark.parametrize("samples", [0, 2])
+    def test_a_run_builds_one_per_replan_tick_at_most(self, samples):
+        s = generate_case_study()
+        result, built = states_built(run_simulation, s,
+                                     RunConfig(seed=42, samples=samples))
+        assert len(result.replan_ticks) == 28 and built <= 28
 
 
 class TestLoop:

@@ -128,6 +128,7 @@ def test_enumerate_plans_loads_no_numpy():
 
 def test_collision_check_and_min_risk_selection_load_no_numpy():
     assert not loads_numpy(
+        "from array import array\n"
         "from navrisk import (ActorState, LatticeConfig, RoadMap,\n"
         "    Trajectory, collision_check, enumerate_plans,\n"
         "    min_risk_selection)\n"
@@ -136,7 +137,7 @@ def test_collision_check_and_min_risk_selection_load_no_numpy():
         "plans = enumerate_plans(road, ego, 0, 20,\n"
         "    LatticeConfig(2, ('keep', 'shift_left'), 10))\n"
         "lead = Trajectory('lead', 0, 0.1,\n"
-        "    (ActorState(25.0, 5.25, 0.0, 0.0),) * 21)\n"
+        "    array('d', (25.0, 5.25, 0.0, 0.0) * 21))\n"
         "world, radii = {'lead': lead}, {'lead': 1.2}\n"
         "keep = min(plans.plans, key=lambda p: p.cost)\n"
         "assert keep.maneuver_seq == ('keep', 'keep')\n"
