@@ -1,8 +1,10 @@
 /* The sampling planner's kernel.  navrisk_leave_one_out plans every
-   world of one leave-one-out experiment in a single call; it is the one
-   entry point the package plans through, planner._plan_worlds, for
-   risk.leave_one_out and for planner.plan_sampling, which asks for the
-   full world alone.  Its parts, the tree growth (navrisk_grow), the
+   world of one or more leave-one-out experiments in a single call, its
+   tree growths spread over POSIX threads that it starts and joins; it is
+   the one entry point the package plans through, planner._plan_worlds,
+   for risk.leave_one_out, for the predicted and sampled worlds of one
+   replan tick and for planner.plan_sampling, which asks for the full
+   world alone.  Its parts, the tree growth (navrisk_grow), the
    endpoint selection (navrisk_select) and the edge check
    (navrisk_edge_blockers), are exported for the tests that check each
    against its reference (tests/kernel_calls.py).  The path check
@@ -48,6 +50,7 @@
    (tests/oracles.py, reference_kl). */
 
 #include <math.h>
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -579,118 +582,279 @@ static int plan_world(const double *xy, const double *cost,
     return info[0] ? PARTIAL : REACHED;
 }
 
-/* The worlds of one leave-one-out experiment, as risk.leave_one_out
-   documents: the full world among obs, kp1, rsum and m (as for blockers,
-   with kp1 > k), and for each actor a with wanted[a] the world without
-   a, every one grown from the root (x0, y0) on the same budget samples
-   (as for navrisk_grow) and selected toward its own goal, goals[0] for
-   the full world and goals[1 + a] without a (as for navrisk_select).
+/* One call of navrisk_leave_one_out: its arguments, the full trees that
+   phase A grows, one per world, and the items of the phase running.  The
+   workers share it; each item writes only its own slices of the outputs,
+   and the trees are read only after the phase that grew them joined. */
+struct job {
+    const double *samples, *obs, *rsum, *goals;
+    double x0, y0, y_lo, y_hi, inv, steer, tol, step;
+    int budget, k, kp1, m, n_worlds;
+    double *paths, *verts;
+    int32_t *status, *seg, *info;
+    /* the full trees: node count (0 when the root is blocked), xy,
+       cost, tick, parent and sole mask of each world */
+    int32_t *nodes, *parent;
+    double *xy, *cost, *tick;
+    uint8_t *sole;
+    uint8_t *grew;         /* (W, m + 1): 1 for each world that grew a tree */
+    int32_t *items;        /* phase B: world * m + actor, regrowths first */
+    int n_items, phase;
+    int next;              /* the next item to take, only ever atomically */
+};
 
-   The root is checked at tick 0 by hold_free.  The full world is grown
+/* One worker: its thread, and its work buffers for phase B: the rows
+   without an actor, a tree grown on them, and an ablated selection's
+   vertices, segments and info, which are not kept. */
+struct worker {
+    struct job *job;
+    pthread_t thread;
+    int started;
+    double *obs, *rsum, *xy, *cost, *tick, *verts;
+    int32_t *parent, *seg, info[2];
+    uint8_t *sole;
+};
+
+/* One item: world w's full world when a < 0 (phase A), else world w
+   without actor a (phase B), which is selected on w's full tree unless a
+   was a sole blocker of w's growth or w's root is blocked.  A tree is
+   grown from the root when the root is clear: the full world's into
+   w's slot of the full trees, an ablated world's into the worker's
+   buffers, on the rows without a. */
+static void plan_item(const struct job *j, struct worker *me, int w, int a)
+{
+    size_t n_max = (size_t)j->budget + 1, row = 2 * (size_t)j->kp1;
+    size_t slot = (size_t)w * ((size_t)j->m + 1) + (size_t)(1 + a);
+    const double *obs = j->obs + (size_t)w * (size_t)j->m * row,
+                 *rsum = j->rsum;
+    double *xy = j->xy + 2 * n_max * (size_t)w,
+           *cost = j->cost + n_max * (size_t)w,
+           *tick = j->tick + n_max * (size_t)w,
+           *verts = j->verts + 2 * (n_max + 1) * (size_t)w;
+    int32_t *parent = j->parent + n_max * (size_t)w,
+            *seg = j->seg + ((size_t)j->k + 1) * (size_t)w,
+            *info = j->info + 4 * (size_t)w;
+    uint8_t *sole = j->sole + (size_t)w * (size_t)j->m;
+    int m = j->m, n = -1;   /* -1: a tree is to be grown */
+    if (a >= 0) {
+        /* the rows without a */
+        m--;
+        memcpy(me->obs, obs, (size_t)a * row * sizeof(double));
+        memcpy(me->obs + (size_t)a * row, obs + ((size_t)a + 1) * row,
+               (size_t)(m - a) * row * sizeof(double));
+        memcpy(me->rsum, rsum, (size_t)a * sizeof(double));
+        memcpy(me->rsum + a, rsum + a + 1, (size_t)(m - a) * sizeof(double));
+        obs = me->obs;
+        rsum = me->rsum;
+        n = j->nodes[w];
+        if (n == 0 || sole[a]) {
+            n = -1;
+            xy = me->xy;
+            cost = me->cost;
+            tick = me->tick;
+            parent = me->parent;
+            sole = me->sole;
+        }
+        verts = me->verts;
+        seg = me->seg;
+        info = me->info;
+    }
+    if (n < 0) {
+        n = 0;   /* no tree: the root is blocked */
+        if (hold_free(j->x0, j->y0, 0.0, 0, obs, j->kp1, rsum, m)) {
+            n = navrisk_grow(j->samples, j->budget, j->x0, j->y0, j->y_lo,
+                             j->y_hi, j->inv, j->steer, j->k, obs, j->kp1,
+                             rsum, m, xy, cost, tick, parent, sole);
+            j->grew[slot] = 1;
+        }
+        if (a < 0)
+            j->nodes[w] = n;
+    }
+    j->status[slot] = n < 0 ? -2 : plan_world(
+        xy, cost, tick, parent, n, j->goals + 2 * slot, j->tol, j->inv,
+        j->step, j->k, obs, j->kp1, rsum, m, verts, j->paths + slot * row,
+        seg, info);
+}
+
+/* A worker: take the phase's items from the shared counter until none
+   is left. */
+static void *work(void *arg)
+{
+    struct worker *me = arg;
+    struct job *j = me->job;
+    for (;;) {
+        int i = __atomic_fetch_add(&j->next, 1, __ATOMIC_RELAXED);
+        if (i >= j->n_items)
+            return NULL;
+        if (j->phase == 0)
+            plan_item(j, me, i, -1);
+        else
+            plan_item(j, me, j->items[i] / j->m, j->items[i] % j->m);
+    }
+}
+
+/* Run the job's phase on up to `workers` workers, the calling thread
+   one of them.  The others start here and are joined before this
+   returns; one that cannot start leaves its items to the rest. */
+static void run_phase(struct job *j, int phase, int n_items,
+                      struct worker *ws, int workers)
+{
+    j->phase = phase;
+    j->n_items = n_items;
+    j->next = 0;
+    if (workers > n_items)
+        workers = n_items;
+    for (int i = 1; i < workers; i++)
+        ws[i].started =
+            pthread_create(&ws[i].thread, NULL, work, &ws[i]) == 0;
+    work(&ws[0]);
+    for (int i = 1; i < workers; i++)
+        if (ws[i].started)
+            pthread_join(ws[i].thread, NULL);
+}
+
+/* Both phases of navrisk_leave_one_out on its job: 0, or the first
+   negative status, by world and then actor. */
+static int plan_phases(struct job *j, const uint8_t *wanted,
+                       uint8_t *regrown, struct worker *ws, int workers)
+{
+    int m = j->m, n_worlds = j->n_worlds;
+    size_t slot = (size_t)m + 1;
+    run_phase(j, 0, n_worlds, ws, workers);
+    for (int w = 0; w < n_worlds; w++)
+        if (j->status[(size_t)w * slot] < 0)
+            return j->status[(size_t)w * slot];
+
+    /* phase B's items, the regrowths first */
+    int32_t *items = j->items;
+    int n_items = 0;
+    for (int again = 1; again >= 0; again--)
+        for (int w = 0; w < n_worlds; w++)
+            for (int a = 0; a < m; a++) {
+                int regrow = j->nodes[w] == 0 ||
+                             j->sole[(size_t)w * (size_t)m + (size_t)a];
+                if (wanted[a] && regrow == again)
+                    items[n_items++] = w * m + a;
+                regrown[(size_t)w * (size_t)m + (size_t)a] =
+                    (uint8_t)(wanted[a] && regrow);
+            }
+    run_phase(j, 1, n_items, ws, workers);
+
+    int result = 0;
+    for (int w = 0; w < n_worlds; w++) {
+        int growths = 0;
+        for (size_t s = 0; s < slot; s++) {
+            int st = j->status[(size_t)w * slot + s];
+            if (result == 0 && st < 0 && (s == 0 || wanted[s - 1]))
+                result = st;
+            growths += j->grew[(size_t)w * slot + s];
+        }
+        j->info[4 * w + 2] = j->nodes[w];
+        j->info[4 * w + 3] = growths;
+    }
+    return result;
+}
+
+/* The worlds of W leave-one-out experiments, as risk.leave_one_out
+   documents, on one budget samples (as for navrisk_grow), one set of
+   radius sums rsum (m) and one wanted mask (m): for world w, its full
+   world among its rows obs[w] of obs (W, m, kp1, 2), with kp1 > k, and
+   for each actor a with wanted[a] the world without a, every one grown
+   from the root (x0, y0) and selected toward its own goal, goals[w][0]
+   for the full world and goals[w][1 + a] without a, of goals (W, m + 1,
+   2) (as for navrisk_select).
+
+   The root is checked at tick 0 by hold_free.  Each full world is grown
    once; the world without a reuses its tree unless a was a sole blocker
    of one of its edge checks, and grows its own on the rows without a
    when it was or when the full root is blocked.  Either way that world
    is selected among the rows without a.
 
-   Writes each planned world's positions to paths (m + 1, k + 1, 2), row
-   0 the full world and row 1 + a the world without a, and its status
-   (0 no plan, 1 partial, 2 into the goal region) to status; the full
-   path's vertices to verts (budget + 2, 2) and its segment per tick to
-   seg (k + 1), with info[0] = partial, info[1] = the vertex count,
-   info[2] = the full tree's node count (0 when the root is blocked) and
-   info[3] = the trees grown; and regrown[a] = 1 when the world without
-   a did not reuse the full tree.  Returns 0, -2 when memory for the work
-   arrays cannot be had and -3 when a parent chain is not a path to the
-   root. */
+   Phase A grows and selects every full world; phase B then plans every
+   wanted ablation of every world, the regrowths first, since they take
+   longest.  In each phase up to `workers` threads, the calling thread
+   one of them, take the items from one shared counter.  Each item
+   writes only its own slices of the outputs, and every worker owns its
+   work buffers, so the outputs do not depend on the worker count or the
+   order the items finish in.
+
+   Writes each planned world's positions to paths (W, m + 1, k + 1, 2),
+   row 0 of a world the full world and row 1 + a the world without a,
+   and its status (0 no plan, 1 partial, 2 into the goal region) to
+   status (W, m + 1); each full path's vertices to verts (W, budget + 2,
+   2) and its segment per tick to seg (W, k + 1), with info[w] (W, 4):
+   partial, the vertex count, the full tree's node count (0 when the root
+   is blocked) and the trees grown for world w; and regrown[w][a] (W, m)
+   = 1 when world w without a did not reuse its full tree.  Returns 0, -2
+   when memory for the work arrays cannot be had and -3 when a parent
+   chain is not a path to the root. */
 int navrisk_leave_one_out(const double *samples, int budget, double x0,
                           double y0, double y_lo, double y_hi, double inv,
                           double steer, double tol, double step, int k,
                           const double *obs, int kp1, const double *rsum,
-                          int m, const double *goals, const uint8_t *wanted,
-                          double *paths, int32_t *status, double *verts,
-                          int32_t *seg, int32_t *info, uint8_t *regrown)
+                          int m, int n_worlds, const double *goals,
+                          const uint8_t *wanted, double *paths,
+                          int32_t *status, double *verts, int32_t *seg,
+                          int32_t *info, uint8_t *regrown, int workers)
 {
     size_t n_max = (size_t)budget + 1, row = 2 * (size_t)kp1;
-    size_t rows = m > 0 ? (size_t)m - 1 : 0;
-    /* two trees (the full world's and one ablated world's), the ablated
-       rows, and an ablated selection's vertices and segments */
-    double *dwork = malloc((8 * n_max + rows * (row + 1) + 2 * n_max + 2) *
-                           sizeof(double));
-    int32_t *iwork = malloc((2 * n_max + (size_t)k + 1) * sizeof(int32_t));
-    uint8_t *sole = malloc(2 * (size_t)m + 1);
-    if (dwork == NULL || iwork == NULL || sole == NULL) {
-        free(dwork);
-        free(iwork);
-        free(sole);
-        return -2;
-    }
-    double *xy = dwork, *cost = dwork + 2 * n_max, *tick = dwork + 3 * n_max;
-    double *w_xy = dwork + 4 * n_max, *w_cost = dwork + 6 * n_max,
-           *w_tick = dwork + 7 * n_max;
-    double *w_obs = dwork + 8 * n_max, *w_rsum = w_obs + rows * row,
-           *w_verts = w_rsum + rows;
-    int32_t *parent = iwork, *w_parent = iwork + n_max,
-            *w_seg = iwork + 2 * n_max;
-    uint8_t *w_sole = sole + m;
-    int32_t w_info[2];
-    size_t path_size = 2 * ((size_t)k + 1);
-    int growths = 0, result = 0;
-
-    memset(sole, 0, 2 * (size_t)m + 1);
-    int n = 0;   /* no tree: the root is blocked */
-    if (hold_free(x0, y0, 0.0, 0, obs, kp1, rsum, m)) {
-        n = navrisk_grow(samples, budget, x0, y0, y_lo, y_hi, inv, steer, k,
-                         obs, kp1, rsum, m, xy, cost, tick, parent, sole);
-        growths++;
-    }
-    if (n < 0)
-        result = -2;
-    if (result == 0)
-        result = status[0] = plan_world(
-            xy, cost, tick, parent, n, goals, tol, inv, step, k, obs, kp1,
-            rsum, m, verts, paths, seg, info);
-
-    for (int a = 0; a < m && result >= 0; a++) {
-        if (!wanted[a])
-            continue;
-        /* the rows without a */
-        memcpy(w_obs, obs, (size_t)a * row * sizeof(double));
-        memcpy(w_obs + (size_t)a * row, obs + ((size_t)a + 1) * row,
-               (size_t)(m - 1 - a) * row * sizeof(double));
-        memcpy(w_rsum, rsum, (size_t)a * sizeof(double));
-        memcpy(w_rsum + a, rsum + a + 1, (size_t)(m - 1 - a) * sizeof(double));
-        const double *t_xy = xy, *t_cost = cost, *t_tick = tick;
-        const int32_t *t_parent = parent;
-        int t_n = n;
-        if (n == 0 || sole[a]) {
-            regrown[a] = 1;
-            t_xy = w_xy;
-            t_cost = w_cost;
-            t_tick = w_tick;
-            t_parent = w_parent;
-            t_n = 0;
-            if (hold_free(x0, y0, 0.0, 0, w_obs, kp1, w_rsum, m - 1)) {
-                t_n = navrisk_grow(samples, budget, x0, y0, y_lo, y_hi, inv,
-                                   steer, k, w_obs, kp1, w_rsum, m - 1, w_xy,
-                                   w_cost, w_tick, w_parent, w_sole);
-                growths++;
-                if (t_n < 0) {
-                    result = -2;
-                    break;
-                }
-            }
+    size_t rows = m > 0 ? (size_t)m - 1 : 0, W = (size_t)n_worlds;
+    size_t sole_size = W * (size_t)m, slots = W * ((size_t)m + 1);
+    /* no phase has more items than the larger of W and W * m */
+    int most = workers < 1 ? 1 : workers;
+    if ((size_t)most > W * (size_t)(m > 1 ? m : 1))
+        most = (int)(W * (size_t)(m > 1 ? m : 1));
+    /* each worker's buffers: the rows without an actor, a tree, and an
+       ablated selection's vertices and segments */
+    size_t d_each = rows * (row + 1) + 6 * n_max + 2;
+    size_t i_each = n_max + (size_t)k + 1;
+    /* the full trees, phase B's items and the sole and growth flags */
+    double *dtrees = malloc(4 * n_max * W * sizeof(double));
+    int32_t *itrees = malloc((n_max * W + W + sole_size) * sizeof(int32_t));
+    uint8_t *flags = malloc(sole_size + slots);
+    struct worker *ws = malloc((size_t)most * sizeof(struct worker));
+    double *dwork = malloc((size_t)most * d_each * sizeof(double));
+    int32_t *iwork = malloc((size_t)most * i_each * sizeof(int32_t));
+    uint8_t *swork = malloc((size_t)most * (size_t)m + 1);
+    int result = -2;
+    if (dtrees != NULL && itrees != NULL && flags != NULL && ws != NULL &&
+        dwork != NULL && iwork != NULL && swork != NULL) {
+        struct job j = {
+            .samples = samples, .obs = obs, .rsum = rsum, .goals = goals,
+            .x0 = x0, .y0 = y0, .y_lo = y_lo, .y_hi = y_hi, .inv = inv,
+            .steer = steer, .tol = tol, .step = step, .budget = budget,
+            .k = k, .kp1 = kp1, .m = m, .n_worlds = n_worlds,
+            .paths = paths, .verts = verts, .status = status, .seg = seg,
+            .info = info,
+            .xy = dtrees, .cost = dtrees + 2 * n_max * W,
+            .tick = dtrees + 3 * n_max * W, .parent = itrees,
+            .nodes = itrees + n_max * W, .sole = flags,
+            .grew = flags + sole_size,
+            .items = itrees + n_max * W + W};
+        memset(flags, 0, sole_size + slots);
+        for (int i = 0; i < most; i++) {
+            struct worker *me = &ws[i];
+            me->job = &j;
+            me->obs = dwork + (size_t)i * d_each;
+            me->rsum = me->obs + rows * row;
+            me->xy = me->rsum + rows;
+            me->cost = me->xy + 2 * n_max;
+            me->tick = me->cost + n_max;
+            me->verts = me->tick + n_max;
+            me->parent = iwork + (size_t)i * i_each;
+            me->seg = me->parent + n_max;
+            me->sole = swork + (size_t)i * (size_t)m;
         }
-        result = status[1 + a] = plan_world(
-            t_xy, t_cost, t_tick, t_parent, t_n, goals + 2 * (1 + a), tol,
-            inv, step, k, w_obs, kp1, w_rsum, m - 1, w_verts,
-            paths + (1 + (size_t)a) * path_size, w_seg, w_info);
+        result = plan_phases(&j, wanted, regrown, ws, most);
     }
-    info[2] = n;
-    info[3] = growths;
+    free(dtrees);
+    free(itrees);
+    free(flags);
+    free(ws);
     free(dwork);
     free(iwork);
-    free(sole);
-    return result < 0 ? result : 0;
+    free(swork);
+    return result;
 }
 
 /* numpy's SeedSequence: a pool of POOL uint32 words mixed from the

@@ -18,6 +18,10 @@ first plan or lattice walk.
 
 -ffp-contract=off keeps every a * b + c a rounded multiply and a rounded
 add, as in numpy and CPython; no -ffast-math, which would reassociate.
+-pthread compiles and links for POSIX threads: navrisk_leave_one_out
+spreads its tree growths over worker threads that it starts and joins
+within the call, and ctypes releases the GIL for the call, so the
+threads never wait on the interpreter.
 """
 
 from __future__ import annotations
@@ -33,15 +37,16 @@ import zlib
 from pathlib import Path
 
 COMPILER = "cc"
-FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off",
+         "-pthread")
 SOURCE = Path(__file__).with_name("_growth.c")
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
 _Q = ctypes.c_int64
 SIGNATURES = {   # name: (argument types, result type)
     "navrisk_leave_one_out": ((_P, _I, _D, _D, _D, _D, _D, _D, _D, _D, _I,
-                               _P, _I, _P, _I, _P, _P, _P, _P, _P, _P, _P,
-                               _P), _I),
+                               _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _P,
+                               _P, _P, _I), _I),
     "navrisk_seed_state": ((_P, _I, _P, _I, _P, _I), None),
     "navrisk_uniform": ((_P, _I, _D, _D, _D, _D, _I, _P), None),
     "navrisk_sample_future": ((_P, _I, _P, _I, _D, _D, _I, _D, _D, _D, _D,

@@ -55,15 +55,21 @@ built in Python (_path_plan) just for the Plan a caller reads, so
 leave-one-out compares its ablated plans as position arrays.
 
 Every sampled plan comes from one kernel call, _plan_worlds
-(navrisk_leave_one_out): the root check, the full growth and selection,
-and each ablation's selection on the full tree or on its own, with the
-reuse rule above.  plan_sampling is that call with no ablation asked for.
+(navrisk_leave_one_out), which plans one or more worlds of the same
+actors on one stream: for each, the root check, the full growth and
+selection, and each ablation's selection on the full tree or on its own,
+with the reuse rule above.  The growths after the full trees are
+independent, so the kernel spreads them, and the full trees before them,
+over threads it starts within the call, one per CPU the process may use
+(_cpus); each writes only its own worlds' outputs, so the bytes do not
+depend on the thread count.  plan_sampling is that call for one world
+with no ablation asked for.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -459,13 +465,13 @@ def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
 
 
 class _Worlds(NamedTuple):
-    """The worlds of one leave-one-out experiment as navrisk_leave_one_out
-    plans them: the full world's _Path (None without a plan); for each
-    actor j the positions (k+1, 2) of the world without it, a flat
-    array('d') as in _Path (None where that world has no plan or was not
-    asked for); the full tree's node count (0 when the ego overlaps an
-    obstacle at the planning tick); the trees grown; and the (m,) flags,
-    1 for each ablation that did not reuse the full tree."""
+    """One world of a navrisk_leave_one_out call as the kernel plans it:
+    the full world's _Path (None without a plan); for each actor j the
+    positions (k+1, 2) of the world without it, a flat array('d') as in
+    _Path (None where that world has no plan or was not asked for); the
+    full tree's node count (0 when the ego overlaps an obstacle at the
+    planning tick); the trees grown; and the (m,) flags, 1 for each
+    ablation that did not reuse the full tree."""
 
     full: Optional[_Path]
     ablated: list[Optional[array]]
@@ -474,55 +480,76 @@ class _Worlds(NamedTuple):
     regrown: array
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, the kernel's worker count: its
+    affinity mask where the platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: array,
                  rsum: array, cfg: PlannerConfig, ego_radius: float,
-                 dt: float, goals: array, wanted: array) -> _Worlds:
-    """Plan the full world of world_arrays' (obs, rsum) toward goals[0]
-    and, for each actor j with wanted[j], the world without it toward
-    goals[1 + j], all on _sample_stream's samples for cfg, in one call to
-    navrisk_leave_one_out; goals is a flat array('d') of (x, y) pairs and
-    wanted an array('B') of flags.  A world is planned by growing the
-    rewiring tree for exactly cfg.iteration_budget samples and selecting
-    its endpoint, except that a world without an actor that was never a
-    sole blocker of the full growth reuses its tree."""
+                 dt: float, goals: array, wanted: array) -> list[_Worlds]:
+    """Plan W worlds of the same m actors in one call to
+    navrisk_leave_one_out, all on _sample_stream's samples for cfg: world
+    w's obstacle rows are block w of obs, W world_arrays rows stacked as
+    (W, m, k+1, 2), and rsum their shared radius sums (m,).  Its full
+    world is planned toward goals[w][0] and, for each actor j with
+    wanted[j], the world without j toward goals[w][1 + j]; goals is a
+    flat array('d') of (W, m+1) (x, y) pairs, which gives W, and wanted
+    an array('B') of m flags.  A world is planned by growing the rewiring
+    tree for exactly cfg.iteration_budget samples and selecting its
+    endpoint, except that a world without an actor that was never a sole
+    blocker of its full growth reuses that tree.  The growths are spread
+    over _cpus() threads; the outputs do not depend on their number."""
     if not (road.contains_y(ego.position_y)
             and ego.position_x <= road.road_length):
         raise ScenarioError("ego is off-road")
     # the kernel reads these buffers at the sizes it is told
     m, row = len(rsum), 2 * (k + 1)
-    if obs.typecode != "d" or len(obs) != m * row:
-        raise ValueError(f"{len(obs)} obstacle coordinates with {m} radius "
-                         f"sums do not cover ticks 0 to {k}")
-    if goals.typecode != "d" or len(goals) != 2 * (m + 1) \
+    n = len(goals) // (2 * (m + 1))
+    if goals.typecode != "d" or not n or len(goals) != 2 * n * (m + 1) \
             or wanted.itemsize != 1 or len(wanted) != m:
         raise ValueError(f"{len(goals)} goal coordinates and {len(wanted)} "
                          f"wanted flags for {m} actors")
+    if obs.typecode != "d" or len(obs) != n * m * row:
+        raise ValueError(f"{len(obs)} obstacle coordinates with {m} radius "
+                         f"sums do not cover {n} worlds' ticks 0 to {k}")
     samples = _sample_stream(road, ego, cfg, ego_radius)
     speed = min(cfg.target_speed, road.speed_limit)
     inv = 1.0 / (speed * dt)          # ticks per meter of path
-    xy = _doubles((m + 1) * row)
-    status = array("i", bytes(4 * (m + 1)))
-    verts = _doubles(2 * (cfg.iteration_budget + 2))
-    seg = array("i", bytes(4 * (k + 1)))
-    info = (ctypes.c_int32 * 4)()
-    regrown = array("B", bytes(m))
+    slots, vsize = n * (m + 1), 2 * (cfg.iteration_budget + 2)
+    xy = _doubles(slots * row)
+    status = array("i", bytes(4 * slots))
+    verts = _doubles(n * vsize)
+    seg = array("i", bytes(4 * n * (k + 1)))
+    info = array("i", bytes(16 * n))
+    regrown = array("B", bytes(n * m))
     err = kernel().navrisk_leave_one_out(
         address(samples), cfg.iteration_budget, ego.position_x,
         ego.position_y, ego_radius, road.width - ego_radius, inv, STEER_STEP,
         GOAL_TOLERANCE, speed * dt, k, address(obs), k + 1, address(rsum), m,
-        address(goals), address(wanted), address(xy), address(status),
-        address(verts), address(seg), info, address(regrown))
+        n, address(goals), address(wanted), address(xy), address(status),
+        address(verts), address(seg), address(info), address(regrown),
+        _cpus())
     if err == -2:
         raise MemoryError("no memory for the leave-one-out worlds")
     if err < 0:
         raise ValueError("a tree's parent links do not reach the root")
     # a status is 0 for no plan (or an ablation not asked for), 1 for a
     # partial plan and 2 for a plan into the goal region
-    full = None if not status[0] else _Path(
-        xy[:row], seg, verts[:2 * info[1]], bool(info[0]))
-    ablated = [xy[(1 + j) * row:(2 + j) * row] if status[1 + j] else None
-               for j in range(m)]
-    return _Worlds(full, ablated, info[2], info[3], regrown)
+    worlds = []
+    for w in range(n):
+        at, partial, nv, nodes, growths = w * (m + 1), *info[4 * w:4 * w + 4]
+        full = None if not status[at] else _Path(
+            xy[at * row:(at + 1) * row], seg[w * (k + 1):(w + 1) * (k + 1)],
+            verts[w * vsize:w * vsize + 2 * nv], bool(partial))
+        ablated = [xy[(at + 1 + j) * row:(at + 2 + j) * row]
+                   if status[at + 1 + j] else None for j in range(m)]
+        worlds.append(_Worlds(full, ablated, nodes, growths,
+                              regrown[w * m:(w + 1) * m]))
+    return worlds
 
 
 def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
@@ -540,9 +567,9 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     """
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
     goal = _goal_point(road, ego, cfg.goal, ego_radius)
-    worlds = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
-                          array("d", goal * (len(rsum) + 1)),
-                          array("B", bytes(len(rsum))))
+    [worlds] = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
+                            array("d", goal * (len(rsum) + 1)),
+                            array("B", bytes(len(rsum))))
     if worlds.full is None:   # why, by the full tree's node count
         raise PlanningInfeasible((
             "ego overlaps an obstacle at the planning tick",

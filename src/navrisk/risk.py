@@ -311,50 +311,74 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     terms = None if not route else _lane_terms(
         world, ego, road, cfg.goal.lane,
         min(cfg.target_speed, road.speed_limit))
-    return _leave_one_out(world, ego, t, k, cfg, terms, road=road,
-                          radii=radii, ego_radius=ego_radius, dt=dt,
-                          actor_ids=actor_ids)
+    plan_full, (gammas,) = _leave_one_out(
+        [world], [terms], ego, t, k, cfg, road=road, radii=radii,
+        ego_radius=ego_radius, dt=dt, actor_ids=actor_ids)
+    return plan_full, gammas
 
 
-def _leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
-                   k: int, cfg: PlannerConfig,
-                   terms: Optional[Sequence[Optional[float]]], *,
+def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
+                   terms: Sequence[Optional[Sequence[Optional[float]]]],
+                   ego: ActorState, t: int, k: int, cfg: PlannerConfig, *,
                    road: RoadMap, radii: Mapping[str, float],
                    ego_radius: float, dt: float,
-                   actor_ids: Optional[Sequence[str]] = None
-                   ) -> tuple[Optional[Plan], dict[str, tuple[float, bool]]]:
-    """leave_one_out on the route terms of world in cfg.goal.lane
-    (_lane_terms'), or unrouted when terms is None."""
-    wanted = set(world if actor_ids is None else actor_ids)
-    if not wanted <= world.keys():
-        raise ScenarioError(
-            f"unknown actor ids {sorted(wanted - world.keys())!r}")
-    obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    mask = array("B", [aid in wanted for aid in world])
+                   actor_ids: Optional[Sequence[str]] = None,
+                   first_sample: Optional[int] = None
+                   ) -> tuple[Optional[Plan],
+                              list[dict[str, tuple[float, bool]]]]:
+    """leave_one_out of each of worlds, in one kernel call
+    (planner._plan_worlds): worlds[i] routed on terms[i], its route terms
+    in cfg.goal.lane (_lane_terms'), or unrouted where that is None.
+    Every world holds the actors of worlds[0], in its order, and all are
+    planned under cfg, so each is a paired experiment on one stream.
+    Returns the full plan of worlds[0] (None if infeasible) and each
+    world's gammas.  A ScenarioError about worlds[i] with i >=
+    first_sample names it as sample i - first_sample."""
+    ids = list(worlds[0])
+    wanted = set(ids if actor_ids is None else actor_ids)
+    mask = array("B", [aid in wanted for aid in ids])
+    obs = array("d")
+    for i, world in enumerate(worlds):
+        try:
+            if i == 0 and not wanted <= world.keys():
+                raise ScenarioError(
+                    f"unknown actor ids {sorted(wanted - world.keys())!r}")
+            if list(world) != ids:
+                raise ScenarioError(f"actors {list(world)!r} are not the "
+                                    f"first world's {ids!r}")
+            w_obs, rsum = world_arrays(world, radii, ego_radius, t, k)
+        except ScenarioError as e:
+            if first_sample is None or i < first_sample:
+                raise
+            raise type(e)(f"sample {i - first_sample}: {e}") from e
+        obs += w_obs
 
-    def goal(without: Optional[int]) -> tuple[float, float]:
-        """The goal of the world without actor `without` (None: the full
-        world)."""
-        advance = cfg.goal.advance if terms is None else _soft_advance(
-            cfg.goal.advance, (x for j, x in enumerate(terms)
+    def goal(w_terms, without: Optional[int]) -> tuple[float, float]:
+        """The goal of the world of route terms w_terms without actor
+        `without` (None: the full world)."""
+        advance = cfg.goal.advance if w_terms is None else _soft_advance(
+            cfg.goal.advance, (x for j, x in enumerate(w_terms)
                                if j != without))
         return _goal_point(road, ego, GoalSpec(advance, cfg.goal.lane),
                            ego_radius)
 
-    # the full world, then the world without each j; (0, 0) for one not
-    # asked for
-    goals = array("d", goal(None))
-    for j, asked in enumerate(mask):
-        goals.extend(goal(j) if asked else (0.0, 0.0))
-    worlds = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
-                          goals, mask)
-    full = worlds.full
+    # per world: the full world, then the world without each j; (0, 0)
+    # for one not asked for
+    goals = array("d")
+    for w_terms in terms:
+        goals.extend(goal(w_terms, None))
+        for j, asked in enumerate(mask):
+            goals.extend(goal(w_terms, j) if asked else (0.0, 0.0))
+    planned = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
+                           goals, mask)
+    full = planned[0].full
     plan_full = None if full is None else _path_plan(
         full, min(cfg.target_speed, road.speed_limit), road, t, dt)
-    return plan_full, {
-        aid: _plan_change(None if full is None else full.xy,
-                          worlds.ablated[j], road, k)
-        for j, aid in enumerate(world) if mask[j]}
+    return plan_full, [
+        {aid: _plan_change(None if p.full is None else p.full.xy,
+                           p.ablated[j], road, k)
+         for j, aid in enumerate(ids) if mask[j]}
+        for p in planned]
 
 
 def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:
@@ -368,6 +392,14 @@ def mean_and_variance(gammas: Sequence[float]) -> tuple[float, float]:
     n = len(gammas)
     mean = _sum(gammas) / n
     return mean, _sum([(g - mean) * (g - mean) for g in gammas]) / (n - 1)
+
+
+def _sample_stats(runs: Sequence[Mapping[str, tuple[float, bool]]]
+                  ) -> dict[str, tuple[float, float]]:
+    """mean_and_variance of each actor's gamma over the samples' runs of
+    leave-one-out."""
+    return {aid: mean_and_variance([r[aid][0] for r in runs])
+            for aid in runs[0]}
 
 
 def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
@@ -415,20 +447,17 @@ def monte_carlo_importance(worlds: Sequence[Mapping[str, Trajectory]],
                            ) -> dict[str, tuple[float, float]]:
     """Sample mean and unbiased variance of each gamma of leave_one_out
     (of actor_ids, all actors by default) over the sampled worlds, every
-    one planned under cfg, so each sample is a paired experiment."""
+    one planned under cfg, so each sample is a paired experiment, all in
+    one kernel call.  The worlds hold the same actors, in one order."""
     if not worlds:
         raise ScenarioError("no sampled worlds")
-    runs = []
-    for j, w in enumerate(worlds):
-        try:
-            runs.append(leave_one_out(
-                w, ego, t, k, cfg, road=road, radii=radii,
-                ego_radius=ego_radius, dt=dt, route=route,
-                actor_ids=actor_ids)[1])
-        except ScenarioError as e:
-            raise type(e)(f"sample {j}: {e}") from e
-    return {aid: mean_and_variance([r[aid][0] for r in runs])
-            for aid in runs[0]}
+    speed = min(cfg.target_speed, road.speed_limit)
+    terms = [_lane_terms(w, ego, road, cfg.goal.lane, speed) if route
+             else None for w in worlds]
+    return _sample_stats(_leave_one_out(
+        worlds, terms, ego, t, k, cfg, road=road, radii=radii,
+        ego_radius=ego_radius, dt=dt, actor_ids=actor_ids,
+        first_sample=0)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,11 @@ class Trajectory:
         return p
 
     def window(self, t: int, k: int) -> "Trajectory":
-        """Restrict to ticks [t, t+k], re-indexed with start_tick = t."""
+        """Restrict to ticks [t, t+k], re-indexed with start_tick = t.
+        Raises ScenarioError naming t or k unless both are integers (not
+        bools) and k >= 0, and when the window leaves the span."""
+        require_int("t", t, error=ScenarioError)
+        require_int("k", k, 0, ScenarioError)
         if not (self.start_tick <= t and t + k <= self.end_tick):
             raise ScenarioError(
                 f"window [{t}, {t + k}] outside trajectory span "

@@ -5,7 +5,8 @@ histories, predicts each npc's future, routes a goal for the ego on the
 full predicted world (lane preference with hysteresis and a commit lock
 while a lane change is in progress, follow-gap clamped advance), plans
 with the sampling planner, and evaluates per-actor leave-one-out risk with
-the planner seed held fixed across ablations.  The ego then executes the
+the planner seed held fixed across ablations, on the predicted world and
+on every sampled world, in one kernel call.  The ego then executes the
 first replan_every ticks of the plan.
 
 Prediction error is reported retrospectively: the error of the prediction
@@ -28,9 +29,9 @@ from .risk import (
     SWITCH_HYSTERESIS,
     _lane_terms,
     _leave_one_out,
+    _sample_stats,
     _soft_advance,
     lattice_risks,
-    monte_carlo_importance,
 )
 # bound here for perfbench/tracer.py, which wraps them in this module
 from .planner import plan_sampling  # noqa: F401
@@ -137,8 +138,6 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
                 road.speed_limit)
     base_advance = cfg.horizon * s.dt * speed
     preferred = road.lane_of(ego.position_y)
-    env = dict(road=road, radii=radii, ego_radius=ego_radius, dt=s.dt,
-               route=True)
     pcfg = PredictionConfig(cfg.noise_accel, cfg.noise_yawrate,
                             sample_count=cfg.samples, seed=cfg.seed) \
         if cfg.samples else None
@@ -181,9 +180,17 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
             iteration_budget=cfg.iteration_budget,
             seed=_planner_seed(cfg.seed, t),
             goal=GoalSpec(base_advance, preferred), target_speed=speed)
-        plan_full, gammas = _leave_one_out(
-            world, ego, t, k_eff, base_cfg, terms(preferred), road=road,
-            radii=radii, ego_radius=ego_radius, dt=s.dt)
+        # one kernel call plans the predicted world and every sampled
+        # world, each routed on its own occupants of the preferred lane
+        samples = sample_worlds(histories, k_eff, pcfg) \
+            if pcfg is not None else []
+        plan_full, (gammas, *runs) = _leave_one_out(
+            [world, *samples],
+            [terms(preferred)] + [_lane_terms(w, ego, road, preferred, speed)
+                                  for w in samples],
+            ego, t, k_eff, base_cfg, road=road, radii=radii,
+            ego_radius=ego_radius, dt=s.dt, first_sample=1)
+        mc_stats = _sample_stats(runs) if runs else {}
 
         # one lattice render serves the KL world (predicted) and the exact
         # world (ground truth)
@@ -198,10 +205,6 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
             radii, ego_radius=ego_radius, dt=s.dt))) if lattice_worlds else {}
         kl_values = risks["kl"].kl if "kl" in risks else {}
         rho_values = risks["exact"].per_actor if "exact" in risks else {}
-
-        mc_stats = monte_carlo_importance(
-            sample_worlds(histories, k_eff, pcfg), ego, t, k_eff, base_cfg,
-            **env) if pcfg is not None else {}
 
         err = {}
         if t + cfg.horizon <= s.horizon_ticks:   # then k_eff == horizon

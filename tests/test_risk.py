@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import islice
 
@@ -572,15 +573,16 @@ def case_study_worlds():
 
 
 def kernel_reports(monkeypatch):
-    """The list that every later leave_one_out call appends its kernel
-    report to (planner._Worlds: the trees grown, which ablations grew
-    their own)."""
+    """The list that every later kernel call of risk appends its reports
+    to, one per world (planner._Worlds: the trees grown, which ablations
+    grew their own)."""
     reports = []
     plan_worlds = risk._plan_worlds
 
     def reported(*args, **kw):
-        reports.append(plan_worlds(*args, **kw))
-        return reports[-1]
+        worlds = plan_worlds(*args, **kw)
+        reports.extend(worlds)
+        return worlds
 
     monkeypatch.setattr(risk, "_plan_worlds", reported)
     return reports
@@ -743,6 +745,21 @@ class TestMonteCarloImportance:
             monte_carlo_importance([good, short], ego, 0, 30,
                                    importance_cfg(), road=ROAD3,
                                    radii={"a": 1.2})
+
+    def test_worlds_of_other_actors_rejected(self):
+        # the worlds of one call share their radius sums and ablations,
+        # so they hold the same actors in one order
+        ego = ActorState(10.0, ROAD3.lane_center(1), 0.0, 10.0)
+        a = moving_actor("a", 25.0, ROAD3.lane_center(1), 6.0, 30)
+        b = moving_actor("b", 40.0, ROAD3.lane_center(0), 6.0, 30)
+        for other, listed in [({"b": b, "a": a}, "['b', 'a']"),
+                              ({"a": a}, "['a']")]:
+            with pytest.raises(ScenarioError, match=re.escape(
+                    f"sample 1: actors {listed} are not the first "
+                    f"world's ['a', 'b']")):
+                monte_carlo_importance([{"a": a, "b": b}, other], ego, 0, 30,
+                                       importance_cfg(), road=ROAD3,
+                                       radii={"a": 1.2, "b": 1.2})
 
 
 class TestMinRiskSelection:

@@ -248,6 +248,21 @@ class TestRowBuiltTrajectory:
             assert got.positions == want.positions
             assert got.rows == rows_of(want.states)
 
+    @pytest.mark.parametrize("t, k, message", [
+        (1.5, 1, "t must be an integer, got 1.5"),
+        (True, 1, "t must be an integer, got True"),
+        (-1, 1, "window [-1, 0] outside trajectory span [0, 3] of 'a'"),
+        (0, 1.5, "k must be an integer >= 0, got 1.5"),
+        (0, True, "k must be an integer >= 0, got True"),
+        (0, -1, "k must be an integer >= 0, got -1"),
+    ])
+    def test_window_checks_t_and_k_before_it_slices(self, t, k, message):
+        # window(1.5, 1) once raised a bare TypeError from the slice, and
+        # window(0, -1) called the trajectory empty
+        traj = Trajectory("a", 0, 0.1, array("d", (0.0,) * 16))
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            traj.window(t, k)
+
     def test_rows_are_refused_when_built(self):
         # a row that breaks ActorState's rules, at each tick of four; a
         # NaN that min and max would pass over is found too

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from navrisk import planner, risk, simulate
+from navrisk import planner, simulate
 from navrisk.planner import LatticeConfig, PlannerConfig
 from navrisk.report import (
     PHASE_CSV_HEADER,
@@ -145,14 +145,18 @@ class TestLoop:
         assert all(r.var_gamma >= 0.0 for r in res.records)
 
 
-def reference_leave_one_out(world, ego, t, k, cfg, terms, *, road, radii,
-                            ego_radius, dt, actor_ids=None):
+def reference_leave_one_out(worlds, terms, ego, t, k, cfg, *, road, radii,
+                            ego_radius, dt, actor_ids=None,
+                            first_sample=None):
     """simulate._leave_one_out on the references: replanned_gammas grows
-    every world from scratch with the numpy growth and selects with the
-    Python selection, routed when terms are given."""
-    assert (ego_radius, dt, actor_ids) == (1.2, 0.1, None)
-    return replanned_gammas(road, world, ego, t, k, cfg, radii,
-                            route=terms is not None)
+    every world of worlds from scratch with the numpy growth and selects
+    with the Python selection, routed where terms are given; the full
+    plan of worlds[0] and each world's gammas."""
+    assert (ego_radius, dt, actor_ids, first_sample) == (1.2, 0.1, None, 1)
+    runs = [replanned_gammas(road, world, ego, t, k, cfg, radii,
+                             route=w_terms is not None)
+            for world, w_terms in zip(worlds, terms)]
+    return runs[0][0], [gammas for _, gammas in runs]
 
 
 def test_closed_loop_on_the_references_equals_the_kernel_run(monkeypatch):
@@ -173,16 +177,18 @@ def test_monte_carlo_loop_on_the_references_equals_the_kernel_run(
         scenario, monkeypatch):
     # each sampled world's leave-one-out on the references; the predicted
     # world's stays on the kernel, which the run above checks
-    def sampled(world, ego, t, k, cfg, *, road, radii, ego_radius, dt,
-                route, actor_ids):
-        assert (ego_radius, dt, actor_ids) == (1.2, 0.1, None)
-        return replanned_gammas(road, world, ego, t, k, cfg, radii,
-                                route=route)
+    batched = simulate._leave_one_out
+
+    def sampled(worlds, terms, *args, **kw):
+        plan_full, (gammas,) = batched(worlds[:1], terms[:1], *args, **kw)
+        _, runs = reference_leave_one_out(worlds[1:], terms[1:], *args, **kw)
+        assert len(runs) == 2
+        return plan_full, [gammas, *runs]
 
     cfg = RunConfig(iteration_budget=100, samples=2, horizon=30,
                     replan_every=30)
     kernel = run_simulation(scenario, cfg)
-    monkeypatch.setattr(risk, "leave_one_out", sampled)
+    monkeypatch.setattr(simulate, "_leave_one_out", sampled)
     reference = run_simulation(scenario, cfg)
     assert run_csv(reference) == run_csv(kernel)
     assert phase_summary_csv(reference) == phase_summary_csv(kernel)
