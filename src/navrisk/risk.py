@@ -1,6 +1,6 @@
 """Per-actor risk quantification.
 
-Three layers:
+Three layers and a router:
 
 * lattice risks from plan counts on one maneuver-lattice window
   (lattice_risks): the total risk is the normalized loss of navigable
@@ -17,7 +17,11 @@ Three layers:
   randomness and routing inputs held fixed, and measure the plan change
   with a per-waypoint Euclidean operator;
 * Monte-Carlo risk: the same importance evaluated across sampled futures,
-  reported as sample mean and unbiased variance (monte_carlo_importance).
+  reported as sample mean and unbiased variance (monte_carlo_importance);
+* routing: the lane choice with hysteresis and a commit lock while a lane
+  change is in progress (_pick_lane), and each world's goal advance in
+  that lane, clamped by its own occupants (_soft_advance over
+  _lane_terms).
 
 Ablating one of two actors that redundantly block the same plans changes
 nothing, so per-actor risks are not additive and may all be zero while the
@@ -203,7 +207,7 @@ def actor_risk_exact(s: Scenario, actor_id: str, t: int, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Routing: follow-gap clamped goal
+# Routing: lane choice and follow-gap clamped goal
 # ---------------------------------------------------------------------------
 
 # Deterministic goal placement used by the replanning loop.
@@ -265,6 +269,32 @@ def _lane_terms(world: Mapping[str, Trajectory], ego: ActorState,
             for traj in world.values()]
 
 
+def _pick_lane(world: Mapping[str, Trajectory], ego: ActorState,
+               road: RoadMap, speed: float, base_advance: float,
+               preferred: int) -> int:
+    """The lane to route in: preferred while the ego is more than a
+    quarter lane off its centre (a lane change in progress commits),
+    else the adjacent or current lane of the greatest routed advance
+    (_soft_advance over the lane's _lane_terms), switching only on a gain
+    of over SWITCH_HYSTERESIS."""
+    if abs(ego.position_y - road.lane_center(preferred)) \
+            > 0.25 * road.lane_width:
+        return preferred
+    candidates = [l for l in (preferred - 1, preferred, preferred + 1)
+                  if 0 <= l < road.lane_count]
+    utility = {l: _soft_advance(base_advance,
+                                _lane_terms(world, ego, road, l, speed))
+               for l in candidates}
+    # prefer the current lane, break remaining ties leftward (overtaking
+    # side); switch only on a clear gain
+    best = max(candidates,
+               key=lambda l: (utility[l], l == preferred, l))
+    if best != preferred and \
+            utility[best] > utility[preferred] + SWITCH_HYSTERESIS:
+        return best
+    return preferred
+
+
 # ---------------------------------------------------------------------------
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
@@ -308,27 +338,23 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
     order.  Only the full plan is built as a Plan; the
     ablated ones are compared as positions.
     """
-    terms = None if not route else _lane_terms(
-        world, ego, road, cfg.goal.lane,
-        min(cfg.target_speed, road.speed_limit))
     plan_full, (gammas,) = _leave_one_out(
-        [world], [terms], ego, t, k, cfg, road=road, radii=radii,
-        ego_radius=ego_radius, dt=dt, actor_ids=actor_ids)
+        [world], ego, t, k, cfg, road=road, radii=radii,
+        ego_radius=ego_radius, dt=dt, route=route, actor_ids=actor_ids)
     return plan_full, gammas
 
 
 def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
-                   terms: Sequence[Optional[Sequence[Optional[float]]]],
                    ego: ActorState, t: int, k: int, cfg: PlannerConfig, *,
                    road: RoadMap, radii: Mapping[str, float],
-                   ego_radius: float, dt: float,
+                   ego_radius: float, dt: float, route: bool = False,
                    actor_ids: Optional[Sequence[str]] = None,
                    first_sample: Optional[int] = None
                    ) -> tuple[Optional[Plan],
                               list[dict[str, tuple[float, bool]]]]:
     """leave_one_out of each of worlds, in one kernel call
-    (planner._plan_worlds): worlds[i] routed on terms[i], its route terms
-    in cfg.goal.lane (_lane_terms'), or unrouted where that is None.
+    (planner._plan_worlds), each routed on its own occupants of
+    cfg.goal.lane with route=True.
     Every world holds the actors of worlds[0], in its order, and all are
     planned under cfg, so each is a paired experiment on one stream.
     Returns the full plan of worlds[0] (None if infeasible) and each
@@ -337,6 +363,7 @@ def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
     ids = list(worlds[0])
     wanted = set(ids if actor_ids is None else actor_ids)
     mask = array("B", [aid in wanted for aid in ids])
+    speed = min(cfg.target_speed, road.speed_limit)
     obs = array("d")
     for i, world in enumerate(worlds):
         try:
@@ -365,7 +392,9 @@ def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
     # per world: the full world, then the world without each j; (0, 0)
     # for one not asked for
     goals = array("d")
-    for w_terms in terms:
+    for world in worlds:
+        w_terms = _lane_terms(world, ego, road, cfg.goal.lane, speed) \
+            if route else None
         goals.extend(goal(w_terms, None))
         for j, asked in enumerate(mask):
             goals.extend(goal(w_terms, j) if asked else (0.0, 0.0))
@@ -373,7 +402,7 @@ def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
                            goals, mask)
     full = planned[0].full
     plan_full = None if full is None else _path_plan(
-        full, min(cfg.target_speed, road.speed_limit), road, t, dt)
+        full, speed, road, t, dt)
     return plan_full, [
         {aid: _plan_change(None if p.full is None else p.full.xy,
                            p.ablated[j], road, k)
@@ -451,12 +480,9 @@ def monte_carlo_importance(worlds: Sequence[Mapping[str, Trajectory]],
     one kernel call.  The worlds hold the same actors, in one order."""
     if not worlds:
         raise ScenarioError("no sampled worlds")
-    speed = min(cfg.target_speed, road.speed_limit)
-    terms = [_lane_terms(w, ego, road, cfg.goal.lane, speed) if route
-             else None for w in worlds]
     return _sample_stats(_leave_one_out(
-        worlds, terms, ego, t, k, cfg, road=road, radii=radii,
-        ego_radius=ego_radius, dt=dt, actor_ids=actor_ids,
+        worlds, ego, t, k, cfg, road=road, radii=radii,
+        ego_radius=ego_radius, dt=dt, route=route, actor_ids=actor_ids,
         first_sample=0)[1])
 
 

@@ -1,13 +1,12 @@
 """Closed-loop replanning simulation over a scripted scenario.
 
 Every replan_every ticks the loop slices ground truth into per-actor
-histories, predicts each npc's future, routes a goal for the ego on the
-full predicted world (lane preference with hysteresis and a commit lock
-while a lane change is in progress, follow-gap clamped advance), plans
-with the sampling planner, and evaluates per-actor leave-one-out risk with
-the planner seed held fixed across ablations, on the predicted world and
-on every sampled world, in one kernel call.  The ego then executes the
-first replan_every ticks of the plan.
+histories, predicts each npc's future, asks risk for the ego's lane on
+the full predicted world (risk._pick_lane), plans with the sampling
+planner, and evaluates per-actor leave-one-out risk with the planner seed
+held fixed across ablations, on the predicted world and on every sampled
+world, each routed on its own occupants of that lane, in one kernel call.
+The ego then executes the first replan_every ticks of the plan.
 
 Prediction error is reported retrospectively: the error of the prediction
 made at tick t is recorded once ground truth through t+k exists, so the
@@ -25,14 +24,7 @@ from ._kernel import kernel, seed_words
 from .planner import GoalSpec, LatticeConfig, PlannerConfig
 from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
-from .risk import (
-    SWITCH_HYSTERESIS,
-    _lane_terms,
-    _leave_one_out,
-    _sample_stats,
-    _soft_advance,
-    lattice_risks,
-)
+from .risk import _leave_one_out, _pick_lane, _sample_stats, lattice_risks
 # bound here for perfbench/tracer.py, which wraps them in this module
 from .planner import plan_sampling  # noqa: F401
 from .risk import actor_importance, actor_risk_exact  # noqa: F401
@@ -113,22 +105,6 @@ def _planner_seed(seed: int, t: int) -> int:
     return out.value
 
 
-def _pick_lane(terms, road, base_advance, preferred):
-    """Lane preference with hysteresis; adjacent switches only.  terms(l)
-    gives the occupants' route terms in lane l (risk._lane_terms')."""
-    candidates = [l for l in (preferred - 1, preferred, preferred + 1)
-                  if 0 <= l < road.lane_count]
-    utility = {l: _soft_advance(base_advance, terms(l)) for l in candidates}
-    # prefer the current lane, break remaining ties leftward (overtaking
-    # side); switch only on a clear gain
-    best = max(candidates,
-               key=lambda l: (utility[l], l == preferred, l))
-    if best != preferred and \
-            utility[best] > utility[preferred] + SWITCH_HYSTERESIS:
-        return best
-    return preferred
-
-
 def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
     road = s.map
     ego = s.ego_initial
@@ -160,22 +136,8 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
         world = {aid: predict_linear(h, k_eff)
                  for aid, h in histories.items()}
 
-        # route on the full predicted world; commit while mid-transition.
-        # Each lane's terms are computed once: the preferred lane's route
-        # every leave-one-out world too
-        lanes = {}
-
-        def terms(lane):
-            if lane not in lanes:
-                lanes[lane] = _lane_terms(world, ego, road, lane, speed)
-            return lanes[lane]
-
-        mid_change = abs(
-            ego.position_y - road.lane_center(preferred)
-        ) > 0.25 * road.lane_width
-        if not mid_change:
-            preferred = _pick_lane(terms, road, base_advance, preferred)
-
+        preferred = _pick_lane(world, ego, road, speed, base_advance,
+                               preferred)
         base_cfg = PlannerConfig(
             iteration_budget=cfg.iteration_budget,
             seed=_planner_seed(cfg.seed, t),
@@ -185,11 +147,9 @@ def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:
         samples = sample_worlds(histories, k_eff, pcfg) \
             if pcfg is not None else []
         plan_full, (gammas, *runs) = _leave_one_out(
-            [world, *samples],
-            [terms(preferred)] + [_lane_terms(w, ego, road, preferred, speed)
-                                  for w in samples],
-            ego, t, k_eff, base_cfg, road=road, radii=radii,
-            ego_radius=ego_radius, dt=s.dt, first_sample=1)
+            [world, *samples], ego, t, k_eff, base_cfg, road=road,
+            radii=radii, ego_radius=ego_radius, dt=s.dt, route=True,
+            first_sample=1)
         mc_stats = _sample_stats(runs) if runs else {}
 
         # one lattice render serves the KL world (predicted) and the exact

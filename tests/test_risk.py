@@ -429,6 +429,20 @@ class TestRouter:
         a2 = self.advance(far, ego)
         assert a1 == a2
 
+    def test_a_lane_change_in_progress_commits(self):
+        # a parked occupant of lane 1 makes another lane better by far
+        # more than SWITCH_HYSTERESIS: the ego at the lane's centre
+        # switches, but not while it is more than a quarter lane off it
+        world = {"a": static_actor("a", 22.0, ROAD3.lane_center(1), 40)}
+
+        def pick(dy):
+            ego = ActorState(10.0, ROAD3.lane_center(1) + dy, 0.0, 10.0)
+            return risk._pick_lane(world, ego, ROAD3, 10.0, 40.0, 1)
+
+        assert pick(0.0) != 1
+        assert pick(0.3 * ROAD3.lane_width) == 1
+        assert pick(-0.3 * ROAD3.lane_width) == 1
+
     def test_underflowing_terms_keep_the_soft_minimum(self):
         # above about 745 * SOFTNESS every exp(-a / SOFTNESS) is 0.0; the
         # soft minimum is then taken relative to the least advance

@@ -145,17 +145,17 @@ class TestLoop:
         assert all(r.var_gamma >= 0.0 for r in res.records)
 
 
-def reference_leave_one_out(worlds, terms, ego, t, k, cfg, *, road, radii,
-                            ego_radius, dt, actor_ids=None,
+def reference_leave_one_out(worlds, ego, t, k, cfg, *, road, radii,
+                            ego_radius, dt, route=False, actor_ids=None,
                             first_sample=None):
     """simulate._leave_one_out on the references: replanned_gammas grows
     every world of worlds from scratch with the numpy growth and selects
-    with the Python selection, routed where terms are given; the full
+    with the Python selection, each routed on its own occupants; the full
     plan of worlds[0] and each world's gammas."""
-    assert (ego_radius, dt, actor_ids, first_sample) == (1.2, 0.1, None, 1)
-    runs = [replanned_gammas(road, world, ego, t, k, cfg, radii,
-                             route=w_terms is not None)
-            for world, w_terms in zip(worlds, terms)]
+    assert (ego_radius, dt, route, actor_ids, first_sample) == \
+        (1.2, 0.1, True, None, 1)
+    runs = [replanned_gammas(road, world, ego, t, k, cfg, radii, route=route)
+            for world in worlds]
     return runs[0][0], [gammas for _, gammas in runs]
 
 
@@ -179,9 +179,9 @@ def test_monte_carlo_loop_on_the_references_equals_the_kernel_run(
     # world's stays on the kernel, which the run above checks
     batched = simulate._leave_one_out
 
-    def sampled(worlds, terms, *args, **kw):
-        plan_full, (gammas,) = batched(worlds[:1], terms[:1], *args, **kw)
-        _, runs = reference_leave_one_out(worlds[1:], terms[1:], *args, **kw)
+    def sampled(worlds, *args, **kw):
+        plan_full, (gammas,) = batched(worlds[:1], *args, **kw)
+        _, runs = reference_leave_one_out(worlds[1:], *args, **kw)
         assert len(runs) == 2
         return plan_full, [gammas, *runs]
 
