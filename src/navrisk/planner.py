@@ -71,13 +71,13 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ._kernel import address, kernel, seed_words
 from .prediction import _hypot_sum, _sum
 from .scenario import (
-    ActorState, RoadMap, ScenarioError, Trajectory, require_int, wrap_angle)
+    ActorState, RoadMap, ScenarioError, Trajectory, _Value, require_int,
+    wrap_angle)
 
 MANEUVERS = ("accelerate", "brake", "keep", "shift_left", "shift_right")
 
@@ -93,16 +93,14 @@ class PlanningInfeasible(Exception):
     """No collision-free motion exists from the ego's current state."""
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(_Value):
     trajectory: Trajectory
     cost: float
     maneuver_seq: Optional[tuple[str, ...]] = None
     partial: bool = False
 
 
-@dataclass(frozen=True)
-class PlanSet:
+class PlanSet(_Value):
     plans: tuple[Plan, ...]
     universe_size: int
 
@@ -113,8 +111,7 @@ class PlanSet:
         return {p.maneuver_seq for p in self.plans}
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+class LatticeConfig(_Value):
     """Discretization of ego futures into macro-maneuver sequences."""
 
     decision_steps: int
@@ -124,6 +121,9 @@ class LatticeConfig:
     def __post_init__(self):
         require_int("decision_steps", self.decision_steps, 1)
         require_int("ticks_per_step", self.ticks_per_step, 1)
+        if isinstance(self.maneuvers, str):
+            raise ValueError(f"maneuvers must be a sequence of names, not "
+                             f"the string {self.maneuvers!r}")
         if not self.maneuvers:
             raise ValueError("maneuver set must be non-empty")
         bad = set(self.maneuvers) - set(MANEUVERS)
@@ -137,16 +137,17 @@ class LatticeConfig:
         return self.decision_steps * self.ticks_per_step
 
 
-@dataclass(frozen=True)
-class GoalSpec:
+class GoalSpec(_Value):
     """Target longitudinal advance (meters) and preferred lane."""
 
     advance: float
     lane: int
 
+    def __post_init__(self):
+        require_int("lane", self.lane, 0)
 
-@dataclass(frozen=True)
-class PlannerConfig:
+
+class PlannerConfig(_Value):
     iteration_budget: int = 2000
     seed: int = 0
     goal: GoalSpec = GoalSpec(40.0, 0)

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from typing import Mapping
 
 from ._kernel import address, kernel, seed_words
-from .scenario import MAX_MAGNITUDE, ScenarioError, Trajectory, require_int
+from .scenario import (
+    MAX_MAGNITUDE, ScenarioError, Trajectory, _Value, require_int)
 
 
-@dataclass(frozen=True)
-class PredictionConfig:
+class PredictionConfig(_Value):
     """Noise model for sampled futures."""
 
     noise_accel_sigma: float = 0.0   # m/s^2

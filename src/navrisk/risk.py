@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from ._kernel import address, kernel
@@ -62,6 +61,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     Trajectory,
+    _Value,
     slice_world,
 )
 
@@ -91,8 +91,7 @@ def check_cap(lattice: LatticeConfig, source: str = "lattice"):
             f"sequences exceed the cap of {UNIVERSE_CAP}")
 
 
-@dataclass(frozen=True)
-class ExactRisk:
+class ExactRisk(_Value, hidden=("kl_of",)):
     """Plan counts of one world on a lattice window and the risks they
     give.  kl is computed on first read (_kl)."""
 
@@ -100,8 +99,7 @@ class ExactRisk:
     z: int                        # |Z|: plans no actor blocks
     total: float                  # (|Z empty| - |Z|) / |Z empty|
     per_actor: Mapping[str, float]  # (|Z without i| - |Z|) / |Z empty|
-    kl_of: Callable[[], Mapping[str, float]] = field(repr=False,
-                                                     compare=False)
+    kl_of: Callable[[], Mapping[str, float]]
 
     @functools.cached_property
     def kl(self) -> Mapping[str, float]:
@@ -490,8 +488,7 @@ def monte_carlo_importance(worlds: Sequence[Mapping[str, Trajectory]],
 # Risk-aware plan selection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(_Value):
     plan: Plan
     collision_fraction: float
     all_candidates_always_collide: bool

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -81,6 +80,96 @@ def _at(path: str, key, make, *args):
         raise ScenarioError(f"{_field(path, key)}: {e}") from e
 
 
+_set = object.__setattr__   # sets a field past _Value's __setattr__
+
+
+class _Value:
+    """Base of navrisk's immutable value types, built as dataclasses
+    builds a frozen class but with no code generated: a subclass
+    declares its fields as annotations, in order, some with a default,
+    and gets
+
+    - the constructor: positional or keyword arguments, then the
+      defaults, then __post_init__, which checks the value's rules;
+    - ==, which compares the fields of two values of one class;
+    - the hash of the tuple of its hashed fields;
+    - repr as Name(field=value, ...);
+    - pickling through the constructor, so a loaded value is checked;
+    - _fields, the field names, and replace(**changes).
+
+    Assigning or deleting an attribute raises AttributeError.  A class
+    keyword unhashed names fields the hash leaves out, and hidden
+    fields left out of ==, the hash and repr.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, unhashed=(), hidden=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        own, slots = cls.__dict__, cls.__dict__.get("__slots__", ())
+        cls._fields = tuple(own.get("__annotations__", ()))
+        cls._defaults = {name: own[name] for name in cls._fields
+                         if name in own and name not in slots}
+        cls._compared = tuple(n for n in cls._fields if n not in hidden)
+        cls._hashed = tuple(n for n in cls._compared if n not in unhashed)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} "
+                            f"arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument "
+                                f"{name!r}")
+            _set(self, name, value)
+        if kwargs:
+            name = next(iter(kwargs))
+            raise TypeError(f"{type(self).__name__}() got " + (
+                "multiple values for argument" if name in names
+                else "an unexpected keyword argument") + f" {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check the value's rules (none here)."""
+
+    def _values(self, names: tuple[str, ...]) -> tuple:
+        return tuple([getattr(self, name) for name in names])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._compared) == other._values(self._compared)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self._hashed))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._compared) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self._fields)
+
+    def replace(self, **changes):
+        """This value with changes to some fields, built, and so checked,
+        anew."""
+        return type(self)(**dict(zip(self._fields,
+                                     self._values(self._fields)), **changes))
+
+
 def wrap_angle(a: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     a = math.fmod(a, 2.0 * math.pi)
@@ -91,8 +180,7 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True, slots=True)
-class ActorState:
+class ActorState(_Value):
     """Kinematic state of one actor at one tick.
 
     position_x runs along the road axis, position_y is lateral with 0 at the
@@ -101,6 +189,7 @@ class ActorState:
     tick, the ego's; a trajectory holds rows, not states.
     """
 
+    __slots__ = ("position_x", "position_y", "heading", "speed")
     position_x: float
     position_y: float
     heading: float
@@ -114,8 +203,7 @@ class ActorState:
                 f"heading must lie in (-pi, pi], got {self.heading}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Value, unhashed=("rows",)):
     """One actor's ticks from start_tick on a uniform grid, held as rows:
     one flat array('d') of (x, y, heading, speed) per tick, kept as given.
 
@@ -128,7 +216,7 @@ class Trajectory:
     actor_id: str
     start_tick: int
     dt: float
-    rows: array = field(hash=False)
+    rows: array
 
     def __post_init__(self):
         _require_id(self.actor_id)
@@ -205,8 +293,7 @@ class Trajectory:
                     f"{KINEMATIC_TOLERANCE:.0%}")
 
 
-@dataclass(frozen=True)
-class RoadMap:
+class RoadMap(_Value):
     """Straight one-way road segment with equal-width parallel lanes."""
 
     lane_count: int
@@ -216,10 +303,10 @@ class RoadMap:
 
     def __post_init__(self):
         require_int("lane_count", self.lane_count, 1, ScenarioError)
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if not 0 < value <= MAX_MAGNITUDE:   # NaN fails too
-                raise ScenarioError(f"{f.name} must be positive and <= "
+                raise ScenarioError(f"{name} must be positive and <= "
                                     f"{MAX_MAGNITUDE:g}, got {value!r}")
 
     @property
@@ -239,8 +326,7 @@ class RoadMap:
         return 0.0 <= y <= self.width
 
 
-@dataclass(frozen=True)
-class PhaseSpan:
+class PhaseSpan(_Value):
     name: str
     start_tick: int
     end_tick: int
@@ -267,8 +353,7 @@ def _bounded(rows, row_path: str) -> None:
                                 f"{MAX_MAGNITUDE:g}, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Value):
     """Map + scripted npc trajectories + ego initial state over [0, T]."""
 
     map: RoadMap
@@ -353,8 +438,7 @@ MERGER = "cutin"            # changes lanes at s3 and brakes at s5
 SETTLE_EPS = 0.05           # s1 ends once every speed is this near its target
 
 
-@dataclass(frozen=True)
-class CaseStudyParams:
+class CaseStudyParams(_Value):
     """Parameters of the five-phase cut-in-and-brake case study.
 
     Six npcs plus the ego.  Traffic forms a uniform-speed wall around the
@@ -395,22 +479,21 @@ class CaseStudyParams:
         # every number finite and every tick count an integer; every field
         # but the start offsets >= 0, and dt, accel and
         # lane_change_duration > 0
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if value is None:
                 continue
             if not math.isfinite(value):
-                raise ScenarioError(f"{f.name}: must be finite, got {value!r}")
-            if f.name.endswith("_ticks") and value > MAX_SCRIPT_TICKS:
-                raise ScenarioError(f"{f.name}: must be <= {MAX_SCRIPT_TICKS}")
-            if value <= 0 and f.name in ("dt", "accel",
-                                         "lane_change_duration"):
-                raise ScenarioError(f"{f.name}: must be positive, got "
+                raise ScenarioError(f"{name}: must be finite, got {value!r}")
+            if name.endswith("_ticks") and value > MAX_SCRIPT_TICKS:
+                raise ScenarioError(f"{name}: must be <= {MAX_SCRIPT_TICKS}")
+            if value <= 0 and name in ("dt", "accel", "lane_change_duration"):
+                raise ScenarioError(f"{name}: must be positive, got "
                                     f"{value!r}")
-            if f.name.endswith("_ticks"):
-                require_int(f"{f.name}:", value, 0, ScenarioError)
-            if value < 0 and not f.name.endswith("_offset"):
-                raise ScenarioError(f"{f.name}: must be >= 0, got {value!r}")
+            if name.endswith("_ticks"):
+                require_int(f"{name}:", value, 0, ScenarioError)
+            if value < 0 and not name.endswith("_offset"):
+                raise ScenarioError(f"{name}: must be >= 0, got {value!r}")
         # a longer lane change (inf included) could never end within the
         # script's tick cap
         if self.lane_change_duration / self.dt > MAX_SCRIPT_TICKS:
@@ -430,23 +513,22 @@ class CaseStudyParams:
         }
 
 
-@dataclass
 class _ScriptedActor:
     """One npc of the case study: its speed approaches target at accel
     (decel, when set, when slowing down), and a lane change is a cosine
     lateral ramp of ramp_ticks ticks from ramp_start."""
 
-    x: float
-    y: float
-    vx: float
-    target: float
-    accel: float
     decel: Optional[float] = None
     prev_vx: float = float("nan")
     ramp_from: float = 0.0
     ramp_to: float = 0.0
     ramp_start: int = -1
     ramp_ticks: int = 0
+
+    def __init__(self, x: float, y: float, vx: float, target: float,
+                 accel: float):
+        self.x, self.y, self.vx = x, y, vx
+        self.target, self.accel = target, accel
 
     def lateral_at(self, tick: int) -> tuple[float, float]:
         """Cosine-ramp lateral position and velocity at a tick."""

@@ -17,7 +17,6 @@ phase active at planning time.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
 from typing import Optional
 
 from ._kernel import kernel, seed_words
@@ -28,11 +27,11 @@ from .risk import _leave_one_out, _pick_lane, _sample_stats, lattice_risks
 # bound here for perfbench/tracer.py, which wraps them in this module
 from .planner import plan_sampling  # noqa: F401
 from .risk import actor_importance, actor_risk_exact  # noqa: F401
-from .scenario import EGO_ID, ActorState, Scenario, require_int, slice_world
+from .scenario import (
+    EGO_ID, ActorState, Scenario, _Value, require_int, slice_world)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Value):
     seed: int = 42
     horizon: int = 40
     replan_every: int = 15
@@ -53,6 +52,10 @@ class RunConfig:
         require_int("horizon", self.horizon, self.replan_every)
         require_int("iteration_budget", self.iteration_budget, 1)
         require_int("samples", self.samples, 0)
+        if isinstance(self.operators, str):
+            raise ValueError(f"operators must be a sequence of names, not "
+                             f"the string {self.operators!r}")
+        object.__setattr__(self, "operators", tuple(self.operators))
         bad = set(self.operators) - {"euclid", "kl", "exact"}
         if bad:
             raise ValueError(f"unknown operators {sorted(bad)}")
@@ -64,8 +67,7 @@ class RunConfig:
                 f"is {self.horizon}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(_Value):
     tick: int
     phase: str
     actor_id: str
@@ -79,8 +81,7 @@ class StepRecord:
     plan_partial: bool
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(_Value):
     records: tuple[StepRecord, ...]
     ego_states: tuple[ActorState, ...]   # one per replan tick
     replan_ticks: tuple[int, ...]

@@ -66,11 +66,19 @@ where numpy does not dispatch it to its AVX512 loop.  traj_xy views a
 Trajectory's positions as an (n, 2) array, and state_trajectory builds a
 Trajectory state by state, from ActorStates, which the package itself
 never does.
+
+dataclass_mirror(cls) is a value type as the standard library builds
+it, dataclasses.make_dataclass with cls's name and fields, frozen: the
+reference for the repr, ==, hash and pickling that the package's value
+types get from scenario._Value.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
+import sys
+import types
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -923,3 +931,32 @@ def reference_speed_change(speeds) -> float:
     """np.sum(np.abs(np.diff(speeds))): the == reference for
     planner._speed_change, the plan cost's comfort term."""
     return float(np.sum(np.abs(np.diff(np.asarray(speeds, dtype=float)))))
+
+
+# ---------------------------------------------------------------------------
+# The value types as dataclasses would build them
+# ---------------------------------------------------------------------------
+
+# the mirrors' module: a mirror pickles by dataclasses' own rule, by
+# reference to its class, which pickle finds here under its own name
+MIRRORS = sys.modules.setdefault("navrisk_mirrors",
+                                 types.ModuleType("navrisk_mirrors"))
+
+
+def dataclass_mirror(cls: type) -> type:
+    """The frozen dataclass of cls's name and annotated fields, as the
+    package declared its value types with @dataclass: Trajectory's rows
+    left out of the hash (field(hash=False)) and ExactRisk's kl_of out
+    of ==, the hash and repr (field(repr=False, compare=False))."""
+    mirror = getattr(MIRRORS, cls.__name__, None)
+    if mirror is None:
+        specs = [(name, object, dataclasses.field(hash=False)
+                  if (cls.__name__, name) == ("Trajectory", "rows") else
+                  dataclasses.field(repr=False, compare=False)
+                  if (cls.__name__, name) == ("ExactRisk", "kl_of") else
+                  dataclasses.field())
+                 for name in cls.__annotations__]
+        mirror = dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+        mirror.__module__ = MIRRORS.__name__
+        setattr(MIRRORS, cls.__name__, mirror)
+    return mirror

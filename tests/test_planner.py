@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -253,6 +254,21 @@ def test_planner_config_rejects_values_the_planner_cannot_use(kwargs, field):
 def test_lattice_config_rejects_non_integer_counts(args, field):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         LatticeConfig(*args)
+
+
+def test_lattice_config_refuses_a_bare_string_of_maneuvers():
+    # read letter by letter, "keep" was refused as maneuvers e, k and p
+    with pytest.raises(ValueError, match="^maneuvers must be a sequence of "
+                                         "names, not the string 'keep'$"):
+        LatticeConfig(2, "keep")
+
+
+# 1.5 planned toward the line between lanes 1 and 2, and True to lane 1
+@pytest.mark.parametrize("lane", [1.5, True, -1])
+def test_goal_spec_lane_is_a_lane_index(lane):
+    with pytest.raises(ValueError, match=re.escape(
+            f"lane must be an integer >= 0, got {lane!r}")):
+        GoalSpec(40.0, lane)
 
 
 class TestSamplingPlanner:

@@ -1,11 +1,10 @@
-import dataclasses
+import functools
 import hashlib
 import math
 import pickle
 import random
 import re
 from array import array
-from dataclasses import FrozenInstanceError
 from unittest import mock
 
 from hypothesis import example, given, reject, settings, strategies as st
@@ -33,8 +32,15 @@ from navrisk.scenario import (
     wrap_angle,
 )
 
+from navrisk.planner import (
+    MANEUVERS, GoalSpec, LatticeConfig, Plan, PlannerConfig, PlanSet)
+from navrisk.prediction import PredictionConfig
+from navrisk.risk import ExactRisk, SelectionResult
+from navrisk.simulate import RunConfig, RunResult, StepRecord
+
 from oracles import (
-    reference_save_scenario, rows_of, state_trajectory, traj_xy)
+    dataclass_mirror, reference_save_scenario, rows_of, state_trajectory,
+    traj_xy)
 
 
 def make_straight(actor_id="a", n=10, speed=5.0, dt=0.1, y=1.75):
@@ -77,11 +83,11 @@ class TestTypes:
         # states stay equal, hash alike and survive a pickle round trip
         a = ActorState(10.0, 5.25, 0.5, 3.0)
         for name in ("speed", "position_x"):
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError,
+                               match=f"^cannot assign to field '{name}'$"):
                 setattr(a, name, 1.0)
-        # a new name: CPython 3.11's frozen slotted __setattr__ raises
-        # TypeError, later versions FrozenInstanceError
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(AttributeError,
+                           match="^cannot assign to field 'other'$"):
             a.other = 1.0
         assert not hasattr(a, "__dict__") and not hasattr(a, "other")
         b = pickle.loads(pickle.dumps(a))
@@ -114,7 +120,7 @@ class TestTypes:
     @BAD_DT
     def test_scenario_rejects_dt_outside_zero_to_inf(self, dt, message):
         with pytest.raises(ScenarioError, match=f"^{message}$"):
-            dataclasses.replace(generate_case_study(), dt=dt)
+            generate_case_study().replace(dt=dt)
 
     def test_kinematic_check_passes_for_consistent(self):
         make_straight().check_kinematics()
@@ -317,11 +323,12 @@ class TestRowBuiltTrajectory:
         traj = Trajectory("a", 3, 0.1, rows_of(states))
         back = pickle.loads(pickle.dumps(traj))
         assert back == traj and back.rows == traj.rows
-        moved = dataclasses.replace(traj, start_tick=4)
+        moved = traj.replace(start_tick=4)
         assert moved.states == states and moved.end_tick == 8
         with pytest.raises(AttributeError, match="'other'"):
             traj.other
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError,
+                           match="^cannot assign to field 'states'$"):
             traj.states = states
 
 
@@ -473,8 +480,7 @@ class TestCaseStudy:
             CaseStudyParams(**{field: value})
 
     def test_case_study_params_settable_fields(self):
-        from dataclasses import fields
-        assert [f.name for f in fields(CaseStudyParams)] == [
+        assert list(CaseStudyParams._fields) == [
             "dt", "ego_speed", "accel", "init_speed_factor",
             "traffic_speed", "lead_slow_speed", "cutin_speed",
             "cutin_merge_speed", "near_offset", "far_offset",
@@ -611,8 +617,8 @@ def test_every_accepted_scenario_round_trips(parts):
 
 def _replace_actor(s, aid, **changes):
     trajs = dict(s.npc_trajectories)
-    trajs[aid] = dataclasses.replace(trajs[aid], **changes)
-    return dataclasses.replace(s, npc_trajectories=trajs)
+    trajs[aid] = trajs[aid].replace(**changes)
+    return s.replace(npc_trajectories=trajs)
 
 
 def _rename_lead(s, aid):
@@ -620,10 +626,10 @@ def _rename_lead(s, aid):
     def renamed(mapping, value):
         return {aid if k == "lead" else k: value(k, v)
                 for k, v in mapping.items()}
-    return dataclasses.replace(
-        s, actor_radius=renamed(s.actor_radius, lambda k, r: r),
+    return s.replace(
+        actor_radius=renamed(s.actor_radius, lambda k, r: r),
         npc_trajectories=renamed(s.npc_trajectories, lambda k, t: (
-            dataclasses.replace(t, actor_id=aid) if k == "lead" else t)))
+            t.replace(actor_id=aid) if k == "lead" else t)))
 
 
 def _teleport(s):
@@ -640,25 +646,25 @@ def _actorless(horizon):
 
 # each Scenario once saved a document that did not load back as it
 BROKEN = {
-    "ego radius nan": (lambda s: dataclasses.replace(
-        s, actor_radius={**s.actor_radius, EGO_ID: math.nan}),
+    "ego radius nan": (lambda s: s.replace(
+        actor_radius={**s.actor_radius, EGO_ID: math.nan}),
         r"^\$\.ego\.radius: must be within \[0, 1e\+150\], got nan$"),
-    "ego radius -1": (lambda s: dataclasses.replace(
-        s, actor_radius={**s.actor_radius, EGO_ID: -1.0}),
+    "ego radius -1": (lambda s: s.replace(
+        actor_radius={**s.actor_radius, EGO_ID: -1.0}),
         r"^\$\.ego\.radius: .* got -1\.0$"),
-    "lane_count True": (lambda s: dataclasses.replace(s.map, lane_count=True),
+    "lane_count True": (lambda s: s.map.replace(lane_count=True),
                         r"^lane_count must be an integer >= 1, got True$"),
     "integer phase name": (lambda s: PhaseSpan(3, 0, 10),
                            r"^name must be a string, got 3$"),
-    "phase past the horizon": (lambda s: dataclasses.replace(
-        s, phases=s.phases[:-1] + (PhaseSpan("s5", s.phases[-1].start_tick,
-                                             s.horizon_ticks + 1),)),
+    "phase past the horizon": (lambda s: s.replace(
+        phases=s.phases[:-1] + (PhaseSpan("s5", s.phases[-1].start_tick,
+                                          s.horizon_ticks + 1),)),
         r"^\$\.phase_metadata\[4\]: span ends at 410, after tick 409$"),
-    "ego past the road's end": (lambda s: dataclasses.replace(
-        s, ego_initial=ActorState(950.0, 5.25, 0.0, 10.0)),
+    "ego past the road's end": (lambda s: s.replace(
+        ego_initial=ActorState(950.0, 5.25, 0.0, 10.0)),
         r"^\$\.ego\.state: ego is off-road at x = 950\.0$"),
-    "ego speed inf": (lambda s: dataclasses.replace(
-        s, ego_initial=ActorState(40.0, 5.25, 0.0, math.inf)),
+    "ego speed inf": (lambda s: s.replace(
+        ego_initial=ActorState(40.0, 5.25, 0.0, math.inf)),
         r"^\$\.ego\.state\[3\]: expected a number of magnitude <= "
         r"1e\+150, got inf$"),
     "horizon -3": (lambda s: _actorless(-3),
@@ -675,16 +681,15 @@ BROKEN = {
     "teleporting actor": (_teleport,
                           r"^\$\.actors\[0\]\.states: actor 'lead': "
                           r"implied speed .* at tick 9 "),
-    "road_length 1e200": (lambda s: dataclasses.replace(s.map,
-                                                        road_length=1e200),
+    "road_length 1e200": (lambda s: s.map.replace(road_length=1e200),
                           r"^road_length must be positive and <= 1e\+150, "
                           r"got 1e\+200$"),
     "dt off by 1e-13": (lambda s: _replace_actor(s, "lead", dt=0.1 + 1e-13),
                         r"^\$\.actors\[0\]\.states: actor 'lead' covers "
                         r"ticks \[0, 409\] at dt 0\.1000000000001\d*, not "
                         r"\[0, 409\] at 0\.1$"),
-    "radius of no actor": (lambda s: dataclasses.replace(
-        s, actor_radius={**s.actor_radius, "ghost": 1.2}),
+    "radius of no actor": (lambda s: s.replace(
+        actor_radius={**s.actor_radius, "ghost": 1.2}),
         r"^actor_radius: keys \[.*'ghost'.*\] are not the npc ids and "
         r"'ego'$"),
 }
@@ -696,3 +701,114 @@ def test_scenario_refuses_what_would_not_round_trip(case):
     s = generate_case_study()
     with pytest.raises(ScenarioError, match=message):
         make(s)
+
+
+# ---------------------------------------------------------------------------
+# Value semantics against the standard library's dataclasses
+# ---------------------------------------------------------------------------
+
+def drawn_values(rng):
+    """One value of each of the package's 17 frozen value types, its
+    fields drawn from rng out of small pools, so two draws often share
+    a field; NaN among them, which equals itself only as one object."""
+    c = rng.choice
+    states = drawn_states(rng, rng.randint(1, 3))
+    traj = Trajectory(c(["a", "lead"]), rng.randint(0, 2), c([0.1, 0.05]),
+                      rows_of(states))
+    road = RoadMap(rng.randint(1, 3), c([3.0, 3.5]), c([300.0, 900.0]),
+                   c([14.0, 15.0]))
+    h = rng.randint(2, 5)
+    parked = Trajectory("p", 0, 0.1, array("d", (c([20.0, 30.0]), 1.5, 0.0,
+                                                 0.0) * (h + 1)))
+    phase = PhaseSpan(c(["s1", "s2"]), rng.randint(0, 1), rng.randint(1, h))
+    plan = Plan(traj, c([1.0, 2.5]), c([None, ("keep",), ("keep", "brake")]),
+                c([False, True]))
+    goal = GoalSpec(c([20.0, 40.0]), rng.randint(0, 2))
+    lattice = LatticeConfig(rng.randint(2, 4), tuple(rng.sample(
+        MANEUVERS, rng.randint(1, 3))), 10)
+    gamma = [None, 0.25, math.nan]
+    record = StepRecord(rng.randint(0, 30), c(["s1", ""]), c(["a", "b"]),
+                        *(c(gamma) for _ in range(6)), rng.randint(0, 2),
+                        c([False, True]))
+    return [
+        states[0], traj, road, phase,
+        Scenario(road, {"p": parked}, ActorState(c([10.0, 12.0]), 1.5, 0.0,
+                                                 c([0.0, 5.0])),
+                 h, 0.1, {"p": 1.2, EGO_ID: c([1.0, 1.2])}, [phase]),
+        CaseStudyParams(dt=c([0.1, 0.05]), ego_speed=c([10.0, 12.0]),
+                        near_offset=c([17.0, -3.0]),
+                        brake_decel=c([None, 2.7]),
+                        steady_ticks=rng.randint(0, 2)),
+        plan, PlanSet(tuple(c([plan, plan.replace(cost=4.0)])
+                            for _ in range(rng.randint(0, 2))),
+                      rng.randint(1, 3)),
+        lattice, goal,
+        PlannerConfig(rng.randint(1, 3), rng.randint(0, 2), goal,
+                      c([8.0, 10.0])),
+        PredictionConfig(c([0.0, 0.35]), c([0.0, 0.02]), rng.randint(1, 2),
+                         rng.randint(0, 2)),
+        ExactRisk(rng.randint(2, 3), rng.randint(0, 1), c([0.0, 0.5]),
+                  {"a": c([0.0, 0.5])}, functools.partial(dict, a=0.25)),
+        SelectionResult(plan, c([0.0, 0.5]), c([False, True])),
+        RunConfig(seed=rng.randint(0, 2), horizon=lattice.horizon,
+                  replan_every=c([5, 15]), samples=rng.randint(0, 2),
+                  operators=c([("euclid",), ["kl", "euclid"], ("exact",)]),
+                  lattice=lattice, iteration_budget=rng.randint(1, 2)),
+        record,
+        RunResult(tuple(c([record, record.replace(tick=40)])
+                        for _ in range(rng.randint(0, 2))),
+                  tuple(states), (0, rng.randint(1, 15))),
+    ]
+
+
+def _mirrored(value):
+    """value as its dataclass mirror, field for field."""
+    cls = type(value)
+    return dataclass_mirror(cls)(*(getattr(value, name)
+                                   for name in cls._fields))
+
+
+def _hash(value):
+    """hash(value), or None where its type is unhashable."""
+    try:
+        return hash(value)
+    except TypeError:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_value_types_agree_with_their_dataclass_mirrors(seed):
+    rng = random.Random(seed)
+    values, others = drawn_values(rng), drawn_values(rng)
+    assert len({type(v) for v in values}) == 17
+    for value, other in zip(values, others):
+        mirror = _mirrored(value)
+        assert type(mirror).__name__ == type(value).__name__
+        assert repr(value) == repr(mirror)
+        assert _hash(value) == _hash(mirror)
+        # another class is never equal: each side declines, both ways
+        assert value.__eq__(mirror) is NotImplemented
+        assert mirror.__eq__(value) is NotImplemented
+        assert value != mirror and not value == mirror
+        for x in values:   # nor is a value of another of the types
+            if type(x) is not type(value):
+                assert value.__eq__(x) is NotImplemented
+                assert mirror.__eq__(_mirrored(x)) is NotImplemented
+        back, mirror_back = (pickle.loads(pickle.dumps(v))
+                             for v in (value, mirror))
+        assert type(back) is type(value) and repr(back) == repr(mirror_back)
+        assert (back == value) == (mirror_back == mirror)
+        # NaN hashes by identity, so a loaded NaN field changes the hash
+        assert (_hash(back) == _hash(value)) == \
+            (_hash(mirror_back) == _hash(mirror))
+        # a value that differs in at most one field, drawn anew
+        for name in type(value)._fields:
+            try:
+                changed = value.replace(**{name: getattr(other, name)})
+            except ValueError:   # breaks one of the value's rules
+                continue
+            changed_mirror = _mirrored(changed)
+            assert (changed == value) == (changed_mirror == mirror)
+            assert (changed != value) == (changed_mirror != mirror)
+            assert repr(changed) == repr(changed_mirror)
+            assert _hash(changed) == _hash(changed_mirror)

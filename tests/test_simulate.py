@@ -205,6 +205,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown operators"):
             RunConfig(operators=("euclid", "l2"))
 
+    def test_operators_kept_as_a_tuple_in_the_given_order(self):
+        lattice = LatticeConfig(8, ("keep",), 5)
+        cfg = RunConfig(operators=["kl", "euclid"], lattice=lattice)
+        assert cfg.operators == ("kl", "euclid")
+        same = RunConfig(operators=("kl", "euclid"), lattice=lattice)
+        assert cfg == same and hash(cfg) == hash(same)
+
+    def test_operators_refuse_a_bare_string(self):
+        # read letter by letter, "euclid" was refused as six operators
+        with pytest.raises(ValueError, match="^operators must be a sequence "
+                                             "of names, not the string "
+                                             "'euclid'$"):
+            RunConfig(operators="euclid")
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"iteration_budget": 0}, "iteration_budget"),
         ({"samples": -1}, "samples"),
@@ -233,19 +247,16 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_nine_settable_values(self):
-        from dataclasses import fields
-        assert [f.name for f in fields(RunConfig)] == [
+        assert list(RunConfig._fields) == [
             "seed", "horizon", "replan_every", "samples", "noise_accel",
             "noise_yawrate", "operators", "lattice", "iteration_budget"]
 
     def test_planner_config_four_settable_values(self):
-        from dataclasses import fields
-        assert [f.name for f in fields(PlannerConfig)] == [
+        assert list(PlannerConfig._fields) == [
             "iteration_budget", "seed", "goal", "target_speed"]
 
     def test_lattice_config_three_settable_values(self):
-        from dataclasses import fields
-        assert [f.name for f in fields(LatticeConfig)] == [
+        assert list(LatticeConfig._fields) == [
             "decision_steps", "maneuvers", "ticks_per_step"]
 
 
