@@ -32,14 +32,13 @@ import functools
 import os
 import stat
 import sys
-import tempfile
 import zlib
-from pathlib import Path
+from array import array
 
 COMPILER = "cc"
 FLAGS = ("-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off",
          "-pthread")
-SOURCE = Path(__file__).with_name("_growth.c")
+SOURCE = os.path.join(os.path.dirname(__file__), "_growth.c")
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
 _Q = ctypes.c_int64
@@ -68,6 +67,11 @@ def address(buf) -> int:
     return buf.buffer_info()[0]
 
 
+def zeros(typecode: str, n: int) -> array:
+    """A zeroed array of n items of typecode, for the kernel to write."""
+    return array(typecode, [0]) * n
+
+
 def seed_words(*ns: int) -> ctypes.Array:
     """The integers ns >= 0 as numpy's SeedSequence reads them, and as
     _growth.c's seed functions take them: each as uint32 words, least
@@ -90,7 +94,7 @@ def _library_name(source: bytes) -> str:
 
 def _compile(out: str):
     import subprocess   # only a build needs it
-    cmd = [COMPILER, *FLAGS, "-o", out, str(SOURCE), "-lm"]
+    cmd = [COMPILER, *FLAGS, "-o", out, SOURCE, "-lm"]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
     except OSError as e:
@@ -110,13 +114,14 @@ def _load(path: str) -> ctypes.CDLL:
     return lib
 
 
-def _user_cache() -> Path:
+def _user_cache() -> str:
     """The per-user cache directory, made 0700 if missing.  Raises OSError
     unless it is a directory (not a link) of this user's, closed to
     everyone else."""
-    path = Path(tempfile.gettempdir()) / f"navrisk-{os.getuid()}"
+    import tempfile   # only a cache outside the package needs it
+    path = os.path.join(tempfile.gettempdir(), f"navrisk-{os.getuid()}")
     try:
-        path.mkdir(mode=0o700)
+        os.mkdir(path, 0o700)
     except FileExistsError:
         pass
     st = os.lstat(path)
@@ -127,17 +132,18 @@ def _user_cache() -> Path:
     return path
 
 
-def _writable(directory: Path) -> bool:
+def _writable(directory: str) -> bool:
     try:
-        directory.mkdir(exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
     except OSError:
         return False
     return os.access(directory, os.W_OK)
 
 
-def _build(path: Path):
+def _build(path: str):
     """Compile into a temporary file beside path, then move it there."""
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    import tempfile   # only a build needs it
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
     os.close(fd)
     try:
         _compile(tmp)
@@ -152,16 +158,18 @@ def _build(path: Path):
 def kernel() -> ctypes.CDLL:
     """The loaded kernel, built on first use.  Raises OSError naming the
     compiler command and the tail of its output when the build fails."""
-    name = _library_name(SOURCE.read_bytes())
-    cache = SOURCE.parent / "__pycache__"
-    if not (cache / name).is_file() and not _writable(cache):
+    with open(SOURCE, "rb") as f:
+        name = _library_name(f.read())
+    package = cache = os.path.join(os.path.dirname(SOURCE), "__pycache__")
+    if not os.path.isfile(os.path.join(cache, name)) and not _writable(cache):
         cache = _user_cache()
-    path = cache / name
-    if not path.is_file():
+    path = os.path.join(cache, name)
+    if not os.path.isfile(path):
         _build(path)
-        if cache == SOURCE.parent / "__pycache__":
-            for old in cache.glob("_growth-*.so"):
-                if old != path:
+        if cache == package:
+            for old in os.listdir(cache):
+                if old.startswith("_growth-") and old.endswith(".so") \
+                        and old != name:
                     with contextlib.suppress(OSError):   # e.g. gone already
-                        old.unlink()
-    return _load(str(path))
+                        os.remove(os.path.join(cache, old))
+    return _load(path)

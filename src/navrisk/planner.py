@@ -71,9 +71,9 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from typing import Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Mapping, Sequence
 
-from ._kernel import address, kernel, seed_words
+from ._kernel import address, kernel, seed_words, zeros
 from .prediction import _hypot_sum, _sum
 from .scenario import (
     ActorState, RoadMap, ScenarioError, Trajectory, _Value, require_int,
@@ -96,7 +96,7 @@ class PlanningInfeasible(Exception):
 class Plan(_Value):
     trajectory: Trajectory
     cost: float
-    maneuver_seq: Optional[tuple[str, ...]] = None
+    maneuver_seq: tuple[str, ...] | None = None
     partial: bool = False
 
 
@@ -239,7 +239,7 @@ def _speed_change(speeds: Sequence[float]) -> float:
 
 def _rows(xs: array, ys: array, headings, vs) -> array:
     """The Trajectory rows of the columns xs, ys, headings and vs."""
-    rows = _doubles(4 * len(xs))
+    rows = zeros("d", 4 * len(xs))
     rows[0::4], rows[1::4] = xs, ys
     rows[2::4], rows[3::4] = array("d", headings), array("d", vs)
     return rows
@@ -264,7 +264,7 @@ def _rows_from_columns(xs: array, ys: array, vs: array) -> array:
 FREE, BLOCKED = -1, -2
 
 
-class LatticeWalk(NamedTuple):
+class LatticeWalk(_Value):
     """What one walk of the lattice writes (_walk).  universe counts the
     in-bounds, within-limit sequences (|Z empty|).  For world block w, z[w]
     counts the plans no row of the block blocks, and freed[j] the plans
@@ -278,14 +278,14 @@ class LatticeWalk(NamedTuple):
     universe: int
     z: array
     freed: array
-    classes: Optional[array] = None
-    seqs: Optional[array] = None
-    cols: Optional[array] = None
+    classes: array | None = None
+    seqs: array | None = None
+    cols: array | None = None
 
 
 def _walk(road: RoadMap, ego: ActorState, k: int, lattice: LatticeConfig,
           obs: array, rsum: array, sizes: Sequence[int], *, dt: float,
-          render: bool = True, universe: Optional[int] = None,
+          render: bool = True, universe: int | None = None,
           kept: int = 0) -> LatticeWalk:
     """One navrisk_lattice call: the lattice walked depth first in product
     order, each in-bounds prefix rendered once, against the obstacle rows
@@ -318,11 +318,10 @@ def _walk(road: RoadMap, ego: ActorState, k: int, lattice: LatticeConfig,
     ramp = array("d", [1 - math.cos(math.pi * (i / m))
                        for i in range(1, m + 1)])
     ws = array("i", sizes)
-    z, freed = array("q", bytes(8 * len(ws))), array("q", bytes(8 * n))
-    classes = None if universe is None else \
-        array("i", bytes(4 * universe * len(ws)))
-    seqs = array("i", bytes(4 * kept * steps)) if kept else None
-    cols = _doubles(kept * 3 * (k + 1)) if kept else None
+    z, freed = zeros("q", len(ws)), zeros("q", n)
+    classes = None if universe is None else zeros("i", universe * len(ws))
+    seqs = zeros("i", kept * steps) if kept else None
+    cols = zeros("d", kept * 3 * (k + 1)) if kept else None
     start = array("d", (ego.position_x, ego.position_y, ego.speed))
     count = kernel().navrisk_lattice(
         address(start), lane - lo, address(centers), len(centers),
@@ -373,8 +372,8 @@ def _unblocked(road: RoadMap, ego: ActorState, k: int,
 
 def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
                     lattice: LatticeConfig,
-                    world: Optional[Mapping[str, Trajectory]] = None,
-                    radii: Optional[Mapping[str, float]] = None, *,
+                    world: Mapping[str, Trajectory] | None = None,
+                    radii: Mapping[str, float] | None = None, *,
                     ego_radius: float = 1.2,
                     dt: float = 0.1) -> PlanSet:
     """Enumerate every maneuver sequence, render it, and keep the in-bounds,
@@ -423,18 +422,13 @@ def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
                          f"[{y_lo!r}, {y_hi!r}] has a negative or "
                          f"non-finite width")
     seed = seed_words(cfg.seed)
-    samples = _doubles(2 * cfg.iteration_budget)
+    samples = zeros("d", 2 * cfg.iteration_budget)
     kernel().navrisk_uniform(seed, len(seed), x_lo, y_lo, x_hi, y_hi,
                              cfg.iteration_budget, address(samples))
     return samples
 
 
-def _doubles(n: int) -> array:
-    """A zeroed array('d') of n entries, for the kernel to write."""
-    return array("d", bytes(8 * n))
-
-
-class _Path(NamedTuple):
+class _Path(_Value):
     """A selected plan as the kernel writes it: positions (k+1, 2) and the
     vertices (n, 2) as flat array('d')s of (x, y) pairs, the segment each
     tick moves along (-1 while it holds) and the partial flag."""
@@ -465,7 +459,7 @@ def _path_plan(path: _Path, speed: float, road: RoadMap, t: int,
                 partial=path.partial)
 
 
-class _Worlds(NamedTuple):
+class _Worlds(_Value):
     """One world of a navrisk_leave_one_out call as the kernel plans it:
     the full world's _Path (None without a plan); for each actor j the
     positions (k+1, 2) of the world without it, a flat array('d') as in
@@ -474,8 +468,8 @@ class _Worlds(NamedTuple):
     planning tick); the trees grown; and the (m,) flags, 1 for each
     ablation that did not reuse the full tree."""
 
-    full: Optional[_Path]
-    ablated: list[Optional[array]]
+    full: _Path | None
+    ablated: list[array | None]
     nodes: int
     growths: int
     regrown: array
@@ -521,12 +515,12 @@ def _plan_worlds(road: RoadMap, ego: ActorState, k: int, obs: array,
     speed = min(cfg.target_speed, road.speed_limit)
     inv = 1.0 / (speed * dt)          # ticks per meter of path
     slots, vsize = n * (m + 1), 2 * (cfg.iteration_budget + 2)
-    xy = _doubles(slots * row)
-    status = array("i", bytes(4 * slots))
-    verts = _doubles(n * vsize)
-    seg = array("i", bytes(4 * n * (k + 1)))
-    info = array("i", bytes(16 * n))
-    regrown = array("B", bytes(n * m))
+    xy = zeros("d", slots * row)
+    status = zeros("i", slots)
+    verts = zeros("d", n * vsize)
+    seg = zeros("i", n * (k + 1))
+    info = zeros("i", 4 * n)
+    regrown = zeros("B", n * m)
     err = kernel().navrisk_leave_one_out(
         address(samples), cfg.iteration_budget, ego.position_x,
         ego.position_y, ego_radius, road.width - ego_radius, inv, STEER_STEP,
@@ -570,7 +564,7 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     goal = _goal_point(road, ego, cfg.goal, ego_radius)
     [worlds] = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
                             array("d", goal * (len(rsum) + 1)),
-                            array("B", bytes(len(rsum))))
+                            zeros("B", len(rsum)))
     if worlds.full is None:   # why, by the full tree's node count
         raise PlanningInfeasible((
             "ego overlaps an obstacle at the planning tick",

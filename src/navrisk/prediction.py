@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Mapping
+from collections.abc import Mapping
 
-from ._kernel import address, kernel, seed_words
+from ._kernel import address, kernel, seed_words, zeros
 from .scenario import (
     MAX_MAGNITUDE, ScenarioError, Trajectory, _Value, require_int)
 
@@ -104,7 +104,7 @@ def sample_predictions(history: Trajectory, k: int, cfg: PredictionConfig
     out = []
     for j in range(cfg.sample_count):
         spawn = seed_words(key, t & (2 ** 63 - 1), j)
-        rows = array("d", bytes(32 * (k + 1)))
+        rows = zeros("d", 4 * (k + 1))
         if kernel().navrisk_sample_future(
                 entropy, len(entropy), spawn, len(spawn),
                 cfg.noise_accel_sigma, cfg.noise_yawrate_sigma, k,

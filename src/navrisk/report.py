@@ -7,7 +7,7 @@ repr (shortest round-trip) and the SVGs embed no timestamps or random ids.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .simulate import RunResult, StepRecord
 
@@ -21,7 +21,7 @@ PHASE_CSV_HEADER = ("phase,actor_id,n,gamma_euclid_median,gamma_euclid_q1,"
                     "prediction_error_q3")
 
 
-def _num(x: Optional[float]) -> str:
+def _num(x: float | None) -> str:
     return "" if x is None else repr(float(x))
 
 

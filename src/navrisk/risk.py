@@ -33,9 +33,9 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from typing import Callable, Mapping, Optional, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
-from ._kernel import address, kernel
+from ._kernel import address, kernel, zeros
 from .planner import (
     GoalSpec,
     LatticeConfig,
@@ -129,7 +129,7 @@ def _kl(classes: array, block: int, blocks: int, z: int,
 
     pf, p0 = floored(z)
     at = address(classes) + classes.itemsize * block
-    terms, kl = array("d", bytes(24)), {}
+    terms, kl = zeros("d", 3), {}
     for j, aid in enumerate(actors):
         qf, q0 = floored(z + freed[j])
         terms[0] = pf * math.log(pf / qf)
@@ -181,7 +181,7 @@ def lattice_risks(road: RoadMap, ego: ActorState, t: int, k: int,
 
 def all_actor_risk_exact(s: Scenario, t: int, k: int,
                          lattice: LatticeConfig,
-                         ego: Optional[ActorState] = None) -> ExactRisk:
+                         ego: ActorState | None = None) -> ExactRisk:
     """lattice_risks of the ground-truth world slice alone."""
     return lattice_risks(
         s.map, s.ego_initial if ego is None else ego, t, k, lattice,
@@ -190,13 +190,13 @@ def all_actor_risk_exact(s: Scenario, t: int, k: int,
 
 
 def total_risk_exact(s: Scenario, t: int, k: int, lattice: LatticeConfig,
-                     ego: Optional[ActorState] = None) -> float:
+                     ego: ActorState | None = None) -> float:
     """(|Z empty| - |Z|) / |Z empty| over the ground-truth world slice."""
     return all_actor_risk_exact(s, t, k, lattice, ego).total
 
 
 def actor_risk_exact(s: Scenario, actor_id: str, t: int, k: int,
-                     lattice: LatticeConfig, ego: Optional[ActorState] = None
+                     lattice: LatticeConfig, ego: ActorState | None = None
                      ) -> float:
     """(|Z without i| - |Z|) / |Z empty|: the plan count actor i suppresses."""
     if actor_id not in s.npc_trajectories:
@@ -223,7 +223,7 @@ SWITCH_HYSTERESIS = 5.0     # meters of advance a lane switch must gain
 
 
 def _follow_term(traj: Trajectory, ego: ActorState, road: RoadMap,
-                 lane: int, ego_speed: float) -> Optional[float]:
+                 lane: int, ego_speed: float) -> float | None:
     """The advance one occupant of lane allows (a term of _soft_advance),
     or None when it never limits the advance there."""
     lo = lane * road.lane_width
@@ -261,7 +261,7 @@ def _soft_advance(base_advance: float, terms) -> float:
 
 def _lane_terms(world: Mapping[str, Trajectory], ego: ActorState,
                 road: RoadMap, lane: int, ego_speed: float
-                ) -> list[Optional[float]]:
+                ) -> list[float | None]:
     """Every occupant's _follow_term in lane, in world order."""
     return [_follow_term(traj, ego, road, lane, ego_speed)
             for traj in world.values()]
@@ -297,7 +297,7 @@ def _pick_lane(world: Mapping[str, Trajectory], ego: ActorState,
 # Leave-one-out importance
 # ---------------------------------------------------------------------------
 
-def _plan_change(full: Optional[array], ablated: Optional[array],
+def _plan_change(full: array | None, ablated: array | None,
                  road: RoadMap, k: int) -> tuple[float, bool]:
     """(gamma, saturated) between the full-world and ablated positions
     (flat (x, y) buffers, as planner._Worlds holds them):
@@ -314,8 +314,8 @@ def leave_one_out(world: Mapping[str, Trajectory], ego: ActorState, t: int,
                   k: int, cfg: PlannerConfig, *, road: RoadMap,
                   radii: Mapping[str, float], ego_radius: float = 1.2,
                   dt: float = 0.1, route: bool = False,
-                  actor_ids: Optional[Sequence[str]] = None
-                  ) -> tuple[Optional[Plan], dict[str, tuple[float, bool]]]:
+                  actor_ids: Sequence[str] | None = None
+                  ) -> tuple[Plan | None, dict[str, tuple[float, bool]]]:
     """operator="euclid" importance of the actors actor_ids of world (all
     of them by default): plan the full world once, then each world without
     one of those actors under the same planner seed, and return the full
@@ -346,9 +346,9 @@ def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
                    ego: ActorState, t: int, k: int, cfg: PlannerConfig, *,
                    road: RoadMap, radii: Mapping[str, float],
                    ego_radius: float, dt: float, route: bool = False,
-                   actor_ids: Optional[Sequence[str]] = None,
-                   first_sample: Optional[int] = None
-                   ) -> tuple[Optional[Plan],
+                   actor_ids: Sequence[str] | None = None,
+                   first_sample: int | None = None
+                   ) -> tuple[Plan | None,
                               list[dict[str, tuple[float, bool]]]]:
     """leave_one_out of each of worlds, in one kernel call
     (planner._plan_worlds), each routed on its own occupants of
@@ -378,7 +378,7 @@ def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
             raise type(e)(f"sample {i - first_sample}: {e}") from e
         obs += w_obs
 
-    def goal(w_terms, without: Optional[int]) -> tuple[float, float]:
+    def goal(w_terms, without: int | None) -> tuple[float, float]:
         """The goal of the world of route terms w_terms without actor
         `without` (None: the full world)."""
         advance = cfg.goal.advance if w_terms is None else _soft_advance(
@@ -434,7 +434,7 @@ def actor_importance(world: Mapping[str, Trajectory], actor_id: str,
                      planner_cfg: PlannerConfig, operator: str = "euclid", *,
                      road: RoadMap, radii: Mapping[str, float],
                      ego_radius: float = 1.2, dt: float = 0.1,
-                     lattice: Optional[LatticeConfig] = None,
+                     lattice: LatticeConfig | None = None,
                      route: bool = False) -> float:
     """Replan with and without one actor under identical seeds and measure
     the plan change.
@@ -470,7 +470,7 @@ def monte_carlo_importance(worlds: Sequence[Mapping[str, Trajectory]],
                            radii: Mapping[str, float],
                            ego_radius: float = 1.2, dt: float = 0.1,
                            route: bool = False,
-                           actor_ids: Optional[Sequence[str]] = None
+                           actor_ids: Sequence[str] | None = None
                            ) -> dict[str, tuple[float, float]]:
     """Sample mean and unbiased variance of each gamma of leave_one_out
     (of actor_ids, all actors by default) over the sampled worlds, every

@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping, Optional
 
 EGO_ID = "ego"
 
@@ -37,7 +37,7 @@ class ScenarioError(ValueError):
     """Raised for malformed scenarios, infeasible params or bad documents."""
 
 
-def require_int(name: str, value, least: Optional[int] = None,
+def require_int(name: str, value, least: int | None = None,
                 error: type = ValueError) -> None:
     """Raise error naming the field unless value is an integer, and not a
     bool (>= least when given): a float count or seed would otherwise pass
@@ -254,7 +254,7 @@ class Trajectory(_Value, unhashed=("rows",)):
         """Positions as one flat array('d'): x0, y0, x1, y1, ...; the
         buffer the planner kernel reads."""
         rows = self.rows
-        p = array("d", bytes(4 * len(rows)))   # 2 of each row's 4 doubles
+        p = array("d", [0.0]) * (len(rows) // 2)   # each row's x and y
         p[0::2], p[1::2] = rows[0::4], rows[1::4]
         return p
 
@@ -460,16 +460,16 @@ class CaseStudyParams(_Value):
     # cruise target speed of every npc but cutin, and start offset ahead of
     # the ego for the two left-lane candidates
     traffic_speed: float = 5.5
-    lead_slow_speed: Optional[float] = 4.8  # lead compresses from s3 onward
+    lead_slow_speed: float | None = 4.8  # lead compresses from s3 onward
     cutin_speed: float = 6.5
-    cutin_merge_speed: Optional[float] = 4.0  # None: merge without slowing
+    cutin_merge_speed: float | None = 4.0  # None: merge without slowing
     near_offset: float = 17.0
     far_offset: float = 23.0
 
     lane_change_duration: float = 3.0
     # braking rate of the cutin actor at s5; 0 keeps a degenerate
     # constant-speed s5, None drops the phase entirely
-    brake_decel: Optional[float] = 2.7
+    brake_decel: float | None = 2.7
 
     steady_ticks: int = 150         # s2 duration
     steady2_ticks: int = 150        # s4 duration
@@ -518,7 +518,7 @@ class _ScriptedActor:
     (decel, when set, when slowing down), and a lane change is a cosine
     lateral ramp of ramp_ticks ticks from ramp_start."""
 
-    decel: Optional[float] = None
+    decel: float | None = None
     prev_vx: float = float("nan")
     ramp_from: float = 0.0
     ramp_to: float = 0.0

@@ -16,10 +16,7 @@ phase active at planning time.
 
 from __future__ import annotations
 
-import ctypes
-from typing import Optional
-
-from ._kernel import kernel, seed_words
+from ._kernel import address, kernel, seed_words, zeros
 from .planner import GoalSpec, LatticeConfig, PlannerConfig
 from .prediction import predict_linear, sample_worlds, prediction_error, \
     PredictionConfig
@@ -41,7 +38,7 @@ class RunConfig(_Value):
     # "euclid": gamma_euclid; "kl": gamma_kl and "exact": rho_exact, both
     # on `lattice`
     operators: tuple[str, ...] = ("euclid",)
-    lattice: Optional[LatticeConfig] = None
+    lattice: LatticeConfig | None = None
     iteration_budget: int = 700
 
     def __post_init__(self):
@@ -71,12 +68,12 @@ class StepRecord(_Value):
     tick: int
     phase: str
     actor_id: str
-    gamma_euclid: Optional[float]
-    gamma_kl: Optional[float]
-    rho_exact: Optional[float]
-    mean_gamma: Optional[float]
-    var_gamma: Optional[float]
-    prediction_error: Optional[float]
+    gamma_euclid: float | None
+    gamma_kl: float | None
+    rho_exact: float | None
+    mean_gamma: float | None
+    var_gamma: float | None
+    prediction_error: float | None
     ego_lane: int
     plan_partial: bool
 
@@ -100,10 +97,10 @@ def _planner_seed(seed: int, t: int) -> int:
     """numpy's SeedSequence(seed, spawn_key=(t,))
     .generate_state(1, np.uint64)[0], computed by the kernel."""
     entropy, spawn = seed_words(seed), seed_words(t)
-    out = ctypes.c_uint64()
+    out = zeros("Q", 1)
     kernel().navrisk_seed_state(entropy, len(entropy), spawn, len(spawn),
-                                ctypes.byref(out), 1)
-    return out.value
+                                address(out), 1)
+    return out[0]
 
 
 def run_simulation(s: Scenario, cfg: RunConfig = RunConfig()) -> RunResult:

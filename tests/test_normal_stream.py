@@ -49,7 +49,8 @@ NOR_INV_R = 0.27366123732975827203338247596
 
 def c_table(name: str) -> list:
     """The 256 entries of the table name as written in _growth.c."""
-    m = re.search(r"\b%s\[256\] = \{([^}]*)\}" % name, SOURCE.read_text())
+    m = re.search(r"\b%s\[256\] = \{([^}]*)\}" % name,
+                  Path(SOURCE).read_text())
     items = [w.strip() for w in m.group(1).split(",")]
     if items[0].endswith("ull"):
         return [int(w[:-3], 16) for w in items]

@@ -9,7 +9,10 @@ The lattice is walked, every collision checked and every sum, the KL
 importance's among them, taken in the compiled kernel, so
 enumerate_plans, the exact risks and their KL importances,
 collision_check and min_risk_selection load no numpy.
-No command builds its values with dataclasses, which loads inspect.
+No command builds its values with dataclasses, which loads inspect, and
+no command, nor a plan, loads typing or tempfile; a plan loads no pathlib
+either.  Each probe starts without site, so that no .pth file has
+loaded these before it looks.
 tests/test_cli.py probes the commands the same way: no command loads
 numpy, run --operator kl and --samples among them.
 """
@@ -17,6 +20,7 @@ numpy, run --operator kl and --samples among them.
 import ast
 import importlib
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import navrisk
+from navrisk._kernel import kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -49,15 +54,17 @@ NAMES = [(home, name) for home, names in (
 ) for name in names]
 
 
-def loaded_modules(code):
-    """The modules that a fresh interpreter loads to run code, beyond
-    those it starts with."""
+def loaded_modules(code, *args):
+    """The modules that a fresh interpreter loads to run code, given args
+    as sys.argv[1:], beyond those it starts with.  It starts without site
+    (-S), whose .pth files may load typing, tempfile or pathlib first;
+    site-packages stays on its path, so numpy still imports."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = str(SRC)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *site.getsitepackages()])
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-S", "-c",
          "import sys\nbefore = set(sys.modules)\n" + code
-         + "\nprint(*sorted(set(sys.modules) - before))"],
+         + "\nprint(*sorted(set(sys.modules) - before))", *args],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
@@ -67,6 +74,18 @@ def loads_numpy(code):
     """Whether a fresh interpreter that runs code ends with numpy in
     sys.modules."""
     return "numpy" in loaded_modules(code)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    """A directory holding the case-study document case.json, for the
+    probes to write into and read; the kernel is built first, since a
+    build loads tempfile."""
+    kernel()
+    path = tmp_path_factory.mktemp("startup")
+    (path / "case.json").write_bytes(
+        navrisk.save_scenario(navrisk.generate_case_study()))
+    return path
 
 
 def test_import_loads_no_submodule_ctypes_or_json():
@@ -81,12 +100,23 @@ def test_import_loads_no_submodule_ctypes_or_json():
     "import navrisk\nnavrisk.generate_case_study()",
     "import navrisk\nnavrisk.load_scenario(\n"
     "    navrisk.save_scenario(navrisk.generate_case_study()))",
+    "from navrisk.cli import main\n"
+    "assert main(['casestudy', '--out', sys.argv[1] + '/out.json']) == 0",
+    "from navrisk.cli import main\n"
+    "assert main(['oracle', '--scenario', sys.argv[1] + '/case.json',\n"
+    "             '--t', '20', '--k', '40', '--steps', '8']) == 0",
+    "from navrisk.cli import main\n"
+    "assert main(['run', '--casestudy-defaults', '--exact-lattice',\n"
+    "             '--operator', 'both', '--samples', '1',\n"
+    "             '--out', sys.argv[1] + '/run']) == 0",
 ])
-def test_start_up_builds_its_values_without_dataclasses(code):
+def test_start_up_builds_its_values_without_dataclasses(code, work):
     # dataclasses loads inspect, ast, dis and tokenize, and each frozen
-    # class it builds execs its generated methods: about 21 ms a process
-    loaded = loaded_modules(code)
+    # class it builds execs its generated methods: about 21 ms a process.
+    # typing and tempfile cost about 13-16 ms of a -S process together
+    loaded = loaded_modules(code, str(work))
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded & {"typing", "tempfile"}
 
 
 @pytest.mark.parametrize("code, modules, json_loaded", [
@@ -96,13 +126,21 @@ def test_start_up_builds_its_values_without_dataclasses(code):
     ("navrisk.Trajectory", {"scenario"}, False),
     ("navrisk.plan_sampling", {"scenario", "_kernel", "prediction",
                                "planner"}, False),
+    ("navrisk.plan_sampling(navrisk.RoadMap(3, 3.5, 300.0, 14.0),\n"
+     "    navrisk.ActorState(10.0, 5.25, 0.0, 8.0), 0, 20, {},\n"
+     "    navrisk.PlannerConfig(iteration_budget=50), {})",
+     {"scenario", "_kernel", "prediction", "planner"}, False),
 ])
-def test_a_name_loads_only_what_defines_it(code, modules, json_loaded):
+def test_a_name_loads_only_what_defines_it(code, modules, json_loaded,
+                                           work):
     loaded = loaded_modules("import navrisk\n" + code)
     assert {m for m in loaded if m.startswith("navrisk.")} == \
         {f"navrisk.{m}" for m in modules}
     assert ("ctypes" in loaded) == ("navrisk._kernel" in loaded)
     assert ("json" in loaded) == json_loaded
+    # only the command line reads paths as pathlib's, and only a kernel
+    # build or a cache outside the package loads tempfile
+    assert not loaded & {"typing", "tempfile", "pathlib"}
 
 
 @pytest.mark.parametrize("home, name", NAMES)
@@ -172,9 +210,11 @@ def test_exact_risk_loads_no_numpy_either_way(read_kl):
            else ""))
 
 
-def test_no_module_imports_numpy():
-    """No import statement of any module names numpy, at top level or
-    inside a function."""
+@pytest.mark.parametrize("module", ["numpy", "typing", "dataclasses"])
+def test_no_module_imports(module):
+    """No import statement of any module names module, at top level or
+    inside a function: not numpy, nor typing or dataclasses, whose import
+    start-up would pay."""
     found = []
     for path in sorted((SRC / "navrisk").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -183,5 +223,5 @@ def test_no_module_imports_numpy():
                      [node.module or ""] if isinstance(node, ast.ImportFrom)
                      else [])
             found += [(path.name, node.lineno, n) for n in names
-                      if n.split(".")[0] == "numpy"]
+                      if n.split(".")[0] == module]
     assert found == []
