@@ -8,7 +8,10 @@
    endpoint selection (navrisk_select) and the edge check
    (navrisk_edge_blockers), are exported for the tests that check each
    against its reference (tests/kernel_calls.py).  The path check
-   (navrisk_path_clear) is planner.collision_check.
+   (navrisk_path_clear) is planner.collision_check.  Every check takes
+   skip, an actor to pass over, so a world without actor a is its full
+   world's rows read in place with skip = a, and the full world is
+   skip = -1.
 
    Collision is one rule, written once (overlaps): an obstacle overlaps
    the ego iff dx * dx + dy * dy < r * r, strictly, on the radius sum r.
@@ -68,13 +71,16 @@ static int overlaps(double dx, double dy, double r)
    integer ticks its traversal from tick0 to tick1 covers: how many,
    stopping at 2, written to found in ascending order.  obs is the
    (m, kp1, 2) array of obstacle positions per tick and rsum the (m,)
-   radius sums.  The ego's point at each covered tick is computed once,
+   radius sums; actor skip is passed over (-1 passes over none), so a
+   world's rows read in place are its world without skip, and found
+   indexes them.  The ego's point at each covered tick is computed once,
    into pts (2 * kp1 entries), and tested against every actor, every
    tick with no branch, since a branch per pair mispredicts.  The caller
    keeps 0 <= tick0 and tick1 < kp1. */
 static int blockers(double p0x, double p0y, double p1x, double p1y,
                     double tick0, double tick1, const double *obs, int kp1,
-                    const double *rsum, int m, double *pts, int32_t *found)
+                    const double *rsum, int m, int skip, double *pts,
+                    int32_t *found)
 {
     long j0 = (long)floor(tick0) + 1;   /* first integer tick after tick0 */
     long j1 = (long)floor(tick1);       /* last integer tick <= tick1 */
@@ -87,6 +93,8 @@ static int blockers(double p0x, double p0y, double p1x, double p1y,
     }
     int count = 0;
     for (int a = 0; a < m && nt > 0; a++) {
+        if (a == skip)
+            continue;
         const double *o = obs + ((size_t)a * kp1 + (size_t)j0) * 2;
         int hit = 0;
         for (int q = 0; q < nt; q++)
@@ -105,14 +113,14 @@ static int blockers(double p0x, double p0y, double p1x, double p1y,
    be had. */
 int navrisk_edge_blockers(double p0x, double p0y, double p1x, double p1y,
                           double tick0, double tick1, const double *obs,
-                          int kp1, const double *rsum, int m,
+                          int kp1, const double *rsum, int m, int skip,
                           int32_t *found)
 {
     double *pts = malloc(2 * (size_t)kp1 * sizeof(double));
     if (pts == NULL)
         return -1;
     int count = blockers(p0x, p0y, p1x, p1y, tick0, tick1, obs, kp1, rsum,
-                         m, pts, found);
+                         m, skip, pts, found);
     free(pts);
     return count;
 }
@@ -151,12 +159,12 @@ static int closer(double x, double y, int i, double sx, double sy,
 }
 
 /* Grow the rewiring tree from the root (x0, y0) over the budget samples
-   (sx, sy) pairs, exactly as the numpy reference grows it; obs, kp1, rsum
-   and m as for blockers, with kp1 > k.  Fills xy (n, 2), cost, tick and
-   parent for the n nodes it returns, and sets sole[a] when some connect
-   or rewire edge check was blocked by actor a alone.  Every output array
-   holds budget + 1 entries.  Returns -1 when memory for the work arrays
-   cannot be had.
+   (sx, sy) pairs, exactly as the numpy reference grows it; obs, kp1,
+   rsum, m and skip as for blockers, with kp1 > k.  Fills xy (n, 2),
+   cost, tick and parent for the n nodes it returns, and, unless sole is
+   NULL, sets sole[a] when some connect or rewire edge check was blocked
+   by actor a alone.  Every output array holds budget + 1 entries.
+   Returns -1 when memory for the work arrays cannot be had.
 
    The nodes are also kept sorted by x, with their y beside, for the two
    scans: the nearest node, and the neighbours within 2 * steer, which
@@ -166,8 +174,8 @@ static int closer(double x, double y, int i, double sx, double sy,
 int navrisk_grow(const double *samples, int budget, double x0, double y0,
                  double y_lo, double y_hi, double inv, double steer, int k,
                  const double *obs, int kp1, const double *rsum, int m,
-                 double *xy, double *cost, double *tick, int32_t *parent,
-                 uint8_t *sole)
+                 int skip, double *xy, double *cost, double *tick,
+                 int32_t *parent, uint8_t *sole)
 {
     size_t n_max = (size_t)budget + 1;
     double *dwork = malloc((5 * n_max + 2 * (size_t)kp1) * sizeof(double));
@@ -281,8 +289,8 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
                     q = c;
             int o = c_nb[q], i = nb_i[o];
             int hit = blockers(xy[2 * i], xy[2 * i + 1], cx, cy, tick[i],
-                               c_tick[q], obs, kp1, rsum, m, pts, found);
-            if (hit == 1)
+                               c_tick[q], obs, kp1, rsum, m, skip, pts, found);
+            if (hit == 1 && sole != NULL)
                 sole[found[0]] = 1;
             if (hit == 0) {
                 chosen = i;
@@ -347,8 +355,8 @@ int navrisk_grow(const double *samples, int budget, double x0, double y0,
             if (children[i] > 0)
                 continue;
             int hit = blockers(cx, cy, xy[2 * i], xy[2 * i + 1], t_n,
-                               c_tick[q], obs, kp1, rsum, m, pts, found);
-            if (hit == 1)
+                               c_tick[q], obs, kp1, rsum, m, skip, pts, found);
+            if (hit == 1 && sole != NULL)
                 sole[found[0]] = 1;
             if (hit == 0) {
                 children[parent[i]]--;
@@ -386,14 +394,17 @@ static int precedes(const double *key1, const double *key2, int i, int j)
     return c < 0 || (c == 0 && i < j);
 }
 
-/* Whether the ego's positions at ticks j0..k stay clear of every actor,
-   its position at tick j at path[stride * j]: stride 2 for a path of
-   (k+1, 2) positions, 0 for one parked point.  obs, kp1, rsum and m as
-   for blockers, with 0 <= j0 and kp1 > k. */
+/* Whether the ego's positions at ticks j0..k stay clear of every actor
+   but skip, its position at tick j at path[stride * j]: stride 2 for a
+   path of (k+1, 2) positions, 0 for one parked point.  obs, kp1, rsum, m
+   and skip as for blockers, with 0 <= j0 and kp1 > k. */
 int navrisk_path_clear(const double *path, int stride, int j0, int k,
-                       const double *obs, int kp1, const double *rsum, int m)
+                       const double *obs, int kp1, const double *rsum, int m,
+                       int skip)
 {
     for (int a = 0; a < m; a++) {
+        if (a == skip)
+            continue;
         const double *o = obs + (size_t)a * kp1 * 2;
         for (int j = j0; j <= k; j++)
             if (overlaps(o[2 * j] - path[stride * j],
@@ -404,14 +415,15 @@ int navrisk_path_clear(const double *path, int stride, int j0, int k,
 }
 
 /* Whether (x, y), parked from tick `from` to k, stays clear of every
-   actor. */
+   actor but skip. */
 static int hold_free(double x, double y, double from, int k,
-                     const double *obs, int kp1, const double *rsum, int m)
+                     const double *obs, int kp1, const double *rsum, int m,
+                     int skip)
 {
     double j0 = ceil(from);
     const double at[2] = {x, y};
     return !(j0 <= k) ||
-           navrisk_path_clear(at, 0, (int)j0, k, obs, kp1, rsum, m);
+           navrisk_path_clear(at, 0, (int)j0, k, obs, kp1, rsum, m, skip);
 }
 
 /* Walk the nv vertices at `step` meters per tick for ticks 0..k, holding
@@ -458,16 +470,16 @@ static void render(const double *v, int nv, double step, int k,
 
 /* Select the endpoint of a grown tree of n nodes (xy, cost, tick, parent
    as navrisk_grow writes them) toward the goal (gx, gy) among obs, kp1,
-   rsum and m as for blockers, with kp1 > k: the cheapest path into the
-   goal region that stays clear, connected to the goal point when that
-   edge is clear, else the closest-approach path, flagged partial.  Each
-   round tries up to CANDIDATES nodes: those within tol of the goal by
-   cost, then every node by goal distance and cost, ties to the lower
-   index.  A candidate's plan parks at its endpoint until k, so the
-   endpoint must stay clear until then, and so must every rendered tick.
-   inv is ticks per meter and step meters per tick.  Writes the chosen
-   path's vertices (at most n + 1) to verts, its positions (k+1, 2) to
-   path and the segment of each tick to seg, and info[0] = partial,
+   rsum, m and skip as for blockers, with kp1 > k: the cheapest path
+   into the goal region that stays clear, connected to the goal point
+   when that edge is clear, else the closest-approach path, flagged
+   partial.  Each round tries up to CANDIDATES nodes: those within tol of
+   the goal by cost, then every node by goal distance and cost, ties to
+   the lower index.  A candidate's plan parks at its endpoint until k, so
+   the endpoint must stay clear until then, and so must every rendered
+   tick.  inv is ticks per meter and step meters per tick.  Writes the
+   chosen path's vertices (at most n + 1) to verts, its positions (k+1,
+   2) to path and the segment of each tick to seg, and info[0] = partial,
    info[1] = the vertex count.  Returns the endpoint's node, -1 when no
    candidate stays clear, -2 when memory for the work arrays cannot be
    had and -3 when a parent chain is not a path to the root. */
@@ -475,7 +487,8 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
                    const int32_t *parent, int n, double gx, double gy,
                    double tol, double inv, double step, int k,
                    const double *obs, int kp1, const double *rsum, int m,
-                   double *verts, double *path, int32_t *seg, int32_t *info)
+                   int skip, double *verts, double *path, int32_t *seg,
+                   int32_t *info)
 {
     double *work = malloc((3 * (size_t)n + 2 + 2 * (size_t)kp1) *
                           sizeof(double));
@@ -532,20 +545,20 @@ int navrisk_select(const double *xy, const double *cost, const double *tick,
                 double nt = tick[best] + gd[best] * inv;
                 if (nt <= k &&
                     blockers(end_x, end_y, gx, gy, tick[best], nt, obs, kp1,
-                             rsum, m, pts, found) == 0 &&
-                    hold_free(gx, gy, nt, k, obs, kp1, rsum, m)) {
+                             rsum, m, skip, pts, found) == 0 &&
+                    hold_free(gx, gy, nt, k, obs, kp1, rsum, m, skip)) {
                     verts[2 * nv] = gx;
                     verts[2 * nv + 1] = gy;
                     nv++;
                     to_goal = 1;
                 }
             }
-            if (!to_goal &&
-                !hold_free(end_x, end_y, tick[best], k, obs, kp1, rsum, m))
+            if (!to_goal && !hold_free(end_x, end_y, tick[best], k, obs,
+                                       kp1, rsum, m, skip))
                 continue;
 
             render(verts, nv, step, k, seg_len, cum, path, seg);
-            if (navrisk_path_clear(path, 2, 0, k, obs, kp1, rsum, m)) {
+            if (navrisk_path_clear(path, 2, 0, k, obs, kp1, rsum, m, skip)) {
                 info[0] = partial;
                 info[1] = nv;
                 result = best;
@@ -567,14 +580,14 @@ static int plan_world(const double *xy, const double *cost,
                       const double *tick, const int32_t *parent, int n,
                       const double *goal, double tol, double inv,
                       double step, int k, const double *obs, int kp1,
-                      const double *rsum, int m, double *verts, double *path,
-                      int32_t *seg, int32_t *info)
+                      const double *rsum, int m, int skip, double *verts,
+                      double *path, int32_t *seg, int32_t *info)
 {
     if (n <= 1)
         return NO_PLAN;
     int best = navrisk_select(xy, cost, tick, parent, n, goal[0], goal[1],
-                              tol, inv, step, k, obs, kp1, rsum, m, verts,
-                              path, seg, info);
+                              tol, inv, step, k, obs, kp1, rsum, m, skip,
+                              verts, path, seg, info);
     if (best == -1)
         return NO_PLAN;
     if (best < 0)
@@ -603,24 +616,24 @@ struct job {
     int next;              /* the next item to take, only ever atomically */
 };
 
-/* One worker: its thread, and its work buffers for phase B: the rows
-   without an actor, a tree grown on them, and an ablated selection's
-   vertices, segments and info, which are not kept. */
+/* One worker: its thread, and its work buffers for phase B: a tree
+   grown without an actor, and an ablated selection's vertices, segments
+   and info, which are not kept. */
 struct worker {
     struct job *job;
     pthread_t thread;
     int started;
-    double *obs, *rsum, *xy, *cost, *tick, *verts;
+    double *xy, *cost, *tick, *verts;
     int32_t *parent, *seg, info[2];
-    uint8_t *sole;
 };
 
 /* One item: world w's full world when a < 0 (phase A), else world w
-   without actor a (phase B), which is selected on w's full tree unless a
-   was a sole blocker of w's growth or w's root is blocked.  A tree is
-   grown from the root when the root is clear: the full world's into
-   w's slot of the full trees, an ablated world's into the worker's
-   buffers, on the rows without a. */
+   without actor a (phase B): w's rows read in place with skip = a.  It
+   is selected on w's full tree unless a was a sole blocker of w's growth
+   or w's root is blocked.  A tree is grown from the root when the root
+   is clear: the full world's into w's slot of the full trees, with its
+   sole flags, an ablated world's into the worker's buffers, with none,
+   since none are read. */
 static void plan_item(const struct job *j, struct worker *me, int w, int a)
 {
     size_t n_max = (size_t)j->budget + 1, row = 2 * (size_t)j->kp1;
@@ -637,15 +650,6 @@ static void plan_item(const struct job *j, struct worker *me, int w, int a)
     uint8_t *sole = j->sole + (size_t)w * (size_t)j->m;
     int m = j->m, n = -1;   /* -1: a tree is to be grown */
     if (a >= 0) {
-        /* the rows without a */
-        m--;
-        memcpy(me->obs, obs, (size_t)a * row * sizeof(double));
-        memcpy(me->obs + (size_t)a * row, obs + ((size_t)a + 1) * row,
-               (size_t)(m - a) * row * sizeof(double));
-        memcpy(me->rsum, rsum, (size_t)a * sizeof(double));
-        memcpy(me->rsum + a, rsum + a + 1, (size_t)(m - a) * sizeof(double));
-        obs = me->obs;
-        rsum = me->rsum;
         n = j->nodes[w];
         if (n == 0 || sole[a]) {
             n = -1;
@@ -653,7 +657,7 @@ static void plan_item(const struct job *j, struct worker *me, int w, int a)
             cost = me->cost;
             tick = me->tick;
             parent = me->parent;
-            sole = me->sole;
+            sole = NULL;
         }
         verts = me->verts;
         seg = me->seg;
@@ -661,10 +665,10 @@ static void plan_item(const struct job *j, struct worker *me, int w, int a)
     }
     if (n < 0) {
         n = 0;   /* no tree: the root is blocked */
-        if (hold_free(j->x0, j->y0, 0.0, 0, obs, j->kp1, rsum, m)) {
+        if (hold_free(j->x0, j->y0, 0.0, 0, obs, j->kp1, rsum, m, a)) {
             n = navrisk_grow(j->samples, j->budget, j->x0, j->y0, j->y_lo,
                              j->y_hi, j->inv, j->steer, j->k, obs, j->kp1,
-                             rsum, m, xy, cost, tick, parent, sole);
+                             rsum, m, a, xy, cost, tick, parent, sole);
             j->grew[slot] = 1;
         }
         if (a < 0)
@@ -672,7 +676,7 @@ static void plan_item(const struct job *j, struct worker *me, int w, int a)
     }
     j->status[slot] = n < 0 ? -2 : plan_world(
         xy, cost, tick, parent, n, j->goals + 2 * slot, j->tol, j->inv,
-        j->step, j->k, obs, j->kp1, rsum, m, verts, j->paths + slot * row,
+        j->step, j->k, obs, j->kp1, rsum, m, a, verts, j->paths + slot * row,
         seg, info);
 }
 
@@ -766,9 +770,10 @@ static int plan_phases(struct job *j, const uint8_t *wanted,
 
    The root is checked at tick 0 by hold_free.  Each full world is grown
    once; the world without a reuses its tree unless a was a sole blocker
-   of one of its edge checks, and grows its own on the rows without a
-   when it was or when the full root is blocked.  Either way that world
-   is selected among the rows without a.
+   of one of its edge checks, and grows its own when it was or when the
+   full root is blocked.  Either way that world reads obs[w] in place
+   and passes over a (skip = a), visiting the other actors in the order
+   a copy of the rows without a would hold them.
 
    Phase A grows and selects every full world; phase B then plans every
    wanted ablation of every world, the regrowths first, since they take
@@ -797,16 +802,15 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
                           int32_t *status, double *verts, int32_t *seg,
                           int32_t *info, uint8_t *regrown, int workers)
 {
-    size_t n_max = (size_t)budget + 1, row = 2 * (size_t)kp1;
-    size_t rows = m > 0 ? (size_t)m - 1 : 0, W = (size_t)n_worlds;
+    size_t n_max = (size_t)budget + 1, W = (size_t)n_worlds;
     size_t sole_size = W * (size_t)m, slots = W * ((size_t)m + 1);
     /* no phase has more items than the larger of W and W * m */
     int most = workers < 1 ? 1 : workers;
     if ((size_t)most > W * (size_t)(m > 1 ? m : 1))
         most = (int)(W * (size_t)(m > 1 ? m : 1));
-    /* each worker's buffers: the rows without an actor, a tree, and an
-       ablated selection's vertices and segments */
-    size_t d_each = rows * (row + 1) + 6 * n_max + 2;
+    /* each worker's buffers: a tree, and an ablated selection's vertices
+       and segments */
+    size_t d_each = 6 * n_max + 2;
     size_t i_each = n_max + (size_t)k + 1;
     /* the full trees, phase B's items and the sole and growth flags */
     double *dtrees = malloc(4 * n_max * W * sizeof(double));
@@ -815,10 +819,9 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
     struct worker *ws = malloc((size_t)most * sizeof(struct worker));
     double *dwork = malloc((size_t)most * d_each * sizeof(double));
     int32_t *iwork = malloc((size_t)most * i_each * sizeof(int32_t));
-    uint8_t *swork = malloc((size_t)most * (size_t)m + 1);
     int result = -2;
     if (dtrees != NULL && itrees != NULL && flags != NULL && ws != NULL &&
-        dwork != NULL && iwork != NULL && swork != NULL) {
+        dwork != NULL && iwork != NULL) {
         struct job j = {
             .samples = samples, .obs = obs, .rsum = rsum, .goals = goals,
             .x0 = x0, .y0 = y0, .y_lo = y_lo, .y_hi = y_hi, .inv = inv,
@@ -835,15 +838,12 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
         for (int i = 0; i < most; i++) {
             struct worker *me = &ws[i];
             me->job = &j;
-            me->obs = dwork + (size_t)i * d_each;
-            me->rsum = me->obs + rows * row;
-            me->xy = me->rsum + rows;
+            me->xy = dwork + (size_t)i * d_each;
             me->cost = me->xy + 2 * n_max;
             me->tick = me->cost + n_max;
             me->verts = me->tick + n_max;
             me->parent = iwork + (size_t)i * i_each;
             me->seg = me->parent + n_max;
-            me->sole = swork + (size_t)i * (size_t)m;
         }
         result = plan_phases(&j, wanted, regrown, ws, most);
     }
@@ -853,7 +853,6 @@ int navrisk_leave_one_out(const double *samples, int budget, double x0,
     free(ws);
     free(dwork);
     free(iwork);
-    free(swork);
     return result;
 }
 

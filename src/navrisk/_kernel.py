@@ -53,7 +53,7 @@ SIGNATURES = {   # name: (argument types, result type)
     "navrisk_hypot_sum": ((_P, _I, _P, _I), _D),
     "navrisk_sum": ((_P, _I), _D),
     "navrisk_class_sum": ((_P, _I, _I, _I, _P), _D),
-    "navrisk_path_clear": ((_P, _I, _I, _I, _P, _I, _P, _I), _I),
+    "navrisk_path_clear": ((_P, _I, _I, _I, _P, _I, _P, _I, _I), _I),
     "navrisk_lattice": ((_P, _I, _P, _I, _D, _D, _D, _P, _P, _I, _I, _I, _P,
                          _P, _P, _I, _P, _I, _I, _P, _P, _P, _P, _P, _Q),
                         _Q),

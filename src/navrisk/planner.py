@@ -199,7 +199,7 @@ def _collides(ego_traj: Trajectory, obs: array, rsum: array) -> bool:
     k = len(ego_traj) - 1
     return not kernel().navrisk_path_clear(
         address(ego_traj.positions), 2, 0, k, address(obs), k + 1,
-        address(rsum), len(rsum))
+        address(rsum), len(rsum), -1)
 
 
 def collision_check(ego_traj: Trajectory, world: Mapping[str, Trajectory],
@@ -397,10 +397,10 @@ def enumerate_plans(road: RoadMap, ego: ActorState, t: int, k: int,
 # Budgeted sampling planner
 # ---------------------------------------------------------------------------
 
-def _goal_point(road: RoadMap, ego: ActorState, goal: GoalSpec,
+def _goal_point(road: RoadMap, ego: ActorState, advance: float, lane: int,
                 ego_radius: float) -> tuple[float, float]:
-    return (min(ego.position_x + goal.advance, road.road_length - ego_radius),
-            road.lane_center(goal.lane))
+    return (min(ego.position_x + advance, road.road_length - ego_radius),
+            road.lane_center(lane))
 
 
 def _sample_stream(road: RoadMap, ego: ActorState, cfg: PlannerConfig,
@@ -561,7 +561,8 @@ def plan_sampling(road: RoadMap, ego: ActorState, t: int, k: int,
     edge leaves it, or when no candidate endpoint stays collision-free.
     """
     obs, rsum = world_arrays(world, radii, ego_radius, t, k)
-    goal = _goal_point(road, ego, cfg.goal, ego_radius)
+    goal = _goal_point(road, ego, cfg.goal.advance, cfg.goal.lane,
+                       ego_radius)
     [worlds] = _plan_worlds(road, ego, k, obs, rsum, cfg, ego_radius, dt,
                             array("d", goal * (len(rsum) + 1)),
                             zeros("B", len(rsum)))

@@ -37,7 +37,6 @@ from collections.abc import Callable, Mapping, Sequence
 
 from ._kernel import address, kernel, zeros
 from .planner import (
-    GoalSpec,
     LatticeConfig,
     Plan,
     PlannerConfig,
@@ -384,8 +383,7 @@ def _leave_one_out(worlds: Sequence[Mapping[str, Trajectory]],
         advance = cfg.goal.advance if w_terms is None else _soft_advance(
             cfg.goal.advance, (x for j, x in enumerate(w_terms)
                                if j != without))
-        return _goal_point(road, ego, GoalSpec(advance, cfg.goal.lane),
-                           ego_radius)
+        return _goal_point(road, ego, advance, cfg.goal.lane, ego_radius)
 
     # per world: the full world, then the world without each j; (0, 0)
     # for one not asked for

@@ -6,10 +6,13 @@ the parts that call is made of, and these wrappers call them as it does,
 so that the tests can check each part against its reference in
 oracles.py: grow_tree runs the tree growth (navrisk_grow), select_path
 the endpoint selection (navrisk_select) and edge_blockers the edge check
-(navrisk_edge_blockers).  They take and return numpy arrays, as
-oracles.obstacle_arrays gives world_arrays' buffers.  parts() also
-gives the sampled futures' noise draw on its own (navrisk_normal), which
-tests/test_normal_stream.py compares with numpy's Generator.normal.
+(navrisk_edge_blockers).  Each takes skip, the actor of the rows that the
+kernel passes over, as it does to plan a world without that actor on the
+full world's rows; the default -1 passes over none.  They take and
+return numpy arrays, as oracles.obstacle_arrays gives world_arrays'
+buffers.  parts() also gives the sampled futures' noise draw on its own
+(navrisk_normal), which tests/test_normal_stream.py compares with
+numpy's Generator.normal.
 """
 
 import ctypes
@@ -35,11 +38,12 @@ from oracles import Tree, _hits
 
 _P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
 SIGNATURES = {
-    "navrisk_edge_blockers": (_D, _D, _D, _D, _D, _D, _P, _I, _P, _I, _P),
-    "navrisk_grow": (_P, _I, _D, _D, _D, _D, _D, _D, _I, _P, _I, _P, _I, _P,
-                     _P, _P, _P, _P),
+    "navrisk_edge_blockers": (_D, _D, _D, _D, _D, _D, _P, _I, _P, _I, _I,
+                              _P),
+    "navrisk_grow": (_P, _I, _D, _D, _D, _D, _D, _D, _I, _P, _I, _P, _I, _I,
+                     _P, _P, _P, _P, _P),
     "navrisk_select": (_P, _P, _P, _P, _I, _D, _D, _D, _D, _D, _I, _P, _I,
-                       _P, _I, _P, _P, _P, _P),
+                       _P, _I, _I, _P, _P, _P, _P),
     "navrisk_normal": (_P, _I, _P, _I, _D, _I, _P),
 }
 
@@ -68,18 +72,26 @@ def kernel_obstacles(obs: np.ndarray, rsum: np.ndarray, tick0: float,
     return obs, np.ascontiguousarray(rsum, dtype=np.float64)
 
 
+def without(obs: np.ndarray, rsum: np.ndarray, a: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (obs, rsum) with actor a's taken out: the copy that a call
+    with skip = a on the full rows must equal."""
+    return np.delete(obs, a, axis=0), np.delete(rsum, a)
+
+
 def edge_blockers(p0x: float, p0y: float, p1x: float, p1y: float,
                   tick0: float, tick1: float, obs: np.ndarray,
-                  rsum: np.ndarray) -> tuple[int, ...]:
-    """The actors of world_arrays' (obs, rsum) that the edge p0 -> p1 hits
-    at the integer ticks it covers from tick0 to tick1, by _hits' rule:
-    () if none, (a,) if actor a is the only one, else two of them.  The
-    kernel's edge check, which the tree growth runs on every edge."""
+                  rsum: np.ndarray, skip: int = -1) -> tuple[int, ...]:
+    """The actors of world_arrays' (obs, rsum), all but skip, that the
+    edge p0 -> p1 hits at the integer ticks it covers from tick0 to
+    tick1, by _hits' rule: () if none, (a,) if actor a is the only one,
+    else two of them.  The kernel's edge check, which the tree growth
+    runs on every edge."""
     obs, rsum = kernel_obstacles(obs, rsum, tick0, tick1)
     found = (ctypes.c_int32 * 2)()
     count = parts().navrisk_edge_blockers(
         p0x, p0y, p1x, p1y, tick0, tick1, obs.ctypes.data, obs.shape[1],
-        rsum.ctypes.data, len(rsum), found)
+        rsum.ctypes.data, len(rsum), skip, found)
     if count < 0:
         raise MemoryError("no memory for the edge check")
     return tuple(found[:count])
@@ -98,11 +110,12 @@ class Selected(NamedTuple):
 
 def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
               rsum: np.ndarray, cfg: PlannerConfig, ego_radius: float,
-              dt: float, samples: Optional[np.ndarray] = None
-              ) -> tuple[Tree, np.ndarray]:
+              dt: float, samples: Optional[np.ndarray] = None,
+              skip: int = -1) -> tuple[Tree, np.ndarray]:
     """Grow the rewiring tree for exactly cfg.iteration_budget samples,
     _sample_stream's for this cfg unless samples (cfg.iteration_budget,
-    2) are given, among the obstacles (obs, rsum) of world_arrays.
+    2) are given, among the obstacles (obs, rsum) of world_arrays but
+    actor skip.
 
     Also returns the (m,) sole mask: actor j is sole iff some connect or
     rewire edge check was blocked by actor j alone.  Raises
@@ -115,7 +128,7 @@ def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     inv = 1.0 / (speed * dt)          # ticks per meter of path
 
     root = np.array([ego.position_x, ego.position_y])
-    if _hits(obs[:, 0], root, rsum).any():
+    if (_hits(obs[:, 0], root, rsum) & (np.arange(len(rsum)) != skip)).any():
         raise PlanningInfeasible(
             "ego overlaps an obstacle at the planning tick")
     if samples is None:
@@ -135,7 +148,7 @@ def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
     n = parts().navrisk_grow(
         samples.ctypes.data, cfg.iteration_budget, *root.tolist(), y_lo, y_hi,
         inv, STEER_STEP, k, obs.ctypes.data, obs.shape[1], rsum.ctypes.data,
-        len(rsum), pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
+        len(rsum), skip, pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
         parent.ctypes.data, sole.ctypes.data)
     if n < 0:
         raise MemoryError("no memory for the tree growth's work arrays")
@@ -143,11 +156,11 @@ def grow_tree(road: RoadMap, ego: ActorState, k: int, obs: np.ndarray,
 
 
 def select_path(tree: Tree, goal: np.ndarray, obs: np.ndarray,
-                rsum: np.ndarray, k: int, dt: float
+                rsum: np.ndarray, k: int, dt: float, skip: int = -1
                 ) -> tuple[Selected, int]:
-    """navrisk_select's path on tree toward goal among (obs, rsum), walked
-    at tree.speed, and its endpoint's tree node.  Raises
-    PlanningInfeasible when no candidate endpoint stays clear."""
+    """navrisk_select's path on tree toward goal among (obs, rsum) but
+    actor skip, walked at tree.speed, and its endpoint's tree node.
+    Raises PlanningInfeasible when no candidate endpoint stays clear."""
     pts, cost, tick = (np.ascontiguousarray(a, dtype=np.float64)
                        for a in (tree.pts, tree.cost, tree.tick))
     parent = np.ascontiguousarray(tree.parent, dtype=np.int32)
@@ -167,7 +180,7 @@ def select_path(tree: Tree, goal: np.ndarray, obs: np.ndarray,
         pts.ctypes.data, cost.ctypes.data, tick.ctypes.data,
         parent.ctypes.data, n, float(goal[0]), float(goal[1]),
         GOAL_TOLERANCE, tree.inv, tree.speed * dt, k, obs.ctypes.data,
-        obs.shape[1], rsum.ctypes.data, len(rsum), vertices.ctypes.data,
+        obs.shape[1], rsum.ctypes.data, len(rsum), skip, vertices.ctypes.data,
         xy.ctypes.data, seg.ctypes.data, info)
     if best == -1:
         raise PlanningInfeasible("no candidate endpoint stays collision-free")

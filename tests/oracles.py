@@ -93,7 +93,6 @@ from navrisk.planner import (
     SPEED_CHANGE_PENALTY,
     SPEED_STEP,
     STEER_STEP,
-    GoalSpec,
     Plan,
     PlannerConfig,
     PlanningInfeasible,
@@ -870,7 +869,7 @@ def replanned_gammas(road, world, ego, t, k, cfg, radii, route=True):
         obs, rsum = obstacle_arrays(w, radii, 1.2, t, k)
         advance = _soft_advance(cfg.goal.advance, _lane_terms(
             w, ego, road, lane, speed)) if route else cfg.goal.advance
-        goal = _goal_point(road, ego, GoalSpec(advance, lane), 1.2)
+        goal = _goal_point(road, ego, advance, lane, 1.2)
         try:
             tree, _ = reference_grow_tree(road, ego, k, obs, rsum, cfg, 1.2,
                                           0.1)

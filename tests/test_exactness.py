@@ -73,7 +73,7 @@ from navrisk.scenario import (
 )
 
 import oracles
-from kernel_calls import grow_tree, select_endpoint, select_path
+from kernel_calls import grow_tree, select_endpoint, select_path, without
 from oracles import (
     PlanDistribution,
     Tree,
@@ -561,6 +561,31 @@ def assert_same_selection(tree, goal, obs, rsum, k):
     return path, end
 
 
+def selections_without_each_actor(tree, goal, obs, rsum, k):
+    """For every actor a, select_path with skip = a on the full rows
+    against select_path on the rows without a: both raise
+    PlanningInfeasible, or they give the same endpoint, partial flag,
+    positions, segments and vertices.  Returns each a's path and endpoint,
+    None where both raise."""
+    out = []
+    for a in range(len(rsum)):
+        try:
+            want, want_end = select_path(tree, goal, *without(obs, rsum, a),
+                                         k, 0.1)
+        except PlanningInfeasible:
+            with pytest.raises(PlanningInfeasible):
+                select_path(tree, goal, obs, rsum, k, 0.1, skip=a)
+            out.append(None)
+            continue
+        path, end = select_path(tree, goal, obs, rsum, k, 0.1, skip=a)
+        assert (end, path.partial) == (want_end, want.partial), a
+        for field in ("xy", "seg", "vertices"):
+            assert getattr(path, field).tolist() == \
+                getattr(want, field).tolist(), (a, field)
+        out.append((path, end))
+    return out
+
+
 def synthetic_tree(pts, cost, tick, parent):
     """A Tree of the given nodes walked at 10 m/s, so at dt 0.1 one
     meter per tick."""
@@ -581,9 +606,11 @@ class TestEndpointSelection:
 
     def test_grown_trees(self):
         # kernel-grown trees among 0-5 actors, toward the routed goal, a
-        # goal on a tree node and goals anywhere on the road
+        # goal on a tree node and goals anywhere on the road; and on each
+        # tree, with skip = a, the selection on the rows without actor a
         rng = np.random.default_rng(2024)
         partial = connected = 0
+        skipped = Counter()
         for _ in range(40):
             k = int(rng.choice((20, 30, 40)))
             ego = ActorState(10.0, ROAD3.lane_center(int(rng.integers(3))),
@@ -609,9 +636,9 @@ class TestEndpointSelection:
             except PlanningInfeasible:
                 continue
             lane, speed = cfg.goal.lane, cfg.target_speed   # under the limit
-            routed = GoalSpec(_soft_advance(cfg.goal.advance, _lane_terms(
-                world, ego, ROAD3, lane, speed)), lane)
-            goals = [_goal_point(ROAD3, ego, routed, RADIUS),
+            routed = _soft_advance(cfg.goal.advance, _lane_terms(
+                world, ego, ROAD3, lane, speed))
+            goals = [_goal_point(ROAD3, ego, routed, lane, RADIUS),
                      tree.pts[int(rng.integers(len(tree.pts)))],
                      *rng.uniform((5.0, 0.0), (60.0, ROAD3.width), (3, 2))]
             for goal in goals:
@@ -621,7 +648,14 @@ class TestEndpointSelection:
                     partial += path.partial
                     connected += not path.partial and \
                         path.vertices[-1].tolist() == list(goal)
+                for got in selections_without_each_actor(tree, goal, obs,
+                                                         rsum, k):
+                    skipped["none" if got is None else
+                            "same" if selected is not None
+                            and got[1] == selected[1] else "other"] += 1
         assert partial > 10 and connected > 10, (partial, connected)
+        # removing an actor changed the selection, or made one possible
+        assert skipped["same"] > 50 and skipped["other"] > 10, skipped
 
     def test_lattice_trees(self):
         # nodes, goals and parked actors on a 0.5 m lattice, costs and

@@ -177,3 +177,19 @@ def test_without_a_compiler_run_and_oracle_exit_2_casestudy_runs(pkg,
         "error: cannot build the planner kernel: cc -O2 -std=c99")
     assert "Traceback" not in proc.stderr
     assert libraries(pkg) == []
+
+
+def test_flags_keep_every_operation_as_written():
+    """The pins rest on each binary64 operation of _growth.c rounding as
+    written, as numpy's and CPython's do.  -ffp-contract=off forbids
+    fusing a * b + c into one multiply-add, which rounds once: without it
+    the GNU dialects (-std=gnu99, gcc's default) fuse on any target with
+    FMA, and a pinned run changes.  An ISO -std (c99, c11, ...) keeps
+    those extensions off as well.  Neither flag may be dropped, and
+    -ffast-math, which reassociates, may not be added."""
+    from navrisk._kernel import FLAGS
+    assert "-ffp-contract=off" in FLAGS
+    stds = [f for f in FLAGS if f.startswith("-std=")]
+    assert stds in (["-std=c99"], ["-std=c11"], ["-std=c17"])
+    assert not any(f.startswith(("-ffast-math", "-Ofast",
+                                 "-ffp-contract=f")) for f in FLAGS)

@@ -21,7 +21,7 @@ from navrisk.planner import (
 from navrisk.scenario import (
     MAX_MAGNITUDE, ActorState, RoadMap, ScenarioError)
 
-from kernel_calls import edge_blockers, grow_tree
+from kernel_calls import edge_blockers, grow_tree, without
 from oracles import (
     _hits,
     lane_walks,
@@ -517,13 +517,41 @@ def assert_same_growth(ego, k, obs, rsum, cfg, ego_r, ties=None,
     return tree, sole
 
 
+def assert_skip_is_removal(ego, k, obs, rsum, cfg, ego_r):
+    """For every actor a, grow_tree with skip = a on the full rows equals
+    grow_tree on the rows without a, raising alike or giving the same tree
+    bit for bit, and the same sole mask once a's entry, never set, is
+    dropped.  Returns how many of them grew a tree."""
+    grown = 0
+    for a in range(len(rsum)):
+        try:
+            want, want_sole = grow_tree(ROAD3, ego, k, *without(obs, rsum, a),
+                                        cfg, ego_r, DT)
+        except PlanningInfeasible:
+            with pytest.raises(PlanningInfeasible):
+                grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT, skip=a)
+            continue
+        tree, sole = grow_tree(ROAD3, ego, k, obs, rsum, cfg, ego_r, DT,
+                               skip=a)
+        for field in ("pts", "cost", "tick", "parent"):
+            assert getattr(tree, field).tolist() == \
+                getattr(want, field).tolist(), (a, field)
+        assert not sole[a]
+        assert np.delete(sole, a).tolist() == want_sole.tolist(), a
+        grown += 1
+    return grown
+
+
 class TestScalarKernel:
     """The compiled growth kernel against the earlier numpy kernel, kept in
-    oracles.py: the same tree and sole mask, bit for bit."""
+    oracles.py: the same tree and sole mask, bit for bit.  With skip = a
+    on a world's rows it grows the tree that it grows on the rows without
+    actor a, as navrisk_leave_one_out's ablations read them."""
 
     def test_grow_tree_equals_numpy_reference(self):
-        sole_seen = not_sole_seen = grown = 0
+        sole_seen = not_sole_seen = grown = skipped = 0
         for world in reference_worlds():
+            skipped += assert_skip_is_removal(*world)
             got = assert_same_growth(*world)
             if got is None:
                 continue
@@ -531,6 +559,7 @@ class TestScalarKernel:
             sole_seen += int(got[1].sum())
             not_sole_seen += int((~got[1]).sum())
         assert grown >= 30 and sole_seen > 0 and not_sole_seen > 0
+        assert skipped >= 60, skipped
 
     def test_edge_blockers_at_the_radius(self):
         # a parked edge at the origin over tick 1 only, so the offsets are
@@ -551,6 +580,7 @@ class TestScalarKernel:
         k = 30
         ticks = np.arange(k + 1, dtype=float)
         seen = {0: 0, 1: 0, 2: 0}
+        skipped = {0: 0, 1: 0, 2: 0}
         for _ in range(60):
             world, radii = {}, {}
             for i in range(int(rng.integers(0, 7))):
@@ -578,7 +608,17 @@ class TestScalarKernel:
                     assert len(got) == 2 and got[0] != got[1]
                     assert set(got) <= truth
                 seen[min(len(truth), 2)] += 1
+                # skip = a on the full rows gives the blockers of the rows
+                # without a, as indices into the full rows
+                for a in range(len(rsum)):
+                    want = edge_blockers(*p0.tolist(), *p1.tolist(), tick0,
+                                         tick1, *without(obs, rsum, a))
+                    assert edge_blockers(
+                        *p0.tolist(), *p1.tolist(), tick0, tick1, obs, rsum,
+                        skip=a) == tuple(j + (j >= a) for j in want), a
+                    skipped[len(want)] += 1
         assert min(seen.values()) >= 50, seen
+        assert min(skipped.values()) >= 50, skipped
 
     def test_edge_blockers_rejects_ticks_the_obstacles_do_not_cover(self):
         # obs covers ticks 0-3; the kernel reads every integer tick of the
