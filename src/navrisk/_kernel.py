@@ -3,18 +3,17 @@
 kernel() compiles the C99 source once per checkout with the constant
 compiler COMPILER and FLAGS and loads it through ctypes.  The shared
 library is cached in the package's __pycache__ under a name made from the
-crc32 of the source, the flags, the interpreter's cache tag and the
-machine, so an edited source or another platform gets its own file.  It
-is written to a temporary file in that directory and moved into place, so
-concurrent builds never load a partial file.  A build there then unlinks
-the directory's other _growth-*.so files, which a process that has
-loaded one keeps using; so a checkout shared by two interpreters (two
-cache tags) rebuilds each time they alternate.  Where that directory is not
-writable the library is cached the same way, under the same name, in
-navrisk-<uid> under tempfile.gettempdir(), which is made 0700 and used
-only while it is a directory that this user owns and no one else can
-enter, and keeps every build.  Nothing is built or loaded until the
-first plan or lattice walk.
+crc32 of the source, the flags and the machine, so an edited source or
+another platform gets its own file.  The library includes no Python
+header, so every interpreter loads the same build.  It is written to a
+temporary file in that directory and moved into place, so concurrent
+builds never load a partial file.  A build there then unlinks the
+directory's other _growth-*.so files, which a process that has loaded one
+keeps using.  Where that directory is not writable the library is cached
+the same way, under the same name, in navrisk-<uid> under
+tempfile.gettempdir(), which is made 0700 and used only while it is a
+directory that this user owns and no one else can enter, and keeps every
+build.  Nothing is built or loaded until the first plan or lattice walk.
 
 -ffp-contract=off keeps every a * b + c a rounded multiply and a rounded
 add, as in numpy and CPython; no -ffast-math, which would reassociate.
@@ -31,7 +30,6 @@ import ctypes
 import functools
 import os
 import stat
-import sys
 import zlib
 from array import array
 
@@ -87,7 +85,6 @@ def seed_words(*ns: int) -> ctypes.Array:
 def _library_name(source: bytes) -> str:
     """The cache file name of the library built from source here."""
     key = b"\0".join((source, " ".join(FLAGS).encode(),
-                      str(sys.implementation.cache_tag).encode(),
                       os.uname().machine.encode()))
     return f"_growth-{zlib.crc32(key):08x}.so"
 

@@ -5,8 +5,9 @@ Subcommands:
   oracle     exact lattice risk table for one planning window
   casestudy  generate the five-phase case-study scenario document
 
-Exit codes: 0 success, 2 configuration error, 3 scenario validation error,
-4 degenerate scenario (the empty-world plan set is empty), 5 lattice cap
+Exit codes: 0 success, 2 configuration error (also an allocation the
+arguments asked for that failed), 3 scenario validation error, 4
+degenerate scenario (the empty-world plan set is empty), 5 lattice cap
 exceeded.  Commands raise; `main` alone maps an exception to its code
 (EXIT_CODES) and prints the error.
 """
@@ -74,8 +75,7 @@ def _add_oracle_parser(sub):
     p.add_argument("--t", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--maneuvers",
-                   default="keep,shift_left,shift_right",
+    p.add_argument("--maneuvers", default=",".join(LatticeConfig.maneuvers),
                    help=f"comma list from {','.join(MANEUVERS)}")
 
 
@@ -116,8 +116,8 @@ def cmd_run(args) -> int:
             raise ValueError("--horizon must be a positive multiple of "
                              "--lattice-steps")
         lattice = LatticeConfig(
-            args.lattice_steps, ("keep", "shift_left", "shift_right"),
-            args.horizon // args.lattice_steps)
+            args.lattice_steps,
+            ticks_per_step=args.horizon // args.lattice_steps)
         check_cap(lattice, source="--lattice-steps")
     cfg = RunConfig(
         seed=args.seed, horizon=args.horizon,
@@ -190,6 +190,7 @@ EXIT_CODES = (
     (ScenarioError, EXIT_SCENARIO),
     (ValueError, EXIT_CONFIG),
     (OSError, EXIT_CONFIG),
+    (MemoryError, EXIT_CONFIG),
 )
 COMMANDS = {"run": cmd_run, "oracle": cmd_oracle, "casestudy": cmd_casestudy}
 
@@ -206,7 +207,10 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except tuple(cls for cls, _ in EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        message = str(e)
+        if isinstance(e, MemoryError):   # Python's own has no text
+            message = ": ".join(filter(None, ("out of memory", message)))
+        print(f"error: {message}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(e, cls))
 
 

@@ -87,6 +87,9 @@ SAFETY_MARGIN = 0.5           # meters added to every ego-actor radius sum
 STEER_STEP = 2.0              # meters: longest new tree edge
 GOAL_TOLERANCE = 2.0          # meters: radius of the goal region
 SPEED_STEP = 1.5              # m/s change per lattice brake/accelerate step
+# the most iteration_budget: the kernel holds it in a C int, and also
+# 2 * (budget + 1) + 1, the index of a plan's last vertex's y
+MAX_BUDGET = 2 ** 30 - 2
 
 
 class PlanningInfeasible(Exception):
@@ -155,6 +158,9 @@ class PlannerConfig(_Value):
 
     def __post_init__(self):
         require_int("iteration_budget", self.iteration_budget, 1)
+        if self.iteration_budget > MAX_BUDGET:
+            raise ValueError(f"iteration_budget must be <= {MAX_BUDGET}, "
+                             f"got {self.iteration_budget!r}")
         require_int("seed", self.seed, 0)   # np.random.SeedSequence's rule
         if not self.target_speed > 0:
             raise ValueError("target_speed must be > 0")

@@ -42,12 +42,13 @@ class RunConfig(_Value):
     iteration_budget: int = 700
 
     def __post_init__(self):
-        # PredictionConfig holds the seed and noise-sigma rules, and raises
+        # PredictionConfig holds the seed and noise-sigma rules and
+        # PlannerConfig the budget's, and each raises
         PredictionConfig(self.noise_accel, self.noise_yawrate,
                          seed=self.seed)
+        PlannerConfig(self.iteration_budget)
         require_int("replan_every", self.replan_every, 1)
         require_int("horizon", self.horizon, self.replan_every)
-        require_int("iteration_budget", self.iteration_budget, 1)
         require_int("samples", self.samples, 0)
         if isinstance(self.operators, str):
             raise ValueError(f"operators must be a sequence of names, not "

@@ -419,6 +419,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--budget", "0"],
+        # one above planner.MAX_BUDGET, and one that the kernel's C int
+        # would read as 1
+        ["--budget", str(2 ** 30 - 1)],
+        ["--budget", str(2 ** 32 + 1)],
         ["--samples", "-1"],
         ["--samples", "1", "--noise-accel", "-1"],
         ["--noise-yawrate", "nan"],

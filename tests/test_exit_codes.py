@@ -139,6 +139,23 @@ def test_off_road_ego_exit_3(workdir, axis, j, value):
                               f"{axis} = {value!r}\n")
 
 
+@pytest.mark.parametrize("raised, line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("no memory for the lattice walk"),
+     "error: out of memory: no memory for the lattice walk\n"),
+])
+def test_allocation_failure_exit_2(workdir, small_case, raised, line):
+    # an allocation the arguments asked for failed: Python's own
+    # MemoryError has no text, so the line names it
+    scenario = ["--scenario", str(small_case)]
+    with mock.patch("navrisk.cli.run_simulation", side_effect=raised):
+        assert _exit(["run", *scenario, "--out", str(workdir / "oom")]) == \
+            (2, line)
+    with mock.patch("navrisk.cli.all_actor_risk_exact", side_effect=raised):
+        assert _exit(["oracle", *scenario, "--t", "20", "--k", "8",
+                      "--steps", "2"]) == (2, line)
+
+
 # --- argument vectors -------------------------------------------------------
 
 INTS = ["0", "-1", "3"]

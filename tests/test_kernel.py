@@ -66,6 +66,19 @@ def test_second_load_runs_no_compiler(pkg, tmp_path):
     assert libraries(pkg) == built
 
 
+def test_every_interpreter_loads_one_build(pkg, tmp_path):
+    # the library includes no Python header: an interpreter with another
+    # cache tag loads the same file, with no cc on PATH to build its own
+    tagged = "import sys\nsys.implementation.cache_tag = {!r}\n" + LOAD
+    first = run(pkg, tagged.format("cpython-311"))
+    assert first.returncode == 0, first.stderr
+    second = run(pkg, tagged.format("cpython-312"),
+                 path=no_compiler(tmp_path))
+    assert second.returncode == 0, second.stderr
+    assert second.stdout == first.stdout
+    assert len(libraries(pkg)) == 1
+
+
 def test_edited_source_gets_a_new_cache_name(pkg):
     assert run(pkg, LOAD).returncode == 0
     before = libraries(pkg)
@@ -116,8 +129,8 @@ def test_unwritable_package_builds_privately(pkg, tmp_path):
 
 
 def test_private_cache_keeps_other_builds(pkg, tmp_path):
-    # other checkouts and interpreters share the per-user directory, so a
-    # build there leaves their libraries alone
+    # other checkouts share the per-user directory, so a build there
+    # leaves their libraries alone
     (pkg / "__pycache__").write_text("")
     private = tmp_path / "tmp" / f"navrisk-{os.getuid()}"
     private.mkdir(parents=True, mode=0o700)

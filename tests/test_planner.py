@@ -1,3 +1,4 @@
+import ctypes
 import math
 import random
 import re
@@ -13,6 +14,7 @@ from navrisk.planner import (
     PlannerConfig,
     PlanningInfeasible,
     GOAL_TOLERANCE,
+    MAX_BUDGET,
     SPEED_STEP,
     collision_check,
     enumerate_plans,
@@ -240,10 +242,22 @@ def sampling_cfg(**kw):
     ({"goal": GoalSpec(-20.0, 1)}, "goal.advance"),
     ({"seed": 4.0}, "seed"),
     ({"seed": -1}, "seed"),
+    ({"iteration_budget": MAX_BUDGET + 1},
+     f"^iteration_budget must be <= {MAX_BUDGET}, got {MAX_BUDGET + 1}$"),
 ])
 def test_planner_config_rejects_values_the_planner_cannot_use(kwargs, field):
     with pytest.raises(ValueError, match=field):
         sampling_cfg(**kwargs)
+
+
+def test_planner_config_takes_the_largest_budget_the_kernel_indexes():
+    # the kernel's largest index is the y of a plan's last vertex, of
+    # budget + 2: it fits a C int at MAX_BUDGET and wraps one above
+    assert sampling_cfg(iteration_budget=MAX_BUDGET).iteration_budget == \
+        MAX_BUDGET
+    last = 2 * (MAX_BUDGET + 1) + 1
+    assert ctypes.c_int(last).value == last
+    assert ctypes.c_int(last + 2).value < 0
 
 
 @pytest.mark.parametrize("args, field", [

@@ -241,10 +241,16 @@ class TestRunConfig:
         ({"seed": 2 ** 64}, "seed must be below 2\\*\\*64"),
         # a bool is an int by type, and would run as seed 1
         ({"seed": True}, "seed must be an integer >= 0, got True"),
+        # PlannerConfig's bound: the kernel's C int would wrap above it
+        ({"iteration_budget": 2 ** 30 - 1}, "iteration_budget must be <= "),
     ])
     def test_out_of_range_options_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(**kwargs)
+
+    def test_budget_up_to_the_planners_bound(self):
+        assert RunConfig(iteration_budget=2 ** 30 - 2).iteration_budget == \
+            2 ** 30 - 2
 
     def test_nine_settable_values(self):
         assert list(RunConfig._fields) == [
